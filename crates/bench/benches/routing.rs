@@ -88,7 +88,7 @@ fn routing(c: &mut Criterion) {
     });
     group.bench_function("bucket_table_16x16", |b| {
         let mut search = M2mSearch::new(g.vertex_count());
-        b.iter(|| black_box(ch.many_to_many(&mut search, &sources, &targets)))
+        b.iter(|| black_box(ch.view().many_to_many(&mut search, &sources, &targets)))
     });
     group.finish();
 

@@ -21,6 +21,8 @@
 //! | `pathrank_serve_coalesced_batches_total` | counter | — (batches answered by one m2m fill) |
 //! | `pathrank_serve_live_generation` | gauge | — |
 //! | `pathrank_serve_live_swaps_total` | counter | `kind=full\|sparse` |
+//! | `pathrank_serve_publish_ns` | histogram | — (snapshot clone + swap; update latency = customize + publish) |
+//! | `pathrank_serve_index_bytes` | gauge | `index=ch\|cch_topology\|cch_snapshot` (heap bytes; the snapshot is per live copy) |
 //! | `pathrank_cch_customize_ns` | histogram | `kind=full\|sparse` |
 //! | `pathrank_cch_delta_edges` | histogram | — (sparse update sizes) |
 //! | `pathrank_cch_recomputed_arcs` | histogram | — (triangle-closure sizes per sparse update) |
@@ -54,6 +56,10 @@ pub(crate) struct ServeObs {
     pub(crate) live_generation: Gauge,
     pub(crate) swap_full: Counter,
     pub(crate) swap_sparse: Counter,
+    pub(crate) publish_ns: Histogram,
+    pub(crate) ch_bytes: Gauge,
+    pub(crate) cch_topology_bytes: Gauge,
+    pub(crate) snapshot_bytes: Gauge,
     pub(crate) customize_full_ns: Histogram,
     pub(crate) customize_sparse_ns: Histogram,
     pub(crate) delta_edges: Histogram,
@@ -95,6 +101,13 @@ impl ServeObs {
                 "pathrank_cch_customize_ns",
                 "CCH customization wall time in nanoseconds, by update kind",
                 &[("kind", kind)],
+            )
+        };
+        let index_bytes = |index: &str| {
+            registry.gauge(
+                "pathrank_serve_index_bytes",
+                "Heap bytes held by a mounted index (cch_snapshot: per live copy)",
+                &[("index", index)],
             )
         };
         let queue_depth = (0..shards)
@@ -146,6 +159,14 @@ impl ServeObs {
             ),
             swap_full: swap("full"),
             swap_sparse: swap("sparse"),
+            publish_ns: registry.histogram(
+                "pathrank_serve_publish_ns",
+                "Wall time to clone the staging columns into a snapshot and swap it in",
+                &[],
+            ),
+            ch_bytes: index_bytes("ch"),
+            cch_topology_bytes: index_bytes("cch_topology"),
+            snapshot_bytes: index_bytes("cch_snapshot"),
             customize_full_ns: customize("full"),
             customize_sparse_ns: customize("sparse"),
             delta_edges: registry.histogram(

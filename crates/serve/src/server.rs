@@ -47,25 +47,37 @@
 //!
 //! # Atomic live-weight swaps
 //!
-//! Live weights are double-buffered. A mutable *staging* `(weights,
-//! Cch)` master lives behind its own mutex and is the only copy ever
-//! mutated: [`RouteServer::update_live_weights`] re-customizes it in
-//! place (recycled buffers, no fresh skeleton), and
-//! [`RouteServer::update_live_weights_sparse`] patches just the entries
-//! a telemetry delta names and re-relaxes only the triangles those
-//! edges touch (`Cch::apply_weight_delta` — bit-identical to the full
-//! pass, microseconds instead of milliseconds for percent-level
-//! deltas). Both happen *off* the serving path; publishing then clones
-//! an immutable snapshot, stamps the next generation and swaps the
-//! `(weights, Cch)` pair into the served slot under a mutex — the
-//! served copy itself is never written. Workers snapshot the pair once
-//! per batch, so every request in a batch — and every individual
-//! query, which folds costs over that snapshot's unpacked edges —
-//! observes exactly one generation, never a mix. Holding the staging
-//! lock across stamp-and-publish keeps generations observed through
-//! the served slot monotone even when sparse and full updates race.
-//! The engine's own `usable_for` bitwise-equality and weights-epoch
-//! gates stay on underneath as defence in depth.
+//! Live weights are double-buffered, and only *columns* are ever
+//! copied. The CCH topology (ranks, arcs, triangles, search segments)
+//! is built once and shared by `Arc`; a [`Cch`] owns just what
+//! customization writes, and it owns the live weight vector too — the
+//! single copy, which requests route under as
+//! `CostModel::Custom(cch.custom_weights())`, so the engine's
+//! `usable_for` gate passes on slice identity instead of comparing every
+//! weight per query. Staging and every published snapshot therefore
+//! cost 28 B per arc plus 8 B per edge each, against the topology's
+//! once-only 32 B per arc and 24 B per triangle (the budget table is in
+//! the `pathrank_spatial::algo::cch` module doc).
+//!
+//! A mutable *staging* `Cch` lives behind its own mutex and is the only
+//! copy ever mutated: [`RouteServer::update_live_weights`] re-customizes
+//! it in place, and [`RouteServer::update_live_weights_sparse`] patches
+//! just the entries a telemetry delta names and re-relaxes only the
+//! triangles those edges touch (`Cch::apply_weight_delta` —
+//! bit-identical to the full pass, microseconds instead of milliseconds
+//! for percent-level deltas). Both happen *off* the serving path;
+//! publishing then clones the columns into an immutable snapshot, stamps
+//! the next generation and swaps it into the served slot under a mutex —
+//! the served copy itself is never written. Update latency therefore
+//! decomposes into `pathrank_cch_customize_ns` +
+//! `pathrank_serve_publish_ns`. Workers snapshot the slot once per batch,
+//! so every request in a batch — and every individual query, which folds
+//! costs over that snapshot's unpacked edges — observes exactly one
+//! generation, never a mix. Holding the staging lock across
+//! stamp-and-publish keeps generations observed through the served slot
+//! monotone even when sparse and full updates race. The engine's own
+//! `usable_for` and weights-epoch gates stay on underneath as defence in
+//! depth.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -219,16 +231,15 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// One immutable live-weight generation: the vector and the CCH
-/// customized for it, always swapped as a pair.
+/// One immutable live-weight generation: a CCH customization, which
+/// owns the weight vector it was customized for
+/// ([`Cch::custom_weights`] — what queries fold with
+/// [`CostModel::Custom`]), so the two can only ever swap as a pair.
 #[derive(Debug)]
 pub struct LiveWeights {
     /// Monotone generation counter (first install is 1).
     pub generation: u64,
-    /// Per-edge weights, indexed by `EdgeId` — what queries fold with
-    /// [`CostModel::Custom`].
-    pub weights: Vec<f64>,
-    /// The CCH customized for exactly `weights` (bitwise).
+    /// The customized index and its weight vector.
     pub cch: Arc<Cch>,
 }
 
@@ -261,23 +272,16 @@ pub struct ServeStats {
     pub no_backend: u64,
 }
 
-/// The mutable master half of the live-weight double buffer. Updates —
-/// full and sparse alike — mutate this pair in place under its mutex,
-/// then publish an immutable cloned snapshot into [`LiveState::current`].
-/// The served snapshot is never written, so queries can keep reading it
-/// lock-free for the whole batch while the next generation customizes.
-#[derive(Default)]
-struct LiveStaging {
-    /// The current live weight vector (empty before the first install).
-    weights: Vec<f64>,
-    /// The CCH customized for exactly `weights`, recycled across
-    /// updates ([`Cch::recustomize_weights`] / [`Cch::apply_weight_delta`])
-    /// so steady-state customization allocates nothing.
-    cch: Option<Cch>,
-}
-
 struct LiveState {
-    staging: Mutex<LiveStaging>,
+    /// The mutable master half of the live-weight double buffer (`None`
+    /// before the first install). Updates — full and sparse alike —
+    /// mutate it in place under its mutex
+    /// ([`Cch::recustomize_weights`] / [`Cch::apply_weight_delta`], so
+    /// steady-state customization allocates nothing), then publish an
+    /// immutable cloned snapshot into `current`. The served snapshot is
+    /// never written, so queries can keep reading it lock-free for the
+    /// whole batch while the next generation customizes.
+    staging: Mutex<Option<Cch>>,
     current: Mutex<Option<Arc<LiveWeights>>>,
     generation: AtomicU64,
 }
@@ -337,11 +341,15 @@ impl RouteServer {
             cfg.shards
         };
         let live = Arc::new(LiveState {
-            staging: Mutex::new(LiveStaging::default()),
+            staging: Mutex::new(None),
             current: Mutex::new(None),
             generation: AtomicU64::new(0),
         });
         let obs = Arc::new(ServeObs::new(registry, shards));
+        let (ch, topo) = (indexes.ch.as_ref(), indexes.cch_topology.as_ref());
+        obs.ch_bytes.set(ch.map_or(0, |i| i.heap_bytes() as i64));
+        obs.cch_topology_bytes
+            .set(topo.map_or(0, |i| i.heap_bytes() as i64));
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -454,14 +462,16 @@ impl RouteServer {
         }
         let mut staging = self.live.staging.lock().expect("staging lock");
         let t0 = Instant::now();
-        match staging.cch.as_mut() {
-            Some(cch) => cch.recustomize_weights(&self.graph, &weights),
-            None => staging.cch = Some(topo.customize_weights(&self.graph, &weights)),
-        }
+        let cch = match staging.as_mut() {
+            Some(cch) => {
+                cch.recustomize_weights(&self.graph, &weights);
+                cch
+            }
+            None => staging.insert(topo.customize_weights(&self.graph, &weights)),
+        };
         self.obs.customize_full_ns.record_duration(t0.elapsed());
         self.obs.swap_full.inc();
-        staging.weights = weights;
-        Ok(self.publish(&staging))
+        Ok(self.publish(cch))
     }
 
     /// Patches the installed live weights with a sparse telemetry delta
@@ -495,43 +505,34 @@ impl RouteServer {
             return Err(ServeError::InvalidWeights);
         }
         let mut staging = self.live.staging.lock().expect("staging lock");
-        if staging.cch.is_none() {
+        let Some(cch) = staging.as_mut() else {
             self.obs.error(ServeError::NoBackend);
             return Err(ServeError::NoBackend);
-        }
-        for &(e, w) in updates {
-            staging.weights[e.index()] = w;
-        }
+        };
         let t0 = Instant::now();
-        let recomputed = staging
-            .cch
-            .as_mut()
-            .expect("checked above")
-            .apply_weight_delta(updates);
+        let recomputed = cch.apply_weight_delta(updates);
         self.obs.customize_sparse_ns.record_duration(t0.elapsed());
         self.obs.delta_edges.record(updates.len() as u64);
         self.obs.recomputed_arcs.record(recomputed as u64);
         self.obs.swap_sparse.inc();
-        Ok(self.publish(&staging))
+        Ok(self.publish(cch))
     }
 
-    /// Publishes the staging pair: clones an immutable snapshot, stamps
-    /// the next generation and swaps it into the served slot. Must be
-    /// called with the staging lock held — that serializes generation
-    /// assignment with the publish itself, so generations observed
-    /// through the served slot are monotone even when sparse and full
-    /// updates race. (The snapshot's customization scratch clones as
-    /// empty, so served copies stay lean.)
-    fn publish(&self, staging: &LiveStaging) -> u64 {
-        let cch = Arc::new(staging.cch.as_ref().expect("staging customized").clone());
+    /// Publishes the staging index: clones its columns into an immutable
+    /// snapshot (the topology is shared), stamps the next generation and
+    /// swaps it into the served slot. Must be called with the staging
+    /// lock held — that serializes generation assignment with the
+    /// publish itself, so generations observed through the served slot
+    /// are monotone even when sparse and full updates race.
+    fn publish(&self, staging: &Cch) -> u64 {
+        let t0 = Instant::now();
+        let cch = Arc::new(staging.clone());
+        self.obs.snapshot_bytes.set(cch.heap_bytes() as i64);
         let generation = self.live.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let lw = Arc::new(LiveWeights {
-            generation,
-            weights: staging.weights.clone(),
-            cch,
-        });
+        let lw = Arc::new(LiveWeights { generation, cch });
         *self.live.current.lock().expect("live lock") = Some(lw);
         self.obs.live_generation.set(generation as i64);
+        self.obs.publish_ns.record_duration(t0.elapsed());
         generation
     }
 
@@ -721,12 +722,16 @@ fn process_batch(
                     engine.set_cch(Some(Arc::clone(&lw.cch)));
                     *mounted_live = Some(Arc::clone(&lw));
                 }
+                let weights = lw
+                    .cch
+                    .custom_weights()
+                    .expect("live CCHs are customized from a vector");
                 serve_group(
                     engine,
                     obs,
                     cfg,
                     jobs,
-                    CostModel::Custom(&lw.weights),
+                    CostModel::Custom(weights),
                     lw.generation,
                 );
             }
@@ -847,5 +852,37 @@ fn serve_batched(
                 weights_generation: generation,
             }));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixture::{integer_city, integer_live_weights};
+    use pathrank_spatial::algo::cch::CchConfig;
+
+    #[test]
+    fn serve_snapshot_shares_topology_and_survives_later_deltas() {
+        let graph = Arc::new(integer_city(8));
+        let topo = Arc::new(CchTopology::build(&graph, &CchConfig::default()));
+        let indexes = ServerIndexes {
+            cch_topology: Some(Arc::clone(&topo)),
+            ..ServerIndexes::default()
+        };
+        let server = RouteServer::start(Arc::clone(&graph), indexes, ServeConfig::default());
+        let base = integer_live_weights(&graph, 0x11);
+        assert_eq!(server.update_live_weights(base), Ok(1));
+        let snapshot = server.live.current.lock().unwrap().clone().unwrap();
+        // `{:?}` prints every column, and f64's `Debug` form differs
+        // wherever the bits do.
+        let before = format!("{:?}", snapshot.cch);
+        let delta = [(EdgeId(3), 977.0), (EdgeId(40), 61.0)];
+        assert_eq!(server.update_live_weights_sparse(&delta), Ok(2));
+        let staging = server.live.staging.lock().unwrap();
+        let staging = staging.as_ref().expect("installed above");
+        assert!(Arc::ptr_eq(staging.topology(), &topo));
+        assert!(Arc::ptr_eq(snapshot.cch.topology(), &topo));
+        assert!(format!("{:?}", snapshot.cch) == before, "snapshot written");
+        assert!(format!("{staging:?}") != before, "the delta moves staging");
     }
 }

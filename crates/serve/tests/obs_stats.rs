@@ -107,6 +107,17 @@ fn obs_serve_stats_scrape_has_nonzero_series() {
     assert_eq!(total("pathrank_cch_customize_ns_count"), 2.0);
     assert_eq!(total("pathrank_cch_delta_edges_count"), 1.0);
     assert_eq!(total("pathrank_serve_live_generation"), 2.0);
+    // Update latency decomposes into customize + publish, one each per
+    // swap; the three index gauges (ch, cch_topology, cch_snapshot) are
+    // all mounted here, so each reports bytes.
+    assert_eq!(total("pathrank_serve_publish_ns_count"), 2.0);
+    let index_bytes: Vec<f64> = samples
+        .iter()
+        .filter(|s| s.name == "pathrank_serve_index_bytes")
+        .map(|s| s.value)
+        .collect();
+    assert_eq!(index_bytes.len(), 3, "ch, cch_topology, cch_snapshot");
+    assert!(index_bytes.iter().all(|&b| b > 0.0), "{index_bytes:?}");
 
     // The JSON form carries the same families.
     writer.write_all(b"STATS json\n").expect("send");

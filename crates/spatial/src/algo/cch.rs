@@ -32,12 +32,25 @@
 //!    the arcs owning the changed edges and chases the change upward
 //!    through the triangle DAG, stopping wherever a recomputed weight
 //!    lands on the same bits, sub-millisecond for percent-level deltas.
-//! 3. **Queries** reuse the stall-on-demand bidirectional upward search
-//!    of [`ContractionHierarchy`] unchanged: a customized [`Cch`] embeds
-//!    a real `ContractionHierarchy` whose arc pool and CSR search graphs
-//!    were re-weighted in place, so point-to-point queries, shortcut
-//!    unpacking and the bucket-based many-to-many sweeps all run on the
-//!    battle-tested code paths and stay exact.
+//! 3. **Queries** run the stall-on-demand bidirectional upward search,
+//!    the shortcut unpacking and the bucket many-to-many sweeps of
+//!    [`crate::algo::ch`] unchanged, through a [`HierarchyView`]: the
+//!    topology's weight-free [`Skeleton`] (ranks, endpoints, search
+//!    segments) plus the columns one customization wrote. Structure is
+//!    built once and shared by `Arc`; a [`Cch`] owns *only* what
+//!    customization writes, so cloning one — a server publishing a
+//!    snapshot — copies weight columns and nothing else.
+//!
+//!    | per arc | bytes | owner |
+//!    |---|---|---|
+//!    | weight, expansion rule, search-segment weight | 8 + 12 + 8 | every [`Cch`] |
+//!    | endpoints, segment entry (`other`, `arc`), `arc_to_seg` | 8 + 8 + 4 | topology, once |
+//!    | `orig_offsets`, `tri_offsets`, `dep_offsets` | 3 × 4 | topology, once |
+//!
+//!    | per triangle | bytes | owner |
+//!    |---|---|---|
+//!    | `(b, c)` support pair under the arc it supports | 8 | topology, once |
+//!    | reverse index: `(owner, co-support)` under each support | 2 × 8 | topology, once |
 //!
 //! The price of skipping witness searches is a denser search graph (every
 //! chordal fill-in arc is kept, where CH would prune witnessed ones), so
@@ -52,7 +65,7 @@ use std::sync::Arc;
 
 use crossbeam::thread;
 
-use crate::algo::ch::{ChArc, ChArcKind, ChSearch, ContractionHierarchy};
+use crate::algo::ch::{ChArcKind, HierarchyView, SearchArc, Skeleton};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 
@@ -74,33 +87,19 @@ impl Default for CchConfig {
 /// per-level crossbeam spawn costs more than the relaxation it splits.
 const PAR_GRAIN: usize = 256;
 
-/// One arc of the metric-independent topology in raw (pre-finalise)
-/// form: endpoints, the parallel original edges it merges, and the lower
-/// triangles supporting it. Shared between the builder and the io
-/// deserialiser ([`CchTopology::from_raw`]).
-pub(crate) struct RawArc {
-    pub(crate) from: VertexId,
-    pub(crate) to: VertexId,
-    /// Original graph edges `from -> to` (ascending `EdgeId`); empty for
-    /// pure fill-in arcs.
-    pub(crate) originals: Vec<EdgeId>,
-    /// Supporting lower triangles `(b, c)`: this arc is at most
-    /// `w(b) + w(c)` where `b = from -> v` and `c = v -> to` for some
-    /// intermediate `v` ranked below both endpoints.
-    pub(crate) triangles: Vec<(u32, u32)>,
-}
-
 /// The metric-independent half of a customizable contraction hierarchy:
 /// contraction order, merged chordal arc topology, supporting-triangle
-/// links, and a pre-assembled per-rank up/down CSR skeleton.
+/// links, and the per-rank up/down search skeleton.
 ///
 /// Build (or load via [`crate::io::read_cch`]) once per graph topology,
 /// wrap in an [`Arc`], then [`CchTopology::customize`] per metric or
 /// live-weight epoch — the expensive ordering work is never repeated.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CchTopology {
     /// Customization worker threads (from [`CchConfig`]).
     threads: usize,
+    /// Edge count of the graph the topology was built for.
+    m: usize,
     /// Arc -> merged original edges, CSR.
     orig_offsets: Vec<u32>,
     orig_edges: Vec<EdgeId>,
@@ -116,28 +115,26 @@ pub struct CchTopology {
     /// edges the topology dropped (self-loops). The entry point of a
     /// sparse delta: a changed edge cost seeds exactly this arc.
     edge_arc: Vec<u32>,
-    /// Reverse triangle index, CSR over arcs: supporting arc `b` -> the
-    /// arcs whose recorded triangles contain `b`. Every dependent lives
-    /// on a strictly higher elimination level (triangles only reference
-    /// strictly lower-level supports), so dependents always carry larger
-    /// arc ids — what lets [`Cch::apply_delta`] pop a min-heap of arc
-    /// ids and know every support is final before its dependents
-    /// recompute.
+    /// Reverse triangle index, CSR over arcs: supporting arc `s` -> one
+    /// `(owner, co-support)` link per triangle that contains `s`. Every
+    /// owner lives on a strictly higher elimination level (triangles
+    /// only reference strictly lower-level supports), so dependents
+    /// always carry larger arc ids — what lets [`Cch::apply_delta`]
+    /// sweep pending arcs in ascending id order and know every support
+    /// is final before its dependents recompute. The links are inline,
+    /// not triangle ids, because the sweep is bound by cache misses: an
+    /// id costs it two more dependent loads per link.
     dep_offsets: Vec<u32>,
-    dep_arcs: Vec<u32>,
-    dep_pairs: Vec<(u32, u32)>,
-    /// Arc id -> its slot in the skeleton's rank-space search segments
-    /// (`seg_arcs`). The topology keeps exactly one arc per directed
-    /// vertex pair, so assembly dedupes nothing and the map is a
-    /// bijection; partial customization uses it to sync a changed arc's
-    /// segment weight without the full-sweep `seg_arcs` pass.
+    dep_links: Vec<(u32, u32)>,
+    /// Arc id -> its slot in the skeleton's rank-space search segments.
+    /// The topology keeps exactly one arc per directed vertex pair, so
+    /// the map is a bijection; partial customization uses it to sync a
+    /// changed arc's segment weight without a full-sweep pass.
     arc_to_seg: Vec<u32>,
-    /// Pre-assembled search-graph skeleton: the final arc pool and
-    /// per-rank CSR with placeholder weights. [`CchTopology::customize`]
-    /// clones it and rewrites weights/expansion rules in place — arc ids
-    /// and CSR layout are weight-independent because the topology keeps
-    /// exactly one arc per directed vertex pair.
-    skeleton: ContractionHierarchy,
+    /// Ranks, arc endpoints and search segments — weight-independent
+    /// because arcs are unique per directed pair, so no customization can
+    /// change which arc a segment slot holds.
+    skel: Skeleton,
 }
 
 /// Build-time working state: dynamic chordal adjacency among
@@ -146,8 +143,8 @@ pub struct CchTopology {
 struct TopoBuilder {
     /// Arc endpoints, one entry per directed vertex pair ever connected.
     arcs: Vec<(VertexId, VertexId)>,
-    /// Per-arc merged original edges (empty for fill-ins).
-    originals: Vec<Vec<EdgeId>>,
+    /// Original edge -> the arc that merged it (`u32::MAX`: self-loop).
+    edge_arc: Vec<u32>,
     /// `(a, b, c)` triangles in creation order.
     triangles: Vec<(u32, u32, u32)>,
     out_adj: Vec<Vec<u32>>,
@@ -165,40 +162,44 @@ struct TopoScratch {
     /// the (unique) connecting arc.
     ins: Vec<(VertexId, u32)>,
     outs: Vec<(VertexId, u32)>,
+    /// Distinct neighbours of the vertex being contracted.
+    neighbors: Vec<VertexId>,
+    /// Stamp per vertex: `seen[v] == rank + 1` marks `v` as already in
+    /// `neighbors` for the contraction at `rank`.
+    seen: Vec<u32>,
 }
 
 impl TopoBuilder {
     fn new(g: &Graph) -> Self {
         let n = g.vertex_count();
         let mut arcs: Vec<(VertexId, VertexId)> = Vec::with_capacity(g.edge_count());
-        let mut originals: Vec<Vec<EdgeId>> = Vec::with_capacity(g.edge_count());
+        let mut edge_arc = vec![u32::MAX; g.edge_count()];
         let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, e) in g.edges().enumerate() {
-            let id = EdgeId(i as u32);
             // Self-loops can never lie on a shortest path (weights are
             // non-negative) and would break the chordal invariants; drop
             // them from the topology outright.
             if e.from == e.to {
                 continue;
             }
-            match out_adj[e.from.index()]
+            let found = out_adj[e.from.index()]
                 .iter()
-                .find(|&&a| arcs[a as usize].1 == e.to)
-            {
-                Some(&a) => originals[a as usize].push(id),
+                .find(|&&a| arcs[a as usize].1 == e.to);
+            edge_arc[i] = match found {
+                Some(&a) => a,
                 None => {
                     let a = arcs.len() as u32;
                     arcs.push((e.from, e.to));
-                    originals.push(vec![id]);
                     out_adj[e.from.index()].push(a);
                     in_adj[e.to.index()].push(a);
+                    a
                 }
-            }
+            };
         }
         TopoBuilder {
             arcs,
-            originals,
+            edge_arc,
             triangles: Vec::new(),
             out_adj,
             in_adj,
@@ -232,11 +233,10 @@ impl TopoBuilder {
         }
     }
 
-    /// Whether a live arc `from -> to` already exists.
-    fn has_arc(&self, from: VertexId, to: VertexId) -> bool {
-        self.out_adj[from.index()]
-            .iter()
-            .any(|&a| self.arcs[a as usize].1 == to)
+    /// The live arc `from -> to`, if one exists.
+    fn find_arc(&self, from: VertexId, to: VertexId) -> Option<u32> {
+        let out = &self.out_adj[from.index()];
+        out.iter().copied().find(|&a| self.arcs[a as usize].1 == to)
     }
 
     /// The lazy-update priority of `v`: same shape as the weighted
@@ -250,7 +250,7 @@ impl TopoBuilder {
         let mut added = 0i64;
         for &(u, _) in &scratch.ins {
             for &(w, _) in &scratch.outs {
-                if w != u && !self.has_arc(u, w) {
+                if w != u && self.find_arc(u, w).is_none() {
                     added += 1;
                 }
             }
@@ -267,40 +267,31 @@ impl TopoBuilder {
     fn contract(&mut self, v: VertexId, rank: u32, scratch: &mut TopoScratch) {
         self.gather_neighbors(v, scratch);
         self.rank[v.index()] = rank;
-        let ins = std::mem::take(&mut scratch.ins);
-        let outs = std::mem::take(&mut scratch.outs);
-        for &(u, a_in) in &ins {
-            for &(w, a_out) in &outs {
+        for &(u, a_in) in &scratch.ins {
+            for &(w, a_out) in &scratch.outs {
                 if w == u {
                     continue;
                 }
-                let a = match self.out_adj[u.index()]
-                    .iter()
-                    .find(|&&a| self.arcs[a as usize].1 == w)
-                {
-                    Some(&a) => a,
-                    None => {
-                        let a = self.arcs.len() as u32;
-                        self.arcs.push((u, w));
-                        self.originals.push(Vec::new());
-                        self.out_adj[u.index()].push(a);
-                        self.in_adj[w.index()].push(a);
-                        a
-                    }
-                };
+                let a = self.find_arc(u, w).unwrap_or_else(|| {
+                    let a = self.arcs.len() as u32;
+                    self.arcs.push((u, w));
+                    self.out_adj[u.index()].push(a);
+                    self.in_adj[w.index()].push(a);
+                    a
+                });
                 self.triangles.push((a, a_in, a_out));
             }
         }
-        scratch.ins = ins;
-        scratch.outs = outs;
 
-        let mut neighbors: Vec<VertexId> = Vec::new();
+        // Distinct neighbours in first-seen order, ins before outs.
+        scratch.seen.resize(self.rank.len(), 0);
+        scratch.neighbors.clear();
         for &(nb, _) in scratch.ins.iter().chain(&scratch.outs) {
-            if !neighbors.contains(&nb) {
-                neighbors.push(nb);
+            if std::mem::replace(&mut scratch.seen[nb.index()], rank + 1) != rank + 1 {
+                scratch.neighbors.push(nb);
             }
         }
-        for nb in neighbors {
+        for &nb in &scratch.neighbors {
             self.deleted_neighbors[nb.index()] += 1;
             let bumped = self.level[v.index()] + 1;
             if self.level[nb.index()] < bumped {
@@ -316,6 +307,31 @@ impl TopoBuilder {
             self.in_adj[nb.index()].retain(live);
         }
     }
+}
+
+/// Stable counting sort into CSR form: groups the `(key, value)` items
+/// that `each` emits by key (`key < buckets`), keeping emission order
+/// within a group. Returns the `buckets + 1` group offsets and the
+/// grouped values. `each` runs twice — once to count, once to place
+/// every value straight into the final array.
+fn group_by_key<V: Copy>(
+    buckets: usize,
+    fill: V,
+    each: impl Fn(&mut dyn FnMut(u32, V)),
+) -> (Vec<u32>, Vec<V>) {
+    let mut offsets = vec![0u32; buckets + 1];
+    each(&mut |key, _| offsets[key as usize + 1] += 1);
+    for i in 0..buckets {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets.clone();
+    let mut grouped = vec![fill; offsets[buckets] as usize];
+    each(&mut |key, value| {
+        let slot = &mut cursor[key as usize];
+        grouped[*slot as usize] = value;
+        *slot += 1;
+    });
+    (offsets, grouped)
 }
 
 impl CchTopology {
@@ -372,171 +388,124 @@ impl CchTopology {
         }
         debug_assert_eq!(next_rank as usize, n);
 
-        // Regroup creation-ordered triangles per owning arc (stable, so
-        // each arc keeps its triangles in creation order).
-        let arc_count = b.arcs.len();
-        let mut tris: Vec<Vec<(u32, u32)>> = vec![Vec::new(); arc_count];
-        for &(a, lo, hi) in &b.triangles {
-            tris[a as usize].push((lo, hi));
-        }
-        let raw: Vec<RawArc> = b
-            .arcs
-            .into_iter()
-            .zip(b.originals)
-            .zip(tris)
-            .map(|(((from, to), originals), triangles)| RawArc {
-                from,
-                to,
-                originals,
-                triangles,
-            })
-            .collect();
-        Self::from_raw(g.edge_count(), b.rank, raw, cfg.threads)
+        // Only the flat arrays outlive the ordering loop.
+        let TopoBuilder {
+            arcs,
+            edge_arc,
+            triangles,
+            rank,
+            ..
+        } = b;
+        Self::finalise(rank, arcs, edge_arc, triangles, cfg.threads)
     }
 
-    /// Finalises a topology from raw arcs: computes elimination levels,
-    /// renumbers arcs level-contiguously and assembles the CSR skeleton.
-    /// Shared by [`CchTopology::build`] (trusted input) and the io
-    /// deserialiser (which validates structurally first).
-    pub(crate) fn from_raw(m: usize, rank: Vec<u32>, raw: Vec<RawArc>, threads: usize) -> Self {
+    /// Finalises a topology from flat arrays in creation (or file)
+    /// order — arc endpoints, the arc of every original edge, and
+    /// `(owner, b, c)` triangles: computes elimination levels, renumbers
+    /// arcs level-contiguously (stable, so creation order survives within
+    /// a level), groups triangles under their owner (stable likewise) and
+    /// lays out the search skeleton. Every grouping is one counting sort
+    /// into its final array; nothing per-arc is allocated. Shared by
+    /// [`CchTopology::build`] (trusted input) and the io deserialiser
+    /// (which validates structurally first).
+    pub(crate) fn finalise(
+        rank: Vec<u32>,
+        old_ends: Vec<(VertexId, VertexId)>,
+        mut edge_arc: Vec<u32>,
+        triangles: Vec<(u32, u32, u32)>,
+        threads: usize,
+    ) -> Self {
         let n = rank.len();
-        let arc_count = raw.len();
+        let arc_count = old_ends.len();
+        // An arc hangs off its lower-ranked endpoint: upward when that
+        // is its tail.
+        let lower_upper = |&(from, to): &(VertexId, VertexId)| {
+            let (rf, rt) = (rank[from.index()], rank[to.index()]);
+            (rf.min(rt), rf.max(rt), rf < rt)
+        };
 
-        // Vertex elimination levels over the chordal graph: one more
-        // than the deepest lower-ranked neighbour, scanned in rank order
-        // so dependencies are always resolved.
-        let mut lower_nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for arc in &raw {
-            let (f, t) = (arc.from.index(), arc.to.index());
-            if rank[f] < rank[t] {
-                lower_nbrs[t].push(f as u32);
-            } else {
-                lower_nbrs[f].push(t as u32);
+        // Vertex elimination levels over the chordal graph, in rank
+        // space: one more than the deepest lower-ranked neighbour. Arcs
+        // grouped by lower endpoint and swept in rank order push each
+        // final level up to the higher endpoint.
+        let (lower_offsets, uppers) = group_by_key(n, 0, |emit| {
+            for e in &old_ends {
+                let (lower, upper, _) = lower_upper(e);
+                emit(lower, upper);
+            }
+        });
+        let mut vlevel = vec![0u32; n];
+        for r in 0..n {
+            let (lo, hi) = (lower_offsets[r] as usize, lower_offsets[r + 1] as usize);
+            for &upper in &uppers[lo..hi] {
+                vlevel[upper as usize] = vlevel[upper as usize].max(vlevel[r] + 1);
             }
         }
-        let mut by_rank = vec![0u32; n];
-        for (v, &r) in rank.iter().enumerate() {
-            by_rank[r as usize] = v as u32;
-        }
-        let mut vlevel = vec![0u32; n];
-        for &v in &by_rank {
-            let lvl = lower_nbrs[v as usize]
-                .iter()
-                .map(|&u| vlevel[u as usize] + 1)
-                .max()
-                .unwrap_or(0);
-            vlevel[v as usize] = lvl;
-        }
+        drop(uppers);
 
-        // Renumber arcs so each elimination level is contiguous
-        // (stable: creation order preserved within a level).
-        let arc_level = |a: &RawArc| {
-            let (rf, rt) = (rank[a.from.index()], rank[a.to.index()]);
-            let lower = if rf < rt { a.from } else { a.to };
-            vlevel[lower.index()]
-        };
-        let mut perm: Vec<u32> = (0..arc_count as u32).collect();
-        perm.sort_by_key(|&i| arc_level(&raw[i as usize]));
+        // Renumber arcs so each elimination level is contiguous.
+        let arc_level = |e: &(VertexId, VertexId)| vlevel[lower_upper(e).0 as usize];
+        let levels = old_ends.iter().map(arc_level).max().map_or(0, |l| l + 1);
+        let (level_offsets, old_id) = group_by_key(levels as usize, 0, |emit| {
+            for (e, old) in old_ends.iter().zip(0u32..) {
+                emit(arc_level(e), old);
+            }
+        });
         let mut new_id = vec![0u32; arc_count];
-        for (new, &old) in perm.iter().enumerate() {
+        for (new, &old) in old_id.iter().enumerate() {
             new_id[old as usize] = new as u32;
         }
+        let ends: Vec<_> = old_id.iter().map(|&old| old_ends[old as usize]).collect();
+        drop((old_ends, old_id));
 
-        let levels = raw
-            .iter()
-            .map(arc_level)
-            .max()
-            .map_or(0, |l| l as usize + 1);
-        let mut level_offsets = vec![0u32; levels + 1];
-        let mut orig_offsets = Vec::with_capacity(arc_count + 1);
-        let mut orig_edges = Vec::new();
-        let mut tri_offsets = Vec::with_capacity(arc_count + 1);
-        let mut tri_pairs = Vec::new();
-        let mut skel_arcs: Vec<ChArc> = Vec::with_capacity(arc_count);
-        orig_offsets.push(0u32);
-        tri_offsets.push(0u32);
-        for &old in &perm {
-            let a = &raw[old as usize];
-            level_offsets[arc_level(a) as usize + 1] += 1;
-            orig_edges.extend_from_slice(&a.originals);
-            orig_offsets.push(orig_edges.len() as u32);
-            tri_pairs.extend(
-                a.triangles
-                    .iter()
-                    .map(|&(b, c)| (new_id[b as usize], new_id[c as usize])),
-            );
-            tri_offsets.push(tri_pairs.len() as u32);
-            // Placeholder weight/expansion; every customization pass
-            // rewrites both. A fill-in arc always has at least one
-            // supporting triangle (the pair recorded when it was
-            // created), so the placeholder expansion is well-formed.
-            let kind = match a.originals.first() {
-                Some(&e) => ChArcKind::Original(e),
-                None => {
-                    let (b, c) = a.triangles[0];
-                    ChArcKind::Shortcut(new_id[b as usize], new_id[c as usize])
+        // Original edges under their arc, ascending `EdgeId` within one.
+        for a in edge_arc.iter_mut().filter(|a| **a != u32::MAX) {
+            *a = new_id[*a as usize];
+        }
+        let (orig_offsets, orig_edges) = group_by_key(arc_count, EdgeId(0), |emit| {
+            for (&a, e) in edge_arc.iter().zip(0u32..).filter(|(&a, _)| a != u32::MAX) {
+                emit(a, EdgeId(e));
+            }
+        });
+
+        // Triangles under their owner, in creation order within one.
+        let (tri_offsets, tri_pairs) = group_by_key(arc_count, (0, 0), |emit| {
+            for &(a, b, c) in &triangles {
+                emit(new_id[a as usize], (new_id[b as usize], new_id[c as usize]));
+            }
+        });
+        drop((triangles, new_id));
+
+        // Reverse index for sparse partial customization: each triangle
+        // filed under both of its supports, in ascending owner order.
+        let (dep_offsets, dep_links) = group_by_key(arc_count, (0, 0), |emit| {
+            for (span, a) in tri_offsets.windows(2).zip(0u32..) {
+                for &(b, c) in &tri_pairs[span[0] as usize..span[1] as usize] {
+                    emit(b, (a, c));
+                    emit(c, (a, b));
                 }
-            };
-            skel_arcs.push(ChArc {
-                from: a.from,
-                to: a.to,
-                weight: f64::INFINITY,
-                kind,
-            });
-        }
-        for l in 0..levels {
-            level_offsets[l + 1] += level_offsets[l];
-        }
-
-        let skeleton = ContractionHierarchy::assemble(LandmarkMetric::Length, m, rank, skel_arcs);
-
-        // Reverse indexes for sparse partial customization. All three
-        // are pure functions of the CSRs above, so the io layer's
-        // on-disk format is untouched — loaded topologies recompute them
-        // here just like built ones.
-        let mut edge_arc = vec![u32::MAX; m];
-        for a in 0..arc_count {
-            let lo = orig_offsets[a] as usize;
-            let hi = orig_offsets[a + 1] as usize;
-            for &e in &orig_edges[lo..hi] {
-                edge_arc[e.index()] = a as u32;
             }
-        }
-        let mut dep_offsets = vec![0u32; arc_count + 1];
-        for &(b, c) in &tri_pairs {
-            dep_offsets[b as usize + 1] += 1;
-            dep_offsets[c as usize + 1] += 1;
-        }
-        for i in 0..arc_count {
-            dep_offsets[i + 1] += dep_offsets[i];
-        }
-        let mut cursor: Vec<u32> = dep_offsets[..arc_count].to_vec();
-        let mut dep_arcs = vec![0u32; tri_pairs.len() * 2];
-        let mut dep_pairs = vec![(0u32, 0u32); tri_pairs.len() * 2];
-        for a in 0..arc_count {
-            let lo = tri_offsets[a] as usize;
-            let hi = tri_offsets[a + 1] as usize;
-            for &(b, c) in &tri_pairs[lo..hi] {
-                dep_arcs[cursor[b as usize] as usize] = a as u32;
-                dep_pairs[cursor[b as usize] as usize] = (b, c);
-                cursor[b as usize] += 1;
-                dep_arcs[cursor[c as usize] as usize] = a as u32;
-                dep_pairs[cursor[c as usize] as usize] = (b, c);
-                cursor[c as usize] += 1;
+        });
+
+        // Search segments, one per rank: upward out-arcs then downward
+        // in-arcs, ascending arc id within each half. Arcs are unique per
+        // directed pair, so unlike `ContractionHierarchy::assemble` there
+        // is nothing to dedupe and every arc owns exactly one slot.
+        let no_arc = SearchArc { other: 0, arc: 0 };
+        let (halves, seg_arcs) = group_by_key(2 * n, no_arc, |emit| {
+            for (e, arc) in ends.iter().zip(0u32..) {
+                let (lower, other, upward) = lower_upper(e);
+                emit(2 * lower + u32::from(!upward), SearchArc { other, arc });
             }
-        }
-        let mut arc_to_seg = vec![u32::MAX; arc_count];
-        for (i, sa) in skeleton.seg_arcs.iter().enumerate() {
-            debug_assert_eq!(
-                arc_to_seg[sa.arc as usize],
-                u32::MAX,
-                "CCH arcs are unique per directed pair, so each owns one segment slot"
-            );
-            arc_to_seg[sa.arc as usize] = i as u32;
+        });
+        let mut arc_to_seg = vec![0u32; arc_count];
+        for (slot, sa) in seg_arcs.iter().enumerate() {
+            arc_to_seg[sa.arc as usize] = slot as u32;
         }
 
         CchTopology {
             threads: threads.max(1),
+            m: edge_arc.len(),
             orig_offsets,
             orig_edges,
             tri_offsets,
@@ -544,22 +513,27 @@ impl CchTopology {
             level_offsets,
             edge_arc,
             dep_offsets,
-            dep_arcs,
-            dep_pairs,
+            dep_links,
             arc_to_seg,
-            skeleton,
+            skel: Skeleton {
+                seg_offsets: halves.iter().step_by(2).copied().collect(),
+                seg_mid: halves.iter().skip(1).step_by(2).copied().collect(),
+                seg_arcs,
+                ends,
+                rank,
+            },
         }
     }
 
     /// Vertex count of the graph the topology was built for.
     pub fn vertex_count(&self) -> usize {
-        self.skeleton.vertex_count()
+        self.skel.rank.len()
     }
 
     /// Edge count of the graph the topology was built for (attach-time
     /// fingerprint).
     pub fn edge_count(&self) -> usize {
-        self.skeleton.edge_count()
+        self.m
     }
 
     /// Total arcs in the chordal topology (merged originals plus
@@ -588,7 +562,19 @@ impl CchTopology {
 
     /// Contraction rank of every vertex, indexed by vertex id.
     pub fn ranks(&self) -> &[u32] {
-        self.skeleton.ranks()
+        &self.skel.rank
+    }
+
+    /// Heap bytes the topology holds (the `pathrank_serve_index_bytes`
+    /// gauge); every customization shares them.
+    pub fn heap_bytes(&self) -> usize {
+        let per_arc = self.orig_offsets.len()
+            + self.tri_offsets.len()
+            + self.dep_offsets.len()
+            + self.arc_to_seg.len();
+        let per_edge = self.orig_edges.len() + self.edge_arc.len();
+        let per_tri = 2 * (self.tri_pairs.len() + self.dep_links.len());
+        4 * (per_arc + per_edge + per_tri + self.level_offsets.len()) + self.skel.heap_bytes()
     }
 
     /// Merged original edges of arc `a` (ascending `EdgeId`).
@@ -612,25 +598,24 @@ impl CchTopology {
         (a != u32::MAX).then_some(a)
     }
 
-    /// Arcs whose supporting triangles contain arc `a` — all on strictly
-    /// higher elimination levels, hence strictly larger arc ids. Each
-    /// link carries the triangle's stored `(b, c)` support pair so the
-    /// partial pass can classify the event (defining-support check on
+    /// The triangles arc `a` supports, as `(owner, co-support)` — owners
+    /// all on strictly higher elimination levels, hence strictly larger
+    /// arc ids. An owner `p -> q` has at most one triangle through `a`
+    /// (as the `p -> v` leg `a` fixes `v` by its head, as the `v -> q`
+    /// leg by its tail, and it cannot be both), so the link lets the
+    /// partial pass classify the event (defining-support check on
     /// increases, candidate check on decreases) without re-scanning the
     /// dependent's full triangle list.
-    pub(crate) fn dependents_of(&self, a: usize) -> impl Iterator<Item = (u32, (u32, u32))> + '_ {
+    fn dependents_of(&self, a: usize) -> &[(u32, u32)] {
         let lo = self.dep_offsets[a] as usize;
         let hi = self.dep_offsets[a + 1] as usize;
-        self.dep_arcs[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.dep_pairs[lo..hi].iter().copied())
+        &self.dep_links[lo..hi]
     }
 
     /// Arc endpoints in final (level-contiguous) order — the io layer's
     /// serialisation view.
-    pub(crate) fn arc_endpoints(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.skeleton.arcs().iter().map(|a| (a.from, a.to))
+    pub(crate) fn arc_endpoints(&self) -> &[(VertexId, VertexId)] {
+        &self.skel.ends
     }
 
     /// Customizes the topology for `cost`, deriving every arc weight
@@ -639,22 +624,9 @@ impl CchTopology {
     /// resulting [`Cch`] records the graph's weights epoch so the query
     /// layer can refuse it after further mutations.
     pub fn customize(self: &Arc<Self>, g: &Graph, cost: &CostModel<'_>) -> Cch {
-        if let CostModel::Custom(w) = cost {
-            return self.customize_weights(g, w);
-        }
-        assert_eq!(
-            (self.vertex_count(), self.edge_count()),
-            (g.vertex_count(), g.edge_count()),
-            "CCH topology was built for a different graph"
-        );
-        let metric = match cost {
-            CostModel::Length => LandmarkMetric::Length,
-            CostModel::TravelTime => LandmarkMetric::TravelTime,
-            CostModel::Custom(_) => unreachable!(),
-        };
-        self.finish(Some(metric), None, g.weights_epoch(), |e| {
-            cost.edge_cost(g, e)
-        })
+        let mut cch = self.blank();
+        cch.recustomize(g, cost);
+        cch
     }
 
     /// Customizes the topology for an explicit per-edge weight vector
@@ -663,49 +635,19 @@ impl CchTopology {
     /// [`CostModel::Custom`] queries whose vector is bitwise equal to
     /// `weights`.
     pub fn customize_weights(self: &Arc<Self>, g: &Graph, weights: &[f64]) -> Cch {
-        assert_eq!(
-            (self.vertex_count(), self.edge_count()),
-            (g.vertex_count(), g.edge_count()),
-            "CCH topology was built for a different graph"
-        );
-        assert_eq!(
-            weights.len(),
-            self.edge_count(),
-            "custom weight vector length must match the edge count"
-        );
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "custom weights must be finite and non-negative"
-        );
-        self.finish(None, Some(weights.to_vec()), g.weights_epoch(), |e| {
-            weights[e.index()]
-        })
+        let mut cch = self.blank();
+        cch.recustomize_weights(g, weights);
+        cch
     }
 
-    fn finish(
-        self: &Arc<Self>,
-        metric: Option<LandmarkMetric>,
-        custom: Option<Vec<f64>>,
-        weights_epoch: u64,
-        edge_cost: impl Fn(EdgeId) -> f64,
-    ) -> Cch {
-        let (weights, kinds) = self.derive(edge_cost);
-        let mut inner = self.skeleton.clone();
-        for (arc, (w, k)) in inner.arcs_mut().iter_mut().zip(weights.iter().zip(&kinds)) {
-            arc.weight = *w;
-            arc.kind = *k;
-        }
-        for sa in inner.seg_arcs.iter_mut() {
-            sa.weight = weights[sa.arc as usize];
-        }
-        inner.set_weights_epoch(weights_epoch);
+    /// A customization with nothing derived yet.
+    fn blank(self: &Arc<Self>) -> Cch {
         Cch {
             topo: Arc::clone(self),
-            metric,
-            custom,
-            weights_epoch,
-            inner,
-            scratch: CustomizeScratch::default(),
+            metric: None,
+            custom: None,
+            weights_epoch: 0,
+            cols: Columns::default(),
         }
     }
 
@@ -713,18 +655,9 @@ impl CchTopology {
     /// original (lowest `EdgeId` on ties), then bottom-up triangle
     /// relaxation level by level. Same-level arcs only read strictly
     /// lower-level weights, so each level parallelises over disjoint
-    /// chunks — the result is bit-identical for any thread count.
-    fn derive(&self, edge_cost: impl Fn(EdgeId) -> f64) -> (Vec<f64>, Vec<ChArcKind>) {
-        let mut weights = Vec::new();
-        let mut kinds = Vec::new();
-        self.derive_into(edge_cost, &mut weights, &mut kinds);
-        (weights, kinds)
-    }
-
-    /// [`CchTopology::derive`] into caller-owned buffers: steady-state
-    /// re-customization ([`Cch::recustomize`]) hands the same two
-    /// vectors back every epoch, so after the first pass the full
-    /// customization allocates nothing.
+    /// chunks — the result is bit-identical for any thread count. Writes
+    /// the caller's columns in place: after a [`Cch`]'s first pass a
+    /// full re-customization allocates nothing.
     fn derive_into(
         &self,
         edge_cost: impl Fn(EdgeId) -> f64,
@@ -784,11 +717,26 @@ impl CchTopology {
     }
 }
 
+/// What one customization writes, and all a [`Cch`] owns beside its
+/// shared topology: 28 bytes per arc.
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    /// Per arc: customized weight and expansion rule.
+    weights: Vec<f64>,
+    kinds: Vec<ChArcKind>,
+    /// Per search-segment slot `i`: `weights[skel.seg_arcs[i].arc]`,
+    /// inlined where the query loop reads it.
+    seg_weights: Vec<f64>,
+    /// Pending-arc bitset of the sparse pass, one bit per arc; drains
+    /// back to all-zero, so it is scratch, not state.
+    pending: Vec<u64>,
+}
+
 /// The sparse-delta customization core: sweeps a pending-arc bitset in
 /// ascending id order (supports are final before dependents — see
 /// `CchTopology::dep_offsets`), fully recomputes each pending arc
-/// exactly like `CchTopology::derive` visits it (cheapest original in
-/// ascending `EdgeId`, then every recorded triangle in stored order,
+/// exactly like `CchTopology::derive_into` visits it (cheapest original
+/// in ascending `EdgeId`, then every recorded triangle in stored order,
 /// strict `<` in both phases), and classifies each dependent link when
 /// an arc's weight *bits* changed rather than marking all of them:
 ///
@@ -811,30 +759,24 @@ impl CchTopology {
 /// Returns how many arcs were recomputed.
 fn partial_customize(
     topo: &CchTopology,
-    inner: &mut ContractionHierarchy,
-    scratch: &mut CustomizeScratch,
+    cols: &mut Columns,
     seeds: impl IntoIterator<Item = u32>,
     edge_cost: impl Fn(EdgeId) -> f64,
 ) -> usize {
+    let Columns {
+        weights,
+        kinds,
+        seg_weights,
+        pending,
+    } = cols;
     let arc_count = topo.arc_count();
-    // Lazily (re)build the packed per-arc weight shadow: dense f64
-    // reads in the triangle loop instead of striding over `ChArc`s.
-    // Every write path below (and `refinish`) keeps it bitwise in sync
-    // with the hierarchy's arcs, so an existing full-length shadow is
-    // always current.
-    if scratch.weights.len() != arc_count {
-        scratch.weights.clear();
-        scratch
-            .weights
-            .extend(inner.arcs().iter().map(|a| a.weight));
-    }
     let words = arc_count.div_ceil(64);
-    scratch.pending.clear();
-    scratch.pending.resize(words, 0u64);
+    pending.clear();
+    pending.resize(words, 0u64);
     let mut lo = arc_count;
     for a in seeds {
         let ai = a as usize;
-        scratch.pending[ai >> 6] |= 1u64 << (ai & 63);
+        pending[ai >> 6] |= 1u64 << (ai & 63);
         lo = lo.min(ai);
     }
     // Single ascending sweep over the pending bitset: a dependent's id
@@ -844,14 +786,15 @@ fn partial_customize(
     let mut recomputed = 0usize;
     let mut wi = lo >> 6;
     while wi < words {
-        let word = scratch.pending[wi];
+        let word = pending[wi];
         if word == 0 {
             wi += 1;
             continue;
         }
         let bit = word.trailing_zeros() as usize;
-        scratch.pending[wi] &= !(1u64 << bit);
+        pending[wi] &= !(1u64 << bit);
         let ai = (wi << 6) | bit;
+        let a = ai as u32;
         recomputed += 1;
         let mut w = f64::INFINITY;
         let mut k = ChArcKind::Shortcut(u32::MAX, u32::MAX);
@@ -862,45 +805,31 @@ fn partial_customize(
                 k = ChArcKind::Original(e);
             }
         }
-        let shadow = &scratch.weights;
-        for &(b, c) in topo.triangles_of(ai) {
-            let cand = shadow[b as usize] + shadow[c as usize];
-            if cand < w {
-                w = cand;
-                k = ChArcKind::Shortcut(b, c);
-            }
-        }
-        let old_w = shadow[ai];
-        let changed = old_w.to_bits() != w.to_bits();
-        scratch.weights[ai] = w;
-        let arcs = inner.arcs_mut();
-        arcs[ai].weight = w;
-        arcs[ai].kind = k;
-        let seg = topo.arc_to_seg[ai];
-        if seg != u32::MAX {
-            inner.seg_arcs[seg as usize].weight = w;
-        }
-        if changed {
+        relax_arc(topo.triangles_of(ai), weights, &mut w, &mut k);
+        let old_w = std::mem::replace(&mut weights[ai], w);
+        kinds[ai] = k;
+        seg_weights[topo.arc_to_seg[ai] as usize] = w;
+        if old_w.to_bits() != w.to_bits() {
             // `-0.0` never bit-matches a stored weight here (costs are
             // sums of non-negative edge costs), so a bits-changed,
             // numerically-equal pair falls through to the conservative
             // decrease path.
             let increased = w > old_w;
-            let arcs = inner.arcs();
-            let shadow = &scratch.weights;
-            for (d, (b, c)) in topo.dependents_of(ai) {
+            for &(d, co) in topo.dependents_of(ai) {
                 let di = d as usize;
                 let mask = 1u64 << (di & 63);
-                if scratch.pending[di >> 6] & mask != 0 {
+                if pending[di >> 6] & mask != 0 {
                     continue;
                 }
+                // The dependent's one triangle through this arc is its
+                // stored rule iff the rule names this arc at all.
                 let hit = if increased {
-                    arcs[di].kind == ChArcKind::Shortcut(b, c)
+                    matches!(kinds[di], ChArcKind::Shortcut(b, c) if b == a || c == a)
                 } else {
-                    shadow[b as usize] + shadow[c as usize] <= shadow[di]
+                    w + weights[co as usize] <= weights[di]
                 };
                 if hit {
-                    scratch.pending[di >> 6] |= mask;
+                    pending[di >> 6] |= mask;
                 }
             }
         }
@@ -908,29 +837,15 @@ fn partial_customize(
     recomputed
 }
 
-/// Reusable buffers for in-place partial and full (re-)customization,
-/// kept inside each [`Cch`] so steady-state traffic epochs allocate
-/// nothing. Cloning a customized index (e.g. the serve layer's
-/// double-buffered staging copy) deliberately resets the scratch instead
-/// of copying it — the buffers are rebuilt lazily on the next pass.
-#[derive(Debug, Default)]
-struct CustomizeScratch {
-    /// Pending-arc bitset for [`Cch::apply_delta`], one bit per arc,
-    /// swept ascending (drains back to all-zero).
-    pending: Vec<u64>,
-    /// Packed per-arc weights, bitwise in sync with the hierarchy's
-    /// arcs whenever full-length: the partial pass reads triangle
-    /// supports from this dense shadow, and the full in-place pass
-    /// ([`Cch::recustomize`]) derives straight into it.
-    weights: Vec<f64>,
-    /// Full-recustomization expansion-rule buffer.
-    kinds: Vec<ChArcKind>,
-}
-
-impl Clone for CustomizeScratch {
-    fn clone(&self) -> Self {
-        CustomizeScratch::default()
-    }
+/// Bitwise equality of two weight vectors. Folds XORs over fixed blocks
+/// (branch-free, so the compiler vectorises them) and exits between
+/// blocks, not between elements.
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    let differs = |(x, y): (&[f64], &[f64])| {
+        let pairs = x.iter().zip(y);
+        pairs.fold(0, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits())) != 0
+    };
+    a.len() == b.len() && !a.chunks(64).zip(b.chunks(64)).any(differs)
 }
 
 /// Relaxes every supporting triangle of one arc against the completed
@@ -952,14 +867,15 @@ fn relax_arc(triangles: &[(u32, u32)], done: &[f64], w: &mut f64, k: &mut ChArcK
 ///
 /// `Sync` and immutable through `&Cch`; wrap in an [`Arc`] and hand a
 /// clone to every worker's
-/// [`crate::algo::engine::QueryEngine::with_cch`]. Queries run on the
-/// embedded re-weighted [`ContractionHierarchy`], so they are exactly as
+/// [`crate::algo::engine::QueryEngine::with_cch`]. Queries run the
+/// [`crate::algo::ch`] loops over [`Cch::view`], so they are exactly as
 /// exact as plain CH queries — just on weights that may have changed
 /// milliseconds ago. A uniquely owned copy additionally re-weights *in
 /// place*: [`Cch::apply_delta`] / [`Cch::apply_weight_delta`] chase a
 /// sparse changed-edge delta through only the triangles it touches, and
 /// [`Cch::recustomize`] re-runs the full pass allocation-free — both
-/// bit-identical to a fresh customization, which is what lets a serving
+/// bit-identical to a fresh customization. `clone` copies the weight
+/// columns and shares everything else, which is what lets a serving
 /// layer double-buffer one mutable staging copy and atomically publish
 /// immutable snapshots of it.
 #[derive(Debug, Clone)]
@@ -968,17 +884,13 @@ pub struct Cch {
     /// The graph metric customized for, when derived from
     /// [`CostModel::Length`] / [`CostModel::TravelTime`].
     metric: Option<LandmarkMetric>,
-    /// The exact custom weight vector customized for, when derived from
-    /// [`CostModel::Custom`] (gating is bitwise).
+    /// The custom weight vector customized for, when derived from
+    /// [`CostModel::Custom`] — the one live copy: sparse deltas patch it
+    /// in place and callers route under [`Cch::custom_weights`].
     custom: Option<Vec<f64>>,
     /// Weights epoch of the graph at customization time.
     weights_epoch: u64,
-    /// The re-weighted search hierarchy queries run on.
-    inner: ContractionHierarchy,
-    /// Reusable buffers for [`Cch::apply_delta`] / [`Cch::recustomize`];
-    /// empty until the first in-place pass, reset (not copied) by
-    /// `clone`.
-    scratch: CustomizeScratch,
+    cols: Columns,
 }
 
 impl Cch {
@@ -991,6 +903,13 @@ impl Cch {
     /// explicit weight vector).
     pub fn metric(&self) -> Option<LandmarkMetric> {
         self.metric
+    }
+
+    /// The weight vector customized for (`None` for a metric
+    /// customization). Routing under `CostModel::Custom` of this very
+    /// slice passes [`Cch::usable_for`] without comparing a weight.
+    pub fn custom_weights(&self) -> Option<&[f64]> {
+        self.custom.as_deref()
     }
 
     /// Weights epoch of the graph this customization was derived from
@@ -1009,11 +928,21 @@ impl Cch {
         self.topo.edge_count()
     }
 
+    /// Heap bytes this customization owns beside the shared topology
+    /// (the `pathrank_serve_index_bytes` gauge): what a snapshot costs.
+    pub fn heap_bytes(&self) -> usize {
+        let c = &self.cols;
+        8 * (c.weights.len() + c.seg_weights.len() + c.pending.len())
+            + std::mem::size_of_val(c.kinds.as_slice())
+            + 8 * self.custom.as_ref().map_or(0, Vec::len)
+    }
+
     /// Whether queries under `cost` may use this customization:
     /// `Length`/`TravelTime` match the customized metric, `Custom`
-    /// matches when the query's weight vector is bitwise identical to
-    /// the customized one. (The query layer separately checks the
-    /// weights epoch against the live graph.)
+    /// matches when the query's weight vector is the customized one —
+    /// the same slice ([`Cch::custom_weights`]) by identity, a
+    /// separately-owned vector by bitwise comparison. (The query layer
+    /// separately checks the weights epoch against the live graph.)
     pub fn usable_for(&self, cost: &CostModel<'_>) -> bool {
         if self.vertex_count() == 0 {
             return false;
@@ -1021,21 +950,22 @@ impl Cch {
         match cost {
             CostModel::Length => self.metric == Some(LandmarkMetric::Length),
             CostModel::TravelTime => self.metric == Some(LandmarkMetric::TravelTime),
-            CostModel::Custom(w) => self.custom.as_deref().is_some_and(|c| {
-                c.len() == w.len()
-                    && c.iter()
-                        .zip(w.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            }),
+            CostModel::Custom(w) => self
+                .custom
+                .as_deref()
+                .is_some_and(|c| std::ptr::eq(c, *w) || bits_equal(c, w)),
         }
     }
 
-    /// The embedded re-weighted hierarchy — the engine and the
-    /// many-to-many module run queries and sweeps directly on it. Its
-    /// own metric tag is a placeholder; gating must go through
+    /// The borrowed form the engine and the many-to-many module run
+    /// queries and sweeps on. Gating must go through
     /// [`Cch::usable_for`].
-    pub(crate) fn hierarchy(&self) -> &ContractionHierarchy {
-        &self.inner
+    pub fn view(&self) -> HierarchyView<'_> {
+        HierarchyView {
+            skel: &self.topo.skel,
+            kinds: &self.cols.kinds,
+            seg_weights: &self.cols.seg_weights,
+        }
     }
 
     /// Applies a sparse live-speed delta in place: `changed` lists the
@@ -1067,26 +997,19 @@ impl Cch {
             "apply_delta needs a metric customization; \
              use apply_weight_delta for custom weight vectors",
         );
-        let epoch = g.weights_epoch();
-        let recomputed = match metric {
+        self.weights_epoch = g.weights_epoch();
+        match metric {
             // Speed telemetry never moves length weights; the delta only
             // restamps the epoch so the gate re-admits us.
             LandmarkMetric::Length => 0,
             LandmarkMetric::TravelTime => {
-                let topo = Arc::clone(&self.topo);
-                let cost = CostModel::TravelTime;
-                partial_customize(
-                    &topo,
-                    &mut self.inner,
-                    &mut self.scratch,
-                    changed.iter().filter_map(|&(e, _)| topo.arc_of_edge(e)),
-                    |e| cost.edge_cost(g, e),
-                )
+                let topo = &self.topo;
+                let seeds = changed.iter().filter_map(|&(e, _)| topo.arc_of_edge(e));
+                partial_customize(topo, &mut self.cols, seeds, |e| {
+                    CostModel::TravelTime.edge_cost(g, e)
+                })
             }
-        };
-        self.inner.set_weights_epoch(epoch);
-        self.weights_epoch = epoch;
-        recomputed
+        }
     }
 
     /// Sparse form of [`CchTopology::customize_weights`] against this
@@ -1105,7 +1028,6 @@ impl Cch {
                 .all(|&(e, w)| e.index() < m && w.is_finite() && w >= 0.0),
             "weight updates must name real edges with finite, non-negative weights"
         );
-        let topo = Arc::clone(&self.topo);
         let custom = self.custom.as_mut().expect(
             "apply_weight_delta needs a custom-vector customization; \
              use apply_delta for metric customizations",
@@ -1115,49 +1037,34 @@ impl Cch {
             let slot = &mut custom[e.index()];
             if slot.to_bits() != w.to_bits() {
                 *slot = w;
-                if let Some(a) = topo.arc_of_edge(e) {
-                    seeds.push(a);
-                }
+                seeds.extend(self.topo.arc_of_edge(e));
             }
         }
-        let custom: &[f64] = self.custom.as_deref().expect("checked above");
-        partial_customize(&topo, &mut self.inner, &mut self.scratch, seeds, |e| {
-            custom[e.index()]
-        })
+        let custom: &[f64] = custom;
+        partial_customize(&self.topo, &mut self.cols, seeds, |e| custom[e.index()])
     }
 
     /// Re-derives every arc weight in place for `cost` at the graph's
     /// current weights epoch — the allocation-free steady-state form of
-    /// [`CchTopology::customize`]: no skeleton clone, no fresh weight
-    /// buffers; the scratch persists inside the index across epochs.
-    /// Bit-identical to a fresh customization.
+    /// [`CchTopology::customize`]: the columns persist inside the index
+    /// across epochs. Bit-identical to a fresh customization.
     pub fn recustomize(&mut self, g: &Graph, cost: &CostModel<'_>) {
-        if let CostModel::Custom(w) = cost {
-            return self.recustomize_weights(g, w);
-        }
-        assert_eq!(
-            (self.vertex_count(), self.edge_count()),
-            (g.vertex_count(), g.edge_count()),
-            "CCH was customized for a different graph"
-        );
-        self.metric = Some(match cost {
+        let metric = match cost {
             CostModel::Length => LandmarkMetric::Length,
             CostModel::TravelTime => LandmarkMetric::TravelTime,
-            CostModel::Custom(_) => unreachable!(),
-        });
+            CostModel::Custom(w) => return self.recustomize_weights(g, w),
+        };
+        self.assert_same_graph(g);
+        self.metric = Some(metric);
         self.custom = None;
-        self.refinish(g.weights_epoch(), |e| cost.edge_cost(g, e));
+        self.rederive(g.weights_epoch(), |e| cost.edge_cost(g, e));
     }
 
     /// In-place form of [`CchTopology::customize_weights`] (see
     /// [`Cch::recustomize`]); the stored custom vector's allocation is
     /// reused when the length matches.
     pub fn recustomize_weights(&mut self, g: &Graph, weights: &[f64]) {
-        assert_eq!(
-            (self.vertex_count(), self.edge_count()),
-            (g.vertex_count(), g.edge_count()),
-            "CCH was customized for a different graph"
-        );
+        self.assert_same_graph(g);
         assert_eq!(
             weights.len(),
             self.edge_count(),
@@ -1172,67 +1079,38 @@ impl Cch {
             slot => *slot = Some(weights.to_vec()),
         }
         self.metric = None;
-        self.refinish(g.weights_epoch(), |e| weights[e.index()]);
+        self.rederive(g.weights_epoch(), |e| weights[e.index()]);
     }
 
-    /// Shared tail of the in-place full paths: full derive into the
-    /// persistent scratch buffers, then rewrite arc weights/expansions
-    /// and segment weights.
-    fn refinish(&mut self, epoch: u64, edge_cost: impl Fn(EdgeId) -> f64) {
-        let topo = Arc::clone(&self.topo);
-        let mut w = std::mem::take(&mut self.scratch.weights);
-        let mut k = std::mem::take(&mut self.scratch.kinds);
-        topo.derive_into(edge_cost, &mut w, &mut k);
-        for (arc, (wv, kv)) in self.inner.arcs_mut().iter_mut().zip(w.iter().zip(&k)) {
-            arc.weight = *wv;
-            arc.kind = *kv;
-        }
-        for sa in self.inner.seg_arcs.iter_mut() {
-            sa.weight = w[sa.arc as usize];
-        }
-        self.inner.set_weights_epoch(epoch);
+    fn assert_same_graph(&self, g: &Graph) {
+        assert_eq!(
+            (self.vertex_count(), self.edge_count()),
+            (g.vertex_count(), g.edge_count()),
+            "CCH topology was built for a different graph"
+        );
+    }
+
+    /// Shared tail of every full customization: derive the arc columns,
+    /// then gather the segment weights from them.
+    fn rederive(&mut self, epoch: u64, edge_cost: impl Fn(EdgeId) -> f64) {
+        let Columns {
+            weights,
+            kinds,
+            seg_weights,
+            ..
+        } = &mut self.cols;
+        self.topo.derive_into(edge_cost, weights, kinds);
+        seg_weights.clear();
+        let slots = self.topo.skel.seg_arcs.iter();
+        seg_weights.extend(slots.map(|sa| weights[sa.arc as usize]));
         self.weights_epoch = epoch;
-        self.scratch.weights = w;
-        self.scratch.kinds = k;
-    }
-
-    /// Cheapest `source -> target` distance as the sum of arc weights
-    /// (see [`ContractionHierarchy::query_cost`]).
-    pub fn query_cost(
-        &self,
-        search: &mut ChSearch,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<f64> {
-        self.inner.query_cost(search, source, target)
-    }
-
-    /// Cheapest `source -> target` path as the unpacked original-edge
-    /// sequence (see [`ContractionHierarchy::query_edges`]).
-    pub fn query_edges<'s>(
-        &self,
-        search: &'s mut ChSearch,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<&'s [EdgeId]> {
-        self.inner.query_edges(search, source, target)
-    }
-
-    /// Like [`Cch::query_edges`], also handing back the matching vertex
-    /// sequence (see [`ContractionHierarchy::query_path`]).
-    pub fn query_path<'s>(
-        &self,
-        search: &'s mut ChSearch,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<(&'s [EdgeId], &'s [VertexId])> {
-        self.inner.query_path(search, source, target)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::ch::ChSearch;
     use crate::algo::dijkstra::shortest_path;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::graph::EdgeId;
@@ -1288,19 +1166,7 @@ mod tests {
         for cost in [CostModel::Length, CostModel::TravelTime] {
             let a = seq.customize(&g, &cost);
             let b = par.customize(&g, &cost);
-            let wa: Vec<u64> = a
-                .hierarchy()
-                .arcs()
-                .iter()
-                .map(|x| x.weight.to_bits())
-                .collect();
-            let wb: Vec<u64> = b
-                .hierarchy()
-                .arcs()
-                .iter()
-                .map(|x| x.weight.to_bits())
-                .collect();
-            assert_eq!(wa, wb, "customized weights must not depend on threads");
+            assert_bit_identical(&a, &b, "customized weights must not depend on threads");
         }
     }
 
@@ -1315,13 +1181,13 @@ mod tests {
             for (s, t) in [(0, n - 1), (1, n / 2), (n / 3, 2 * n / 3), (n - 1, 0)] {
                 let (s, t) = (VertexId(s), VertexId(t));
                 let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
-                let got = cch.query_cost(&mut search, s, t);
+                let got = cch.view().query_cost(&mut search, s, t);
                 match (expect, got) {
                     (None, None) => {}
                     (Some(e), Some(c)) => assert!(close(e, c), "{e} vs {c}"),
                     other => panic!("reachability mismatch: {other:?}"),
                 }
-                if let Some((edges, vertices)) = cch.query_path(&mut search, s, t) {
+                if let Some((edges, vertices)) = cch.view().query_path(&mut search, s, t) {
                     assert_eq!(vertices.len(), edges.len() + 1);
                     assert_eq!(vertices[0], s);
                     assert_eq!(*vertices.last().unwrap(), t);
@@ -1356,7 +1222,7 @@ mod tests {
                 let (s, t) = (VertexId(s), VertexId(t));
                 let expect = shortest_path(&g, s, t, CostModel::TravelTime)
                     .map(|p| p.cost(&g, CostModel::TravelTime));
-                let got = cch.query_cost(&mut search, s, t);
+                let got = cch.view().query_cost(&mut search, s, t);
                 match (expect, got) {
                     (None, None) => {}
                     (Some(e), Some(c)) => assert!(close(e, c), "{e} vs {c}"),
@@ -1394,7 +1260,7 @@ mod tests {
             let (s, t) = (VertexId(s), VertexId(t));
             let expect = shortest_path(&g, s, t, CostModel::TravelTime)
                 .map(|p| p.cost(&g, CostModel::TravelTime));
-            let got = cch.query_cost(&mut search, s, t);
+            let got = cch.view().query_cost(&mut search, s, t);
             match (expect, got) {
                 (None, None) => {}
                 (Some(e), Some(c)) => {
@@ -1415,16 +1281,24 @@ mod tests {
         assert!(cch.usable_for(&CostModel::Custom(&weights)));
         assert!(!cch.usable_for(&CostModel::Length));
         assert!(!cch.usable_for(&CostModel::TravelTime));
+        // The index's own slice passes by identity, an equal vector
+        // owned elsewhere by the bitwise fallback, and one ulp off is a
+        // different metric.
+        let own = cch.custom_weights().expect("customized from a vector");
+        assert!(!std::ptr::eq(own, weights.as_slice()));
+        assert!(cch.usable_for(&CostModel::Custom(own)));
+        assert!(cch.usable_for(&CostModel::Custom(&weights.clone())));
         let mut other = weights.clone();
-        other[0] += 1.0;
+        other[0] = f64::from_bits(other[0].to_bits() + 1);
         assert!(!cch.usable_for(&CostModel::Custom(&other)));
+        assert!(!cch.usable_for(&CostModel::Custom(&own[1..])));
         let mut search = ChSearch::new(g.vertex_count());
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 2, n / 5)] {
             let (s, t) = (VertexId(s), VertexId(t));
             let cost = CostModel::Custom(&weights);
             let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
-            let got = cch.query_cost(&mut search, s, t);
+            let got = cch.view().query_cost(&mut search, s, t);
             match (expect, got) {
                 (None, None) => {}
                 (Some(e), Some(c)) => assert!(close(e, c), "{e} vs {c}"),
@@ -1439,32 +1313,18 @@ mod tests {
     /// Full bitwise comparison of two customized indexes: arc weights,
     /// expansion rules and search-segment weights.
     fn assert_bit_identical(a: &Cch, b: &Cch, what: &str) {
-        let aa = a.hierarchy().arcs();
-        let bb = b.hierarchy().arcs();
-        assert_eq!(aa.len(), bb.len(), "{what}: arc count");
-        for (i, (x, y)) in aa.iter().zip(bb).enumerate() {
-            assert_eq!(
-                x.weight.to_bits(),
-                y.weight.to_bits(),
-                "{what}: arc {i} weight {} vs {}",
-                x.weight,
-                y.weight
-            );
-            assert_eq!(x.kind, y.kind, "{what}: arc {i} expansion rule");
-        }
-        for (i, (x, y)) in a
-            .hierarchy()
-            .seg_arcs
-            .iter()
-            .zip(&b.hierarchy().seg_arcs)
-            .enumerate()
-        {
-            assert_eq!(
-                x.weight.to_bits(),
-                y.weight.to_bits(),
-                "{what}: segment {i} weight"
-            );
-        }
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&a.cols.weights),
+            bits(&b.cols.weights),
+            "{what}: arc weights"
+        );
+        assert_eq!(a.cols.kinds, b.cols.kinds, "{what}: expansion rules");
+        assert_eq!(
+            bits(&a.cols.seg_weights),
+            bits(&b.cols.seg_weights),
+            "{what}: segment weights"
+        );
     }
 
     #[test]
@@ -1559,7 +1419,7 @@ mod tests {
             let (s, t) = (VertexId(s), VertexId(t));
             let cost = CostModel::Custom(&weights);
             let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
-            let got = sparse.query_cost(&mut search, s, t);
+            let got = sparse.view().query_cost(&mut search, s, t);
             match (expect, got) {
                 (None, None) => {}
                 (Some(e), Some(c)) => assert!(close(e, c), "{e} vs {c}"),

@@ -89,6 +89,60 @@ pub struct ChArc {
     pub kind: ChArcKind,
 }
 
+/// The weight-independent half of a hierarchy: ranks, arc endpoints and
+/// the rank-space search CSR. A [`ContractionHierarchy`] owns one beside
+/// its weights; every customization of a
+/// [`crate::algo::cch::CchTopology`] shares the topology's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Skeleton {
+    /// `rank[v]` = contraction position of `v` (0 contracted first).
+    pub(crate) rank: Vec<u32>,
+    /// `(tail, head)` of every arc of the pool, in vertex space.
+    pub(crate) ends: Vec<(VertexId, VertexId)>,
+    // Search graph in CSR form, one contiguous segment per rank holding
+    // the *upward out-arcs* (to higher-ranked heads) followed by the
+    // *downward in-arcs* (from higher-ranked tails). The forward search
+    // expands the first part and stall-checks the second; the backward
+    // search does the reverse — so every settle reads one contiguous
+    // region of `seg_arcs` and of the matching weight column (the query
+    // is cache-line-bound).
+    pub(crate) seg_offsets: Vec<u32>,
+    pub(crate) seg_mid: Vec<u32>,
+    pub(crate) seg_arcs: Vec<SearchArc>,
+}
+
+impl Skeleton {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        4 * (self.rank.len() + self.seg_offsets.len() + self.seg_mid.len())
+            + 8 * (self.ends.len() + self.seg_arcs.len())
+    }
+}
+
+/// One adjacency entry of the query-time search graphs. Its weight sits
+/// at the same index of a separate column, so a live re-weighting writes
+/// that column and never copies structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SearchArc {
+    /// The *rank* of the arc's other endpoint: head on upward entries,
+    /// tail on downward ones (the query loop runs entirely in rank
+    /// space, see [`ContractionHierarchy::assemble`]).
+    pub(crate) other: u32,
+    /// Index into the arc pool (for parent chains / unpacking).
+    pub(crate) arc: u32,
+}
+
+/// What the query, unpack and many-to-many loops read: a [`Skeleton`]
+/// plus the two columns they need of one weighting — per-arc expansion
+/// rules and per-segment-slot weights. [`ContractionHierarchy::view`] and
+/// [`crate::algo::cch::Cch::view`] both produce it, so each loop is
+/// written once.
+#[derive(Debug, Clone, Copy)]
+pub struct HierarchyView<'a> {
+    pub(crate) skel: &'a Skeleton,
+    pub(crate) kinds: &'a [ChArcKind],
+    pub(crate) seg_weights: &'a [f64],
+}
+
 /// A built contraction hierarchy over one graph and one metric.
 ///
 /// Build once per (graph, metric), wrap in an `Arc`, and hand a clone to
@@ -98,8 +152,6 @@ pub struct ChArc {
 #[derive(Debug, Clone)]
 pub struct ContractionHierarchy {
     metric: LandmarkMetric,
-    /// Vertex count of the graph the hierarchy was built for.
-    n: usize,
     /// Edge count of the graph the hierarchy was built for (attach-time
     /// fingerprint against wrong-graph indexes).
     m: usize,
@@ -107,37 +159,13 @@ pub struct ContractionHierarchy {
     /// [`Graph::weights_epoch`]); 0 for hierarchies loaded from disk. The
     /// engine skips the index when the graph has been mutated since.
     weights_epoch: u64,
-    /// `rank[v]` = contraction position of `v` (0 contracted first).
-    pub(crate) rank: Vec<u32>,
-    /// Arc pool: original edges first (`arc i` = `EdgeId(i)` for `i < m`),
-    /// shortcuts appended in creation order.
-    arcs: Vec<ChArc>,
-    // Search graph in CSR form, one contiguous segment per rank holding
-    // the *upward out-arcs* (to higher-ranked heads) followed by the
-    // *downward in-arcs* (from higher-ranked tails). The forward search
-    // expands the first part and stall-checks the second; the backward
-    // search does the reverse — so every settle reads one contiguous
-    // memory region (the query is cache-line-bound). `pub(crate)` so the
-    // bucket-based many-to-many module ([`crate::algo::m2m`]) runs its
-    // sweeps over the same CSR.
-    pub(crate) seg_offsets: Vec<u32>,
-    pub(crate) seg_mid: Vec<u32>,
-    pub(crate) seg_arcs: Vec<SearchArc>,
-}
-
-/// One adjacency entry of the query-time search graphs, with the data
-/// the hot loop needs inlined (endpoint + weight), so a query reads the
-/// CSR sequentially and touches the arc pool only during unpacking.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SearchArc {
-    /// The *rank* of the arc's other endpoint: head on upward entries,
-    /// tail on downward ones (the query loop runs entirely in rank
-    /// space, see [`ContractionHierarchy::assemble`]).
-    pub(crate) other: u32,
-    /// Index into the arc pool (for parent chains / unpacking).
-    pub(crate) arc: u32,
-    /// Arc weight under the build metric.
-    pub(crate) weight: f64,
+    skel: Skeleton,
+    /// Arc pool columns beside `skel.ends`: original edges first (`arc i`
+    /// = `EdgeId(i)` for `i < m`), shortcuts appended in creation order.
+    weights: Vec<f64>,
+    kinds: Vec<ChArcKind>,
+    /// Weight of `skel.seg_arcs[i]` under the build metric.
+    seg_weights: Vec<f64>,
 }
 
 /// Per-vertex slot of a [`ChSide`]: stamp, distance and parent packed
@@ -242,6 +270,14 @@ impl ChSide {
             parent_arc,
         };
         self.pushed_total += 1;
+    }
+
+    /// Stall-on-demand: whether the label `d` is beaten through one of
+    /// the opposite-direction `arcs` (weights in the parallel column).
+    #[inline]
+    pub(crate) fn stalled(&self, arcs: &[SearchArc], weights: &[f64], d: f64) -> bool {
+        let mut pairs = arcs.iter().zip(weights);
+        pairs.any(|(sa, &w)| self.dist(VertexId(sa.other)) + w < d)
     }
 }
 
@@ -685,8 +721,9 @@ impl ContractionHierarchy {
         }
         let mut seg_offsets = Vec::with_capacity(n + 1);
         let mut seg_mid = Vec::with_capacity(n);
-        let mut seg_arcs: Vec<SearchArc> =
-            Vec::with_capacity(up.iter().chain(&down).map(Vec::len).sum());
+        let kept = up.iter().chain(&down).map(Vec::len).sum();
+        let mut seg_arcs: Vec<SearchArc> = Vec::with_capacity(kept);
+        let mut seg_weights: Vec<f64> = Vec::with_capacity(kept);
         seg_offsets.push(0u32);
         for r in 0..n {
             for (bucket, upward) in [(&up[r], true), (&down[r], false)] {
@@ -696,8 +733,8 @@ impl ContractionHierarchy {
                     seg_arcs.push(SearchArc {
                         other: rank[other.index()],
                         arc: a,
-                        weight: arc.weight,
                     });
+                    seg_weights.push(arc.weight);
                 }
                 if upward {
                     seg_mid.push(seg_arcs.len() as u32);
@@ -707,14 +744,18 @@ impl ContractionHierarchy {
         }
         ContractionHierarchy {
             metric,
-            n,
             m,
             weights_epoch: 0,
-            rank,
-            arcs,
-            seg_offsets,
-            seg_mid,
-            seg_arcs,
+            weights: arcs.iter().map(|a| a.weight).collect(),
+            kinds: arcs.iter().map(|a| a.kind).collect(),
+            skel: Skeleton {
+                rank,
+                ends: arcs.iter().map(|a| (a.from, a.to)).collect(),
+                seg_offsets,
+                seg_mid,
+                seg_arcs,
+            },
+            seg_weights,
         }
     }
 
@@ -725,7 +766,7 @@ impl ContractionHierarchy {
 
     /// Vertex count of the graph the hierarchy was built for.
     pub fn vertex_count(&self) -> usize {
-        self.n
+        self.skel.rank.len()
     }
 
     /// Edge count of the graph the hierarchy was built for.
@@ -741,43 +782,72 @@ impl ContractionHierarchy {
 
     /// Number of shortcut arcs the contraction inserted.
     pub fn shortcut_count(&self) -> usize {
-        self.arcs.len() - self.m
+        self.kinds.len() - self.m
     }
 
     /// The full arc pool (original edges first, then shortcuts).
-    pub fn arcs(&self) -> &[ChArc] {
-        &self.arcs
+    pub fn arcs(&self) -> impl ExactSizeIterator<Item = ChArc> + '_ {
+        let cols = self.skel.ends.iter().zip(&self.weights).zip(&self.kinds);
+        cols.map(|((&(from, to), &weight), &kind)| ChArc {
+            from,
+            to,
+            weight,
+            kind,
+        })
     }
 
-    /// Mutable arc pool, for the customizable-CH layer
-    /// ([`crate::algo::cch`]): customization rewrites arc weights and
-    /// expansion rules in place over a fixed topology. Keep
-    /// [`ContractionHierarchy::seg_arcs`] weights in sync.
-    pub(crate) fn arcs_mut(&mut self) -> &mut [ChArc] {
-        &mut self.arcs
-    }
-
-    /// Stamps the weights epoch (customization layer).
-    pub(crate) fn set_weights_epoch(&mut self, epoch: u64) {
-        self.weights_epoch = epoch;
+    /// Heap bytes the index holds (the `pathrank_serve_index_bytes`
+    /// gauge).
+    pub fn heap_bytes(&self) -> usize {
+        self.skel.heap_bytes()
+            + 8 * (self.weights.len() + self.seg_weights.len())
+            + std::mem::size_of_val(self.kinds.as_slice())
     }
 
     /// Contraction rank of `v` (higher = contracted later = nearer the
     /// top of the hierarchy).
     pub fn rank(&self, v: VertexId) -> u32 {
-        self.rank[v.index()]
+        self.skel.rank[v.index()]
     }
 
     /// The rank array, indexed by vertex id.
     pub fn ranks(&self) -> &[u32] {
-        &self.rank
+        &self.skel.rank
     }
 
     /// Whether queries under `cost` may use this hierarchy — the same
     /// gate as [`crate::algo::landmarks::LandmarkTable::usable_for`]:
     /// only the build metric matches, `Custom` never does.
     pub fn usable_for(&self, cost: &CostModel<'_>) -> bool {
-        self.n > 0 && self.metric.matches(cost)
+        self.vertex_count() > 0 && self.metric.matches(cost)
+    }
+
+    /// The borrowed form every search loop runs on.
+    pub fn view(&self) -> HierarchyView<'_> {
+        HierarchyView {
+            skel: &self.skel,
+            kinds: &self.kinds,
+            seg_weights: &self.seg_weights,
+        }
+    }
+}
+
+impl HierarchyView<'_> {
+    /// Vertex count of the graph the hierarchy was built for.
+    pub fn vertex_count(&self) -> usize {
+        self.skel.rank.len()
+    }
+
+    /// The segment of rank `u` as `(up arcs, up weights, down arcs, down
+    /// weights)`: upward out-arcs first, downward in-arcs after.
+    #[inline]
+    pub(crate) fn segment(&self, u: VertexId) -> (&[SearchArc], &[f64], &[SearchArc], &[f64]) {
+        let lo = self.skel.seg_offsets[u.index()] as usize;
+        let ups = self.skel.seg_mid[u.index()] as usize - lo;
+        let hi = self.skel.seg_offsets[u.index() + 1] as usize;
+        let (up, down) = self.skel.seg_arcs[lo..hi].split_at(ups);
+        let (up_w, down_w) = self.seg_weights[lo..hi].split_at(ups);
+        (up, up_w, down, down_w)
     }
 
     /// Runs the upward bidirectional query and returns the meeting
@@ -789,9 +859,13 @@ impl ContractionHierarchy {
         source: VertexId,
         target: VertexId,
     ) -> Option<(VertexId, f64)> {
-        debug_assert_eq!(search.capacity(), self.n, "search sized for another graph");
-        let source = VertexId(self.rank[source.index()]);
-        let target = VertexId(self.rank[target.index()]);
+        debug_assert_eq!(
+            search.capacity(),
+            self.vertex_count(),
+            "search sized for another graph"
+        );
+        let source = VertexId(self.skel.rank[source.index()]);
+        let target = VertexId(self.skel.rank[target.index()]);
         let fwd = &mut search.fwd;
         let bwd = &mut search.bwd;
         fwd.begin();
@@ -825,21 +899,16 @@ impl ContractionHierarchy {
                 continue;
             }
             fwd.settle(u);
-            let lo = self.seg_offsets[u.index()] as usize;
-            let mid = self.seg_mid[u.index()] as usize;
-            let hi = self.seg_offsets[u.index() + 1] as usize;
-            let stalled = self.seg_arcs[mid..hi]
-                .iter()
-                .any(|sa| fwd.dist(VertexId(sa.other)) + sa.weight < d);
-            if stalled {
+            let (up, up_w, down, down_w) = self.segment(u);
+            if fwd.stalled(down, down_w, d) {
                 continue;
             }
-            for sa in &self.seg_arcs[lo..mid] {
+            for (sa, &w) in up.iter().zip(up_w) {
                 let v = VertexId(sa.other);
                 if fwd.is_settled(v) {
                     continue;
                 }
-                let nd = d + sa.weight;
+                let nd = d + w;
                 if nd < fwd.dist(v) {
                     fwd.relax(v, nd, sa.arc);
                     fwd.heap.push(MinCost { cost: nd, item: v });
@@ -867,21 +936,16 @@ impl ContractionHierarchy {
                     meet = Some(u);
                 }
             }
-            let lo = self.seg_offsets[u.index()] as usize;
-            let mid = self.seg_mid[u.index()] as usize;
-            let hi = self.seg_offsets[u.index() + 1] as usize;
-            let stalled = self.seg_arcs[lo..mid]
-                .iter()
-                .any(|sa| bwd.dist(VertexId(sa.other)) + sa.weight < d);
-            if stalled {
+            let (up, up_w, down, down_w) = self.segment(u);
+            if bwd.stalled(up, up_w, d) {
                 continue;
             }
-            for sa in &self.seg_arcs[mid..hi] {
+            for (sa, &w) in down.iter().zip(down_w) {
                 let v = VertexId(sa.other);
                 if bwd.is_settled(v) {
                     continue;
                 }
-                let nd = d + sa.weight;
+                let nd = d + w;
                 // A label at or past `best` can never improve the meet
                 // (the forward distance is non-negative).
                 if nd < bwd.dist(v) && nd < best {
@@ -907,11 +971,10 @@ impl ContractionHierarchy {
         stack.clear();
         stack.push(arc);
         while let Some(a) = stack.pop() {
-            let rec = &self.arcs[a as usize];
-            match rec.kind {
+            match self.kinds[a as usize] {
                 ChArcKind::Original(e) => {
                     edges.push(e);
-                    vertices.push(rec.to);
+                    vertices.push(self.skel.ends[a as usize].1);
                 }
                 ChArcKind::Shortcut(first, second) => {
                     stack.push(second);
@@ -950,7 +1013,7 @@ impl ContractionHierarchy {
         self.query_path(search, source, target).map(|(e, _)| e)
     }
 
-    /// Like [`ContractionHierarchy::query_edges`], also handing back the
+    /// Like [`HierarchyView::query_edges`], also handing back the
     /// matching vertex sequence (`edges.len() + 1` entries, source
     /// first) assembled during unpacking.
     pub fn query_path<'s>(
@@ -963,6 +1026,7 @@ impl ContractionHierarchy {
             return None;
         }
         let (meet, _) = self.run_query(search, source, target)?;
+        let (rank, ends) = (&self.skel.rank, &self.skel.ends);
         // Forward chain: arcs source -> meet, gathered top-down. The
         // parent chains live in rank space; the pool arcs they name are
         // in vertex space.
@@ -975,11 +1039,11 @@ impl ContractionHierarchy {
                 break;
             }
             chain.push(a);
-            cur = VertexId(self.rank[self.arcs[a as usize].from.index()]);
+            cur = VertexId(rank[ends[a as usize].0.index()]);
         }
         debug_assert_eq!(
             cur.0,
-            self.rank[source.index()],
+            rank[source.index()],
             "forward chain must reach the source"
         );
         let mut edges = std::mem::take(&mut search.edge_buf);
@@ -999,11 +1063,11 @@ impl ContractionHierarchy {
                 break;
             }
             self.expand_arc(a, &mut stack, &mut edges, &mut vertices);
-            cur = VertexId(self.rank[self.arcs[a as usize].to.index()]);
+            cur = VertexId(rank[ends[a as usize].1.index()]);
         }
         debug_assert_eq!(
             cur.0,
-            self.rank[target.index()],
+            rank[target.index()],
             "backward chain must reach the target"
         );
         search.chain_buf = chain;
@@ -1060,9 +1124,13 @@ mod tests {
                 ..ChConfig::default()
             },
         );
-        assert_eq!(seq.rank, par.rank, "node order must not depend on threads");
-        assert_eq!(seq.arcs.len(), par.arcs.len());
-        for (a, b) in seq.arcs.iter().zip(par.arcs.iter()) {
+        assert_eq!(
+            seq.ranks(),
+            par.ranks(),
+            "node order must not depend on threads"
+        );
+        assert_eq!(seq.arcs().len(), par.arcs().len());
+        for (a, b) in seq.arcs().zip(par.arcs()) {
             assert_eq!((a.from, a.to, a.kind), (b.from, b.to, b.kind));
             assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
@@ -1080,6 +1148,7 @@ mod tests {
             let (s, t) = (VertexId(s), VertexId(t));
             let plain = shortest_path(&g, s, t, CostModel::Length).map(|p| p.length_m(&g));
             let ch_cost = ch
+                .view()
                 .query_edges(&mut search, s, t)
                 .map(|edges| edges.iter().map(|&e| g.edge(e).attrs.length_m).sum::<f64>());
             assert_eq!(plain, ch_cost, "{s:?}->{t:?} CH cost diverged");
@@ -1096,7 +1165,7 @@ mod tests {
         let mut checked = 0usize;
         for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (7 % n, n - 2)] {
             let (s, t) = (VertexId(s), VertexId(t));
-            if let Some(edges) = ch.query_edges(&mut search, s, t) {
+            if let Some(edges) = ch.view().query_edges(&mut search, s, t) {
                 let p = Path::from_edges(&g, edges.to_vec())
                     .expect("unpacked edges must form a contiguous path");
                 assert_eq!(p.source(), s);
@@ -1122,7 +1191,7 @@ mod tests {
             let (s, t) = (VertexId(s), VertexId(t));
             let plain = shortest_path(&g, s, t, CostModel::TravelTime)
                 .map(|p| p.cost(&g, CostModel::TravelTime));
-            let ch_cost = ch.query_edges(&mut search, s, t).map(|edges| {
+            let ch_cost = ch.view().query_edges(&mut search, s, t).map(|edges| {
                 edges
                     .iter()
                     .fold(0.0, |a, &e| a + CostModel::TravelTime.edge_cost(&g, e))
@@ -1159,11 +1228,11 @@ mod tests {
         let g = b.build();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let mut search = ChSearch::new(g.vertex_count());
-        assert!(ch.query_edges(&mut search, a0, c1).is_none());
-        assert!(ch.query_cost(&mut search, a1, c0).is_none());
-        assert_eq!(ch.query_cost(&mut search, a0, a0), Some(0.0));
-        assert!(ch.query_edges(&mut search, a0, a0).is_none());
-        let within = ch.query_cost(&mut search, a0, a1);
+        assert!(ch.view().query_edges(&mut search, a0, c1).is_none());
+        assert!(ch.view().query_cost(&mut search, a1, c0).is_none());
+        assert_eq!(ch.view().query_cost(&mut search, a0, a0), Some(0.0));
+        assert!(ch.view().query_edges(&mut search, a0, a0).is_none());
+        let within = ch.view().query_cost(&mut search, a0, a1);
         assert_eq!(within, Some(100.0));
     }
 
@@ -1180,9 +1249,9 @@ mod tests {
         // Interleave: fresh scratch state must agree with reused one.
         for &(s, t) in &pairs {
             let (s, t) = (VertexId(s), VertexId(t));
-            let reused = ch.query_cost(&mut search, s, t);
+            let reused = ch.view().query_cost(&mut search, s, t);
             let mut fresh = ChSearch::new(g.vertex_count());
-            let expect = ch.query_cost(&mut fresh, s, t);
+            let expect = ch.view().query_cost(&mut fresh, s, t);
             assert_eq!(reused, expect, "{s:?}->{t:?} state leaked across queries");
         }
     }
@@ -1208,8 +1277,8 @@ mod tests {
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 3, 2 * n / 3)] {
             let (s, t) = (VertexId(s), VertexId(t));
-            let a = tight.query_cost(&mut st, s, t);
-            let b = roomy.query_cost(&mut sr, s, t);
+            let a = tight.view().query_cost(&mut st, s, t);
+            let b = roomy.view().query_cost(&mut sr, s, t);
             match (a, b) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9),
                 (None, None) => {}

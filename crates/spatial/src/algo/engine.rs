@@ -41,7 +41,7 @@ use std::sync::Arc;
 use pathrank_obs::{Counter, Registry};
 
 use crate::algo::cch::Cch;
-use crate::algo::ch::{ChSearch, ContractionHierarchy};
+use crate::algo::ch::{ChSearch, ContractionHierarchy, HierarchyView};
 use crate::algo::dijkstra::ShortestPathTree;
 use crate::algo::diversified::{diversified_top_k_with, DiversifiedConfig};
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
@@ -1003,6 +1003,24 @@ pub struct QueryEngine<'g> {
     obs: EngineObs,
 }
 
+/// The view of the attached hierarchy a resolved backend runs on: the
+/// customized CCH when `via_cch`, else the metric-built CH. A free
+/// function over the two index slots so callers can keep the engine's
+/// scratch fields mutably borrowed beside the result.
+fn hierarchy_view<'a>(
+    ch: &'a Option<Arc<ContractionHierarchy>>,
+    cch: &'a Option<Arc<Cch>>,
+    via_cch: bool,
+) -> HierarchyView<'a> {
+    if via_cch {
+        let cch = cch.as_deref();
+        cch.expect("CCH backend resolved without an index").view()
+    } else {
+        let ch = ch.as_deref();
+        ch.expect("CH backend resolved without an index").view()
+    }
+}
+
 /// Bookkeeping for the streaming many-to-many API: records *which*
 /// hierarchy deposited the current target buckets so the forward sweeps
 /// refuse to run against buckets from a swapped-out index or a cost
@@ -1376,91 +1394,65 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// Runs the CH query for `source -> target` and leaves the unpacked
-    /// original-edge sequence in the scratch buffer (borrowed).
-    fn ch_edges(&mut self, source: VertexId, target: VertexId) -> Option<&[EdgeId]> {
-        let ch = self
-            .ch
-            .as_ref()
-            .expect("CH backend resolved without an index");
+    /// Runs the hierarchy query for `source -> target` — on the customized
+    /// CCH when `via_cch`, else on the metric-built CH; both share the
+    /// scratch, which is keyed only on the vertex count — and leaves the
+    /// unpacked edge and vertex sequences in its buffers (borrowed).
+    fn hierarchy_path(
+        &mut self,
+        via_cch: bool,
+        source: VertexId,
+        target: VertexId,
+    ) -> Option<(&[EdgeId], &[VertexId])> {
+        let view = hierarchy_view(&self.ch, &self.cch, via_cch);
         let n = self.g.vertex_count();
         let search = self.ch_search.get_or_insert_with(|| ChSearch::new(n));
-        ch.query_edges(search, source, target)
+        view.query_path(search, source, target)
     }
 
-    /// CH-backed [`QueryEngine::shortest_path`]: unpacks the shortcut
-    /// chain into a real [`Path`] (both sequences come straight out of
-    /// the unpack buffers — no graph lookups).
-    fn ch_shortest_path(&mut self, source: VertexId, target: VertexId) -> Option<Path> {
-        let ch = self
-            .ch
-            .as_ref()
-            .expect("CH backend resolved without an index");
-        let n = self.g.vertex_count();
-        let search = self.ch_search.get_or_insert_with(|| ChSearch::new(n));
-        let (edges, vertices) = ch.query_path(search, source, target)?;
+    /// Hierarchy-backed [`QueryEngine::shortest_path`]: unpacks the
+    /// shortcut chain into a real [`Path`] (both sequences come straight
+    /// out of the unpack buffers — no graph lookups).
+    fn hierarchy_shortest_path(
+        &mut self,
+        via_cch: bool,
+        source: VertexId,
+        target: VertexId,
+    ) -> Option<Path> {
+        let (edges, vertices) = self.hierarchy_path(via_cch, source, target)?;
         Some(Path::from_parts_unchecked(
             vertices.to_vec(),
             edges.to_vec(),
         ))
     }
 
-    /// CH-backed cost probe. The cost is recomputed left-to-right over
-    /// the unpacked edges — the same fold order as Dijkstra's relaxation
-    /// chain — so it is bit-identical to the plain engine whenever the
+    /// Hierarchy-backed cost probe. The cost is recomputed left-to-right
+    /// over the unpacked edges — the same fold order as Dijkstra's
+    /// relaxation chain — so it is bit-identical to the plain engine on
+    /// the current (possibly freshly customized) weights whenever the
     /// optimum is unique (shortcut-weight sums alone could differ in the
     /// last bits through float re-association).
-    fn ch_shortest_path_cost(
+    fn hierarchy_shortest_path_cost(
         &mut self,
+        via_cch: bool,
         source: VertexId,
         target: VertexId,
         cost: CostModel<'_>,
     ) -> Option<f64> {
         let g = self.g;
-        let edges = self.ch_edges(source, target)?;
+        let (edges, _) = self.hierarchy_path(via_cch, source, target)?;
         Some(edges.iter().fold(0.0, |acc, &e| acc + cost.edge_cost(g, e)))
     }
 
-    /// CCH-backed variants of the three `ch_*` helpers: identical shapes,
-    /// running on the customized hierarchy (and sharing the same scratch —
-    /// it is keyed only on the vertex count).
-    fn cch_edges(&mut self, source: VertexId, target: VertexId) -> Option<&[EdgeId]> {
-        let cch = self
-            .cch
-            .as_ref()
-            .expect("CCH backend resolved without an index");
-        let n = self.g.vertex_count();
-        let search = self.ch_search.get_or_insert_with(|| ChSearch::new(n));
-        cch.query_edges(search, source, target)
-    }
-
-    fn cch_shortest_path(&mut self, source: VertexId, target: VertexId) -> Option<Path> {
-        let cch = self
-            .cch
-            .as_ref()
-            .expect("CCH backend resolved without an index");
-        let n = self.g.vertex_count();
-        let search = self.ch_search.get_or_insert_with(|| ChSearch::new(n));
-        let (edges, vertices) = cch.query_path(search, source, target)?;
-        Some(Path::from_parts_unchecked(
-            vertices.to_vec(),
-            edges.to_vec(),
-        ))
-    }
-
-    /// CCH-backed cost probe; recomputed left-to-right over the unpacked
-    /// edges like [`QueryEngine::ch_shortest_path_cost`], so it is
-    /// bit-identical to plain Dijkstra on the current (possibly freshly
-    /// customized) weights.
-    fn cch_shortest_path_cost(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-    ) -> Option<f64> {
-        let g = self.g;
-        let edges = self.cch_edges(source, target)?;
-        Some(edges.iter().fold(0.0, |acc, &e| acc + cost.edge_cost(g, e)))
+    /// Which hierarchy an unconstrained query under `cost` runs on:
+    /// `Some(false)` the CH, `Some(true)` the customized CCH, `None` when
+    /// neither covers it.
+    fn via_cch_for(&self, cost: CostModel<'_>) -> Option<bool> {
+        if self.uses_ch(cost) {
+            Some(false)
+        } else {
+            self.uses_cch(cost).then_some(true)
+        }
     }
 
     /// The graph this engine routes on.
@@ -1521,8 +1513,9 @@ impl<'g> QueryEngine<'g> {
         self.record_dispatch(backend, cost);
         let work_before = self.obs.enabled.then(|| self.total_work());
         let path = match backend {
-            SearchBackend::Ch => self.ch_shortest_path(source, target),
-            SearchBackend::Cch => self.cch_shortest_path(source, target),
+            SearchBackend::Ch | SearchBackend::Cch => {
+                self.hierarchy_shortest_path(backend == SearchBackend::Cch, source, target)
+            }
             SearchBackend::Alt => {
                 self.run_alt_one_to_one(source, target, cost);
                 self.fwd.extract_path(source, target)
@@ -1567,8 +1560,10 @@ impl<'g> QueryEngine<'g> {
         self.record_dispatch(backend, cost);
         let work_before = self.obs.enabled.then(|| self.total_work());
         let out = match backend {
-            SearchBackend::Ch => self.ch_shortest_path_cost(source, target, cost),
-            SearchBackend::Cch => self.cch_shortest_path_cost(source, target, cost),
+            SearchBackend::Ch | SearchBackend::Cch => {
+                let via_cch = backend == SearchBackend::Cch;
+                self.hierarchy_shortest_path_cost(via_cch, source, target, cost)
+            }
             SearchBackend::Alt => {
                 self.run_alt_one_to_one(source, target, cost);
                 let d = self.fwd.dist(target);
@@ -1649,16 +1644,7 @@ impl<'g> QueryEngine<'g> {
         targets: &[VertexId],
         cost: CostModel<'_>,
     ) -> Option<Vec<f64>> {
-        let hierarchy = if self.uses_ch(cost) {
-            self.ch.as_deref().expect("uses_ch implies an index")
-        } else if self.uses_cch(cost) {
-            self.cch
-                .as_deref()
-                .expect("uses_cch implies an index")
-                .hierarchy()
-        } else {
-            return None;
-        };
+        let hierarchy = hierarchy_view(&self.ch, &self.cch, self.via_cch_for(cost)?);
         let n = self.g.vertex_count();
         // Re-deposits buckets for *these* targets, invalidating any
         // streaming preparation (see `prepare_m2m_targets`).
@@ -1669,9 +1655,9 @@ impl<'g> QueryEngine<'g> {
 
     /// Batched many-to-many: the exact `sources × targets`
     /// [`DistanceTable`] via the bucket algorithm
-    /// ([`ContractionHierarchy::many_to_many`] on the engine's reusable
-    /// scratch) — `T` backward plus `S` forward upward sweeps instead of
-    /// `S × T` point-to-point queries. `Some` only when the attached
+    /// ([`HierarchyView::many_to_many`] on the engine's reusable scratch)
+    /// — `T` backward plus `S` forward upward sweeps instead of `S × T`
+    /// point-to-point queries. `Some` only when the attached
     /// hierarchy covers `cost` (the same per-query metric gate as every
     /// other backend decision); `None` means the caller keeps its
     /// pairwise path — map matching falls back to its shared sp-cache.
@@ -1681,16 +1667,7 @@ impl<'g> QueryEngine<'g> {
         targets: &[VertexId],
         cost: CostModel<'_>,
     ) -> Option<DistanceTable> {
-        let hierarchy = if self.uses_ch(cost) {
-            self.ch.as_deref().expect("uses_ch implies an index")
-        } else if self.uses_cch(cost) {
-            self.cch
-                .as_deref()
-                .expect("uses_cch implies an index")
-                .hierarchy()
-        } else {
-            return None;
-        };
+        let hierarchy = hierarchy_view(&self.ch, &self.cch, self.via_cch_for(cost)?);
         let n = self.g.vertex_count();
         // Re-deposits buckets for *these* targets, invalidating any
         // streaming preparation (see `prepare_m2m_targets`).
@@ -1710,14 +1687,10 @@ impl<'g> QueryEngine<'g> {
     /// [`QueryEngine::many_to_many`] would return `None`.
     pub fn prepare_m2m_targets(&mut self, targets: &[VertexId], cost: CostModel<'_>) -> bool {
         self.m2m_prepared = None;
-        let (hierarchy, via_cch) = if self.uses_ch(cost) {
-            (self.ch.as_deref().expect("uses_ch implies an index"), false)
-        } else if self.uses_cch(cost) {
-            let cch = self.cch.as_deref().expect("uses_cch implies an index");
-            (cch.hierarchy(), true)
-        } else {
+        let Some(via_cch) = self.via_cch_for(cost) else {
             return false;
         };
+        let hierarchy = hierarchy_view(&self.ch, &self.cch, via_cch);
         let n = self.g.vertex_count();
         let search = self.m2m_search.get_or_insert_with(|| M2mSearch::new(n));
         hierarchy.prepare_targets(search, targets);
@@ -1751,16 +1724,15 @@ impl<'g> QueryEngine<'g> {
     /// to re-preparing or to point-to-point probes.
     pub fn m2m_distances_from(&mut self, source: VertexId, cost: CostModel<'_>) -> Option<&[f64]> {
         let prep = self.m2m_prepared?;
-        let hierarchy = if !prep.via_cch && self.uses_ch(cost) {
-            self.ch.as_deref().expect("uses_ch implies an index")
-        } else if prep.via_cch && self.uses_cch(cost) {
-            self.cch
-                .as_deref()
-                .expect("uses_cch implies an index")
-                .hierarchy()
+        let still_covered = if prep.via_cch {
+            self.uses_cch(cost)
         } else {
-            return None;
+            self.uses_ch(cost)
         };
+        if !still_covered {
+            return None;
+        }
+        let hierarchy = hierarchy_view(&self.ch, &self.cch, prep.via_cch);
         let search = self
             .m2m_search
             .as_mut()
@@ -1947,10 +1919,8 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        match self.backend_for(cost) {
-            SearchBackend::Ch => return self.ch_shortest_path(source, target),
-            SearchBackend::Cch => return self.cch_shortest_path(source, target),
-            _ => {}
+        if let Some(via_cch) = self.via_cch_for(cost) {
+            return self.hierarchy_shortest_path(via_cch, source, target);
         }
         let per_meter = self.heuristic_bound(cost);
         let fz = self.usable_frozen();
@@ -2001,10 +1971,8 @@ impl<'g> QueryEngine<'g> {
         }
         // The CH query *is* a bidirectional search — over the upward
         // search graphs — so the hierarchy backends replace this entirely.
-        match self.backend_for(cost) {
-            SearchBackend::Ch => return self.ch_shortest_path(source, target),
-            SearchBackend::Cch => return self.cch_shortest_path(source, target),
-            _ => {}
+        if let Some(via_cch) = self.via_cch_for(cost) {
+            return self.hierarchy_shortest_path(via_cch, source, target);
         }
         let g = self.g;
         let use_alt = self.uses_alt(cost);

@@ -1,6 +1,6 @@
-//! Bucket-based many-to-many distance tables over a
-//! [`ContractionHierarchy`] — the batched counterpart of the CH
-//! point-to-point query.
+//! Bucket-based many-to-many distance tables over a [`HierarchyView`]
+//! (a metric-built CH or a customized CCH) — the batched counterpart of
+//! the CH point-to-point query.
 //!
 //! The HMM transition model of map matching, candidate diagnostics and
 //! any matrix-shaped serving workload all ask the same question: the
@@ -28,26 +28,26 @@
 //! deposits/scans them, so every bucket sum is the cost of a real path
 //! and the canonical up-down meeting vertex of each pair closes the
 //! exact optimum (the same stall-on-demand argument as
-//! [`ContractionHierarchy::query_cost`]).
+//! [`HierarchyView::query_cost`]).
 //!
 //! Entries are **raw arc-weight sums** (`d_fwd + d_bucket`), exact up to
 //! float association of shortcut weights — on integer-weight graphs they
 //! are bit-identical to Dijkstra (locked in by `tests/m2m_exactness.rs`).
 //! Callers that need a pair's *path* (e.g. stitching the transitions the
 //! HMM actually selected) unpack it on demand via
-//! [`ContractionHierarchy::m2m_path`], which recomputes the cost in
+//! [`HierarchyView::m2m_path`], which recomputes the cost in
 //! Dijkstra's fold order like every engine entry point.
 //!
 //! The scratch state ([`M2mSearch`]) is epoch-stamped like
 //! [`ChSearch`]/`SearchSpace`: buckets and sweep labels invalidate in
 //! O(1), so steady-state tables perform **no per-call `O(V)` work** —
 //! only the `S × T` output allocation. Prepared target buckets can also
-//! be streamed against ([`ContractionHierarchy::prepare_targets`] +
-//! [`ContractionHierarchy::distances_from`]): a server batching
+//! be streamed against ([`HierarchyView::prepare_targets`] +
+//! [`HierarchyView::distances_from`]): a server batching
 //! one-to-many requests against a fixed target set pays the target phase
 //! once.
 
-use crate::algo::ch::{ChSearch, ChSide, ContractionHierarchy};
+use crate::algo::ch::{ChSearch, ChSide, HierarchyView};
 use crate::graph::{EdgeId, VertexId};
 use crate::util::MinCost;
 
@@ -133,9 +133,9 @@ pub struct M2mSearch {
     buckets: Vec<Vec<BucketEntry>>,
     /// Number of targets in the currently prepared set.
     prepared: usize,
-    /// Reused output row of [`ContractionHierarchy::distances_from`].
+    /// Reused output row of [`HierarchyView::distances_from`].
     row: Vec<f64>,
-    /// Point-to-point scratch for [`ContractionHierarchy::m2m_path`],
+    /// Point-to-point scratch for [`HierarchyView::m2m_path`],
     /// allocated on first use.
     unpack: Option<ChSearch>,
 }
@@ -165,12 +165,12 @@ impl M2mSearch {
     }
 }
 
-impl ContractionHierarchy {
+impl HierarchyView<'_> {
     /// Runs the target phase: one backward upward sweep per target,
     /// depositing `(column, distance)` bucket entries at every settled
     /// rank. Invalidates any previously prepared target set in O(1).
     ///
-    /// Follow with any number of [`ContractionHierarchy::distances_from`]
+    /// Follow with any number of [`HierarchyView::distances_from`]
     /// calls — a batched one-to-many workload against a fixed target set
     /// pays this phase once.
     pub fn prepare_targets(&self, search: &mut M2mSearch, targets: &[VertexId]) {
@@ -200,7 +200,7 @@ impl ContractionHierarchy {
         for (j, &t) in targets.iter().enumerate() {
             let col = j as u32;
             side.begin();
-            let root = VertexId(self.rank[t.index()]);
+            let root = VertexId(self.skel.rank[t.index()]);
             side.relax(root, 0.0, u32::MAX);
             side.heap.push(MinCost {
                 cost: 0.0,
@@ -223,21 +223,16 @@ impl ContractionHierarchy {
                     bucket.clear();
                 }
                 bucket.push(BucketEntry { col, dist: d });
-                let lo = self.seg_offsets[u.index()] as usize;
-                let mid = self.seg_mid[u.index()] as usize;
-                let hi = self.seg_offsets[u.index() + 1] as usize;
-                let stalled = self.seg_arcs[lo..mid]
-                    .iter()
-                    .any(|sa| side.dist(VertexId(sa.other)) + sa.weight < d);
-                if stalled {
+                let (up, up_w, down, down_w) = self.segment(u);
+                if side.stalled(up, up_w, d) {
                     continue;
                 }
-                for sa in &self.seg_arcs[mid..hi] {
+                for (sa, &w) in down.iter().zip(down_w) {
                     let v = VertexId(sa.other);
                     if side.is_settled(v) {
                         continue;
                     }
-                    let nd = d + sa.weight;
+                    let nd = d + w;
                     if nd < side.dist(v) {
                         side.relax(v, nd, sa.arc);
                         side.heap.push(MinCost { cost: nd, item: v });
@@ -270,7 +265,7 @@ impl ContractionHierarchy {
         row.clear();
         row.resize(*prepared, f64::INFINITY);
         side.begin();
-        let root = VertexId(self.rank[source.index()]);
+        let root = VertexId(self.skel.rank[source.index()]);
         side.relax(root, 0.0, u32::MAX);
         side.heap.push(MinCost {
             cost: 0.0,
@@ -290,21 +285,16 @@ impl ContractionHierarchy {
                     }
                 }
             }
-            let lo = self.seg_offsets[u.index()] as usize;
-            let mid = self.seg_mid[u.index()] as usize;
-            let hi = self.seg_offsets[u.index() + 1] as usize;
-            let stalled = self.seg_arcs[mid..hi]
-                .iter()
-                .any(|sa| side.dist(VertexId(sa.other)) + sa.weight < d);
-            if stalled {
+            let (up, up_w, down, down_w) = self.segment(u);
+            if side.stalled(down, down_w, d) {
                 continue;
             }
-            for sa in &self.seg_arcs[lo..mid] {
+            for (sa, &w) in up.iter().zip(up_w) {
                 let v = VertexId(sa.other);
                 if side.is_settled(v) {
                     continue;
                 }
-                let nd = d + sa.weight;
+                let nd = d + w;
                 if nd < side.dist(v) {
                     side.relax(v, nd, sa.arc);
                     side.heap.push(MinCost { cost: nd, item: v });
@@ -315,8 +305,8 @@ impl ContractionHierarchy {
     }
 
     /// The full `sources × targets` [`DistanceTable`]:
-    /// [`ContractionHierarchy::prepare_targets`] once, then one
-    /// [`ContractionHierarchy::distances_from`] sweep per source.
+    /// [`HierarchyView::prepare_targets`] once, then one
+    /// [`HierarchyView::distances_from`] sweep per source.
     ///
     /// `T` backward plus `S` forward upward sweeps replace `S × T`
     /// point-to-point queries — the asymptotic win behind the batched
@@ -373,7 +363,7 @@ impl ContractionHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::ch::ChConfig;
+    use crate::algo::ch::{ChConfig, ContractionHierarchy};
     use crate::algo::dijkstra::shortest_path;
     use crate::algo::landmarks::LandmarkMetric;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
@@ -382,6 +372,7 @@ mod tests {
 
     fn table_vs_pairwise(g: &Graph, sources: &[VertexId], targets: &[VertexId]) {
         let ch = ContractionHierarchy::build(g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let mut search = M2mSearch::new(g.vertex_count());
         let table = ch.many_to_many(&mut search, sources, targets);
         assert_eq!(table.shape(), (sources.len(), targets.len()));
@@ -435,6 +426,7 @@ mod tests {
         let sources: Vec<VertexId> = (0..6).map(|i| VertexId(i * (n / 6))).collect();
         let targets: Vec<VertexId> = (0..7).map(|i| VertexId(n - 1 - i * (n / 8))).collect();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let mut search = M2mSearch::new(g.vertex_count());
         let table = ch.many_to_many(&mut search, &sources, &targets);
         for (i, &s) in sources.iter().enumerate() {
@@ -470,6 +462,7 @@ mod tests {
         // table's buckets or labels.
         let g = region_network(&RegionConfig::small_test(), 11);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let n = g.vertex_count() as u32;
         let mut reused = M2mSearch::new(g.vertex_count());
         let set_a: Vec<VertexId> = (0..4).map(|i| VertexId(i * (n / 4))).collect();
@@ -493,6 +486,7 @@ mod tests {
     fn m2m_streamed_sources_match_batched_table() {
         let g = region_network(&RegionConfig::small_test(), 11);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let n = g.vertex_count() as u32;
         let sources: Vec<VertexId> = (0..4).map(|i| VertexId(1 + i * (n / 5))).collect();
         let targets: Vec<VertexId> = (0..6).map(|i| VertexId(n - 2 - i * (n / 9))).collect();
@@ -513,6 +507,7 @@ mod tests {
     fn m2m_one_to_many_matches_point_queries() {
         let g = region_network(&RegionConfig::small_test(), 7);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let n = g.vertex_count() as u32;
         let targets: Vec<VertexId> = (0..8).map(|i| VertexId(i * (n / 8))).collect();
         let mut m2m = M2mSearch::new(g.vertex_count());
@@ -546,6 +541,7 @@ mod tests {
         b.add_bidirectional(c0, c1, attrs()).unwrap();
         let g = b.build();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let mut search = M2mSearch::new(g.vertex_count());
         let everyone = [a0, a1, c0, c1];
         let table = ch.many_to_many(&mut search, &everyone, &everyone);
@@ -567,6 +563,7 @@ mod tests {
     fn m2m_path_unpacks_selected_pairs() {
         let g = region_network(&RegionConfig::small_test(), 11);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let n = g.vertex_count() as u32;
         let sources = [VertexId(0), VertexId(n / 2)];
         let targets = [VertexId(n - 1), VertexId(n / 3)];
@@ -594,6 +591,7 @@ mod tests {
     fn m2m_dist_between_matches_positional_lookup() {
         let g = region_network(&RegionConfig::small_test(), 11);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let n = g.vertex_count() as u32;
         let sources: Vec<VertexId> = (0..4).map(|i| VertexId(i * (n / 4))).collect();
         let targets: Vec<VertexId> = (0..5).map(|i| VertexId(n - 1 - i * (n / 6))).collect();
@@ -614,6 +612,7 @@ mod tests {
     fn m2m_empty_sets_yield_empty_tables() {
         let g = grid_network(&GridConfig::small_test(), 3);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let ch = ch.view();
         let mut search = M2mSearch::new(g.vertex_count());
         let none: [VertexId; 0] = [];
         let some = [VertexId(0)];

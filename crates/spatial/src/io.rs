@@ -58,7 +58,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::algo::cch::{CchConfig, CchTopology, RawArc};
+use crate::algo::cch::{CchConfig, CchTopology};
 use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
 use crate::algo::landmarks::{LandmarkMetric, LandmarkTable};
 use crate::builder::GraphBuilder;
@@ -507,7 +507,7 @@ pub fn write_cch<W: Write>(topo: &CchTopology, out: &mut W) -> std::io::Result<(
     }
     writeln!(out)?;
     writeln!(out, "arcs {}", topo.arc_count())?;
-    for (i, (from, to)) in topo.arc_endpoints().enumerate() {
+    for (i, (from, to)) in topo.arc_endpoints().iter().enumerate() {
         let originals = topo.originals_of(i);
         let triangles = topo.triangles_of(i);
         write!(out, "c {} {} o {}", from.0, to.0, originals.len())?;
@@ -572,9 +572,18 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         seen[r as usize] = true;
     }
     let arc_count = parse_count(&next_content_line(&mut lines)?, "arcs")?;
-    let mut raw: Vec<RawArc> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
+    if u32::try_from(arc_count).is_err() {
+        return Err(SpatialError::Parse(format!(
+            "{arc_count} arcs do not fit 32-bit arc ids"
+        )));
+    }
+    // Flat in file order, as `CchTopology::finalise` takes them: arc
+    // endpoints, the arc of every original edge (`u32::MAX`: none, which
+    // doubles as the claimed-once check) and `(owner, b, c)` triangles.
+    let mut ends: Vec<(VertexId, VertexId)> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
+    let mut edge_arc = vec![u32::MAX; m];
+    let mut triangles: Vec<(u32, u32, u32)> = Vec::new();
     let mut seen_pair = std::collections::HashSet::with_capacity(arc_count.min(MAX_PREALLOC));
-    let mut seen_edge = vec![false; m];
     for i in 0..arc_count {
         let line = next_content_line(&mut lines)?;
         let mut it = line.split_ascii_whitespace();
@@ -601,7 +610,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
             )));
         }
         let k = parse_u32(it.next(), "original count")? as usize;
-        let mut originals = Vec::with_capacity(k.min(MAX_PREALLOC));
+        let mut last = None;
         for _ in 0..k {
             let e = parse_u32(it.next(), "original edge id")?;
             if e as usize >= m {
@@ -609,20 +618,18 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                     "arc {i} names edge {e} outside the graph's {m} edges"
                 )));
             }
-            if seen_edge[e as usize] {
+            if edge_arc[e as usize] != u32::MAX {
                 return Err(SpatialError::Parse(format!(
                     "edge {e} is claimed by more than one arc"
                 )));
             }
-            seen_edge[e as usize] = true;
-            if let Some(&last) = originals.last() {
-                if EdgeId(e) <= last {
-                    return Err(SpatialError::Parse(format!(
-                        "arc {i} original edges are not strictly ascending"
-                    )));
-                }
+            edge_arc[e as usize] = i as u32;
+            if last.is_some_and(|l| e <= l) {
+                return Err(SpatialError::Parse(format!(
+                    "arc {i} original edges are not strictly ascending"
+                )));
             }
-            originals.push(EdgeId(e));
+            last = Some(e);
         }
         if it.next() != Some("t") {
             return Err(SpatialError::Parse(format!(
@@ -635,7 +642,6 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                 "fill-in arc {i} has no supporting triangle"
             )));
         }
-        let mut triangles = Vec::with_capacity(j.min(MAX_PREALLOC));
         for _ in 0..j {
             let b = parse_u32(it.next(), "triangle arc")?;
             let c = parse_u32(it.next(), "triangle arc")?;
@@ -647,10 +653,9 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                     "arc {i} triangle references a non-preceding arc ({b}, {c})"
                 )));
             }
-            let leg_b = &raw[b as usize];
-            let leg_c = &raw[c as usize];
-            let via = leg_b.to;
-            if leg_b.from.0 != from || leg_c.to.0 != to || leg_c.from != via {
+            let (leg_b, leg_c) = (ends[b as usize], ends[c as usize]);
+            let via = leg_b.1;
+            if leg_b.0 .0 != from || leg_c.1 .0 != to || leg_c.0 != via {
                 return Err(SpatialError::Parse(format!(
                     "arc {i} triangle ({b}, {c}) legs do not connect {from} -> {to}"
                 )));
@@ -661,23 +666,16 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                     via.0
                 )));
             }
-            triangles.push((b, c));
+            triangles.push((i as u32, b, c));
         }
         if it.next().is_some() {
             return Err(SpatialError::Parse(format!("arc {i} has trailing tokens")));
         }
-        raw.push(RawArc {
-            from: VertexId(from),
-            to: VertexId(to),
-            originals,
-            triangles,
-        });
+        ends.push((VertexId(from), VertexId(to)));
     }
-    Ok(CchTopology::from_raw(
-        m,
-        rank,
-        raw,
-        CchConfig::default().threads,
+    let threads = CchConfig::default().threads;
+    Ok(CchTopology::finalise(
+        rank, ends, edge_arc, triangles, threads,
     ))
 }
 
@@ -1513,8 +1511,8 @@ mod tests {
                 let n = g.vertex_count() as u32;
                 for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (3, n - 2)] {
                     let (s, t) = (VertexId(s), VertexId(t));
-                    let ea = ch.query_edges(&mut sa, s, t).map(<[_]>::to_vec);
-                    let eb = back.query_edges(&mut sb, s, t).map(<[_]>::to_vec);
+                    let ea = ch.view().query_edges(&mut sa, s, t).map(<[_]>::to_vec);
+                    let eb = back.view().query_edges(&mut sb, s, t).map(<[_]>::to_vec);
                     assert_eq!(
                         ea, eb,
                         "reloaded {metric:?} CH changed an answer for {s:?}->{t:?}"
@@ -1652,16 +1650,49 @@ mod tests {
                 for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (3, n - 2)] {
                     let (s, t) = (VertexId(s), VertexId(t));
                     assert_eq!(
-                        a.query_cost(&mut sa, s, t).map(f64::to_bits),
-                        b.query_cost(&mut sb, s, t).map(f64::to_bits),
+                        a.view().query_cost(&mut sa, s, t).map(f64::to_bits),
+                        b.view().query_cost(&mut sb, s, t).map(f64::to_bits),
                         "reloaded CCH changed a {metric:?} cost for {s:?}->{t:?}"
                     );
                     assert_eq!(
-                        a.query_edges(&mut sa, s, t).map(<[_]>::to_vec),
-                        b.query_edges(&mut sb, s, t).map(<[_]>::to_vec),
+                        a.view().query_edges(&mut sa, s, t).map(<[_]>::to_vec),
+                        b.view().query_edges(&mut sb, s, t).map(<[_]>::to_vec),
                         "reloaded CCH changed a {metric:?} path for {s:?}->{t:?}"
                     );
                 }
+            }
+        }
+
+        #[test]
+        fn cch_flat_build_is_golden_and_roundtrips_array_for_array() {
+            // FNV-1a of the serialised topology, pinned on the commit
+            // before the flat build: ranks, level-contiguous arc
+            // numbering, merged originals and per-arc triangle order are
+            // all in the text, so the flat build is a change of
+            // representation and nothing else.
+            let grid = GridConfig {
+                nx: 24,
+                ny: 24,
+                ..GridConfig::small_test()
+            };
+            for (g, golden) in [
+                (
+                    region_network(&RegionConfig::small_test(), 11),
+                    0x722e_5f81_4cb3_ebfc,
+                ),
+                (grid_network(&grid, 5), 0xec63_83fd_4e60_967c),
+            ] {
+                let topo = CchTopology::build(&g, &CchConfig::default());
+                let text = cch_to_string(&topo);
+                assert_eq!(fnv1a64(text.as_bytes()), golden, "topology drifted");
+                // The reader feeds the same finaliser: every array of the
+                // reloaded topology (`PartialEq` covers them all,
+                // reverse index and search skeleton included) must equal
+                // the built one's.
+                assert!(
+                    cch_from_str(&text).unwrap() == topo,
+                    "reloaded topology differs from the built one"
+                );
             }
         }
 

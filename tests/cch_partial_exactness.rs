@@ -75,8 +75,8 @@ fn assert_same_answers(a: &Cch, b: &Cch, what: &str) {
     for s in 0..n {
         for t in 0..n {
             let (s, t) = (VertexId(s as u32), VertexId(t as u32));
-            let ca = a.query_cost(&mut sa, s, t);
-            let cb = b.query_cost(&mut sb, s, t);
+            let ca = a.view().query_cost(&mut sa, s, t);
+            let cb = b.view().query_cost(&mut sb, s, t);
             assert_eq!(
                 ca.map(f64::to_bits),
                 cb.map(f64::to_bits),

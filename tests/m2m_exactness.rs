@@ -139,7 +139,7 @@ proptest! {
                 (&ch_len, CostModel::Length),
                 (&ch_tt, CostModel::TravelTime),
             ] {
-                let table = ch.many_to_many(&mut search, &all, &all);
+                let table = ch.view().many_to_many(&mut search, &all, &all);
                 for (i, &s) in all.iter().enumerate() {
                     for (j, &t) in all.iter().enumerate() {
                         let expect = reference(&g, s, t, cost);
