@@ -12,9 +12,9 @@
 //!   so their labels cluster near one value, starving the regressor of
 //!   signal).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use pathrank_spatial::algo::ch::ContractionHierarchy;
@@ -73,6 +73,17 @@ impl CandidateConfig {
             include_trajectory: true,
         }
     }
+
+    /// The D-TkDI selection these parameters describe (length-weighted
+    /// Jaccard, as the ground-truth scores are).
+    pub fn diversified(&self) -> DiversifiedConfig {
+        DiversifiedConfig {
+            k: self.k,
+            threshold: self.diversity_threshold,
+            max_scan: self.max_scan,
+            weight: EdgeWeight::Length,
+        }
+    }
 }
 
 /// One labelled candidate.
@@ -115,9 +126,10 @@ pub fn generate_group(g: &Graph, trajectory: &Path, cfg: &CandidateConfig) -> Tr
 }
 
 /// [`generate_group`] on a caller-provided engine. Candidate generation
-/// is the single heaviest routing consumer in the pipeline — k paths per
-/// trajectory, each accepted path firing one constrained spur search per
-/// prefix vertex — and all of it reuses the engine's search state.
+/// is the single heaviest routing consumer in the pipeline — up to
+/// `max_scan` paths enumerated per trajectory, each firing a constrained
+/// spur search per vertex past its deviation point — and all of it reuses
+/// the engine's search state.
 pub fn generate_group_with(
     engine: &mut QueryEngine<'_>,
     trajectory: &Path,
@@ -127,15 +139,7 @@ pub fn generate_group_with(
     let (s, d) = (trajectory.source(), trajectory.target());
     let generated: Vec<(Path, f64)> = match cfg.strategy {
         Strategy::TkDI => engine.yen_k_shortest(s, d, CostModel::Length, cfg.k),
-        Strategy::DTkDI => {
-            let dcfg = DiversifiedConfig {
-                k: cfg.k,
-                threshold: cfg.diversity_threshold,
-                max_scan: cfg.max_scan,
-                weight: EdgeWeight::Length,
-            };
-            engine.diversified_top_k(s, d, CostModel::Length, &dcfg)
-        }
+        Strategy::DTkDI => engine.diversified_top_k(s, d, CostModel::Length, &cfg.diversified()),
     };
 
     let mut candidates: Vec<RankedCandidate> = Vec::with_capacity(generated.len() + 1);
@@ -158,11 +162,10 @@ pub fn generate_group_with(
     }
 }
 
-/// Generates groups for many trajectories, splitting the work across
-/// `threads` OS threads (candidate generation dominates preprocessing
-/// time: each trajectory costs k constrained Dijkstra sweeps). Every
-/// worker allocates one [`QueryEngine`] and reuses it for its whole
-/// chunk; all workers share one ALT landmark table
+/// Generates groups for many trajectories on `threads` OS threads
+/// (candidate generation dominates preprocessing time). Every worker
+/// allocates one [`QueryEngine`] and reuses it for every trajectory it
+/// claims; all workers share one ALT landmark table
 /// ([`pathrank_spatial::algo::landmarks::LandmarkTable`], built here
 /// once under the length metric the candidate searches run on), so every
 /// spur search is landmark-directed. ALT preserves exactness — candidate
@@ -225,44 +228,37 @@ pub fn generate_groups_with_backends(
             },
         ))
     });
-    let worker_engine = |table: Arc<LandmarkTable>, ch: Option<Arc<ContractionHierarchy>>| {
-        let engine = QueryEngine::new(g).with_landmarks(table);
-        match ch {
-            Some(ch) => engine.with_ch(ch),
-            None => engine,
+    // Group cost is heavy-tailed (a few trajectories cost many times the
+    // median), so workers claim one trajectory at a time from a shared
+    // cursor instead of owning a fixed chunk, and results are put back in
+    // trajectory order: the output does not depend on who claimed what.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut engine = QueryEngine::new(g).with_landmarks(Arc::clone(&table));
+        engine.set_ch(ch.clone());
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor publishes nothing but itself.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(trajectory) = trajectories.get(i) else {
+                break done;
+            };
+            done.push((i, generate_group_with(&mut engine, trajectory, cfg)));
         }
     };
-    if threads == 1 || trajectories.len() < 2 * threads {
-        let mut engine = worker_engine(table, ch);
-        return trajectories
-            .iter()
-            .map(|t| generate_group_with(&mut engine, t, cfg))
+    let mut groups = std::thread::scope(|scope| {
+        // The calling thread is one of the `threads` workers.
+        let spawned: Vec<_> = (1..threads.min(trajectories.len()))
+            .map(|_| scope.spawn(work))
             .collect();
-    }
-    let chunk = trajectories.len().div_ceil(threads);
-    let results: Vec<Vec<TrainingGroup>> = thread::scope(|scope| {
-        let handles: Vec<_> = trajectories
-            .chunks(chunk)
-            .map(|slice| {
-                let table = Arc::clone(&table);
-                let ch = ch.clone();
-                let worker_engine = &worker_engine;
-                scope.spawn(move |_| {
-                    let mut engine = worker_engine(table, ch);
-                    slice
-                        .iter()
-                        .map(|t| generate_group_with(&mut engine, t, cfg))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("thread scope failed");
-    results.into_concat()
+        let mut groups = work();
+        for worker in spawned {
+            groups.extend(worker.join().expect("candidate worker panicked"));
+        }
+        groups
+    });
+    groups.sort_unstable_by_key(|&(i, _)| i);
+    groups.into_iter().map(|(_, group)| group).collect()
 }
 
 /// Per-trajectory detour factors: `length(trajectory) / length(shortest
@@ -308,21 +304,6 @@ pub fn trajectory_detour_factors(engine: &mut QueryEngine<'_>, trajectories: &[P
             }
         })
         .collect()
-}
-
-/// Small helper: flattens the per-thread chunks back into one vector.
-trait IntoConcat<T> {
-    fn into_concat(self) -> Vec<T>;
-}
-
-impl<T> IntoConcat<T> for Vec<Vec<T>> {
-    fn into_concat(self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.iter().map(Vec::len).sum());
-        for v in self {
-            out.extend(v);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -434,18 +415,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_generation_matches_sequential() {
+    fn yen_groups_are_independent_of_thread_count() {
+        // Workers claim trajectories in whatever order the scheduler
+        // allows; the groups must come back in trajectory order and equal
+        // the one-thread (sequential) result element for element.
         let (g, paths) = setup();
         let cfg = CandidateConfig::paper_default(Strategy::DTkDI);
         let seq = generate_groups(&g, &paths, &cfg, 1);
-        let par = generate_groups(&g, &paths, &cfg, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert!(a.trajectory.same_route(&b.trajectory));
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.candidates.iter().zip(b.candidates.iter()) {
-                assert!(x.path.same_route(&y.path));
-                assert_eq!(x.score, y.score);
+        assert_eq!(seq.len(), paths.len());
+        for threads in [2, 3, 7] {
+            let par = generate_groups(&g, &paths, &cfg, threads);
+            assert_eq!(seq.len(), par.len());
+            for (a, b) in seq.iter().zip(par.iter()) {
+                assert_eq!(a.trajectory, b.trajectory, "{threads} threads");
+                assert_eq!(a.len(), b.len(), "{threads} threads");
+                for (x, y) in a.candidates.iter().zip(b.candidates.iter()) {
+                    assert_eq!(x.path, y.path, "{threads} threads");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{threads} threads");
+                }
             }
         }
     }

@@ -13,7 +13,7 @@
 use crate::algo::engine::QueryEngine;
 use crate::graph::{CostModel, Graph, VertexId};
 use crate::path::Path;
-use crate::similarity::{weighted_jaccard, EdgeWeight};
+use crate::similarity::{sorted_edge_set, weighted_jaccard_sorted, EdgeWeight};
 
 /// Parameters of diversified top-k selection.
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +33,10 @@ pub struct DiversifiedConfig {
 }
 
 impl DiversifiedConfig {
-    /// The paper-style default: k = 10, similarity threshold 0.8,
-    /// length-weighted Jaccard, scanning at most `40 × k` candidates.
+    /// A mild default for `k` paths: similarity threshold 0.8,
+    /// length-weighted Jaccard, scanning at most `40 × k` candidates. (The
+    /// paper-style setting is `CandidateConfig::paper_default` in
+    /// `pathrank-core`: k = 10, threshold 0.5, scan 400.)
     pub fn with_k(k: usize) -> Self {
         DiversifiedConfig {
             k,
@@ -76,20 +78,21 @@ pub fn diversified_top_k_with(
     if cfg.k == 0 {
         return kept;
     }
-    let mut scanned = 0usize;
-    for (p, c) in engine.yen_iter(source, target, cost) {
-        scanned += 1;
-        let diverse = kept
+    // Sorted edge sets of the kept paths, so each pair costs one merge walk.
+    let mut kept_edges: Vec<Vec<_>> = Vec::with_capacity(cfg.k);
+    // The cheapest path is examined (and kept) whatever the scan cap.
+    let scan = cfg.max_scan.max(1);
+    for (p, c) in engine.yen_iter(source, target, cost).limit(scan) {
+        let edges = sorted_edge_set(&p);
+        let diverse = kept_edges
             .iter()
-            .all(|(q, _)| weighted_jaccard(g, &p, q, cfg.weight) <= cfg.threshold + 1e-12);
+            .all(|q| weighted_jaccard_sorted(g, &edges, q, cfg.weight) <= cfg.threshold + 1e-12);
         if diverse {
             kept.push((p, c));
+            kept_edges.push(edges);
             if kept.len() >= cfg.k {
                 break;
             }
-        }
-        if scanned >= cfg.max_scan {
-            break;
         }
     }
     kept
@@ -100,6 +103,7 @@ mod tests {
     use super::*;
     use crate::algo::yen::yen_k_shortest;
     use crate::generators::{grid_network, GridConfig};
+    use crate::similarity::weighted_jaccard;
 
     fn setup() -> (Graph, VertexId, VertexId) {
         let g = grid_network(&GridConfig::small_test(), 7);

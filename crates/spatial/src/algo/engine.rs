@@ -245,6 +245,11 @@ impl SearchSpace {
     /// incoming edges, yielding distances *into* `source` (the parent
     /// chain then points forward: `parent_of(v)` is the next hop on a
     /// cheapest `v -> source` path).
+    ///
+    /// The search also stops at the first popped key above `max_cost`
+    /// (keys pop in non-decreasing order, so nothing within the budget is
+    /// left) and then returns `true`; whatever it settled before that is
+    /// exactly what the unbudgeted search settles first.
     #[allow(clippy::too_many_arguments)]
     fn run_dijkstra(
         &mut self,
@@ -255,7 +260,8 @@ impl SearchSpace {
         banned_vertices: Option<&BitSet>,
         banned_edges: Option<&BitSet>,
         reverse: bool,
-    ) {
+        max_cost: f64,
+    ) -> bool {
         debug_assert_eq!(
             self.capacity(),
             g.vertex_count(),
@@ -269,6 +275,9 @@ impl SearchSpace {
         });
 
         while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
+            if d > max_cost {
+                return true;
+            }
             if self.is_settled(u) {
                 continue; // stale heap entry
             }
@@ -311,6 +320,7 @@ impl SearchSpace {
                 relax_edges!(out_edges);
             }
         }
+        false
     }
 
     /// A* from `source` to `target` under an admissible, consistent
@@ -318,6 +328,12 @@ impl SearchSpace {
     /// f-scores. Starts a fresh epoch. Banned sets (when given) only
     /// shrink the edge set, which can only *increase* true distances, so
     /// any full-graph lower bound — Euclidean or ALT — stays admissible.
+    ///
+    /// Budgeted like [`SearchSpace::run_dijkstra`]: every open vertex of
+    /// a cheapest path has an f-score no greater than that path's cost,
+    /// so once the smallest open f-score exceeds `max_cost` no path
+    /// within the budget exists, and the search returns `true`.
+    #[allow(clippy::too_many_arguments)]
     fn run_astar(
         &mut self,
         g: &Graph,
@@ -326,7 +342,8 @@ impl SearchSpace {
         cost: CostModel<'_>,
         heuristic: &Heuristic<'_>,
         banned: Option<(&BitSet, &BitSet)>,
-    ) {
+        max_cost: f64,
+    ) -> bool {
         let (banned_vertices, banned_edges) = match banned {
             Some((bv, be)) => (Some(bv), Some(be)),
             None => (None, None),
@@ -345,7 +362,10 @@ impl SearchSpace {
             item: source,
         });
 
-        while let Some(MinCost { item: u, .. }) = self.heap.pop() {
+        while let Some(MinCost { cost: f, item: u }) = self.heap.pop() {
+            if f > max_cost {
+                return true;
+            }
             if self.is_settled(u) {
                 continue;
             }
@@ -378,6 +398,7 @@ impl SearchSpace {
                 }
             }
         }
+        false
     }
 
     /// Frozen-graph counterpart of [`SearchSpace::run_dijkstra_all`]:
@@ -774,6 +795,11 @@ pub enum SearchBackend {
 /// * `pathrank_engine_settled_nodes_total` /
 ///   `pathrank_engine_heap_pushes_total` — search work, summed over
 ///   every space the query touched.
+/// * `pathrank_engine_spur_searches_total{outcome}` /
+///   `pathrank_engine_spur_settled_nodes_total` — constrained (Yen spur)
+///   searches by outcome (`found`, `over_budget`, `unreachable`) and the
+///   vertices they settled; counted apart from the point-to-point
+///   families above, which they never enter.
 #[derive(Clone)]
 pub struct EngineObs {
     enabled: bool,
@@ -787,6 +813,9 @@ pub struct EngineObs {
     fallback: [[Counter; 2]; 3],
     settled: Counter,
     pushed: Counter,
+    /// `[found, over_budget, unreachable]`.
+    spur_searches: [Counter; 3],
+    spur_settled: Counter,
 }
 
 impl EngineObs {
@@ -806,6 +835,13 @@ impl EngineObs {
                 "pathrank_engine_fallback_total",
                 "Queries that skipped an attached index, by index and reason",
                 &[("index", ix), ("reason", reason)],
+            )
+        };
+        let spur = |outcome: &str| {
+            registry.counter(
+                "pathrank_engine_spur_searches_total",
+                "Constrained (Yen spur) searches, by outcome",
+                &[("outcome", outcome)],
             )
         };
         EngineObs {
@@ -832,6 +868,12 @@ impl EngineObs {
                 "Heap pushes (relaxations) by point-to-point queries, all backends",
                 &[],
             ),
+            spur_searches: [spur("found"), spur("over_budget"), spur("unreachable")],
+            spur_settled: registry.counter(
+                "pathrank_engine_spur_settled_nodes_total",
+                "Vertices settled by constrained (Yen spur) searches",
+                &[],
+            ),
         }
     }
 
@@ -853,6 +895,8 @@ impl EngineObs {
             ],
             settled: Counter::noop(),
             pushed: Counter::noop(),
+            spur_searches: [Counter::noop(), Counter::noop(), Counter::noop()],
+            spur_settled: Counter::noop(),
         }
     }
 
@@ -1521,15 +1565,7 @@ impl<'g> QueryEngine<'g> {
                 self.fwd.extract_path(source, target)
             }
             SearchBackend::Plain => {
-                match self.usable_frozen() {
-                    Some(fz) => self
-                        .fwd
-                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
-                    None => {
-                        self.fwd
-                            .run_dijkstra(self.g, source, Some(target), cost, None, None, false)
-                    }
-                }
+                self.run_plain_one_to_one(source, target, cost);
                 self.fwd.extract_path(source, target)
             }
         };
@@ -1570,15 +1606,7 @@ impl<'g> QueryEngine<'g> {
                 d.is_finite().then_some(d)
             }
             SearchBackend::Plain => {
-                match self.usable_frozen() {
-                    Some(fz) => self
-                        .fwd
-                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
-                    None => {
-                        self.fwd
-                            .run_dijkstra(self.g, source, Some(target), cost, None, None, false)
-                    }
-                }
+                self.run_plain_one_to_one(source, target, cost);
                 let d = self.fwd.dist(target);
                 d.is_finite().then_some(d)
             }
@@ -1589,6 +1617,20 @@ impl<'g> QueryEngine<'g> {
             self.obs.pushed.add_in_shard(self.obs.shard, p1 - p0);
         }
         out
+    }
+
+    /// Early-exit Dijkstra on the forward space (the
+    /// [`SearchBackend::Plain`] arm of the point-to-point dispatch).
+    fn run_plain_one_to_one(&mut self, source: VertexId, target: VertexId, cost: CostModel<'_>) {
+        let (g, target) = (self.g, Some(target));
+        match self.usable_frozen() {
+            Some(fz) => self.fwd.run_dijkstra_frozen(&fz, source, target, cost),
+            None => {
+                let unbounded = f64::INFINITY;
+                self.fwd
+                    .run_dijkstra(g, source, target, cost, None, None, false, unbounded);
+            }
+        }
     }
 
     /// ALT-guided one-to-one A* on the forward space (the
@@ -1610,7 +1652,10 @@ impl<'g> QueryEngine<'g> {
             Some(fz) => self
                 .fwd
                 .run_astar_frozen(self.g, fz, source, target, cost, &h),
-            None => self.fwd.run_astar(self.g, source, target, cost, &h, None),
+            None => {
+                self.fwd
+                    .run_astar(self.g, source, target, cost, &h, None, f64::INFINITY);
+            }
         }
     }
 
@@ -1808,6 +1853,16 @@ impl<'g> QueryEngine<'g> {
     /// consulted here ([`QueryEngine::constrained_backend_for`]): a
     /// banned edge may hide inside a shortcut, so CH answers would be
     /// unsound under bans.
+    ///
+    /// `max_cost` is a budget on the returned path's cost: the result is
+    /// the unbudgeted one if that costs at most `max_cost` and `None`
+    /// otherwise, found out after settling only the vertices the
+    /// unbudgeted search settles below the budget. The budget is held
+    /// against the search's own keys, whose heuristic part carries float
+    /// rounding: a path never comes back costlier than `max_cost`, but one
+    /// within a few ulps of it may be missed under an active heuristic —
+    /// callers that must not lose it widen the budget by a relative
+    /// epsilon, as Yen does. Callers without a bound pass `f64::INFINITY`.
     pub fn constrained_shortest_path(
         &mut self,
         source: VertexId,
@@ -1815,6 +1870,7 @@ impl<'g> QueryEngine<'g> {
         cost: CostModel<'_>,
         banned_vertices: &BitSet,
         banned_edges: &BitSet,
+        max_cost: f64,
     ) -> Option<Path> {
         debug_assert_ne!(self.constrained_backend_for(cost), SearchBackend::Ch);
         if source == target
@@ -1833,15 +1889,11 @@ impl<'g> QueryEngine<'g> {
             cost,
             per_meter,
         );
-        if h.is_active() {
-            self.fwd.run_astar(
-                self.g,
-                source,
-                target,
-                cost,
-                &h,
-                Some((banned_vertices, banned_edges)),
-            );
+        let settled_before = self.fwd.settled_total;
+        let over_budget = if h.is_active() {
+            let banned = Some((banned_vertices, banned_edges));
+            self.fwd
+                .run_astar(self.g, source, target, cost, &h, banned, max_cost)
         } else {
             self.fwd.run_dijkstra(
                 self.g,
@@ -1851,9 +1903,27 @@ impl<'g> QueryEngine<'g> {
                 Some(banned_vertices),
                 Some(banned_edges),
                 false,
-            );
+                max_cost,
+            )
+        };
+        // A budgeted stop can leave the target relaxed but not settled,
+        // with a tentative distance that is not yet optimal.
+        let path = if over_budget {
+            None
+        } else {
+            self.fwd.extract_path(source, target)
+        };
+        if self.obs.enabled {
+            let outcome = match (&path, over_budget) {
+                (Some(_), _) => 0,
+                (None, true) => 1,
+                (None, false) => 2,
+            };
+            self.obs.spur_searches[outcome].add_in_shard(self.obs.shard, 1);
+            let settled = self.fwd.settled_total - settled_before;
+            self.obs.spur_settled.add_in_shard(self.obs.shard, settled);
         }
-        self.fwd.extract_path(source, target)
+        path
     }
 
     /// Plain-Dijkstra variant of
@@ -1883,6 +1953,7 @@ impl<'g> QueryEngine<'g> {
             Some(banned_vertices),
             Some(banned_edges),
             false,
+            f64::INFINITY,
         );
         self.fwd.extract_path(source, target)
     }
@@ -1938,10 +2009,21 @@ impl<'g> QueryEngine<'g> {
                 .fwd
                 .run_astar_frozen(self.g, fz, source, target, cost, &h),
             (Some(fz), false) => self.fwd.run_dijkstra_frozen(fz, source, Some(target), cost),
-            (None, true) => self.fwd.run_astar(self.g, source, target, cost, &h, None),
-            (None, false) => {
+            (None, true) => {
                 self.fwd
-                    .run_dijkstra(self.g, source, Some(target), cost, None, None, false)
+                    .run_astar(self.g, source, target, cost, &h, None, f64::INFINITY);
+            }
+            (None, false) => {
+                self.fwd.run_dijkstra(
+                    self.g,
+                    source,
+                    Some(target),
+                    cost,
+                    None,
+                    None,
+                    false,
+                    f64::INFINITY,
+                );
             }
         }
         self.fwd.extract_path(source, target)
@@ -2145,7 +2227,7 @@ impl<'g> QueryEngine<'g> {
         cost: CostModel<'_>,
         k: usize,
     ) -> Vec<(Path, f64)> {
-        self.yen_iter(source, target, cost).take(k).collect()
+        self.yen_iter(source, target, cost).limit(k).collect()
     }
 
     /// Diversified top-k (the paper's D-TkDI). Engine counterpart of

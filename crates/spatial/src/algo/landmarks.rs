@@ -324,18 +324,22 @@ impl LandmarkTable {
             return;
         }
         // Keep the top ACTIVE_LANDMARKS by single-landmark bound at the
-        // probe endpoint (insertion into a fixed-size best list; ties keep
-        // the lower landmark index for determinism).
-        let mut best: Vec<(f64, u32)> = Vec::with_capacity(ACTIVE_LANDMARKS + 1);
+        // probe endpoint: insertion into a fixed best list whose spare last
+        // slot takes whatever falls off (ties keep the lower landmark index
+        // for determinism). On the stack — this runs once per spur search.
+        let mut best = [(0.0f64, 0u32); ACTIVE_LANDMARKS + 1];
+        let mut len = 0;
         for l in 0..self.k() {
             let b = self.bound_one(cache, l, probe, towards_node);
-            let pos = best.partition_point(|&(bb, _)| bb >= b);
-            if pos < ACTIVE_LANDMARKS {
-                best.insert(pos, (b, l as u32));
-                best.truncate(ACTIVE_LANDMARKS);
+            let mut pos = len;
+            while pos > 0 && best[pos - 1].0 < b {
+                best[pos] = best[pos - 1];
+                pos -= 1;
             }
+            best[pos] = (b, l as u32);
+            len = (len + 1).min(ACTIVE_LANDMARKS);
         }
-        cache.active.extend(best.iter().map(|&(_, l)| l));
+        cache.active.extend(best[..len].iter().map(|&(_, l)| l));
         cache.active.sort_unstable();
     }
 
@@ -480,6 +484,32 @@ mod tests {
         assert_eq!(seq.landmarks(), par.landmarks());
         assert_eq!(seq.from_landmark, par.from_landmark);
         assert_eq!(seq.to_landmark, par.to_landmark);
+    }
+
+    #[test]
+    fn alt_active_selection_matches_sorted_reference() {
+        // The reference: all landmarks, stably sorted by descending bound
+        // (ties keep the lower index), first ACTIVE_LANDMARKS, by index.
+        let g = region();
+        let table = LandmarkTable::build(&g, LandmarkMetric::Length, &LandmarkConfig::default());
+        assert!(table.k() > ACTIVE_LANDMARKS);
+        let mut cache = NodeVectors::new();
+        for t in g.vertices().step_by(7) {
+            table.prepare(&mut cache, t);
+            for v in g.vertices() {
+                for towards_node in [true, false] {
+                    let mut all: Vec<(f64, u32)> = (0..table.k())
+                        .map(|l| (table.bound_one(&cache, l, v, towards_node), l as u32))
+                        .collect();
+                    all.sort_by(|a, b| b.0.total_cmp(&a.0));
+                    let mut expect: Vec<u32> =
+                        all[..ACTIVE_LANDMARKS].iter().map(|&(_, l)| l).collect();
+                    expect.sort_unstable();
+                    table.select_active(&mut cache, v, towards_node);
+                    assert_eq!(cache.active, expect, "{v:?} -> {t:?}, {towards_node}");
+                }
+            }
+        }
     }
 
     #[test]

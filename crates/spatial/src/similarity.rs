@@ -20,7 +20,7 @@ use crate::path::Path;
 /// Sorted, deduplicated edge ids of a path. Sorting fixes the floating-
 /// point summation order, making every similarity value fully
 /// deterministic (hash-set iteration order is not).
-fn sorted_edge_set(p: &Path) -> Vec<EdgeId> {
+pub(crate) fn sorted_edge_set(p: &Path) -> Vec<EdgeId> {
     let mut edges: Vec<EdgeId> = p.edges().to_vec();
     edges.sort_unstable();
     edges.dedup();
@@ -54,8 +54,17 @@ impl EdgeWeight {
 /// Result is in `[0, 1]`; 1 iff the edge sets coincide, 0 iff they are
 /// disjoint. Symmetric in its arguments.
 pub fn weighted_jaccard(g: &Graph, a: &Path, b: &Path, weight: EdgeWeight) -> f64 {
-    let ea = sorted_edge_set(a);
-    let eb = sorted_edge_set(b);
+    weighted_jaccard_sorted(g, &sorted_edge_set(a), &sorted_edge_set(b), weight)
+}
+
+/// [`weighted_jaccard`] over edge sets already sorted and deduplicated —
+/// for callers comparing one path against many, which sort each once.
+pub(crate) fn weighted_jaccard_sorted(
+    g: &Graph,
+    ea: &[EdgeId],
+    eb: &[EdgeId],
+    weight: EdgeWeight,
+) -> f64 {
     let mut inter = 0.0;
     let mut union = 0.0;
     // Sorted-merge walk over both edge sets.

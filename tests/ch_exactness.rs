@@ -193,7 +193,7 @@ proptest! {
             for t in 0..n {
                 let (s, t) = (VertexId(s as u32), VertexId(t as u32));
                 let plain = constrained_shortest_path(&g, s, t, CostModel::Length, &bv, &be);
-                let fast = engine.constrained_shortest_path(s, t, CostModel::Length, &bv, &be);
+                let fast = engine.constrained_shortest_path(s, t, CostModel::Length, &bv, &be, f64::INFINITY);
                 prop_assert_eq!(
                     cost_of(&g, &plain, CostModel::Length),
                     cost_of(&g, &fast, CostModel::Length),

@@ -108,9 +108,16 @@ fn interleaved_banned_sets_match_fresh() {
         // Bit-identity is asserted fresh-engine vs reused-engine (same
         // algorithm); the free wrapper runs plain Dijkstra, which may
         // tie-break differently, so it is held to cost equality.
-        let fresh =
-            QueryEngine::new(&g).constrained_shortest_path(s, t, CostModel::Length, &bv, &be);
-        let reused = engine.constrained_shortest_path(s, t, CostModel::Length, &bv, &be);
+        let fresh = QueryEngine::new(&g).constrained_shortest_path(
+            s,
+            t,
+            CostModel::Length,
+            &bv,
+            &be,
+            f64::INFINITY,
+        );
+        let reused =
+            engine.constrained_shortest_path(s, t, CostModel::Length, &bv, &be, f64::INFINITY);
         let free = constrained_shortest_path(&g, s, t, CostModel::Length, &bv, &be);
         match (&free, &reused) {
             (Some(a), Some(b)) => assert!(

@@ -258,3 +258,83 @@ fn obs_fallback_decisions_are_identical_and_counted() {
         0
     );
 }
+
+/// Spur searches are counted apart from point-to-point queries, one
+/// outcome per search, and observing them changes nothing. The unlimited
+/// enumeration spurs every accepted path from its deviation index on
+/// (Lawler's rule), so the three outcomes must add up to `Σ (len − dev)`
+/// over the paths whose spur searches were made; the limited one must
+/// yield the same paths while stopping some searches over budget.
+#[test]
+fn obs_spur_search_outcomes_reconcile_with_deviation_indices() {
+    use pathrank::spatial::generators::{region_network, RegionConfig};
+    let g = region_network(&RegionConfig::small_test(), 11);
+    let n = g.vertex_count() as u32;
+    let registry = Registry::new();
+    let mut bare = QueryEngine::new(&g);
+    let mut instrumented = QueryEngine::new(&g).with_obs(EngineObs::new(&registry));
+    let spur_total = |outcome: &str| {
+        registry.snapshot().counter_total(
+            "pathrank_engine_spur_searches_total",
+            &[("outcome", outcome)],
+        )
+    };
+    let pulls = 30;
+    let (mut expected, mut runs) = (0u64, 0u64);
+    for (s, t) in (0..n).step_by(7).zip((0..n).rev().step_by(5)) {
+        let (s, t) = (VertexId(s), VertexId(t));
+        if s == t {
+            continue;
+        }
+        runs += 1;
+        let cost = CostModel::Length;
+        let plain: Vec<_> = bare.yen_iter(s, t, cost).take(pulls).collect();
+        let seen: Vec<_> = instrumented.yen_iter(s, t, cost).take(pulls).collect();
+        assert_eq!(
+            plain, seen,
+            "{s:?}->{t:?}: instrumentation changed Yen's output"
+        );
+        // The last of a full `take` is yielded before its spurs are made.
+        let spurred = if seen.len() == pulls {
+            pulls - 1
+        } else {
+            seen.len()
+        };
+        for (j, (p, _)) in seen.iter().enumerate().take(spurred) {
+            // Float geometry: no ties, so a path deviates where its longest
+            // common prefix with an earlier path ends.
+            let shared = seen[..j]
+                .iter()
+                .map(|(q, _)| {
+                    let both = p.vertices().iter().zip(q.vertices());
+                    both.take_while(|(a, b)| a == b).count()
+                })
+                .max();
+            let dev = shared.map_or(0, |vertices| vertices - 1);
+            expected += (p.len() - dev) as u64;
+        }
+    }
+    assert!(runs >= 5 && expected > 0);
+    let (found, over, unreachable) = (
+        spur_total("found"),
+        spur_total("over_budget"),
+        spur_total("unreachable"),
+    );
+    assert_eq!(over, 0, "an unlimited enumeration has no budget");
+    assert_eq!(found + unreachable, expected);
+    let snap = registry.snapshot();
+    assert!(snap.counter_total("pathrank_engine_spur_settled_nodes_total", &[]) >= expected);
+    assert_eq!(
+        snap.counter_total("pathrank_engine_queries_total", &[]),
+        runs,
+        "only each enumeration's first path is a point-to-point query"
+    );
+
+    let (s, t) = (VertexId(0), VertexId(n - 1));
+    let limited = instrumented.yen_k_shortest(s, t, CostModel::Length, 10);
+    assert_eq!(limited, bare.yen_k_shortest(s, t, CostModel::Length, 10));
+    assert!(
+        spur_total("over_budget") > 0,
+        "k = 10 must prune some spurs"
+    );
+}
