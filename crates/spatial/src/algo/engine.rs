@@ -1565,7 +1565,23 @@ impl<'g> QueryEngine<'g> {
                 self.fwd.extract_path(source, target)
             }
             SearchBackend::Plain => {
-                self.run_plain_one_to_one(source, target, cost);
+                match self.usable_frozen() {
+                    Some(fz) => self
+                        .fwd
+                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
+                    None => {
+                        self.fwd.run_dijkstra(
+                            self.g,
+                            source,
+                            Some(target),
+                            cost,
+                            None,
+                            None,
+                            false,
+                            f64::INFINITY,
+                        );
+                    }
+                }
                 self.fwd.extract_path(source, target)
             }
         };
@@ -1606,7 +1622,23 @@ impl<'g> QueryEngine<'g> {
                 d.is_finite().then_some(d)
             }
             SearchBackend::Plain => {
-                self.run_plain_one_to_one(source, target, cost);
+                match self.usable_frozen() {
+                    Some(fz) => self
+                        .fwd
+                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
+                    None => {
+                        self.fwd.run_dijkstra(
+                            self.g,
+                            source,
+                            Some(target),
+                            cost,
+                            None,
+                            None,
+                            false,
+                            f64::INFINITY,
+                        );
+                    }
+                }
                 let d = self.fwd.dist(target);
                 d.is_finite().then_some(d)
             }
@@ -1617,20 +1649,6 @@ impl<'g> QueryEngine<'g> {
             self.obs.pushed.add_in_shard(self.obs.shard, p1 - p0);
         }
         out
-    }
-
-    /// Early-exit Dijkstra on the forward space (the
-    /// [`SearchBackend::Plain`] arm of the point-to-point dispatch).
-    fn run_plain_one_to_one(&mut self, source: VertexId, target: VertexId, cost: CostModel<'_>) {
-        let (g, target) = (self.g, Some(target));
-        match self.usable_frozen() {
-            Some(fz) => self.fwd.run_dijkstra_frozen(&fz, source, target, cost),
-            None => {
-                let unbounded = f64::INFINITY;
-                self.fwd
-                    .run_dijkstra(g, source, target, cost, None, None, false, unbounded);
-            }
-        }
     }
 
     /// ALT-guided one-to-one A* on the forward space (the

@@ -13,18 +13,28 @@
 //! ([`YenIter::new`]). The iterator yields exactly what the textbook loop
 //! (spur from every vertex of every accepted path, kept as the test oracle
 //! below) yields, and makes only the searches whose result can still be
-//! pulled. Three invariants carry that:
+//! pulled.
+//!
+//! A path is identified by its route, the vertex sequence
+//! ([`Path::same_route`]): a ban on the step an accepted path takes out of a
+//! root covers every parallel edge of that step, so a route comes once, over
+//! its cheapest edges, and the enumeration is that of the graph with its
+//! parallel edges merged. Three invariants carry the rest:
 //!
 //! 1. **Spurs below the deviation index are duplicates (Lawler).** A
-//!    candidate is `parent[..=dev]` plus a spur path, so it shares its
-//!    parent's edges before `dev`. The textbook search at `i < dev` is
-//!    rooted at `path[..=i]` and bans the next edges of all accepted paths
-//!    sharing that root — the path's own next edge is its parent's, so the
-//!    path adds no ban, and the root and ban set are those of the search
-//!    made when the previous path through that root was accepted (by
-//!    induction, a search actually made from some `i >= dev`). The search is
-//!    deterministic, so it would rebuild a candidate already offered. An
-//!    accepted path therefore spurs from `i >= dev` only.
+//!    candidate is `parent[..dev]` plus a spur path from `parent[dev]`, the
+//!    cheapest path of its *class*: the routes through the root
+//!    `parent[..=dev]` that take none of the steps banned there. Accepting
+//!    it splits the class into the path, the class of the same root with
+//!    the path's own step banned too, and one class per later root
+//!    `path[..=i]` with only the path's step banned — and these are the
+//!    searches made, from `i >= dev`. A root below `dev` belongs to a class
+//!    split earlier; the textbook search there meets the root and bans of a
+//!    search already made and rebuilds a candidate already offered. Classes
+//!    are disjoint, so no candidate is offered twice and no seen-set is
+//!    kept; and an accepted path sharing a root past `dev` would have been
+//!    in this path's class, whose only offer was this path, so past `dev`
+//!    the path's own step is the whole ban set.
 //! 2. **The bound never drops a pullable candidate.** A consumer that
 //!    announced it pulls at most `n` paths ([`YenIter::limit`]) and holds
 //!    `a` of them can only ever pull the `n - a` smallest candidates, so
@@ -36,7 +46,7 @@
 //!    keys — `g` summed from the spur vertex, `h` a float lower bound that
 //!    may overshoot in its last bits — against a cost summed from the
 //!    source; the two differ by rounding (~1e-14 relative), so the bound
-//!    is widened by [`BOUND_SLACK`]: slack only admits candidates the
+//!    is widened by `BOUND_SLACK` (1e-9): slack only admits candidates the
 //!    queue then discards, it never loses one.
 //! 3. **Ties leave in insertion order.** The queue is ordered on `(cost,
 //!    insertion sequence)`. A dropped candidate never sits before a kept
@@ -57,97 +67,6 @@ use crate::util::BitSet;
 /// (module docs, invariant 2).
 const BOUND_SLACK: f64 = 1e-9;
 
-/// End-of-list marker in [`DeviationTrie`]'s intrusive lists.
-const NIL: u32 = u32::MAX;
-
-/// Every path offered so far — accepted or queued — as a trie over vertex
-/// sequences, so a node is a spur root. It answers the two questions a spur
-/// search asks of the history: which edges out of this root have accepted
-/// paths taken (the bans), and has this vertex sequence been offered before
-/// (the seen-set; [`Path::same_route`] identity, so a route re-found over a
-/// parallel edge counts as seen).
-struct DeviationTrie {
-    nodes: Vec<TrieNode>,
-    /// `(edge, next entry)` lists of the edges accepted paths leave a node by.
-    taken: Vec<(EdgeId, u32)>,
-}
-
-struct TrieNode {
-    vertex: VertexId,
-    first_child: u32,
-    next_sibling: u32,
-    first_taken: u32,
-}
-
-impl DeviationTrie {
-    /// The trie of the empty history; node 0 is the root `[source]`.
-    fn new(source: VertexId) -> Self {
-        let mut trie = DeviationTrie {
-            nodes: Vec::new(),
-            taken: Vec::new(),
-        };
-        trie.push_node(source, NIL);
-        trie
-    }
-
-    fn push_node(&mut self, vertex: VertexId, next_sibling: u32) -> u32 {
-        self.nodes.push(TrieNode {
-            vertex,
-            first_child: NIL,
-            next_sibling,
-            first_taken: NIL,
-        });
-        (self.nodes.len() - 1) as u32
-    }
-
-    fn child(&self, node: u32, vertex: VertexId) -> Option<u32> {
-        let mut c = self.nodes[node as usize].first_child;
-        while c != NIL && self.nodes[c as usize].vertex != vertex {
-            c = self.nodes[c as usize].next_sibling;
-        }
-        (c != NIL).then_some(c)
-    }
-
-    /// Records the path `node`'s prefix + `suffix`; `false` if it was
-    /// already there. (Offered paths all end at the target and are simple,
-    /// so none is a proper prefix of another.)
-    fn insert(&mut self, mut node: u32, suffix: &[VertexId]) -> bool {
-        let mut new = false;
-        for &v in suffix {
-            node = match self.child(node, v) {
-                Some(c) => c,
-                None => {
-                    new = true;
-                    let siblings = self.nodes[node as usize].first_child;
-                    let c = self.push_node(v, siblings);
-                    self.nodes[node as usize].first_child = c;
-                    c
-                }
-            };
-        }
-        new
-    }
-
-    /// The edges accepted paths leave `node` by.
-    fn taken(&self, node: u32) -> impl Iterator<Item = EdgeId> + '_ {
-        let mut t = self.nodes[node as usize].first_taken;
-        std::iter::from_fn(move || {
-            let &(edge, next) = self.taken.get(t as usize)?;
-            t = next;
-            Some(edge)
-        })
-    }
-
-    /// Marks `edge` as taken out of `node` by an accepted path.
-    fn take(&mut self, node: u32, edge: EdgeId) {
-        if !self.taken(node).any(|e| e == edge) {
-            let first = &mut self.nodes[node as usize].first_taken;
-            self.taken.push((edge, *first));
-            *first = (self.taken.len() - 1) as u32;
-        }
-    }
-}
-
 /// [`f64::total_cmp`] as an integer key, so `(cost, sequence)` orders the
 /// candidate queue as a plain tuple.
 fn total_order_key(cost: f64) -> i64 {
@@ -155,15 +74,12 @@ fn total_order_key(cost: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// A path in the candidate queue (or the last one yielded).
-#[derive(Clone)]
+/// A path in the candidate queue or the accepted list.
 struct Candidate {
     path: Path,
     cost: f64,
     /// Index of the vertex the path left its parent at; spurs start here.
     dev: usize,
-    /// Trie node of the root `path[..=dev]`.
-    dev_node: u32,
 }
 
 /// The engine a [`YenIter`] runs its searches on: its own, or one lent by
@@ -205,18 +121,19 @@ pub struct YenIter<'g, 'e, 'c> {
     target: VertexId,
     /// The most paths the consumer will pull ([`YenIter::limit`]).
     limit: usize,
-    yielded: usize,
-    /// The path yielded last; its spur searches are made by the next
-    /// `next()`, so a consumer that stops pulling never pays for them.
-    last: Option<Candidate>,
+    /// Paths yielded so far (the `A` list), in cost order. The last one's
+    /// spur searches are made by the next `next()`, so a consumer that
+    /// stops pulling never pays for them.
+    accepted: Vec<Candidate>,
     /// Candidate queue (the `B` set) on `(cost key, insertion sequence)`,
     /// never longer than the number of paths still to be pulled.
     candidates: BTreeMap<(i64, u64), Candidate>,
     inserted: u64,
-    trie: DeviationTrie,
     /// All clear between `next()` calls.
     banned_vertices: BitSet,
     banned_edges: BitSet,
+    /// The edges banned for the spur search in hand.
+    spur_bans: Vec<EdgeId>,
     exhausted: bool,
 }
 
@@ -266,13 +183,12 @@ impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
             source,
             target,
             limit: usize::MAX,
-            yielded: 0,
-            last: None,
+            accepted: Vec::new(),
             candidates: BTreeMap::new(),
             inserted: 0,
-            trie: DeviationTrie::new(source),
             banned_vertices: BitSet::new(nv),
             banned_edges: BitSet::new(ne),
+            spur_bans: Vec::new(),
             exhausted: false,
         }
     }
@@ -287,21 +203,21 @@ impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
         self
     }
 
-    /// Makes the spur searches owed for the accepted path `prev` and queues
+    /// Makes the spur searches owed for the path accepted last and queues
     /// what they find.
-    fn spur_from(&mut self, prev: &Candidate) {
+    fn spur_from_last(&mut self) {
         let g = self.engine.get().graph();
+        let prev = self.accepted.last().expect("called after an acceptance");
         let (vertices, edges) = (prev.path.vertices(), prev.path.edges());
-        let remaining = self.limit - self.yielded;
+        let remaining = self.limit - self.accepted.len();
         let edge_cost = |e: &EdgeId| self.cost.edge_cost(g, *e);
 
         // The root `vertices[..=i]` grows by one vertex per step: its ban on
-        // revisiting itself, its cost and its trie node are carried along.
+        // revisiting itself and its cost are carried along.
         for v in &vertices[..prev.dev] {
             self.banned_vertices.insert(v.0);
         }
         let mut root_cost = edges[..prev.dev].iter().map(edge_cost).sum::<f64>();
-        let mut root = prev.dev_node;
         for i in prev.dev..edges.len() {
             let bound = match self.candidates.last_key_value() {
                 Some((_, worst)) if self.candidates.len() >= remaining => worst.cost,
@@ -309,15 +225,28 @@ impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
             };
             let max_cost = bound * (1.0 + BOUND_SLACK) - root_cost;
             if max_cost < 0.0 {
-                // Roots only get costlier along the path and the bound only
-                // falls, so neither this path nor a later one through these
-                // roots spurs from them again: their bans may stay unmarked.
+                // Roots only get costlier along the path.
                 break;
             }
-            // Ban the next edge of every accepted path sharing this root
-            // (this path's included), so the search cannot reproduce one.
-            self.trie.take(root, edges[i]);
-            for e in self.trie.taken(root) {
+            // Ban the step every accepted path sharing this root takes next,
+            // over each parallel edge, so the search cannot reproduce one.
+            // Past `dev` this path is the only such (invariant 1).
+            let shares_root = |a: &&[VertexId]| a.starts_with(&vertices[..=i]);
+            let accepted = self.accepted.iter().map(|a| a.path.vertices());
+            debug_assert!(i == prev.dev || accepted.clone().filter(shares_root).count() == 1);
+            let first_sharing = if i == prev.dev {
+                0
+            } else {
+                self.accepted.len() - 1
+            };
+            self.spur_bans.clear();
+            for a in accepted.skip(first_sharing).filter(shares_root) {
+                let parallel = g
+                    .out_edges(vertices[i])
+                    .filter(|(head, _)| *head == a[i + 1]);
+                self.spur_bans.extend(parallel.map(|(_, e)| e));
+            }
+            for e in &self.spur_bans {
                 self.banned_edges.insert(e.0);
             }
             let spur = self.engine.get().constrained_shortest_path(
@@ -328,41 +257,30 @@ impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
                 &self.banned_edges,
                 max_cost,
             );
-            for e in self.trie.taken(root) {
+            for e in &self.spur_bans {
                 self.banned_edges.remove(e.0);
             }
             if let Some(spur) = spur {
-                if self.trie.insert(root, &spur.vertices()[1..]) {
-                    let mut total_vertices = Vec::with_capacity(i + 1 + spur.len());
-                    total_vertices.extend_from_slice(&vertices[..i]);
-                    total_vertices.extend_from_slice(spur.vertices());
-                    let mut total_edges = Vec::with_capacity(i + spur.len());
-                    total_edges.extend_from_slice(&edges[..i]);
-                    total_edges.extend_from_slice(spur.edges());
-                    let path = Path::from_parts_unchecked(total_vertices, total_edges);
-                    debug_assert!(path.is_simple(), "Yen candidates must be loopless");
-                    // The fold `Path::cost` makes, resumed at the root.
-                    let cost = spur.edges().iter().fold(root_cost, |c, e| c + edge_cost(e));
-                    let candidate = Candidate {
-                        path,
-                        cost,
-                        dev: i,
-                        dev_node: root,
-                    };
-                    self.candidates
-                        .insert((total_order_key(cost), self.inserted), candidate);
-                    self.inserted += 1;
-                    if self.candidates.len() > remaining {
-                        self.candidates.pop_last();
-                    }
+                let mut total_vertices = Vec::with_capacity(i + 1 + spur.len());
+                total_vertices.extend_from_slice(&vertices[..i]);
+                total_vertices.extend_from_slice(spur.vertices());
+                let mut total_edges = Vec::with_capacity(i + spur.len());
+                total_edges.extend_from_slice(&edges[..i]);
+                total_edges.extend_from_slice(spur.edges());
+                let path = Path::from_parts_unchecked(total_vertices, total_edges);
+                debug_assert!(path.is_simple(), "Yen candidates must be loopless");
+                // The fold `Path::cost` makes, resumed at the root.
+                let cost = spur.edges().iter().fold(root_cost, |c, e| c + edge_cost(e));
+                let key = (total_order_key(cost), self.inserted);
+                self.candidates
+                    .insert(key, Candidate { path, cost, dev: i });
+                self.inserted += 1;
+                if self.candidates.len() > remaining {
+                    self.candidates.pop_last();
                 }
             }
             self.banned_vertices.insert(vertices[i].0);
             root_cost += edge_cost(&edges[i]);
-            root = self
-                .trie
-                .child(root, vertices[i + 1])
-                .expect("offered paths are in the trie");
         }
         for v in vertices {
             self.banned_vertices.remove(v.0);
@@ -374,39 +292,32 @@ impl Iterator for YenIter<'_, '_, '_> {
     type Item = (Path, f64);
 
     fn next(&mut self) -> Option<(Path, f64)> {
-        if self.exhausted || self.yielded >= self.limit {
+        if self.exhausted || self.accepted.len() >= self.limit {
             return None;
         }
-        let next = if self.yielded == 0 {
+        let next = if self.accepted.is_empty() {
             // The unconstrained shortest path "deviates" at the source.
             let g = self.engine.get().graph();
             let first = self
                 .engine
                 .get()
                 .shortest_path(self.source, self.target, self.cost);
-            first.map(|path| {
-                self.trie.insert(0, &path.vertices()[1..]);
-                Candidate {
-                    cost: path.cost(g, self.cost),
-                    path,
-                    dev: 0,
-                    dev_node: 0,
-                }
+            first.map(|path| Candidate {
+                cost: path.cost(g, self.cost),
+                path,
+                dev: 0,
             })
         } else {
-            let last = self.last.take().expect("kept while more may be pulled");
-            self.spur_from(&last);
+            self.spur_from_last();
             self.candidates.pop_first().map(|(_, candidate)| candidate)
         };
         let Some(next) = next else {
             self.exhausted = true;
             return None;
         };
-        self.yielded += 1;
-        if self.yielded < self.limit {
-            self.last = Some(next.clone());
-        }
-        Some((next.path, next.cost))
+        let item = (next.path.clone(), next.cost);
+        self.accepted.push(next);
+        Some(item)
     }
 }
 
@@ -436,11 +347,13 @@ mod tests {
     use std::collections::{BinaryHeap, HashSet};
     use std::sync::Arc;
 
-    /// The textbook loop this module implemented before Lawler's rule, the
-    /// cost bound and the trie: after every accepted path, one constrained
-    /// search from **each** of its vertices, bans rebuilt by a prefix
-    /// compare against every accepted path, candidates deduplicated in a
-    /// set of vertex sequences. Kept as the oracle [`YenIter`] must equal.
+    /// The textbook loop this module implemented before Lawler's rule and
+    /// the cost bound: after every accepted path, one constrained search
+    /// from **each** of its vertices, bans rebuilt by a prefix compare
+    /// against every accepted path, candidates deduplicated in a set of
+    /// vertex sequences. Kept as the oracle [`YenIter`] must equal; the one
+    /// change is that a ban covers the parallel edges too (the same bans
+    /// on a graph without any).
     fn textbook_yen(
         engine: &mut QueryEngine<'_>,
         source: VertexId,
@@ -467,7 +380,11 @@ mod tests {
                 for (p, _) in &accepted {
                     let pv = p.vertices();
                     if pv.len() > i && &pv[..=i] == root_vertices {
-                        banned_edges.insert(p.edges()[i].0);
+                        for (head, e) in g.out_edges(pv[i]) {
+                            if head == pv[i + 1] {
+                                banned_edges.insert(e.0);
+                            }
+                        }
                     }
                 }
                 for v in &root_vertices[..i] {
@@ -511,6 +428,30 @@ mod tests {
             .collect()
     }
 
+    /// `g` with a parallel edge, a tenth longer, beside every third edge —
+    /// before it or after it in edge order.
+    fn with_parallel_edges(g: &Graph) -> Graph {
+        let mut b = GraphBuilder::new();
+        for &p in g.coords() {
+            b.add_vertex(p);
+        }
+        for (i, e) in g.edges().enumerate() {
+            let longer = EdgeAttrs {
+                length_m: e.attrs.length_m * 1.1,
+                ..e.attrs
+            };
+            let twins = match i % 6 {
+                0 => vec![e.attrs, longer],
+                3 => vec![longer, e.attrs],
+                _ => vec![e.attrs],
+            };
+            for attrs in twins {
+                b.add_edge(e.from, e.to, attrs).unwrap();
+            }
+        }
+        b.build()
+    }
+
     #[test]
     fn yen_matches_textbook_oracle_for_400_paths() {
         let grid = GridConfig {
@@ -522,6 +463,7 @@ mod tests {
         let graphs = [
             region_network(&RegionConfig::small_test(), 11),
             grid_network(&grid, 24),
+            with_parallel_edges(&grid_network(&grid, 24)),
         ];
         for g in &graphs {
             let table = Arc::new(LandmarkTable::build(
@@ -657,6 +599,76 @@ mod tests {
         assert!((paths[2].1 - 10.0).abs() < 1e-12);
     }
 
+    /// Paths are routes: over parallel edges a route comes once, at its
+    /// cheapest, and hides no other route behind it.
+    #[test]
+    fn yen_parallel_edges_yield_each_route_once_at_its_cheapest() {
+        let routes = |n: usize, edges: &[(usize, usize, f64)]| {
+            let mut b = GraphBuilder::new();
+            let v: Vec<_> = (0..n)
+                .map(|i| b.add_vertex(Point::new(i as f64, 0.0)))
+                .collect();
+            for &(from, to, w) in edges {
+                let attrs = EdgeAttrs::with_default_speed(w, RoadCategory::Rural);
+                b.add_edge(v[from], v[to], attrs).unwrap();
+            }
+            let g = b.build();
+            let paths = YenIter::new(&g, v[0], v[n - 1], CostModel::Length);
+            paths
+                .map(|(p, c)| (p.vertices().iter().map(|v| v.0).collect::<Vec<_>>(), c))
+                .collect::<Vec<_>>()
+        };
+        // The first path has a twin.
+        assert_eq!(
+            routes(
+                4,
+                &[
+                    (0, 1, 1.0),
+                    (0, 1, 2.0),
+                    (1, 3, 1.0),
+                    (0, 2, 5.0),
+                    (2, 3, 5.0)
+                ]
+            ),
+            [(vec![0, 1, 3], 2.0), (vec![0, 2, 3], 10.0)]
+        );
+        // A later path has one, at the vertex another route leaves it from.
+        assert_eq!(
+            routes(
+                5,
+                &[
+                    (0, 4, 1.0),
+                    (0, 1, 1.0),
+                    (1, 2, 1.0),
+                    (1, 2, 2.0),
+                    (2, 4, 1.0),
+                    (1, 3, 5.0),
+                    (3, 4, 5.0)
+                ]
+            ),
+            [
+                (vec![0, 4], 1.0),
+                (vec![0, 1, 2, 4], 3.0),
+                (vec![0, 1, 3, 4], 11.0)
+            ]
+        );
+        // Two twins of one route, the costlier one found first.
+        assert_eq!(
+            routes(
+                4,
+                &[
+                    (0, 1, 1.0),
+                    (1, 2, 1.0),
+                    (1, 2, 11.0),
+                    (2, 3, 1.0),
+                    (2, 3, 2.0),
+                    (0, 3, 5.0)
+                ]
+            ),
+            [(vec![0, 1, 2, 3], 3.0), (vec![0, 3], 5.0)]
+        );
+    }
+
     #[test]
     fn unreachable_yields_nothing() {
         let mut b = GraphBuilder::new();
@@ -695,8 +707,8 @@ mod proptests {
     use crate::graph::{EdgeAttrs, RoadCategory};
     use proptest::prelude::*;
 
-    /// Brute-force enumeration of all simple paths (oracle, tiny graphs
-    /// only).
+    /// Brute-force enumeration of all simple routes, each at the cost of
+    /// its cheapest parallel edges (oracle, tiny graphs only).
     fn all_simple_paths(g: &Graph, s: VertexId, t: VertexId) -> Vec<f64> {
         fn dfs(
             g: &Graph,
@@ -710,10 +722,18 @@ mod proptests {
                 out.push(cost);
                 return;
             }
+            let mut steps: Vec<(VertexId, f64)> = Vec::new();
             for (v, e) in g.out_edges(cur) {
+                let w = g.edge(e).attrs.length_m;
+                match steps.iter_mut().find(|(head, _)| *head == v) {
+                    Some((_, cheapest)) => *cheapest = cheapest.min(w),
+                    None => steps.push((v, w)),
+                }
+            }
+            for (v, w) in steps {
                 if !visited[v.index()] {
                     visited[v.index()] = true;
-                    dfs(g, v, t, visited, cost + g.edge(e).attrs.length_m, out);
+                    dfs(g, v, t, visited, cost + w, out);
                     visited[v.index()] = false;
                 }
             }
@@ -726,8 +746,9 @@ mod proptests {
         out
     }
 
-    /// A random directed graph from proptest-drawn raw material.
-    fn build(n: usize, edges: Vec<(usize, usize, u32)>) -> (Graph, Vec<VertexId>) {
+    /// A random directed graph from proptest-drawn raw material, with or
+    /// without parallel edges.
+    fn build(n: usize, edges: Vec<(usize, usize, u32)>, parallel: bool) -> (Graph, Vec<VertexId>) {
         let mut b = GraphBuilder::new();
         let vs: Vec<_> = (0..n)
             .map(|i| b.add_vertex(Point::new(i as f64, 0.0)))
@@ -735,7 +756,7 @@ mod proptests {
         let mut dedup = std::collections::HashSet::new();
         for (f, t, w) in edges {
             let (f, t) = (f % n, t % n);
-            if f != t && dedup.insert((f, t)) {
+            if f != t && (dedup.insert((f, t)) || parallel) {
                 b.add_edge(
                     vs[f],
                     vs[t],
@@ -754,30 +775,33 @@ mod proptests {
         fn yen_enumerates_exactly_the_simple_paths_in_order(
             n in 2usize..7,
             edges in proptest::collection::vec((0usize..7, 0usize..7, 1u32..50), 1..18),
+            parallel in 0u8..2,
         ) {
-            let (g, vs) = build(n, edges);
+            let (g, vs) = build(n, edges, parallel == 1);
             let (s, t) = (vs[0], vs[n - 1]);
             let oracle = all_simple_paths(&g, s, t);
             let yen: Vec<f64> = YenIter::new(&g, s, t, CostModel::Length)
                 .map(|(_, c)| c)
                 .collect();
             prop_assert_eq!(yen.len(), oracle.len(),
-                "Yen must enumerate every simple path exactly once");
+                "Yen must enumerate every simple route exactly once");
             for (a, b) in yen.iter().zip(oracle.iter()) {
                 prop_assert!((a - b).abs() < 1e-9, "cost sequence mismatch: {} vs {}", a, b);
             }
         }
 
         /// Weights 1..4 make most costs tie, so the `(cost, sequence)` rule
-        /// and the seen-set carry the result: every `limit(n)` must be the
-        /// unlimited enumeration's first `n` paths, in its order, and the
-        /// unlimited enumeration must still be exactly the simple paths.
+        /// carries the result: every `limit(n)` must be the unlimited
+        /// enumeration's first `n` paths, in its order, and the unlimited
+        /// enumeration must still be exactly the simple routes, parallel
+        /// edges or not.
         #[test]
         fn yen_limit_is_a_prefix_of_the_unlimited_enumeration_on_ties(
             n in 4usize..8,
             edges in proptest::collection::vec((0usize..8, 0usize..8, 1u32..4), 12..48),
+            parallel in 0u8..2,
         ) {
-            let (g, vs) = build(n, edges);
+            let (g, vs) = build(n, edges, parallel == 1);
             let (s, t) = (vs[0], vs[n - 1]);
             let all: Vec<(Path, f64)> = YenIter::new(&g, s, t, CostModel::Length).collect();
             let oracle = all_simple_paths(&g, s, t);
