@@ -17,10 +17,7 @@
 //! the bidirectional upward search, Yen spur searches keep ALT. The
 //! `fastest_one_to_one` rows exercise the TravelTime metric through a
 //! TravelTime-built landmark table (fastest-path serving). The
-//! **frozen** rows run the same reused searches over the
-//! [`FrozenGraph`] merged CSR (weights inlined next to each arc),
-//! asserted *bit-identical* to the builder-graph answers before timing,
-//! and the `snap_throughput` rows race the retired uniform grid against
+//! `snap_throughput` rows race the retired uniform grid against
 //! the packed R-tree on the fleet's real GPS fixes (candidate sets
 //! asserted identical first). Answers stay exact — asserted against the
 //! baseline before timing. The JSON makes the perf trajectory of the
@@ -47,7 +44,6 @@ use pathrank_spatial::algo::cch::{CchConfig, CchTopology};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank_spatial::algo::engine::{EngineObs, QueryEngine};
 use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-use pathrank_spatial::frozen::FrozenGraph;
 use pathrank_spatial::generators::{region_network, RegionConfig};
 use pathrank_spatial::geometry::{point_segment_distance, Point};
 use pathrank_spatial::graph::{CostModel, EdgeId, Graph, VertexId};
@@ -430,25 +426,11 @@ fn main() {
         cch_topo.triangle_count()
     );
 
-    // Frozen serving graph (timed): one merged forward/backward CSR
-    // with the per-metric weights inlined next to each arc — the layout
-    // every `frozen` row relaxes instead of the builder Graph.
-    let t0 = Instant::now();
-    let frozen = Arc::new(FrozenGraph::freeze(&g));
-    let frozen_build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "frozen: {} arcs ({} vertices) in {frozen_build_ms:.1} ms",
-        2 * frozen.edge_count(),
-        frozen.vertex_count()
-    );
-
     // The engines' answers must agree with the baseline's before any
     // timing is trusted (equal costs; tie-breaking may differ) — for the
     // plain reused engine, the ALT-guided one *and* the CH-backed one.
     {
         let mut engine = QueryEngine::new(&g);
-        let mut frz = QueryEngine::new(&g).with_frozen(Arc::clone(&frozen));
-        assert!(frz.uses_frozen(), "frozen graph must be epoch-fresh");
         let mut alt = QueryEngine::new(&g).with_landmarks(Arc::clone(&table));
         let mut chx = QueryEngine::new(&g)
             .with_landmarks(Arc::clone(&table))
@@ -479,23 +461,6 @@ fn main() {
                     (None, None) => {}
                     (a, b) => panic!("reachability mismatch {s:?}->{t:?}: {a:?} vs {b:?}"),
                 }
-            }
-            // The frozen layout is held to a stricter bar than the
-            // tolerance check above: bit-identical costs to the plain
-            // reused engine on both metrics, edge-for-edge same path.
-            for cost in [CostModel::Length, CostModel::TravelTime] {
-                let a = engine.astar_shortest_path(s, t, cost);
-                let b = frz.astar_shortest_path(s, t, cost);
-                assert_eq!(
-                    a.as_ref().map(|p| p.edges().to_vec()),
-                    b.as_ref().map(|p| p.edges().to_vec()),
-                    "frozen path diverged {s:?}->{t:?}"
-                );
-                assert_eq!(
-                    a.map(|p| p.cost(&g, cost).to_bits()),
-                    b.map(|p| p.cost(&g, cost).to_bits()),
-                    "frozen cost not bit-identical {s:?}->{t:?}"
-                );
             }
             let a = seed_baseline::shortest_path(&g, s, t, CostModel::TravelTime)
                 .map(|p| p.travel_time_s(&g));
@@ -553,23 +518,6 @@ fn main() {
                     "one_to_many mismatch {s:?}->{t:?}"
                 );
             }
-        }
-        // Frozen one-to-all: every settled distance in the tree must be
-        // bit-identical to the builder-graph sweep, all V vertices.
-        for &s in &tree_sources {
-            let a: Vec<u64> = {
-                let view = engine.one_to_all(s, CostModel::Length);
-                (0..g.vertex_count() as u32)
-                    .map(|v| view.dist(VertexId(v)).to_bits())
-                    .collect()
-            };
-            let b: Vec<u64> = {
-                let view = frz.one_to_all(s, CostModel::Length);
-                (0..g.vertex_count() as u32)
-                    .map(|v| view.dist(VertexId(v)).to_bits())
-                    .collect()
-            };
-            assert_eq!(a, b, "frozen one_to_all diverged from {s:?}");
         }
     }
 
@@ -638,16 +586,6 @@ fn main() {
         }
     });
     record("one_to_one", "reused_cch", p2p.len(), reps, reused_cch);
-    // Same search as `reused` (cached-bound A*), but relaxing the
-    // frozen merged CSR with inlined weights instead of the builder
-    // Graph — the row isolates the memory-layout effect alone.
-    let mut engine = QueryEngine::new(&g).with_frozen(Arc::clone(&frozen));
-    let reused_frozen = measure(reps, p2p.len(), || {
-        for &(s, t) in &p2p {
-            std::hint::black_box(engine.astar_shortest_path(s, t, CostModel::Length));
-        }
-    });
-    record("one_to_one", "frozen", p2p.len(), reps, reused_frozen);
     // Observability overhead: the identical CH-backed one-to-one
     // workload with a live metrics registry attached vs the
     // construction-time no-op sink. The search loops carry plain u64
@@ -708,8 +646,6 @@ fn main() {
         "instrumented engine must count every query (warm-up included)"
     );
     let speedup_p2p = fresh / reused;
-    let speedup_p2p_frozen = fresh / reused_frozen;
-    let frozen_over_reused_p2p = reused / reused_frozen;
     let speedup_p2p_cch = fresh / reused_cch;
     let speedup_p2p_alt = fresh / reused_alt;
     let speedup_p2p_ch = fresh / reused_ch;
@@ -791,22 +727,7 @@ fn main() {
         }
     });
     record("one_to_all", "reused", tree_sources.len(), reps, reused);
-    let mut engine = QueryEngine::new(&g).with_frozen(Arc::clone(&frozen));
-    let frozen_tree = measure(reps, tree_sources.len(), || {
-        for &s in &tree_sources {
-            std::hint::black_box(engine.one_to_all(s, CostModel::Length).dist(VertexId(0)));
-        }
-    });
-    record(
-        "one_to_all",
-        "frozen",
-        tree_sources.len(),
-        reps,
-        frozen_tree,
-    );
     let speedup_tree = fresh / reused;
-    let speedup_tree_frozen = fresh / frozen_tree;
-    let frozen_over_reused_tree = reused / frozen_tree;
 
     // One-to-many: the batched bounded-target shape. The fresh and
     // reused rows pay a full one-to-all sweep and read the targets out;
@@ -1303,12 +1224,6 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"frozen\": {{\"arcs\": {}, \"vertices\": {}, \"build_ms\": {frozen_build_ms:.1}}},",
-        2 * frozen.edge_count(),
-        frozen.vertex_count()
-    );
-    let _ = writeln!(
-        json,
         "  \"snap_index\": {{\"segments\": {}, \"rtree_build_ms\": {rtree_build_ms:.1}, \"grid_build_ms\": {grid_build_ms:.1}, \"radius_m\": {snap_radius:.1}, \"probes\": {}}},",
         rtree_index.len(),
         probes.len()
@@ -1351,14 +1266,6 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"speedup_cch_over_fresh\": {{\"one_to_one\": {speedup_p2p_cch:.3}, \"fastest_one_to_one\": {speedup_tt_cch:.3}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_frozen_over_fresh\": {{\"one_to_one\": {speedup_p2p_frozen:.3}, \"one_to_all\": {speedup_tree_frozen:.3}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_frozen_over_reused\": {{\"one_to_one\": {frozen_over_reused_p2p:.3}, \"one_to_all\": {frozen_over_reused_tree:.3}}},"
     );
     let _ = writeln!(
         json,
@@ -1440,9 +1347,6 @@ fn main() {
     );
     eprintln!(
         "speedups (m2m):          table/pairwise {speedup_m2m:.2}x ({m2m_side}x{m2m_side}), one_to_many {speedup_one_to_many:.2}x, mapmatch {speedup_mapmatch:.2}x"
-    );
-    eprintln!(
-        "speedups (frozen/fresh): one_to_one {speedup_p2p_frozen:.2}x, one_to_all {speedup_tree_frozen:.2}x (vs reused: {frozen_over_reused_p2p:.2}x / {frozen_over_reused_tree:.2}x)"
     );
     eprintln!(
         "speedups (snap):         rtree/grid {speedup_snap:.2}x over {} probes",

@@ -24,7 +24,6 @@ use pathrank_spatial::algo::cch::{Cch, CchConfig, CchTopology};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank_spatial::algo::engine::{EngineObs, QueryEngine};
 use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-use pathrank_spatial::frozen::FrozenGraph;
 use pathrank_spatial::generators::{region_network, RegionConfig};
 use pathrank_spatial::graph::{EdgeId, Graph};
 use pathrank_spatial::path::Path;
@@ -152,12 +151,6 @@ pub struct Workbench {
     /// customization time. A cached entry whose epoch no longer matches
     /// the graph is re-customized, never served stale.
     cch_cache: Mutex<HashMap<LandmarkMetric, Arc<Cch>>>,
-    /// Cache-compact frozen serving form of the graph, built on first
-    /// use and mounted into every serving engine. Plain/ALT searches
-    /// relax its merged single-array CSR instead of the builder graph;
-    /// the engine's weights-epoch gate falls back automatically after a
-    /// live weight mutation.
-    frozen: OnceLock<Arc<FrozenGraph>>,
     /// Sparse changed-edge log across [`Workbench::set_edge_speeds`]
     /// calls: the contiguous weights-epoch span it covers plus the
     /// changed `(edge, speed)` entries in application order. Lets
@@ -242,7 +235,6 @@ impl Workbench {
             tt_ch: OnceLock::new(),
             cch_topo: OnceLock::new(),
             cch_cache: Mutex::new(HashMap::new()),
-            frozen: OnceLock::new(),
             speed_deltas: Mutex::new(SpeedDeltaLog::default()),
             registry,
         }
@@ -302,16 +294,6 @@ impl Workbench {
         )
     }
 
-    /// The workbench's shared frozen serving graph (see
-    /// [`pathrank_spatial::frozen`]), built once and cached. Search
-    /// results are bit-identical to the builder graph's — freezing only
-    /// compacts the memory layout a relaxation loop walks — so every
-    /// serving engine mounts it unconditionally.
-    pub fn frozen_graph(&self) -> &Arc<FrozenGraph> {
-        self.frozen
-            .get_or_init(|| Arc::new(FrozenGraph::freeze(&self.graph)))
-    }
-
     /// The workbench's shared ALT landmark table (length metric — what
     /// candidate serving routes on), built once and cached.
     pub fn landmark_table(&self) -> &Arc<LandmarkTable> {
@@ -333,7 +315,6 @@ impl Workbench {
     pub fn alt_query_engine(&self) -> QueryEngine<'_> {
         self.query_engine()
             .with_landmarks(Arc::clone(self.landmark_table()))
-            .with_frozen(Arc::clone(self.frozen_graph()))
     }
 
     /// The workbench's shared TravelTime-metric landmark table, for
@@ -361,7 +342,6 @@ impl Workbench {
         self.query_engine()
             .with_landmarks(Arc::clone(self.travel_time_landmark_table()))
             .with_ch(Arc::clone(self.travel_time_ch_index()))
-            .with_frozen(Arc::clone(self.frozen_graph()))
     }
 
     /// The workbench's shared contraction hierarchy (length metric),
@@ -522,7 +502,6 @@ impl Workbench {
     pub fn live_query_engine(&self) -> QueryEngine<'_> {
         self.query_engine()
             .with_cch(self.cch_index(LandmarkMetric::TravelTime))
-            .with_frozen(Arc::clone(self.frozen_graph()))
     }
 
     /// The node2vec embedding for dimensionality `dim` (cached).
@@ -906,51 +885,35 @@ mod tests {
     }
 
     #[test]
-    fn frozen_graph_is_cached_and_serves_bit_identical_answers() {
+    fn serving_engines_match_plain_engine_across_speed_updates() {
         use pathrank_spatial::graph::{CostModel, VertexId};
         let mut wb = Workbench::new(ExperimentConfig::small_test());
-        // Built once, shared by every serving engine.
-        let f1 = Arc::as_ptr(wb.frozen_graph());
-        let f2 = Arc::as_ptr(wb.frozen_graph());
-        assert_eq!(f1, f2, "frozen graph must be cached");
-        let mut plain = wb.query_engine();
-        let mut alt = wb.alt_query_engine();
-        assert!(
-            alt.uses_frozen(),
-            "serving engines must mount the frozen CSR"
-        );
-        assert!(!plain.uses_frozen(), "the baseline engine must not");
         let n = wb.graph.vertex_count() as u32;
-        for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            for cost in [CostModel::Length, CostModel::TravelTime] {
-                let a = plain.shortest_path_cost(s, t, cost);
-                let b = alt.shortest_path_cost(s, t, cost);
-                assert_eq!(
-                    a.map(f64::to_bits),
-                    b.map(f64::to_bits),
-                    "{s:?}->{t:?} frozen cost diverged"
-                );
+        let agree = |wb: &Workbench| {
+            let mut plain = wb.query_engine();
+            let mut alt = wb.alt_query_engine();
+            for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3)] {
+                let (s, t) = (VertexId(s), VertexId(t));
+                for cost in [CostModel::Length, CostModel::TravelTime] {
+                    let a = plain.shortest_path_cost(s, t, cost);
+                    let b = alt.shortest_path_cost(s, t, cost);
+                    assert_eq!(
+                        a.map(f64::to_bits),
+                        b.map(f64::to_bits),
+                        "{s:?}->{t:?} serving cost diverged"
+                    );
+                }
             }
-        }
-        // A live weight mutation epoch-gates the frozen layout out; the
-        // engines keep answering (on the builder graph) exactly.
+        };
+        agree(&wb);
+        // After a live weight mutation the engines keep answering exactly,
+        // on the new travel times.
         let updates: Vec<(pathrank_spatial::graph::EdgeId, f64)> = (0..wb.graph.edge_count())
             .step_by(5)
             .map(|e| (pathrank_spatial::graph::EdgeId(e as u32), 11.0))
             .collect();
         wb.graph.set_edge_speeds(&updates);
-        let mut after = wb.alt_query_engine();
-        assert!(
-            !after.uses_frozen(),
-            "stale frozen layout must be gated out"
-        );
-        let mut plain_after = wb.query_engine();
-        let (s, t) = (VertexId(0), VertexId(n - 1));
-        assert_eq!(
-            plain_after.shortest_path_cost(s, t, CostModel::TravelTime),
-            after.shortest_path_cost(s, t, CostModel::TravelTime)
-        );
+        agree(&wb);
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //! allocate a transient engine, so one-shot callers keep working
 //! unchanged.
 //!
+//! There is one graph and one search loop. Dijkstra and A*, one-to-one and
+//! one-to-all, forward and reverse, with or without banned sets and a cost
+//! budget, are all `SearchSpace::search`: generic over the ban predicate
+//! and the heap key, it walks [`Graph::arcs`] in the direction asked and
+//! reads each arc's cost from the one `&[f64]` that
+//! [`CostModel::weights`] resolves per query. Relaxation order is
+//! therefore the same whoever calls it, and since heap ties pop in push
+//! order every output is reproducible bit for bit (pinned by the
+//! `engine_golden_*` tests below). Only the bidirectional search has a
+//! loop of its own, over the same two accessors.
+//!
 //! # Example
 //!
 //! ```
@@ -47,7 +58,6 @@ use crate::algo::diversified::{diversified_top_k_with, DiversifiedConfig};
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
 use crate::algo::m2m::{DistanceTable, M2mSearch};
 use crate::algo::yen::YenIter;
-use crate::frozen::{FrozenArc, FrozenGraph};
 use crate::geometry::Point;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::path::Path;
@@ -55,6 +65,28 @@ use crate::util::{BitSet, MinCost};
 
 /// Sentinel parent entry marking a search root (or an untouched slot).
 const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// The ban set of an unconstrained search.
+#[inline]
+fn no_bans(_: VertexId, _: EdgeId) -> bool {
+    false
+}
+
+/// The ban set of a constrained search: arcs into a banned vertex or over
+/// a banned edge.
+#[inline]
+fn banned_by<'a>(
+    vertices: &'a BitSet,
+    edges: &'a BitSet,
+) -> impl Fn(VertexId, EdgeId) -> bool + 'a {
+    move |v, e| vertices.contains(v.0) || edges.contains(e.0)
+}
+
+/// Dijkstra's heap key: the g-score itself.
+#[inline]
+fn dijkstra_key(_: VertexId, g_score: f64) -> f64 {
+    g_score
+}
 
 /// Generation-stamped single-search state: distances, parents, settled
 /// flags and the priority queue, reusable across queries with O(1) reset.
@@ -187,79 +219,35 @@ impl SearchSpace {
         f64::INFINITY
     }
 
-    /// Full unconstrained sweep: Dijkstra from `source` with no target
-    /// and no banned sets, the one-to-all shape. A dedicated tight loop
-    /// — no per-pop target comparison, no per-edge `Option` ban checks —
-    /// because full sweeps settle every reachable vertex, so the
-    /// per-relaxation constant is all that matters. Relaxation order is
-    /// identical to [`SearchSpace::run_dijkstra`] with `target: None`,
-    /// so distances and parents are bit-identical.
-    fn run_dijkstra_all(
-        &mut self,
-        g: &Graph,
-        source: VertexId,
-        cost: CostModel<'_>,
-        reverse: bool,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            g.vertex_count(),
-            "space sized for another graph"
-        );
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue; // stale heap entry
-            }
-            self.settle(u);
-            macro_rules! relax_edges {
-                ($edges:ident) => {
-                    for (v, e) in g.$edges(u) {
-                        if self.is_settled(v) {
-                            continue;
-                        }
-                        let nd = d + cost.edge_cost(g, e);
-                        if nd < self.dist(v) {
-                            self.relax(v, nd, (u.0, e.0));
-                            self.heap.push(MinCost { cost: nd, item: v });
-                        }
-                    }
-                };
-            }
-            if reverse {
-                relax_edges!(in_edges);
-            } else {
-                relax_edges!(out_edges);
-            }
-        }
-    }
-
-    /// Dijkstra from `source`, stopping early once `target` is settled
-    /// (when given) and skipping banned vertices/edges (when given).
-    /// Starts a fresh query epoch. With `reverse` the search runs over
-    /// incoming edges, yielding distances *into* `source` (the parent
-    /// chain then points forward: `parent_of(v)` is the next hop on a
-    /// cheapest `v -> source` path).
+    /// The search loop every Dijkstra and A* entry point runs: from
+    /// `source` over the outgoing arcs of `g` (the incoming ones with
+    /// `reverse`), stopping once `target` settles when one is given,
+    /// never relaxing an arc `banned` rejects. Starts a fresh query
+    /// epoch. `dist` holds g-scores and the heap is keyed on
+    /// `key(v, g-score)`: the g-score itself is Dijkstra, g-score plus an
+    /// admissible, consistent bound on the rest is A*. Bans only shrink
+    /// the edge set, so true distances only grow and any full-graph
+    /// bound — Euclidean or ALT — stays admissible under them.
     ///
-    /// The search also stops at the first popped key above `max_cost`
-    /// (keys pop in non-decreasing order, so nothing within the budget is
-    /// left) and then returns `true`; whatever it settled before that is
-    /// exactly what the unbudgeted search settles first.
+    /// A reverse search yields distances *into* `source`, and its parent
+    /// chain points forward: `parent_of(v)` is the next hop on a cheapest
+    /// `v -> source` path.
+    ///
+    /// The search stops at the first popped key above `max_cost` and then
+    /// returns `true`. Keys pop in non-decreasing order and every open
+    /// vertex of a cheapest path has a key no greater than that path's
+    /// cost, so no path within the budget is left; whatever was settled
+    /// before that is exactly what the unbudgeted search settles first.
     #[allow(clippy::too_many_arguments)]
-    fn run_dijkstra(
+    fn search(
         &mut self,
         g: &Graph,
         source: VertexId,
         target: Option<VertexId>,
-        cost: CostModel<'_>,
-        banned_vertices: Option<&BitSet>,
-        banned_edges: Option<&BitSet>,
         reverse: bool,
+        weights: &[f64],
+        banned: impl Fn(VertexId, EdgeId) -> bool,
+        key: impl Fn(VertexId, f64) -> f64,
         max_cost: f64,
     ) -> bool {
         debug_assert_eq!(
@@ -270,12 +258,12 @@ impl SearchSpace {
         self.begin();
         self.relax(source, 0.0, NO_PARENT);
         self.heap.push(MinCost {
-            cost: 0.0,
+            cost: key(source, 0.0),
             item: source,
         });
 
-        while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
-            if d > max_cost {
+        while let Some(MinCost { cost: k, item: u }) = self.heap.pop() {
+            if k > max_cost {
                 return true;
             }
             if self.is_settled(u) {
@@ -283,341 +271,51 @@ impl SearchSpace {
             }
             self.settle(u);
             if target == Some(u) {
-                break;
-            }
-            macro_rules! relax_edges {
-                ($edges:ident) => {
-                    for (v, e) in g.$edges(u) {
-                        if self.is_settled(v) {
-                            continue;
-                        }
-                        if let Some(bv) = banned_vertices {
-                            if bv.contains(v.0) {
-                                continue;
-                            }
-                        }
-                        if let Some(be) = banned_edges {
-                            if be.contains(e.0) {
-                                continue;
-                            }
-                        }
-                        let w = cost.edge_cost(g, e);
-                        debug_assert!(
-                            w >= 0.0,
-                            "Dijkstra requires non-negative edge costs, got {w}"
-                        );
-                        let nd = d + w;
-                        if nd < self.dist(v) {
-                            self.relax(v, nd, (u.0, e.0));
-                            self.heap.push(MinCost { cost: nd, item: v });
-                        }
-                    }
-                };
-            }
-            if reverse {
-                relax_edges!(in_edges);
-            } else {
-                relax_edges!(out_edges);
-            }
-        }
-        false
-    }
-
-    /// A* from `source` to `target` under an admissible, consistent
-    /// [`Heuristic`]: `dist` holds g-scores, the heap is keyed on
-    /// f-scores. Starts a fresh epoch. Banned sets (when given) only
-    /// shrink the edge set, which can only *increase* true distances, so
-    /// any full-graph lower bound — Euclidean or ALT — stays admissible.
-    ///
-    /// Budgeted like [`SearchSpace::run_dijkstra`]: every open vertex of
-    /// a cheapest path has an f-score no greater than that path's cost,
-    /// so once the smallest open f-score exceeds `max_cost` no path
-    /// within the budget exists, and the search returns `true`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_astar(
-        &mut self,
-        g: &Graph,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-        heuristic: &Heuristic<'_>,
-        banned: Option<(&BitSet, &BitSet)>,
-        max_cost: f64,
-    ) -> bool {
-        let (banned_vertices, banned_edges) = match banned {
-            Some((bv, be)) => (Some(bv), Some(be)),
-            None => (None, None),
-        };
-        debug_assert_eq!(
-            self.capacity(),
-            g.vertex_count(),
-            "space sized for another graph"
-        );
-        let h = |v: VertexId| heuristic.eval(g, v);
-
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: h(source),
-            item: source,
-        });
-
-        while let Some(MinCost { cost: f, item: u }) = self.heap.pop() {
-            if f > max_cost {
-                return true;
-            }
-            if self.is_settled(u) {
-                continue;
-            }
-            self.settle(u);
-            if u == target {
                 break;
             }
             let du = self.dist[u.index()];
-            for (v, e) in g.out_edges(u) {
-                if self.is_settled(v) {
+            for (v, e) in g.arcs(u, reverse) {
+                if self.is_settled(v) || banned(v, e) {
                     continue;
                 }
-                if let Some(bv) = banned_vertices {
-                    if bv.contains(v.0) {
-                        continue;
-                    }
-                }
-                if let Some(be) = banned_edges {
-                    if be.contains(e.0) {
-                        continue;
-                    }
-                }
-                let nd = du + cost.edge_cost(g, e);
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, e.0));
-                    self.heap.push(MinCost {
-                        cost: nd + h(v),
-                        item: v,
-                    });
-                }
-            }
-        }
-        false
-    }
-
-    /// Frozen-graph counterpart of [`SearchSpace::run_dijkstra_all`]:
-    /// the same full sweep over the merged-CSR arcs of a
-    /// [`FrozenGraph`]. Arc order and inlined weights mirror the builder
-    /// graph exactly (see [`crate::frozen`]), so heap evolution,
-    /// settle order, distances and parents are all bit-identical — the
-    /// only difference is that each relaxation reads one contiguous
-    /// array instead of three and pays no travel-time division.
-    fn run_dijkstra_all_frozen(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        cost: CostModel<'_>,
-        reverse: bool,
-    ) {
-        // Dispatch the metric once per query, not once per relaxation:
-        // each arm hands the inner loop a direct field read.
-        match cost {
-            CostModel::Length => {
-                self.run_dijkstra_all_frozen_with(fz, source, reverse, |a| a.length_m)
-            }
-            CostModel::TravelTime => {
-                self.run_dijkstra_all_frozen_with(fz, source, reverse, |a| a.travel_time_s)
-            }
-            CostModel::Custom(costs) => {
-                self.run_dijkstra_all_frozen_with(fz, source, reverse, |a| {
-                    costs[a.edge_id as usize]
-                })
-            }
-        }
-    }
-
-    fn run_dijkstra_all_frozen_with<W: Fn(&FrozenArc) -> f64>(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        reverse: bool,
-        weight: W,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            fz.vertex_count(),
-            "space sized for another graph"
-        );
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue; // stale heap entry
-            }
-            self.settle(u);
-            let arcs = if reverse {
-                fz.in_arcs(u)
-            } else {
-                fz.out_arcs(u)
-            };
-            for arc in arcs {
-                let v = VertexId(arc.target);
-                if self.is_settled(v) {
-                    continue;
-                }
-                let nd = d + weight(arc);
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, arc.edge_id));
-                    self.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
-    }
-
-    /// Frozen-graph counterpart of [`SearchSpace::run_dijkstra`] for the
-    /// unbanned forward shape (the `Plain` point-to-point arm): early
-    /// exit once `target` settles, relaxation over the frozen arcs.
-    /// Bit-identical to the builder-graph search for the same reasons as
-    /// [`SearchSpace::run_dijkstra_all_frozen`].
-    fn run_dijkstra_frozen(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: Option<VertexId>,
-        cost: CostModel<'_>,
-    ) {
-        match cost {
-            CostModel::Length => self.run_dijkstra_frozen_with(fz, source, target, |a| a.length_m),
-            CostModel::TravelTime => {
-                self.run_dijkstra_frozen_with(fz, source, target, |a| a.travel_time_s)
-            }
-            CostModel::Custom(costs) => {
-                self.run_dijkstra_frozen_with(fz, source, target, |a| costs[a.edge_id as usize])
-            }
-        }
-    }
-
-    fn run_dijkstra_frozen_with<W: Fn(&FrozenArc) -> f64>(
-        &mut self,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: Option<VertexId>,
-        weight: W,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            fz.vertex_count(),
-            "space sized for another graph"
-        );
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        while let Some(MinCost { cost: d, item: u }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue; // stale heap entry
-            }
-            self.settle(u);
-            if target == Some(u) {
-                break;
-            }
-            for arc in fz.out_arcs(u) {
-                let v = VertexId(arc.target);
-                if self.is_settled(v) {
-                    continue;
-                }
-                let w = weight(arc);
+                let w = weights[e.index()];
                 debug_assert!(
                     w >= 0.0,
                     "Dijkstra requires non-negative edge costs, got {w}"
                 );
-                let nd = d + w;
+                let nd = du + w;
                 if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, arc.edge_id));
-                    self.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
-    }
-
-    /// Frozen-graph counterpart of [`SearchSpace::run_astar`] (unbanned):
-    /// relaxation runs over the frozen arcs while the heuristic keeps
-    /// evaluating on the builder graph's full-precision `f64` coordinates
-    /// (the frozen form's `f32` coords are snapping-only — a narrowed
-    /// anchor could produce different f-score tie-breaking).
-    fn run_astar_frozen(
-        &mut self,
-        g: &Graph,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-        heuristic: &Heuristic<'_>,
-    ) {
-        match cost {
-            CostModel::Length => {
-                self.run_astar_frozen_with(g, fz, source, target, heuristic, |a| a.length_m)
-            }
-            CostModel::TravelTime => {
-                self.run_astar_frozen_with(g, fz, source, target, heuristic, |a| a.travel_time_s)
-            }
-            CostModel::Custom(costs) => {
-                self.run_astar_frozen_with(g, fz, source, target, heuristic, |a| {
-                    costs[a.edge_id as usize]
-                })
-            }
-        }
-    }
-
-    fn run_astar_frozen_with<W: Fn(&FrozenArc) -> f64>(
-        &mut self,
-        g: &Graph,
-        fz: &FrozenGraph,
-        source: VertexId,
-        target: VertexId,
-        heuristic: &Heuristic<'_>,
-        weight: W,
-    ) {
-        debug_assert_eq!(
-            self.capacity(),
-            fz.vertex_count(),
-            "space sized for another graph"
-        );
-        let h = |v: VertexId| heuristic.eval(g, v);
-
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: h(source),
-            item: source,
-        });
-
-        while let Some(MinCost { item: u, .. }) = self.heap.pop() {
-            if self.is_settled(u) {
-                continue;
-            }
-            self.settle(u);
-            if u == target {
-                break;
-            }
-            let du = self.dist[u.index()];
-            for arc in fz.out_arcs(u) {
-                let v = VertexId(arc.target);
-                if self.is_settled(v) {
-                    continue;
-                }
-                let nd = du + weight(arc);
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, arc.edge_id));
+                    self.relax(v, nd, (u.0, e.0));
                     self.heap.push(MinCost {
-                        cost: nd + h(v),
+                        cost: key(v, nd),
                         item: v,
                     });
                 }
             }
         }
+        false
+    }
+
+    /// [`SearchSpace::search`] as plain Dijkstra with no bans and no
+    /// budget; a full sweep when `target` is `None`.
+    fn dijkstra(
+        &mut self,
+        g: &Graph,
+        source: VertexId,
+        target: Option<VertexId>,
+        reverse: bool,
+        weights: &[f64],
+    ) {
+        self.search(
+            g,
+            source,
+            target,
+            reverse,
+            weights,
+            no_bans,
+            dijkstra_key,
+            f64::INFINITY,
+        );
     }
 
     /// Extracts the tree path `source -> target` recorded by the last
@@ -685,8 +383,8 @@ pub enum Heuristic<'a> {
 }
 
 impl Heuristic<'_> {
-    /// Whether the heuristic provides any guidance (an inactive one makes
-    /// `run_astar` pointless — callers run plain Dijkstra instead).
+    /// Whether the heuristic provides any guidance (under an inactive one
+    /// callers key the search as plain Dijkstra instead).
     #[inline]
     pub fn is_active(&self) -> bool {
         !matches!(self, Heuristic::None)
@@ -1015,14 +713,6 @@ pub struct QueryEngine<'g> {
     /// covers whatever metric or custom weight vector it was customized
     /// for; ranked between `Ch` and `Alt`.
     cch: Option<Arc<Cch>>,
-    /// Optional shared frozen serving graph (see
-    /// [`QueryEngine::with_frozen`]): when mounted and weight-current,
-    /// `Plain` and `Alt` searches relax the cache-compact merged-CSR
-    /// arcs instead of the builder graph's triple-indirect CSR — same
-    /// results bit-for-bit, fewer cache misses per relaxation. Not a
-    /// [`SearchBackend`] of its own: it changes the memory layout a
-    /// search walks, never which search runs.
-    frozen: Option<Arc<FrozenGraph>>,
     /// CH/CCH scratch state, allocated on the first hierarchy-backed
     /// query (both hierarchies share one scratch — it is keyed only on
     /// the vertex count).
@@ -1062,6 +752,48 @@ fn hierarchy_view<'a>(
     } else {
         let ch = ch.as_deref();
         ch.expect("CH backend resolved without an index").view()
+    }
+}
+
+/// Where [`QueryEngine::dispatch`] left the answer of a point-to-point
+/// query, with the two ways of reading it.
+enum Answer<'e> {
+    /// The `(edges, vertices)` a hierarchy query unpacked into its
+    /// scratch buffers.
+    Unpacked(&'e [EdgeId], &'e [VertexId]),
+    /// The parent chain and distance the forward space holds.
+    Tree(&'e SearchSpace),
+}
+
+impl Answer<'_> {
+    /// The answer as a [`Path`]; `None` when a tree search did not reach
+    /// `target`.
+    fn path(&self, source: VertexId, target: VertexId) -> Option<Path> {
+        match self {
+            Answer::Unpacked(edges, vertices) => Some(Path::from_parts_unchecked(
+                vertices.to_vec(),
+                edges.to_vec(),
+            )),
+            Answer::Tree(space) => space.extract_path(source, target),
+        }
+    }
+
+    /// The answer's cost under `weights`. An unpacked path is summed left
+    /// to right over its edges — the same fold order as Dijkstra's
+    /// relaxation chain — so it is bit-identical to the plain engine on
+    /// the current (possibly freshly customized) weights whenever the
+    /// optimum is unique (shortcut-weight sums alone could differ in the
+    /// last bits through float re-association).
+    fn cost(&self, target: VertexId, weights: &[f64]) -> Option<f64> {
+        match self {
+            Answer::Unpacked(edges, _) => {
+                Some(edges.iter().fold(0.0, |acc, e| acc + weights[e.index()]))
+            }
+            Answer::Tree(space) => {
+                let d = space.dist(target);
+                d.is_finite().then_some(d)
+            }
+        }
     }
 }
 
@@ -1116,7 +848,6 @@ impl<'g> QueryEngine<'g> {
             landmarks: None,
             ch: None,
             cch: None,
-            frozen: None,
             ch_search: None,
             m2m_search: None,
             m2m_prepared: None,
@@ -1299,67 +1030,6 @@ impl<'g> QueryEngine<'g> {
             .is_some_and(|c| c.usable_for(&cost) && c.weights_epoch() == self.g.weights_epoch())
     }
 
-    /// Mounts a [`FrozenGraph`] — the cache-compact serving form of this
-    /// engine's graph ([`FrozenGraph::freeze`]). Every `Plain`/`Alt`
-    /// search (point-to-point, A*, one-to-all, one-to-all-reverse) then
-    /// relaxes the frozen merged-CSR arcs instead of the builder CSR;
-    /// results are bit-identical because the frozen form copies arc
-    /// order verbatim and precomputes weights with the exact
-    /// [`CostModel::edge_cost`] expressions. Constrained (banned-set)
-    /// and bidirectional searches keep using the builder graph, and
-    /// CH/CCH backends already own their merged CSRs.
-    ///
-    /// Like every attached index, the frozen form is gated per query on
-    /// [`Graph::weights_epoch`]: after a live weight mutation it is
-    /// silently skipped until a re-frozen form is mounted.
-    ///
-    /// # Panics
-    /// If the frozen form's vertex/edge counts do not match this
-    /// engine's graph.
-    pub fn with_frozen(mut self, frozen: Arc<FrozenGraph>) -> Self {
-        self.set_frozen(Some(frozen));
-        self
-    }
-
-    /// Non-consuming form of [`QueryEngine::with_frozen`]: swaps the
-    /// shared frozen graph in place (or detaches it with `None`). Same
-    /// fingerprint panic as the builder form.
-    pub fn set_frozen(&mut self, frozen: Option<Arc<FrozenGraph>>) {
-        if let Some(fz) = &frozen {
-            assert_eq!(
-                (fz.vertex_count(), fz.edge_count()),
-                (self.g.vertex_count(), self.g.edge_count()),
-                "frozen graph derived from a different graph"
-            );
-        }
-        self.frozen = frozen;
-    }
-
-    /// The mounted frozen serving graph, if any.
-    pub fn frozen_graph(&self) -> Option<&Arc<FrozenGraph>> {
-        self.frozen.as_ref()
-    }
-
-    /// Whether `Plain`/`Alt` searches currently relax frozen arcs (a
-    /// frozen form is mounted and weight-current). Cost-model
-    /// independent: the frozen arcs inline both graph metrics and index
-    /// `Custom` slices by edge id.
-    pub fn uses_frozen(&self) -> bool {
-        self.frozen
-            .as_ref()
-            .is_some_and(|f| f.weights_epoch() == self.g.weights_epoch())
-    }
-
-    /// The frozen graph to relax this query, if current — an `Arc`
-    /// clone, so callers can keep it alive across a mutable borrow of
-    /// the search spaces.
-    fn usable_frozen(&self) -> Option<Arc<FrozenGraph>> {
-        self.frozen
-            .as_ref()
-            .filter(|f| f.weights_epoch() == self.g.weights_epoch())
-            .cloned()
-    }
-
     /// Resolves the [`SearchBackend`] an unconstrained point-to-point
     /// query under `cost` dispatches through: the strongest attached
     /// index whose metric covers the cost model.
@@ -1454,40 +1124,6 @@ impl<'g> QueryEngine<'g> {
         view.query_path(search, source, target)
     }
 
-    /// Hierarchy-backed [`QueryEngine::shortest_path`]: unpacks the
-    /// shortcut chain into a real [`Path`] (both sequences come straight
-    /// out of the unpack buffers — no graph lookups).
-    fn hierarchy_shortest_path(
-        &mut self,
-        via_cch: bool,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<Path> {
-        let (edges, vertices) = self.hierarchy_path(via_cch, source, target)?;
-        Some(Path::from_parts_unchecked(
-            vertices.to_vec(),
-            edges.to_vec(),
-        ))
-    }
-
-    /// Hierarchy-backed cost probe. The cost is recomputed left-to-right
-    /// over the unpacked edges — the same fold order as Dijkstra's
-    /// relaxation chain — so it is bit-identical to the plain engine on
-    /// the current (possibly freshly customized) weights whenever the
-    /// optimum is unique (shortcut-weight sums alone could differ in the
-    /// last bits through float re-association).
-    fn hierarchy_shortest_path_cost(
-        &mut self,
-        via_cch: bool,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-    ) -> Option<f64> {
-        let g = self.g;
-        let (edges, _) = self.hierarchy_path(via_cch, source, target)?;
-        Some(edges.iter().fold(0.0, |acc, &e| acc + cost.edge_cost(g, e)))
-    }
-
     /// Which hierarchy an unconstrained query under `cost` runs on:
     /// `Some(false)` the CH, `Some(true)` the customized CCH, `None` when
     /// neither covers it.
@@ -1538,6 +1174,102 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
+    /// The per-query bookkeeping every unconstrained point-to-point entry
+    /// point shares: resolves the backend for `cost`, counts the dispatch
+    /// and its fallback reasons, runs `run` on that backend and folds the
+    /// work it did — over every space it touched — into the registry.
+    fn accounted<T>(
+        &mut self,
+        cost: CostModel<'_>,
+        run: impl FnOnce(&mut Self, SearchBackend) -> T,
+    ) -> T {
+        let backend = self.backend_for(cost);
+        self.record_dispatch(backend, cost);
+        let work_before = self.obs.enabled.then(|| self.total_work());
+        let out = run(self, backend);
+        if let Some((s0, p0)) = work_before {
+            let (s1, p1) = self.total_work();
+            self.obs.settled.add_in_shard(self.obs.shard, s1 - s0);
+            self.obs.pushed.add_in_shard(self.obs.shard, p1 - p0);
+        }
+        out
+    }
+
+    /// The one point-to-point dispatch (`source != target`): runs the
+    /// search on the backend [`QueryEngine::backend_for`] resolves — the
+    /// hierarchy query, ALT-guided A*, or on `Plain` early-exit Dijkstra
+    /// (`goal_directed`: A* under the cached Euclidean bound) — and hands
+    /// `read` where the answer lies. `None` when `target` is unreachable.
+    fn dispatch<T>(
+        &mut self,
+        source: VertexId,
+        target: VertexId,
+        cost: CostModel<'_>,
+        goal_directed: bool,
+        read: impl FnOnce(Answer<'_>) -> Option<T>,
+    ) -> Option<T> {
+        self.accounted(cost, |this, backend| match backend {
+            SearchBackend::Ch | SearchBackend::Cch => {
+                let (edges, vertices) =
+                    this.hierarchy_path(backend == SearchBackend::Cch, source, target)?;
+                read(Answer::Unpacked(edges, vertices))
+            }
+            SearchBackend::Plain if !goal_directed => {
+                let g = this.g;
+                this.fwd
+                    .dijkstra(g, source, Some(target), false, cost.weights(g));
+                read(Answer::Tree(&this.fwd))
+            }
+            SearchBackend::Alt | SearchBackend::Plain => {
+                this.guided_search(source, target, cost, no_bans, f64::INFINITY);
+                read(Answer::Tree(&this.fwd))
+            }
+        })
+    }
+
+    /// Forward search toward `target` under the strongest [`Heuristic`]
+    /// the engine can justify for `cost` — the ALT triangle bound, else
+    /// the cached [`safe_heuristic_bound`] — keyed as plain Dijkstra when
+    /// there is none. Returns whether the budget stopped it
+    /// ([`SearchSpace::search`]).
+    fn guided_search(
+        &mut self,
+        source: VertexId,
+        target: VertexId,
+        cost: CostModel<'_>,
+        banned: impl Fn(VertexId, EdgeId) -> bool,
+        max_cost: f64,
+    ) -> bool {
+        let g = self.g;
+        let per_meter = self.heuristic_bound(cost);
+        let h = Self::forward_heuristic(
+            g,
+            &self.landmarks,
+            &mut self.alt_target,
+            source,
+            target,
+            cost,
+            per_meter,
+        );
+        let (target, weights) = (Some(target), cost.weights(g));
+        if h.is_active() {
+            let key = |v, g_score| g_score + h.eval(g, v);
+            self.fwd
+                .search(g, source, target, false, weights, banned, key, max_cost)
+        } else {
+            self.fwd.search(
+                g,
+                source,
+                target,
+                false,
+                weights,
+                banned,
+                dijkstra_key,
+                max_cost,
+            )
+        }
+    }
+
     /// Cheapest `source -> target` path, or `None` if unreachable or
     /// `source == target`. Engine counterpart of
     /// [`crate::algo::dijkstra::shortest_path`], dispatched through
@@ -1553,44 +1285,7 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        let backend = self.backend_for(cost);
-        self.record_dispatch(backend, cost);
-        let work_before = self.obs.enabled.then(|| self.total_work());
-        let path = match backend {
-            SearchBackend::Ch | SearchBackend::Cch => {
-                self.hierarchy_shortest_path(backend == SearchBackend::Cch, source, target)
-            }
-            SearchBackend::Alt => {
-                self.run_alt_one_to_one(source, target, cost);
-                self.fwd.extract_path(source, target)
-            }
-            SearchBackend::Plain => {
-                match self.usable_frozen() {
-                    Some(fz) => self
-                        .fwd
-                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
-                    None => {
-                        self.fwd.run_dijkstra(
-                            self.g,
-                            source,
-                            Some(target),
-                            cost,
-                            None,
-                            None,
-                            false,
-                            f64::INFINITY,
-                        );
-                    }
-                }
-                self.fwd.extract_path(source, target)
-            }
-        };
-        if let Some((s0, p0)) = work_before {
-            let (s1, p1) = self.total_work();
-            self.obs.settled.add_in_shard(self.obs.shard, s1 - s0);
-            self.obs.pushed.add_in_shard(self.obs.shard, p1 - p0);
-        }
-        path
+        self.dispatch(source, target, cost, false, |a| a.path(source, target))
     }
 
     /// Cost of the cheapest `source -> target` path without materialising
@@ -1608,85 +1303,16 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return Some(0.0);
         }
-        let backend = self.backend_for(cost);
-        self.record_dispatch(backend, cost);
-        let work_before = self.obs.enabled.then(|| self.total_work());
-        let out = match backend {
-            SearchBackend::Ch | SearchBackend::Cch => {
-                let via_cch = backend == SearchBackend::Cch;
-                self.hierarchy_shortest_path_cost(via_cch, source, target, cost)
-            }
-            SearchBackend::Alt => {
-                self.run_alt_one_to_one(source, target, cost);
-                let d = self.fwd.dist(target);
-                d.is_finite().then_some(d)
-            }
-            SearchBackend::Plain => {
-                match self.usable_frozen() {
-                    Some(fz) => self
-                        .fwd
-                        .run_dijkstra_frozen(&fz, source, Some(target), cost),
-                    None => {
-                        self.fwd.run_dijkstra(
-                            self.g,
-                            source,
-                            Some(target),
-                            cost,
-                            None,
-                            None,
-                            false,
-                            f64::INFINITY,
-                        );
-                    }
-                }
-                let d = self.fwd.dist(target);
-                d.is_finite().then_some(d)
-            }
-        };
-        if let Some((s0, p0)) = work_before {
-            let (s1, p1) = self.total_work();
-            self.obs.settled.add_in_shard(self.obs.shard, s1 - s0);
-            self.obs.pushed.add_in_shard(self.obs.shard, p1 - p0);
-        }
-        out
-    }
-
-    /// ALT-guided one-to-one A* on the forward space (the
-    /// [`SearchBackend::Alt`] arm of the point-to-point dispatch).
-    fn run_alt_one_to_one(&mut self, source: VertexId, target: VertexId, cost: CostModel<'_>) {
-        debug_assert!(self.uses_alt(cost));
-        let per_meter = self.heuristic_bound(cost);
-        let fz = self.usable_frozen();
-        let h = Self::forward_heuristic(
-            self.g,
-            &self.landmarks,
-            &mut self.alt_target,
-            source,
-            target,
-            cost,
-            per_meter,
-        );
-        match &fz {
-            Some(fz) => self
-                .fwd
-                .run_astar_frozen(self.g, fz, source, target, cost, &h),
-            None => {
-                self.fwd
-                    .run_astar(self.g, source, target, cost, &h, None, f64::INFINITY);
-            }
-        }
+        let weights = cost.weights(self.g);
+        self.dispatch(source, target, cost, false, |a| a.cost(target, weights))
     }
 
     /// One-to-all Dijkstra, returned as a borrowed [`TreeView`] (no
-    /// per-query `O(V)` allocation). Runs the dedicated full-sweep loop
-    /// on the reusable scratch ([`SearchSpace::run_dijkstra_all`] — no
-    /// target or ban checks in the hot loop). The view is valid until
-    /// the next query on this engine.
+    /// per-query `O(V)` allocation). The view is valid until the next
+    /// query on this engine.
     pub fn one_to_all(&mut self, source: VertexId, cost: CostModel<'_>) -> TreeView<'_> {
-        match self.usable_frozen() {
-            Some(fz) => self.fwd.run_dijkstra_all_frozen(&fz, source, cost, false),
-            None => self.fwd.run_dijkstra_all(self.g, source, cost, false),
-        }
+        self.fwd
+            .dijkstra(self.g, source, None, false, cost.weights(self.g));
         TreeView {
             space: &self.fwd,
             source,
@@ -1812,12 +1438,8 @@ impl<'g> QueryEngine<'g> {
     /// worker engines.
     pub fn one_to_all_rev(&mut self, target: VertexId, cost: CostModel<'_>) -> TreeView<'_> {
         let n = self.g.vertex_count();
-        let fz = self.usable_frozen();
         let bwd = self.bwd.get_or_insert_with(|| SearchSpace::new(n));
-        match &fz {
-            Some(fz) => bwd.run_dijkstra_all_frozen(fz, target, cost, true),
-            None => bwd.run_dijkstra_all(self.g, target, cost, true),
-        }
+        bwd.dijkstra(self.g, target, None, true, cost.weights(self.g));
         TreeView {
             space: bwd,
             source: target,
@@ -1833,10 +1455,8 @@ impl<'g> QueryEngine<'g> {
         source: VertexId,
         cost: CostModel<'_>,
     ) -> ShortestPathTree {
-        match self.usable_frozen() {
-            Some(fz) => self.fwd.run_dijkstra_all_frozen(&fz, source, cost, false),
-            None => self.fwd.run_dijkstra_all(self.g, source, cost, false),
-        }
+        self.fwd
+            .dijkstra(self.g, source, None, false, cost.weights(self.g));
         let n = self.g.vertex_count();
         let mut dist = Vec::with_capacity(n);
         let mut parent = Vec::with_capacity(n);
@@ -1897,33 +1517,9 @@ impl<'g> QueryEngine<'g> {
         {
             return None;
         }
-        let per_meter = self.heuristic_bound(cost);
-        let h = Self::forward_heuristic(
-            self.g,
-            &self.landmarks,
-            &mut self.alt_target,
-            source,
-            target,
-            cost,
-            per_meter,
-        );
         let settled_before = self.fwd.settled_total;
-        let over_budget = if h.is_active() {
-            let banned = Some((banned_vertices, banned_edges));
-            self.fwd
-                .run_astar(self.g, source, target, cost, &h, banned, max_cost)
-        } else {
-            self.fwd.run_dijkstra(
-                self.g,
-                source,
-                Some(target),
-                cost,
-                Some(banned_vertices),
-                Some(banned_edges),
-                false,
-                max_cost,
-            )
-        };
+        let banned = banned_by(banned_vertices, banned_edges);
+        let over_budget = self.guided_search(source, target, cost, banned, max_cost);
         // A budgeted stop can leave the target relaxed but not settled,
         // with a tentative distance that is not yet optimal.
         let path = if over_budget {
@@ -1963,14 +1559,15 @@ impl<'g> QueryEngine<'g> {
         {
             return None;
         }
-        self.fwd.run_dijkstra(
+        let banned = banned_by(banned_vertices, banned_edges);
+        self.fwd.search(
             self.g,
             source,
             Some(target),
-            cost,
-            Some(banned_vertices),
-            Some(banned_edges),
             false,
+            cost.weights(self.g),
+            banned,
+            dijkstra_key,
             f64::INFINITY,
         );
         self.fwd.extract_path(source, target)
@@ -2008,43 +1605,7 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        if let Some(via_cch) = self.via_cch_for(cost) {
-            return self.hierarchy_shortest_path(via_cch, source, target);
-        }
-        let per_meter = self.heuristic_bound(cost);
-        let fz = self.usable_frozen();
-        let h = Self::forward_heuristic(
-            self.g,
-            &self.landmarks,
-            &mut self.alt_target,
-            source,
-            target,
-            cost,
-            per_meter,
-        );
-        match (&fz, h.is_active()) {
-            (Some(fz), true) => self
-                .fwd
-                .run_astar_frozen(self.g, fz, source, target, cost, &h),
-            (Some(fz), false) => self.fwd.run_dijkstra_frozen(fz, source, Some(target), cost),
-            (None, true) => {
-                self.fwd
-                    .run_astar(self.g, source, target, cost, &h, None, f64::INFINITY);
-            }
-            (None, false) => {
-                self.fwd.run_dijkstra(
-                    self.g,
-                    source,
-                    Some(target),
-                    cost,
-                    None,
-                    None,
-                    false,
-                    f64::INFINITY,
-                );
-            }
-        }
-        self.fwd.extract_path(source, target)
+        self.dispatch(source, target, cost, true, |a| a.path(source, target))
     }
 
     /// Bidirectional Dijkstra over the forward and backward spaces.
@@ -2071,11 +1632,30 @@ impl<'g> QueryEngine<'g> {
         }
         // The CH query *is* a bidirectional search — over the upward
         // search graphs — so the hierarchy backends replace this entirely.
-        if let Some(via_cch) = self.via_cch_for(cost) {
-            return self.hierarchy_shortest_path(via_cch, source, target);
-        }
+        self.accounted(cost, |this, backend| match backend {
+            SearchBackend::Ch | SearchBackend::Cch => {
+                let (edges, vertices) =
+                    this.hierarchy_path(backend == SearchBackend::Cch, source, target)?;
+                Answer::Unpacked(edges, vertices).path(source, target)
+            }
+            SearchBackend::Alt | SearchBackend::Plain => {
+                this.bidirectional_search(source, target, cost, backend == SearchBackend::Alt)
+            }
+        })
+    }
+
+    /// The non-hierarchy arm of
+    /// [`QueryEngine::bidirectional_shortest_path`] (`source != target`),
+    /// pruning with landmark bounds when `use_alt`.
+    fn bidirectional_search(
+        &mut self,
+        source: VertexId,
+        target: VertexId,
+        cost: CostModel<'_>,
+        use_alt: bool,
+    ) -> Option<Path> {
         let g = self.g;
-        let use_alt = self.uses_alt(cost);
+        let weights = cost.weights(g);
         let per_meter = if use_alt {
             self.heuristic_bound(cost)
         } else {
@@ -2170,31 +1750,22 @@ impl<'g> QueryEngine<'g> {
 
             // Relax the neighbourhood, then re-check meetings through the
             // just-relaxed vertices (meets can happen on unsettled ones).
-            macro_rules! expand {
-                ($edges:ident) => {
-                    for (v, e) in g.$edges(u) {
-                        if side.is_settled(v) {
-                            continue;
-                        }
-                        let nd = d + cost.edge_cost(g, e);
-                        if nd < side.dist(v) {
-                            side.relax(v, nd, (u.0, e.0));
-                            side.heap.push(MinCost { cost: nd, item: v });
-                        }
-                        if other.reached(v) && side.reached(v) {
-                            let total = side.dist(v) + other.dist(v);
-                            if total < best {
-                                best = total;
-                                meet = Some(v);
-                            }
-                        }
+            for (v, e) in g.arcs(u, !forward) {
+                if side.is_settled(v) {
+                    continue;
+                }
+                let nd = d + weights[e.index()];
+                if nd < side.dist(v) {
+                    side.relax(v, nd, (u.0, e.0));
+                    side.heap.push(MinCost { cost: nd, item: v });
+                }
+                if other.reached(v) && side.reached(v) {
+                    let total = side.dist(v) + other.dist(v);
+                    if total < best {
+                        best = total;
+                        meet = Some(v);
                     }
-                };
-            }
-            if forward {
-                expand!(out_edges);
-            } else {
-                expand!(in_edges);
+                }
             }
         }
 
@@ -2659,68 +2230,137 @@ mod tests {
             .is_none());
     }
 
-    #[test]
-    fn frozen_searches_match_plain_bitwise() {
-        use crate::frozen::FrozenGraph;
-        use std::sync::Arc;
+    /// FNV-1a fold of one search space after a query: `(dist bits,
+    /// parent)` of every vertex, unreached ones included.
+    fn fold_space(h: &mut u64, space: &SearchSpace) {
+        for i in 0..space.capacity() as u32 {
+            let v = VertexId(i);
+            let (pv, pe) = space.parent_of(v).map_or(NO_PARENT, |(p, e)| (p.0, e.0));
+            for word in [space.dist(v).to_bits(), u64::from(pv), u64::from(pe)] {
+                *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
 
-        let g = grid_network(&GridConfig::small_test(), 9);
-        let n = g.vertex_count() as u32;
-        let fz = Arc::new(FrozenGraph::freeze(&g));
-        let mut plain = QueryEngine::new(&g);
-        let mut frozen = QueryEngine::new(&g).with_frozen(fz);
-        assert!(frozen.uses_frozen());
+    /// Runs one fixed query script through every entry point that drives
+    /// the Dijkstra/A* loop or the bidirectional one and returns the fold
+    /// of every space state it left behind, plus the lifetime `(settled,
+    /// pushed)` counters of the four spaces involved. Equal distances can
+    /// hide a changed relaxation order; the counters and parents cannot.
+    fn golden_script(g: &Graph, seed: u64) -> (u64, [(u64, u64); 4]) {
+        use crate::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
 
-        let custom: Vec<f64> = (0..g.edge_count())
-            .map(|i| 1.0 + (i % 17) as f64 * 0.31)
-            .collect();
+        let (n, m) = (g.vertex_count() as u32, g.edge_count() as u32);
+        let custom: Vec<f64> = (0..m).map(|i| 1.0 + (i * 7 % 13) as f64 * 0.37).collect();
         let models = [
             CostModel::Length,
             CostModel::TravelTime,
             CostModel::Custom(&custom),
         ];
+        let table = Arc::new(LandmarkTable::build(
+            g,
+            LandmarkMetric::Length,
+            &LandmarkConfig {
+                threads: 1,
+                ..LandmarkConfig::default()
+            },
+        ));
+        let mut plain = QueryEngine::new(g);
+        let mut alt = QueryEngine::new(g).with_landmarks(table);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pair = move || (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+
         for cost in models {
-            for (s, t) in [(0, n - 1), (3, n / 2), (n / 3, 1)] {
-                let (s, t) = (VertexId(s), VertexId(t));
-                let a = plain.shortest_path(s, t, cost);
-                let b = frozen.shortest_path(s, t, cost);
-                assert_eq!(a, b, "paths must be identical, not just equal-cost");
-                let ca = plain.shortest_path_cost(s, t, cost);
-                let cb = frozen.shortest_path_cost(s, t, cost);
-                assert_eq!(ca.map(f64::to_bits), cb.map(f64::to_bits));
-            }
-            for v in [VertexId(0), VertexId(n / 2)] {
-                plain.one_to_all(v, cost);
-                frozen.one_to_all(v, cost);
-                for u in g.vertices() {
-                    assert_eq!(plain.fwd.dist(u).to_bits(), frozen.fwd.dist(u).to_bits());
-                    assert_eq!(plain.fwd.parent_of(u), frozen.fwd.parent_of(u));
-                }
-            }
+            let (s, t) = pair();
+            plain.one_to_all(s, cost);
+            fold_space(&mut h, &plain.fwd);
+            plain.one_to_all_rev(t, cost);
+            fold_space(&mut h, plain.bwd.as_ref().unwrap());
         }
+        for i in 0..32 {
+            let (s, t) = pair();
+            plain.shortest_path(s, t, models[i % 3]);
+            fold_space(&mut h, &plain.fwd);
+        }
+        // Euclid-guided under the graph metrics, heuristic-free under
+        // `Custom`.
+        for i in 0..32 {
+            let (s, t) = pair();
+            plain.astar_shortest_path(s, t, models[i % 3]);
+            fold_space(&mut h, &plain.fwd);
+        }
+        for _ in 0..32 {
+            let (s, t) = pair();
+            alt.shortest_path(s, t, CostModel::Length);
+            fold_space(&mut h, &alt.fwd);
+        }
+        // Constrained searches: odd rounds carry a finite budget, 0.8× the
+        // unconstrained optimum (always over budget) or 1.3× it.
+        let mut ban_rng = StdRng::seed_from_u64(seed ^ 0xb4d5);
+        for i in 0..32 {
+            let (s, t) = pair();
+            let cost = models[i % 3];
+            let mut bv = BitSet::new(n as usize);
+            let mut be = BitSet::new(m as usize);
+            for _ in 0..ban_rng.gen_range(0..=n / 16) {
+                bv.insert(ban_rng.gen_range(0..n));
+            }
+            for _ in 0..ban_rng.gen_range(0..=m / 16) {
+                be.insert(ban_rng.gen_range(0..m));
+            }
+            let engine = if i % 4 < 2 { &mut plain } else { &mut alt };
+            let max_cost = if i % 2 == 0 {
+                f64::INFINITY
+            } else {
+                let factor = if i % 8 == 1 { 0.8 } else { 1.3 };
+                engine.shortest_path_cost(s, t, cost).unwrap_or(1.0) * factor
+            };
+            engine.constrained_shortest_path(s, t, cost, &bv, &be, max_cost);
+            fold_space(&mut h, &engine.fwd);
+        }
+        for i in 0..16 {
+            let (s, t) = pair();
+            let engine = if i % 2 == 0 { &mut plain } else { &mut alt };
+            engine.bidirectional_shortest_path(s, t, models[i % 3]);
+            fold_space(&mut h, &engine.fwd);
+            fold_space(&mut h, engine.bwd.as_ref().expect("s != t on both maps"));
+        }
+        let counters = [&plain.fwd, &plain.bwd.unwrap(), &alt.fwd, &alt.bwd.unwrap()]
+            .map(SearchSpace::work_counters);
+        (h, counters)
     }
 
     #[test]
-    fn frozen_is_skipped_after_weight_mutation() {
-        use crate::frozen::FrozenGraph;
-        use std::sync::Arc;
+    fn engine_golden_region() {
+        use crate::generators::{region_network, RegionConfig};
+        let g = region_network(&RegionConfig::small_test(), 11);
+        assert_eq!(
+            golden_script(&g, 11),
+            (
+                16932431026295315015,
+                [(2060, 2639), (223, 278), (871, 1273), (50, 82)]
+            )
+        );
+    }
 
-        let mut g = grid_network(&GridConfig::small_test(), 5);
-        let fz = Arc::new(FrozenGraph::freeze(&g));
-        {
-            let engine = QueryEngine::new(&g).with_frozen(fz.clone());
-            assert!(engine.uses_frozen());
-        }
-        g.set_edge_speed(EdgeId(0), 99.0);
-        let mut engine = QueryEngine::new(&g).with_frozen(fz);
-        assert!(!engine.uses_frozen(), "stale frozen form must be gated out");
-        // Queries still succeed — on the builder graph.
-        let t = VertexId(g.vertex_count() as u32 - 1);
-        assert!(engine
-            .shortest_path(VertexId(0), t, CostModel::TravelTime)
-            .is_some());
-        // Re-freezing at the new epoch re-enables the fast layout.
-        engine.set_frozen(Some(Arc::new(FrozenGraph::freeze(&g))));
-        assert!(engine.uses_frozen());
+    #[test]
+    fn engine_golden_grid() {
+        let cfg = GridConfig {
+            nx: 24,
+            ny: 24,
+            jitter: 0.3,
+            ..GridConfig::small_test()
+        };
+        let g = grid_network(&cfg, 5);
+        assert_eq!(
+            golden_script(&g, 5),
+            (
+                16576423199488874515,
+                [(21465, 28394), (2521, 3103), (4808, 7314), (541, 726)]
+            )
+        );
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! * [`engine`] — the reusable query layer every algorithm runs on: a
 //!   generation-stamped [`engine::SearchSpace`] (O(1) reset, no per-query
-//!   `O(V)` allocation) behind the [`engine::QueryEngine`] facade;
+//!   `O(V)` allocation) whose one search loop is Dijkstra and A*,
+//!   forward and reverse, with or without bans and a cost budget, behind
+//!   the [`engine::QueryEngine`] facade;
 //! * [`dijkstra`] — textbook Dijkstra (one-to-one with early exit,
 //!   one-to-all trees, and a constrained variant that honours banned
 //!   vertex/edge sets — the inner engine of Yen's algorithm);

@@ -174,6 +174,8 @@ impl GraphBuilder {
             in_offsets,
             in_sources,
             in_edge_ids,
+            length_m: self.edges.iter().map(|e| e.attrs.length_m).collect(),
+            travel_time_s: self.edges.iter().map(|e| e.attrs.travel_time_s()).collect(),
             edge_records: self.edges,
             weights_epoch: 0,
             max_speed_kmh,

@@ -175,15 +175,24 @@ pub enum CostModel<'a> {
     Custom(&'a [f64]),
 }
 
-impl CostModel<'_> {
+impl<'a> CostModel<'a> {
+    /// The per-edge costs of this model on `g`, indexed by [`EdgeId`]:
+    /// one of the graph's two weight columns, or the `Custom` slice
+    /// itself. Searches resolve this once per query and then read plain
+    /// floats.
+    #[inline]
+    pub fn weights(&self, g: &'a Graph) -> &'a [f64] {
+        match self {
+            CostModel::Length => &g.length_m,
+            CostModel::TravelTime => &g.travel_time_s,
+            CostModel::Custom(costs) => costs,
+        }
+    }
+
     /// Cost of traversing edge `e` in graph `g`.
     #[inline]
     pub fn edge_cost(&self, g: &Graph, e: EdgeId) -> f64 {
-        match self {
-            CostModel::Length => g.edge(e).attrs.length_m,
-            CostModel::TravelTime => g.edge(e).attrs.travel_time_s(),
-            CostModel::Custom(costs) => costs[e.index()],
-        }
+        self.weights(g)[e.index()]
     }
 
     /// The *nominal* lower bound on cost-per-metre of travelled length:
@@ -229,6 +238,13 @@ pub struct Graph {
     pub(crate) in_edge_ids: Vec<EdgeId>,
     // Edge records, indexed by EdgeId.
     pub(crate) edge_records: Vec<EdgeRecord>,
+    /// Weight columns, indexed by `EdgeId`: `attrs.length_m` and
+    /// `attrs.travel_time_s()` of every edge record, bit for bit. The
+    /// builder fills them and the speed mutation entry points rewrite
+    /// the travel time of each edge they change, so a search reads one
+    /// flat `f64` per relaxation whatever the [`CostModel`].
+    pub(crate) length_m: Vec<f64>,
+    pub(crate) travel_time_s: Vec<f64>,
     /// Bumped on every in-place weight mutation (see
     /// [`Graph::set_edge_speed`]). Derived indexes record the epoch they
     /// were built against so the query layer can refuse to pair a mutated
@@ -285,26 +301,38 @@ impl Graph {
         (0..self.coords.len() as u32).map(VertexId)
     }
 
+    /// Neighbours of `v` as `(other endpoint, edge)` pairs, in CSR order:
+    /// the outgoing arcs, or with `reverse` the incoming ones — what a
+    /// search in that direction relaxes from `v`.
+    #[inline]
+    pub fn arcs(
+        &self,
+        v: VertexId,
+        reverse: bool,
+    ) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        let (offsets, ends, ids) = if reverse {
+            (&self.in_offsets, &self.in_sources, &self.in_edge_ids)
+        } else {
+            (&self.out_offsets, &self.out_targets, &self.out_edge_ids)
+        };
+        let lo = offsets[v.index()] as usize;
+        let hi = offsets[v.index() + 1] as usize;
+        ends[lo..hi]
+            .iter()
+            .copied()
+            .zip(ids[lo..hi].iter().copied())
+    }
+
     /// Outgoing neighbours of `v` as `(head, edge)` pairs.
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        let lo = self.out_offsets[v.index()] as usize;
-        let hi = self.out_offsets[v.index() + 1] as usize;
-        self.out_targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.out_edge_ids[lo..hi].iter().copied())
+        self.arcs(v, false)
     }
 
     /// Incoming neighbours of `v` as `(tail, edge)` pairs.
     #[inline]
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        self.in_sources[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.in_edge_ids[lo..hi].iter().copied())
+        self.arcs(v, true)
     }
 
     /// Out-degree of `v`.
@@ -382,15 +410,14 @@ impl Graph {
     /// Returns whether the stored speed actually moved. A no-op update
     /// (the post-clamp speed is bitwise what the edge already carries)
     /// does **not** bump the weights epoch: a redundant telemetry echo
-    /// must not un-mount the frozen graph or mark ALT/CH/CCH stale for
-    /// nothing.
+    /// must not mark ALT/CH/CCH stale for nothing.
     pub fn set_edge_speed(&mut self, e: EdgeId, speed_kmh: f64) -> bool {
         let new = clamp_edge_speed(speed_kmh);
         let old = self.edge_records[e.index()].attrs.speed_kmh;
         if new.to_bits() == old.to_bits() {
             return false;
         }
-        self.edge_records[e.index()].attrs.speed_kmh = new;
+        self.store_speed(e, new);
         if new >= self.max_speed_kmh {
             self.max_speed_kmh = new;
         } else if old == self.max_speed_kmh {
@@ -427,7 +454,7 @@ impl Graph {
             if new.to_bits() == old.to_bits() {
                 continue;
             }
-            self.edge_records[e.index()].attrs.speed_kmh = new;
+            self.store_speed(e, new);
             if new >= self.max_speed_kmh {
                 self.max_speed_kmh = new;
             } else if old == self.max_speed_kmh {
@@ -442,6 +469,14 @@ impl Graph {
             self.weights_epoch += 1;
         }
         delta
+    }
+
+    /// Writes a clamped speed into edge `e`'s record and its travel time
+    /// into the weight column, which must never lag the record.
+    fn store_speed(&mut self, e: EdgeId, speed_kmh: f64) {
+        let attrs = &mut self.edge_records[e.index()].attrs;
+        attrs.speed_kmh = speed_kmh;
+        self.travel_time_s[e.index()] = attrs.travel_time_s();
     }
 
     /// Exact `max` fold over every edge speed — the slow path behind the
@@ -544,7 +579,7 @@ impl Graph {
 ///
 /// Real drivers concentrate on such corridors, and node2vec embeddings
 /// encode exactly this kind of topological centrality — the trajectory
-/// simulator uses this to give frozen-embedding models (PR-A1) a fair,
+/// simulator uses this to give fixed-embedding models (PR-A1) a fair,
 /// realistic learnable signal.
 pub fn edge_popularity(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
     use rand::rngs::StdRng;
@@ -786,9 +821,8 @@ mod tests {
         let e = g.find_edge(VertexId(0), VertexId(1)).unwrap();
         let base = g.edge(e).attrs.speed_kmh;
         assert_eq!(g.weights_epoch(), 0);
-        // Regression: a redundant telemetry echo used to bump the epoch,
-        // un-mounting the frozen graph and marking every ALT/CH/CCH
-        // index stale for nothing.
+        // A redundant telemetry echo must not bump the epoch: that would
+        // mark every ALT/CH/CCH index stale for nothing.
         assert!(!g.set_edge_speed(e, base));
         assert_eq!(g.weights_epoch(), 0);
         assert!(g.set_edge_speeds(&[(e, base)]).is_empty());

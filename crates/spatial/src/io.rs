@@ -44,17 +44,6 @@
 //! ranges and shortcut topology, and reject corrupt input with
 //! [`SpatialError::Parse`] rather than building an index that would
 //! silently mis-route.
-//!
-//! The cache-compact serving form ([`FrozenGraph`]) is the one
-//! **binary** format: [`write_frozen`] / [`read_frozen`] persist it as
-//! a versioned, alignment-padded little-endian section file (24-byte
-//! magic, fixed-width header, a section table of `(tag, offset, len)`
-//! entries, 8-byte-aligned payloads, FNV-1a-64 trailer checksum) —
-//! fixed-width records at stable offsets, so a future loader can map
-//! the arc array straight off disk without a parse step. The writer is
-//! deterministic, making the round trip byte-stable, and the reader
-//! validates the checksum, every section bound and every record before
-//! constructing the graph.
 
 use std::io::{BufRead, Write};
 
@@ -63,7 +52,6 @@ use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
 use crate::algo::landmarks::{LandmarkMetric, LandmarkTable};
 use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
-use crate::frozen::{FrozenArc, FrozenGraph};
 use crate::geo::LocalProjection;
 use crate::geometry::Point;
 use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
@@ -917,285 +905,6 @@ pub fn load_graph_auto(path: &std::path::Path) -> Result<LoadedGraph, SpatialErr
     }
 }
 
-/// 24-byte magic of the frozen binary section format: the version
-/// string NUL-padded to an 8-byte-aligned width, so every payload that
-/// follows the fixed-width header starts aligned.
-const FROZEN_MAGIC: &[u8; 24] = b"pathrank-frozen v1\0\0\0\0\0\0";
-
-/// Section tags of the frozen binary format, in file order.
-const FROZEN_SECTION_TAGS: [u64; 4] = [1, 2, 3, 4];
-
-/// FNV-1a 64-bit — the trailer checksum of the frozen binary format
-/// (dependency-free, byte-order independent, catches the truncations
-/// and bit flips a section-table parse alone would miss).
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Rounds `x` up to the next multiple of 8 (section payloads are padded
-/// so every section starts 8-byte aligned — the precondition for a
-/// future zero-copy arc-array mapping).
-fn align8(x: usize) -> usize {
-    (x + 7) & !7
-}
-
-/// Serialises a [`FrozenGraph`] to the v1 binary section format.
-///
-/// Layout, all integers little-endian:
-///
-/// ```text
-/// [ 0..24)  magic "pathrank-frozen v1" NUL-padded
-/// [24..56)  header: vertex_count, edge_count, weights_epoch,
-///           section_count (4) — four u64s
-/// [56..152) section table: 4 × (tag, absolute offset, byte len) u64s
-///           tag 1 coords_f32   n × (f32, f32)
-///           tag 2 fwd_offsets  (n + 1) × u32
-///           tag 3 bwd_offsets  (n + 1) × u32
-///           tag 4 arcs         2m × (u32 target, u32 edge_id,
-///                                    f64 length_m, f64 travel_time_s)
-/// [152.. )  payloads in tag order, each zero-padded to 8-byte alignment
-/// [-8..  )  FNV-1a-64 checksum over every preceding byte
-/// ```
-///
-/// The writer is fully deterministic (fixed widths, fixed order), so
-/// serialising a reloaded graph reproduces the input byte-for-byte.
-pub fn frozen_to_bytes(fz: &FrozenGraph) -> Vec<u8> {
-    let n = fz.vertex_count();
-    let m = fz.edge_count();
-    let coords_len = n * 8;
-    let offs_len = (n + 1) * 4;
-    let arcs_len = 2 * m * 24;
-    let table_end = 24 + 32 + FROZEN_SECTION_TAGS.len() * 24;
-    debug_assert_eq!(table_end % 8, 0);
-    let coords_off = table_end;
-    let fwd_off = coords_off + align8(coords_len);
-    let bwd_off = fwd_off + align8(offs_len);
-    let arcs_off = bwd_off + align8(offs_len);
-    let total = arcs_off + align8(arcs_len) + 8;
-
-    let mut buf = Vec::with_capacity(total);
-    buf.extend_from_slice(FROZEN_MAGIC);
-    for v in [
-        n as u64,
-        m as u64,
-        fz.weights_epoch(),
-        FROZEN_SECTION_TAGS.len() as u64,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    for (tag, off, len) in [
-        (FROZEN_SECTION_TAGS[0], coords_off, coords_len),
-        (FROZEN_SECTION_TAGS[1], fwd_off, offs_len),
-        (FROZEN_SECTION_TAGS[2], bwd_off, offs_len),
-        (FROZEN_SECTION_TAGS[3], arcs_off, arcs_len),
-    ] {
-        buf.extend_from_slice(&tag.to_le_bytes());
-        buf.extend_from_slice(&(off as u64).to_le_bytes());
-        buf.extend_from_slice(&(len as u64).to_le_bytes());
-    }
-    debug_assert_eq!(buf.len(), coords_off);
-    for &(x, y) in fz.coords_f32() {
-        buf.extend_from_slice(&x.to_le_bytes());
-        buf.extend_from_slice(&y.to_le_bytes());
-    }
-    buf.resize(fwd_off, 0);
-    for &o in &fz.fwd_offsets {
-        buf.extend_from_slice(&o.to_le_bytes());
-    }
-    buf.resize(bwd_off, 0);
-    for &o in &fz.bwd_offsets {
-        buf.extend_from_slice(&o.to_le_bytes());
-    }
-    buf.resize(arcs_off, 0);
-    for a in &fz.arcs {
-        buf.extend_from_slice(&a.target.to_le_bytes());
-        buf.extend_from_slice(&a.edge_id.to_le_bytes());
-        buf.extend_from_slice(&a.length_m.to_le_bytes());
-        buf.extend_from_slice(&a.travel_time_s.to_le_bytes());
-    }
-    buf.resize(total - 8, 0);
-    let checksum = fnv1a64(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// Writes a [`FrozenGraph`] in the v1 binary section format (see
-/// [`frozen_to_bytes`] for the layout).
-pub fn write_frozen<W: Write>(fz: &FrozenGraph, out: &mut W) -> std::io::Result<()> {
-    out.write_all(&frozen_to_bytes(fz))
-}
-
-/// Parses a [`FrozenGraph`] from its v1 binary representation,
-/// validating the magic, the trailer checksum, every section bound and
-/// every record; any mismatch is [`SpatialError::Parse`].
-pub fn frozen_from_bytes(data: &[u8]) -> Result<FrozenGraph, SpatialError> {
-    let parse = |msg: String| SpatialError::Parse(msg);
-    let table_end = 24 + 32 + FROZEN_SECTION_TAGS.len() * 24;
-    if data.len() < table_end + 8 {
-        return Err(parse(format!(
-            "frozen section too short: {} bytes",
-            data.len()
-        )));
-    }
-    if &data[..24] != FROZEN_MAGIC {
-        return Err(parse("bad frozen magic".into()));
-    }
-    let body = &data[..data.len() - 8];
-    let stored = u64::from_le_bytes(data[data.len() - 8..].try_into().expect("8 bytes"));
-    if fnv1a64(body) != stored {
-        return Err(parse("frozen checksum mismatch".into()));
-    }
-    let rd_u64 = |off: usize| u64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-    let n = usize::try_from(rd_u64(24)).map_err(|_| parse("vertex count overflow".into()))?;
-    let m = usize::try_from(rd_u64(32)).map_err(|_| parse("edge count overflow".into()))?;
-    let weights_epoch = rd_u64(40);
-    if rd_u64(48) != FROZEN_SECTION_TAGS.len() as u64 {
-        return Err(parse(format!("unexpected section count {}", rd_u64(48))));
-    }
-    // Expected exact payload sizes; checked arithmetic so a corrupt
-    // count cannot overflow the bounds checks below.
-    let coords_len = n
-        .checked_mul(8)
-        .ok_or_else(|| parse("coords overflow".into()))?;
-    let offs_len = n
-        .checked_add(1)
-        .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| parse("offsets overflow".into()))?;
-    let arcs_len = m
-        .checked_mul(48)
-        .ok_or_else(|| parse("arcs overflow".into()))?;
-    let expected_lens = [coords_len, offs_len, offs_len, arcs_len];
-
-    let mut sections = [(0usize, 0usize); 4];
-    let mut cursor = table_end;
-    for (i, section) in sections.iter_mut().enumerate() {
-        let base = 56 + i * 24;
-        let tag = rd_u64(base);
-        if tag != FROZEN_SECTION_TAGS[i] {
-            return Err(parse(format!("section {i}: unexpected tag {tag}")));
-        }
-        let off = usize::try_from(rd_u64(base + 8))
-            .map_err(|_| parse(format!("section {i}: offset overflow")))?;
-        let len = usize::try_from(rd_u64(base + 16))
-            .map_err(|_| parse(format!("section {i}: length overflow")))?;
-        if off % 8 != 0 || off != cursor {
-            return Err(parse(format!("section {i}: misaligned offset {off}")));
-        }
-        if len != expected_lens[i] {
-            return Err(parse(format!(
-                "section {i}: {len} bytes, expected {}",
-                expected_lens[i]
-            )));
-        }
-        if off
-            .checked_add(align8(len))
-            .is_none_or(|end| end > body.len())
-        {
-            return Err(parse(format!("section {i}: out of bounds")));
-        }
-        *section = (off, len);
-        cursor = off + align8(len);
-    }
-    if cursor + 8 != data.len() {
-        return Err(parse(format!(
-            "trailing bytes after frozen sections: {} of {}",
-            cursor + 8,
-            data.len()
-        )));
-    }
-
-    let (coords_off, _) = sections[0];
-    let mut coords_f32 = Vec::with_capacity(n);
-    for i in 0..n {
-        let base = coords_off + i * 8;
-        let x = f32::from_le_bytes(data[base..base + 4].try_into().expect("4 bytes"));
-        let y = f32::from_le_bytes(data[base + 4..base + 8].try_into().expect("4 bytes"));
-        if !x.is_finite() || !y.is_finite() {
-            return Err(parse(format!("vertex {i}: non-finite coordinate")));
-        }
-        coords_f32.push((x, y));
-    }
-
-    let read_offsets = |off: usize, first: u32, last: u32| -> Result<Vec<u32>, SpatialError> {
-        let mut out = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            let base = off + i * 4;
-            let v = u32::from_le_bytes(data[base..base + 4].try_into().expect("4 bytes"));
-            if let Some(&prev) = out.last() {
-                if v < prev {
-                    return Err(parse(format!("offset {i}: {v} not monotone")));
-                }
-            }
-            out.push(v);
-        }
-        if out[0] != first || out[n] != last {
-            return Err(parse(format!(
-                "offset range [{}, {}] does not span [{first}, {last}]",
-                out[0], out[n]
-            )));
-        }
-        Ok(out)
-    };
-    let two_m = u32::try_from(2 * m).map_err(|_| parse("arc count overflow".into()))?;
-    let fwd_offsets = read_offsets(sections[1].0, 0, two_m / 2)?;
-    let bwd_offsets = read_offsets(sections[2].0, two_m / 2, two_m)?;
-
-    let (arcs_off, _) = sections[3];
-    let mut arcs = Vec::with_capacity(2 * m);
-    for i in 0..2 * m {
-        let base = arcs_off + i * 24;
-        let target = u32::from_le_bytes(data[base..base + 4].try_into().expect("4 bytes"));
-        let edge_id = u32::from_le_bytes(data[base + 4..base + 8].try_into().expect("4 bytes"));
-        let length_m = f64::from_le_bytes(data[base + 8..base + 16].try_into().expect("8 bytes"));
-        let travel_time_s =
-            f64::from_le_bytes(data[base + 16..base + 24].try_into().expect("8 bytes"));
-        if target as usize >= n {
-            return Err(parse(format!("arc {i}: target {target} out of range")));
-        }
-        if edge_id as usize >= m {
-            return Err(parse(format!("arc {i}: edge id {edge_id} out of range")));
-        }
-        if !(length_m.is_finite() && length_m > 0.0) {
-            return Err(parse(format!("arc {i}: invalid length {length_m}")));
-        }
-        if !(travel_time_s.is_finite() && travel_time_s > 0.0) {
-            return Err(parse(format!(
-                "arc {i}: invalid travel time {travel_time_s}"
-            )));
-        }
-        arcs.push(FrozenArc {
-            target,
-            edge_id,
-            length_m,
-            travel_time_s,
-        });
-    }
-
-    Ok(FrozenGraph {
-        vertex_count: u32::try_from(n).map_err(|_| parse("vertex count overflow".into()))?,
-        edge_count: u32::try_from(m).map_err(|_| parse("edge count overflow".into()))?,
-        fwd_offsets,
-        bwd_offsets,
-        arcs,
-        coords_f32,
-        weights_epoch,
-    })
-}
-
-/// Reads a [`FrozenGraph`] in the v1 binary section format.
-pub fn read_frozen<R: std::io::Read>(mut input: R) -> Result<FrozenGraph, SpatialError> {
-    let mut data = Vec::new();
-    input
-        .read_to_end(&mut data)
-        .map_err(|e| SpatialError::Parse(e.to_string()))?;
-    frozen_from_bytes(&data)
-}
-
 fn parse_count(line: &str, keyword: &str) -> Result<usize, SpatialError> {
     let mut it = line.split_ascii_whitespace();
     if it.next() != Some(keyword) {
@@ -1265,67 +974,6 @@ mod tests {
         let g = grid_network(&GridConfig::small_test(), 13);
         let text = graph_to_string(&g).replace('\n', "\n\n");
         assert_eq!(graph_from_str(&text).unwrap(), g);
-    }
-
-    mod frozen_bin {
-        use super::*;
-        use crate::frozen::FrozenGraph;
-
-        fn frozen() -> FrozenGraph {
-            FrozenGraph::freeze(&region_network(&RegionConfig::small_test(), 23))
-        }
-
-        #[test]
-        fn frozen_roundtrip_is_bit_identical_and_byte_stable() {
-            let fz = frozen();
-            let bytes = frozen_to_bytes(&fz);
-            let back = frozen_from_bytes(&bytes).unwrap();
-            // PartialEq covers every field, including f64 weight bits.
-            assert_eq!(back, fz);
-            // Deterministic writer: the second trip reproduces the bytes.
-            assert_eq!(frozen_to_bytes(&back), bytes);
-            // The streaming entry points agree with the in-memory ones.
-            let mut out = Vec::new();
-            write_frozen(&fz, &mut out).unwrap();
-            assert_eq!(out, bytes);
-            assert_eq!(read_frozen(&bytes[..]).unwrap(), fz);
-        }
-
-        #[test]
-        fn frozen_rejects_corrupt_input() {
-            let fz = frozen();
-            let bytes = frozen_to_bytes(&fz);
-            // Truncations at every structural boundary.
-            for cut in [0, 10, 24, 55, 151, bytes.len() / 2, bytes.len() - 1] {
-                assert!(frozen_from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-            }
-            // Any single bit flip trips the checksum (or a field check).
-            for pos in [0, 30, 60, 200, bytes.len() - 20, bytes.len() - 1] {
-                let mut bad = bytes.clone();
-                bad[pos] ^= 0x40;
-                assert!(frozen_from_bytes(&bad).is_err(), "flip at {pos}");
-            }
-            // Wrong magic version.
-            let mut bad = bytes.clone();
-            bad[..24].copy_from_slice(b"pathrank-frozen v9\0\0\0\0\0\0");
-            assert!(frozen_from_bytes(&bad).is_err());
-            // Trailing content is corruption, not slack.
-            let mut doubled = bytes.clone();
-            doubled.extend_from_slice(&bytes);
-            assert!(frozen_from_bytes(&doubled).is_err());
-            let mut padded = bytes.clone();
-            padded.extend_from_slice(&[0u8; 8]);
-            assert!(frozen_from_bytes(&padded).is_err());
-            // The text readers refuse the binary section and vice versa.
-            assert!(graph_from_str(std::str::from_utf8(&bytes[..24]).unwrap_or("x")).is_err());
-        }
-
-        #[test]
-        fn frozen_empty_graph_roundtrips() {
-            let fz = FrozenGraph::freeze(&GraphBuilder::new().build());
-            let bytes = frozen_to_bytes(&fz);
-            assert_eq!(frozen_from_bytes(&bytes).unwrap(), fz);
-        }
     }
 
     mod imported {
@@ -1661,6 +1309,12 @@ mod tests {
                     );
                 }
             }
+        }
+
+        fn fnv1a64(data: &[u8]) -> u64 {
+            data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
         }
 
         #[test]

@@ -3,8 +3,10 @@
 //! This crate provides everything PathRank needs from a spatial network:
 //!
 //! * a compact CSR-based directed [`graph::Graph`] with planar vertex
-//!   coordinates and per-edge attributes (length, speed category, travel
-//!   time);
+//!   coordinates, per-edge attributes (length, speed, road category) and
+//!   one flat weight column per graph metric (length, travel time) — the
+//!   only runtime graph: every search relaxes it, live speed updates
+//!   rewrite its travel-time column in place;
 //! * deterministic synthetic [`generators`] that produce road networks with
 //!   realistic structure (grid towns, ring-radial cities, multi-town
 //!   regions connected by highways) — the substitute for the proprietary
@@ -20,11 +22,8 @@
 //!   generation-stamped query layer in [`algo::engine`];
 //! * path [`similarity`] measures, most importantly the weighted Jaccard
 //!   similarity that defines PathRank's ground-truth ranking scores;
-//! * a cache-compact serving form ([`frozen::FrozenGraph`]): one merged
-//!   forward/backward CSR with inlined per-metric weights, bit-identical
-//!   to builder-graph searches, persisted as a fixed-width binary
-//!   section by [`io`]; and a packed STR-bulk-loaded [`rtree::RTree`]
-//!   over edge polyline segments for GPS candidate snapping.
+//! * a packed STR-bulk-loaded [`rtree::RTree`] over edge polyline
+//!   segments for GPS candidate snapping.
 //!
 //! # Quick example
 //!
@@ -45,7 +44,6 @@
 pub mod algo;
 pub mod builder;
 pub mod error;
-pub mod frozen;
 pub mod generators;
 pub mod geo;
 pub mod geometry;
@@ -60,7 +58,6 @@ pub mod util;
 pub use algo::engine::QueryEngine;
 pub use builder::GraphBuilder;
 pub use error::SpatialError;
-pub use frozen::{FrozenArc, FrozenGraph};
 pub use graph::{CostModel, EdgeId, Graph, RoadCategory, VertexId};
 pub use path::Path;
 pub use rtree::RTree;

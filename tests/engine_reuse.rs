@@ -8,17 +8,26 @@
 //! vertex/edge sets and algorithms — and require **bit-identical** output
 //! (vertex/edge id sequences and `f64` distances compared with `==`)
 //! versus fresh-allocation runs.
+//!
+//! The graph's weight columns are reusable state of the same kind, one
+//! level down: a travel time left behind by a speed update that did not
+//! reach its column is served by every later search. The property at the
+//! end holds the columns to the edge records under random update batches.
 
+use pathrank::obs::Registry;
 use pathrank::spatial::algo::dijkstra::{
     constrained_shortest_path, shortest_path, shortest_path_tree,
 };
-use pathrank::spatial::algo::engine::QueryEngine;
+use pathrank::spatial::algo::engine::{EngineObs, QueryEngine};
 use pathrank::spatial::algo::yen::yen_k_shortest;
 use pathrank::spatial::algo::{astar_shortest_path, bidirectional_shortest_path};
+use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::generators::{grid_network, region_network, GridConfig, RegionConfig};
-use pathrank::spatial::graph::{CostModel, Graph, VertexId};
+use pathrank::spatial::geometry::Point;
+use pathrank::spatial::graph::{CostModel, EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use pathrank::spatial::path::Path;
 use pathrank::spatial::util::BitSet;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -254,5 +263,112 @@ fn tree_views_reflect_only_the_latest_query() {
             "{v:?}: {} vs {expect}",
             partial_tree.dist[v.index()]
         );
+    }
+}
+
+const MAX_N: usize = 10;
+
+/// `(settled, pushed)` totals a registry collected from its engine.
+fn search_work(registry: &Registry) -> (u64, u64) {
+    let snap = registry.snapshot();
+    (
+        snap.counter_total("pathrank_engine_settled_nodes_total", &[]),
+        snap.counter_total("pathrank_engine_heap_pushes_total", &[]),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After any sequence of speed updates both weight columns equal the
+    /// edge records bit for bit, and a `TravelTime` search is the search
+    /// over a freshly derived `Custom` vector: same distances, parents,
+    /// paths, settled and pushed counts. The edge list is not
+    /// deduplicated, so parallel edges occur (self-loops cannot:
+    /// `GraphBuilder::add_edge` rejects them). Update kinds: 0 echoes the
+    /// stored speed, 1 and 2 fall outside the clamp band, the rest are
+    /// ordinary; every batch hits its first edge twice.
+    #[test]
+    fn engine_columns_never_go_stale(
+        n in 2usize..MAX_N,
+        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..40),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..64, 0u8..6, 0.2f64..250.0), 1..8),
+            1..4,
+        ),
+    ) {
+        let mut b = GraphBuilder::new();
+        let vs: Vec<VertexId> = coords[..n]
+            .iter()
+            .map(|&(x, y)| b.add_vertex(Point::new(x, y)))
+            .collect();
+        for &(f, t, w) in &edges {
+            let (f, t) = (f % n, t % n);
+            if f != t {
+                let category = RoadCategory::ALL[w as usize % 4];
+                b.add_edge(vs[f], vs[t], EdgeAttrs::with_default_speed(w as f64, category))
+                    .unwrap();
+            }
+        }
+        let mut g = b.build();
+        let m = g.edge_count();
+        prop_assume!(m > 0);
+
+        for (round, batch) in batches.iter().enumerate() {
+            let mut updates: Vec<(EdgeId, f64)> = batch
+                .iter()
+                .map(|&(e, kind, speed)| {
+                    let e = EdgeId((e % m) as u32);
+                    let speed = match kind {
+                        0 => g.edge(e).attrs.speed_kmh,
+                        1 => 1e-308,
+                        2 => 1e9,
+                        _ => speed,
+                    };
+                    (e, speed)
+                })
+                .collect();
+            updates.push((updates[0].0, 77.0 + round as f64));
+            if round % 2 == 0 {
+                g.set_edge_speeds(&updates);
+            } else {
+                for &(e, speed) in &updates {
+                    g.set_edge_speed(e, speed);
+                }
+            }
+
+            let bits = |column: &[f64]| column.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            let lengths: Vec<f64> = g.edges().map(|e| e.attrs.length_m).collect();
+            let fresh: Vec<f64> = g.edges().map(|e| e.attrs.travel_time_s()).collect();
+            prop_assert_eq!(bits(CostModel::Length.weights(&g)), bits(&lengths));
+            prop_assert_eq!(bits(CostModel::TravelTime.weights(&g)), bits(&fresh));
+
+            let (by_column, by_vector) = (Registry::new(), Registry::new());
+            let mut column = QueryEngine::new(&g).with_obs(EngineObs::new(&by_column));
+            let mut vector = QueryEngine::new(&g).with_obs(EngineObs::new(&by_vector));
+            for s in g.vertices() {
+                let tree = |engine: &mut QueryEngine<'_>, cost| {
+                    let view = engine.one_to_all(s, cost);
+                    g.vertices()
+                        .map(|v| (view.dist(v).to_bits(), view.parent_of(v)))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(
+                    tree(&mut column, CostModel::TravelTime),
+                    tree(&mut vector, CostModel::Custom(&fresh)),
+                    "tree from {:?} diverged after batch {}", s, round
+                );
+                for t in g.vertices() {
+                    prop_assert_eq!(
+                        column.shortest_path(s, t, CostModel::TravelTime),
+                        vector.shortest_path(s, t, CostModel::Custom(&fresh)),
+                        "{:?}->{:?} diverged after batch {}", s, t, round
+                    );
+                }
+            }
+            prop_assert_eq!(search_work(&by_column), search_work(&by_vector));
+            prop_assert!(search_work(&by_column).0 > 0, "registries must be live");
+        }
     }
 }
