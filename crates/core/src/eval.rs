@@ -90,14 +90,13 @@ pub fn evaluate_with(
 /// Evaluates a trained PathRank model on test groups.
 pub fn evaluate_model(model: &PathRankModel, groups: &[TrainingGroup]) -> EvalResult {
     evaluate_with(groups, |group| {
-        group
+        let paths: Vec<Vec<u32>> = group
             .candidates
             .iter()
-            .map(|c| {
-                let vertices: Vec<u32> = c.path.vertices().iter().map(|v| v.0).collect();
-                model.score_path(&vertices) as f64
-            })
-            .collect()
+            .map(|c| c.path.vertices().iter().map(|v| v.0).collect())
+            .collect();
+        let scores = model.score_paths(&paths);
+        scores.into_iter().map(f64::from).collect()
     })
 }
 

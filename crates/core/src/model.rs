@@ -25,7 +25,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use pathrank_nn::layers::{Embedding, GruCell, Linear, LstmCell};
+use pathrank_nn::infer;
+use pathrank_nn::layers::{Embedding, Encoder, GruCell, Linear, LstmCell};
 use pathrank_nn::matrix::Matrix;
 use pathrank_nn::params::ParamStore;
 use pathrank_nn::tape::{Tape, Var};
@@ -95,12 +96,6 @@ impl ModelConfig {
     }
 }
 
-enum Encoder {
-    Gru(GruCell),
-    Lstm(LstmCell),
-    MeanPool,
-}
-
 /// The PathRank model: embedding → sequence encoder → FC head (+ optional
 /// auxiliary head).
 pub struct PathRankModel {
@@ -145,10 +140,7 @@ impl PathRankModel {
             )),
             EncoderKind::MeanPool => Encoder::MeanPool,
         };
-        let encoder_out = match cfg.encoder {
-            EncoderKind::MeanPool => cfg.dim,
-            _ => cfg.hidden,
-        };
+        let encoder_out = encoder.out_dim(cfg.dim);
         let head = Linear::new(&mut store, "head", encoder_out, 1, &mut rng);
         let aux_head = (cfg.multi_task_weight > 0.0)
             .then(|| Linear::new(&mut store, "aux_head", encoder_out, 2, &mut rng));
@@ -191,11 +183,7 @@ impl PathRankModel {
                 self.embedding.lookup_trainable(tape, vertices)
             }
         };
-        let encoded = match &self.encoder {
-            Encoder::Gru(cell) => cell.run_sequence(tape, xs),
-            Encoder::Lstm(cell) => cell.run_sequence(tape, xs),
-            Encoder::MeanPool => tape.mean_rows(xs),
-        };
+        let encoded = self.encoder.run_sequence(tape, xs);
         let logit = self.head.forward(tape, encoded);
         let pred = tape.sigmoid(logit);
         (pred, encoded)
@@ -234,18 +222,28 @@ impl PathRankModel {
         }
     }
 
-    /// Scores one path (inference): builds a throwaway tape and runs the
-    /// forward pass.
+    /// Scores one path (inference): [`PathRankModel::score_paths`] of a
+    /// batch of one.
     pub fn score_path(&self, vertices: &[u32]) -> f32 {
-        let mut tape = Tape::new(&self.store);
-        let pred = self.forward(&mut tape, vertices);
-        tape.scalar(pred)
+        self.score(&[vertices])[0]
     }
 
-    /// Scores a batch of paths; candidates are independent, so this is just
-    /// a loop (kept for API symmetry with the trainer's batching).
+    /// Scores a batch of paths — the candidates of one request — in one
+    /// sweep of the forward-only kernel ([`pathrank_nn::infer`]). Each
+    /// score is, bit for bit, what [`PathRankModel::forward`] computes on
+    /// a tape, whatever else is in the batch.
     pub fn score_paths(&self, paths: &[Vec<u32>]) -> Vec<f32> {
-        paths.iter().map(|p| self.score_path(p)).collect()
+        self.score(paths)
+    }
+
+    fn score<P: AsRef<[u32]>>(&self, paths: &[P]) -> Vec<f32> {
+        infer::score_paths(
+            &self.store,
+            &self.embedding,
+            &self.encoder,
+            &self.head,
+            paths,
+        )
     }
 }
 
@@ -292,7 +290,7 @@ mod tests {
             let loss = model.loss(&mut tape, &[1, 2, 3], 0.7, None);
             let mut grads = GradStore::new(&model.store);
             tape.backward(loss, &mut grads);
-            let emb_grad = grads.get(model.embedding.table).is_some();
+            let emb_grad = grads.row(model.embedding.table, 2).is_some();
             assert_eq!(emb_grad, expect_grad, "mode {mode:?}");
         }
     }

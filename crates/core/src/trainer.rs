@@ -119,22 +119,23 @@ pub fn train(model: &mut PathRankModel, samples: &[Sample], cfg: &TrainConfig) -
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut opt = Adam::new(cfg.lr);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+    // One gradient store per worker, reused from batch to batch.
+    let mut stores = vec![GradStore::new(&model.store); cfg.threads.max(1)];
 
-    for epoch in 0..cfg.epochs {
+    for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f64;
         for batch in order.chunks(cfg.batch_size.max(1)) {
-            let (mut grads, loss_sum) = batch_gradients(model, samples, batch, cfg.threads);
+            epoch_loss += batch_gradients(model, samples, batch, &mut stores);
+            let grads = &mut stores[0];
             grads.scale(1.0 / batch.len() as f32);
             if cfg.clip_norm > 0.0 {
                 grads.clip_global_norm(cfg.clip_norm);
             }
-            opt.step(&mut model.store, &grads);
-            epoch_loss += loss_sum;
+            opt.step(&mut model.store, grads);
         }
         epoch_losses.push(epoch_loss / samples.len() as f64);
         opt.set_learning_rate(opt.learning_rate() * cfg.lr_decay);
-        let _ = epoch;
     }
     TrainReport {
         epoch_losses,
@@ -142,22 +143,25 @@ pub fn train(model: &mut PathRankModel, samples: &[Sample], cfg: &TrainConfig) -
     }
 }
 
-/// Computes summed gradients and loss for one batch, in parallel.
+/// Computes the gradients of one batch, one contiguous share of it per
+/// store and thread, and sums them into `stores[0]` in store order.
+/// Returns the summed loss.
 fn batch_gradients(
     model: &PathRankModel,
     samples: &[Sample],
     batch: &[usize],
-    threads: usize,
-) -> (GradStore, f64) {
-    let threads = threads.max(1).min(batch.len());
+    stores: &mut [GradStore],
+) -> f64 {
+    stores.iter_mut().for_each(GradStore::clear);
+    let threads = stores.len().min(batch.len());
     if threads == 1 {
-        return worker(model, samples, batch);
+        return worker(model, samples, batch, &mut stores[0]);
     }
-    let chunk = batch.len().div_ceil(threads);
-    let partials: Vec<(GradStore, f64)> = thread::scope(|scope| {
-        let handles: Vec<_> = batch
-            .chunks(chunk)
-            .map(|ids| scope.spawn(move |_| worker(model, samples, ids)))
+    let shares = batch.chunks(batch.len().div_ceil(threads));
+    let losses: Vec<f64> = thread::scope(|scope| {
+        let handles: Vec<_> = shares
+            .zip(stores.iter_mut())
+            .map(|(ids, grads)| scope.spawn(move |_| worker(model, samples, ids, grads)))
             .collect();
         handles
             .into_iter()
@@ -166,26 +170,23 @@ fn batch_gradients(
     })
     .expect("thread scope failed");
 
-    let mut iter = partials.into_iter();
-    let (mut grads, mut loss) = iter.next().expect("at least one worker");
-    for (g, l) in iter {
-        grads.merge(&g);
-        loss += l;
+    let (grads, rest) = stores.split_first_mut().expect("at least one store");
+    for g in rest.iter() {
+        grads.merge(g);
     }
-    (grads, loss)
+    losses.into_iter().sum()
 }
 
-fn worker(model: &PathRankModel, samples: &[Sample], ids: &[usize]) -> (GradStore, f64) {
-    let mut grads = GradStore::new(&model.store);
+fn worker(model: &PathRankModel, samples: &[Sample], ids: &[usize], grads: &mut GradStore) -> f64 {
     let mut loss_sum = 0.0f64;
     for &i in ids {
         let s = &samples[i];
         let mut tape = Tape::new(&model.store);
         let loss = model.loss(&mut tape, &s.vertices, s.score, s.aux);
         loss_sum += tape.scalar(loss) as f64;
-        tape.backward(loss, &mut grads);
+        tape.backward(loss, grads);
     }
-    (grads, loss_sum)
+    loss_sum
 }
 
 #[cfg(test)]

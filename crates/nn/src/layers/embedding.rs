@@ -62,12 +62,7 @@ impl Embedding {
 
     /// Frozen lookup: gathers `indices` rows as a constant (PR-A1).
     pub fn lookup_frozen(&self, tape: &mut Tape<'_>, store: &ParamStore, indices: &[u32]) -> Var {
-        let table = store.value(self.table);
-        let mut out = Matrix::zeros(indices.len(), self.dim);
-        for (i, &ix) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(table.row(ix as usize));
-        }
-        tape.input(out)
+        tape.input(store.value(self.table).gather_rows(indices))
     }
 }
 
@@ -108,10 +103,12 @@ mod tests {
         let loss = tape.mse_scalar(y, 0.0);
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
-        let g = grads.get(emb.table).unwrap();
-        assert_ne!(g.row(0), &[0.0, 0.0]);
-        assert_eq!(g.row(1), &[0.0, 0.0], "untouched row stays zero");
-        assert_ne!(g.row(2), &[0.0, 0.0]);
+        assert_ne!(grads.row(emb.table, 0).unwrap(), &[0.0, 0.0]);
+        assert!(
+            grads.row(emb.table, 1).is_none(),
+            "an untouched row is not held"
+        );
+        assert_ne!(grads.row(emb.table, 2).unwrap(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -126,7 +123,7 @@ mod tests {
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         assert!(
-            grads.get(emb.table).is_none(),
+            (0..3).all(|r| grads.row(emb.table, r).is_none()),
             "frozen table must receive no gradient"
         );
     }

@@ -12,6 +12,7 @@
 
 use rand::rngs::StdRng;
 
+use crate::infer::{gate_rows, sigmoid};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
@@ -102,6 +103,40 @@ impl GruCell {
         let keep = tape.mul(omz, h);
         let write = tape.mul(z, c);
         tape.add(keep, write)
+    }
+
+    /// How many `rows × H` blocks [`GruCell::step_rows`] needs as scratch.
+    pub(crate) const SCRATCH_BLOCKS: usize = 4;
+
+    /// [`GruCell::step`] without a tape, for the first `live` rows of
+    /// row-major blocks: `x` holds one input per row, `h` one hidden state,
+    /// updated in place.
+    pub(crate) fn step_rows(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        h: &mut [f32],
+        live: usize,
+        scratch: &mut [f32],
+    ) {
+        let n = live * self.hidden_dim;
+        let h = &mut h[..n];
+        let mut blocks = scratch.chunks_exact_mut(scratch.len() / Self::SCRATCH_BLOCKS);
+        let mut block = || &mut blocks.next().expect("four scratch blocks")[..n];
+        let (xw, z, r, c) = (block(), block(), block(), block());
+
+        gate_rows(store, (self.wz, self.uz, self.bz), x, h, live, xw, z);
+        gate_rows(store, (self.wr, self.ur, self.br), x, h, live, xw, r);
+        for ((z, r), &h) in z.iter_mut().zip(r.iter_mut()).zip(h.iter()) {
+            *z = sigmoid(*z);
+            *r = sigmoid(*r) * h;
+        }
+        gate_rows(store, (self.wh, self.uh, self.bh), x, r, live, xw, c);
+        for ((h, &z), &c) in h.iter_mut().zip(z.iter()).zip(c.iter()) {
+            let keep = (1.0 - z) * *h;
+            let write = z * c.tanh();
+            *h = keep + write;
+        }
     }
 
     /// Runs the cell over a sequence `xs` (`L × in`, one row per step) from

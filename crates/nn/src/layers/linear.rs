@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 
+use crate::infer::rows_times;
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
@@ -54,6 +55,19 @@ impl Linear {
         let b = tape.param(self.b);
         let xw = tape.matmul(x, w);
         tape.add_bias(xw, b)
+    }
+
+    /// [`Linear::forward`] without a tape: `out = x·W + b` for `rows` rows
+    /// of row-major blocks.
+    pub(crate) fn forward_rows(&self, store: &ParamStore, x: &[f32], rows: usize, out: &mut [f32]) {
+        let out = &mut out[..rows * self.out_dim];
+        out.fill(0.0);
+        rows_times(x, store.value(self.w), out, rows);
+        for out_row in out.chunks_exact_mut(self.out_dim) {
+            for (o, &b) in out_row.iter_mut().zip(store.value(self.b).data()) {
+                *o += b;
+            }
+        }
     }
 }
 

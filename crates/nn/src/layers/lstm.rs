@@ -15,6 +15,7 @@
 
 use rand::rngs::StdRng;
 
+use crate::infer::{gate_rows, sigmoid};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
@@ -118,6 +119,40 @@ impl LstmCell {
         let tc = tape.tanh(c_next);
         let h_next = tape.mul(o, tc);
         (h_next, c_next)
+    }
+
+    /// How many `rows × H` blocks [`LstmCell::step_rows`] needs as scratch;
+    /// the first carries the cell state from step to step.
+    pub(crate) const SCRATCH_BLOCKS: usize = 6;
+
+    /// [`LstmCell::step`] without a tape, for the first `live` rows of
+    /// row-major blocks: `x` holds one input per row, `h` one hidden state,
+    /// updated in place. The cell state lives in `scratch`, which must
+    /// start out as zeros and come back untouched for the next step.
+    pub(crate) fn step_rows(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        h: &mut [f32],
+        live: usize,
+        scratch: &mut [f32],
+    ) {
+        let n = live * self.hidden_dim;
+        let h = &mut h[..n];
+        let mut blocks = scratch.chunks_exact_mut(scratch.len() / Self::SCRATCH_BLOCKS);
+        let mut block = || &mut blocks.next().expect("six scratch blocks")[..n];
+        let (c, xw, i, f, o, g) = (block(), block(), block(), block(), block(), block());
+
+        gate_rows(store, (self.wi, self.ui, self.bi), x, h, live, xw, i);
+        gate_rows(store, (self.wf, self.uf, self.bf), x, h, live, xw, f);
+        gate_rows(store, (self.wo, self.uo, self.bo), x, h, live, xw, o);
+        gate_rows(store, (self.wg, self.ug, self.bg), x, h, live, xw, g);
+        for p in 0..n {
+            let keep = sigmoid(f[p]) * c[p];
+            let write = sigmoid(i[p]) * g[p].tanh();
+            c[p] = keep + write;
+            h[p] = sigmoid(o[p]) * c[p].tanh();
+        }
     }
 
     /// Runs the cell over `xs` (`L × in`) from zero states, returning the

@@ -9,18 +9,25 @@
 //! * [`params`] — a [`params::ParamStore`] holding trainable parameters and
 //!   a [`params::GradStore`] accumulating gradients (kept separate so that
 //!   several tapes can compute gradients in parallel against one shared,
-//!   read-only store);
+//!   read-only store); the gradient of an embedding table is held as the
+//!   rows a batch touched, never as a `vocab × dim` matrix;
 //! * [`tape`] — reverse-mode automatic differentiation: build a computation
 //!   graph per training sample, call [`tape::Tape::backward`], collect
-//!   gradients;
+//!   gradients. The tape is what training differentiates, and only that;
+//! * [`infer`] — the forward-only kernel that scores all candidate paths of
+//!   a request in one sweep over flat `f32` blocks, bit-identical to the
+//!   tape's forward pass;
 //! * [`layers`] — Embedding (frozen or trainable), Linear, GRU and LSTM
-//!   cells built on the tape;
-//! * [`optim`] — SGD (with momentum) and Adam, plus global-norm gradient
-//!   clipping;
+//!   cells: each records its step on the tape and carries the same
+//!   arithmetic over row blocks for the kernel;
+//! * [`optim`] — SGD (with momentum) and Adam with per-row state, plus
+//!   global-norm gradient clipping;
 //! * [`init`] — Xavier/uniform initialisers with explicit seeds.
 //!
 //! Every differentiable operation is verified against finite differences in
-//! the test suite.
+//! the test suite; `tests/model_exactness.rs` at the workspace root holds
+//! the kernel to the tape and the row-sparse store to whole matrices, bit
+//! for bit.
 //!
 //! ```
 //! use pathrank_nn::matrix::Matrix;
@@ -44,6 +51,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod infer;
 pub mod init;
 pub mod layers;
 pub mod matrix;

@@ -107,6 +107,31 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Row `ix` of an embedding table (`vocab × dim`): the one row gather
+    /// behind the tape's lookups and the inference kernel.
+    ///
+    /// # Panics
+    /// If `ix` is not a row of the table.
+    #[inline]
+    pub fn vocab_row(&self, ix: u32) -> &[f32] {
+        assert!(
+            (ix as usize) < self.rows,
+            "vertex id {ix} out of range for vocab {}",
+            self.rows
+        );
+        self.row(ix as usize)
+    }
+
+    /// Gathers rows `indices` of an embedding table into an
+    /// `indices.len() × cols` matrix.
+    pub fn gather_rows(&self, indices: &[u32]) -> Matrix {
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &ix in indices {
+            data.extend_from_slice(self.vocab_row(ix));
+        }
+        Matrix::from_vec(indices.len(), self.cols, data)
+    }
+
     /// The flat row-major data.
     #[inline]
     pub fn data(&self) -> &[f32] {
@@ -258,14 +283,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += s * rhs` (equal shapes) — the optimiser kernel.
-    pub fn add_scaled_assign(&mut self, rhs: &Matrix, s: f32) {
-        assert_eq!(self.shape(), rhs.shape(), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += s * b;
-        }
-    }
-
     /// Adds a `1 × cols` row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
         assert_eq!(row.rows, 1, "broadcast rhs must be a row vector");
@@ -401,8 +418,6 @@ mod tests {
         let mut a = Matrix::from_rows(&[&[1.0, 1.0]]);
         a.add_assign(&Matrix::from_rows(&[&[2.0, 3.0]]));
         assert_eq!(a, Matrix::from_rows(&[&[3.0, 4.0]]));
-        a.add_scaled_assign(&Matrix::from_rows(&[&[1.0, 1.0]]), -2.0);
-        assert_eq!(a, Matrix::from_rows(&[&[1.0, 2.0]]));
     }
 
     #[test]
@@ -416,6 +431,22 @@ mod tests {
         );
         assert_eq!(a.sum_rows(), Matrix::from_rows(&[&[5.0, 7.0, 9.0]]));
         assert_eq!(a.mean_rows(), Matrix::from_rows(&[&[2.5, 3.5, 4.5]]));
+    }
+
+    #[test]
+    fn gather_rows_copies_table_rows_in_order() {
+        let table = m3x2();
+        assert_eq!(
+            table.gather_rows(&[2, 0, 2]),
+            Matrix::from_rows(&[&[11.0, 12.0], &[7.0, 8.0], &[11.0, 12.0]])
+        );
+        assert_eq!(table.gather_rows(&[]).shape(), (0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex id 3 out of range for vocab 3")]
+    fn vocab_row_names_the_bad_vertex() {
+        let _ = m3x2().vocab_row(3);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! can run concurrently against the same store — PathRank's trainer
 //! exploits this for parallel mini-batch gradient computation.
 
+use crate::infer::sigmoid;
 use crate::matrix::Matrix;
 use crate::params::{GradStore, ParamId, ParamStore};
 
@@ -114,11 +115,7 @@ impl<'s> Tape<'s> {
     /// Gathers rows `indices` of embedding parameter `id` into an
     /// `indices.len() × dim` matrix. Gradients scatter back sparsely.
     pub fn embed(&mut self, id: ParamId, indices: &[u32]) -> Var {
-        let table = self.store.value(id);
-        let mut out = Matrix::zeros(indices.len(), table.cols());
-        for (i, &ix) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(table.row(ix as usize));
-        }
+        let out = self.store.value(id).gather_rows(indices);
         self.push(
             Op::Embed {
                 param: id,
@@ -174,7 +171,7 @@ impl<'s> Tape<'s> {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(sigmoid);
         self.push(Op::Sigmoid(a), Some(v))
     }
 
@@ -453,7 +450,7 @@ mod tests {
                     let down = build(&store, w1, w2, b, emb);
                     *store.value_mut(pid).at_mut(r, c) = orig;
                     let numeric = (up - down) / (2.0 * eps);
-                    let analytic = grads.get(pid).map_or(0.0, |g| g.at(r, c));
+                    let analytic = grads.row(pid, r).map_or(0.0, |g| g[c]);
                     assert!(
                         (numeric - analytic).abs()
                             < 2e-2 + 0.05 * numeric.abs().max(analytic.abs()),
