@@ -35,7 +35,7 @@ fn main() {
     // How far the simulated drivers deviate from the shortest path — the
     // paper's core observation, probed for every group at once through a
     // single CH many-to-many distance table.
-    let mut engine = wb.ch_query_engine();
+    let mut engine = wb.query_engine();
     let mut detours = trajectory_detour_factors(&mut engine, &wb.train_paths);
     detours.sort_by(f64::total_cmp);
     println!(

@@ -14,18 +14,17 @@
 //! for baseline comparisons ([`Workbench::test_groups`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use pathrank_embed::node2vec::{train_node2vec, Node2VecConfig};
 use pathrank_nn::matrix::Matrix;
-use pathrank_obs::{Histogram, MetricsSnapshot, Registry};
-use pathrank_spatial::algo::cch::{Cch, CchConfig, CchTopology};
+use pathrank_obs::{MetricsSnapshot, Registry};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank_spatial::algo::engine::{EngineObs, QueryEngine};
 use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
 use pathrank_spatial::generators::{region_network, RegionConfig};
-use pathrank_spatial::graph::{EdgeId, Graph};
+use pathrank_spatial::graph::Graph;
 use pathrank_spatial::path::Path;
 use pathrank_traj::dataset::TrajectoryDataset;
 use pathrank_traj::mapmatch::MapMatchConfig;
@@ -131,50 +130,17 @@ pub struct Workbench {
     embeddings: HashMap<usize, Matrix>,
     train_group_cache: HashMap<String, Vec<TrainingGroup>>,
     test_group_cache: HashMap<String, Vec<TrainingGroup>>,
-    /// ALT landmark table for serving-time engines, built on first use.
+    /// ALT landmark table (length metric), built on first use.
     landmarks: OnceLock<Arc<LandmarkTable>>,
-    /// TravelTime-metric landmark table for fastest-path serving, built
-    /// on first use.
-    tt_landmarks: OnceLock<Arc<LandmarkTable>>,
     /// Contraction hierarchy (length metric), built on first use and
-    /// shared by every CH-backed engine.
+    /// shared by candidate generation and every engine handed out.
     ch: OnceLock<Arc<ContractionHierarchy>>,
-    /// TravelTime-metric contraction hierarchy for fastest-path serving,
-    /// built on first use (the length CH cannot cover
-    /// `CostModel::TravelTime` queries).
-    tt_ch: OnceLock<Arc<ContractionHierarchy>>,
-    /// Metric-independent CCH topology (order + shortcut structure),
-    /// built on first use. Survives weight mutations: only the cheap
-    /// customization below re-runs when speeds change.
-    cch_topo: OnceLock<Arc<CchTopology>>,
-    /// Customized CCH per metric, keyed by the graph's weights epoch at
-    /// customization time. A cached entry whose epoch no longer matches
-    /// the graph is re-customized, never served stale.
-    cch_cache: Mutex<HashMap<LandmarkMetric, Arc<Cch>>>,
-    /// Sparse changed-edge log across [`Workbench::set_edge_speeds`]
-    /// calls: the contiguous weights-epoch span it covers plus the
-    /// changed `(edge, speed)` entries in application order. Lets
-    /// [`Workbench::cch_index`] catch a trailing customization up with
-    /// a partial `Cch::apply_delta` pass instead of re-relaxing every
-    /// triangle. Direct `graph.set_edge_speeds` mutations bypass the
-    /// log; the next refresh then simply runs full.
-    speed_deltas: Mutex<SpeedDeltaLog>,
     /// Metrics registry every engine this workbench hands out records
-    /// into (`pathrank_engine_*`), plus CCH customization timings
-    /// (`pathrank_cch_*`) and — when map matching ran — the matcher's
-    /// probe-cache counters (`pathrank_match_*`). Swap in
+    /// into (`pathrank_engine_*`), plus — when map matching ran — the
+    /// matcher's probe-cache counters (`pathrank_match_*`). Swap in
     /// [`Registry::disabled`] via [`Workbench::with_graph_and_registry`]
     /// to turn the whole layer into no-op sinks.
     registry: Registry,
-}
-
-/// See [`Workbench::set_edge_speeds`]: the changed-edge entries covering
-/// weights epochs `(from_epoch, to_epoch]`, later entries winning.
-#[derive(Debug, Default)]
-struct SpeedDeltaLog {
-    from_epoch: u64,
-    to_epoch: u64,
-    changes: Vec<(EdgeId, f64)>,
 }
 
 impl Workbench {
@@ -230,12 +196,7 @@ impl Workbench {
             train_group_cache: HashMap::new(),
             test_group_cache: HashMap::new(),
             landmarks: OnceLock::new(),
-            tt_landmarks: OnceLock::new(),
             ch: OnceLock::new(),
-            tt_ch: OnceLock::new(),
-            cch_topo: OnceLock::new(),
-            cch_cache: Mutex::new(HashMap::new()),
-            speed_deltas: Mutex::new(SpeedDeltaLog::default()),
             registry,
         }
     }
@@ -266,36 +227,31 @@ impl Workbench {
         &self.registry
     }
 
-    /// A scrape of everything the workbench's engines and customization
-    /// paths have recorded so far.
+    /// A scrape of everything the workbench's engines and map matching
+    /// have recorded so far.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
 
     /// A reusable routing engine over this workbench's network, for
-    /// callers issuing ad-hoc queries (serving-time candidate generation,
-    /// diagnostics). The preprocessing stages already hold their own:
-    /// candidate generation runs one engine per worker thread and map
+    /// callers issuing ad-hoc queries (diagnostics, examples), with the
+    /// cached ALT landmarks *and* contraction hierarchy attached:
+    /// unconstrained point-to-point queries dispatch to the CH,
+    /// constrained (spur) searches to ALT, everything else to plain
+    /// searches — all exact. The preprocessing stages already hold their
+    /// own: candidate generation runs one engine per worker thread and map
     /// matching reuses one across all traces. Every engine handed out
-    /// here (and by the ALT/CH/CCH variants layered on top) records its
-    /// query and search-work counters into [`Workbench::registry`].
+    /// here records its query and search-work counters into
+    /// [`Workbench::registry`].
     pub fn query_engine(&self) -> QueryEngine<'_> {
-        QueryEngine::new(&self.graph).with_obs(EngineObs::new(&self.registry))
-    }
-
-    /// Handle for the CCH customization-duration histogram, split by
-    /// `kind=full|sparse` — same family the serving layer records, so
-    /// dashboards need one query.
-    fn cch_customize_ns(&self, kind: &str) -> Histogram {
-        self.registry.histogram(
-            "pathrank_cch_customize_ns",
-            "CCH customization wall time in nanoseconds, by update kind",
-            &[("kind", kind)],
-        )
+        QueryEngine::new(&self.graph)
+            .with_obs(EngineObs::new(&self.registry))
+            .with_landmarks(Arc::clone(self.landmark_table()))
+            .with_ch(Arc::clone(self.ch_index()))
     }
 
     /// The workbench's shared ALT landmark table (length metric — what
-    /// candidate serving routes on), built once and cached.
+    /// candidate generation routes on), built once and cached.
     pub fn landmark_table(&self) -> &Arc<LandmarkTable> {
         self.landmarks.get_or_init(|| {
             Arc::new(LandmarkTable::build(
@@ -307,41 +263,6 @@ impl Workbench {
                 },
             ))
         })
-    }
-
-    /// Like [`Workbench::query_engine`], but landmark-directed: the
-    /// engine serves the same exact answers with tighter searches —
-    /// the configuration for query-heavy serving paths.
-    pub fn alt_query_engine(&self) -> QueryEngine<'_> {
-        self.query_engine()
-            .with_landmarks(Arc::clone(self.landmark_table()))
-    }
-
-    /// The workbench's shared TravelTime-metric landmark table, for
-    /// fastest-path serving (same build API, different metric — the
-    /// length table cannot cover `CostModel::TravelTime` queries).
-    pub fn travel_time_landmark_table(&self) -> &Arc<LandmarkTable> {
-        self.tt_landmarks.get_or_init(|| {
-            Arc::new(LandmarkTable::build(
-                &self.graph,
-                LandmarkMetric::TravelTime,
-                &LandmarkConfig {
-                    threads: self.cfg.threads.max(1),
-                    ..LandmarkConfig::default()
-                },
-            ))
-        })
-    }
-
-    /// An engine for fastest-path (TravelTime) serving: the TravelTime
-    /// contraction hierarchy for unconstrained point-to-point queries
-    /// and batched distance tables, TravelTime ALT landmarks for
-    /// everything constrained. Length queries on this engine fall back
-    /// to plain searches (the metric gate is per query).
-    pub fn fastest_query_engine(&self) -> QueryEngine<'_> {
-        self.query_engine()
-            .with_landmarks(Arc::clone(self.travel_time_landmark_table()))
-            .with_ch(Arc::clone(self.travel_time_ch_index()))
     }
 
     /// The workbench's shared contraction hierarchy (length metric),
@@ -357,151 +278,6 @@ impl Workbench {
                 },
             ))
         })
-    }
-
-    /// The workbench's shared TravelTime-metric contraction hierarchy,
-    /// so fastest-path serving runs on a hierarchy instead of falling
-    /// back to ALT (same build API, different metric). Like the length
-    /// CH it round-trips through `spatial::io::write_ch`/`read_ch`, so
-    /// servers persist it next to the graph and skip the build on
-    /// restart.
-    pub fn travel_time_ch_index(&self) -> &Arc<ContractionHierarchy> {
-        self.tt_ch.get_or_init(|| {
-            Arc::new(ContractionHierarchy::build(
-                &self.graph,
-                LandmarkMetric::TravelTime,
-                &ChConfig {
-                    threads: self.cfg.threads.max(1),
-                    ..ChConfig::default()
-                },
-            ))
-        })
-    }
-
-    /// The strongest serving engine: ALT landmarks *and* the contraction
-    /// hierarchy attached. Unconstrained point-to-point queries dispatch
-    /// to the CH, constrained (spur) searches to ALT, everything else to
-    /// plain searches — all exact.
-    pub fn ch_query_engine(&self) -> QueryEngine<'_> {
-        self.alt_query_engine().with_ch(Arc::clone(self.ch_index()))
-    }
-
-    /// The workbench's shared metric-independent CCH topology
-    /// (contraction order plus shortcut structure), built once and kept
-    /// across live-weight changes: mutating edge speeds only invalidates
-    /// the customized weights ([`Workbench::cch_index`]), never this.
-    pub fn cch_topology(&self) -> &Arc<CchTopology> {
-        self.cch_topo.get_or_init(|| {
-            Arc::new(CchTopology::build(
-                &self.graph,
-                &CchConfig {
-                    threads: self.cfg.threads.max(1),
-                },
-            ))
-        })
-    }
-
-    /// Applies a batch of live speed updates through the workbench and
-    /// records the changed-edge delta, so the next
-    /// [`Workbench::cch_index`] / [`Workbench::live_query_engine`] call
-    /// can catch the cached customization up with a sparse partial pass
-    /// (`Cch::apply_delta`) instead of re-relaxing every triangle.
-    /// Returns the delta
-    /// ([`Graph::set_edge_speeds`](pathrank_spatial::graph::Graph::set_edge_speeds)'s
-    /// contract): empty means every update was a redundant echo, the
-    /// weights epoch stayed put, and no index was invalidated.
-    pub fn set_edge_speeds(&mut self, updates: &[(EdgeId, f64)]) -> Vec<(EdgeId, f64)> {
-        let before = self.graph.weights_epoch();
-        let delta = self.graph.set_edge_speeds(updates);
-        if !delta.is_empty() {
-            let log = self
-                .speed_deltas
-                .get_mut()
-                .expect("speed delta log poisoned");
-            if log.to_epoch != before {
-                // A direct graph mutation bypassed the log; restart
-                // coverage at the span we can vouch for.
-                log.from_epoch = before;
-                log.changes.clear();
-            }
-            log.changes.extend_from_slice(&delta);
-            log.to_epoch = self.graph.weights_epoch();
-            if log.changes.len() > self.graph.edge_count() {
-                // Past a full graph's worth of entries the partial pass
-                // stops being cheaper; drop coverage and let the next
-                // refresh run full (which also resets this growth).
-                log.from_epoch = log.to_epoch;
-                log.changes.clear();
-            }
-        }
-        delta
-    }
-
-    /// A CCH customized for `metric` at the graph's *current* weights
-    /// epoch. Customization (milliseconds) runs on first use per metric
-    /// and again after every weight mutation; a cached index whose epoch
-    /// trails the graph is replaced, so this can never serve pre-mutation
-    /// weights. Callers that perturb speeds (traffic feeds, what-if
-    /// simulation) just call this again after
-    /// [`Workbench::set_edge_speeds`] — when the sparse delta log covers
-    /// the gap, the refresh re-relaxes only the triangles the delta
-    /// touched (`Cch::apply_delta`, bit-identical to the full pass) and
-    /// costs microseconds instead of milliseconds.
-    pub fn cch_index(&self, metric: LandmarkMetric) -> Arc<Cch> {
-        let current = self.graph.weights_epoch();
-        let mut cache = self.cch_cache.lock().expect("cch cache poisoned");
-        if let Some(cch) = cache.get(&metric) {
-            if cch.weights_epoch() == current {
-                return Arc::clone(cch);
-            }
-            let log = self.speed_deltas.lock().expect("speed delta log poisoned");
-            if log.from_epoch <= cch.weights_epoch() && log.to_epoch == current {
-                // The log may start before the cached epoch; the extra
-                // entries recompute to their current values and stop
-                // immediately, so a superset is always safe.
-                let started = Instant::now();
-                let mut fresh = (**cch).clone();
-                let recomputed = fresh.apply_delta(&self.graph, &log.changes);
-                self.cch_customize_ns("sparse")
-                    .record_duration(started.elapsed());
-                self.registry
-                    .histogram(
-                        "pathrank_cch_delta_edges",
-                        "Edges named by each sparse live-weight delta",
-                        &[],
-                    )
-                    .record(log.changes.len() as u64);
-                self.registry
-                    .histogram(
-                        "pathrank_cch_recomputed_arcs",
-                        "Shortcut arcs re-relaxed by each sparse customization (triangle closure size)",
-                        &[],
-                    )
-                    .record(recomputed as u64);
-                drop(log);
-                let fresh = Arc::new(fresh);
-                cache.insert(metric, Arc::clone(&fresh));
-                return fresh;
-            }
-        }
-        let topo = self.cch_topology();
-        let started = Instant::now();
-        let cch = Arc::new(topo.customize(&self.graph, &metric.cost_model()));
-        self.cch_customize_ns("full")
-            .record_duration(started.elapsed());
-        cache.insert(metric, Arc::clone(&cch));
-        cch
-    }
-
-    /// An engine for live-traffic serving: fastest-path queries run on a
-    /// TravelTime CCH customized at the current weights epoch, so the
-    /// answers always reflect the latest speed mutations. Re-request the
-    /// engine after a weight change — re-customizing costs milliseconds,
-    /// not the full-hierarchy rebuild [`Workbench::fastest_query_engine`]
-    /// would need.
-    pub fn live_query_engine(&self) -> QueryEngine<'_> {
-        self.query_engine()
-            .with_cch(self.cch_index(LandmarkMetric::TravelTime))
     }
 
     /// The node2vec embedding for dimensionality `dim` (cached).
@@ -666,36 +442,20 @@ mod tests {
     }
 
     #[test]
-    fn alt_workbench_engine_matches_plain_engine() {
-        use pathrank_spatial::graph::{CostModel, VertexId};
-        let wb = Workbench::new(ExperimentConfig::small_test());
-        // The table is built once and shared by every ALT engine.
-        let t1 = Arc::as_ptr(wb.landmark_table());
-        let t2 = Arc::as_ptr(wb.landmark_table());
-        assert_eq!(t1, t2, "landmark table must be cached");
-        let mut plain = wb.query_engine();
-        let mut alt = wb.alt_query_engine();
-        assert!(alt.uses_alt(CostModel::Length));
-        let n = wb.graph.vertex_count() as u32;
-        for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            let a = plain.shortest_path_cost(s, t, CostModel::Length);
-            let b = alt.shortest_path_cost(s, t, CostModel::Length);
-            assert_eq!(a, b, "{s:?}->{t:?} ALT cost diverged");
-        }
-    }
-
-    #[test]
     fn ch_workbench_engine_matches_plain_engine() {
         use pathrank_spatial::algo::engine::SearchBackend;
         use pathrank_spatial::graph::{CostModel, VertexId};
         let wb = Workbench::new(ExperimentConfig::small_test());
-        // The hierarchy is built once and shared by every CH engine.
+        // The hierarchy and the table are built once and shared by every
+        // engine handed out.
         let c1 = Arc::as_ptr(wb.ch_index());
         let c2 = Arc::as_ptr(wb.ch_index());
         assert_eq!(c1, c2, "contraction hierarchy must be cached");
-        let mut plain = wb.query_engine();
-        let mut fast = wb.ch_query_engine();
+        let t1 = Arc::as_ptr(wb.landmark_table());
+        let t2 = Arc::as_ptr(wb.landmark_table());
+        assert_eq!(t1, t2, "landmark table must be cached");
+        let mut plain = QueryEngine::new(&wb.graph);
+        let mut fast = wb.query_engine();
         assert_eq!(fast.backend_for(CostModel::Length), SearchBackend::Ch);
         assert_eq!(
             fast.constrained_backend_for(CostModel::Length),
@@ -712,217 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn live_workbench_engine_recustomizes_after_traffic() {
-        use pathrank_spatial::algo::engine::SearchBackend;
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use pathrank_spatial::graph::{CostModel, EdgeId, VertexId};
-        let mut wb = Workbench::new(ExperimentConfig::small_test());
-        // The customized CCH is cached while the weights stand still...
-        let c1 = Arc::as_ptr(&wb.cch_index(LandmarkMetric::TravelTime));
-        let c2 = Arc::as_ptr(&wb.cch_index(LandmarkMetric::TravelTime));
-        assert_eq!(c1, c2, "customized CCH must be cached within an epoch");
-        // ...and the topology survives weight mutations entirely.
-        let topo = Arc::as_ptr(wb.cch_topology());
-        // Pre-mutation indexes built against epoch 0.
-        wb.travel_time_ch_index();
-        wb.travel_time_landmark_table();
-        // Traffic arrives: every third edge slows to a crawl.
-        let updates: Vec<(EdgeId, f64)> = (0..wb.graph.edge_count())
-            .step_by(3)
-            .map(|e| (EdgeId(e as u32), 7.2))
-            .collect();
-        wb.graph.set_edge_speeds(&updates);
-        // The stale TravelTime CH/ALT indexes are epoch-gated out: the
-        // fastest engine silently falls back to exact plain searches
-        // rather than serving pre-mutation weights.
-        let stale = wb.fastest_query_engine();
-        assert_eq!(
-            stale.backend_for(CostModel::TravelTime),
-            SearchBackend::Plain,
-            "indexes built before a weight mutation must not serve"
-        );
-        // cch_index re-customizes on the shared topology instead.
-        let fresh = wb.cch_index(LandmarkMetric::TravelTime);
-        assert_ne!(c1, Arc::as_ptr(&fresh), "stale customization reused");
-        assert_eq!(fresh.weights_epoch(), wb.graph.weights_epoch());
-        assert_eq!(topo, Arc::as_ptr(wb.cch_topology()), "topology rebuilt");
-        // And the live engine answers match plain Dijkstra on the
-        // perturbed graph exactly.
-        let mut live = wb.live_query_engine();
-        assert_eq!(live.backend_for(CostModel::TravelTime), SearchBackend::Cch);
-        let mut plain = wb.query_engine();
-        let n = wb.graph.vertex_count() as u32;
-        for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            let a = plain.shortest_path_cost(s, t, CostModel::TravelTime);
-            let b = live.shortest_path_cost(s, t, CostModel::TravelTime);
-            assert_eq!(a, b, "{s:?}->{t:?} live CCH cost diverged");
-        }
-    }
-
-    #[test]
-    fn sparse_speed_deltas_refresh_the_cch_partially_and_exactly() {
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use pathrank_spatial::graph::{CostModel, EdgeId, VertexId};
-        let mut wb = Workbench::new(ExperimentConfig::small_test());
-        let primed = wb.cch_index(LandmarkMetric::TravelTime);
-        assert_eq!(primed.weights_epoch(), 0);
-
-        // A redundant echo must not disturb anything: empty delta, same
-        // epoch, same cached Arc.
-        let echo = wb.graph.edge(EdgeId(0)).attrs.speed_kmh;
-        assert!(wb.set_edge_speeds(&[(EdgeId(0), echo)]).is_empty());
-        assert_eq!(wb.graph.weights_epoch(), 0);
-        assert_eq!(
-            Arc::as_ptr(&primed),
-            Arc::as_ptr(&wb.cch_index(LandmarkMetric::TravelTime))
-        );
-
-        // Two chained sparse batches through the workbench entry point;
-        // the delta log spans both, so one partial pass catches up.
-        let sparse: Vec<(EdgeId, f64)> = (0..wb.graph.edge_count())
-            .step_by(17)
-            .map(|e| (EdgeId(e as u32), 6.5))
-            .collect();
-        assert_eq!(wb.set_edge_speeds(&sparse).len(), sparse.len());
-        let more = [(EdgeId(1), 88.0), (EdgeId(3), 12.0)];
-        assert!(!wb.set_edge_speeds(&more).is_empty());
-        assert_eq!(wb.graph.weights_epoch(), 2);
-
-        let fresh = wb.cch_index(LandmarkMetric::TravelTime);
-        assert_ne!(Arc::as_ptr(&primed), Arc::as_ptr(&fresh));
-        assert_eq!(fresh.weights_epoch(), wb.graph.weights_epoch());
-        // The partially refreshed CCH answers bit-identically to plain
-        // Dijkstra on the mutated graph.
-        let mut live = wb.live_query_engine();
-        let mut plain = wb.query_engine();
-        let n = wb.graph.vertex_count() as u32;
-        for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (1, n / 2)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            let a = plain.shortest_path_cost(s, t, CostModel::TravelTime);
-            let b = live.shortest_path_cost(s, t, CostModel::TravelTime);
-            match (a, b) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{s:?}->{t:?} diverged")
-                }
-                (a, b) => assert_eq!(a, b, "{s:?}->{t:?} reachability diverged"),
-            }
-        }
-
-        // A direct graph mutation bypasses the log: the next refresh
-        // must fall back to a full customization, not trust stale
-        // coverage — and still land on the right epoch.
-        wb.graph.set_edge_speeds(&[(EdgeId(2), 31.0)]);
-        let full = wb.cch_index(LandmarkMetric::TravelTime);
-        assert_eq!(full.weights_epoch(), wb.graph.weights_epoch());
-        let mut live = wb.live_query_engine();
-        let mut plain = wb.query_engine();
-        let (s, t) = (VertexId(0), VertexId(n - 1));
-        assert_eq!(
-            plain.shortest_path_cost(s, t, CostModel::TravelTime),
-            live.shortest_path_cost(s, t, CostModel::TravelTime)
-        );
-    }
-
-    #[test]
-    fn travel_time_workbench_engine_serves_fastest_paths() {
-        use pathrank_spatial::algo::engine::SearchBackend;
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
+    fn obs_workbench_registry_collects_engine_and_match_series() {
         use pathrank_spatial::graph::{CostModel, VertexId};
-        let wb = Workbench::new(ExperimentConfig::small_test());
-        let t1 = Arc::as_ptr(wb.travel_time_landmark_table());
-        let t2 = Arc::as_ptr(wb.travel_time_landmark_table());
-        assert_eq!(t1, t2, "TravelTime table must be cached");
-        let c1 = Arc::as_ptr(wb.travel_time_ch_index());
-        let c2 = Arc::as_ptr(wb.travel_time_ch_index());
-        assert_eq!(c1, c2, "TravelTime CH must be cached");
-        assert_eq!(
-            wb.travel_time_ch_index().metric(),
-            LandmarkMetric::TravelTime
-        );
-        assert_ne!(
-            Arc::as_ptr(wb.ch_index()),
-            Arc::as_ptr(wb.travel_time_ch_index()),
-            "the two metrics get distinct hierarchies"
-        );
-        let mut plain = wb.query_engine();
-        let mut fastest = wb.fastest_query_engine();
-        assert_eq!(
-            fastest.backend_for(CostModel::TravelTime),
-            SearchBackend::Ch,
-            "fastest-path serving now runs on the TravelTime CH"
-        );
-        assert_eq!(
-            fastest.constrained_backend_for(CostModel::TravelTime),
-            SearchBackend::Alt,
-            "constrained fastest-path searches stay on ALT"
-        );
-        assert_eq!(
-            fastest.backend_for(CostModel::Length),
-            SearchBackend::Plain,
-            "neither TravelTime index may cover length queries"
-        );
-        let n = wb.graph.vertex_count() as u32;
-        for (s, t) in [(0, n - 1), (n / 3, n / 2)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            let a = plain.shortest_path_cost(s, t, CostModel::TravelTime);
-            let b = fastest.shortest_path_cost(s, t, CostModel::TravelTime);
-            assert_eq!(a, b, "{s:?}->{t:?} fastest-path cost diverged");
-        }
-        // The TravelTime hierarchy persists through the same io layer as
-        // the length one: a reloaded index serves identical answers.
-        let reloaded = pathrank_spatial::io::ch_from_str(&pathrank_spatial::io::ch_to_string(
-            wb.travel_time_ch_index(),
-        ))
-        .expect("TravelTime CH must round-trip");
-        let mut reloaded_engine = wb.query_engine().with_ch(Arc::new(reloaded));
-        for (s, t) in [(0, n - 1), (n / 3, n / 2)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            let a = fastest.shortest_path_cost(s, t, CostModel::TravelTime);
-            let b = reloaded_engine.shortest_path_cost(s, t, CostModel::TravelTime);
-            assert_eq!(a, b, "{s:?}->{t:?} reloaded TT CH diverged");
-        }
-    }
-
-    #[test]
-    fn serving_engines_match_plain_engine_across_speed_updates() {
-        use pathrank_spatial::graph::{CostModel, VertexId};
-        let mut wb = Workbench::new(ExperimentConfig::small_test());
-        let n = wb.graph.vertex_count() as u32;
-        let agree = |wb: &Workbench| {
-            let mut plain = wb.query_engine();
-            let mut alt = wb.alt_query_engine();
-            for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3)] {
-                let (s, t) = (VertexId(s), VertexId(t));
-                for cost in [CostModel::Length, CostModel::TravelTime] {
-                    let a = plain.shortest_path_cost(s, t, cost);
-                    let b = alt.shortest_path_cost(s, t, cost);
-                    assert_eq!(
-                        a.map(f64::to_bits),
-                        b.map(f64::to_bits),
-                        "{s:?}->{t:?} serving cost diverged"
-                    );
-                }
-            }
-        };
-        agree(&wb);
-        // After a live weight mutation the engines keep answering exactly,
-        // on the new travel times.
-        let updates: Vec<(pathrank_spatial::graph::EdgeId, f64)> = (0..wb.graph.edge_count())
-            .step_by(5)
-            .map(|e| (pathrank_spatial::graph::EdgeId(e as u32), 11.0))
-            .collect();
-        wb.graph.set_edge_speeds(&updates);
-        agree(&wb);
-    }
-
-    #[test]
-    fn obs_workbench_registry_collects_engine_cch_and_match_series() {
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use pathrank_spatial::graph::{CostModel, EdgeId, VertexId};
         let mut cfg = ExperimentConfig::small_test();
         cfg.use_map_matching = true;
-        let mut wb = Workbench::new(cfg);
+        let wb = Workbench::new(cfg);
         // Map matching already ran inside the constructor.
         let snap = wb.metrics_snapshot();
         assert!(
@@ -930,7 +484,7 @@ mod tests {
             "matcher probe counters must reach the registry"
         );
         // Engine queries and search work are recorded per backend.
-        let mut engine = wb.ch_query_engine();
+        let mut engine = wb.query_engine();
         let n = wb.graph.vertex_count() as u32;
         engine.shortest_path_cost(VertexId(0), VertexId(n - 1), CostModel::Length);
         engine.shortest_path_cost(VertexId(n / 2), VertexId(1), CostModel::Length);
@@ -940,25 +494,6 @@ mod tests {
             2
         );
         assert!(snap.counter_total("pathrank_engine_settled_nodes_total", &[]) > 0);
-        // One full customization, then a sparse partial refresh.
-        wb.cch_index(LandmarkMetric::TravelTime);
-        wb.set_edge_speeds(&[(EdgeId(0), 9.0)]);
-        wb.cch_index(LandmarkMetric::TravelTime);
-        let snap = wb.metrics_snapshot();
-        let full = snap
-            .histogram("pathrank_cch_customize_ns", &[("kind", "full")])
-            .expect("full customization timed");
-        let sparse = snap
-            .histogram("pathrank_cch_customize_ns", &[("kind", "sparse")])
-            .expect("sparse customization timed");
-        assert_eq!(full.count, 1);
-        assert_eq!(sparse.count, 1);
-        assert_eq!(
-            snap.histogram("pathrank_cch_delta_edges", &[])
-                .expect("delta size recorded")
-                .sum,
-            1
-        );
         // The disabled registry turns the whole layer into no-op sinks.
         let quiet = Workbench::with_graph_and_registry(
             wb.graph.clone(),

@@ -32,18 +32,12 @@
 //!   ([`MetricsSnapshot::to_json`]), and
 //!   [`MetricsSnapshot::delta_since`] for benchmarks that window a
 //!   timed region out of cumulative counters.
-//! * [`Series`] is the *offline* percentile implementation (exact,
-//!   sample-storing) shared by the bench binaries — one percentile
-//!   code path in the workspace instead of per-binary `Vec<f64>`
-//!   helpers.
 
 pub mod histogram;
 pub mod promtext;
 pub mod registry;
-pub mod series;
 pub mod trace;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, CounterSample, Gauge, GaugeSample, MetricsSnapshot, Registry};
-pub use series::Series;
 pub use trace::{SpanGuard, TraceHandle, TraceKind, TraceRecord, Tracer};

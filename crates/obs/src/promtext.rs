@@ -1,6 +1,6 @@
 //! A small Prometheus-text-format parser — enough to validate that a
 //! `STATS` scrape is well-formed and to read series values back in
-//! smoke tests and the `loadgen` cross-checks. Not a general client:
+//! smoke tests. Not a general client:
 //! it parses the subset [`crate::MetricsSnapshot::to_prometheus_text`]
 //! emits (which is the subset a real Prometheus scraper needs).
 

@@ -357,8 +357,8 @@ pub struct GaugeSample {
     pub value: i64,
 }
 
-/// A full scrape of a [`Registry`]: the typed API `loadgen` and the
-/// `STATS` TCP command both read.
+/// A full scrape of a [`Registry`]: the typed API in-process callers and
+/// the `STATS` TCP command both read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<CounterSample>,
@@ -393,7 +393,7 @@ impl MetricsSnapshot {
     }
 
     /// Counter/histogram difference against an earlier snapshot of the
-    /// same registry — how `loadgen` cuts its timed window out of
+    /// same registry — how the benchmark cuts its timed window out of
     /// cumulative server counters. Gauges keep their current value
     /// (deltas are meaningless for current-value semantics). Series
     /// absent from `earlier` pass through unchanged.

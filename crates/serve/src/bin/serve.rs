@@ -2,7 +2,7 @@
 //! the TCP line protocol.
 //!
 //! ```text
-//! serve [--port P] [--side N] [--shards S] [--no-batching]
+//! serve [--port P] [--side N] [--shards S]
 //! ```
 //!
 //! Builds the integer grid city, a Length CH, Length landmarks and the
@@ -25,29 +25,39 @@ use pathrank_spatial::algo::cch::{CchConfig, CchTopology};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
 
-fn main() -> ExitCode {
+/// Parses the command line (without the program name) into
+/// `(port, side, config)`. A flag without a value, a value that does not
+/// parse and an unknown flag are all errors: a typo must not bind the
+/// default port.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u16, usize, ServeConfig), String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse()
+            .map_err(|_| format!("invalid value for {flag}: {v:?}"))
+    }
     let mut port: u16 = 7111;
     let mut side: usize = 24;
     let mut cfg = ServeConfig::default();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--port" => port = args.next().and_then(|v| v.parse().ok()).unwrap_or(port),
-            "--side" => side = args.next().and_then(|v| v.parse().ok()).unwrap_or(side),
-            "--shards" => {
-                cfg.shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.shards);
-            }
-            "--no-batching" => cfg.batching = false,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: serve [--port P] [--side N] [--shards S] [--no-batching]");
-                return ExitCode::FAILURE;
-            }
+            "--port" => port = value(&arg, args.next())?,
+            "--side" => side = value(&arg, args.next())?,
+            "--shards" => cfg.shards = value(&arg, args.next())?,
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
+    Ok((port, side, cfg))
+}
+
+fn main() -> ExitCode {
+    let (port, side, cfg) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!("usage: serve [--port P] [--side N] [--shards S]");
+            return ExitCode::from(2);
+        }
+    };
 
     eprintln!("building {side}x{side} fixture city...");
     let graph = Arc::new(integer_city(side));
@@ -97,5 +107,43 @@ fn main() -> ExitCode {
             eprintln!("listener failed: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(line: &[&str]) -> Result<(u16, usize, pathrank_serve::ServeConfig), String> {
+        parse_args(line.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn serve_args_good_line_sets_every_value() {
+        let (port, side, cfg) =
+            parse(&["--port", "7934", "--side", "8", "--shards", "3"]).expect("valid line");
+        assert_eq!((port, side, cfg.shards), (7934, 8, 3));
+        let (port, side, cfg) = parse(&[]).expect("empty line is the defaults");
+        assert_eq!((port, side, cfg.shards), (7111, 24, 0));
+    }
+
+    #[test]
+    fn serve_args_bad_port_is_an_error() {
+        let err = parse(&["--port", "abc"]).unwrap_err();
+        assert!(err.contains("--port") && err.contains("abc"), "{err}");
+        assert!(parse(&["--port", "70000"]).is_err(), "port must fit u16");
+        assert!(parse(&["--shards", "x"]).is_err());
+    }
+
+    #[test]
+    fn serve_args_missing_value_is_an_error() {
+        let err = parse(&["--side", "8", "--port"]).unwrap_err();
+        assert!(err.contains("--port needs a value"), "{err}");
+    }
+
+    #[test]
+    fn serve_args_unknown_flag_is_an_error() {
+        let err = parse(&["--no-batching"]).unwrap_err();
+        assert!(err.contains("--no-batching"), "{err}");
     }
 }

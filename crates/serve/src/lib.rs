@@ -20,7 +20,7 @@
 //!   pair, so no in-flight query ever sees torn weights.
 //!
 //! [`fixture`] provides the deterministic integer-weight graphs the
-//! exactness harnesses and the `loadgen` benchmark run on, and [`tcp`]
+//! exactness harnesses and the `serve` binary run on, and [`tcp`]
 //! a minimal line protocol for out-of-process clients.
 
 pub mod fixture;

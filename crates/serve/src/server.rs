@@ -114,23 +114,21 @@ pub struct ServeConfig {
     /// window opens at all. An empty drain means the shard is running
     /// below its batching break-even — a handful of synchronous clients
     /// — and waiting the window out only adds latency per request
-    /// without ever forming a batch (the regression BENCH_serving.json
-    /// showed at 4 clients: 39.6k qps batched vs 102.0k unbatched).
+    /// without ever forming a batch.
     /// The default `1` keeps the window shut until queue depth proves
     /// there is traffic to coalesce; `0` restores the old
     /// always-wait behaviour.
     pub straggler_min_queued: usize,
     /// Hard cap on coalesced batch size.
     pub max_batch: usize,
-    /// Master switch for m2m batching; off, every request dispatches
-    /// individually (the A/B baseline the loadgen benchmark measures).
-    pub batching: bool,
     /// Smallest batch worth *considering* a bucket m2m fill. Even past
     /// this floor, the group only coalesces when the fill actually
     /// saves sweeps for its shape — see [`coalescing_wins`]: a drained
     /// queue of B unrelated point queries (the low-concurrency regime)
     /// costs `S + T = 2B` half-sweeps through m2m, all bucket overhead
-    /// and no saving, so it dispatches pointwise instead.
+    /// and no saving, so it dispatches pointwise instead. `usize::MAX`
+    /// with a zero [`ServeConfig::batch_window`] turns batching off:
+    /// every request dispatches individually.
     pub min_batch_for_m2m: usize,
     /// Whether queries no index covers may fall back to plain Dijkstra.
     /// `false` turns the ladder's last rung into
@@ -147,7 +145,6 @@ impl Default for ServeConfig {
             batch_window: Duration::from_micros(200),
             straggler_min_queued: 1,
             max_batch: 64,
-            batching: true,
             min_batch_for_m2m: 4,
             allow_plain: true,
         }
@@ -326,9 +323,8 @@ impl RouteServer {
 
     /// [`RouteServer::start`] against a caller-supplied registry — pass
     /// [`Registry::disabled`] to serve with every metric a no-op sink
-    /// (the obs-off escape hatch the overhead benchmark pins), or a
-    /// shared live registry to scrape the server alongside other
-    /// components.
+    /// (the obs-off escape hatch), or a shared live registry to scrape
+    /// the server alongside other components.
     pub fn start_with_metrics(
         graph: Arc<Graph>,
         indexes: ServerIndexes,
@@ -410,8 +406,8 @@ impl RouteServer {
 
     /// A point-in-time scrape of every registered series (counters,
     /// gauges, histograms). This is what the TCP `STATS` command
-    /// serializes and what `loadgen` differences around its timed
-    /// window.
+    /// serializes and what the benchmark differences around its timed
+    /// windows.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.obs.registry.snapshot()
     }
@@ -639,8 +635,7 @@ fn worker_loop(
         // least `straggler_min_queued` extras, the shard is below its
         // batching break-even and the window would be pure added
         // latency, so it stays shut and the request dispatches now.
-        if cfg.batching
-            && cfg.batch_window > Duration::ZERO
+        if cfg.batch_window > Duration::ZERO
             && batch.len() < cfg.min_batch_for_m2m
             && batch.len() > cfg.straggler_min_queued
         {
@@ -754,11 +749,7 @@ fn serve_group(
     }
     let backend = engine.backend_for(cost);
     let hierarchy_backed = matches!(backend, SearchBackend::Ch | SearchBackend::Cch);
-    if hierarchy_backed
-        && cfg.batching
-        && jobs.len() >= cfg.min_batch_for_m2m
-        && coalescing_wins(&jobs)
-    {
+    if hierarchy_backed && jobs.len() >= cfg.min_batch_for_m2m && coalescing_wins(&jobs) {
         obs.coalesced_batches.inc();
         serve_batched(engine, obs, jobs, cost, backend, generation);
         return;

@@ -3,7 +3,7 @@
 //!
 //! The synthetic [`crate::generators`] live in a planar metre grid where
 //! Euclidean geometry is exact, and every downstream consumer — A*
-//! heuristics, the map matcher's `EdgeIndex`, GPS noise models — assumes
+//! heuristics, the map matcher's R-tree, GPS noise models — assumes
 //! planar coordinates. Real OSM extracts come as WGS84 lat/lon instead,
 //! where naive Euclidean arithmetic over degrees is wrong by a factor of
 //! ~111 000 (and latitude-dependent). This module is the bridge:
@@ -12,7 +12,7 @@
 //!   edge *lengths* (the quantity routing costs are built from);
 //! * [`LocalProjection`] — an equirectangular projection centred on the
 //!   extract that maps lat/lon into the crate's planar metre
-//!   [`Point`]s, so the `EdgeIndex` grid, point-to-segment projections
+//!   [`Point`]s, so the snapping R-tree, point-to-segment projections
 //!   and Euclidean heuristic floors all keep working unchanged. At city
 //!   scale (tens of km) the projection error is well below GPS noise;
 //!   exactness of routing never depends on it because the engine derives
@@ -239,7 +239,7 @@ mod tests {
         ) {
             // Within a ~10 km extent the planar distance between two
             // projected points tracks the geodesic to ≈0.1%: the planar
-            // substrate (EdgeIndex cells, GPS noise, heuristic floors)
+            // substrate (snapping radii, GPS noise, heuristic floors)
             // stays metrically faithful on imported networks.
             let proj = LocalProjection::new(lat0, lon0);
             let (a_lat, a_lon) = (lat0 + dlat, lon0 + dlon);

@@ -798,17 +798,6 @@ pub enum GraphFileKind {
     OsmXml,
 }
 
-impl GraphFileKind {
-    /// Human-readable label (used by the bench binaries' JSON).
-    pub fn label(self) -> &'static str {
-        match self {
-            GraphFileKind::PlainText => "plain",
-            GraphFileKind::Imported => "imported",
-            GraphFileKind::OsmXml => "osm_xml",
-        }
-    }
-}
-
 /// A network loaded by [`load_graph_auto`]: the graph plus, when the
 /// source carried them, the imported extras (geometry, projection,
 /// import stats). The graph is stored exactly once — use
@@ -852,7 +841,7 @@ impl LoadedGraph {
 /// with `<`), which is imported on the fly with the default
 /// [`ImportConfig`]. All three paths stream through the same
 /// [`std::io::BufReader`] — a country-scale `.osm.xml` is never
-/// materialised in memory. Every bench / CLI `--graph` flag goes
+/// materialised in memory. Every experiment binary's `--graph` flag goes
 /// through here, so the three spellings of "a real network" are
 /// interchangeable.
 pub fn load_graph_auto(path: &std::path::Path) -> Result<LoadedGraph, SpatialError> {

@@ -1,5 +1,5 @@
 //! Real road-network ingestion: raw OSM XML → routable, index-ready
-//! [`Graph`]s.
+//! [`Graph`](crate::graph::Graph)s.
 //!
 //! The paper's experiments run on a real OSM road network (Aalborg,
 //! Denmark); this subsystem is what lets every index and pipeline in the
@@ -23,8 +23,8 @@
 //!    and contracts degree-2 chains into single edges — length and
 //!    travel time preserved exactly, intermediate geometry retained for
 //!    map matching. The result is an [`ImportedGraph`] whose
-//!    [`Graph`] is ready for every existing index (ALT, CH,
-//!    many-to-many, `EdgeIndex`).
+//!    [`Graph`](crate::graph::Graph) is ready for every existing index
+//!    (ALT, CH, many-to-many, the snapping [`crate::rtree::RTree`]).
 //! 3. **Persist** — [`crate::io::write_imported_graph`] /
 //!    [`crate::io::read_imported_graph`] round-trip the imported network
 //!    (graph + projection origin + edge geometry) through a versioned

@@ -1,10 +1,9 @@
 //! Packed STR-bulk-loaded R-tree over edge polyline segments.
 //!
-//! Replaces the uniform hash-grid scan of the map matcher's candidate
-//! lookup: instead of enumerating `(2r/cell + 1)^2` grid cells per GPS
-//! probe, a query descends a shallow tree of bounding rectangles,
-//! pruning whole subtrees by exact point-to-rectangle distance. The tree
-//! is bulk-loaded once with the Sort-Tile-Recursive (STR) packing — sort
+//! The map matcher's candidate lookup: per GPS probe, a query descends a
+//! shallow tree of bounding rectangles, pruning whole subtrees by exact
+//! point-to-rectangle distance. The tree is
+//! bulk-loaded once with the Sort-Tile-Recursive (STR) packing — sort
 //! segments by x-centre, cut into vertical slices, sort each slice by
 //! y-centre, pack runs of [`LEAF_CAP`] — which yields near-square leaves
 //! with high occupancy and no insertion-time rebalancing. Upper levels
@@ -118,9 +117,8 @@ pub struct RTree {
 impl RTree {
     /// Builds the index over straight `from -> to` chords of every edge.
     ///
-    /// Like the grid's endpoint index, this is blind to interior chain
-    /// geometry — use [`RTree::build_with_geometry`] when edges carry
-    /// polylines.
+    /// This is blind to interior chain geometry — use
+    /// [`RTree::build_with_geometry`] when edges carry polylines.
     pub fn build(g: &Graph) -> RTree {
         let mut segs = Vec::with_capacity(g.edge_count());
         for (i, e) in g.edges().enumerate() {
@@ -138,8 +136,7 @@ impl RTree {
     /// folded edges are discoverable near their bends.
     ///
     /// # Panics
-    /// If `geometry.len() != g.edge_count()` — the same contract as the
-    /// grid index's geometry-aware constructor.
+    /// If `geometry.len() != g.edge_count()`.
     pub fn build_with_geometry(g: &Graph, geometry: &[Vec<Point>]) -> RTree {
         assert_eq!(
             geometry.len(),
@@ -273,7 +270,7 @@ impl RTree {
                 }
                 let a = Point::new(s.ax, s.ay);
                 let b = Point::new(s.bx, s.by);
-                // Same predicate as the grid's caller-side filter and
+                // Same predicate as the matcher's caller-side filter and
                 // the brute-force ground truth — candidate sets must be
                 // identical, not just equal up to boundary rounding.
                 if point_segment_distance(p, &a, &b) <= radius_m {

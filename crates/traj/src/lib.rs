@@ -18,22 +18,17 @@
 //!   transitions, Viterbi decoding) recovers the driven path from the noisy
 //!   trace;
 //! * [`dataset`] — assembles matched trips into the train/test trajectory
-//!   path sets PathRank consumes;
-//! * [`congestion`] — a deterministic live-traffic generator: per-epoch
-//!   speed perturbations driving the customizable contraction hierarchy's
-//!   millisecond re-customization (congestion-aware matching and serving).
+//!   path sets PathRank consumes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod congestion;
 pub mod dataset;
 pub mod gps;
 pub mod mapmatch;
 pub mod preference;
 pub mod simulator;
 
-pub use congestion::{CongestionConfig, TrafficModel};
 pub use dataset::{split_trips, TrajectoryDataset};
 pub use gps::{GpsPoint, GpsTrace};
 pub use preference::DriverPreference;

@@ -37,16 +37,6 @@ pub struct MapMatchConfig {
     pub max_candidates: usize,
     /// Weight of the heading-agreement emission term (0 disables it).
     pub heading_weight: f64,
-    /// Lower bound on the [`EdgeIndex`] grid cell size, metres. The
-    /// index is built with `candidate_radius_m.max(min_cell_m)` cells
-    /// ([`MapMatchConfig::index_cell_m`]): cell size is a pure
-    /// performance knob — [`EdgeIndex::edges_near`] returns a superset
-    /// of the in-radius edges for *any* cell size — but tiny radii
-    /// would otherwise build needlessly fine grids. This used to be a
-    /// hidden `max(25.0)` deep in the index construction; it is a
-    /// config field so the build and query sides can never silently
-    /// disagree about which grid a radius is scanned against.
-    pub min_cell_m: f64,
 }
 
 impl Default for MapMatchConfig {
@@ -57,175 +47,6 @@ impl Default for MapMatchConfig {
             beta_m: 12.0,
             max_candidates: 8,
             heading_weight: 3.0,
-            min_cell_m: 25.0,
-        }
-    }
-}
-
-impl MapMatchConfig {
-    /// The [`EdgeIndex`] cell size this configuration builds:
-    /// `candidate_radius_m.max(min_cell_m)`.
-    pub fn index_cell_m(&self) -> f64 {
-        self.candidate_radius_m.max(self.min_cell_m)
-    }
-}
-
-/// A uniform-grid spatial index over edges, for candidate lookup.
-///
-/// Contract: for **any** cell size, [`EdgeIndex::edges_near`] returns a
-/// superset of every edge whose registered polyline passes within the
-/// query radius of the query point — cell size trades memory against
-/// over-scan, never correctness. Callers filter the superset by true
-/// projection distance.
-#[derive(Debug)]
-pub struct EdgeIndex {
-    cell_m: f64,
-    cells: HashMap<(i32, i32), Vec<EdgeId>>,
-}
-
-impl EdgeIndex {
-    /// Builds the index over straight endpoint chords; each edge is
-    /// registered in every cell its endpoint bounding box touches.
-    ///
-    /// On graphs whose edges carry interior geometry (PR 5's degree-2
-    /// chain contraction), the chord can lie arbitrarily far from the
-    /// actual road — use [`EdgeIndex::build_with_geometry`] there, or a
-    /// folded hairpin edge will never be returned near its apex.
-    pub fn build(g: &Graph, cell_m: f64) -> Self {
-        let mut cells: HashMap<(i32, i32), Vec<EdgeId>> = HashMap::new();
-        let mut seen: HashSet<(i32, i32)> = HashSet::new();
-        for (i, e) in g.edges().enumerate() {
-            seen.clear();
-            let a = g.coord(e.from);
-            let b = g.coord(e.to);
-            Self::register_segment(&mut cells, &mut seen, cell_m, &a, &b, EdgeId(i as u32));
-        }
-        EdgeIndex { cell_m, cells }
-    }
-
-    /// Builds the index over full edge polylines: every *segment* of
-    /// `endpoint -> interior geometry -> endpoint` registers its
-    /// bounding-box cells, so the grid covers the road where it actually
-    /// runs. `geometry` is interior points per edge, aligned with edge
-    /// ids (the [`ImportedGraph::edge_geometry`] layout); edges with
-    /// empty geometry register exactly like [`EdgeIndex::build`].
-    ///
-    /// # Panics
-    /// If `geometry.len() != g.edge_count()`.
-    pub fn build_with_geometry(g: &Graph, geometry: &[Vec<Point>], cell_m: f64) -> Self {
-        assert_eq!(
-            geometry.len(),
-            g.edge_count(),
-            "interior geometry must be aligned with edge ids"
-        );
-        let mut cells: HashMap<(i32, i32), Vec<EdgeId>> = HashMap::new();
-        let mut seen: HashSet<(i32, i32)> = HashSet::new();
-        for (i, e) in g.edges().enumerate() {
-            seen.clear();
-            let id = EdgeId(i as u32);
-            let end = g.coord(e.to);
-            let mut prev = g.coord(e.from);
-            for &p in geometry[i].iter().chain(std::iter::once(&end)) {
-                Self::register_segment(&mut cells, &mut seen, cell_m, &prev, &p, id);
-                prev = p;
-            }
-        }
-        EdgeIndex { cell_m, cells }
-    }
-
-    /// Registers `id` in every cell the bounding box of `a -> b`
-    /// touches; `seen` dedups cells across an edge's segments.
-    fn register_segment(
-        cells: &mut HashMap<(i32, i32), Vec<EdgeId>>,
-        seen: &mut HashSet<(i32, i32)>,
-        cell_m: f64,
-        a: &Point,
-        b: &Point,
-        id: EdgeId,
-    ) {
-        let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
-        let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
-        let (cx0, cx1) = ((x0 / cell_m).floor() as i32, (x1 / cell_m).floor() as i32);
-        let (cy0, cy1) = ((y0 / cell_m).floor() as i32, (y1 / cell_m).floor() as i32);
-        for cx in cx0..=cx1 {
-            for cy in cy0..=cy1 {
-                if seen.insert((cx, cy)) {
-                    cells.entry((cx, cy)).or_default().push(id);
-                }
-            }
-        }
-    }
-
-    /// The grid cell size this index was built with, metres.
-    pub fn cell_m(&self) -> f64 {
-        self.cell_m
-    }
-
-    /// Edges whose registered cells intersect the disc around `p` — a
-    /// superset of all edges registered within `radius_m` of `p`,
-    /// whatever cell size the index was built with (the scan covers
-    /// `ceil(radius / cell)` cell rings, which always reaches every
-    /// cell a within-radius point can fall in). Callers filter by true
-    /// projection distance; a mismatched radius/cell pair only changes
-    /// how many out-of-radius edges survive until that filter.
-    pub fn edges_near(&self, p: &Point, radius_m: f64) -> Vec<EdgeId> {
-        let mut out = Vec::new();
-        self.edges_near_into(p, radius_m, &mut out);
-        out
-    }
-
-    /// [`EdgeIndex::edges_near`] into a caller-owned buffer: `out` is
-    /// cleared and refilled, so a loop issuing many queries (one per GPS
-    /// fix) reuses one allocation instead of building a fresh `Vec` per
-    /// call. Results are identical to the allocating wrapper.
-    pub fn edges_near_into(&self, p: &Point, radius_m: f64, out: &mut Vec<EdgeId>) {
-        out.clear();
-        let r_cells = (radius_m / self.cell_m).ceil() as i32;
-        let (cx, cy) = (
-            (p.x / self.cell_m).floor() as i32,
-            (p.y / self.cell_m).floor() as i32,
-        );
-        for dx in -r_cells..=r_cells {
-            for dy in -r_cells..=r_cells {
-                if let Some(es) = self.cells.get(&(cx + dx, cy + dy)) {
-                    out.extend_from_slice(es);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-}
-
-/// The matcher's candidate-snapping index: either the legacy uniform
-/// [`EdgeIndex`] grid or the packed [`RTree`] over edge polyline
-/// segments.
-///
-/// Both honour the same contract through [`SnapIndex::edges_near_into`]:
-/// every edge whose registered geometry passes within the query radius is
-/// returned, in ascending edge-id order, and the caller's true
-/// projection-distance filter reduces either answer to the identical
-/// candidate set (the grid over-approximates and relies on the filter;
-/// the R-tree is already exact). `tests/rtree_exactness.rs` pins the two
-/// to byte-identical match output.
-#[derive(Debug)]
-pub enum SnapIndex {
-    /// Uniform grid over registered bounding-box cells; returns a
-    /// superset of the in-radius edges.
-    Grid(EdgeIndex),
-    /// Packed STR-bulk-loaded R-tree; returns exactly the in-radius
-    /// edges.
-    RTree(RTree),
-}
-
-impl SnapIndex {
-    /// Edges near `p`, written into a caller-owned buffer (cleared
-    /// first): the grid's cell-ring superset or the R-tree's exact
-    /// in-radius set, both sorted ascending and deduplicated.
-    pub fn edges_near_into(&self, p: &Point, radius_m: f64, out: &mut Vec<EdgeId>) {
-        match self {
-            SnapIndex::Grid(ix) => ix.edges_near_into(p, radius_m, out),
-            SnapIndex::RTree(rt) => rt.edges_within_into(p, radius_m, out),
         }
     }
 }
@@ -439,7 +260,7 @@ fn transition_shape(g: &Graph, a: &Candidate, b: &Candidate) -> Transition {
     }
 }
 
-/// A reusable matcher: one [`SnapIndex`], one [`QueryEngine`] and one
+/// A reusable matcher: one [`RTree`], one [`QueryEngine`] and one
 /// shared shortest-path cache serving any number of traces.
 ///
 /// [`map_match_with`] already reuses a caller's engine, but it still
@@ -447,9 +268,6 @@ fn transition_shape(g: &Graph, a: &Candidate, b: &Candidate) -> Transition {
 /// assembly, servers) hold a `MapMatcher` instead, which hoists the index
 /// build out of the per-trace loop entirely and shares the probe cache
 /// across a whole fleet ([`MapMatcher::stats`] reports its hit rate).
-/// Snapping runs on the packed [`RTree`] by default; the
-/// [`MapMatcher::new_with_grid`] constructors keep the uniform grid
-/// available for comparison (matches are identical either way).
 /// The engine can additionally carry ALT landmarks
 /// ([`MapMatcher::with_landmarks`]) or a contraction hierarchy
 /// ([`MapMatcher::with_ch`]) so every HMM transition probe and
@@ -458,7 +276,7 @@ fn transition_shape(g: &Graph, a: &Candidate, b: &Candidate) -> Transition {
 /// tie-breaking.
 pub struct MapMatcher<'g> {
     engine: QueryEngine<'g>,
-    index: SnapIndex,
+    index: RTree,
     cfg: MapMatchConfig,
     cache: SpCache,
     /// Interior edge geometry for imported graphs (aligned with edge
@@ -466,24 +284,18 @@ pub struct MapMatcher<'g> {
     /// Drives both the spatial index build and candidate projection,
     /// so the two always agree about where an edge runs.
     geometry: Option<&'g [Vec<Point>]>,
-    /// Whether CH-backed matchers bulk-fill transition blocks through
-    /// the bucket-based many-to-many tables (on by default; a no-op
-    /// without a CH covering the probe metric).
-    m2m: bool,
 }
 
 impl<'g> MapMatcher<'g> {
     /// Builds the matcher: bulk-loads the packed [`RTree`] over the
     /// graph's edge chords once and allocates the reusable engine.
     pub fn new(g: &'g Graph, cfg: MapMatchConfig) -> Self {
-        let index = SnapIndex::RTree(RTree::build(g));
         MapMatcher {
             engine: QueryEngine::new(g),
-            index,
+            index: RTree::build(g),
             cfg,
             cache: SpCache::default(),
             geometry: None,
-            m2m: true,
         }
     }
 
@@ -502,57 +314,12 @@ impl<'g> MapMatcher<'g> {
         geometry: &'g [Vec<Point>],
         cfg: MapMatchConfig,
     ) -> Self {
-        let index = SnapIndex::RTree(RTree::build_with_geometry(g, geometry));
         MapMatcher {
             engine: QueryEngine::new(g),
-            index,
+            index: RTree::build_with_geometry(g, geometry),
             cfg,
             cache: SpCache::default(),
             geometry: Some(geometry),
-            m2m: true,
-        }
-    }
-
-    /// [`MapMatcher::new`] snapping against the uniform
-    /// [`EdgeIndex`] grid (cell size [`MapMatchConfig::index_cell_m`])
-    /// instead of the R-tree. Matches are identical — the grid's
-    /// superset answer collapses to the same candidate set under the
-    /// true-distance filter — so this exists for A/B measurement and as
-    /// the reference the R-tree is pinned against.
-    pub fn new_with_grid(g: &'g Graph, cfg: MapMatchConfig) -> Self {
-        let index = SnapIndex::Grid(EdgeIndex::build(g, cfg.index_cell_m()));
-        MapMatcher {
-            engine: QueryEngine::new(g),
-            index,
-            cfg,
-            cache: SpCache::default(),
-            geometry: None,
-            m2m: true,
-        }
-    }
-
-    /// [`MapMatcher::new_with_geometry`] on the uniform grid
-    /// ([`EdgeIndex::build_with_geometry`]) instead of the R-tree.
-    ///
-    /// # Panics
-    /// If `geometry.len() != g.edge_count()`.
-    pub fn new_with_grid_geometry(
-        g: &'g Graph,
-        geometry: &'g [Vec<Point>],
-        cfg: MapMatchConfig,
-    ) -> Self {
-        let index = SnapIndex::Grid(EdgeIndex::build_with_geometry(
-            g,
-            geometry,
-            cfg.index_cell_m(),
-        ));
-        MapMatcher {
-            engine: QueryEngine::new(g),
-            index,
-            cfg,
-            cache: SpCache::default(),
-            geometry: Some(geometry),
-            m2m: true,
         }
     }
 
@@ -591,15 +358,6 @@ impl<'g> MapMatcher<'g> {
         self
     }
 
-    /// Enables or disables the many-to-many transition bulk fill
-    /// (enabled by default). Exists for A/B measurement — the fill only
-    /// changes how transition distances are computed, never the match
-    /// (locked in by `tests/m2m_exactness.rs`).
-    pub fn with_m2m(mut self, enabled: bool) -> Self {
-        self.m2m = enabled;
-        self
-    }
-
     /// The matcher configuration.
     pub fn config(&self) -> &MapMatchConfig {
         &self.cfg
@@ -611,15 +369,9 @@ impl<'g> MapMatcher<'g> {
         self.cache.stats
     }
 
-    /// Clears the shared probe cache and its counters (e.g. between
-    /// fleets whose traffic patterns differ).
-    pub fn reset_cache(&mut self) {
-        self.cache = SpCache::default();
-    }
-
     /// The spatial index (built once in [`MapMatcher::new`]; exposed so
     /// tests can assert it is reused across traces).
-    pub fn index(&self) -> &SnapIndex {
+    pub fn index(&self) -> &RTree {
         &self.index
     }
 
@@ -633,7 +385,6 @@ impl<'g> MapMatcher<'g> {
             trace,
             &self.cfg,
             &mut self.cache,
-            self.m2m,
         )
     }
 }
@@ -683,32 +434,22 @@ pub fn map_match_with(
     if trace.len() < 2 {
         return None;
     }
-    let index = SnapIndex::RTree(RTree::build(engine.graph()));
-    match_on(
-        engine,
-        &index,
-        None,
-        trace,
-        cfg,
-        &mut SpCache::default(),
-        true,
-    )
+    let index = RTree::build(engine.graph());
+    match_on(engine, &index, None, trace, cfg, &mut SpCache::default())
 }
 
 /// The matcher core: candidate layers from a prebuilt index (projecting
 /// onto full polylines when `geometry` is given), Viterbi over
 /// engine-probed route distances (through `sp_cache`, bulk-filled
-/// block-by-block from many-to-many tables when `use_m2m` and the engine
-/// carries a CH covering the probe metric), stitching.
-#[allow(clippy::too_many_arguments)]
+/// block-by-block from many-to-many tables when the engine carries a CH
+/// covering the probe metric), stitching.
 fn match_on(
     engine: &mut QueryEngine<'_>,
-    index: &SnapIndex,
+    index: &RTree,
     geometry: Option<&[Vec<Point>]>,
     trace: &GpsTrace,
     cfg: &MapMatchConfig,
     sp_cache: &mut SpCache,
-    use_m2m: bool,
 ) -> Option<Path> {
     let g = engine.graph();
     if trace.len() < 2 {
@@ -735,7 +476,7 @@ fn match_on(
     let mut near: Vec<EdgeId> = Vec::new();
     let mut layers: Vec<Vec<Candidate>> = Vec::with_capacity(trace.len());
     for (fi, fix) in trace.points.iter().enumerate() {
-        index.edges_near_into(&fix.pos, cfg.candidate_radius_m, &mut near);
+        index.edges_within_into(&fix.pos, cfg.candidate_radius_m, &mut near);
         let mut cands: Vec<Candidate> = near
             .iter()
             .filter_map(|&e| {
@@ -832,7 +573,7 @@ fn match_on(
     // pair of every ping-to-ping block lands in the cache before the
     // Viterbi loop reads it (the loop itself is unchanged; see
     // `SpCache::bulk_fill` for the exactness contract).
-    if use_m2m && engine.uses_ch(CostModel::Length) {
+    if engine.uses_ch(CostModel::Length) {
         sp_cache.bulk_fill(engine, &layers);
     }
     for li in 1..layers.len() {
@@ -961,11 +702,11 @@ mod tests {
     #[test]
     fn edge_index_finds_nearby_edges() {
         let g = region_network(&RegionConfig::small_test(), 2);
-        let index = EdgeIndex::build(&g, 100.0);
+        let matcher = MapMatcher::new(&g, MapMatchConfig::default());
         // A point on a known vertex must see that vertex's incident edges.
         let v = pathrank_spatial::graph::VertexId(0);
         let p = g.coord(v);
-        let near = index.edges_near(&p, 60.0);
+        let near = matcher.index().edges_within(&p, 60.0);
         for (_, e) in g.out_edges(v) {
             assert!(near.contains(&e), "index must return incident edge {e:?}");
         }
@@ -1004,27 +745,27 @@ mod tests {
 
     #[test]
     fn hairpin_edge_is_invisible_to_the_endpoint_index() {
-        // The regression this PR fixes: the endpoint-bbox index only
-        // registers the 40 m chord at y = 0, so a fix at the hairpin's
-        // apex — 300 m up, directly ON the road — returns nothing.
+        // The folded-hairpin regression: the chord index only knows the
+        // 40 m chord at y = 0, so a fix at the hairpin's apex — 300 m
+        // up, directly ON the road — returns nothing.
         let (g, geometry) = hairpin_graph();
         let apex = Point::new(20.0, 300.0);
-        let old = EdgeIndex::build(&g, 60.0);
+        let chords = RTree::build(&g);
         assert!(
-            old.edges_near(&apex, 60.0).is_empty(),
-            "old endpoint index must provably miss the hairpin (the bug)"
+            chords.edges_within(&apex, 60.0).is_empty(),
+            "the chord index must provably miss the hairpin (the bug)"
         );
-        let fixed = EdgeIndex::build_with_geometry(&g, &geometry, 60.0);
-        let near = fixed.edges_near(&apex, 60.0);
-        assert!(
-            near.contains(&EdgeId(0)) && near.contains(&EdgeId(1)),
-            "polyline index must return both hairpin directions, got {near:?}"
+        let polylines = RTree::build_with_geometry(&g, &geometry);
+        assert_eq!(
+            polylines.edges_within(&apex, 60.0),
+            [EdgeId(0), EdgeId(1)],
+            "polyline index must return both hairpin directions"
         );
-        // Straight edges register identically in both indexes.
+        // Straight edges answer identically from both indexes.
         let on_straight = Point::new(140.0, 10.0);
         assert_eq!(
-            old.edges_near(&on_straight, 60.0),
-            fixed.edges_near(&on_straight, 60.0)
+            chords.edges_within(&on_straight, 60.0),
+            polylines.edges_within(&on_straight, 60.0)
         );
     }
 
@@ -1052,9 +793,8 @@ mod tests {
         };
         let cfg = MapMatchConfig::default();
 
-        // A chord-built matcher (grid or R-tree alike) cannot see the
-        // hairpin: every fix on the loop has no candidate, so the
-        // matched route misses edge 0.
+        // A chord-built matcher cannot see the hairpin: every fix on
+        // the loop has no candidate, so the matched route misses edge 0.
         let mut old = MapMatcher::new(&g, cfg.clone());
         let old_match = old.match_trace(&trace);
         assert!(
@@ -1078,106 +818,6 @@ mod tests {
             "matched route must continue east, got {:?}",
             p.edges()
         );
-    }
-
-    #[test]
-    fn edges_near_filtered_sets_are_stable_across_cell_sizes() {
-        use pathrank_spatial::geometry::point_segment_distance;
-        // The documented contract: whatever cell size the grid was
-        // built with — including every historical radius/cell mismatch
-        // — the superset survives the true-distance filter as exactly
-        // the brute-force in-radius edge set.
-        let g = region_network(&RegionConfig::small_test(), 2);
-        let n = g.vertex_count() as u32;
-        let probes: Vec<Point> = [0, n / 3, n / 2, n - 1]
-            .iter()
-            .map(|&v| {
-                let p = g.coord(pathrank_spatial::graph::VertexId(v));
-                Point::new(p.x + 3.0, p.y - 4.0)
-            })
-            .collect();
-        let true_within = |p: &Point, r: f64| -> Vec<EdgeId> {
-            g.edges()
-                .enumerate()
-                .filter(|(_, e)| point_segment_distance(p, &g.coord(e.from), &g.coord(e.to)) <= r)
-                .map(|(i, _)| EdgeId(i as u32))
-                .collect()
-        };
-        for &radius in &[5.0, 25.0, 60.0, 140.0] {
-            for &cell in &[10.0, 25.0, 60.0, 200.0] {
-                let index = EdgeIndex::build(&g, cell);
-                assert_eq!(index.cell_m(), cell);
-                for p in &probes {
-                    let got: Vec<EdgeId> = index
-                        .edges_near(p, radius)
-                        .into_iter()
-                        .filter(|&e| {
-                            let rec = g.edge(e);
-                            point_segment_distance(p, &g.coord(rec.from), &g.coord(rec.to))
-                                <= radius
-                        })
-                        .collect();
-                    let want = true_within(p, radius);
-                    assert_eq!(got, want, "cell {cell} radius {radius} at {p:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn edges_near_into_matches_wrapper_and_reuses_buffer() {
-        let g = region_network(&RegionConfig::small_test(), 2);
-        let index = EdgeIndex::build(&g, 60.0);
-        let mut buf = vec![EdgeId(99)]; // stale content must be cleared
-        for v in [0u32, 5, 11] {
-            let p = g.coord(pathrank_spatial::graph::VertexId(v));
-            index.edges_near_into(&p, 80.0, &mut buf);
-            assert_eq!(buf, index.edges_near(&p, 80.0));
-        }
-    }
-
-    #[test]
-    fn grid_and_rtree_matchers_agree() {
-        // The snapping index is a pure lookup structure: the R-tree
-        // default and the grid reference must match every trace to the
-        // same edge sequence (the full property harness lives in
-        // `tests/rtree_exactness.rs`).
-        let g = region_network(&RegionConfig::small_test(), 4);
-        let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-        let cfg = MapMatchConfig::default();
-        let mut rtree = MapMatcher::new(&g, cfg.clone());
-        let mut grid = MapMatcher::new_with_grid(&g, cfg);
-        for trip in trips.iter().take(6) {
-            let a = rtree.match_trace(&trip.trace);
-            let b = grid.match_trace(&trip.trace);
-            match (a, b) {
-                (Some(a), Some(b)) => assert_eq!(a.edges(), b.edges()),
-                (None, None) => {}
-                (a, b) => panic!("snap index changed a match: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn index_cell_size_is_explicit() {
-        // Small radii are floored by `min_cell_m`; large radii use the
-        // radius itself. The matcher's index must agree with the config.
-        let small = MapMatchConfig {
-            candidate_radius_m: 10.0,
-            ..Default::default()
-        };
-        assert_eq!(small.index_cell_m(), 25.0);
-        let large = MapMatchConfig::default();
-        assert_eq!(large.index_cell_m(), 60.0);
-        let g = region_network(&RegionConfig::small_test(), 2);
-        let matcher = MapMatcher::new_with_grid(&g, small.clone());
-        match matcher.index() {
-            SnapIndex::Grid(ix) => assert_eq!(ix.cell_m(), small.index_cell_m()),
-            SnapIndex::RTree(_) => panic!("grid constructor must build a grid"),
-        }
-        // The default constructor snaps on the R-tree.
-        let default = MapMatcher::new(&g, large);
-        assert!(matches!(default.index(), SnapIndex::RTree(_)));
     }
 
     #[test]
@@ -1235,14 +875,14 @@ mod tests {
 
     #[test]
     fn matcher_reuses_one_index_across_traces() {
-        // The ROADMAP fix: `map_match_with` rebuilt the spatial grid per
+        // The ROADMAP fix: `map_match_with` rebuilt the spatial index per
         // trace; a MapMatcher must hold one index for its lifetime and
         // still reproduce the one-shot matcher's output exactly.
         let g = region_network(&RegionConfig::small_test(), 4);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
         let cfg = MapMatchConfig::default();
         let mut matcher = MapMatcher::new(&g, cfg.clone());
-        let index_ptr: *const SnapIndex = matcher.index();
+        let index_ptr: *const RTree = matcher.index();
         for trip in trips.iter().take(6) {
             let fresh = map_match(&g, &trip.trace, &cfg);
             let hoisted = matcher.match_trace(&trip.trace);
@@ -1321,8 +961,6 @@ mod tests {
         // Without a CH there is nothing to bulk-fill from.
         assert_eq!(stats.m2m_tables, 0);
         assert_eq!(stats.probes_avoided_by_m2m(), 0);
-        matcher.reset_cache();
-        assert_eq!(matcher.stats(), MatchStats::default());
 
         // The CH-backed matcher serves the same fleet through bulk
         // many-to-many fills: the avoided-probe counter must move and
@@ -1382,36 +1020,6 @@ mod tests {
                 (a, b) => panic!("CH match divergence: {a:?} vs {b:?}"),
             }
         }
-    }
-
-    #[test]
-    fn m2m_toggle_does_not_change_matches() {
-        // The bulk fill replaces per-pair engine probes with table
-        // lookups; the matched edge sequences must be unchanged.
-        use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use std::sync::Arc;
-        let g = region_network(&RegionConfig::small_test(), 4);
-        let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-        let ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig::default(),
-        ));
-        let cfg = MapMatchConfig::default();
-        let mut on = MapMatcher::new(&g, cfg.clone()).with_ch(Arc::clone(&ch));
-        let mut off = MapMatcher::new(&g, cfg).with_ch(ch).with_m2m(false);
-        for trip in trips.iter().take(8) {
-            let a = on.match_trace(&trip.trace);
-            let b = off.match_trace(&trip.trace);
-            match (a, b) {
-                (Some(a), Some(b)) => assert_eq!(a.edges(), b.edges()),
-                (None, None) => {}
-                (a, b) => panic!("m2m toggle changed a match: {a:?} vs {b:?}"),
-            }
-        }
-        assert!(on.stats().m2m_tables > 0, "m2m on must build tables");
-        assert_eq!(off.stats().m2m_tables, 0, "m2m off must not");
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! * `CostModel::Custom` and metric-mismatched batched calls must
 //!   return `None` (the caller's sp-cache fallback path), asserted at
 //!   the engine layer;
-//! * map matching with the bulk fill on vs off must produce identical
-//!   matched edge sequences, and a metric-mismatched hierarchy must
-//!   leave the fill inert while matches still equal the plain matcher's.
+//! * map matching with the bulk fill on (length CH attached) vs off (no
+//!   hierarchy) must produce identical matched edge sequences, and a
+//!   metric-mismatched hierarchy must leave the fill inert while matches
+//!   still equal the plain matcher's.
 
 use std::sync::Arc;
 
@@ -339,8 +340,9 @@ proptest! {
 }
 
 /// Deterministic companion: on a simulated fleet, the bulk fill must not
-/// change a single matched edge sequence — m2m on vs off, and a
-/// metric-mismatched hierarchy vs the plain matcher.
+/// change a single matched edge sequence — a CH-backed matcher (fill on)
+/// and a metric-mismatched hierarchy (fill inert) vs the plain matcher
+/// (no hierarchy, no fill).
 #[test]
 fn m2m_map_match_results_unchanged_on_vs_off() {
     use pathrank::spatial::generators::{region_network, RegionConfig};
@@ -361,12 +363,11 @@ fn m2m_map_match_results_unchanged_on_vs_off() {
     ));
     let cfg = MapMatchConfig::default();
     let mut plain = MapMatcher::new(&g, cfg.clone());
-    let mut on = MapMatcher::new(&g, cfg.clone()).with_ch(Arc::clone(&ch));
-    let mut off = MapMatcher::new(&g, cfg.clone()).with_ch(ch).with_m2m(false);
+    let mut on = MapMatcher::new(&g, cfg.clone()).with_ch(ch);
     let mut mismatched = MapMatcher::new(&g, cfg).with_ch(tt_ch);
     for trip in trips.iter().take(10) {
         let reference = plain.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-        for matcher in [&mut on, &mut off, &mut mismatched] {
+        for matcher in [&mut on, &mut mismatched] {
             let got = matcher.match_trace(&trip.trace).map(|p| p.edges().to_vec());
             assert_eq!(reference, got, "matcher configuration changed a match");
         }
@@ -377,9 +378,9 @@ fn m2m_map_match_results_unchanged_on_vs_off() {
     );
     assert!(on.stats().probes_avoided_by_m2m() > 0);
     assert_eq!(
-        off.stats().m2m_tables,
+        plain.stats().m2m_tables,
         0,
-        "with m2m off no tables may be built"
+        "without a hierarchy no tables may be built"
     );
     assert_eq!(
         mismatched.stats().m2m_tables,

@@ -212,25 +212,25 @@ fn osm_workbench_from_fixture_serves_exact_paths_on_all_backends() {
         wb.train_paths.len() + wb.test_paths.len() > 0,
         "imported network must support simulated trajectories"
     );
-    let mut plain = wb.query_engine();
-    let mut alt = wb.alt_query_engine();
-    let mut chx = wb.ch_query_engine();
-    let mut fastest = wb.fastest_query_engine();
-    assert!(alt.uses_alt(CostModel::Length));
-    assert_eq!(chx.backend_for(CostModel::Length), SearchBackend::Ch);
+    let mut plain = QueryEngine::new(&wb.graph);
+    let mut fast = wb.query_engine();
+    assert_eq!(fast.backend_for(CostModel::Length), SearchBackend::Ch);
     assert_eq!(
-        fastest.backend_for(CostModel::TravelTime),
-        SearchBackend::Ch
+        fast.constrained_backend_for(CostModel::Length),
+        SearchBackend::Alt
+    );
+    // Both indexes are length-metric: TravelTime falls through the
+    // metric gate to an exact plain search.
+    assert_eq!(
+        fast.backend_for(CostModel::TravelTime),
+        SearchBackend::Plain
     );
     for (s, t) in all_pairs(&wb.graph) {
-        let a = plain.shortest_path_cost(s, t, CostModel::Length);
-        let b = alt.shortest_path_cost(s, t, CostModel::Length);
-        let c = chx.shortest_path_cost(s, t, CostModel::Length);
-        assert_eq!(a, b, "ALT diverged on {s:?}->{t:?}");
-        assert_eq!(a, c, "CH diverged on {s:?}->{t:?}");
-        let ft = plain.shortest_path_cost(s, t, CostModel::TravelTime);
-        let fc = fastest.shortest_path_cost(s, t, CostModel::TravelTime);
-        assert_eq!(ft, fc, "fastest-path CH diverged on {s:?}->{t:?}");
+        for cost in [CostModel::Length, CostModel::TravelTime] {
+            let a = plain.shortest_path_cost(s, t, cost);
+            let b = fast.shortest_path_cost(s, t, cost);
+            assert_eq!(a, b, "workbench engine diverged on {s:?}->{t:?}");
+        }
     }
 }
 

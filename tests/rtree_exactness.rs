@@ -1,33 +1,26 @@
 //! Property-test harness pinning the R-tree's candidate sets to ground
 //! truth.
 //!
-//! Replacing the uniform-grid snapping index with the packed STR R-tree
-//! is only an optimisation if it can never change which edges a GPS fix
-//! snaps to. These properties drive [`RTree::edges_within`] against a
-//! brute-force scan over every edge on random generator graphs, and the
-//! R-tree-backed [`MapMatcher`] against the grid-backed one on
-//! simulated fleets, requiring **identical candidate sets and identical
-//! matched edge sequences** — not merely similar ones.
+//! The packed STR R-tree is the map matcher's only snapping index, so it
+//! must return exactly the edges a GPS fix can snap to. These properties
+//! drive [`RTree::edges_within`] against a brute-force scan over every
+//! edge, requiring **identical candidate sets** — not merely similar
+//! ones.
 //!
-//! Covered regimes, per the issue:
+//! Covered regimes:
 //! * `edges_within` equals the brute-force in-radius set (ascending
 //!   `EdgeId`, deduplicated) across random probe points and radii,
 //!   including radius 0 and probes far outside the network;
 //! * the `_into` variant reuses its output buffer without leaking stale
 //!   candidates between queries;
-//! * whole map-matched trips: grid-built and R-tree-built matchers
-//!   produce identical edge sequences on the same traces, across cell
-//!   sizes and candidate radii;
-//! * polyline geometry: both index builds see the true geometry (a
-//!   hairpin detour), not just the straight chord.
+//! * polyline geometry: the geometry-aware matcher's index sees the true
+//!   geometry (a hairpin detour), not just the straight chord.
 
 use pathrank::spatial::builder::GraphBuilder;
-use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::geometry::{point_segment_distance, Point};
 use pathrank::spatial::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use pathrank::spatial::rtree::RTree;
 use pathrank::traj::mapmatch::{MapMatchConfig, MapMatcher};
-use pathrank::traj::simulator::{simulate_fleet, SimulationConfig};
 use proptest::prelude::*;
 
 /// Builds a random directed graph from proptest-drawn raw material.
@@ -51,14 +44,25 @@ fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -
     b.build()
 }
 
-/// Ground truth: every edge whose segment (straight chord) lies within
-/// `radius_m` of `p`, ascending by id.
-fn brute_force_within(g: &Graph, p: &Point, radius_m: f64) -> Vec<EdgeId> {
+/// Ground truth: every edge whose polyline — `from`, the edge's interior
+/// `geometry` points if given, `to` — passes within `radius_m` of `p`,
+/// ascending by id.
+fn brute_force_within(
+    g: &Graph,
+    geometry: Option<&[Vec<Point>]>,
+    p: &Point,
+    radius_m: f64,
+) -> Vec<EdgeId> {
     (0..g.edge_count() as u32)
         .map(EdgeId)
         .filter(|&e| {
             let rec = g.edge(e);
-            point_segment_distance(p, &g.coord(rec.from), &g.coord(rec.to)) <= radius_m
+            let interior = geometry.map_or(&[][..], |gm| gm[e.index()].as_slice());
+            let mut poly = vec![g.coord(rec.from)];
+            poly.extend_from_slice(interior);
+            poly.push(g.coord(rec.to));
+            poly.windows(2)
+                .any(|w| point_segment_distance(p, &w[0], &w[1]) <= radius_m)
         })
         .collect()
 }
@@ -85,7 +89,7 @@ proptest! {
             // Radius 0 (degenerate: only edges the probe sits on) is
             // checked alongside the drawn radius on every probe.
             for r in [0.0, radius] {
-                let expect = brute_force_within(&g, &p, r);
+                let expect = brute_force_within(&g, None, &p, r);
                 let got = rt.edges_within(&p, r);
                 prop_assert_eq!(
                     got.as_slice(),
@@ -103,46 +107,11 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Whole map-matched trips: the grid-built and R-tree-built matchers
-    /// must produce identical edge sequences for every simulated trace,
-    /// across candidate radii (and thereby grid cell sizes, which follow
-    /// the radius).
-    #[test]
-    fn rtree_mapmatch_sequences_identical_to_grid(
-        region_seed in 0u64..500,
-        fleet_seed in 0u64..500,
-        radius in 40.0f64..120.0,
-    ) {
-        let g = region_network(&RegionConfig::small_test(), region_seed);
-        let sim = SimulationConfig {
-            n_vehicles: 3,
-            trips_per_vehicle: 1,
-            ..SimulationConfig::small_test()
-        };
-        let trips = simulate_fleet(&g, &sim, fleet_seed);
-        let cfg = MapMatchConfig {
-            candidate_radius_m: radius,
-            ..MapMatchConfig::default()
-        };
-        let mut rt = MapMatcher::new(&g, cfg.clone());
-        let mut grid = MapMatcher::new_with_grid(&g, cfg);
-        for trip in &trips {
-            let a = rt.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-            let b = grid.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-            prop_assert_eq!(a, b, "matched sequence diverged (region {}, fleet {})",
-                region_seed, fleet_seed);
-        }
-    }
-}
-
-/// Deterministic companion: with polyline geometry attached, both index
-/// builds must expand edge bounding volumes over the true geometry — a
-/// hairpin detour far off the chord snaps identically through either.
+/// Deterministic companion: with polyline geometry attached, the
+/// matcher's index must cover the true geometry — a hairpin detour far
+/// off the chord snaps exactly where a scan over every polyline says.
 #[test]
-fn rtree_geometry_hairpin_candidates_match_grid() {
+fn rtree_geometry_hairpin_candidates_match_brute_force() {
     // One straight corridor a->b->c plus a parallel edge a->c whose true
     // geometry detours 400 m north of the chord midway.
     let mut b = GraphBuilder::new();
@@ -164,37 +133,30 @@ fn rtree_geometry_hairpin_candidates_match_grid() {
     geometry[detour.index() + 1] = hairpin.into_iter().rev().collect();
 
     let cfg = MapMatchConfig::default();
-    let rt = MapMatcher::new_with_geometry(&g, &geometry, cfg.clone());
-    let grid = MapMatcher::new_with_grid_geometry(&g, &geometry, cfg.clone());
-    // Probe next to the hairpin apex (far from every chord) and along
-    // the corridor: both indexes must agree candidate-for-candidate.
-    let mut a: Vec<EdgeId> = Vec::new();
-    let mut b: Vec<EdgeId> = Vec::new();
+    let radius = cfg.candidate_radius_m;
+    let matcher = MapMatcher::new_with_geometry(&g, &geometry, cfg);
+    // Probes next to the hairpin apex (far from every chord) and along
+    // the corridor.
+    let apex = Point::new(500.0, 390.0);
     for p in [
-        Point::new(500.0, 390.0),
+        apex,
         Point::new(300.0, 190.0),
         Point::new(250.0, 10.0),
         Point::new(990.0, -5.0),
     ] {
-        rt.index()
-            .edges_near_into(&p, cfg.candidate_radius_m, &mut a);
-        grid.index()
-            .edges_near_into(&p, cfg.candidate_radius_m, &mut b);
-        // The grid returns a cell superset; the R-tree set (already
-        // exact w.r.t. true geometry) must be contained in it.
-        for e in &a {
-            assert!(
-                b.contains(e),
-                "grid superset missing R-tree candidate {e:?} at {p:?}"
-            );
-        }
-        assert!(!a.is_empty(), "probe at {p:?} found no candidates");
+        let got = matcher.index().edges_within(&p, radius);
+        assert!(!got.is_empty(), "probe at {p:?} found no candidates");
+        assert_eq!(
+            got,
+            brute_force_within(&g, Some(&geometry), &p, radius),
+            "R-tree candidates diverged from the polyline scan at {p:?}"
+        );
     }
-    // Near the apex the detour edge itself must be a candidate.
-    rt.index()
-        .edges_near_into(&Point::new(500.0, 390.0), cfg.candidate_radius_m, &mut a);
     assert!(
-        a.contains(&detour),
+        matcher
+            .index()
+            .edges_within(&apex, radius)
+            .contains(&detour),
         "hairpin apex must snap to the detour edge through the R-tree"
     );
 }
