@@ -21,8 +21,9 @@
 //! | `pathrank_serve_coalesced_batches_total` | counter | — (batches answered by one m2m fill) |
 //! | `pathrank_serve_live_generation` | gauge | — |
 //! | `pathrank_serve_live_swaps_total` | counter | `kind=full\|sparse` |
-//! | `pathrank_serve_publish_ns` | histogram | — (snapshot clone + swap; update latency = customize + publish) |
-//! | `pathrank_serve_index_bytes` | gauge | `index=ch\|cch_topology\|cch_snapshot` (heap bytes; the snapshot is per live copy) |
+//! | `pathrank_serve_publish_ns` | histogram | — (reclaim + level the next buffer + swap; update latency = customize + publish) |
+//! | `pathrank_serve_snapshot_buffers_total` | counter | `source=recycled\|cloned` (one per swap: the retired generation's buffers, or a new allocation because a reader pinned them) |
+//! | `pathrank_serve_index_bytes` | gauge | `index=ch\|cch_topology\|cch_snapshot` (heap bytes; the snapshot is per resident generation) |
 //! | `pathrank_cch_customize_ns` | histogram | `kind=full\|sparse` |
 //! | `pathrank_cch_delta_edges` | histogram | — (sparse update sizes) |
 //! | `pathrank_cch_recomputed_arcs` | histogram | — (triangle-closure sizes per sparse update) |
@@ -57,6 +58,8 @@ pub(crate) struct ServeObs {
     pub(crate) swap_full: Counter,
     pub(crate) swap_sparse: Counter,
     pub(crate) publish_ns: Histogram,
+    pub(crate) buffers_recycled: Counter,
+    pub(crate) buffers_cloned: Counter,
     pub(crate) ch_bytes: Gauge,
     pub(crate) cch_topology_bytes: Gauge,
     pub(crate) snapshot_bytes: Gauge,
@@ -96,6 +99,14 @@ impl ServeObs {
                 &[("kind", kind)],
             )
         };
+        let buffers = |source: &str| {
+            registry.counter(
+                "pathrank_serve_snapshot_buffers_total",
+                "Buffers live-weight generations were written into, by source \
+                 (cloned: a reader still held the retired generation)",
+                &[("source", source)],
+            )
+        };
         let customize = |kind: &str| {
             registry.histogram(
                 "pathrank_cch_customize_ns",
@@ -106,7 +117,7 @@ impl ServeObs {
         let index_bytes = |index: &str| {
             registry.gauge(
                 "pathrank_serve_index_bytes",
-                "Heap bytes held by a mounted index (cch_snapshot: per live copy)",
+                "Heap bytes held by a mounted index (cch_snapshot: per resident generation)",
                 &[("index", index)],
             )
         };
@@ -161,9 +172,12 @@ impl ServeObs {
             swap_sparse: swap("sparse"),
             publish_ns: registry.histogram(
                 "pathrank_serve_publish_ns",
-                "Wall time to clone the staging columns into a snapshot and swap it in",
+                "Wall time to reclaim the retired buffers, bring them level with the served \
+                 generation (last delta replayed, else columns copied) and swap them in",
                 &[],
             ),
+            buffers_recycled: buffers("recycled"),
+            buffers_cloned: buffers("cloned"),
             ch_bytes: index_bytes("ch"),
             cch_topology_bytes: index_bytes("cch_topology"),
             snapshot_bytes: index_bytes("cch_snapshot"),

@@ -54,30 +54,50 @@
 //! single copy, which requests route under as
 //! `CostModel::Custom(cch.custom_weights())`, so the engine's
 //! `usable_for` gate passes on slice identity instead of comparing every
-//! weight per query. Staging and every published snapshot therefore
-//! cost 28 B per arc plus 8 B per edge each, against the topology's
-//! once-only 32 B per arc and 24 B per triangle (the budget table is in
-//! the `pathrank_spatial::algo::cch` module doc).
+//! weight per query. A generation therefore costs 28 B per arc plus 8 B
+//! per edge, against the topology's once-only 28 B per arc and 12 B per
+//! triangle (the budget table is in the `pathrank_spatial::algo::cch`
+//! module doc).
 //!
-//! A mutable *staging* `Cch` lives behind its own mutex and is the only
-//! copy ever mutated: [`RouteServer::update_live_weights`] re-customizes
-//! it in place, and [`RouteServer::update_live_weights_sparse`] patches
-//! just the entries a telemetry delta names and re-relaxes only the
-//! triangles those edges touch (`Cch::apply_weight_delta` —
-//! bit-identical to the full pass, microseconds instead of milliseconds
-//! for percent-level deltas). Both happen *off* the serving path;
-//! publishing then clones the columns into an immutable snapshot, stamps
-//! the next generation and swaps it into the served slot under a mutex —
-//! the served copy itself is never written. Update latency therefore
-//! decomposes into `pathrank_cch_customize_ns` +
-//! `pathrank_serve_publish_ns`. Workers snapshot the slot once per batch,
-//! so every request in a batch — and every individual query, which folds
-//! costs over that snapshot's unpacked edges — observes exactly one
-//! generation, never a mix. Holding the staging lock across
-//! stamp-and-publish keeps generations observed through the served slot
-//! monotone even when sparse and full updates race. The engine's own
-//! `usable_for` and weights-epoch gates stay on underneath as defence in
-//! depth.
+//! Two generations are resident: the one being served and the one it
+//! replaced. **The buffer an update writes is the next snapshot.**
+//! [`RouteServer::update_live_weights`] and
+//! [`RouteServer::update_live_weights_sparse`] take the retired
+//! generation's `Cch` back once no reader holds it (`Arc::try_unwrap` —
+//! a worker drops its mount at its next live batch), write the new
+//! generation into it *off* the serving path and swap it into the
+//! served slot under a mutex; the generation that was being served
+//! becomes the retired one. A full update overwrites every column
+//! (`Cch::recustomize_weights`, allocation-free). A sparse update first
+//! brings the buffer level with the served generation — the buffer lags
+//! it by exactly the served generation's own delta, whose changed edges
+//! and recomputed arcs that `Cch` recorded, so `Cch::clone_from` copies
+//! those entries and nothing else; after a full update, or when the
+//! record does not apply for any other reason, it falls back to copying
+//! whole columns in place — and then re-relaxes only the triangles the
+//! new delta touches (`Cch::apply_weight_delta`, bit-identical to the
+//! full pass). Publishing thus costs what the two deltas cost, not what
+//! the index weighs.
+//!
+//! The fallback: when a reader still holds the retired generation — a
+//! shard that has seen no live request since, a caller keeping an
+//! `Arc<LiveWeights>` — the server lets go of it instead (the reader's
+//! copy stays valid and is never written) and the update works on a
+//! fresh clone of the served columns, or a fresh customization for a
+//! full update. `pathrank_serve_snapshot_buffers_total` counts both
+//! sources; the first two updates of a server's life are always
+//! `cloned`.
+//!
+//! The served copy itself is never written. Update latency decomposes
+//! into `pathrank_serve_publish_ns` (reclaim, level, swap) +
+//! `pathrank_cch_customize_ns`. Workers snapshot the slot once per
+//! batch, so every request in a batch — and every individual query,
+//! which folds costs over that snapshot's unpacked edges — observes
+//! exactly one generation, never a mix. Updates serialize on the
+//! retired slot's lock, held across stamp-and-publish, which keeps
+//! generations observed through the served slot monotone even when
+//! sparse and full updates race. The engine's own `usable_for` and
+//! weights-epoch gates stay on underneath as defence in depth.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -163,6 +183,10 @@ pub enum Metric {
     /// re-customized CCH as [`CostModel::Custom`].
     Live,
 }
+
+/// Every metric in declaration order, so `metric as usize` indexes it —
+/// the order the groups of a mixed batch are served in.
+const METRICS: [Metric; 3] = [Metric::Length, Metric::TravelTime, Metric::Live];
 
 /// One point-to-point routing request.
 #[derive(Debug, Clone, Copy)]
@@ -270,17 +294,22 @@ pub struct ServeStats {
 }
 
 struct LiveState {
-    /// The mutable master half of the live-weight double buffer (`None`
-    /// before the first install). Updates — full and sparse alike —
-    /// mutate it in place under its mutex
-    /// ([`Cch::recustomize_weights`] / [`Cch::apply_weight_delta`], so
-    /// steady-state customization allocates nothing), then publish an
-    /// immutable cloned snapshot into `current`. The served snapshot is
-    /// never written, so queries can keep reading it lock-free for the
-    /// whole batch while the next generation customizes.
-    staging: Mutex<Option<Cch>>,
+    /// The generation `current` replaced, kept so the next update can
+    /// write into its buffers (see the module doc); `None` until the
+    /// second publish. Its lock is the update lock: held from
+    /// reclaiming the buffer to publishing it.
+    retired: Mutex<Option<Arc<LiveWeights>>>,
+    /// The served generation. Never written: queries read it lock-free
+    /// for a whole batch while the next generation is customized.
     current: Mutex<Option<Arc<LiveWeights>>>,
     generation: AtomicU64,
+}
+
+impl LiveState {
+    /// A handle on the served generation.
+    fn served(&self) -> Option<Arc<LiveWeights>> {
+        self.current.lock().expect("live lock").clone()
+    }
 }
 
 struct Job {
@@ -337,7 +366,7 @@ impl RouteServer {
             cfg.shards
         };
         let live = Arc::new(LiveState {
-            staging: Mutex::new(None),
+            retired: Mutex::new(None),
             current: Mutex::new(None),
             generation: AtomicU64::new(0),
         });
@@ -431,13 +460,19 @@ impl RouteServer {
         self.live.generation.load(Ordering::SeqCst)
     }
 
-    /// Installs a new live weight vector: validates it, re-customizes
-    /// the staging CCH for it *on the calling thread* (workers keep
-    /// serving the previous generation meanwhile — the staging buffers
-    /// are recycled, so steady-state full updates allocate nothing
-    /// beyond the published snapshot), then atomically swaps an
-    /// immutable `(weights, index)` snapshot in. Returns the new
-    /// generation.
+    /// The generation currently being served (`None` before the first
+    /// [`RouteServer::update_live_weights`]). Holding the handle keeps
+    /// that generation's buffers from being recycled; it is never
+    /// written.
+    pub fn live_weights(&self) -> Option<Arc<LiveWeights>> {
+        self.live.served()
+    }
+
+    /// Installs a new live weight vector: validates it, customizes the
+    /// retired generation's buffers for it *on the calling thread*
+    /// (workers keep serving the previous generation meanwhile; in
+    /// steady state nothing is allocated), then atomically swaps the
+    /// immutable `(weights, index)` pair in. Returns the new generation.
     ///
     /// Errors with [`ServeError::NoBackend`] when the server has no
     /// [`ServerIndexes::cch_topology`], and
@@ -456,18 +491,22 @@ impl RouteServer {
             self.obs.error(ServeError::InvalidWeights);
             return Err(ServeError::InvalidWeights);
         }
-        let mut staging = self.live.staging.lock().expect("staging lock");
+        let mut retired = self.live.retired.lock().expect("update lock");
+        let t_publish = Instant::now();
+        let reclaimed = self.reclaim(&mut retired);
+        let prepared = t_publish.elapsed();
         let t0 = Instant::now();
-        let cch = match staging.as_mut() {
-            Some(cch) => {
+        // A full pass overwrites every column: no levelling needed.
+        let cch = match reclaimed {
+            Some(mut cch) => {
                 cch.recustomize_weights(&self.graph, &weights);
                 cch
             }
-            None => staging.insert(topo.customize_weights(&self.graph, &weights)),
+            None => topo.customize_weights(&self.graph, &weights),
         };
         self.obs.customize_full_ns.record_duration(t0.elapsed());
         self.obs.swap_full.inc();
-        Ok(self.publish(cch))
+        Ok(self.publish(&mut retired, cch, prepared))
     }
 
     /// Patches the installed live weights with a sparse telemetry delta
@@ -476,11 +515,11 @@ impl RouteServer {
     /// actually changes are re-relaxed (`Cch::apply_weight_delta`),
     /// which is bit-identical to a full re-customization of the patched
     /// vector but costs microseconds for percent-level deltas. Runs off
-    /// the serving path on the staging copy and atomically swaps a
-    /// fresh immutable snapshot in, exactly like
-    /// [`RouteServer::update_live_weights`]. Returns the new
-    /// generation; an empty (or pure-echo) delta still publishes one,
-    /// so callers can fence on it.
+    /// the serving path on the retired generation's buffers, brought
+    /// level with the served one first, and atomically swaps them in,
+    /// exactly like [`RouteServer::update_live_weights`]. Returns the
+    /// new generation; an empty (or pure-echo) delta still publishes
+    /// one, so callers can fence on it.
     ///
     /// Errors with [`ServeError::NoBackend`] when no CCH topology is
     /// mounted *or no full vector has been installed yet* (a delta
@@ -500,35 +539,61 @@ impl RouteServer {
             self.obs.error(ServeError::InvalidWeights);
             return Err(ServeError::InvalidWeights);
         }
-        let mut staging = self.live.staging.lock().expect("staging lock");
-        let Some(cch) = staging.as_mut() else {
+        let mut retired = self.live.retired.lock().expect("update lock");
+        let Some(served) = self.live.served() else {
             self.obs.error(ServeError::NoBackend);
             return Err(ServeError::NoBackend);
         };
+        let t_publish = Instant::now();
+        let mut cch = match self.reclaim(&mut retired) {
+            Some(mut cch) => {
+                cch.clone_from(&served.cch);
+                cch
+            }
+            None => Cch::clone(&served.cch),
+        };
+        let prepared = t_publish.elapsed();
         let t0 = Instant::now();
         let recomputed = cch.apply_weight_delta(updates);
         self.obs.customize_sparse_ns.record_duration(t0.elapsed());
         self.obs.delta_edges.record(updates.len() as u64);
         self.obs.recomputed_arcs.record(recomputed as u64);
         self.obs.swap_sparse.inc();
-        Ok(self.publish(cch))
+        Ok(self.publish(&mut retired, cch, prepared))
     }
 
-    /// Publishes the staging index: clones its columns into an immutable
-    /// snapshot (the topology is shared), stamps the next generation and
-    /// swaps it into the served slot. Must be called with the staging
-    /// lock held — that serializes generation assignment with the
-    /// publish itself, so generations observed through the served slot
-    /// are monotone even when sparse and full updates race.
-    fn publish(&self, staging: &Cch) -> u64 {
+    /// Takes the retired generation's `Cch` back for the next update to
+    /// write — unless a reader still holds that generation, in which
+    /// case the server's handle is dropped and the reader keeps the only
+    /// one. Counts the outcome.
+    fn reclaim(&self, retired: &mut Option<Arc<LiveWeights>>) -> Option<Cch> {
+        let cch = retired
+            .take()
+            .and_then(|lw| Arc::try_unwrap(lw).ok())
+            .and_then(|lw| Arc::try_unwrap(lw.cch).ok());
+        match cch {
+            Some(_) => self.obs.buffers_recycled.inc(),
+            None => self.obs.buffers_cloned.inc(),
+        }
+        cch
+    }
+
+    /// Publishes `cch` as the next generation: stamps it, swaps it into
+    /// the served slot and retires the generation it replaces.
+    /// `retired` is the guard of the update lock — holding it across
+    /// stamp-and-swap serializes generation assignment with the publish
+    /// itself, so generations observed through the served slot are
+    /// monotone even when sparse and full updates race. `prepared` is
+    /// the time already spent getting `cch`'s buffers ready.
+    fn publish(&self, retired: &mut Option<Arc<LiveWeights>>, cch: Cch, prepared: Duration) -> u64 {
         let t0 = Instant::now();
-        let cch = Arc::new(staging.clone());
         self.obs.snapshot_bytes.set(cch.heap_bytes() as i64);
         let generation = self.live.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let cch = Arc::new(cch);
         let lw = Arc::new(LiveWeights { generation, cch });
-        *self.live.current.lock().expect("live lock") = Some(lw);
+        *retired = self.live.current.lock().expect("live lock").replace(lw);
         self.obs.live_generation.set(generation as i64);
-        self.obs.publish_ns.record_duration(t0.elapsed());
+        self.obs.publish_ns.record_duration(prepared + t0.elapsed());
         generation
     }
 
@@ -573,12 +638,10 @@ impl RouteServer {
         self.submit(req)?.wait()
     }
 
-    /// Stops accepting work, drains the shards and joins the workers.
-    pub fn shutdown(mut self) {
-        self.senders.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Stops accepting work, drains the shards and joins the workers —
+    /// what dropping the server does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -611,6 +674,9 @@ fn worker_loop(
     // swapped lazily when a batch snapshots a newer one.
     let mut mounted_live: Option<Arc<LiveWeights>> = None;
     let mut batch: Vec<Job> = Vec::new();
+    // `process_batch`'s per-metric groups, kept so their allocations are
+    // reused across batches.
+    let mut groups: [Vec<Job>; METRICS.len()] = Default::default();
     loop {
         let first = match rx.recv() {
             Ok(job) => job,
@@ -672,12 +738,21 @@ fn worker_loop(
         }
         obs.batch_size.record(batch.len() as u64);
         let span = trace.span("batch", batch.len() as u64);
-        process_batch(&mut engine, live, obs, cfg, &mut mounted_live, &mut batch);
+        process_batch(
+            &mut engine,
+            live,
+            obs,
+            cfg,
+            &mut mounted_live,
+            &mut batch,
+            &mut groups,
+        );
         drop(span);
     }
 }
 
-/// Sheds expired jobs, groups the rest by metric and serves each group.
+/// Sheds expired jobs, groups the rest by metric and serves each group,
+/// in [`METRICS`] order. `groups` comes in and goes out empty.
 fn process_batch(
     engine: &mut QueryEngine<'_>,
     live: &Arc<LiveState>,
@@ -685,9 +760,9 @@ fn process_batch(
     cfg: &ServeConfig,
     mounted_live: &mut Option<Arc<LiveWeights>>,
     batch: &mut Vec<Job>,
+    groups: &mut [Vec<Job>; METRICS.len()],
 ) {
     let now = Instant::now();
-    let mut groups: HashMap<Metric, Vec<Job>> = HashMap::new();
     for job in batch.drain(..) {
         if job.req.deadline.is_some_and(|d| now >= d) {
             obs.shed_deadline_batch.inc();
@@ -695,9 +770,12 @@ fn process_batch(
             let _ = job.reply.send(Err(ServeError::DeadlineExpired));
             continue;
         }
-        groups.entry(job.req.metric).or_default().push(job);
+        groups[job.req.metric as usize].push(job);
     }
-    for (metric, jobs) in groups {
+    for (metric, jobs) in METRICS.into_iter().zip(groups) {
+        if jobs.is_empty() {
+            continue;
+        }
         match metric {
             Metric::Length => serve_group(engine, obs, cfg, jobs, CostModel::Length, 0),
             Metric::TravelTime => serve_group(engine, obs, cfg, jobs, CostModel::TravelTime, 0),
@@ -705,9 +783,8 @@ fn process_batch(
                 // One snapshot per batch: every request in it sees this
                 // exact (weights, cch) pair — old or new around a swap,
                 // never a mix.
-                let snapshot = live.current.lock().expect("live lock").clone();
-                let Some(lw) = snapshot else {
-                    for job in jobs {
+                let Some(lw) = live.served() else {
+                    for job in jobs.drain(..) {
                         obs.error(ServeError::NoBackend);
                         let _ = job.reply.send(Err(ServeError::NoBackend));
                     }
@@ -740,28 +817,25 @@ fn serve_group(
     engine: &mut QueryEngine<'_>,
     obs: &ServeObs,
     cfg: &ServeConfig,
-    jobs: Vec<Job>,
+    jobs: &mut Vec<Job>,
     cost: CostModel<'_>,
     generation: u64,
 ) {
-    if jobs.is_empty() {
-        return;
-    }
     let backend = engine.backend_for(cost);
     let hierarchy_backed = matches!(backend, SearchBackend::Ch | SearchBackend::Cch);
-    if hierarchy_backed && jobs.len() >= cfg.min_batch_for_m2m && coalescing_wins(&jobs) {
+    if hierarchy_backed && jobs.len() >= cfg.min_batch_for_m2m && coalescing_wins(jobs) {
         obs.coalesced_batches.inc();
         serve_batched(engine, obs, jobs, cost, backend, generation);
         return;
     }
     if backend == SearchBackend::Plain && !cfg.allow_plain {
-        for job in jobs {
+        for job in jobs.drain(..) {
             obs.error(ServeError::NoBackend);
             let _ = job.reply.send(Err(ServeError::NoBackend));
         }
         return;
     }
-    for job in jobs {
+    for job in jobs.drain(..) {
         let cost_val = engine.shortest_path_cost(job.req.source, job.req.target, cost);
         obs.served_sequential.inc();
         obs.latency_ns.record_duration(job.admitted.elapsed());
@@ -798,7 +872,7 @@ fn coalescing_wins(jobs: &[Job]) -> bool {
 fn serve_batched(
     engine: &mut QueryEngine<'_>,
     obs: &ServeObs,
-    jobs: Vec<Job>,
+    jobs: &mut Vec<Job>,
     cost: CostModel<'_>,
     backend: SearchBackend,
     generation: u64,
@@ -811,7 +885,7 @@ fn serve_batched(
     if !engine.prepare_m2m_targets(&targets, cost) {
         // The index was swapped between backend resolution and here;
         // individual dispatch re-resolves per query and stays exact.
-        for job in jobs {
+        for job in jobs.drain(..) {
             let cost_val = engine.shortest_path_cost(job.req.source, job.req.target, cost);
             obs.served_sequential.inc();
             obs.latency_ns.record_duration(job.admitted.elapsed());
@@ -825,7 +899,7 @@ fn serve_batched(
         return;
     }
     let mut by_source: HashMap<u32, Vec<Job>> = HashMap::new();
-    for job in jobs {
+    for job in jobs.drain(..) {
         by_source.entry(job.req.source.0).or_default().push(job);
     }
     for (source, jobs) in by_source {
@@ -863,17 +937,16 @@ mod tests {
         let server = RouteServer::start(Arc::clone(&graph), indexes, ServeConfig::default());
         let base = integer_live_weights(&graph, 0x11);
         assert_eq!(server.update_live_weights(base), Ok(1));
-        let snapshot = server.live.current.lock().unwrap().clone().unwrap();
+        let snapshot = server.live_weights().expect("installed above");
         // `{:?}` prints every column, and f64's `Debug` form differs
         // wherever the bits do.
         let before = format!("{:?}", snapshot.cch);
         let delta = [(EdgeId(3), 977.0), (EdgeId(40), 61.0)];
         assert_eq!(server.update_live_weights_sparse(&delta), Ok(2));
-        let staging = server.live.staging.lock().unwrap();
-        let staging = staging.as_ref().expect("installed above");
-        assert!(Arc::ptr_eq(staging.topology(), &topo));
+        let served = server.live_weights().expect("installed above");
+        assert!(Arc::ptr_eq(served.cch.topology(), &topo));
         assert!(Arc::ptr_eq(snapshot.cch.topology(), &topo));
         assert!(format!("{:?}", snapshot.cch) == before, "snapshot written");
-        assert!(format!("{staging:?}") != before, "the delta moves staging");
+        assert!(format!("{:?}", served.cch) != before, "the delta moves on");
     }
 }

@@ -657,6 +657,154 @@ fn serve_sparse_updates_answer_bit_identically_to_sequential() {
     server.shutdown();
 }
 
+/// A one-shard live server over the fixture city with generation 1
+/// installed, and the vector it serves.
+fn live_server(side: usize) -> (RouteServer, Arc<CchTopology>, Vec<f64>) {
+    let graph = Arc::new(integer_city(side));
+    let topo = Arc::new(CchTopology::build(&graph, &CchConfig::default()));
+    let server = RouteServer::start(
+        Arc::clone(&graph),
+        ServerIndexes {
+            cch_topology: Some(Arc::clone(&topo)),
+            ..ServerIndexes::default()
+        },
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let weights = integer_live_weights(&graph, 0x11);
+    assert_eq!(server.update_live_weights(weights.clone()), Ok(1));
+    (server, topo, weights)
+}
+
+/// Patches `weights` with the `round`-th test delta and returns it.
+fn next_delta(server: &RouteServer, weights: &mut [f64], round: u64) -> Vec<(EdgeId, f64)> {
+    let fresh = integer_live_weights(server.graph(), 0x7e57 + round);
+    let delta: Vec<(EdgeId, f64)> = (round as usize % 5..weights.len())
+        .step_by(9)
+        .map(|i| (EdgeId(i as u32), fresh[i]))
+        .collect();
+    for &(e, w) in &delta {
+        weights[e.index()] = w;
+    }
+    delta
+}
+
+/// One live request: afterwards the (only) shard has the served
+/// generation mounted and holds no older one.
+fn live_request(server: &RouteServer) -> RouteReply {
+    let n = server.graph().vertex_count() as u32;
+    server
+        .route(RouteRequest {
+            source: VertexId(0),
+            target: VertexId(n - 1),
+            metric: Metric::Live,
+            deadline: None,
+        })
+        .expect("live weights installed")
+}
+
+fn buffers(server: &RouteServer, source: &str) -> u64 {
+    server.metrics_snapshot().counter_total(
+        "pathrank_serve_snapshot_buffers_total",
+        &[("source", source)],
+    )
+}
+
+#[test]
+fn serve_live_generations_alternate_two_buffers_and_stay_bit_exact() {
+    let (server, topo, mut weights) = live_server(8);
+    let graph = Arc::clone(server.graph());
+    // The allocation holding each generation's weight vector.
+    let mut allocation = vec![0usize; 2];
+    for gen in 1..=8u64 {
+        if gen == 6 {
+            // A full update between sparse ones: the buffer it gets
+            // back needs no levelling, the sparse one after it a whole
+            // copy.
+            weights = integer_live_weights(&graph, 0xf011);
+            assert_eq!(server.update_live_weights(weights.clone()), Ok(gen));
+        } else if gen > 1 {
+            let delta = next_delta(&server, &mut weights, gen);
+            assert_eq!(server.update_live_weights_sparse(&delta), Ok(gen));
+        }
+        let lw = server.live_weights().expect("installed");
+        assert_eq!(lw.generation, gen);
+        let fresh = topo.customize_weights(&graph, &weights);
+        assert!(
+            lw.cch.bit_identical(&fresh),
+            "generation {gen} differs from a fresh customization of its vector"
+        );
+        let served = lw.cch.custom_weights().expect("live vector");
+        allocation.push(served.as_ptr() as usize);
+        drop(lw);
+
+        let reply = live_request(&server);
+        assert_eq!(reply.weights_generation, gen);
+        let mut engine = QueryEngine::new(&graph).with_cch(Arc::new(fresh));
+        let n = graph.vertex_count() as u32;
+        let want =
+            engine.shortest_path_cost(VertexId(0), VertexId(n - 1), CostModel::Custom(&weights));
+        assert_eq!(reply.cost.map(f64::to_bits), want.map(f64::to_bits));
+    }
+    // `allocation[gen + 1]` is generation `gen`'s.
+    for gen in 3..=8 {
+        assert_eq!(
+            allocation[gen + 1],
+            allocation[gen - 1],
+            "generation {gen} must be written into generation {}'s buffers",
+            gen - 2
+        );
+    }
+    assert_ne!(allocation[2], allocation[3], "two buffers, not one");
+    // The install and the first delta had nothing to take back.
+    assert_eq!(buffers(&server, "cloned"), 2);
+    assert_eq!(buffers(&server, "recycled"), 6);
+}
+
+#[test]
+fn serve_pinned_generation_is_never_written_and_costs_one_clone() {
+    let (server, topo, mut weights) = live_server(8);
+    let graph = Arc::clone(server.graph());
+    for gen in 2..=3 {
+        let delta = next_delta(&server, &mut weights, gen);
+        assert_eq!(server.update_live_weights_sparse(&delta), Ok(gen));
+        live_request(&server);
+    }
+    let pinned = server.live_weights().expect("installed");
+    assert_eq!(pinned.generation, 3);
+    let before = format!("{pinned:?}");
+    let cloned_before = buffers(&server, "cloned");
+    // Two updates on: the second one's turn to reuse generation 3.
+    for gen in 4..=5 {
+        let delta = next_delta(&server, &mut weights, gen);
+        assert_eq!(server.update_live_weights_sparse(&delta), Ok(gen));
+        live_request(&server);
+    }
+    assert!(
+        format!("{pinned:?}") == before,
+        "a held generation was written"
+    );
+    assert_eq!(buffers(&server, "cloned") - cloned_before, 1);
+    let served = server.live_weights().expect("installed");
+    assert!(served
+        .cch
+        .bit_identical(&topo.customize_weights(&graph, &weights)));
+    // Once released, nothing is cloned again.
+    drop((pinned, served));
+    for gen in 6..=8 {
+        let delta = next_delta(&server, &mut weights, gen);
+        assert_eq!(server.update_live_weights_sparse(&delta), Ok(gen));
+        live_request(&server);
+    }
+    assert_eq!(buffers(&server, "cloned") - cloned_before, 1);
+    let served = server.live_weights().expect("installed");
+    assert!(served
+        .cch
+        .bit_identical(&topo.customize_weights(&graph, &weights)));
+}
+
 #[test]
 fn serve_tcp_update_round_trip() {
     let graph = Arc::new(integer_city(6));

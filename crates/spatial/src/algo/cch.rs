@@ -45,12 +45,17 @@
 //!    |---|---|---|
 //!    | weight, expansion rule, search-segment weight | 8 + 12 + 8 | every [`Cch`] |
 //!    | endpoints, segment entry (`other`, `arc`), `arc_to_seg` | 8 + 8 + 4 | topology, once |
-//!    | `orig_offsets`, `tri_offsets`, `dep_offsets` | 3 × 4 | topology, once |
+//!    | `orig_offsets`, `tri_offsets` | 2 × 4 | topology, once |
 //!
 //!    | per triangle | bytes | owner |
 //!    |---|---|---|
 //!    | `(b, c)` support pair under the arc it supports | 8 | topology, once |
-//!    | reverse index: `(owner, co-support)` under each support | 2 × 8 | topology, once |
+//!    | owner cell in its mid's (down-in × up-out) table | 4 | topology, once |
+//!
+//!    plus one 4-byte `u32::MAX` cell per 2-cycle through a mid (the
+//!    table's diagonal, where no triangle exists), one 4-byte
+//!    `cell_offsets` entry per rank and a quarter byte per arc of
+//!    `slot_rank`.
 //!
 //! The price of skipping witness searches is a denser search graph (every
 //! chordal fill-in arc is kept, where CH would prune witnessed ones), so
@@ -61,6 +66,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::thread;
@@ -82,6 +88,9 @@ impl Default for CchConfig {
         CchConfig { threads: 4 }
     }
 }
+
+/// Slots per entry of `CchTopology::slot_rank`.
+const SLOTS_PER_BUCKET: usize = 16;
 
 /// Minimum same-level arcs per customization worker: below this the
 /// per-level crossbeam spawn costs more than the relaxation it splits.
@@ -115,17 +124,31 @@ pub struct CchTopology {
     /// edges the topology dropped (self-loops). The entry point of a
     /// sparse delta: a changed edge cost seeds exactly this arc.
     edge_arc: Vec<u32>,
-    /// Reverse triangle index, CSR over arcs: supporting arc `s` -> one
-    /// `(owner, co-support)` link per triangle that contains `s`. Every
-    /// owner lives on a strictly higher elimination level (triangles
-    /// only reference strictly lower-level supports), so dependents
-    /// always carry larger arc ids — what lets [`Cch::apply_delta`]
-    /// sweep pending arcs in ascending id order and know every support
-    /// is final before its dependents recompute. The links are inline,
-    /// not triangle ids, because the sweep is bound by cache misses: an
-    /// id costs it two more dependent loads per link.
-    dep_offsets: Vec<u32>,
-    dep_links: Vec<(u32, u32)>,
+    /// Reverse triangle index, one owner table per rank. A triangle
+    /// `(owner p -> q, p -> v, v -> q)` is born at the contraction of
+    /// its mid `v` as one cell of (down-in arcs of `v`) × (up-out arcs
+    /// of `v`), and both supports sit in `v`'s search segment, so the
+    /// table of rank `r` is row-major over the segment's two halves:
+    /// `cells[cell_offsets[r] + i * ups + j]` is the owner of the
+    /// triangle through the `i`-th down-in and the `j`-th up-out arc —
+    /// `u32::MAX` where there is none (`p == q`, the 2-cycle diagonal).
+    /// A support's dependents are its row or its column, the co-support
+    /// read from the other half of the segment
+    /// ([`CchTopology::dependents_of`]). Every owner lives on a strictly
+    /// higher elimination level (triangles only reference strictly
+    /// lower-level supports), so dependents always carry larger arc ids
+    /// — what lets [`Cch::apply_delta`] sweep pending arcs in ascending
+    /// id order and know every support is final before its dependents
+    /// recompute.
+    cell_offsets: Vec<u32>,
+    cells: Vec<u32>,
+    /// Search-segment slot -> rank, one entry per [`SLOTS_PER_BUCKET`]
+    /// slots: the rank whose segment holds the bucket's first slot, from
+    /// where a slot's own rank is a step or two along `seg_offsets`.
+    /// Small enough to stay cached, where the route through the arc's
+    /// endpoints costs the walk a miss per arc (measured: a tenth of the
+    /// sparse pass).
+    slot_rank: Vec<u32>,
     /// Arc id -> its slot in the skeleton's rank-space search segments.
     /// The topology keeps exactly one arc per directed vertex pair, so
     /// the map is a bijection; partial customization uses it to sync a
@@ -309,6 +332,32 @@ impl TopoBuilder {
     }
 }
 
+/// One row or column of an owner table, walked in step with the half
+/// segment holding the co-supports ([`CchTopology::dependents_of`]).
+/// Hand-rolled: the `skip`/`step_by`/`zip`/`filter` chain it replaces
+/// costs the sparse pass a tenth (measured).
+struct Dependents<'a> {
+    table: &'a [u32],
+    cell: usize,
+    stride: usize,
+    co_supports: std::slice::Iter<'a, SearchArc>,
+}
+
+impl Iterator for Dependents<'_> {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        for co in self.co_supports.by_ref() {
+            let owner = self.table[self.cell];
+            self.cell += self.stride;
+            if owner != u32::MAX {
+                return Some((owner, co.arc));
+            }
+        }
+        None
+    }
+}
+
 /// Stable counting sort into CSR form: groups the `(key, value)` items
 /// that `each` emits by key (`key < buckets`), keeping emission order
 /// within a group. Returns the `buckets + 1` group offsets and the
@@ -476,17 +525,6 @@ impl CchTopology {
         });
         drop((triangles, new_id));
 
-        // Reverse index for sparse partial customization: each triangle
-        // filed under both of its supports, in ascending owner order.
-        let (dep_offsets, dep_links) = group_by_key(arc_count, (0, 0), |emit| {
-            for (span, a) in tri_offsets.windows(2).zip(0u32..) {
-                for &(b, c) in &tri_pairs[span[0] as usize..span[1] as usize] {
-                    emit(b, (a, c));
-                    emit(c, (a, b));
-                }
-            }
-        });
-
         // Search segments, one per rank: upward out-arcs then downward
         // in-arcs, ascending arc id within each half. Arcs are unique per
         // directed pair, so unlike `ContractionHierarchy::assemble` there
@@ -503,6 +541,36 @@ impl CchTopology {
             arc_to_seg[sa.arc as usize] = slot as u32;
         }
 
+        let mut slot_rank = Vec::with_capacity(seg_arcs.len() / SLOTS_PER_BUCKET + 1);
+        let mut r = 0usize;
+        for first in (0..=seg_arcs.len()).step_by(SLOTS_PER_BUCKET) {
+            while r + 1 < n && halves[2 * r + 2] as usize <= first {
+                r += 1;
+            }
+            slot_rank.push(r as u32);
+        }
+
+        // Reverse index for sparse partial customization: the owner of
+        // every triangle, at (row of `b`, column of `c`) in the table
+        // of the rank both legs hang off.
+        let mut cell_offsets = Vec::with_capacity(n + 1);
+        let mut total = 0usize;
+        for seg in halves.windows(3).step_by(2) {
+            cell_offsets.push(total as u32);
+            total += (seg[2] - seg[1]) as usize * (seg[1] - seg[0]) as usize;
+        }
+        cell_offsets.push(u32::try_from(total).expect("CCH owner tables exceed 32-bit offsets"));
+        let mut cells = vec![u32::MAX; total];
+        for (span, a) in tri_offsets.windows(2).zip(0u32..) {
+            for &(b, c) in &tri_pairs[span[0] as usize..span[1] as usize] {
+                let r = rank[ends[c as usize].0.index()] as usize;
+                let (lo, mid) = (halves[2 * r], halves[2 * r + 1]);
+                let row = (arc_to_seg[b as usize] - mid) as usize;
+                let col = (arc_to_seg[c as usize] - lo) as usize;
+                cells[cell_offsets[r] as usize + row * (mid - lo) as usize + col] = a;
+            }
+        }
+
         CchTopology {
             threads: threads.max(1),
             m: edge_arc.len(),
@@ -512,8 +580,9 @@ impl CchTopology {
             tri_pairs,
             level_offsets,
             edge_arc,
-            dep_offsets,
-            dep_links,
+            cell_offsets,
+            cells,
+            slot_rank,
             arc_to_seg,
             skel: Skeleton {
                 seg_offsets: halves.iter().step_by(2).copied().collect(),
@@ -566,14 +635,16 @@ impl CchTopology {
     }
 
     /// Heap bytes the topology holds (the `pathrank_serve_index_bytes`
-    /// gauge); every customization shares them.
+    /// gauge); every customization shares them. Per triangle that is
+    /// 8 + 4 B (support pair, owner cell), plus 4 B per diagonal cell
+    /// and per rank — the module doc has the whole budget.
     pub fn heap_bytes(&self) -> usize {
         let per_arc = self.orig_offsets.len()
             + self.tri_offsets.len()
-            + self.dep_offsets.len()
-            + self.arc_to_seg.len();
+            + self.arc_to_seg.len()
+            + self.slot_rank.len();
         let per_edge = self.orig_edges.len() + self.edge_arc.len();
-        let per_tri = 2 * (self.tri_pairs.len() + self.dep_links.len());
+        let per_tri = 2 * self.tri_pairs.len() + self.cells.len() + self.cell_offsets.len();
         4 * (per_arc + per_edge + per_tri + self.level_offsets.len()) + self.skel.heap_bytes()
     }
 
@@ -584,8 +655,9 @@ impl CchTopology {
         &self.orig_edges[lo..hi]
     }
 
-    /// Supporting triangles of arc `a`.
-    pub(crate) fn triangles_of(&self, a: usize) -> &[(u32, u32)] {
+    /// Supporting lower triangles of arc `a`, as the `(b, c)` arc pairs
+    /// customization relaxes in this order.
+    pub fn triangles_of(&self, a: usize) -> &[(u32, u32)] {
         let lo = self.tri_offsets[a] as usize;
         let hi = self.tri_offsets[a + 1] as usize;
         &self.tri_pairs[lo..hi]
@@ -600,21 +672,44 @@ impl CchTopology {
 
     /// The triangles arc `a` supports, as `(owner, co-support)` — owners
     /// all on strictly higher elimination levels, hence strictly larger
-    /// arc ids. An owner `p -> q` has at most one triangle through `a`
-    /// (as the `p -> v` leg `a` fixes `v` by its head, as the `v -> q`
-    /// leg by its tail, and it cannot be both), so the link lets the
-    /// partial pass classify the event (defining-support check on
-    /// increases, candidate check on decreases) without re-scanning the
-    /// dependent's full triangle list.
-    fn dependents_of(&self, a: usize) -> &[(u32, u32)] {
-        let lo = self.dep_offsets[a] as usize;
-        let hi = self.dep_offsets[a + 1] as usize;
-        &self.dep_links[lo..hi]
+    /// arc ids. An arc is a support only at its lower endpoint `v`: a
+    /// downward `p -> v` is a `b` leg and its dependents are its row of
+    /// `v`'s owner table, an upward `v -> q` is a `c` leg and they are
+    /// its column (see `cells`); the co-supports are the other half of
+    /// `v`'s search segment, in step. An owner `p -> q` has at most one
+    /// triangle through `a` (as the `p -> v` leg `a` fixes `v` by its
+    /// head, as the `v -> q` leg by its tail, and it cannot be both), so
+    /// the link lets the partial pass classify the event
+    /// (defining-support check on increases, candidate check on
+    /// decreases) without re-scanning the dependent's full triangle
+    /// list.
+    pub fn dependents_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let skel = &self.skel;
+        let slot = self.arc_to_seg[a] as usize;
+        let mut r = self.slot_rank[slot / SLOTS_PER_BUCKET] as usize;
+        while skel.seg_offsets[r + 1] as usize <= slot {
+            r += 1;
+        }
+        let lo = skel.seg_offsets[r] as usize;
+        let mid = skel.seg_mid[r] as usize;
+        let hi = skel.seg_offsets[r + 1] as usize;
+        let table = &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
+        let ups = mid - lo;
+        let (cell, stride, co_supports) = if slot < mid {
+            (slot - lo, ups, &skel.seg_arcs[mid..hi])
+        } else {
+            ((slot - mid) * ups, 1, &skel.seg_arcs[lo..mid])
+        };
+        Dependents {
+            table,
+            cell,
+            stride,
+            co_supports: co_supports.iter(),
+        }
     }
 
-    /// Arc endpoints in final (level-contiguous) order — the io layer's
-    /// serialisation view.
-    pub(crate) fn arc_endpoints(&self) -> &[(VertexId, VertexId)] {
+    /// Arc endpoints in final (level-contiguous) order.
+    pub fn arc_endpoints(&self) -> &[(VertexId, VertexId)] {
         &self.skel.ends
     }
 
@@ -648,6 +743,9 @@ impl CchTopology {
             custom: None,
             weights_epoch: 0,
             cols: Columns::default(),
+            stamp: fresh_stamp(),
+            last: DeltaLog::default(),
+            pending: Vec::new(),
         }
     }
 
@@ -717,8 +815,7 @@ impl CchTopology {
     }
 }
 
-/// What one customization writes, and all a [`Cch`] owns beside its
-/// shared topology: 28 bytes per arc.
+/// What one customization writes: 28 bytes per arc.
 #[derive(Debug, Clone, Default)]
 struct Columns {
     /// Per arc: customized weight and expansion rule.
@@ -727,14 +824,32 @@ struct Columns {
     /// Per search-segment slot `i`: `weights[skel.seg_arcs[i].arc]`,
     /// inlined where the query loop reads it.
     seg_weights: Vec<f64>,
-    /// Pending-arc bitset of the sparse pass, one bit per arc; drains
-    /// back to all-zero, so it is scratch, not state.
-    pending: Vec<u64>,
+}
+
+/// What the last sparse pass of a [`Cch`] wrote, and on top of which
+/// contents — all [`Cch::clone_from`] needs to bring the predecessor
+/// level without copying whole columns.
+#[derive(Debug, Default)]
+struct DeltaLog {
+    /// [`Cch::stamp`] of the contents the pass started from; `None` once
+    /// a full customization has overwritten everything.
+    base: Option<u64>,
+    /// Edges whose entry of the custom vector the pass changed.
+    edges: Vec<EdgeId>,
+    /// Arcs the pass recomputed, ascending.
+    arcs: Vec<u32>,
+}
+
+/// A stamp no other contents carry. Only uniqueness matters — the value
+/// publishes no data — so the counter is `Relaxed`.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The sparse-delta customization core: sweeps a pending-arc bitset in
 /// ascending id order (supports are final before dependents — see
-/// `CchTopology::dep_offsets`), fully recomputes each pending arc
+/// `CchTopology::cells`), fully recomputes each pending arc
 /// exactly like `CchTopology::derive_into` visits it (cheapest original
 /// in ascending `EdgeId`, then every recorded triangle in stored order,
 /// strict `<` in both phases), and classifies each dependent link when
@@ -756,18 +871,20 @@ struct Columns {
 /// Marked arcs always run the full derive-order recompute (weight and
 /// expansion rule), so arcs never marked keep bitwise-unchanged inputs
 /// and the fixed point is bit-identical to a full customization.
-/// Returns how many arcs were recomputed.
+/// `pending` is scratch (resized here, drained back to all-zero);
+/// `recomputed` is overwritten with the arcs recomputed, ascending.
 fn partial_customize(
     topo: &CchTopology,
     cols: &mut Columns,
+    pending: &mut Vec<u64>,
+    recomputed: &mut Vec<u32>,
     seeds: impl IntoIterator<Item = u32>,
     edge_cost: impl Fn(EdgeId) -> f64,
-) -> usize {
+) {
     let Columns {
         weights,
         kinds,
         seg_weights,
-        pending,
     } = cols;
     let arc_count = topo.arc_count();
     let words = arc_count.div_ceil(64);
@@ -783,7 +900,7 @@ fn partial_customize(
     // is always strictly larger than its support's, so bits set while
     // processing are never behind the cursor — popping the lowest set
     // bit per word visits arcs in exactly ascending order.
-    let mut recomputed = 0usize;
+    recomputed.clear();
     let mut wi = lo >> 6;
     while wi < words {
         let word = pending[wi];
@@ -795,7 +912,7 @@ fn partial_customize(
         pending[wi] &= !(1u64 << bit);
         let ai = (wi << 6) | bit;
         let a = ai as u32;
-        recomputed += 1;
+        recomputed.push(a);
         let mut w = f64::INFINITY;
         let mut k = ChArcKind::Shortcut(u32::MAX, u32::MAX);
         for &e in topo.originals_of(ai) {
@@ -815,7 +932,7 @@ fn partial_customize(
             // numerically-equal pair falls through to the conservative
             // decrease path.
             let increased = w > old_w;
-            for &(d, co) in topo.dependents_of(ai) {
+            for (d, co) in topo.dependents_of(ai) {
                 let di = d as usize;
                 let mask = 1u64 << (di & 63);
                 if pending[di >> 6] & mask != 0 {
@@ -834,7 +951,6 @@ fn partial_customize(
             }
         }
     }
-    recomputed
 }
 
 /// Bitwise equality of two weight vectors. Folds XORs over fixed blocks
@@ -875,10 +991,11 @@ fn relax_arc(triangles: &[(u32, u32)], done: &[f64], w: &mut f64, k: &mut ChArcK
 /// sparse changed-edge delta through only the triangles it touches, and
 /// [`Cch::recustomize`] re-runs the full pass allocation-free — both
 /// bit-identical to a fresh customization. `clone` copies the weight
-/// columns and shares everything else, which is what lets a serving
-/// layer double-buffer one mutable staging copy and atomically publish
-/// immutable snapshots of it.
-#[derive(Debug, Clone)]
+/// columns and shares everything else, and `clone_from` onto the copy a
+/// sparse delta started from copies only what that delta wrote — which
+/// is what lets a serving layer publish immutable snapshots out of two
+/// alternating buffers at the cost of the delta.
+#[derive(Debug)]
 pub struct Cch {
     topo: Arc<CchTopology>,
     /// The graph metric customized for, when derived from
@@ -891,6 +1008,63 @@ pub struct Cch {
     /// Weights epoch of the graph at customization time.
     weights_epoch: u64,
     cols: Columns,
+    /// Identity of the contents (`metric`, `custom`, `cols`): every pass
+    /// that writes them draws a fresh stamp and `clone` copies it, so
+    /// two indexes over one topology with equal stamps hold equal bits.
+    stamp: u64,
+    /// The last sparse pass, while no full customization ran since.
+    last: DeltaLog,
+    /// Pending-arc bitset of the sparse pass, one bit per arc; drains
+    /// back to all-zero, so it is scratch, not state — neither cloned
+    /// nor counted in [`Cch::heap_bytes`].
+    pending: Vec<u64>,
+}
+
+impl Clone for Cch {
+    fn clone(&self) -> Self {
+        Cch {
+            topo: Arc::clone(&self.topo),
+            metric: self.metric,
+            custom: self.custom.clone(),
+            weights_epoch: self.weights_epoch,
+            cols: self.cols.clone(),
+            stamp: self.stamp,
+            last: DeltaLog::default(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// `*self = source.clone()` into the buffers `self` already owns.
+    /// When `self` holds exactly what `source` held before its last
+    /// sparse delta, only the entries that delta wrote are copied — the
+    /// edges it changed and the arcs it recomputed; otherwise every
+    /// column is (`Vec::clone_from`, so equal lengths allocate nothing).
+    fn clone_from(&mut self, source: &Self) {
+        let log = &source.last;
+        if Arc::ptr_eq(&self.topo, &source.topo) && log.base == Some(self.stamp) {
+            if let (Some(mine), Some(theirs)) = (&mut self.custom, &source.custom) {
+                for e in log.edges.iter().map(|e| e.index()) {
+                    mine[e] = theirs[e];
+                }
+            }
+            let (mine, theirs) = (&mut self.cols, &source.cols);
+            for a in log.arcs.iter().map(|&a| a as usize) {
+                mine.weights[a] = theirs.weights[a];
+                mine.kinds[a] = theirs.kinds[a];
+                mine.seg_weights[self.topo.arc_to_seg[a] as usize] = theirs.weights[a];
+            }
+        } else {
+            self.topo = Arc::clone(&source.topo);
+            self.custom.clone_from(&source.custom);
+            self.cols.weights.clone_from(&source.cols.weights);
+            self.cols.kinds.clone_from(&source.cols.kinds);
+            self.cols.seg_weights.clone_from(&source.cols.seg_weights);
+        }
+        self.metric = source.metric;
+        self.weights_epoch = source.weights_epoch;
+        self.stamp = source.stamp;
+        self.last.base = None;
+    }
 }
 
 impl Cch {
@@ -932,9 +1106,27 @@ impl Cch {
     /// (the `pathrank_serve_index_bytes` gauge): what a snapshot costs.
     pub fn heap_bytes(&self) -> usize {
         let c = &self.cols;
-        8 * (c.weights.len() + c.seg_weights.len() + c.pending.len())
+        8 * (c.weights.len() + c.seg_weights.len())
             + std::mem::size_of_val(c.kinds.as_slice())
             + 8 * self.custom.as_ref().map_or(0, Vec::len)
+            + 4 * (self.last.edges.len() + self.last.arcs.len())
+    }
+
+    /// Whether `other` is the same customization bit for bit: same
+    /// topology, metric and weights epoch, and every entry of the weight
+    /// vector and of the three columns equal in bits.
+    pub fn bit_identical(&self, other: &Cch) -> bool {
+        let same_custom = match (&self.custom, &other.custom) {
+            (Some(a), Some(b)) => bits_equal(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        (Arc::ptr_eq(&self.topo, &other.topo) || self.topo == other.topo)
+            && (self.metric, self.weights_epoch) == (other.metric, other.weights_epoch)
+            && same_custom
+            && bits_equal(&self.cols.weights, &other.cols.weights)
+            && self.cols.kinds == other.cols.kinds
+            && bits_equal(&self.cols.seg_weights, &other.cols.seg_weights)
     }
 
     /// Whether queries under `cost` may use this customization:
@@ -1003,11 +1195,14 @@ impl Cch {
             // restamps the epoch so the gate re-admits us.
             LandmarkMetric::Length => 0,
             LandmarkMetric::TravelTime => {
+                self.last.edges.clear();
                 let topo = &self.topo;
                 let seeds = changed.iter().filter_map(|&(e, _)| topo.arc_of_edge(e));
-                partial_customize(topo, &mut self.cols, seeds, |e| {
+                let (pending, arcs) = (&mut self.pending, &mut self.last.arcs);
+                partial_customize(topo, &mut self.cols, pending, arcs, seeds, |e| {
                     CostModel::TravelTime.edge_cost(g, e)
-                })
+                });
+                self.log_sparse_pass()
             }
         }
     }
@@ -1032,16 +1227,31 @@ impl Cch {
             "apply_weight_delta needs a custom-vector customization; \
              use apply_delta for metric customizations",
         );
-        let mut seeds: Vec<u32> = Vec::with_capacity(updates.len());
+        let changed = &mut self.last.edges;
+        changed.clear();
         for &(e, w) in updates {
             let slot = &mut custom[e.index()];
             if slot.to_bits() != w.to_bits() {
                 *slot = w;
-                seeds.extend(self.topo.arc_of_edge(e));
+                changed.push(e);
             }
         }
         let custom: &[f64] = custom;
-        partial_customize(&self.topo, &mut self.cols, seeds, |e| custom[e.index()])
+        let topo = &self.topo;
+        let seeds = self.last.edges.iter().filter_map(|&e| topo.arc_of_edge(e));
+        let (pending, arcs) = (&mut self.pending, &mut self.last.arcs);
+        partial_customize(topo, &mut self.cols, pending, arcs, seeds, |e| {
+            custom[e.index()]
+        });
+        self.log_sparse_pass()
+    }
+
+    /// Shared tail of both sparse deltas: files the pass that just
+    /// filled `last` against the contents it started from and restamps.
+    /// Returns the number of arcs recomputed.
+    fn log_sparse_pass(&mut self) -> usize {
+        self.last.base = Some(std::mem::replace(&mut self.stamp, fresh_stamp()));
+        self.last.arcs.len()
     }
 
     /// Re-derives every arc weight in place for `cost` at the graph's
@@ -1097,13 +1307,14 @@ impl Cch {
             weights,
             kinds,
             seg_weights,
-            ..
         } = &mut self.cols;
         self.topo.derive_into(edge_cost, weights, kinds);
         seg_weights.clear();
         let slots = self.topo.skel.seg_arcs.iter();
         seg_weights.extend(slots.map(|sa| weights[sa.arc as usize]));
         self.weights_epoch = epoch;
+        self.stamp = fresh_stamp();
+        self.last.base = None;
     }
 }
 
@@ -1426,6 +1637,44 @@ mod tests {
                 other => panic!("reachability mismatch: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn cch_clone_from_replays_only_the_last_delta() {
+        let g = region();
+        let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
+        let weights: Vec<f64> = (0..g.edge_count()).map(|i| 1.0 + (i % 9) as f64).collect();
+        let mut ahead = topo.customize_weights(&g, &weights);
+        let mut behind = ahead.clone();
+        assert!(behind.pending.is_empty() && behind.heap_bytes() == ahead.heap_bytes());
+        ahead.apply_weight_delta(&[(EdgeId(2), 25.0), (EdgeId(5), 0.5)]);
+        // A sentinel on an arc the delta never reached survives the
+        // catch-up: only logged entries are copied.
+        let untouched = (0..topo.arc_count())
+            .find(|a| !ahead.last.arcs.contains(&(*a as u32)))
+            .expect("a sparse delta leaves arcs alone");
+        let honest = std::mem::replace(&mut behind.cols.weights[untouched], -1.0);
+        let allocation = behind.cols.weights.as_ptr();
+        behind.clone_from(&ahead);
+        assert_eq!(
+            behind.cols.weights[untouched], -1.0,
+            "copied a whole column"
+        );
+        behind.cols.weights[untouched] = honest;
+        assert_bit_identical(&behind, &ahead, "replayed delta");
+        assert!(behind.bit_identical(&ahead));
+        // Two deltas behind, or behind a full pass, the log does not
+        // apply and every column is copied — into the same allocation.
+        ahead.apply_weight_delta(&[(EdgeId(7), 3.0)]);
+        ahead.apply_weight_delta(&[(EdgeId(8), 4.0)]);
+        behind.cols.weights[untouched] = -1.0;
+        behind.clone_from(&ahead);
+        assert!(behind.bit_identical(&ahead), "lagging by two deltas");
+        ahead.recustomize_weights(&g, &weights);
+        behind.cols.weights[untouched] = -1.0;
+        behind.clone_from(&ahead);
+        assert!(behind.bit_identical(&ahead), "lagging by a full pass");
+        assert_eq!(behind.cols.weights.as_ptr(), allocation);
     }
 
     #[test]

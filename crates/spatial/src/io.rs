@@ -661,6 +661,28 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         }
         ends.push((VertexId(from), VertexId(to)));
     }
+    // Contracting a vertex records one triangle per (in, out) pair of
+    // the arcs hanging off it, bar the 2-cycles. Holding the file to
+    // that count catches a dropped triangle and bounds the per-vertex
+    // owner tables `finalise` allocates by the file's own size.
+    let (mut ins, mut outs) = (vec![0u64; n], vec![0u64; n]);
+    let mut two_cycles = 0u64;
+    for &(from, to) in &ends {
+        if rank[from.index()] < rank[to.index()] {
+            outs[from.index()] += 1;
+            two_cycles += u64::from(seen_pair.contains(&(to.0, from.0)));
+        } else {
+            ins[to.index()] += 1;
+        }
+    }
+    let pairs: u64 = ins.iter().zip(&outs).map(|(i, o)| i * o).sum();
+    let implied = pairs - two_cycles;
+    if triangles.len() as u64 != implied {
+        return Err(SpatialError::Parse(format!(
+            "{} triangles recorded, the arcs imply {implied}",
+            triangles.len()
+        )));
+    }
     let threads = CchConfig::default().threads;
     Ok(CchTopology::finalise(
         rank, ends, edge_arc, triangles, threads,
@@ -1452,6 +1474,16 @@ mod tests {
             let t_pos = fill_in.find(" t ").unwrap();
             let gutted = format!("{} t 0", &fill_in[..t_pos]);
             assert!(cch_from_str(&text.replace(&fill_in, &gutted)).is_err());
+            // An arc that keeps an original edge parses without its
+            // triangles; only the count the arcs imply catches the loss.
+            let backed = text
+                .lines()
+                .find(|l| !l.contains(" o 0 ") && !l.ends_with(" t 0") && l.starts_with("c "))
+                .expect("region CCH has original arcs with triangles")
+                .to_string();
+            let t_pos = backed.find(" t ").unwrap();
+            let gutted = format!("{} t 0", &backed[..t_pos]);
+            assert!(cch_from_str(&text.replace(&backed, &gutted)).is_err());
             // Trailing tokens on an arc line are rejected.
             let padded = format!("{} 4", first_orig);
             assert!(cch_from_str(&text.replace(&first_orig, &padded)).is_err());

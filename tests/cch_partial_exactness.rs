@@ -20,6 +20,12 @@
 //! chained deltas across many epochs — on both the TravelTime metric
 //! (where speeds move costs) and the Length metric (where a speed
 //! delta only restamps the epoch).
+//!
+//! The sparse pass finds an arc's dependents through the topology's
+//! per-rank owner tables; a second property holds that reverse index to
+//! the forward triangle lists on multigraphs (parallel edges, one-way
+//! edges, 2-cycles — the graph model has no self-loops to add), and a
+//! byte-budget guard keeps it at 4 bytes per triangle.
 
 use std::sync::Arc;
 
@@ -28,18 +34,26 @@ use pathrank::spatial::algo::ch::ChSearch;
 use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::builder::GraphBuilder;
+use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::geometry::Point;
 use pathrank::spatial::graph::{
     CostModel, EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId, MAX_EDGE_SPEED_KMH,
     MIN_EDGE_SPEED_KMH,
 };
+use pathrank::spatial::io::{cch_from_str, cch_to_string};
 use proptest::prelude::*;
 
 /// Builds a random directed graph from proptest-drawn raw material:
-/// `n` vertices with the given coordinates and deduplicated directed
-/// edges with integer-metre lengths across mixed road categories (so
-/// free-flow speeds differ per edge).
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
+/// `n` vertices with the given coordinates and directed edges with
+/// integer-metre lengths across mixed road categories (so free-flow
+/// speeds differ per edge). `parallel` keeps repeated `(from, to)`
+/// pairs as parallel edges instead of dropping them.
+fn build_graph_with(
+    n: usize,
+    coords: &[(f64, f64)],
+    edges: &[(usize, usize, u32)],
+    parallel: bool,
+) -> Graph {
     let mut b = GraphBuilder::new();
     let vs: Vec<VertexId> = (0..n)
         .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
@@ -52,7 +66,7 @@ fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -
             1 => RoadCategory::Rural,
             _ => RoadCategory::Residential,
         };
-        if f != t && seen.insert((f, t)) {
+        if f != t && (seen.insert((f, t)) || parallel) {
             b.add_edge(
                 vs[f],
                 vs[t],
@@ -62,6 +76,10 @@ fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -
         }
     }
     b.build()
+}
+
+fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
+    build_graph_with(n, coords, edges, false)
 }
 
 /// All-pairs `query_cost` bit-identity between two customizations of
@@ -191,6 +209,113 @@ proptest! {
             );
         }
     }
+}
+
+/// Every `(support, owner, co-support)` link of the topology, read
+/// forwards (each owner's triangle list, filed under both supports)
+/// and backwards (each support's dependents), both sorted.
+type Links = Vec<(u32, u32, u32)>;
+fn triangle_links(topo: &CchTopology) -> (Links, Links) {
+    let (mut forward, mut reverse) = (Links::new(), Links::new());
+    for a in 0..topo.arc_count() {
+        for &(b, c) in topo.triangles_of(a) {
+            forward.push((b, a as u32, c));
+            forward.push((c, a as u32, b));
+        }
+        reverse.extend(
+            topo.dependents_of(a)
+                .map(|(owner, co)| (a as u32, owner, co)),
+        );
+    }
+    forward.sort_unstable();
+    reverse.sort_unstable();
+    (forward, reverse)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The reverse index is the forward index reversed — each triangle
+    /// exactly once under each of its supports, owners above supports —
+    /// on graphs dense enough in repeats that parallel edges, one-way
+    /// edges and 2-cycles (the owner tables' empty diagonal) all occur;
+    /// the topology survives the text format array for array, and a
+    /// delta chased through those links lands on a full customization.
+    #[test]
+    fn cch_partial_links_reverse_the_triangle_lists_on_multigraphs(
+        n in 2usize..MAX_N,
+        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..48),
+        batch in proptest::collection::vec((0usize..64, 0.05f64..400.0), 1..10),
+    ) {
+        let mut g = build_graph_with(n, &coords, &edges, true);
+        let m = g.edge_count();
+        prop_assume!(m > 0);
+        let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
+        let (forward, reverse) = triangle_links(&topo);
+        prop_assert_eq!(forward.len(), 2 * topo.triangle_count());
+        prop_assert!(reverse.iter().all(|&(support, owner, _)| owner > support));
+        prop_assert_eq!(forward, reverse);
+        let reloaded = cch_from_str(&cch_to_string(&topo)).expect("own output parses");
+        prop_assert!(reloaded == *topo, "reloaded topology differs from the built one");
+
+        let mut partial = topo.customize(&g, &CostModel::TravelTime);
+        let updates: Vec<(EdgeId, f64)> = batch
+            .iter()
+            .map(|&(e, s)| (EdgeId((e % m) as u32), s))
+            .collect();
+        step(&mut g, &topo, &mut partial, CostModel::TravelTime, &updates, true, "multigraph");
+    }
+}
+
+/// Two-cycles among the topology's arcs: the diagonal cells of its
+/// owner tables, which hold no triangle.
+fn two_cycles(topo: &CchTopology) -> usize {
+    let arcs: std::collections::HashSet<_> = topo.arc_endpoints().iter().copied().collect();
+    let both_ways = |&&(from, to): &&(VertexId, VertexId)| arcs.contains(&(to, from));
+    arcs.iter().filter(both_ways).count() / 2
+}
+
+/// 24 bytes per triangle cannot come back unnoticed: on the benchmark's
+/// rank-workload map shape the topology may hold the 8-byte support
+/// pair and the 4-byte owner cell per triangle, 4 bytes per diagonal
+/// cell, and nothing else that grows with the triangle count.
+#[test]
+fn cch_partial_reverse_index_stays_at_four_bytes_per_triangle() {
+    let base = RegionConfig::paper_scale();
+    // Four times the paper-scale towns in release; debug builds (tier-1)
+    // keep the paper-scale map, which holds the same per-item budget.
+    let mult = if cfg!(debug_assertions) { 1 } else { 4 };
+    let cfg = RegionConfig {
+        n_towns: base.n_towns * mult,
+        town_size: (20, 20),
+        region_extent_m: base.region_extent_m * (mult as f64).sqrt(),
+        extra_highways: base.extra_highways * mult,
+        ..base
+    };
+    let g = region_network(&cfg, 2020);
+    let topo = CchTopology::build(&g, &CchConfig::default());
+    let (forward, reverse) = triangle_links(&topo);
+    assert!(forward == reverse, "reverse index diverged on the region");
+    let per_arc = 3 * 4 + 8 + 8; // three offsets/slots, endpoints, segment entry
+    let per_edge = 2 * 4; // the edge under its arc, the arc of the edge
+    let per_vertex = 4 * 4; // rank, two segment bounds, table offset
+    let budget = 12 * topo.triangle_count()
+        + 4 * two_cycles(&topo)
+        + per_arc * topo.arc_count()
+        + topo.arc_count() / 4 // one 4-byte rank hint per 16 segment slots
+        + per_edge * g.edge_count()
+        + per_vertex * g.vertex_count()
+        + 4 * topo.level_count()
+        + 64;
+    assert!(
+        topo.heap_bytes() <= budget,
+        "topology holds {} B, budget {} B ({} triangles, {} arcs)",
+        topo.heap_bytes(),
+        budget,
+        topo.triangle_count(),
+        topo.arc_count()
+    );
 }
 
 /// A fixed deterministic grid-ish graph for the directed unit cases.
