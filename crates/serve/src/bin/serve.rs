@@ -5,13 +5,13 @@
 //! serve [--port P] [--side N] [--shards S]
 //! ```
 //!
-//! Builds the integer grid city, a Length CH, Length landmarks and the
-//! CCH topology, installs an initial live weight generation, then
-//! listens. Try it with netcat:
+//! Binds the port, builds the integer grid city, a Length CH, Length
+//! landmarks and the CCH topology (the three side by side), installs an
+//! initial live weight generation, then accepts. Try it with netcat:
 //!
 //! ```text
 //! $ echo "ROUTE 0 575 length" | nc 127.0.0.1 7111
-//! OK 9042 Ch 0 0
+//! OK 7458 Ch 0 0
 //! ```
 
 use std::net::TcpListener;
@@ -49,15 +49,17 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u16, usize, Ser
     Ok((port, side, cfg))
 }
 
-fn main() -> ExitCode {
-    let (port, side, cfg) = match parse_args(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("usage: serve [--port P] [--side N] [--shards S]");
-            return ExitCode::from(2);
-        }
-    };
+/// Binds the port, then stands the server up. The listener comes first
+/// so that a taken port is reported before seconds of index building;
+/// the three indexes are independent and build side by side, so
+/// time-to-ready is the slowest of them, not the sum.
+fn start(
+    port: u16,
+    side: usize,
+    cfg: ServeConfig,
+) -> Result<(TcpListener, Arc<RouteServer>), String> {
+    let listener = TcpListener::bind(("127.0.0.1", port))
+        .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
 
     eprintln!("building {side}x{side} fixture city...");
     let graph = Arc::new(integer_city(side));
@@ -67,33 +69,42 @@ fn main() -> ExitCode {
         graph.edge_count()
     );
     eprintln!("building Length CH, landmarks and CCH topology...");
-    let ch = Arc::new(ContractionHierarchy::build(
-        &graph,
-        LandmarkMetric::Length,
-        &ChConfig::default(),
-    ));
-    let landmarks = Arc::new(LandmarkTable::build(
-        &graph,
-        LandmarkMetric::Length,
-        &LandmarkConfig::default(),
-    ));
-    let topo = Arc::new(CchTopology::build(&graph, &CchConfig::default()));
-    let indexes = ServerIndexes {
-        ch: Some(ch),
-        landmarks: Some(landmarks),
-        cch_topology: Some(topo),
-    };
+    let indexes = std::thread::scope(|scope| {
+        let ch = scope.spawn(|| {
+            ContractionHierarchy::build(&graph, LandmarkMetric::Length, &ChConfig::default())
+        });
+        let landmarks = scope.spawn(|| {
+            LandmarkTable::build(&graph, LandmarkMetric::Length, &LandmarkConfig::default())
+        });
+        let topo = CchTopology::build(&graph, &CchConfig::default());
+        ServerIndexes {
+            ch: Some(Arc::new(ch.join().expect("CH build panicked"))),
+            landmarks: Some(Arc::new(landmarks.join().expect("landmark build panicked"))),
+            cch_topology: Some(Arc::new(topo)),
+        }
+    });
 
     let server = Arc::new(RouteServer::start(Arc::clone(&graph), indexes, cfg));
     let generation = server
         .update_live_weights(integer_live_weights(&graph, 0xbeef))
         .expect("fixture weights are valid");
     eprintln!("installed live weight generation {generation}");
+    Ok((listener, server))
+}
 
-    let listener = match TcpListener::bind(("127.0.0.1", port)) {
-        Ok(l) => l,
+fn main() -> ExitCode {
+    let (port, side, cfg) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("cannot bind 127.0.0.1:{port}: {e}");
+            eprintln!("{e}");
+            eprintln!("usage: serve [--port P] [--side N] [--shards S]");
+            return ExitCode::from(2);
+        }
+    };
+    let (listener, server) = match start(port, side, cfg) {
+        Ok(started) => started,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -112,7 +123,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::{parse_args, start};
 
     fn parse(line: &[&str]) -> Result<(u16, usize, pathrank_serve::ServeConfig), String> {
         parse_args(line.iter().map(|s| s.to_string()))
@@ -145,5 +156,27 @@ mod tests {
     fn serve_args_unknown_flag_is_an_error() {
         let err = parse(&["--no-batching"]).unwrap_err();
         assert!(err.contains("--no-batching"), "{err}");
+    }
+
+    #[test]
+    fn serve_args_bound_port_fails_before_any_index_is_built() {
+        let taken = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("an ephemeral port");
+        let port = taken.local_addr().expect("bound").port();
+        // A city whose indexes take seconds to build: an error that
+        // arrives at once was raised ahead of all of them.
+        let began = std::time::Instant::now();
+        let err = match start(port, 400, pathrank_serve::ServeConfig::default()) {
+            Err(e) => e,
+            Ok(_) => panic!("port {port} is taken"),
+        };
+        assert!(
+            err.starts_with(&format!("cannot bind 127.0.0.1:{port}: ")),
+            "{err}"
+        );
+        assert!(
+            began.elapsed() < std::time::Duration::from_secs(1),
+            "bind failure took {:?}",
+            began.elapsed()
+        );
     }
 }

@@ -10,13 +10,15 @@
 //! (Dibbelt, Strasser & Wagner, "Customizable Contraction Hierarchies"):
 //!
 //! 1. **Preprocessing** ([`CchTopology::build`]) fixes a contraction
-//!    order using the same deterministic edge-difference + lazy-update
-//!    ordering as `ch.rs`, but run on *topology only* (an arc between a
-//!    pair of uncontracted neighbours exists or it does not — no witness
-//!    searches, no weights). Contracting `v` inserts an arc `u -> w` for
-//!    every in/out neighbour pair and records the **lower triangle**
-//!    `(u -> w, u -> v, v -> w)`; the full chordal shortcut topology and
-//!    its supporting-arc links are materialised exactly once.
+//!    order with the deterministic lazy-update loop `ch.rs` also runs
+//!    (`algo/order.rs`, one implementation) and the same edge-difference
+//!    priority, but on *topology only* (an arc between a pair of
+//!    uncontracted neighbours exists or it does not — no estimate, no
+//!    witness searches, no weights). Contracting `v` inserts an arc
+//!    `u -> w` for every in/out neighbour pair and records the **lower
+//!    triangle** `(u -> w, u -> v, v -> w)`; the full chordal shortcut
+//!    topology and its supporting-arc links are materialised exactly
+//!    once.
 //! 2. **Customization** ([`CchTopology::customize`] /
 //!    [`CchTopology::customize_weights`]) re-derives every arc weight for
 //!    a concrete metric: initialise each arc from its cheapest parallel
@@ -64,8 +66,6 @@
 //! rebuild: live-traffic routing, per-driver custom cost vectors, and
 //! perturbation sweeps.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,7 +73,9 @@ use crossbeam::thread;
 
 use crate::algo::ch::{ChArcKind, HierarchyView, SearchArc, Skeleton};
 use crate::algo::landmarks::LandmarkMetric;
+use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
+use crate::util::group_by_key;
 
 /// Tuning knobs for CCH preprocessing and customization.
 #[derive(Debug, Clone)]
@@ -185,10 +187,8 @@ struct TopoScratch {
     /// the (unique) connecting arc.
     ins: Vec<(VertexId, u32)>,
     outs: Vec<(VertexId, u32)>,
-    /// Distinct neighbours of the vertex being contracted.
-    neighbors: Vec<VertexId>,
-    /// Stamp per vertex: `seen[v] == rank + 1` marks `v` as already in
-    /// `neighbors` for the contraction at `rank`.
+    /// Stamp per vertex: `seen[v] == rank + 1` marks `v` as already
+    /// handled as a neighbour by the contraction at `rank`.
     seen: Vec<u32>,
 }
 
@@ -261,6 +261,10 @@ impl TopoBuilder {
         let out = &self.out_adj[from.index()];
         out.iter().copied().find(|&a| self.arcs[a as usize].1 == to)
     }
+}
+
+impl Contract for TopoBuilder {
+    type Scratch = TopoScratch;
 
     /// The lazy-update priority of `v`: same shape as the weighted
     /// builder's (twice the edge difference plus uniformity terms), with
@@ -306,15 +310,12 @@ impl TopoBuilder {
             }
         }
 
-        // Distinct neighbours in first-seen order, ins before outs.
+        // Each distinct neighbour once, whichever list names it first.
         scratch.seen.resize(self.rank.len(), 0);
-        scratch.neighbors.clear();
         for &(nb, _) in scratch.ins.iter().chain(&scratch.outs) {
-            if std::mem::replace(&mut scratch.seen[nb.index()], rank + 1) != rank + 1 {
-                scratch.neighbors.push(nb);
+            if std::mem::replace(&mut scratch.seen[nb.index()], rank + 1) == rank + 1 {
+                continue;
             }
-        }
-        for &nb in &scratch.neighbors {
             self.deleted_neighbors[nb.index()] += 1;
             let bumped = self.level[v.index()] + 1;
             if self.level[nb.index()] < bumped {
@@ -358,31 +359,6 @@ impl Iterator for Dependents<'_> {
     }
 }
 
-/// Stable counting sort into CSR form: groups the `(key, value)` items
-/// that `each` emits by key (`key < buckets`), keeping emission order
-/// within a group. Returns the `buckets + 1` group offsets and the
-/// grouped values. `each` runs twice — once to count, once to place
-/// every value straight into the final array.
-fn group_by_key<V: Copy>(
-    buckets: usize,
-    fill: V,
-    each: impl Fn(&mut dyn FnMut(u32, V)),
-) -> (Vec<u32>, Vec<V>) {
-    let mut offsets = vec![0u32; buckets + 1];
-    each(&mut |key, _| offsets[key as usize + 1] += 1);
-    for i in 0..buckets {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursor = offsets.clone();
-    let mut grouped = vec![fill; offsets[buckets] as usize];
-    each(&mut |key, value| {
-        let slot = &mut cursor[key as usize];
-        grouped[*slot as usize] = value;
-        *slot += 1;
-    });
-    (offsets, grouped)
-}
-
 impl CchTopology {
     /// Runs the metric-independent preprocessing: fixes the contraction
     /// order (edge-difference + lazy updates on topology only, initial
@@ -390,52 +366,8 @@ impl CchTopology {
     /// the full chordal shortcut topology with its supporting triangles.
     /// Deterministic and bit-identical for any thread count.
     pub fn build(g: &Graph, cfg: &CchConfig) -> Self {
-        let n = g.vertex_count();
         let mut b = TopoBuilder::new(g);
-
-        let threads = cfg.threads.max(1).min(n.max(1));
-        let mut init_prio = vec![0i64; n];
-        if n > 0 {
-            let per = n.div_ceil(threads);
-            let bref = &b;
-            thread::scope(|scope| {
-                for (ci, chunk) in init_prio.chunks_mut(per).enumerate() {
-                    scope.spawn(move |_| {
-                        let mut scratch = TopoScratch::default();
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            let v = VertexId((ci * per + j) as u32);
-                            *slot = bref.priority(v, &mut scratch);
-                        }
-                    });
-                }
-            })
-            .expect("CCH priority worker panicked");
-        }
-
-        let mut queue: BinaryHeap<Reverse<(i64, u32)>> = init_prio
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| Reverse((p, v as u32)))
-            .collect();
-
-        let mut scratch = TopoScratch::default();
-        let mut next_rank = 0u32;
-        while let Some(Reverse((_stale_prio, v))) = queue.pop() {
-            let v = VertexId(v);
-            if b.contracted(v) {
-                continue;
-            }
-            let prio = b.priority(v, &mut scratch);
-            if let Some(&Reverse((top, _))) = queue.peek() {
-                if prio > top {
-                    queue.push(Reverse((prio, v.0)));
-                    continue;
-                }
-            }
-            b.contract(v, next_rank, &mut scratch);
-            next_rank += 1;
-        }
-        debug_assert_eq!(next_rank as usize, n);
+        contract_in_priority_order(g.vertex_count(), cfg.threads, &mut b);
 
         // Only the flat arrays outlive the ordering loop.
         let TopoBuilder {

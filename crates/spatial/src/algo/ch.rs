@@ -25,34 +25,39 @@
 //!   paths into single arcs: a banned edge may hide inside a shortcut.
 //!   The engine therefore keeps Yen spur searches on their ALT path and
 //!   reserves the CH for unconstrained probes.
-//! * **Deterministic, parallel-friendly build.** The node order is
-//!   edge-difference with lazy updates and lowest-id tie-breaks; initial
-//!   priorities (one independent simulated contraction per vertex) are
-//!   computed across `threads` workers, and the result is bit-identical
-//!   for any thread count (asserted by the unit tests).
+//! * **Deterministic, parallel-friendly build: an estimate orders, a
+//!   search proves** (the split of Geisberger et al.'s CH paper). The
+//!   node order is edge-difference with lazy updates and lowest-id
+//!   tie-breaks, where "shortcuts needed" is a search-free estimate (a
+//!   pair of neighbours counts unless one or two arcs around the vertex
+//!   are short enough), computed across `threads` workers initially and
+//!   again whenever a vertex is popped. Witness searches run once per
+//!   vertex, at its contraction, and they alone decide its shortcuts:
+//!   the estimate may over-count, which can misplace a vertex but never
+//!   drop a shortcut. Bit-identical for any thread count (golden
+//!   fingerprints in the unit tests).
 //!
 //! A witness search is capped ([`ChConfig::witness_settle_cap`]); hitting
 //! the cap may insert a redundant shortcut but can never drop a needed
 //! one, so caps trade index size for build time without touching
 //! correctness.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crossbeam::thread;
-
 use crate::algo::landmarks::LandmarkMetric;
+use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
-use crate::util::MinCost;
+use crate::util::{group_by_key, MinCost};
 
 /// Parameters of hierarchy construction.
 #[derive(Debug, Clone, Copy)]
 pub struct ChConfig {
-    /// Worker threads for the initial-priority sweep.
+    /// Worker threads for the initial-priority sweep (one search-free
+    /// estimate per vertex); the contraction loop is sequential.
     pub threads: usize,
     /// Settled-vertex cap per witness search. Larger caps prove more
     /// witnesses (fewer shortcuts, smaller index) at higher build cost;
-    /// any cap is exact.
+    /// any cap is exact. The ordering estimate runs no search.
     pub witness_settle_cap: usize,
 }
 
@@ -334,6 +339,9 @@ impl ChSearch {
 /// vertices, in arc-index form over the growing arc pool.
 struct Builder {
     arcs: Vec<ChArc>,
+    /// Per uncontracted vertex, its arcs to and from uncontracted
+    /// vertices and no others: `contract` prunes the neighbours' lists
+    /// and frees the vertex's own, so no walk over them checks ranks.
     out_adj: Vec<Vec<u32>>,
     in_adj: Vec<Vec<u32>>,
     /// `u32::MAX` while uncontracted, final rank afterwards.
@@ -348,29 +356,37 @@ struct Builder {
     cap: usize,
 }
 
-/// Scratch for witness searches; per worker during the parallel
-/// initial-priority sweep, then reused by the sequential contraction
-/// loop.
+/// Scratch of the estimate and the witness searches; per worker during
+/// the parallel initial-priority sweep, one for the sequential
+/// contraction loop.
+#[derive(Default)]
 struct WitnessSpace {
     epoch: u64,
+    /// `(last-touching epoch << 1) | settled-bit` per vertex.
     stamp: Vec<u64>,
     dist: Vec<f64>,
     heap: BinaryHeap<MinCost<VertexId>>,
     /// Deduplicated `(neighbor, best arc, best weight)` gather buffers.
     ins: Vec<(VertexId, u32, f64)>,
     outs: Vec<(VertexId, u32, f64)>,
+    /// What the last [`Builder::plan_contraction`] proved needed:
+    /// `(in arc, out arc, shortcut weight)`.
+    needed: Vec<(u32, u32, f64)>,
+    /// [`Builder::plan_contraction`] calls made with this space.
+    proofs: usize,
 }
 
 impl WitnessSpace {
-    fn new(n: usize) -> Self {
-        WitnessSpace {
-            epoch: 0,
-            stamp: vec![0; n],
-            dist: vec![f64::INFINITY; n],
-            heap: BinaryHeap::new(),
-            ins: Vec::new(),
-            outs: Vec::new(),
-        }
+    /// Opens a fresh stamp epoch and returns its unsettled mark.
+    fn begin(&mut self) -> u64 {
+        self.epoch += 1;
+        self.epoch << 1
+    }
+
+    /// Tentative distance of `v` in the epoch of `mark`.
+    #[inline]
+    fn reached(&self, mark: u64, v: VertexId) -> Option<f64> {
+        (self.stamp[v.index()] | 1 == mark | 1).then(|| self.dist[v.index()])
     }
 }
 
@@ -403,14 +419,10 @@ impl Builder {
         }
     }
 
-    #[inline]
-    fn contracted(&self, v: VertexId) -> bool {
-        self.rank[v.index()] != u32::MAX
-    }
-
     /// Gathers `v`'s uncontracted in/out neighbours into `space.ins` /
     /// `space.outs`, deduplicating parallel arcs onto the cheapest one
-    /// (lowest arc id on weight ties, for determinism).
+    /// (lowest arc id on weight ties, for determinism). Every use of a
+    /// space starts here, so this is also where an empty one is sized.
     fn gather_neighbors(&self, v: VertexId, space: &mut WitnessSpace) {
         fn push_min(buf: &mut Vec<(VertexId, u32, f64)>, nb: VertexId, arc: u32, w: f64) {
             for slot in buf.iter_mut() {
@@ -423,37 +435,100 @@ impl Builder {
             }
             buf.push((nb, arc, w));
         }
+        space.stamp.resize(self.rank.len(), 0);
+        space.dist.resize(self.rank.len(), f64::INFINITY);
         space.ins.clear();
         space.outs.clear();
         for &a in &self.in_adj[v.index()] {
             let arc = self.arcs[a as usize];
-            if arc.from != v && !self.contracted(arc.from) {
+            if arc.from != v {
                 push_min(&mut space.ins, arc.from, a, arc.weight);
             }
         }
         for &a in &self.out_adj[v.index()] {
             let arc = self.arcs[a as usize];
-            if arc.to != v && !self.contracted(arc.to) {
+            if arc.to != v {
                 push_min(&mut space.outs, arc.to, a, arc.weight);
             }
         }
     }
 
+    /// Upper bound on the shortcuts contracting `v` would insert, and the
+    /// number of incident arcs it would remove — what orders the
+    /// vertices. A pair `(u, w)` of in- and out-neighbour counts as
+    /// needed unless a path `u -> w` or `u -> x -> w` avoiding `v` is no
+    /// longer than `d(u,v) + d(v,w)`: no heap, no settle cap, so a
+    /// witness of three or more arcs is invisible and the count may
+    /// exceed what [`Builder::plan_contraction`] proves. It therefore
+    /// never decides a shortcut. Pure (does not mutate the builder).
+    fn estimate_contraction(&self, v: VertexId, space: &mut WitnessSpace) -> (usize, usize) {
+        self.gather_neighbors(v, space);
+        let removed = space.ins.len() + space.outs.len();
+        let ins = std::mem::take(&mut space.ins);
+        let mut needed = 0usize;
+        for &(u, _, duv) in &ins {
+            // One hop: the cheapest live arc of `u` per head.
+            let mark = space.begin();
+            for &a in &self.out_adj[u.index()] {
+                let arc = self.arcs[a as usize];
+                let x = arc.to;
+                if x != v && space.reached(mark, x).is_none_or(|d| arc.weight < d) {
+                    space.stamp[x.index()] = mark;
+                    space.dist[x.index()] = arc.weight;
+                }
+            }
+            for &(w, _, dvw) in &space.outs {
+                if w == u {
+                    continue;
+                }
+                let via = duv + dvw;
+                if space.reached(mark, w).is_some_and(|d| d <= via) {
+                    continue;
+                }
+                // Two hops: one scan of `w`'s live in-arcs.
+                let witnessed = self.in_adj[w.index()].iter().any(|&a| {
+                    let arc = self.arcs[a as usize];
+                    let x = arc.from;
+                    let short = |d: f64| d + arc.weight <= via;
+                    x != u && x != v && space.reached(mark, x).is_some_and(short)
+                });
+                needed += usize::from(!witnessed);
+            }
+        }
+        space.ins = ins;
+        (needed, removed)
+    }
+
     /// Local Dijkstra from `source` among uncontracted vertices, skipping
-    /// `avoid`, bounded by `limit` and the settle cap. Leaves tentative
-    /// distances in `space` (upper bounds on the true local distance —
-    /// safe for witness tests even when the cap truncates the search).
+    /// `avoid`, for witnesses of the paths `source -> avoid -> w` over
+    /// `targets` (`avoid`'s out-neighbours with `d(avoid, w)`; `reach` is
+    /// `d(source, avoid)`). Stops at the settle cap, once every target is
+    /// settled, or once the popped key exceeds `reach + d(avoid, w)` of
+    /// every unsettled target — none of them can be witnessed any more.
+    /// Leaves tentative distances in `space` (upper bounds on the true
+    /// local distance — safe for witness tests even when the cap
+    /// truncates the search) and returns the epoch's mark.
     fn witness_search(
         &self,
         space: &mut WitnessSpace,
         source: VertexId,
         avoid: VertexId,
-        limit: f64,
-    ) {
-        space.epoch += 1;
+        reach: f64,
+        targets: &[(VertexId, u32, f64)],
+    ) -> u64 {
+        let farthest_open = |space: &WitnessSpace, mark: u64| {
+            let open = targets
+                .iter()
+                .filter(|t| t.0 != source && space.stamp[t.0.index()] != mark | 1);
+            reach + open.map(|t| t.2).fold(f64::NEG_INFINITY, f64::max)
+        };
+        let mark = space.begin();
+        // Labels are pruned against the static bound; the stop bound
+        // tightens as targets settle.
+        let limit = farthest_open(space, mark);
+        let mut stop = limit;
         space.heap.clear();
-        let e = space.epoch;
-        space.stamp[source.index()] = e << 1;
+        space.stamp[source.index()] = mark;
         space.dist[source.index()] = 0.0;
         space.heap.push(MinCost {
             cost: 0.0,
@@ -461,96 +536,82 @@ impl Builder {
         });
         let mut settled = 0usize;
         while let Some(MinCost { cost: d, item: u }) = space.heap.pop() {
-            if space.stamp[u.index()] == (e << 1) | 1 {
+            if space.stamp[u.index()] == mark | 1 {
                 continue;
             }
-            space.stamp[u.index()] |= 1;
+            space.stamp[u.index()] = mark | 1;
             settled += 1;
-            if d > limit || settled >= self.cap {
+            if u != source && targets.iter().any(|t| t.0 == u) {
+                stop = farthest_open(space, mark);
+            }
+            if d > stop || settled >= self.cap {
                 break;
             }
             for &a in &self.out_adj[u.index()] {
                 let arc = self.arcs[a as usize];
                 let v = arc.to;
-                if v == avoid || self.contracted(v) || space.stamp[v.index()] == (e << 1) | 1 {
+                if v == avoid || space.stamp[v.index()] == mark | 1 {
                     continue;
                 }
                 let nd = d + arc.weight;
-                let live = space.stamp[v.index()] >> 1 == e;
-                if nd <= limit && (!live || nd < space.dist[v.index()]) {
-                    space.stamp[v.index()] = e << 1;
+                if nd <= limit && space.reached(mark, v).is_none_or(|old| nd < old) {
+                    space.stamp[v.index()] = mark;
                     space.dist[v.index()] = nd;
                     space.heap.push(MinCost { cost: nd, item: v });
                 }
             }
         }
+        mark
     }
 
-    /// Simulates contracting `v`: fills `needed` with the shortcuts the
-    /// contraction would insert and returns the number of incident arcs
-    /// it would remove. Pure (does not mutate the builder), so the
-    /// initial-priority sweep can run it from many threads.
-    fn plan_contraction(
-        &self,
-        v: VertexId,
-        space: &mut WitnessSpace,
-        needed: &mut Vec<(u32, u32, f64)>,
-    ) -> usize {
-        needed.clear();
+    /// Proves which shortcuts contracting `v` needs: one witness search
+    /// per in-neighbour, results in `space.needed`. Pure (does not mutate
+    /// the builder); the build calls it once per vertex, immediately
+    /// before contracting it.
+    fn plan_contraction(&self, v: VertexId, space: &mut WitnessSpace) {
+        space.proofs += 1;
+        space.needed.clear();
         self.gather_neighbors(v, space);
-        let removed = space.ins.len() + space.outs.len();
-        if space.ins.is_empty() || space.outs.is_empty() {
-            return removed;
-        }
-        let max_out = space
-            .outs
-            .iter()
-            .map(|&(_, _, w)| w)
-            .fold(f64::NEG_INFINITY, f64::max);
         let ins = std::mem::take(&mut space.ins);
         let outs = std::mem::take(&mut space.outs);
         for &(u, a_in, duv) in &ins {
-            self.witness_search(space, u, v, duv + max_out);
+            // Nothing to prove when `u` is the only out-neighbour.
+            if outs.iter().all(|t| t.0 == u) {
+                continue;
+            }
+            let mark = self.witness_search(space, u, v, duv, &outs);
             for &(w, a_out, dvw) in &outs {
-                if w == u {
-                    continue;
-                }
                 let via = duv + dvw;
-                let witness = if space.stamp[w.index()] >> 1 == space.epoch {
-                    space.dist[w.index()]
-                } else {
-                    f64::INFINITY
-                };
-                if witness > via {
-                    needed.push((a_in, a_out, via));
+                if w != u && space.reached(mark, w).is_none_or(|witness| witness > via) {
+                    space.needed.push((a_in, a_out, via));
                 }
             }
         }
         space.ins = ins;
         space.outs = outs;
-        removed
     }
+}
 
-    /// The lazy-update priority of `v`: twice the edge difference plus
-    /// the deleted-neighbours uniformity term.
-    fn priority(
-        &self,
-        v: VertexId,
-        space: &mut WitnessSpace,
-        needed: &mut Vec<(u32, u32, f64)>,
-    ) -> i64 {
-        let removed = self.plan_contraction(v, space, needed);
-        2 * (needed.len() as i64 - removed as i64)
+impl Contract for Builder {
+    type Scratch = WitnessSpace;
+
+    /// The lazy-update priority of `v`: twice the estimated edge
+    /// difference plus the deleted-neighbours and depth uniformity terms.
+    /// Search-free: see [`Builder::estimate_contraction`].
+    fn priority(&self, v: VertexId, space: &mut WitnessSpace) -> i64 {
+        let (needed, removed) = self.estimate_contraction(v, space);
+        2 * (needed as i64 - removed as i64)
             + self.deleted_neighbors[v.index()] as i64
             + 8 * self.level[v.index()] as i64
     }
 
-    /// Contracts `v` at `rank`: inserts the planned shortcuts, bumps the
-    /// neighbours' deleted counters and prunes their adjacency of arcs
-    /// into contracted territory.
-    fn contract(&mut self, v: VertexId, rank: u32, needed: &[(u32, u32, f64)]) {
+    /// Contracts `v` at `rank`: proves and inserts its shortcuts, bumps
+    /// the neighbours' deleted counters and prunes `v` out of their
+    /// adjacency.
+    fn contract(&mut self, v: VertexId, rank: u32, space: &mut WitnessSpace) {
+        self.plan_contraction(v, space);
         self.rank[v.index()] = rank;
-        for &(a_in, a_out, weight) in needed {
+        for &(a_in, a_out, weight) in &space.needed {
             let from = self.arcs[a_in as usize].from;
             let to = self.arcs[a_out as usize].to;
             let id = self.arcs.len() as u32;
@@ -563,99 +624,47 @@ impl Builder {
             self.out_adj[from.index()].push(id);
             self.in_adj[to.index()].push(id);
         }
-        // Bump + prune each distinct uncontracted neighbour once.
-        let mut neighbors: Vec<VertexId> = Vec::new();
-        for &a in self.in_adj[v.index()]
-            .iter()
-            .chain(&self.out_adj[v.index()])
-        {
-            let arc = self.arcs[a as usize];
-            for nb in [arc.from, arc.to] {
-                if nb != v && !self.contracted(nb) && !neighbors.contains(&nb) {
-                    neighbors.push(nb);
-                }
+        // Bump + prune each distinct neighbour once (the plan left them
+        // in `ins` / `outs`; a fresh stamp epoch folds the two lists).
+        let mark = space.begin();
+        for &(nb, ..) in space.ins.iter().chain(&space.outs) {
+            if std::mem::replace(&mut space.stamp[nb.index()], mark) == mark {
+                continue;
             }
-        }
-        for nb in neighbors {
             self.deleted_neighbors[nb.index()] += 1;
             let bumped = self.level[v.index()] + 1;
             if self.level[nb.index()] < bumped {
                 self.level[nb.index()] = bumped;
             }
             let arcs = &self.arcs;
-            let rank = &self.rank;
-            let live = |a: &u32| {
-                let arc = arcs[*a as usize];
-                rank[arc.from.index()] == u32::MAX && rank[arc.to.index()] == u32::MAX
-            };
+            let live = |a: &u32| arcs[*a as usize].from != v && arcs[*a as usize].to != v;
             self.out_adj[nb.index()].retain(live);
             self.in_adj[nb.index()].retain(live);
         }
+        // Nothing reads a contracted vertex's lists again.
+        self.out_adj[v.index()] = Vec::new();
+        self.in_adj[v.index()] = Vec::new();
     }
 }
 
 impl ContractionHierarchy {
     /// Builds the hierarchy under `metric`.
     ///
-    /// Node order is edge-difference + deleted-neighbours with lazy
-    /// updates (ties broken on the lowest vertex id); the initial
-    /// priority of every vertex is an independent simulated contraction,
-    /// fanned out over `cfg.threads` workers. The result is bit-identical
-    /// for any thread count.
+    /// Node order is edge-difference + deleted-neighbours + depth with
+    /// lazy updates (ties broken on the lowest vertex id), where "edges
+    /// added" is a search-free two-hop estimate; the initial estimate of
+    /// every vertex is fanned out over `cfg.threads` workers. Shortcuts
+    /// are decided by capped witness searches, run once per vertex when
+    /// it is contracted. The result is bit-identical for any thread
+    /// count.
     pub fn build(g: &Graph, metric: LandmarkMetric, cfg: &ChConfig) -> Self {
-        let n = g.vertex_count();
-        let mut b = Builder::new(g, metric, cfg.witness_settle_cap.max(2));
-
-        // Initial priorities: pure per-vertex simulations, parallelised.
-        let threads = cfg.threads.max(1).min(n.max(1));
-        let mut init_prio = vec![0i64; n];
-        if n > 0 {
-            let per = n.div_ceil(threads);
-            let bref = &b;
-            thread::scope(|scope| {
-                for (ci, chunk) in init_prio.chunks_mut(per).enumerate() {
-                    scope.spawn(move |_| {
-                        let mut space = WitnessSpace::new(n);
-                        let mut needed = Vec::new();
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            let v = VertexId((ci * per + j) as u32);
-                            *slot = bref.priority(v, &mut space, &mut needed);
-                        }
-                    });
-                }
-            })
-            .expect("CH priority worker panicked");
-        }
-
-        let mut queue: BinaryHeap<Reverse<(i64, u32)>> = init_prio
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| Reverse((p, v as u32)))
-            .collect();
-
-        let mut space = WitnessSpace::new(n);
-        let mut needed = Vec::new();
-        let mut next_rank = 0u32;
-        while let Some(Reverse((_stale_prio, v))) = queue.pop() {
-            let v = VertexId(v);
-            if b.contracted(v) {
-                continue;
-            }
-            // Lazy update: contracting other vertices may have changed
-            // v's priority; recompute, and if v no longer wins, requeue.
-            let prio = b.priority(v, &mut space, &mut needed);
-            if let Some(&Reverse((top, _))) = queue.peek() {
-                if prio > top {
-                    queue.push(Reverse((prio, v.0)));
-                    continue;
-                }
-            }
-            b.contract(v, next_rank, &needed);
-            next_rank += 1;
-        }
-        debug_assert_eq!(next_rank as usize, n);
-
-        let mut ch = Self::assemble(metric, g.edge_count(), b.rank, b.arcs);
+        // Only the ranks and the arc pool outlive the ordering loop.
+        let (rank, arcs) = {
+            let mut b = Builder::new(g, metric, cfg.witness_settle_cap.max(2));
+            contract_in_priority_order(g.vertex_count(), cfg.threads, &mut b);
+            (b.rank, b.arcs)
+        };
+        let mut ch = Self::assemble(metric, g.edge_count(), rank, arcs);
         ch.weights_epoch = g.weights_epoch();
         ch
     }
@@ -678,70 +687,58 @@ impl ContractionHierarchy {
         arcs: Vec<ChArc>,
     ) -> Self {
         let n = rank.len();
-        let mut up: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut down: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, arc) in arcs.iter().enumerate() {
-            let (rf, rt) = (rank[arc.from.index()], rank[arc.to.index()]);
-            if rf < rt {
-                up[rf as usize].push(i as u32);
-            } else {
-                down[rt as usize].push(i as u32);
+        // An arc hangs off its lower-ranked endpoint, in the upward half
+        // of that rank's segment when that is its tail; halves hold arc
+        // ids in ascending order.
+        let no_arc = SearchArc { other: 0, arc: 0 };
+        let (mut halves, mut seg_arcs) = group_by_key(2 * n, no_arc, |emit| {
+            for (arc, i) in arcs.iter().zip(0u32..) {
+                let (rf, rt) = (rank[arc.from.index()], rank[arc.to.index()]);
+                if rf < rt {
+                    emit(2 * rf, SearchArc { other: rt, arc: i });
+                } else {
+                    emit(2 * rt + 1, SearchArc { other: rf, arc: i });
+                }
             }
-        }
+        });
         // Contraction can leave several parallel arcs between one vertex
         // pair (an original edge plus successively cheaper shortcuts);
         // only the cheapest can ever lie on a shortest path, so the
-        // search graphs keep just that one (lowest arc id on ties, for
-        // determinism — buckets hold ids in ascending order). The arc
-        // *pool* keeps everything: dominated arcs may still be children
-        // of shortcuts and are needed for unpacking.
-        let dedupe = |bucket: &mut Vec<u32>, key: fn(&ChArc) -> VertexId| {
-            let mut keep: Vec<u32> = Vec::with_capacity(bucket.len());
-            for &a in bucket.iter() {
-                let arc = &arcs[a as usize];
-                match keep
-                    .iter_mut()
-                    .find(|b| key(&arcs[(**b) as usize]) == key(arc))
-                {
-                    Some(b) => {
-                        if arc.weight < arcs[*b as usize].weight {
-                            *b = a;
-                        }
+        // search graphs keep just that one, at the pair's first position
+        // (lowest arc id on ties, for determinism). The arc *pool* keeps
+        // everything: dominated arcs may still be children of shortcuts
+        // and are needed for unpacking. Compacts `seg_arcs` in place;
+        // `slot_of[r]` is one past the slot holding the current half's
+        // arc to rank `r`.
+        let mut slot_of = vec![0u32; n];
+        let (mut read, mut write) = (0usize, 0usize);
+        for h in 0..2 * n {
+            let start = write;
+            let end = halves[h + 1] as usize;
+            halves[h] = start as u32;
+            for i in read..end {
+                let sa = seg_arcs[i];
+                let slot = slot_of[sa.other as usize] as usize;
+                if slot > start {
+                    let best = &mut seg_arcs[slot - 1].arc;
+                    if arcs[sa.arc as usize].weight < arcs[*best as usize].weight {
+                        *best = sa.arc;
                     }
-                    None => keep.push(a),
+                } else {
+                    seg_arcs[write] = sa;
+                    write += 1;
+                    slot_of[sa.other as usize] = write as u32;
                 }
             }
-            *bucket = keep;
-        };
-        for bucket in up.iter_mut() {
-            dedupe(bucket, |a| a.to);
+            read = end;
         }
-        for bucket in down.iter_mut() {
-            dedupe(bucket, |a| a.from);
-        }
-        let mut seg_offsets = Vec::with_capacity(n + 1);
-        let mut seg_mid = Vec::with_capacity(n);
-        let kept = up.iter().chain(&down).map(Vec::len).sum();
-        let mut seg_arcs: Vec<SearchArc> = Vec::with_capacity(kept);
-        let mut seg_weights: Vec<f64> = Vec::with_capacity(kept);
-        seg_offsets.push(0u32);
-        for r in 0..n {
-            for (bucket, upward) in [(&up[r], true), (&down[r], false)] {
-                for &a in bucket {
-                    let arc = &arcs[a as usize];
-                    let other = if upward { arc.to } else { arc.from };
-                    seg_arcs.push(SearchArc {
-                        other: rank[other.index()],
-                        arc: a,
-                    });
-                    seg_weights.push(arc.weight);
-                }
-                if upward {
-                    seg_mid.push(seg_arcs.len() as u32);
-                }
-            }
-            seg_offsets.push(seg_arcs.len() as u32);
-        }
+        halves[2 * n] = write as u32;
+        seg_arcs.truncate(write);
+        seg_arcs.shrink_to_fit();
+        let seg_weights = seg_arcs
+            .iter()
+            .map(|sa| arcs[sa.arc as usize].weight)
+            .collect();
         ContractionHierarchy {
             metric,
             m,
@@ -749,11 +746,11 @@ impl ContractionHierarchy {
             weights: arcs.iter().map(|a| a.weight).collect(),
             kinds: arcs.iter().map(|a| a.kind).collect(),
             skel: Skeleton {
-                rank,
                 ends: arcs.iter().map(|a| (a.from, a.to)).collect(),
-                seg_offsets,
-                seg_mid,
+                seg_offsets: halves.iter().step_by(2).copied().collect(),
+                seg_mid: halves.iter().skip(1).step_by(2).copied().collect(),
                 seg_arcs,
+                rank,
             },
             seg_weights,
         }
@@ -1283,6 +1280,227 @@ mod tests {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9),
                 (None, None) => {}
                 (a, b) => panic!("cap changed reachability: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    fn grid24() -> Graph {
+        let cfg = GridConfig {
+            nx: 24,
+            ny: 24,
+            ..GridConfig::small_test()
+        };
+        grid_network(&cfg, 5)
+    }
+
+    /// FNV-1a, word-wise, over everything `build` decides: the rank array
+    /// and the arc pool (endpoints, weight bits, expansion rule).
+    fn fingerprint(ch: &ContractionHierarchy) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        ch.ranks().iter().for_each(|&r| word(u64::from(r)));
+        for a in ch.arcs() {
+            word(u64::from(a.from.0) << 32 | u64::from(a.to.0));
+            word(a.weight.to_bits());
+            match a.kind {
+                ChArcKind::Original(e) => word(u64::from(e.0)),
+                ChArcKind::Shortcut(x, y) => word(1 << 63 | u64::from(x) << 32 | u64::from(y)),
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn ch_build_is_golden_for_any_thread_count() {
+        // Nothing else pins the hierarchy: every query test passes under
+        // any node order. The third column is the shortcut count of the
+        // build this one replaced, which ordered by full witness
+        // searches: an estimate may buy build time with index size only
+        // up to 5 %.
+        for (g, golden, search_ordered) in [
+            (region(), 0x63d6_d686_4fa3_55acu64, 114usize),
+            (grid24(), 0x9c41_e465_3bbd_4a81u64, 3550usize),
+        ] {
+            for threads in [1, 2, 4] {
+                let cfg = ChConfig {
+                    threads,
+                    ..ChConfig::default()
+                };
+                let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &cfg);
+                let print = fingerprint(&ch);
+                assert!(
+                    print == golden,
+                    "hierarchy drifted: {print:#018x}, {threads} threads, {} shortcuts",
+                    ch.shortcut_count()
+                );
+                assert!(
+                    ch.shortcut_count() * 100 <= search_ordered * 105,
+                    "{} shortcuts against {search_ordered}",
+                    ch.shortcut_count()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ch_build_proves_each_vertex_once() {
+        // What `build` runs; the loop hands back its scratch, which
+        // counted the proofs.
+        for g in [region(), grid24()] {
+            let n = g.vertex_count();
+            let mut b = Builder::new(&g, LandmarkMetric::Length, 128);
+            let space = contract_in_priority_order(n, 4, &mut b);
+            assert_eq!(space.proofs, n, "one plan_contraction per vertex");
+        }
+    }
+
+    /// A builder over raw `(from, to, weight)` arcs with the settle cap
+    /// lifted — what `Builder::new` makes of a graph, for arc sets no
+    /// [`Graph`] holds (its builder rejects zero-length edges).
+    fn raw_builder(n: usize, raw: &[(u32, u32, f64)]) -> Builder {
+        let mut b = Builder {
+            arcs: Vec::new(),
+            out_adj: vec![Vec::new(); n],
+            in_adj: vec![Vec::new(); n],
+            rank: vec![u32::MAX; n],
+            deleted_neighbors: vec![0; n],
+            level: vec![0; n],
+            cap: usize::MAX,
+        };
+        for (&(from, to, weight), i) in raw.iter().zip(0u32..) {
+            b.arcs.push(ChArc {
+                from: VertexId(from),
+                to: VertexId(to),
+                weight,
+                kind: ChArcKind::Original(EdgeId(i)),
+            });
+            b.out_adj[from as usize].push(i);
+            b.in_adj[to as usize].push(i);
+        }
+        b
+    }
+
+    /// Random multigraph with small integer weights (float sums exact):
+    /// one-way arcs, parallel arcs of different weight, 2-cycles and
+    /// zero-weight arcs all occur.
+    fn random_multigraph(n: u32, seed: u64) -> Vec<(u32, u32, f64)> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |bound: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) as u32 % bound
+        };
+        let mut raw = Vec::new();
+        while raw.len() < 4 * n as usize {
+            let (from, to) = (next(n), next(n));
+            if from == to {
+                continue;
+            }
+            raw.push((from, to, f64::from(next(5))));
+            match next(4) {
+                0 => raw.push((to, from, f64::from(next(5)))),
+                1 => raw.push((from, to, f64::from(next(5)))),
+                _ => {}
+            }
+        }
+        raw
+    }
+
+    /// Reference for the proof: the shortcuts contracting `v` needs, by
+    /// definition — every pair of a distinct in- and out-neighbour whose
+    /// exact distance among the uncontracted vertices minus `v` exceeds
+    /// the path through `v` — as sorted `(in arc, out arc, weight bits)`.
+    fn needed_by_definition(b: &Builder, v: VertexId) -> Vec<(u32, u32, u64)> {
+        let n = b.rank.len();
+        let live = |x: VertexId| b.rank[x.index()] == u32::MAX && x != v;
+        // Cheapest arc per neighbour, lowest arc id on ties.
+        let mut ins = std::collections::BTreeMap::new();
+        let mut outs = std::collections::BTreeMap::new();
+        for (arc, a) in b.arcs.iter().zip(0u32..) {
+            for (nb, map) in [(arc.from, &mut ins), (arc.to, &mut outs)] {
+                let other = if nb == arc.from { arc.to } else { arc.from };
+                if other != v || !live(nb) {
+                    continue;
+                }
+                let best = map.entry(nb).or_insert((a, arc.weight));
+                if arc.weight < best.1 {
+                    *best = (a, arc.weight);
+                }
+            }
+        }
+        let mut needed = Vec::new();
+        for (&u, &(a_in, duv)) in &ins {
+            // Textbook Dijkstra from `u`, O(n²), over the live arcs.
+            let mut dist = vec![f64::INFINITY; n];
+            let mut done = vec![false; n];
+            dist[u.index()] = 0.0;
+            while let Some(x) = (0..n)
+                .filter(|&x| !done[x] && dist[x].is_finite())
+                .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+            {
+                done[x] = true;
+                for arc in b.arcs.iter().filter(|a| a.from.index() == x && live(a.to)) {
+                    let nd = dist[x] + arc.weight;
+                    if nd < dist[arc.to.index()] {
+                        dist[arc.to.index()] = nd;
+                    }
+                }
+            }
+            for (&w, &(a_out, dvw)) in &outs {
+                if w != u && dist[w.index()] > duv + dvw {
+                    needed.push((a_in, a_out, (duv + dvw).to_bits()));
+                }
+            }
+        }
+        needed.sort_unstable();
+        needed
+    }
+
+    #[test]
+    fn ch_build_proof_is_exact_and_estimate_never_undercounts() {
+        // With the cap lifted `plan_contraction` must find exactly the
+        // shortcuts the definition asks for (this is what guards the
+        // target-aware stop and the `limit` arithmetic), and the estimate
+        // may only over-count them. Checked on every uncontracted vertex
+        // of every intermediate graph of a contraction in id order.
+        for seed in 1..=12u64 {
+            let n = 6 + (seed % 5) as u32 * 2;
+            let mut b = raw_builder(n as usize, &random_multigraph(n, seed));
+            let mut space = WitnessSpace::default();
+            let mut other_space = WitnessSpace::default();
+            for next in 0..n {
+                for v in (next..n).map(VertexId) {
+                    b.plan_contraction(v, &mut space);
+                    let mut proved: Vec<(u32, u32, u64)> = space
+                        .needed
+                        .iter()
+                        .map(|&(a, b, w)| (a, b, w.to_bits()))
+                        .collect();
+                    proved.sort_unstable();
+                    assert_eq!(
+                        proved,
+                        needed_by_definition(&b, v),
+                        "seed {seed}, {next} contracted, {v:?}"
+                    );
+                    let estimate = b.estimate_contraction(v, &mut space);
+                    assert!(
+                        estimate.0 >= proved.len(),
+                        "seed {seed}, {next} contracted, {v:?}: estimated {} of {}",
+                        estimate.0,
+                        proved.len()
+                    );
+                    assert_eq!(estimate.1, space.ins.len() + space.outs.len());
+                    assert_eq!(
+                        (estimate, b.priority(v, &mut space)),
+                        (
+                            b.estimate_contraction(v, &mut other_space),
+                            b.priority(v, &mut other_space)
+                        ),
+                        "the estimate must be a pure function of the builder"
+                    );
+                }
+                b.contract(VertexId(next), next, &mut space);
             }
         }
     }

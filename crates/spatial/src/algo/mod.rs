@@ -50,6 +50,7 @@ pub mod diversified;
 pub mod engine;
 pub mod landmarks;
 pub mod m2m;
+mod order;
 pub mod yen;
 
 pub use astar::astar_shortest_path;

@@ -1,6 +1,7 @@
 //! Small utilities shared by the routing algorithms: a fixed-capacity
-//! bitset for banned vertices/edges and a min-heap entry ordered on `f64`
-//! cost via `total_cmp`.
+//! bitset for banned vertices/edges, a min-heap entry ordered on `f64`
+//! cost via `total_cmp`, and the counting sort the hierarchy builders lay
+//! out their CSR arrays with.
 
 use std::cmp::Ordering;
 
@@ -98,6 +99,31 @@ impl<T> Ord for MinCost<T> {
         // Reversed: smaller cost = greater priority.
         other.cost.total_cmp(&self.cost)
     }
+}
+
+/// Stable counting sort into CSR form: groups the `(key, value)` items
+/// that `each` emits by key (`key < buckets`), keeping emission order
+/// within a group. Returns the `buckets + 1` group offsets and the
+/// grouped values. `each` runs twice — once to count, once to place
+/// every value straight into the final array.
+pub(crate) fn group_by_key<V: Copy>(
+    buckets: usize,
+    fill: V,
+    each: impl Fn(&mut dyn FnMut(u32, V)),
+) -> (Vec<u32>, Vec<V>) {
+    let mut offsets = vec![0u32; buckets + 1];
+    each(&mut |key, _| offsets[key as usize + 1] += 1);
+    for i in 0..buckets {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets.clone();
+    let mut grouped = vec![fill; offsets[buckets] as usize];
+    each(&mut |key, value| {
+        let slot = &mut cursor[key as usize];
+        grouped[*slot as usize] = value;
+        *slot += 1;
+    });
+    (offsets, grouped)
 }
 
 #[cfg(test)]
