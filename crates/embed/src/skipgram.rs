@@ -4,6 +4,31 @@
 //! the center's *input* vector towards the context's *output* vector while
 //! pushing it away from `negative` sampled vertices. Negative samples are
 //! drawn from the unigram distribution raised to the 3/4 power.
+//!
+//! # Bit-identity contract
+//!
+//! The result is fixed, in bits, by two orders, and the kernel keeps both
+//! from the textbook single-target loop (the oracle in
+//! `tests/sgns_exactness.rs`):
+//!
+//! * each target's dot product with the centre is one f32 sum in
+//!   ascending `d`, starting from `0.0`;
+//! * the targets of a (centre, context) pair — the context, then the
+//!   negatives that differ from it, in draw order — apply their `err`,
+//!   `grad` and output-row updates in that order, and the centre's input
+//!   row takes `grad` after the last one.
+//!
+//! Within those orders the kernel is free to interleave. A target's dot
+//! reads the centre's input row, which no target of the pair writes, and
+//! its own output row, which only earlier targets *of the same row*
+//! write. So a run of pairwise-distinct rows can have all its dot
+//! products computed before any of its updates: the kernel splits the
+//! target list into such runs (a repeated negative opens a new one) and
+//! scores each run in one sweep over `d` with one accumulator per target.
+//! The chains are still sequential each; side by side they hide each
+//! other's add latency, which one 64-term chain per target cannot. Only
+//! the negatives draw from the rng after initialisation, so drawing all of
+//! a pair's negatives up front consumes it in the same order.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,60 +90,130 @@ pub fn train_skipgram(walks: &[Vec<u32>], vocab: usize, cfg: &SkipGramConfig, se
     }
     let noise = AliasTable::new(&counts.iter().map(|c| c.powf(0.75)).collect::<Vec<_>>());
 
-    let total_pairs_estimate: usize =
+    // Tokens visited over all epochs: the learning rate decays linearly
+    // in the share of them processed.
+    let total_token_visits: usize =
         walks.iter().map(|w| w.len()).sum::<usize>().max(1) * cfg.epochs;
     let mut processed = 0usize;
-    let mut grad = vec![0.0f32; cfg.dim];
+    let dim = cfg.dim;
+    let mut grad = vec![0.0f32; dim];
+    // The pair's target rows: the context first, then the negatives that
+    // differ from it, in draw order.
+    let mut targets: Vec<u32> = Vec::with_capacity(1 + cfg.negative);
 
     for _ in 0..cfg.epochs {
         for walk in walks {
             for (i, &center) in walk.iter().enumerate() {
                 processed += 1;
-                let progress = processed as f32 / total_pairs_estimate as f32;
+                let progress = processed as f32 / total_token_visits as f32;
                 let lr = cfg.lr * (1.0 - 0.9 * progress.min(1.0));
                 let lo = i.saturating_sub(cfg.window);
                 let hi = (i + cfg.window + 1).min(walk.len());
+                let c0 = center as usize * dim;
                 for (j, &context) in walk.iter().enumerate().take(hi).skip(lo) {
                     if i == j {
                         continue;
                     }
-                    // One positive update + `negative` negative updates on
-                    // the centre's input vector.
-                    let c0 = center as usize * cfg.dim;
-                    grad.iter_mut().for_each(|g| *g = 0.0);
-                    let update = |target: usize,
-                                  label: f32,
-                                  w_in: &[f32],
-                                  w_out: &mut [f32],
-                                  grad: &mut [f32]| {
-                        let t0 = target * cfg.dim;
-                        let mut dot = 0.0f32;
-                        for d in 0..cfg.dim {
-                            dot += w_in[c0 + d] * w_out[t0 + d];
-                        }
-                        let pred = 1.0 / (1.0 + (-dot).exp());
-                        let err = (label - pred) * lr;
-                        for d in 0..cfg.dim {
-                            grad[d] += err * w_out[t0 + d];
-                            w_out[t0 + d] += err * w_in[c0 + d];
-                        }
-                    };
-                    update(context as usize, 1.0, &w_in, &mut w_out, &mut grad);
+                    targets.clear();
+                    targets.push(context);
                     for _ in 0..cfg.negative {
                         let neg = noise.sample(&mut rng);
-                        if neg == context {
-                            continue;
+                        if neg != context {
+                            targets.push(neg);
                         }
-                        update(neg as usize, 0.0, &w_in, &mut w_out, &mut grad);
                     }
-                    for d in 0..cfg.dim {
-                        w_in[c0 + d] += grad[d];
+                    grad.fill(0.0);
+                    let x = &w_in[c0..c0 + dim];
+                    let mut start = 0;
+                    while start < targets.len() {
+                        let run = distinct_run(&targets[start..]);
+                        update_run(
+                            x,
+                            &targets[start..start + run],
+                            start == 0,
+                            lr,
+                            &mut w_out,
+                            &mut grad,
+                        );
+                        start += run;
+                    }
+                    for (w, g) in w_in[c0..c0 + dim].iter_mut().zip(&grad) {
+                        *w += g;
                     }
                 }
             }
         }
     }
-    Matrix::from_vec(vocab, cfg.dim, w_in)
+    Matrix::from_vec(vocab, dim, w_in)
+}
+
+/// Targets scored side by side in one sweep over `d`: enough independent
+/// add chains to cover the add latency at two adds a cycle.
+const BLOCK: usize = 8;
+
+/// Length of the leading run of `targets` with pairwise-distinct rows,
+/// at most [`BLOCK`].
+fn distinct_run(targets: &[u32]) -> usize {
+    let mut run = 1;
+    while run < targets.len().min(BLOCK) && !targets[..run].contains(&targets[run]) {
+        run += 1;
+    }
+    run
+}
+
+/// One SGD step for each of `rows` (pairwise distinct, at most [`BLOCK`])
+/// against the centre's input row `x`: all dot products in one sweep,
+/// then sigmoid, `err`, `grad` and the output-row update in row order.
+/// The first row is the context (label 1) when `has_context`.
+fn update_run(
+    x: &[f32],
+    rows: &[u32],
+    has_context: bool,
+    lr: f32,
+    w_out: &mut [f32],
+    grad: &mut [f32],
+) {
+    let dim = x.len();
+    // One accumulator per target: the block is sized to the run, so no
+    // lane sums a row nobody asked for.
+    let mut dots = [0.0f32; BLOCK];
+    let scored = &mut dots[..rows.len()];
+    match rows.len() {
+        1 => scored.copy_from_slice(&dot_block::<1>(x, w_out, rows)),
+        2 => scored.copy_from_slice(&dot_block::<2>(x, w_out, rows)),
+        3 => scored.copy_from_slice(&dot_block::<3>(x, w_out, rows)),
+        4 => scored.copy_from_slice(&dot_block::<4>(x, w_out, rows)),
+        5 => scored.copy_from_slice(&dot_block::<5>(x, w_out, rows)),
+        6 => scored.copy_from_slice(&dot_block::<6>(x, w_out, rows)),
+        7 => scored.copy_from_slice(&dot_block::<7>(x, w_out, rows)),
+        _ => scored.copy_from_slice(&dot_block::<BLOCK>(x, w_out, rows)),
+    }
+    for (k, (&t, &dot)) in rows.iter().zip(&dots).enumerate() {
+        let label = if has_context && k == 0 { 1.0 } else { 0.0 };
+        let pred = 1.0 / (1.0 + (-dot).exp());
+        let err = (label - pred) * lr;
+        let out = &mut w_out[t as usize * dim..][..dim];
+        for ((g, o), &xd) in grad.iter_mut().zip(out.iter_mut()).zip(x) {
+            *g += err * *o;
+            *o += err * xd;
+        }
+    }
+}
+
+/// `x · w_out[rows[k]]` for the first `R` rows, each summed in ascending
+/// `d` from `0.0` — the bits of a plain sequential dot product per row.
+#[inline]
+fn dot_block<const R: usize>(x: &[f32], w_out: &[f32], rows: &[u32]) -> [f32; R] {
+    let n = x.len();
+    let lanes: [&[f32]; R] = std::array::from_fn(|k| &w_out[rows[k] as usize * n..][..n]);
+    let mut acc = [0.0f32; R];
+    for d in 0..n {
+        let xd = x[d];
+        for (a, lane) in acc.iter_mut().zip(&lanes) {
+            *a += xd * lane[d];
+        }
+    }
+    acc
 }
 
 /// Cosine similarity between two embedding rows; used by tests and by the

@@ -75,8 +75,7 @@ pub fn generate_walks(g: &Graph, cfg: &WalkConfig, seed: u64) -> Vec<Vec<u32>> {
     let mut walks = Vec::with_capacity(g.vertex_count() * cfg.walks_per_vertex);
     let mut weights: Vec<f64> = Vec::new();
 
-    for round in 0..cfg.walks_per_vertex {
-        let _ = round;
+    for _ in 0..cfg.walks_per_vertex {
         for start in 0..g.vertex_count() as u32 {
             let mut walk = Vec::with_capacity(cfg.walk_length);
             walk.push(start);

@@ -190,6 +190,35 @@ struct TopoScratch {
     /// Stamp per vertex: `seen[v] == rank + 1` marks `v` as already
     /// handled as a neighbour by the contraction at `rank`.
     seen: Vec<u32>,
+    /// `(token, arc)` per vertex: `heads[w].0 == token` marks `w` as a
+    /// head of the in-neighbour stamped under `token`, reached by arc
+    /// `heads[w].1` (see [`TopoScratch::stamp_heads`]).
+    heads: Vec<(u32, u32)>,
+    token: u32,
+}
+
+impl TopoScratch {
+    /// Stamps the heads of `u`'s live out-arcs under a fresh token, so
+    /// that [`TopoScratch::arc_to`] answers "is there an arc `u -> w`"
+    /// in O(1) for every out-neighbour `w` of the vertex being probed.
+    fn stamp_heads(&mut self, b: &TopoBuilder, u: VertexId) {
+        if self.heads.len() != b.rank.len() || self.token == u32::MAX {
+            self.heads.clear();
+            self.heads.resize(b.rank.len(), (0, 0));
+            self.token = 0;
+        }
+        self.token += 1;
+        for &a in &b.out_adj[u.index()] {
+            self.heads[b.arcs[a as usize].1.index()] = (self.token, a);
+        }
+    }
+
+    /// The arc `u -> w` from `u`'s out-arcs as last stamped.
+    #[inline]
+    fn arc_to(&self, w: VertexId) -> Option<u32> {
+        let (token, a) = self.heads[w.index()];
+        (token == self.token).then_some(a)
+    }
 }
 
 impl TopoBuilder {
@@ -255,12 +284,6 @@ impl TopoBuilder {
             }
         }
     }
-
-    /// The live arc `from -> to`, if one exists.
-    fn find_arc(&self, from: VertexId, to: VertexId) -> Option<u32> {
-        let out = &self.out_adj[from.index()];
-        out.iter().copied().find(|&a| self.arcs[a as usize].1 == to)
-    }
 }
 
 impl Contract for TopoBuilder {
@@ -275,9 +298,11 @@ impl Contract for TopoBuilder {
         self.gather_neighbors(v, scratch);
         let removed = scratch.ins.len() + scratch.outs.len();
         let mut added = 0i64;
-        for &(u, _) in &scratch.ins {
+        for i in 0..scratch.ins.len() {
+            let u = scratch.ins[i].0;
+            scratch.stamp_heads(self, u);
             for &(w, _) in &scratch.outs {
-                if w != u && self.find_arc(u, w).is_none() {
+                if w != u && scratch.arc_to(w).is_none() {
                     added += 1;
                 }
             }
@@ -294,12 +319,16 @@ impl Contract for TopoBuilder {
     fn contract(&mut self, v: VertexId, rank: u32, scratch: &mut TopoScratch) {
         self.gather_neighbors(v, scratch);
         self.rank[v.index()] = rank;
-        for &(u, a_in) in &scratch.ins {
+        for i in 0..scratch.ins.len() {
+            let (u, a_in) = scratch.ins[i];
+            scratch.stamp_heads(self, u);
+            // Arcs inserted below go to distinct heads, none of which is
+            // tested again under this stamp.
             for &(w, a_out) in &scratch.outs {
                 if w == u {
                     continue;
                 }
-                let a = self.find_arc(u, w).unwrap_or_else(|| {
+                let a = scratch.arc_to(w).unwrap_or_else(|| {
                     let a = self.arcs.len() as u32;
                     self.arcs.push((u, w));
                     self.out_adj[u.index()].push(a);

@@ -581,6 +581,14 @@ impl Graph {
 /// encode exactly this kind of topological centrality — the trajectory
 /// simulator uses this to give fixed-embedding models (PR-A1) a fair,
 /// realistic learnable signal.
+///
+/// A tree edge `parent(w) -> w` is on the root path of exactly the
+/// vertices in `w`'s subtree, so its count per tree is that subtree's
+/// size. Sizes are summed bottom-up in O(n) per tree: a vertex is popped
+/// once all its children have handed it their sizes, then hands its own
+/// to its parent. Every partial sum is an integer below 2^53, so the f64
+/// counts are exact and equal, in bits, to bumping each edge once per
+/// descendant in any order. Scratch: 12 B per vertex.
 pub fn edge_popularity(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -592,22 +600,31 @@ pub fn edge_popularity(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = crate::algo::engine::QueryEngine::new(g);
+    let mut size = vec![0u32; n];
+    let mut pending_children = vec![0u32; n];
+    let mut ready: Vec<VertexId> = Vec::with_capacity(n);
     for _ in 0..samples.max(1) {
         let root = VertexId(rng.gen_range(0..n as u32));
         let tree = engine.one_to_all(root, CostModel::Length);
-        // Each vertex contributes its tree edge; edges nearer the root are
-        // shared by more descendants, which we approximate by accumulating
-        // subtree sizes bottom-up through repeated parent walks capped for
-        // O(n · depth) worst cases on degenerate graphs.
+        pending_children.fill(0);
         for v in g.vertices() {
-            let mut cur = v;
-            let mut hops = 0usize;
-            while let Some((parent, e)) = tree.parent_of(cur) {
-                counts[e.index()] += 1.0;
-                cur = parent;
-                hops += 1;
-                if hops > n {
-                    break; // defensive: cannot happen on a valid tree
+            if let Some((parent, _)) = tree.parent_of(v) {
+                pending_children[parent.index()] += 1;
+            }
+        }
+        // Leaves first; unreached vertices and the root have no parent
+        // and pass nothing on.
+        size.fill(1);
+        ready.extend(g.vertices().filter(|v| pending_children[v.index()] == 0));
+        while let Some(v) = ready.pop() {
+            if let Some((parent, e)) = tree.parent_of(v) {
+                let s = size[v.index()];
+                counts[e.index()] += s as f64;
+                let p = parent.index();
+                size[p] += s;
+                pending_children[p] -= 1;
+                if pending_children[p] == 0 {
+                    ready.push(parent);
                 }
             }
         }
