@@ -73,7 +73,7 @@ pub fn train_node2vec(g: &Graph, cfg: &Node2VecConfig, seed: u64) -> Matrix {
 mod tests {
     use super::*;
     use crate::skipgram::cosine;
-    use pathrank_spatial::algo::dijkstra::shortest_path_tree;
+    use pathrank_spatial::algo::QueryEngine;
     use pathrank_spatial::generators::{grid_network, GridConfig};
     use pathrank_spatial::graph::{CostModel, VertexId};
 
@@ -114,10 +114,11 @@ mod tests {
         };
         let emb = train_node2vec(&g, &cfg, 4);
 
-        let tree = shortest_path_tree(&g, VertexId(0), CostModel::Length);
+        let mut engine = QueryEngine::new(&g);
+        let tree = engine.one_to_all(VertexId(0), CostModel::Length);
         let mut near = Vec::new();
         let mut far = Vec::new();
-        let dists: Vec<f64> = (0..g.vertex_count()).map(|v| tree.dist[v]).collect();
+        let dists: Vec<f64> = g.vertices().map(|v| tree.dist(v)).collect();
         let max_d = dists.iter().cloned().fold(0.0, f64::max);
         for (v, &d) in dists.iter().enumerate().skip(1) {
             let c = cosine(&emb, 0, v);

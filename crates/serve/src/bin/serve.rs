@@ -25,10 +25,14 @@ use pathrank_spatial::algo::cch::{CchConfig, CchTopology};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
 
+/// The city sides `integer_city` can build: at least a 2×2 grid, and at
+/// most the side whose `4·s·(s−1)` directed edges still fit `u32` ids.
+const SIDES: std::ops::RangeInclusive<usize> = 2..=32_768;
+
 /// Parses the command line (without the program name) into
 /// `(port, side, config)`. A flag without a value, a value that does not
-/// parse and an unknown flag are all errors: a typo must not bind the
-/// default port.
+/// parse, a side outside [`SIDES`] and an unknown flag are all errors: a
+/// typo must not bind the default port.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u16, usize, ServeConfig), String> {
     fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
         let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -45,6 +49,13 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u16, usize, Ser
             "--shards" => cfg.shards = value(&arg, args.next())?,
             other => return Err(format!("unknown argument: {other}")),
         }
+    }
+    if !SIDES.contains(&side) {
+        return Err(format!(
+            "--side must be in {}..={}, got {side}",
+            SIDES.start(),
+            SIDES.end()
+        ));
     }
     Ok((port, side, cfg))
 }
@@ -150,6 +161,17 @@ mod tests {
     fn serve_args_missing_value_is_an_error() {
         let err = parse(&["--side", "8", "--port"]).unwrap_err();
         assert!(err.contains("--port needs a value"), "{err}");
+    }
+
+    #[test]
+    fn serve_args_side_out_of_range_is_an_error() {
+        for side in ["0", "1", "32769"] {
+            let err = parse(&["--side", side]).unwrap_err();
+            assert!(err.contains("--side") && err.contains(side), "{err}");
+        }
+        for side in ["2", "32768"] {
+            assert!(parse(&["--side", side]).is_ok(), "--side {side}");
+        }
     }
 
     #[test]

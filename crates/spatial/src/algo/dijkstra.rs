@@ -1,67 +1,19 @@
-//! Dijkstra shortest paths: one-to-one, one-to-all, and a constrained
-//! variant used as Yen's spur-path engine.
+//! Plain Dijkstra one-to-one, unconstrained and under banned vertex/edge
+//! sets — the reference oracles the exactness harnesses hold every
+//! backend to.
 //!
-//! The functions here are one-shot conveniences: each allocates a
-//! transient [`QueryEngine`] for a single search. Query-heavy code
-//! (top-k, map matching, candidate generation) should hold a
-//! [`QueryEngine`] instead and reuse its [`SearchSpace`] across queries —
-//! that is where the `O(V)` per-query setup cost actually matters.
+//! Each call allocates a transient [`QueryEngine`] for a single search.
+//! Query-heavy code (top-k, map matching, candidate generation) holds a
+//! [`QueryEngine`] instead and reuses its [`SearchSpace`] across queries —
+//! that is where the `O(V)` per-query setup cost actually matters; its
+//! [`QueryEngine::one_to_all`] is the one-to-all shape.
 //!
 //! [`SearchSpace`]: crate::algo::engine::SearchSpace
 
 use crate::algo::engine::QueryEngine;
-use crate::graph::{CostModel, EdgeId, Graph, VertexId};
+use crate::graph::{CostModel, Graph, VertexId};
 use crate::path::Path;
 use crate::util::BitSet;
-
-/// A one-to-all shortest path tree rooted at some source.
-#[derive(Debug, Clone)]
-pub struct ShortestPathTree {
-    /// The root of the tree.
-    pub source: VertexId,
-    /// `dist[v]` = cost of the cheapest path from the source to `v`,
-    /// `f64::INFINITY` if unreachable.
-    pub dist: Vec<f64>,
-    /// `parent[v]` = predecessor vertex and connecting edge on a cheapest
-    /// path, `None` for the source and unreachable vertices.
-    pub parent: Vec<Option<(VertexId, EdgeId)>>,
-}
-
-impl ShortestPathTree {
-    /// Whether `v` was reached from the source.
-    pub fn reached(&self, v: VertexId) -> bool {
-        self.dist[v.index()].is_finite()
-    }
-
-    /// Extracts the tree path from the source to `t`, if reachable (and
-    /// `t != source`).
-    pub fn path_to(&self, t: VertexId) -> Option<Path> {
-        if !self.reached(t) || t == self.source {
-            return None;
-        }
-        let mut vertices = vec![t];
-        let mut edges = Vec::new();
-        let mut cur = t;
-        while let Some((prev, e)) = self.parent[cur.index()] {
-            vertices.push(prev);
-            edges.push(e);
-            cur = prev;
-        }
-        debug_assert_eq!(cur, self.source, "parent chain must reach the source");
-        vertices.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(vertices, edges))
-    }
-}
-
-/// Runs Dijkstra from `source` to every vertex.
-///
-/// One-shot convenience over [`QueryEngine::shortest_path_tree`]; reuse an
-/// engine (and its allocation-free [`QueryEngine::one_to_all`] view) when
-/// running many trees against one graph.
-pub fn shortest_path_tree(g: &Graph, source: VertexId, cost: CostModel<'_>) -> ShortestPathTree {
-    QueryEngine::new(g).shortest_path_tree(source, cost)
-}
 
 /// Cheapest path from `source` to `target` under `cost`, or `None` if
 /// unreachable or `source == target`.
@@ -155,19 +107,17 @@ mod tests {
     #[test]
     fn tree_distances_are_consistent() {
         let g = weighted();
-        let tree = shortest_path_tree(&g, VertexId(0), CostModel::Length);
+        let mut engine = QueryEngine::new(&g);
+        let tree = engine.one_to_all(VertexId(0), CostModel::Length);
         let expect = [0.0, 4.0, 5.0, 6.0, 7.0];
         for (i, &d) in expect.iter().enumerate() {
-            assert!(
-                (tree.dist[i] - d).abs() < 1e-12,
-                "dist[{i}] = {} != {d}",
-                tree.dist[i]
-            );
+            let got = tree.dist(VertexId(i as u32));
+            assert!((got - d).abs() < 1e-12, "dist[{i}] = {got} != {d}");
         }
         // Every tree path's cost equals the recorded distance.
-        for v in 1..5u32 {
-            let p = tree.path_to(VertexId(v)).unwrap();
-            assert!((p.length_m(&g) - tree.dist[v as usize]).abs() < 1e-12);
+        for v in (1..5u32).map(VertexId) {
+            let p = tree.path_to(v).unwrap();
+            assert!((p.length_m(&g) - tree.dist(v)).abs() < 1e-12);
         }
     }
 
@@ -191,7 +141,8 @@ mod tests {
         .unwrap();
         let g = b.build();
         assert!(shortest_path(&g, v0, v2, CostModel::Length).is_none());
-        let tree = shortest_path_tree(&g, v0, CostModel::Length);
+        let mut engine = QueryEngine::new(&g);
+        let tree = engine.one_to_all(v0, CostModel::Length);
         assert!(!tree.reached(v2));
         assert!(tree.path_to(v2).is_none());
     }
@@ -291,7 +242,7 @@ mod proptests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::geometry::Point;
-    use crate::graph::{EdgeAttrs, RoadCategory};
+    use crate::graph::{EdgeAttrs, EdgeId, RoadCategory};
     use proptest::prelude::*;
 
     /// Bellman–Ford oracle for distances (slow but obviously correct).
@@ -355,12 +306,14 @@ mod proptests {
         ) {
             let g = random_graph(n, extra);
             let s = VertexId((s % n) as u32);
-            let tree = shortest_path_tree(&g, s, CostModel::Length);
+            let mut engine = QueryEngine::new(&g);
+            let tree = engine.one_to_all(s, CostModel::Length);
             let oracle = bellman_ford(&g, s);
-            for (v, (&bf, &dj)) in oracle.iter().zip(tree.dist.iter()).enumerate() {
+            for (v, &bf) in g.vertices().zip(oracle.iter()) {
+                let dj = tree.dist(v);
                 if bf.is_finite() {
                     prop_assert!((dj - bf).abs() < 1e-9,
-                        "dist[{v}]: dijkstra {} vs bf {}", dj, bf);
+                        "dist[{:?}]: dijkstra {} vs bf {}", v, dj, bf);
                 } else {
                     prop_assert!(!dj.is_finite());
                 }
@@ -374,12 +327,13 @@ mod proptests {
         ) {
             let g = random_graph(n, extra);
             let s = VertexId(0);
-            let tree = shortest_path_tree(&g, s, CostModel::Length);
-            for v in 1..n {
-                if let Some(p) = tree.path_to(VertexId(v as u32)) {
+            let mut engine = QueryEngine::new(&g);
+            let tree = engine.one_to_all(s, CostModel::Length);
+            for v in g.vertices().skip(1) {
+                if let Some(p) = tree.path_to(v) {
                     p.validate(&g).unwrap();
                     prop_assert!(p.is_simple(), "shortest paths are simple");
-                    prop_assert!((p.length_m(&g) - tree.dist[v]).abs() < 1e-9);
+                    prop_assert!((p.length_m(&g) - tree.dist(v)).abs() < 1e-9);
                 }
             }
         }

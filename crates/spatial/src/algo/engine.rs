@@ -13,11 +13,11 @@
 //! [`SearchSpace`] keeps those arrays alive across queries and resets them
 //! in O(1) with a query-epoch counter: each vertex slot carries the epoch
 //! that last wrote it, so stale entries from earlier queries are simply
-//! never read. [`QueryEngine`] owns one space per search direction plus a
-//! reusable heap and exposes every algorithm of this crate as a method;
-//! the free functions in the sibling modules remain as thin wrappers that
-//! allocate a transient engine, so one-shot callers keep working
-//! unchanged.
+//! never read. [`QueryEngine`] owns a forward space, a lazily allocated
+//! backward one for reverse sweeps, and exposes every algorithm of this
+//! crate as a method; the few free functions left in the sibling modules
+//! (the reference Dijkstra, Yen, diversified top-k) allocate a transient
+//! engine for one-shot callers.
 //!
 //! There is one graph and one search loop. Dijkstra and A*, one-to-one and
 //! one-to-all, forward and reverse, with or without banned sets and a cost
@@ -27,8 +27,9 @@
 //! [`CostModel::weights`] resolves per query. Relaxation order is
 //! therefore the same whoever calls it, and since heap ties pop in push
 //! order every output is reproducible bit for bit (pinned by the
-//! `engine_golden_*` tests below). Only the bidirectional search has a
-//! loop of its own, over the same two accessors.
+//! `engine_golden_*` tests below). Only the hierarchy queries
+//! ([`crate::algo::ch`], [`crate::algo::m2m`]) sweep on loops of their
+//! own, over the upward search graphs.
 //!
 //! # Example
 //!
@@ -53,7 +54,6 @@ use pathrank_obs::{Counter, Registry};
 
 use crate::algo::cch::Cch;
 use crate::algo::ch::{ChSearch, ContractionHierarchy, HierarchyView};
-use crate::algo::dijkstra::ShortestPathTree;
 use crate::algo::diversified::{diversified_top_k_with, DiversifiedConfig};
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
 use crate::algo::m2m::{DistanceTable, M2mSearch};
@@ -206,19 +206,6 @@ impl SearchSpace {
         self.pushed_total += 1;
     }
 
-    /// The minimum key still on the heap, skipping entries already
-    /// settled (stale duplicates); `INFINITY` when the frontier is empty.
-    fn frontier_min(&mut self) -> f64 {
-        while let Some(top) = self.heap.peek() {
-            if self.is_settled(top.item) {
-                self.heap.pop();
-            } else {
-                return top.cost;
-            }
-        }
-        f64::INFINITY
-    }
-
     /// The search loop every Dijkstra and A* entry point runs: from
     /// `source` over the outgoing arcs of `g` (the incoming ones with
     /// `reverse`), stopping once `target` settles when one is given,
@@ -340,10 +327,9 @@ impl SearchSpace {
 }
 
 /// An admissible, consistent lower bound on the remaining distance to a
-/// search's goal endpoint — the abstraction every target-directed search
-/// in this crate consumes (A*, Yen/diversified spur searches via
-/// [`QueryEngine::constrained_shortest_path`], and the pruning rule of
-/// [`QueryEngine::bidirectional_shortest_path`]).
+/// forward search's target — the key of every target-directed search in
+/// this crate (ALT-backed point-to-point queries and the Yen/diversified
+/// spur searches of [`QueryEngine::constrained_shortest_path`]).
 ///
 /// Variants are ordered from weakest to strongest: `None` degenerates the
 /// search to plain Dijkstra; `Euclid` is straight-line distance scaled by
@@ -353,14 +339,14 @@ impl SearchSpace {
 /// so every guided search returns cost-optimal paths (tie-breaking among
 /// equal-cost optima may differ between variants).
 #[derive(Debug)]
-pub enum Heuristic<'a> {
+pub(crate) enum Heuristic<'a> {
     /// No usable bound (e.g. [`CostModel::Custom`] with no landmark
     /// table): the search runs as plain Dijkstra.
     None,
     /// `h(v) = euclid(v, anchor) · per_meter` with the cached
     /// [`safe_heuristic_bound`] rate.
     Euclid {
-        /// The goal endpoint's coordinates.
+        /// The target's coordinates.
         anchor: Point,
         /// Admissible cost-per-metre rate (see [`safe_heuristic_bound`]).
         per_meter: f64,
@@ -369,13 +355,9 @@ pub enum Heuristic<'a> {
     Alt {
         /// The landmark distance table (metric-checked by the engine).
         table: &'a LandmarkTable,
-        /// Cached distance vectors for the goal endpoint.
+        /// Cached distance vectors for the target.
         cache: &'a NodeVectors,
-        /// `false`: bound on `d(v, endpoint)` (forward search toward the
-        /// target); `true`: bound on `d(endpoint, v)` (the backward side
-        /// of a bidirectional search, whose goal is the source).
-        reverse: bool,
-        /// The goal endpoint's coordinates.
+        /// The target's coordinates.
         anchor: Point,
         /// Admissible cost-per-metre rate for the Euclidean floor.
         per_meter: f64,
@@ -386,38 +368,25 @@ impl Heuristic<'_> {
     /// Whether the heuristic provides any guidance (under an inactive one
     /// callers key the search as plain Dijkstra instead).
     #[inline]
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         !matches!(self, Heuristic::None)
     }
 
-    /// Whether this is the landmark-backed variant.
+    /// Lower bound on `d(v, target)`. May legitimately return `INFINITY`
+    /// (the ALT vectors prove the target unreachable from `v`); never NaN.
     #[inline]
-    pub fn is_alt(&self) -> bool {
-        matches!(self, Heuristic::Alt { .. })
-    }
-
-    /// Lower bound on the distance between `v` and the goal endpoint.
-    /// May legitimately return `INFINITY` (the ALT vectors prove the
-    /// endpoint unreachable from `v`); never NaN.
-    #[inline]
-    pub fn eval(&self, g: &Graph, v: VertexId) -> f64 {
+    fn eval(&self, g: &Graph, v: VertexId) -> f64 {
         match self {
             Heuristic::None => 0.0,
             Heuristic::Euclid { anchor, per_meter } => g.coord(v).distance(anchor) * per_meter,
             Heuristic::Alt {
                 table,
                 cache,
-                reverse,
                 anchor,
                 per_meter,
-            } => {
-                let alt = if *reverse {
-                    table.bound_from_node(cache, v)
-                } else {
-                    table.bound_to_node(cache, v)
-                };
-                alt.max(g.coord(v).distance(anchor) * per_meter)
-            }
+            } => table
+                .bound_to_node(cache, v)
+                .max(g.coord(v).distance(anchor) * per_meter),
         }
     }
 }
@@ -445,9 +414,9 @@ impl Heuristic<'_> {
 ///   the cost model. Landmark lower bounds survive banned sets (bans
 ///   only shrink the graph), so this is also the strongest constrained
 ///   regime.
-/// * [`SearchBackend::Plain`] — no usable index: plain Dijkstra, or A*
-///   under the cached Euclidean [`safe_heuristic_bound`] where the entry
-///   point is explicitly goal-directed.
+/// * [`SearchBackend::Plain`] — no usable index: early-exit Dijkstra for
+///   unconstrained queries; constrained (spur) searches run A* under the
+///   cached Euclidean [`safe_heuristic_bound`].
 ///
 /// Every index backend additionally requires its build-time weights
 /// epoch to match the live graph's ([`Graph::weights_epoch`]): an index
@@ -620,11 +589,12 @@ impl Default for EngineObs {
     }
 }
 
-/// Borrowed read-only view of a completed one-to-all search.
+/// Borrowed read-only view of a completed one-to-all search — the one
+/// shape one-to-all results come in.
 ///
-/// Unlike [`ShortestPathTree`] this does not copy the `O(V)` arrays; it
-/// reads straight from the engine's [`SearchSpace`], so a reused engine
-/// performs no per-query allocation for one-to-all queries either.
+/// It does not copy the `O(V)` arrays; it reads straight from the
+/// engine's [`SearchSpace`], so a reused engine performs no per-query
+/// allocation for one-to-all queries either.
 #[derive(Debug)]
 pub struct TreeView<'a> {
     space: &'a SearchSpace,
@@ -694,7 +664,8 @@ impl TreeView<'_> {
 pub struct QueryEngine<'g> {
     g: &'g Graph,
     fwd: SearchSpace,
-    /// Backward space, allocated on the first bidirectional query.
+    /// Backward space, allocated on the first reverse sweep
+    /// ([`QueryEngine::one_to_all_rev`]).
     bwd: Option<SearchSpace>,
     /// Cached admissible A* bounds (see [`safe_heuristic_bound`]) for the
     /// two graph-derived cost models — an `O(E)` scan per model that a
@@ -729,9 +700,6 @@ pub struct QueryEngine<'g> {
     /// searches aim at it; refilled only when the target changes, so
     /// Yen's same-target spur storm gathers them once).
     alt_target: NodeVectors,
-    /// Landmark vectors cached for the current query *source* (consulted
-    /// by the backward half of bidirectional searches).
-    alt_source: NodeVectors,
     /// Metric handles ([`EngineObs::disabled`] unless attached) —
     /// per-backend query counts, fallback reasons and search work.
     obs: EngineObs,
@@ -852,7 +820,6 @@ impl<'g> QueryEngine<'g> {
             m2m_search: None,
             m2m_prepared: None,
             alt_target: NodeVectors::new(),
-            alt_source: NodeVectors::new(),
             obs: EngineObs::disabled(),
         }
     }
@@ -895,7 +862,7 @@ impl<'g> QueryEngine<'g> {
     /// Non-consuming form of [`QueryEngine::with_landmarks`] for engines
     /// that live inside worker pools and cannot be rebuilt by value:
     /// attaches (or with `None`, detaches) the shared ALT table in place,
-    /// invalidating the per-query landmark caches. Same fingerprint
+    /// invalidating the per-query landmark cache. Same fingerprint
     /// panic as the builder form.
     pub fn set_landmarks(&mut self, table: Option<Arc<LandmarkTable>>) {
         if let Some(table) = &table {
@@ -906,7 +873,6 @@ impl<'g> QueryEngine<'g> {
             );
         }
         self.alt_target.invalidate();
-        self.alt_source.invalidate();
         self.landmarks = table;
     }
 
@@ -1157,11 +1123,10 @@ impl<'g> QueryEngine<'g> {
         match landmarks {
             Some(table) if table.usable_for(&cost) => {
                 table.prepare(cache, target);
-                table.select_active(cache, source, true);
+                table.select_active(cache, source);
                 Heuristic::Alt {
                     table,
                     cache,
-                    reverse: false,
                     anchor: g.coord(target),
                     per_meter,
                 }
@@ -1198,14 +1163,13 @@ impl<'g> QueryEngine<'g> {
     /// The one point-to-point dispatch (`source != target`): runs the
     /// search on the backend [`QueryEngine::backend_for`] resolves — the
     /// hierarchy query, ALT-guided A*, or on `Plain` early-exit Dijkstra
-    /// (`goal_directed`: A* under the cached Euclidean bound) — and hands
-    /// `read` where the answer lies. `None` when `target` is unreachable.
+    /// — and hands `read` where the answer lies. `None` when `target` is
+    /// unreachable.
     fn dispatch<T>(
         &mut self,
         source: VertexId,
         target: VertexId,
         cost: CostModel<'_>,
-        goal_directed: bool,
         read: impl FnOnce(Answer<'_>) -> Option<T>,
     ) -> Option<T> {
         self.accounted(cost, |this, backend| match backend {
@@ -1214,13 +1178,13 @@ impl<'g> QueryEngine<'g> {
                     this.hierarchy_path(backend == SearchBackend::Cch, source, target)?;
                 read(Answer::Unpacked(edges, vertices))
             }
-            SearchBackend::Plain if !goal_directed => {
+            SearchBackend::Plain => {
                 let g = this.g;
                 this.fwd
                     .dijkstra(g, source, Some(target), false, cost.weights(g));
                 read(Answer::Tree(&this.fwd))
             }
-            SearchBackend::Alt | SearchBackend::Plain => {
+            SearchBackend::Alt => {
                 this.guided_search(source, target, cost, no_bans, f64::INFINITY);
                 read(Answer::Tree(&this.fwd))
             }
@@ -1285,7 +1249,7 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        self.dispatch(source, target, cost, false, |a| a.path(source, target))
+        self.dispatch(source, target, cost, |a| a.path(source, target))
     }
 
     /// Cost of the cheapest `source -> target` path without materialising
@@ -1304,7 +1268,7 @@ impl<'g> QueryEngine<'g> {
             return Some(0.0);
         }
         let weights = cost.weights(self.g);
-        self.dispatch(source, target, cost, false, |a| a.cost(target, weights))
+        self.dispatch(source, target, cost, |a| a.cost(target, weights))
     }
 
     /// One-to-all Dijkstra, returned as a borrowed [`TreeView`] (no
@@ -1318,28 +1282,6 @@ impl<'g> QueryEngine<'g> {
             source,
             reverse: false,
         }
-    }
-
-    /// Batched one-to-many: distances from `source` to every target, in
-    /// target order (`f64::INFINITY` for unreachable pairs). `Some` only
-    /// when the attached [`ContractionHierarchy`] covers `cost` — the
-    /// bucket algorithm then runs one backward upward sweep per target
-    /// plus a single forward sweep, far below a full one-to-all for
-    /// bounded target sets. `None` means no usable hierarchy: callers
-    /// fall back to [`QueryEngine::one_to_all`] or pairwise probes.
-    pub fn one_to_many(
-        &mut self,
-        source: VertexId,
-        targets: &[VertexId],
-        cost: CostModel<'_>,
-    ) -> Option<Vec<f64>> {
-        let hierarchy = hierarchy_view(&self.ch, &self.cch, self.via_cch_for(cost)?);
-        let n = self.g.vertex_count();
-        // Re-deposits buckets for *these* targets, invalidating any
-        // streaming preparation (see `prepare_m2m_targets`).
-        self.m2m_prepared = None;
-        let search = self.m2m_search.get_or_insert_with(|| M2mSearch::new(n));
-        Some(hierarchy.one_to_many(search, source, targets))
     }
 
     /// Batched many-to-many: the exact `sources × targets`
@@ -1447,37 +1389,12 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// One-to-all Dijkstra materialised into an owned
-    /// [`ShortestPathTree`] (compatibility shape; prefer
-    /// [`QueryEngine::one_to_all`] in reuse-heavy code).
-    pub fn shortest_path_tree(
-        &mut self,
-        source: VertexId,
-        cost: CostModel<'_>,
-    ) -> ShortestPathTree {
-        self.fwd
-            .dijkstra(self.g, source, None, false, cost.weights(self.g));
-        let n = self.g.vertex_count();
-        let mut dist = Vec::with_capacity(n);
-        let mut parent = Vec::with_capacity(n);
-        for i in 0..n as u32 {
-            let v = VertexId(i);
-            dist.push(self.fwd.dist(v));
-            parent.push(self.fwd.parent_of(v));
-        }
-        ShortestPathTree {
-            source,
-            dist,
-            parent,
-        }
-    }
-
     /// Cheapest `source -> target` path avoiding banned vertices and
     /// edges — Yen's spur-search engine. Engine counterpart of
     /// [`crate::algo::dijkstra::constrained_shortest_path`].
     ///
     /// Spur searches are strongly target-directed, so this runs A* with
-    /// the strongest [`Heuristic`] the engine can justify: the ALT
+    /// the strongest lower bound the engine can justify: the ALT
     /// triangle bound (maxed with the Euclidean bound) when landmarks are
     /// attached and cover the cost model, the cached
     /// [`safe_heuristic_bound`] alone otherwise; `Custom` costs without
@@ -1587,212 +1504,6 @@ impl<'g> QueryEngine<'g> {
                 .get_or_insert_with(|| safe_heuristic_bound(g, CostModel::TravelTime)),
             CostModel::Custom(_) => 0.0,
         }
-    }
-
-    /// Goal-directed point-to-point query. Engine counterpart of
-    /// [`crate::algo::astar::astar_shortest_path`], dispatched through
-    /// [`QueryEngine::backend_for`]: the CH search when a hierarchy
-    /// covers `cost`, otherwise A* under the strongest [`Heuristic`] the
-    /// engine can justify (ALT triangle bound, or the cached
-    /// [`safe_heuristic_bound`] — sound on arbitrary graphs, not just the
-    /// generators' geometry-consistent ones).
-    pub fn astar_shortest_path(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-    ) -> Option<Path> {
-        if source == target {
-            return None;
-        }
-        self.dispatch(source, target, cost, true, |a| a.path(source, target))
-    }
-
-    /// Bidirectional Dijkstra over the forward and backward spaces.
-    /// Engine counterpart of
-    /// [`crate::algo::bidijkstra::bidirectional_shortest_path`].
-    ///
-    /// When landmarks are attached and cover `cost`, both directions
-    /// apply goal-directed *pruning*: a settled vertex `u` whose
-    /// `dist(u) + lower-bound(remaining)` already reaches the best
-    /// connection found is not expanded. Unlike potential-based
-    /// bidirectional A*, this keeps both frontiers Dijkstra-ordered, so
-    /// the classic `fmin + bmin >= best` termination stays valid and the
-    /// result stays exact: no vertex on a strictly better path can ever
-    /// be pruned (its `dist + bound` is below that path's cost, which is
-    /// below `best`).
-    pub fn bidirectional_shortest_path(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-    ) -> Option<Path> {
-        if source == target {
-            return None;
-        }
-        // The CH query *is* a bidirectional search — over the upward
-        // search graphs — so the hierarchy backends replace this entirely.
-        self.accounted(cost, |this, backend| match backend {
-            SearchBackend::Ch | SearchBackend::Cch => {
-                let (edges, vertices) =
-                    this.hierarchy_path(backend == SearchBackend::Cch, source, target)?;
-                Answer::Unpacked(edges, vertices).path(source, target)
-            }
-            SearchBackend::Alt | SearchBackend::Plain => {
-                this.bidirectional_search(source, target, cost, backend == SearchBackend::Alt)
-            }
-        })
-    }
-
-    /// The non-hierarchy arm of
-    /// [`QueryEngine::bidirectional_shortest_path`] (`source != target`),
-    /// pruning with landmark bounds when `use_alt`.
-    fn bidirectional_search(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-        use_alt: bool,
-    ) -> Option<Path> {
-        let g = self.g;
-        let weights = cost.weights(g);
-        let per_meter = if use_alt {
-            self.heuristic_bound(cost)
-        } else {
-            0.0
-        };
-        let (hf, hb) = match self.landmarks.as_deref() {
-            Some(table) if use_alt => {
-                table.prepare(&mut self.alt_target, target);
-                table.select_active(&mut self.alt_target, source, true);
-                table.prepare(&mut self.alt_source, source);
-                table.select_active(&mut self.alt_source, target, false);
-                (
-                    Heuristic::Alt {
-                        table,
-                        cache: &self.alt_target,
-                        reverse: false,
-                        anchor: g.coord(target),
-                        per_meter,
-                    },
-                    Heuristic::Alt {
-                        table,
-                        cache: &self.alt_source,
-                        reverse: true,
-                        anchor: g.coord(source),
-                        per_meter,
-                    },
-                )
-            }
-            _ => (Heuristic::None, Heuristic::None),
-        };
-        let n = g.vertex_count();
-        let bwd = self.bwd.get_or_insert_with(|| SearchSpace::new(n));
-        let fwd = &mut self.fwd;
-
-        fwd.begin();
-        fwd.relax(source, 0.0, NO_PARENT);
-        fwd.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        bwd.begin();
-        bwd.relax(target, 0.0, NO_PARENT);
-        bwd.heap.push(MinCost {
-            cost: 0.0,
-            item: target,
-        });
-
-        let mut best = f64::INFINITY;
-        let mut meet: Option<VertexId> = None;
-
-        loop {
-            let fmin = fwd.frontier_min();
-            let bmin = bwd.frontier_min();
-            if fmin + bmin >= best || (fmin.is_infinite() && bmin.is_infinite()) {
-                break;
-            }
-            // Expand the side with the smaller frontier minimum.
-            let forward = fmin <= bmin;
-            let (side, other): (&mut SearchSpace, &mut SearchSpace) =
-                if forward { (fwd, bwd) } else { (bwd, fwd) };
-
-            let Some(MinCost { cost: d, item: u }) = side.heap.pop() else {
-                break;
-            };
-            if side.is_settled(u) {
-                continue;
-            }
-            side.settle(u);
-
-            if other.reached(u) {
-                let total = d + other.dist(u);
-                if total < best {
-                    best = total;
-                    meet = Some(u);
-                }
-            }
-
-            // ALT pruning: every s-t path through u costs at least
-            // dist(u) + bound(remaining); when that can no longer beat
-            // the best connection, skip the expansion. `Heuristic::None`
-            // evaluates to 0, where `d >= best` implies the loop's
-            // termination condition anyway, so the plain search is
-            // bit-identical to the pre-landmark engine.
-            let remaining = if forward {
-                hf.eval(g, u)
-            } else {
-                hb.eval(g, u)
-            };
-            if remaining > 0.0 && d + remaining >= best {
-                continue;
-            }
-
-            // Relax the neighbourhood, then re-check meetings through the
-            // just-relaxed vertices (meets can happen on unsettled ones).
-            for (v, e) in g.arcs(u, !forward) {
-                if side.is_settled(v) {
-                    continue;
-                }
-                let nd = d + weights[e.index()];
-                if nd < side.dist(v) {
-                    side.relax(v, nd, (u.0, e.0));
-                    side.heap.push(MinCost { cost: nd, item: v });
-                }
-                if other.reached(v) && side.reached(v) {
-                    let total = side.dist(v) + other.dist(v);
-                    if total < best {
-                        best = total;
-                        meet = Some(v);
-                    }
-                }
-            }
-        }
-
-        let meet = meet?;
-        // Reconstruct: source -> meet from the forward tree, meet ->
-        // target from the backward tree (its parents point at the target).
-        let mut vertices = Vec::new();
-        let mut edges = Vec::new();
-        let mut cur = meet;
-        while let Some((prev, e)) = fwd.parent_of(cur) {
-            vertices.push(cur);
-            edges.push(e);
-            cur = prev;
-        }
-        vertices.push(cur);
-        debug_assert_eq!(cur, source);
-        vertices.reverse();
-        edges.reverse();
-
-        let mut cur = meet;
-        while let Some((next, e)) = bwd.parent_of(cur) {
-            vertices.push(next);
-            edges.push(e);
-            cur = next;
-        }
-        debug_assert_eq!(cur, target);
-        Some(Path::from_parts_unchecked(vertices, edges))
     }
 
     /// Lazy Yen top-k iterator whose spur searches all reuse this
@@ -1905,21 +1616,29 @@ mod tests {
 
     #[test]
     fn one_to_all_view_matches_materialised_tree() {
+        // A tree copied out of a fresh engine's view must equal the view a
+        // reused engine hands back after unrelated queries, and every tree
+        // path is the early-exit query's path to the same vertex.
         let g = grid_network(&GridConfig::small_test(), 9);
-        let mut engine = QueryEngine::new(&g);
-        let tree = engine.shortest_path_tree(VertexId(0), CostModel::Length);
-        let view_dists: Vec<f64> = {
-            let view = engine.one_to_all(VertexId(0), CostModel::Length);
-            g.vertices().map(|v| view.dist(v)).collect()
+        let s = VertexId(0);
+        let tree: Vec<_> = {
+            let mut fresh = QueryEngine::new(&g);
+            let view = fresh.one_to_all(s, CostModel::Length);
+            g.vertices()
+                .map(|v| (view.dist(v).to_bits(), view.parent_of(v)))
+                .collect()
         };
-        assert_eq!(tree.dist, view_dists);
-        let view = engine.one_to_all(VertexId(0), CostModel::Length);
+        let mut engine = QueryEngine::new(&g);
+        engine.one_to_all(VertexId(7), CostModel::TravelTime);
+        let view = engine.one_to_all(s, CostModel::Length);
         for v in g.vertices() {
-            assert_eq!(tree.parent[v.index()], view.parent_of(v));
-            if v != VertexId(0) && view.reached(v) {
+            assert_eq!(tree[v.index()], (view.dist(v).to_bits(), view.parent_of(v)));
+            if v != s && view.reached(v) {
                 let p = view.path_to(v).unwrap();
                 p.validate(&g).unwrap();
                 assert!((p.length_m(&g) - view.dist(v)).abs() < 1e-9);
+                let direct = crate::algo::dijkstra::shortest_path(&g, s, v, CostModel::Length);
+                assert_eq!(direct, Some(p));
             }
         }
     }
@@ -2016,8 +1735,10 @@ mod tests {
         let g = b.build();
         assert!((safe_heuristic_bound(&g, CostModel::Length) - 0.1).abs() < 1e-12);
         let mut engine = QueryEngine::new(&g);
+        let (no_v, no_e) = (BitSet::new(3), BitSet::new(3));
+        // An unconstrained spur search is A* under the Euclidean bound.
         let astar = engine
-            .astar_shortest_path(v0, v2, CostModel::Length)
+            .constrained_shortest_path(v0, v2, CostModel::Length, &no_v, &no_e, f64::INFINITY)
             .unwrap();
         let dijkstra = engine.shortest_path(v0, v2, CostModel::Length).unwrap();
         assert_eq!(astar.vertices(), dijkstra.vertices(), "A* must stay exact");
@@ -2040,31 +1761,11 @@ mod tests {
         let g = b.build();
         assert_eq!(safe_heuristic_bound(&g, CostModel::Length), 0.0);
         let mut engine = QueryEngine::new(&g);
+        let (no_v, no_e) = (BitSet::new(2), BitSet::new(1));
         let p = engine
-            .astar_shortest_path(v0, v1, CostModel::Length)
+            .constrained_shortest_path(v0, v1, CostModel::Length, &no_v, &no_e, f64::INFINITY)
             .unwrap();
         assert_eq!(p.vertices(), &[v0, v1]);
-    }
-
-    #[test]
-    fn bidirectional_lazily_allocates_and_matches() {
-        let g = grid_network(&GridConfig::small_test(), 3);
-        let n = g.vertex_count() as u32;
-        let mut engine = QueryEngine::new(&g);
-        assert!(engine.bwd.is_none());
-        for (s, t) in [(0, n - 1), (n / 2, 0), (1, n - 2)] {
-            let (s, t) = (VertexId(s), VertexId(t));
-            let uni = engine.shortest_path(s, t, CostModel::Length).unwrap();
-            let bi = engine
-                .bidirectional_shortest_path(s, t, CostModel::Length)
-                .unwrap();
-            bi.validate(&g).unwrap();
-            assert!((uni.length_m(&g) - bi.length_m(&g)).abs() < 1e-9);
-        }
-        assert!(engine.bwd.is_some());
-        assert!(engine
-            .bidirectional_shortest_path(VertexId(0), VertexId(0), CostModel::Length)
-            .is_none());
     }
 
     #[test]
@@ -2083,17 +1784,18 @@ mod tests {
         let mut alt = QueryEngine::new(&g).with_landmarks(table);
         assert!(alt.uses_alt(CostModel::Length));
         let n = g.vertex_count() as u32;
+        let (no_v, no_e) = (BitSet::new(n as usize), BitSet::new(g.edge_count()));
         for (s, t) in [(0, n - 1), (n - 1, 0), (3, n / 2), (n / 3, 2 * n / 3)] {
             let (s, t) = (VertexId(s), VertexId(t));
-            for run in [
-                QueryEngine::shortest_path,
-                QueryEngine::astar_shortest_path,
-                QueryEngine::bidirectional_shortest_path,
-            ] {
-                let a = run(&mut plain, s, t, CostModel::Length).map(|p| p.length_m(&g));
-                let b = run(&mut alt, s, t, CostModel::Length).map(|p| p.length_m(&g));
-                assert_eq!(a, b, "{s:?}->{t:?} cost diverged under ALT");
-            }
+            let a = plain.shortest_path(s, t, CostModel::Length);
+            let b = alt.shortest_path(s, t, CostModel::Length);
+            let length = |p: Option<Path>| p.map(|p| p.length_m(&g));
+            assert_eq!(length(a), length(b), "{s:?}->{t:?} cost diverged under ALT");
+            // Euclid-guided against ALT-guided spur search.
+            let spur = |e: &mut QueryEngine<'_>| {
+                e.constrained_shortest_path(s, t, CostModel::Length, &no_v, &no_e, f64::INFINITY)
+            };
+            assert_eq!(length(spur(&mut plain)), length(spur(&mut alt)));
             let ca = plain.shortest_path_cost(s, t, CostModel::Length);
             let cb = alt.shortest_path_cost(s, t, CostModel::Length);
             assert_eq!(ca, cb, "{s:?}->{t:?} cost probe diverged under ALT");
@@ -2139,6 +1841,7 @@ mod tests {
         let g = grid_network(&GridConfig::small_test(), 9);
         let mut engine = QueryEngine::new(&g);
         let t = VertexId(7);
+        assert!(engine.bwd.is_none(), "the backward space is lazy");
         let fwd: Vec<f64> = {
             let view = engine.one_to_all(t, CostModel::Length);
             g.vertices().map(|v| view.dist(v)).collect()
@@ -2243,11 +1946,11 @@ mod tests {
     }
 
     /// Runs one fixed query script through every entry point that drives
-    /// the Dijkstra/A* loop or the bidirectional one and returns the fold
-    /// of every space state it left behind, plus the lifetime `(settled,
-    /// pushed)` counters of the four spaces involved. Equal distances can
+    /// the Dijkstra/A* loop and returns the fold of every space state it
+    /// left behind, plus the lifetime `(settled, pushed)` counters of the
+    /// three spaces involved. Equal distances can
     /// hide a changed relaxation order; the counters and parents cannot.
-    fn golden_script(g: &Graph, seed: u64) -> (u64, [(u64, u64); 4]) {
+    fn golden_script(g: &Graph, seed: u64) -> (u64, [(u64, u64); 3]) {
         use crate::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -2285,13 +1988,6 @@ mod tests {
             plain.shortest_path(s, t, models[i % 3]);
             fold_space(&mut h, &plain.fwd);
         }
-        // Euclid-guided under the graph metrics, heuristic-free under
-        // `Custom`.
-        for i in 0..32 {
-            let (s, t) = pair();
-            plain.astar_shortest_path(s, t, models[i % 3]);
-            fold_space(&mut h, &plain.fwd);
-        }
         for _ in 0..32 {
             let (s, t) = pair();
             alt.shortest_path(s, t, CostModel::Length);
@@ -2321,15 +2017,8 @@ mod tests {
             engine.constrained_shortest_path(s, t, cost, &bv, &be, max_cost);
             fold_space(&mut h, &engine.fwd);
         }
-        for i in 0..16 {
-            let (s, t) = pair();
-            let engine = if i % 2 == 0 { &mut plain } else { &mut alt };
-            engine.bidirectional_shortest_path(s, t, models[i % 3]);
-            fold_space(&mut h, &engine.fwd);
-            fold_space(&mut h, engine.bwd.as_ref().expect("s != t on both maps"));
-        }
-        let counters = [&plain.fwd, &plain.bwd.unwrap(), &alt.fwd, &alt.bwd.unwrap()]
-            .map(SearchSpace::work_counters);
+        assert!(alt.bwd.is_none());
+        let counters = [&plain.fwd, &plain.bwd.unwrap(), &alt.fwd].map(SearchSpace::work_counters);
         (h, counters)
     }
 
@@ -2340,8 +2029,8 @@ mod tests {
         assert_eq!(
             golden_script(&g, 11),
             (
-                16932431026295315015,
-                [(2060, 2639), (223, 278), (871, 1273), (50, 82)]
+                10886367447700234715,
+                [(1485, 1852), (150, 165), (685, 1029)]
             )
         );
     }
@@ -2358,8 +2047,8 @@ mod tests {
         assert_eq!(
             golden_script(&g, 5),
             (
-                16576423199488874515,
-                [(21465, 28394), (2521, 3103), (4808, 7314), (541, 726)]
+                9551775500771323903,
+                [(15291, 19413), (1728, 2009), (5299, 7676)]
             )
         );
     }

@@ -314,10 +314,9 @@ impl LandmarkTable {
     }
 
     /// Restricts `cache` to the [`ACTIVE_LANDMARKS`] landmarks giving the
-    /// tightest bound for a search between `probe` and the cached node
-    /// (`towards_node`: probe → node, else node → probe). Call after
+    /// tightest bound on `d(probe, node)` for the cached node. Call after
     /// [`LandmarkTable::prepare`]; cheap enough to rerun per query.
-    pub fn select_active(&self, cache: &mut NodeVectors, probe: VertexId, towards_node: bool) {
+    pub fn select_active(&self, cache: &mut NodeVectors, probe: VertexId) {
         cache.active.clear();
         if self.k() <= ACTIVE_LANDMARKS {
             cache.active.extend(0..self.k() as u32);
@@ -330,7 +329,7 @@ impl LandmarkTable {
         let mut best = [(0.0f64, 0u32); ACTIVE_LANDMARKS + 1];
         let mut len = 0;
         for l in 0..self.k() {
-            let b = self.bound_one(cache, l, probe, towards_node);
+            let b = self.bound_one(cache, l, probe);
             let mut pos = len;
             while pos > 0 && best[pos - 1].0 < b {
                 best[pos] = best[pos - 1];
@@ -343,31 +342,19 @@ impl LandmarkTable {
         cache.active.sort_unstable();
     }
 
-    /// Single-landmark triangle bound; `towards_node` picks the direction
-    /// (`d(v, node)` vs `d(node, v)`). Infinite vector entries are
-    /// guarded so no `inf - inf` NaN can escape; an infinite *result* is
-    /// legitimate (it proves the endpoint unreachable from `v`).
+    /// Single-landmark triangle bound on `d(v, node)`. Infinite vector
+    /// entries are guarded so no `inf - inf` NaN can escape; an infinite
+    /// *result* is legitimate (it proves the node unreachable from `v`).
     #[inline]
-    fn bound_one(&self, cache: &NodeVectors, l: usize, v: VertexId, towards_node: bool) -> f64 {
+    fn bound_one(&self, cache: &NodeVectors, l: usize, v: VertexId) -> f64 {
         let mut b = 0.0f64;
         let from_lv = self.from_landmark(l, v);
-        let to_lv = self.to_landmark(l, v);
-        if towards_node {
-            // d(v, node) >= d(L, node) - d(L, v)  and  >= d(v, L) - d(node, L)
-            if from_lv.is_finite() {
-                b = b.max(cache.from_l[l] - from_lv);
-            }
-            if cache.to_l[l].is_finite() {
-                b = b.max(to_lv - cache.to_l[l]);
-            }
-        } else {
-            // d(node, v) >= d(L, v) - d(L, node)  and  >= d(node, L) - d(v, L)
-            if cache.from_l[l].is_finite() {
-                b = b.max(from_lv - cache.from_l[l]);
-            }
-            if to_lv.is_finite() {
-                b = b.max(cache.to_l[l] - to_lv);
-            }
+        // d(v, node) >= d(L, node) - d(L, v)  and  >= d(v, L) - d(node, L)
+        if from_lv.is_finite() {
+            b = b.max(cache.from_l[l] - from_lv);
+        }
+        if cache.to_l[l].is_finite() {
+            b = b.max(self.to_landmark(l, v) - cache.to_l[l]);
         }
         b
     }
@@ -378,18 +365,7 @@ impl LandmarkTable {
     pub fn bound_to_node(&self, cache: &NodeVectors, v: VertexId) -> f64 {
         let mut b = 0.0f64;
         for &l in &cache.active {
-            b = b.max(self.bound_one(cache, l as usize, v, true));
-        }
-        b
-    }
-
-    /// Lower bound on `d(node, v)` for the cached node, maximised over
-    /// the cache's active landmarks.
-    #[inline]
-    pub fn bound_from_node(&self, cache: &NodeVectors, v: VertexId) -> f64 {
-        let mut b = 0.0f64;
-        for &l in &cache.active {
-            b = b.max(self.bound_one(cache, l as usize, v, false));
+            b = b.max(self.bound_one(cache, l as usize, v));
         }
         b
     }
@@ -430,7 +406,6 @@ impl NodeVectors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::dijkstra::shortest_path_tree;
     use crate::builder::GraphBuilder;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::geometry::Point;
@@ -497,17 +472,15 @@ mod tests {
         for t in g.vertices().step_by(7) {
             table.prepare(&mut cache, t);
             for v in g.vertices() {
-                for towards_node in [true, false] {
-                    let mut all: Vec<(f64, u32)> = (0..table.k())
-                        .map(|l| (table.bound_one(&cache, l, v, towards_node), l as u32))
-                        .collect();
-                    all.sort_by(|a, b| b.0.total_cmp(&a.0));
-                    let mut expect: Vec<u32> =
-                        all[..ACTIVE_LANDMARKS].iter().map(|&(_, l)| l).collect();
-                    expect.sort_unstable();
-                    table.select_active(&mut cache, v, towards_node);
-                    assert_eq!(cache.active, expect, "{v:?} -> {t:?}, {towards_node}");
-                }
+                let mut all: Vec<(f64, u32)> = (0..table.k())
+                    .map(|l| (table.bound_one(&cache, l, v), l as u32))
+                    .collect();
+                all.sort_by(|a, b| b.0.total_cmp(&a.0));
+                let mut expect: Vec<u32> =
+                    all[..ACTIVE_LANDMARKS].iter().map(|&(_, l)| l).collect();
+                expect.sort_unstable();
+                table.select_active(&mut cache, v);
+                assert_eq!(cache.active, expect, "{v:?} -> {t:?}");
             }
         }
     }
@@ -521,14 +494,15 @@ mod tests {
         let table = LandmarkTable::build(&g, LandmarkMetric::Length, &LandmarkConfig::default());
         let n = g.vertex_count() as u32;
         let mut cache = NodeVectors::new();
+        let mut engine = QueryEngine::new(&g);
         for t in (0..n).step_by(7) {
             let t = VertexId(t);
-            let tree = shortest_path_tree(&g, t, CostModel::Length);
+            let tree = engine.one_to_all(t, CostModel::Length);
             // tree is rooted at t; on a bidirectional grid d(v,t) = d(t,v).
             table.prepare(&mut cache, t);
             for v in (0..n).step_by(3) {
                 let v = VertexId(v);
-                let true_d = tree.dist[v.index()];
+                let true_d = tree.dist(v);
                 for l in 0..table.k() {
                     let lhs = (table.from_landmark(l, t) - table.from_landmark(l, v)).abs();
                     assert!(
@@ -536,7 +510,7 @@ mod tests {
                         "|d(L,t)-d(L,v)| = {lhs} > d(v,t) = {true_d}"
                     );
                 }
-                table.select_active(&mut cache, v, true);
+                table.select_active(&mut cache, v);
                 let bound = table.bound_to_node(&cache, v);
                 assert!(!bound.is_nan());
                 assert!(
@@ -563,7 +537,7 @@ mod tests {
             };
             for v in (0..n).step_by(11) {
                 let v = VertexId(v);
-                table.select_active(&mut cache, v, true);
+                table.select_active(&mut cache, v);
                 let bound = table.bound_to_node(&cache, v);
                 let true_d = dists[v.index()];
                 assert!(!bound.is_nan());
@@ -600,7 +574,7 @@ mod tests {
         let mut cache = NodeVectors::new();
         table.prepare(&mut cache, c1);
         for v in g.vertices() {
-            table.select_active(&mut cache, v, true);
+            table.select_active(&mut cache, v);
             let bound = table.bound_to_node(&cache, v);
             assert!(!bound.is_nan(), "NaN bound at {v:?}");
             if bound.is_infinite() {

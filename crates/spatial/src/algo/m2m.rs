@@ -33,10 +33,6 @@
 //! Entries are **raw arc-weight sums** (`d_fwd + d_bucket`), exact up to
 //! float association of shortcut weights — on integer-weight graphs they
 //! are bit-identical to Dijkstra (locked in by `tests/m2m_exactness.rs`).
-//! Callers that need a pair's *path* (e.g. stitching the transitions the
-//! HMM actually selected) unpack it on demand via
-//! [`HierarchyView::m2m_path`], which recomputes the cost in
-//! Dijkstra's fold order like every engine entry point.
 //!
 //! The scratch state ([`M2mSearch`]) is epoch-stamped like
 //! [`ChSearch`]/`SearchSpace`: buckets and sweep labels invalidate in
@@ -46,9 +42,11 @@
 //! [`HierarchyView::distances_from`]): a server batching
 //! one-to-many requests against a fixed target set pays the target phase
 //! once.
+//!
+//! [`ChSearch`]: crate::algo::ch::ChSearch
 
-use crate::algo::ch::{ChSearch, ChSide, HierarchyView};
-use crate::graph::{EdgeId, VertexId};
+use crate::algo::ch::{ChSide, HierarchyView};
+use crate::graph::VertexId;
 use crate::util::MinCost;
 
 /// An `S × T` matrix of exact shortest-path distances, row-major:
@@ -113,7 +111,7 @@ struct BucketEntry {
 
 /// Reusable scratch for bucket-based many-to-many queries: one
 /// epoch-stamped sweep side, per-rank buckets with O(1) bulk
-/// invalidation, the streamed row buffer and (lazily) an unpack scratch.
+/// invalidation and the streamed row buffer.
 ///
 /// Create once per worker ([`M2mSearch::new`] with the graph's vertex
 /// count) and reuse across tables; like the engine's `SearchSpace`,
@@ -135,9 +133,6 @@ pub struct M2mSearch {
     prepared: usize,
     /// Reused output row of [`HierarchyView::distances_from`].
     row: Vec<f64>,
-    /// Point-to-point scratch for [`HierarchyView::m2m_path`],
-    /// allocated on first use.
-    unpack: Option<ChSearch>,
 }
 
 impl M2mSearch {
@@ -150,7 +145,6 @@ impl M2mSearch {
             buckets: vec![Vec::new(); n],
             prepared: 0,
             row: Vec::new(),
-            unpack: None,
         }
     }
 
@@ -260,7 +254,6 @@ impl HierarchyView<'_> {
             buckets,
             prepared,
             row,
-            ..
         } = search;
         row.clear();
         row.resize(*prepared, f64::INFINITY);
@@ -328,47 +321,16 @@ impl HierarchyView<'_> {
             dist,
         }
     }
-
-    /// Batched one-to-many: distances from `source` to every target, in
-    /// target order (`f64::INFINITY` for unreachable ones). One target
-    /// phase plus a single forward sweep — for bounded target sets this
-    /// beats a full one-to-all Dijkstra by the hierarchy's usual margin.
-    pub fn one_to_many(
-        &self,
-        search: &mut M2mSearch,
-        source: VertexId,
-        targets: &[VertexId],
-    ) -> Vec<f64> {
-        self.prepare_targets(search, targets);
-        self.distances_from(search, source).to_vec()
-    }
-
-    /// Unpacks the cheapest `source -> target` path for one selected
-    /// pair (the transitions the HMM actually keeps): a point-to-point
-    /// CH query on the search's embedded unpack scratch. Returns the
-    /// original-edge and vertex sequences (borrowed; valid until the
-    /// next call), `None` when unreachable or `source == target`.
-    pub fn m2m_path<'s>(
-        &self,
-        search: &'s mut M2mSearch,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<(&'s [EdgeId], &'s [VertexId])> {
-        let n = self.vertex_count();
-        let unpack = search.unpack.get_or_insert_with(|| ChSearch::new(n));
-        self.query_path(unpack, source, target)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::ch::{ChConfig, ContractionHierarchy};
+    use crate::algo::ch::{ChConfig, ChSearch, ContractionHierarchy};
     use crate::algo::dijkstra::shortest_path;
     use crate::algo::landmarks::LandmarkMetric;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::graph::{CostModel, Graph};
-    use crate::path::Path;
 
     fn table_vs_pairwise(g: &Graph, sources: &[VertexId], targets: &[VertexId]) {
         let ch = ContractionHierarchy::build(g, LandmarkMetric::Length, &ChConfig::default());
@@ -504,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn m2m_one_to_many_matches_point_queries() {
+    fn m2m_streamed_row_matches_point_queries() {
         let g = region_network(&RegionConfig::small_test(), 7);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
@@ -513,14 +475,15 @@ mod tests {
         let mut m2m = M2mSearch::new(g.vertex_count());
         let mut p2p = ChSearch::new(g.vertex_count());
         let source = VertexId(n / 3);
-        let dists = ch.one_to_many(&mut m2m, source, &targets);
+        ch.prepare_targets(&mut m2m, &targets);
+        let dists = ch.distances_from(&mut m2m, source);
         assert_eq!(dists.len(), targets.len());
         for (j, &t) in targets.iter().enumerate() {
             let expect = ch.query_cost(&mut p2p, source, t).unwrap_or(f64::INFINITY);
             assert!(
                 (expect - dists[j]).abs() < 1e-9
                     || (expect.is_infinite() && dists[j].is_infinite()),
-                "{source:?}->{t:?}: p2p {expect} vs one_to_many {}",
+                "{source:?}->{t:?}: p2p {expect} vs streamed row {}",
                 dists[j]
             );
         }
@@ -560,34 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn m2m_path_unpacks_selected_pairs() {
-        let g = region_network(&RegionConfig::small_test(), 11);
-        let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-        let ch = ch.view();
-        let n = g.vertex_count() as u32;
-        let sources = [VertexId(0), VertexId(n / 2)];
-        let targets = [VertexId(n - 1), VertexId(n / 3)];
-        let mut search = M2mSearch::new(g.vertex_count());
-        let table = ch.many_to_many(&mut search, &sources, &targets);
-        for (i, &s) in sources.iter().enumerate() {
-            for (j, &t) in targets.iter().enumerate() {
-                if s == t || !table.dist(i, j).is_finite() {
-                    continue;
-                }
-                let (edges, vertices) = ch.m2m_path(&mut search, s, t).expect("finite pair");
-                let p = Path::from_edges(&g, edges.to_vec()).expect("contiguous unpack");
-                assert_eq!(p.source(), s);
-                assert_eq!(p.target(), t);
-                assert_eq!(vertices.first(), Some(&s));
-                assert_eq!(vertices.last(), Some(&t));
-                // The unpacked length agrees with the table entry (up to
-                // shortcut-weight association).
-                assert!((p.length_m(&g) - table.dist(i, j)).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn m2m_dist_between_matches_positional_lookup() {
         let g = region_network(&RegionConfig::small_test(), 11);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
@@ -620,6 +555,7 @@ mod tests {
         let t = ch.many_to_many(&mut search, &some, &none);
         assert_eq!(t.shape(), (1, 0));
         assert!(t.row(0).is_empty());
-        assert!(ch.one_to_many(&mut search, VertexId(0), &none).is_empty());
+        ch.prepare_targets(&mut search, &none);
+        assert!(ch.distances_from(&mut search, VertexId(0)).is_empty());
     }
 }

@@ -5,13 +5,11 @@
 //!   `O(V)` allocation) whose one search loop is Dijkstra and A*,
 //!   forward and reverse, with or without bans and a cost budget, behind
 //!   the [`engine::QueryEngine`] facade;
-//! * [`dijkstra`] — textbook Dijkstra (one-to-one with early exit,
-//!   one-to-all trees, and a constrained variant that honours banned
-//!   vertex/edge sets — the inner engine of Yen's algorithm);
-//! * [`astar`] — A* with an admissible straight-line-distance heuristic;
+//! * [`dijkstra`] — textbook Dijkstra one-to-one, plain and under banned
+//!   vertex/edge sets: the reference oracles of the exactness harnesses;
 //! * [`landmarks`] — ALT preprocessing: landmark distance tables whose
-//!   triangle-inequality bounds upgrade every target-directed search on a
-//!   [`engine::QueryEngine`] (see [`engine::Heuristic`] and
+//!   triangle-inequality bounds direct every target-directed search on a
+//!   [`engine::QueryEngine`] (see
 //!   [`engine::QueryEngine::with_landmarks`]) while provably preserving
 //!   exactness;
 //! * [`cch`] — customizable contraction hierarchies: a metric-independent
@@ -27,22 +25,20 @@
 //! * [`m2m`] — bucket-based many-to-many distance tables over a
 //!   contraction hierarchy: `T` backward plus `S` forward upward sweeps
 //!   fill an exact `S × T` [`m2m::DistanceTable`] instead of `S × T`
-//!   full queries (the HMM transition-matrix and batched one-to-many
-//!   shape; see [`engine::QueryEngine::many_to_many`]);
-//! * [`bidijkstra`] — bidirectional Dijkstra;
+//!   full queries (the HMM transition-matrix shape, streamed row by row
+//!   for batched serving; see [`engine::QueryEngine::many_to_many`]);
 //! * [`yen`] — Yen's algorithm for the top-k loopless shortest paths,
 //!   exposed as a lazy iterator (the paper's TkDI training-data strategy);
 //! * [`diversified`] — diversified top-k shortest paths (the paper's
 //!   D-TkDI strategy): enumerate in cost order, keep a path only if it is
 //!   dissimilar enough from every path kept so far.
 //!
-//! The per-algorithm modules export free functions for one-shot queries;
-//! each is a thin wrapper that allocates a transient engine. Query-heavy
-//! callers hold a [`engine::QueryEngine`] (one per worker thread) and use
-//! its methods instead.
+//! Query-heavy callers hold a [`engine::QueryEngine`] (one per worker
+//! thread) and use its methods. The free functions that remain —
+//! [`shortest_path`], [`constrained_shortest_path`], [`yen_k_shortest`]
+//! and [`diversified_top_k`] — allocate a transient engine per call, for
+//! tests and one-shot examples.
 
-pub mod astar;
-pub mod bidijkstra;
 pub mod cch;
 pub mod ch;
 pub mod dijkstra;
@@ -53,16 +49,12 @@ pub mod m2m;
 mod order;
 pub mod yen;
 
-pub use astar::astar_shortest_path;
-pub use bidijkstra::bidirectional_shortest_path;
 pub use cch::{Cch, CchConfig, CchTopology};
 pub use ch::{ChConfig, ChSearch, ContractionHierarchy};
-pub use dijkstra::{
-    constrained_shortest_path, shortest_path, shortest_path_tree, ShortestPathTree,
-};
+pub use dijkstra::{constrained_shortest_path, shortest_path};
 pub use diversified::{diversified_top_k, diversified_top_k_with, DiversifiedConfig};
 pub use engine::{
-    safe_heuristic_bound, EngineObs, Heuristic, QueryEngine, SearchBackend, SearchSpace, TreeView,
+    safe_heuristic_bound, EngineObs, QueryEngine, SearchBackend, SearchSpace, TreeView,
 };
 pub use landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable, NodeVectors};
 pub use m2m::{DistanceTable, M2mSearch};

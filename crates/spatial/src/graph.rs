@@ -4,8 +4,7 @@
 //! [`crate::builder::GraphBuilder`]): vertices carry planar coordinates,
 //! edges carry a length, a road category and a speed, from which a travel
 //! time is derived. Both outgoing and incoming adjacency are stored in CSR
-//! form so that forward searches, reverse searches and bidirectional
-//! searches are all cache-friendly.
+//! form so that forward and reverse searches are both cache-friendly.
 
 use serde::{Deserialize, Serialize};
 

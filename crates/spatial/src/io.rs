@@ -115,6 +115,11 @@ fn read_graph_body(
         }
         let x = parse_f64(it.next(), "vertex x")?;
         let y = parse_f64(it.next(), "vertex y")?;
+        if !x.is_finite() || !y.is_finite() {
+            return Err(SpatialError::Parse(format!(
+                "non-finite coordinates on vertex line {i}: {line:?}"
+            )));
+        }
         b.add_vertex(Point::new(x, y));
     }
     let ecount = parse_count(&next_content_line(lines)?, "edges")?;
@@ -978,6 +983,16 @@ mod tests {
         assert!(graph_from_str(bad).is_err());
         let bad_tag = "pathrank-graph v1\nvertices 2\nv 0 0\nv 1 0\nedges 1\ne 0 1 10 50 X\n";
         assert!(graph_from_str(bad_tag).is_err());
+        // Non-finite coordinates would reach the R-tree and the A* bound.
+        for v in ["v NaN 0", "v inf 0", "v 0 -inf", "v 0 nan"] {
+            let text = format!("pathrank-graph v1\nvertices 2\nv 0 0\n{v}\nedges 0\n");
+            match graph_from_str(&text) {
+                Err(SpatialError::Parse(msg)) => {
+                    assert!(msg.contains("vertex line 1") && msg.contains(v), "{msg}")
+                }
+                other => panic!("{v:?} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1141,8 +1156,8 @@ mod tests {
             let n = g.vertex_count() as u32;
             for (s, t) in [(0, n - 1), (n / 2, 1), (n / 3, 2 * n / 3)] {
                 let (s, t) = (VertexId(s), VertexId(t));
-                let pa = a.astar_shortest_path(s, t, CostModel::Length);
-                let pb = b.astar_shortest_path(s, t, CostModel::Length);
+                let pa = a.shortest_path(s, t, CostModel::Length);
+                let pb = b.shortest_path(s, t, CostModel::Length);
                 assert_eq!(
                     pa.map(|p| p.edges().to_vec()),
                     pb.map(|p| p.edges().to_vec()),

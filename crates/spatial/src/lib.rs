@@ -15,11 +15,12 @@
 //!   OSM XML parser and an importer (highway filtering, `maxspeed` /
 //!   `oneway` handling, [`geo`] haversine lengths, SCC pruning, degree-2
 //!   chain contraction) that emits index-ready graphs from real extracts;
-//! * routing algorithms: [`algo::dijkstra`], [`algo::astar`],
-//!   [`algo::bidijkstra`], Yen's top-k shortest paths ([`algo::yen`]) and
+//! * routing algorithms: Dijkstra and A* point-to-point, one-to-all and
+//!   constrained searches, Yen's top-k shortest paths ([`algo::yen`]) and
 //!   the diversified top-k used by the paper's D-TkDI training-data
-//!   strategy ([`algo::diversified`]) — all running on the reusable,
-//!   generation-stamped query layer in [`algo::engine`];
+//!   strategy ([`algo::diversified`]) — all running on the one search
+//!   loop of the reusable, generation-stamped query layer in
+//!   [`algo::engine`], with [`algo::dijkstra`] as the reference oracle;
 //! * path [`similarity`] measures, most importantly the weighted Jaccard
 //!   similarity that defines PathRank's ground-truth ranking scores;
 //! * a packed STR-bulk-loaded [`rtree::RTree`] over edge polyline

@@ -5,8 +5,9 @@
 //!
 //! This facade crate re-exports the whole workspace under one roof:
 //!
-//! * [`spatial`] — road networks, routing (Dijkstra/A*/bidirectional),
-//!   Yen's top-k and diversified top-k shortest paths, path similarity;
+//! * [`spatial`] — road networks, routing (Dijkstra/A*, contraction
+//!   hierarchies), Yen's top-k and diversified top-k shortest paths, path
+//!   similarity;
 //! * [`traj`] — GPS trajectory simulation with hidden driver preferences
 //!   and HMM map matching;
 //! * [`nn`] — a minimal tape-based autodiff engine with Embedding, GRU,

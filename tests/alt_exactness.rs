@@ -12,7 +12,7 @@
 //! through infinite bounds).
 //!
 //! Covered regimes, per the issue:
-//! * one-to-one A* and bidirectional search vs plain Dijkstra;
+//! * one-to-one ALT-guided A* and the cost probe vs plain Dijkstra;
 //! * full Yen enumerations (every spur search ALT-guided) vs plain Yen;
 //! * constrained searches under random banned vertex/edge sets (bans only
 //!   shrink the graph, so full-graph lower bounds must stay admissible);
@@ -97,17 +97,11 @@ proptest! {
                     continue;
                 }
                 let plain = shortest_path(&g, s, t, CostModel::Length);
-                let astar = engine.astar_shortest_path(s, t, CostModel::Length);
+                let astar = engine.shortest_path(s, t, CostModel::Length);
                 prop_assert_eq!(
                     cost_of(&g, &plain, CostModel::Length),
                     cost_of(&g, &astar, CostModel::Length),
                     "A* diverged on {:?}->{:?}", s, t
-                );
-                let bidi = engine.bidirectional_shortest_path(s, t, CostModel::Length);
-                prop_assert_eq!(
-                    cost_of(&g, &plain, CostModel::Length),
-                    cost_of(&g, &bidi, CostModel::Length),
-                    "bidirectional diverged on {:?}->{:?}", s, t
                 );
                 // The cost probe (map matching's transition model) too.
                 let probe = engine.shortest_path_cost(s, t, CostModel::Length);
@@ -244,7 +238,7 @@ proptest! {
                 }
                 for cost in [CostModel::Length, CostModel::TravelTime, CostModel::Custom(&custom)] {
                     let plain = shortest_path(&g, s, t, cost);
-                    let mixed = engine.astar_shortest_path(s, t, cost);
+                    let mixed = engine.shortest_path(s, t, cost);
                     prop_assert_eq!(
                         cost_of(&g, &plain, cost),
                         cost_of(&g, &mixed, cost),
@@ -274,17 +268,11 @@ fn alt_disconnected_components_stay_exact() {
     let g = b.build();
     let (_table, mut engine) = alt_engine(&g);
     // Within a component: exact.
-    let p = engine
-        .astar_shortest_path(a0, a2, CostModel::Length)
-        .unwrap();
+    let p = engine.shortest_path(a0, a2, CostModel::Length).unwrap();
     assert_eq!(p.cost(&g, CostModel::Length), 240.0);
     // Across components: unreachable in every guided mode.
-    assert!(engine
-        .astar_shortest_path(a0, c1, CostModel::Length)
-        .is_none());
-    assert!(engine
-        .bidirectional_shortest_path(c0, a2, CostModel::Length)
-        .is_none());
+    assert!(engine.shortest_path(a0, c1, CostModel::Length).is_none());
+    assert!(engine.shortest_path(c0, a2, CostModel::Length).is_none());
     assert!(engine
         .shortest_path_cost(a2, c0, CostModel::Length)
         .is_none());

@@ -10,8 +10,7 @@
 //! fold order as Dijkstra's relaxation chain.
 //!
 //! Covered regimes, per the issue:
-//! * one-to-one `shortest_path` / `astar_shortest_path` /
-//!   `bidirectional_shortest_path` and the cost probe vs plain Dijkstra;
+//! * one-to-one `shortest_path` and the cost probe vs plain Dijkstra;
 //! * full Yen enumerations on a CH+ALT engine (the unconstrained initial
 //!   path runs on the CH, every spur search falls back) vs plain Yen;
 //! * constrained searches under random banned vertex/edge sets — the CH
@@ -103,23 +102,17 @@ proptest! {
                     continue;
                 }
                 let plain = shortest_path(&g, s, t, CostModel::Length);
-                for run in [
-                    QueryEngine::shortest_path,
-                    QueryEngine::astar_shortest_path,
-                    QueryEngine::bidirectional_shortest_path,
-                ] {
-                    let ch_path = run(&mut engine, s, t, CostModel::Length);
-                    if let Some(p) = &ch_path {
-                        p.validate(&g).expect("CH paths must be graph-valid");
-                        prop_assert_eq!(p.source(), s);
-                        prop_assert_eq!(p.target(), t);
-                    }
-                    prop_assert_eq!(
-                        cost_of(&g, &plain, CostModel::Length),
-                        cost_of(&g, &ch_path, CostModel::Length),
-                        "CH diverged on {:?}->{:?}", s, t
-                    );
+                let ch_path = engine.shortest_path(s, t, CostModel::Length);
+                if let Some(p) = &ch_path {
+                    p.validate(&g).expect("CH paths must be graph-valid");
+                    prop_assert_eq!(p.source(), s);
+                    prop_assert_eq!(p.target(), t);
                 }
+                prop_assert_eq!(
+                    cost_of(&g, &plain, CostModel::Length),
+                    cost_of(&g, &ch_path, CostModel::Length),
+                    "CH diverged on {:?}->{:?}", s, t
+                );
                 // The cost probe (map matching's transition model) too.
                 let probe = engine.shortest_path_cost(s, t, CostModel::Length);
                 prop_assert_eq!(
@@ -341,12 +334,7 @@ fn ch_disconnected_components_stay_exact() {
     assert_eq!(p.cost(&g, CostModel::Length), 240.0);
     // Across components: unreachable in every CH-dispatched entry point.
     assert!(engine.shortest_path(a0, c1, CostModel::Length).is_none());
-    assert!(engine
-        .astar_shortest_path(a0, c1, CostModel::Length)
-        .is_none());
-    assert!(engine
-        .bidirectional_shortest_path(c0, a2, CostModel::Length)
-        .is_none());
+    assert!(engine.shortest_path(c0, a2, CostModel::Length).is_none());
     assert!(engine
         .shortest_path_cost(a2, c0, CostModel::Length)
         .is_none());

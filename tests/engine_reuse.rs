@@ -15,12 +15,9 @@
 //! end holds the columns to the edge records under random update batches.
 
 use pathrank::obs::Registry;
-use pathrank::spatial::algo::dijkstra::{
-    constrained_shortest_path, shortest_path, shortest_path_tree,
-};
-use pathrank::spatial::algo::engine::{EngineObs, QueryEngine};
+use pathrank::spatial::algo::dijkstra::{constrained_shortest_path, shortest_path};
+use pathrank::spatial::algo::engine::{EngineObs, QueryEngine, TreeView};
 use pathrank::spatial::algo::yen::yen_k_shortest;
-use pathrank::spatial::algo::{astar_shortest_path, bidirectional_shortest_path};
 use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::generators::{grid_network, region_network, GridConfig, RegionConfig};
 use pathrank::spatial::geometry::Point;
@@ -44,6 +41,13 @@ fn assert_same_path(fresh: Option<Path>, reused: Option<Path>, ctx: &str) {
         (None, None) => {}
         (a, b) => panic!("reachability diverged ({ctx}): fresh {a:?} vs reused {b:?}"),
     }
+}
+
+/// Every vertex's `(dist bits, parent_of)` on a one-to-all view.
+fn tree_bits(g: &Graph, view: TreeView<'_>) -> Vec<(u64, Option<(VertexId, EdgeId)>)> {
+    g.vertices()
+        .map(|v| (view.dist(v).to_bits(), view.parent_of(v)))
+        .collect()
 }
 
 /// Deterministic per-iteration cost perturbation so interleaved custom
@@ -156,11 +160,10 @@ fn interleaved_banned_sets_match_fresh() {
 
 #[test]
 fn interleaved_algorithms_share_one_engine() {
-    // Dijkstra, A*, bidirectional and one-to-all all run back-to-back on
-    // one engine; each must equal its fresh counterpart. A* and
-    // bidirectional guarantee equal *cost* (tie-breaking may differ), so
-    // costs are compared exactly through path equality where specified
-    // and through cost equality otherwise.
+    // Reverse sweeps (the backward space's only user), constrained spur
+    // searches, point-to-point queries and forward sweeps run
+    // back-to-back on one engine; each must equal its fresh counterpart
+    // bit for bit — every vertex's distance and parent, every path.
     let g = region_network(&RegionConfig::small_test(), 8);
     let n = g.vertex_count() as u32;
     let mut engine = QueryEngine::new(&g);
@@ -169,32 +172,27 @@ fn interleaved_algorithms_share_one_engine() {
     for round in 0..25u64 {
         let s = VertexId(rng.gen_range(0..n));
         let t = VertexId(rng.gen_range(0..n));
+        let mut bv = BitSet::new(g.vertex_count());
+        let mut be = BitSet::new(g.edge_count());
+        bv.insert(rng.gen_range(0..n));
+        be.insert(rng.gen_range(0..g.edge_count() as u32));
         for cost in [CostModel::Length, CostModel::TravelTime] {
-            let fresh = astar_shortest_path(&g, s, t, cost);
-            let reused = engine.astar_shortest_path(s, t, cost);
-            assert_same_path(fresh, reused, &format!("round {round} astar {s:?}->{t:?}"));
+            let fresh = tree_bits(&g, QueryEngine::new(&g).one_to_all_rev(t, cost));
+            let reused = tree_bits(&g, engine.one_to_all_rev(t, cost));
+            assert_eq!(fresh, reused, "round {round}: reverse sweep into {t:?}");
 
-            let fresh = bidirectional_shortest_path(&g, s, t, cost);
-            let reused = engine.bidirectional_shortest_path(s, t, cost);
-            assert_same_path(fresh, reused, &format!("round {round} bidir {s:?}->{t:?}"));
+            let fresh =
+                QueryEngine::new(&g).constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
+            let reused = engine.constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
+            assert_same_path(fresh, reused, &format!("round {round} spur {s:?}->{t:?}"));
+
+            let fresh = shortest_path(&g, t, s, cost);
+            let reused = engine.shortest_path(t, s, cost);
+            assert_same_path(fresh, reused, &format!("round {round} p2p {t:?}->{s:?}"));
         }
-        // One-to-all: distances and parents must be bit-identical.
-        let fresh_tree = shortest_path_tree(&g, s, CostModel::Length);
-        let view = engine.one_to_all(s, CostModel::Length);
-        for v in g.vertices() {
-            assert!(
-                fresh_tree.dist[v.index()] == view.dist(v)
-                    || (fresh_tree.dist[v.index()].is_infinite() && view.dist(v).is_infinite()),
-                "round {round}: dist[{v:?}] {} vs {}",
-                fresh_tree.dist[v.index()],
-                view.dist(v)
-            );
-            assert_eq!(
-                fresh_tree.parent[v.index()],
-                view.parent_of(v),
-                "round {round} {v:?}"
-            );
-        }
+        let fresh = tree_bits(&g, QueryEngine::new(&g).one_to_all(s, CostModel::Length));
+        let reused = tree_bits(&g, engine.one_to_all(s, CostModel::Length));
+        assert_eq!(fresh, reused, "round {round}: forward sweep from {s:?}");
     }
 }
 
@@ -254,14 +252,14 @@ fn tree_views_reflect_only_the_latest_query() {
     engine
         .shortest_path(VertexId(0), VertexId(1), CostModel::Length)
         .unwrap();
-    let partial_tree = engine.shortest_path_tree(VertexId(0), CostModel::Length);
+    let full = engine.one_to_all(VertexId(0), CostModel::Length);
     // A full tree query afterwards must again reach everything with the
     // same distances as the first broad query.
     for (v, &expect) in g.vertices().zip(broad.iter()) {
         assert!(
-            partial_tree.dist[v.index()] == expect,
+            full.dist(v) == expect,
             "{v:?}: {} vs {expect}",
-            partial_tree.dist[v.index()]
+            full.dist(v)
         );
     }
 }

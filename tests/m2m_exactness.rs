@@ -17,7 +17,8 @@
 //! * interleaved `Length`/`TravelTime` metrics on one shared scratch —
 //!   alternating tables between two hierarchies must never leak bucket
 //!   or label state;
-//! * the batched one-to-many entry point vs the one-to-all tree;
+//! * the streamed rows (`prepare_m2m_targets` + `m2m_distances_from`,
+//!   the path the route server runs) vs the one-to-all tree;
 //! * `CostModel::Custom` and metric-mismatched batched calls must
 //!   return `None` (the caller's sp-cache fallback path), asserted at
 //!   the engine layer;
@@ -157,7 +158,7 @@ proptest! {
     }
 
     #[test]
-    fn m2m_one_to_many_matches_one_to_all_tree(
+    fn m2m_streamed_rows_match_one_to_all_tree(
         n in 2usize..MAX_N,
         coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
         edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
@@ -170,31 +171,30 @@ proptest! {
         ));
         let mut engine = QueryEngine::new(&g).with_ch(ch);
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
+        prop_assert!(engine.prepare_m2m_targets(&all, CostModel::Length));
         for &s in &all {
-            let batched = engine
-                .one_to_many(s, &all, CostModel::Length)
-                .expect("length CH attached");
+            let row = engine
+                .m2m_distances_from(s, CostModel::Length)
+                .expect("length CH attached")
+                .to_vec();
             // Self-distance is 0 on the diagonal entry.
             for (j, &t) in all.iter().enumerate() {
                 let expect = reference(&g, s, t, CostModel::Length);
                 prop_assert_eq!(
                     expect.to_bits(),
-                    batched[j].to_bits(),
-                    "one_to_many diverged on {:?}->{:?}", s, t
+                    row[j].to_bits(),
+                    "streamed row diverged on {:?}->{:?}", s, t
                 );
             }
-            // And against the engine's own one-to-all tree.
+            // And against the engine's own one-to-all tree, which must
+            // leave the prepared buckets alone.
             let view = engine.one_to_all(s, CostModel::Length);
-            let full: Vec<f64> = all.iter().map(|&t| view.dist(t)).collect();
             for (j, &t) in all.iter().enumerate() {
                 if t != s {
                     prop_assert_eq!(
-                        full[j].to_bits(),
-                        engine
-                            .one_to_many(s, &all, CostModel::Length)
-                            .expect("length CH attached")[j]
-                            .to_bits(),
-                        "one_to_many vs one_to_all diverged at {:?}", t
+                        view.dist(t).to_bits(),
+                        row[j].to_bits(),
+                        "streamed row vs one_to_all diverged at {:?}", t
                     );
                 }
             }
@@ -229,10 +229,8 @@ proptest! {
         prop_assert!(engine
             .many_to_many(&all, &all, CostModel::Custom(&custom))
             .is_none());
-        prop_assert!(engine.one_to_many(all[0], &all, CostModel::TravelTime).is_none());
-        prop_assert!(engine
-            .one_to_many(all[0], &all, CostModel::Custom(&custom))
-            .is_none());
+        prop_assert!(!engine.prepare_m2m_targets(&all, CostModel::TravelTime));
+        prop_assert!(!engine.prepare_m2m_targets(&all, CostModel::Custom(&custom)));
     }
 
     /// Batched tables off a customizable CH stay bit-identical to
@@ -280,15 +278,17 @@ proptest! {
                     );
                 }
             }
+            prop_assert!(engine.prepare_m2m_targets(&all, CostModel::TravelTime));
             for &s in &all {
-                let batched = engine
-                    .one_to_many(s, &all, CostModel::TravelTime)
-                    .expect("TravelTime CCH attached");
+                let row = engine
+                    .m2m_distances_from(s, CostModel::TravelTime)
+                    .expect("TravelTime CCH attached")
+                    .to_vec();
                 for (j, &t) in all.iter().enumerate() {
                     prop_assert_eq!(
                         reference(&g, s, t, CostModel::TravelTime).to_bits(),
-                        batched[j].to_bits(),
-                        "round {} CCH one_to_many diverged on {:?}->{:?}", round, s, t
+                        row[j].to_bits(),
+                        "round {} CCH streamed row diverged on {:?}->{:?}", round, s, t
                     );
                 }
             }

@@ -146,7 +146,7 @@ fn osm_fixture_alt_and_ch_are_bit_identical_to_dijkstra() {
         assert!(chx.uses_ch(cost));
         for &(s, t) in &pairs {
             let a = plain.shortest_path_cost(s, t, cost);
-            let b = alt.astar_shortest_path(s, t, cost).map(|p| p.cost(g, cost));
+            let b = alt.shortest_path(s, t, cost).map(|p| p.cost(g, cost));
             let c = chx.shortest_path_cost(s, t, cost);
             assert_eq!(a, b, "ALT diverged on {s:?}->{t:?} ({metric:?})");
             assert_eq!(a, c, "CH diverged on {s:?}->{t:?} ({metric:?})");
