@@ -22,18 +22,21 @@
 //! 2. **Customization** ([`CchTopology::customize`] /
 //!    [`CchTopology::customize_weights`]) re-derives every arc weight for
 //!    a concrete metric: initialise each arc from its cheapest parallel
-//!    original edge, then relax all recorded triangles
-//!    (`w(a) = min(w(a), w(b) + w(c))`) bottom-up over the fixed order.
-//!    Arcs are processed level by level (the elimination-tree depth of
-//!    their lower-ranked endpoint), which makes same-level arcs
-//!    independent — the pass parallelises over the existing crossbeam
-//!    worker pattern and is bit-identical for any thread count. At paper
-//!    scale this runs in single-digit milliseconds, ≥10x faster than a
-//!    metric-aware rebuild. When only a few edges moved — the live
-//!    telemetry shape — [`Cch::apply_delta`] skips even that: it seeds
-//!    the arcs owning the changed edges and chases the change upward
-//!    through the triangle DAG, stopping wherever a recomputed weight
-//!    lands on the same bits, sub-millisecond for percent-level deltas.
+//!    original edge, then relax every lower triangle
+//!    (`w(a) = min(w(a), w(b) + w(c))`) in one sequential sweep over the
+//!    mids in ascending rank. A mid's triangles are the cells of its
+//!    owner table (down-in arcs × up-out arcs), whose legs hang off the
+//!    mid and so were final when the sweep left lower ranks; each owner
+//!    meets its triangles in ascending mid order, which is the order the
+//!    builder recorded them in. At paper scale this runs in single-digit
+//!    milliseconds, ≥10x faster than a metric-aware rebuild. When only a
+//!    few edges moved — the live telemetry shape — [`Cch::apply_delta`]
+//!    skips even that: it seeds the arcs owning the changed edges and
+//!    chases the change upward through the triangle DAG, stopping
+//!    wherever a recomputed weight lands on the same bits. A pending arc
+//!    finds its own triangles by merging its tail's and its head's
+//!    rank-sorted down-lists ([`CchTopology::triangles_of`]), so no
+//!    per-owner triangle list is stored.
 //! 3. **Queries** run the stall-on-demand bidirectional upward search,
 //!    the shortcut unpacking and the bucket many-to-many sweeps of
 //!    [`crate::algo::ch`] unchanged, through a [`HierarchyView`]: the
@@ -47,17 +50,17 @@
 //!    |---|---|---|
 //!    | weight, expansion rule, search-segment weight | 8 + 12 + 8 | every [`Cch`] |
 //!    | endpoints, segment entry (`other`, `arc`), `arc_to_seg` | 8 + 8 + 4 | topology, once |
-//!    | `orig_offsets`, `tri_offsets` | 2 × 4 | topology, once |
+//!    | down-list entry (`other`, `arc`) under its higher endpoint | 8 | topology, once |
+//!    | `orig_offsets` | 4 | topology, once |
 //!
 //!    | per triangle | bytes | owner |
 //!    |---|---|---|
-//!    | `(b, c)` support pair under the arc it supports | 8 | topology, once |
 //!    | owner cell in its mid's (down-in × up-out) table | 4 | topology, once |
 //!
 //!    plus one 4-byte `u32::MAX` cell per 2-cycle through a mid (the
-//!    table's diagonal, where no triangle exists), one 4-byte
-//!    `cell_offsets` entry per rank and a quarter byte per arc of
-//!    `slot_rank`.
+//!    table's diagonal, where no triangle exists), three 4-byte
+//!    `cell_offsets` / `down_offsets` entries per rank and a quarter byte
+//!    per arc of `slot_rank`.
 //!
 //! The price of skipping witness searches is a denser search graph (every
 //! chordal fill-in arc is kept, where CH would prune witnessed ones), so
@@ -69,19 +72,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::thread;
-
 use crate::algo::ch::{ChArcKind, HierarchyView, SearchArc, Skeleton};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::util::group_by_key;
 
-/// Tuning knobs for CCH preprocessing and customization.
+/// Tuning knobs for CCH preprocessing.
 #[derive(Debug, Clone)]
 pub struct CchConfig {
-    /// Worker threads for the initial-priority sweep and for per-level
-    /// triangle relaxation during customization.
+    /// Worker threads for the ordering loop's initial-priority sweep.
+    /// Customization is one sequential sweep and takes no threads.
     pub threads: usize,
 }
 
@@ -94,10 +95,6 @@ impl Default for CchConfig {
 /// Slots per entry of `CchTopology::slot_rank`.
 const SLOTS_PER_BUCKET: usize = 16;
 
-/// Minimum same-level arcs per customization worker: below this the
-/// per-level crossbeam spawn costs more than the relaxation it splits.
-const PAR_GRAIN: usize = 256;
-
 /// The metric-independent half of a customizable contraction hierarchy:
 /// contraction order, merged chordal arc topology, supporting-triangle
 /// links, and the per-rank up/down search skeleton.
@@ -107,21 +104,26 @@ const PAR_GRAIN: usize = 256;
 /// live-weight epoch — the expensive ordering work is never repeated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CchTopology {
-    /// Customization worker threads (from [`CchConfig`]).
-    threads: usize,
     /// Edge count of the graph the topology was built for.
     m: usize,
     /// Arc -> merged original edges, CSR.
     orig_offsets: Vec<u32>,
     orig_edges: Vec<EdgeId>,
-    /// Arc -> supporting lower triangles `(b, c)`, CSR.
-    tri_offsets: Vec<u32>,
-    tri_pairs: Vec<(u32, u32)>,
-    /// Arc ids are renumbered level-contiguously: arcs whose lower
-    /// endpoint has elimination level `l` occupy
-    /// `level_offsets[l]..level_offsets[l + 1]`. Triangle relaxation
-    /// sweeps levels in order; within a level all arcs are independent.
-    level_offsets: Vec<u32>,
+    /// Lower triangles, counted once when the topology is finalised.
+    triangles: usize,
+    /// Elimination levels. Arc ids are renumbered level-contiguously
+    /// (by the level of the lower endpoint, stable within a level), so
+    /// every triangle's legs carry smaller ids than its owner.
+    levels: usize,
+    /// Down-lists in rank space, two per rank `r`: the arcs from `r` to
+    /// lower ranks (down-out) at `down[down_offsets[2r]..down_offsets[2r + 1]]`,
+    /// then the arcs from lower ranks into `r` (down-in) up to
+    /// `down_offsets[2r + 2]`. Each entry is the lower endpoint's rank
+    /// and the arc, sorted by that rank — so the triangles of `u -> w`
+    /// are where `u`'s down-out and `w`'s down-in lists name the same
+    /// rank ([`CchTopology::triangles_of`]).
+    down_offsets: Vec<u32>,
+    down: Vec<SearchArc>,
     /// Original edge -> the (unique) arc that merged it; `u32::MAX` for
     /// edges the topology dropped (self-loops). The entry point of a
     /// sparse delta: a changed edge cost seeds exactly this arc.
@@ -388,6 +390,33 @@ impl Iterator for Dependents<'_> {
     }
 }
 
+/// The lower triangles of one arc `u -> w` ([`CchTopology::triangles_of`]):
+/// a merge of `u`'s down-out list with `w`'s down-in list, both sorted
+/// by the lower rank, yielding `(u -> v, v -> w)` wherever they meet.
+struct Triangles<'a> {
+    outs: &'a [SearchArc],
+    ins: &'a [SearchArc],
+}
+
+impl Iterator for Triangles<'_> {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        while let ([b, outs @ ..], [c, ins @ ..]) = (self.outs, self.ins) {
+            if b.other <= c.other {
+                self.outs = outs;
+            }
+            if c.other <= b.other {
+                self.ins = ins;
+            }
+            if b.other == c.other {
+                return Some((b.arc, c.arc));
+            }
+        }
+        None
+    }
+}
+
 impl CchTopology {
     /// Runs the metric-independent preprocessing: fixes the contraction
     /// order (edge-difference + lazy updates on topology only, initial
@@ -406,24 +435,25 @@ impl CchTopology {
             rank,
             ..
         } = b;
-        Self::finalise(rank, arcs, edge_arc, triangles, cfg.threads)
+        Self::finalise(rank, arcs, edge_arc, triangles)
     }
 
     /// Finalises a topology from flat arrays in creation (or file)
     /// order — arc endpoints, the arc of every original edge, and
     /// `(owner, b, c)` triangles: computes elimination levels, renumbers
     /// arcs level-contiguously (stable, so creation order survives within
-    /// a level), groups triangles under their owner (stable likewise) and
-    /// lays out the search skeleton. Every grouping is one counting sort
-    /// into its final array; nothing per-arc is allocated. Shared by
+    /// a level), lays out the search skeleton and the down-lists, and
+    /// files every triangle's owner in its mid's table — the only use of
+    /// the triangle list, which dies here. Every grouping is one counting
+    /// sort into its final array; nothing per-arc is allocated. Shared by
     /// [`CchTopology::build`] (trusted input) and the io deserialiser
-    /// (which validates structurally first).
+    /// (which validates first that the list is exactly the arcs' lower
+    /// triangles in ascending mid rank).
     pub(crate) fn finalise(
         rank: Vec<u32>,
         old_ends: Vec<(VertexId, VertexId)>,
         mut edge_arc: Vec<u32>,
         triangles: Vec<(u32, u32, u32)>,
-        threads: usize,
     ) -> Self {
         let n = rank.len();
         let arc_count = old_ends.len();
@@ -456,7 +486,7 @@ impl CchTopology {
         // Renumber arcs so each elimination level is contiguous.
         let arc_level = |e: &(VertexId, VertexId)| vlevel[lower_upper(e).0 as usize];
         let levels = old_ends.iter().map(arc_level).max().map_or(0, |l| l + 1);
-        let (level_offsets, old_id) = group_by_key(levels as usize, 0, |emit| {
+        let (_, old_id) = group_by_key(levels as usize, 0, |emit| {
             for (e, old) in old_ends.iter().zip(0u32..) {
                 emit(arc_level(e), old);
             }
@@ -477,14 +507,6 @@ impl CchTopology {
                 emit(a, EdgeId(e));
             }
         });
-
-        // Triangles under their owner, in creation order within one.
-        let (tri_offsets, tri_pairs) = group_by_key(arc_count, (0, 0), |emit| {
-            for &(a, b, c) in &triangles {
-                emit(new_id[a as usize], (new_id[b as usize], new_id[c as usize]));
-            }
-        });
-        drop((triangles, new_id));
 
         // Search segments, one per rank: upward out-arcs then downward
         // in-arcs, ascending arc id within each half. Arcs are unique per
@@ -522,24 +544,42 @@ impl CchTopology {
         }
         cell_offsets.push(u32::try_from(total).expect("CCH owner tables exceed 32-bit offsets"));
         let mut cells = vec![u32::MAX; total];
-        for (span, a) in tri_offsets.windows(2).zip(0u32..) {
-            for &(b, c) in &tri_pairs[span[0] as usize..span[1] as usize] {
-                let r = rank[ends[c as usize].0.index()] as usize;
-                let (lo, mid) = (halves[2 * r], halves[2 * r + 1]);
-                let row = (arc_to_seg[b as usize] - mid) as usize;
-                let col = (arc_to_seg[c as usize] - lo) as usize;
-                cells[cell_offsets[r] as usize + row * (mid - lo) as usize + col] = a;
-            }
+        for &(a, b, c) in &triangles {
+            let (a, b, c) = (new_id[a as usize], new_id[b as usize], new_id[c as usize]);
+            let r = rank[ends[c as usize].0.index()] as usize;
+            let (lo, mid) = (halves[2 * r], halves[2 * r + 1]);
+            let row = (arc_to_seg[b as usize] - mid) as usize;
+            let col = (arc_to_seg[c as usize] - lo) as usize;
+            cells[cell_offsets[r] as usize + row * (mid - lo) as usize + col] = a;
         }
+        let triangle_count = triangles.len();
+        drop((triangles, new_id));
+
+        // Down-lists, filed under each arc's higher endpoint: a search
+        // segment's upward half is down-in arcs of their heads, its
+        // downward half down-out arcs of their tails. Sweeping segments
+        // in rank order emits every list sorted by the lower rank.
+        let (down_offsets, down) = group_by_key(2 * n, no_arc, |emit| {
+            for r in 0..n {
+                let (lo, mid, hi) = (halves[2 * r], halves[2 * r + 1], halves[2 * r + 2]);
+                for (slot, sa) in (lo..hi).zip(&seg_arcs[lo as usize..hi as usize]) {
+                    let entry = SearchArc {
+                        other: r as u32,
+                        arc: sa.arc,
+                    };
+                    emit(2 * sa.other + u32::from(slot < mid), entry);
+                }
+            }
+        });
 
         CchTopology {
-            threads: threads.max(1),
             m: edge_arc.len(),
             orig_offsets,
             orig_edges,
-            tri_offsets,
-            tri_pairs,
-            level_offsets,
+            triangles: triangle_count,
+            levels: levels as usize,
+            down_offsets,
+            down,
             edge_arc,
             cell_offsets,
             cells,
@@ -579,15 +619,14 @@ impl CchTopology {
             .count()
     }
 
-    /// Recorded lower triangles (the customization work list).
+    /// Lower triangles (the customization work list).
     pub fn triangle_count(&self) -> usize {
-        self.tri_pairs.len()
+        self.triangles
     }
 
-    /// Number of elimination levels (the depth of the parallel
-    /// customization sweep).
+    /// Number of elimination levels (the depth of the elimination tree).
     pub fn level_count(&self) -> usize {
-        self.level_offsets.len() - 1
+        self.levels
     }
 
     /// Contraction rank of every vertex, indexed by vertex id.
@@ -597,16 +636,16 @@ impl CchTopology {
 
     /// Heap bytes the topology holds (the `pathrank_serve_index_bytes`
     /// gauge); every customization shares them. Per triangle that is
-    /// 8 + 4 B (support pair, owner cell), plus 4 B per diagonal cell
-    /// and per rank — the module doc has the whole budget.
+    /// the 4 B owner cell, plus 4 B per diagonal cell, 8 B per arc of
+    /// down-lists and 12 B per rank of table and list offsets — the
+    /// module doc has the whole budget.
     pub fn heap_bytes(&self) -> usize {
-        let per_arc = self.orig_offsets.len()
-            + self.tri_offsets.len()
-            + self.arc_to_seg.len()
-            + self.slot_rank.len();
+        let per_arc = self.orig_offsets.len() + self.arc_to_seg.len() + self.slot_rank.len();
         let per_edge = self.orig_edges.len() + self.edge_arc.len();
-        let per_tri = 2 * self.tri_pairs.len() + self.cells.len() + self.cell_offsets.len();
-        4 * (per_arc + per_edge + per_tri + self.level_offsets.len()) + self.skel.heap_bytes()
+        let per_rank = self.cell_offsets.len() + self.down_offsets.len();
+        4 * (per_arc + per_edge + per_rank + self.cells.len())
+            + std::mem::size_of_val(self.down.as_slice())
+            + self.skel.heap_bytes()
     }
 
     /// Merged original edges of arc `a` (ascending `EdgeId`).
@@ -616,12 +655,21 @@ impl CchTopology {
         &self.orig_edges[lo..hi]
     }
 
-    /// Supporting lower triangles of arc `a`, as the `(b, c)` arc pairs
-    /// customization relaxes in this order.
-    pub fn triangles_of(&self, a: usize) -> &[(u32, u32)] {
-        let lo = self.tri_offsets[a] as usize;
-        let hi = self.tri_offsets[a + 1] as usize;
-        &self.tri_pairs[lo..hi]
+    /// Supporting lower triangles of arc `a = u -> w`, as the
+    /// `(u -> v, v -> w)` arc pairs customization relaxes, in ascending
+    /// rank of the mid `v` — the order the builder recorded them in.
+    /// Enumerated by merging `u`'s down-out and `w`'s down-in lists:
+    /// every common lower neighbour is a triangle, because both arcs
+    /// existed when `v` was contracted and that contraction recorded it.
+    pub fn triangles_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (u, w) = self.skel.ends[a];
+        let rank = |v: VertexId| self.skel.rank[v.index()] as usize;
+        let list =
+            |i: usize| &self.down[self.down_offsets[i] as usize..self.down_offsets[i + 1] as usize];
+        Triangles {
+            outs: list(2 * rank(u)),
+            ins: list(2 * rank(w) + 1),
+        }
     }
 
     /// The arc that merged original edge `e` (`None` when the topology
@@ -711,12 +759,15 @@ impl CchTopology {
     }
 
     /// The customization core: per-arc init from the cheapest parallel
-    /// original (lowest `EdgeId` on ties), then bottom-up triangle
-    /// relaxation level by level. Same-level arcs only read strictly
-    /// lower-level weights, so each level parallelises over disjoint
-    /// chunks — the result is bit-identical for any thread count. Writes
-    /// the caller's columns in place: after a [`Cch`]'s first pass a
-    /// full re-customization allocates nothing.
+    /// original (lowest `EdgeId` on ties), then one sweep over the mids
+    /// in ascending rank relaxing every cell of each mid's owner table,
+    /// `owner ← row + column` with a strict `<`. Both legs of a cell hang
+    /// off the mid, so all their triangles (through lower mids) are done
+    /// when it is read; each owner sees its triangles in ascending mid
+    /// rank, the order [`CchTopology::triangles_of`] yields them, which
+    /// the sparse pass relaxes in too. Writes the caller's columns in
+    /// place: after a [`Cch`]'s first pass a full re-customization
+    /// allocates nothing.
     fn derive_into(
         &self,
         edge_cost: impl Fn(EdgeId) -> f64,
@@ -737,36 +788,29 @@ impl CchTopology {
                 }
             }
         }
-        for l in 1..self.level_count() {
-            let lo = self.level_offsets[l] as usize;
-            let hi = self.level_offsets[l + 1] as usize;
-            let len = hi - lo;
-            if len == 0 {
+        let skel = &self.skel;
+        for r in 0..self.vertex_count() {
+            let lo = skel.seg_offsets[r] as usize;
+            let mid = skel.seg_mid[r] as usize;
+            let hi = skel.seg_offsets[r + 1] as usize;
+            let ups = &skel.seg_arcs[lo..mid];
+            if ups.is_empty() {
                 continue;
             }
-            let (done, rest_w) = weights.split_at_mut(lo);
-            let cur_w = &mut rest_w[..len];
-            let cur_k = &mut kinds[lo..hi];
-            let done: &[f64] = done;
-            let workers = self.threads.min(len.div_ceil(PAR_GRAIN)).max(1);
-            if workers == 1 {
-                for (j, (w, k)) in cur_w.iter_mut().zip(cur_k.iter_mut()).enumerate() {
-                    relax_arc(self.triangles_of(lo + j), done, w, k);
-                }
-            } else {
-                let per = len.div_ceil(workers);
-                thread::scope(|scope| {
-                    for (ci, (wc, kc)) in
-                        cur_w.chunks_mut(per).zip(cur_k.chunks_mut(per)).enumerate()
-                    {
-                        scope.spawn(move |_| {
-                            for (j, (w, k)) in wc.iter_mut().zip(kc.iter_mut()).enumerate() {
-                                relax_arc(self.triangles_of(lo + ci * per + j), done, w, k);
-                            }
-                        });
+            let table =
+                &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
+            for (row, b) in table.chunks_exact(ups.len()).zip(&skel.seg_arcs[mid..hi]) {
+                let wb = weights[b.arc as usize];
+                for (&owner, c) in row.iter().zip(ups) {
+                    if owner == u32::MAX {
+                        continue;
                     }
-                })
-                .expect("CCH customization worker panicked");
+                    let cand = wb + weights[c.arc as usize];
+                    if cand < weights[owner as usize] {
+                        weights[owner as usize] = cand;
+                        kinds[owner as usize] = ChArcKind::Shortcut(b.arc, c.arc);
+                    }
+                }
             }
         }
         debug_assert!(
@@ -812,7 +856,8 @@ fn fresh_stamp() -> u64 {
 /// ascending id order (supports are final before dependents — see
 /// `CchTopology::cells`), fully recomputes each pending arc
 /// exactly like `CchTopology::derive_into` visits it (cheapest original
-/// in ascending `EdgeId`, then every recorded triangle in stored order,
+/// in ascending `EdgeId`, then every lower triangle in ascending mid
+/// rank, merged from the down-lists by [`CchTopology::triangles_of`];
 /// strict `<` in both phases), and classifies each dependent link when
 /// an arc's weight *bits* changed rather than marking all of them:
 ///
@@ -883,7 +928,13 @@ fn partial_customize(
                 k = ChArcKind::Original(e);
             }
         }
-        relax_arc(topo.triangles_of(ai), weights, &mut w, &mut k);
+        for (b, c) in topo.triangles_of(ai) {
+            let cand = weights[b as usize] + weights[c as usize];
+            if cand < w {
+                w = cand;
+                k = ChArcKind::Shortcut(b, c);
+            }
+        }
         let old_w = std::mem::replace(&mut weights[ai], w);
         kinds[ai] = k;
         seg_weights[topo.arc_to_seg[ai] as usize] = w;
@@ -923,19 +974,6 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
         pairs.fold(0, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits())) != 0
     };
     a.len() == b.len() && !a.chunks(64).zip(b.chunks(64)).any(differs)
-}
-
-/// Relaxes every supporting triangle of one arc against the completed
-/// lower levels.
-#[inline]
-fn relax_arc(triangles: &[(u32, u32)], done: &[f64], w: &mut f64, k: &mut ChArcKind) {
-    for &(b, c) in triangles {
-        let cand = done[b as usize] + done[c as usize];
-        if cand < *w {
-            *w = cand;
-            *k = ChArcKind::Shortcut(b, c);
-        }
-    }
 }
 
 /// A customized contraction hierarchy: shared metric-independent
@@ -1285,7 +1323,8 @@ mod tests {
     use crate::algo::ch::ChSearch;
     use crate::algo::dijkstra::shortest_path;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
-    use crate::graph::EdgeId;
+    use crate::graph::{EdgeAttrs, EdgeId, RoadCategory};
+    use proptest::prelude::*;
 
     fn region() -> Graph {
         region_network(&RegionConfig::small_test(), 11)
@@ -1316,15 +1355,14 @@ mod tests {
         let a = CchTopology::build(&g, &CchConfig { threads: 1 });
         let b = CchTopology::build(&g, &CchConfig { threads: 8 });
         assert_eq!(a.ranks(), b.ranks(), "ordering must not depend on threads");
-        assert_eq!(a.arc_count(), b.arc_count());
-        assert_eq!(a.tri_pairs, b.tri_pairs);
-        assert_eq!(a.level_offsets, b.level_offsets);
+        assert!(a == b, "topology must not depend on threads");
     }
 
     #[test]
     fn cch_customize_parallel_bitwise_identical() {
-        // A grid large enough that at least one level crosses PAR_GRAIN,
-        // so the parallel relaxation path actually runs.
+        // Topologies ordered by one and by eight workers customize to the
+        // same bits on a grid large enough for the ordering loop's
+        // initial sweep to split.
         let g = grid_network(
             &GridConfig {
                 nx: 24,
@@ -1669,6 +1707,117 @@ mod tests {
         assert!(live.usable_for(&CostModel::Length));
         let full = topo.customize(&g, &CostModel::Length);
         assert_bit_identical(&live, &full, "recustomize to length");
+    }
+
+    /// Textbook customization, blind to the topology's layout: every arc
+    /// starts at its cheapest parallel original (ascending `EdgeId`,
+    /// strict `<`); then arcs in ascending rank of their lower endpoint
+    /// relax their lower triangles, found by trying every vertex ranked
+    /// below both endpoints, in ascending rank, for a `u -> v` and a
+    /// `v -> w` arc. Returns the triangle lists it relaxed, the weights
+    /// and the expansion rules.
+    #[allow(clippy::type_complexity)]
+    fn brute_force_customize(
+        topo: &CchTopology,
+        g: &Graph,
+        cost: impl Fn(EdgeId) -> f64,
+    ) -> (Vec<Vec<(u32, u32)>>, Vec<f64>, Vec<ChArcKind>) {
+        let (ends, rank) = (topo.arc_endpoints(), topo.ranks());
+        let arc_of: std::collections::HashMap<_, _> = ends.iter().copied().zip(0u32..).collect();
+        let mut by_rank = vec![VertexId(0); rank.len()];
+        for (v, &r) in rank.iter().enumerate() {
+            by_rank[r as usize] = VertexId(v as u32);
+        }
+        let mut weights = vec![f64::INFINITY; ends.len()];
+        let mut kinds = vec![ChArcKind::Shortcut(u32::MAX, u32::MAX); ends.len()];
+        for e in (0..g.edge_count() as u32).map(EdgeId) {
+            let rec = g.edge(e);
+            if let Some(&a) = arc_of.get(&(rec.from, rec.to)) {
+                if cost(e) < weights[a as usize] {
+                    weights[a as usize] = cost(e);
+                    kinds[a as usize] = ChArcKind::Original(e);
+                }
+            }
+        }
+        let lower = |a: usize| rank[ends[a].0.index()].min(rank[ends[a].1.index()]);
+        let mut order: Vec<usize> = (0..ends.len()).collect();
+        order.sort_by_key(|&a| lower(a));
+        let mut triangles = vec![Vec::new(); ends.len()];
+        for a in order {
+            let (u, w) = ends[a];
+            for &v in &by_rank[..lower(a) as usize] {
+                let (Some(&b), Some(&c)) = (arc_of.get(&(u, v)), arc_of.get(&(v, w))) else {
+                    continue;
+                };
+                triangles[a].push((b, c));
+                let cand = weights[b as usize] + weights[c as usize];
+                if cand < weights[a] {
+                    weights[a] = cand;
+                    kinds[a] = ChArcKind::Shortcut(b, c);
+                }
+            }
+        }
+        (triangles, weights, kinds)
+    }
+
+    /// The per-mid sweep and the merged enumeration against the textbook
+    /// pass, bit for bit, under both metrics and a tie-heavy integer
+    /// weight vector (ties are where relaxation order shows in the
+    /// expansion rules).
+    fn assert_matches_brute_force(g: &Graph) {
+        let topo = Arc::new(CchTopology::build(g, &CchConfig::default()));
+        let custom: Vec<f64> = (0..g.edge_count()).map(|i| 1.0 + (i % 3) as f64).collect();
+        let costs = [
+            CostModel::Length,
+            CostModel::TravelTime,
+            CostModel::Custom(&custom),
+        ];
+        for cost in costs {
+            let cch = topo.customize(g, &cost);
+            let (triangles, weights, kinds) =
+                brute_force_customize(&topo, g, |e| cost.edge_cost(g, e));
+            for (a, expect) in triangles.iter().enumerate() {
+                let got: Vec<(u32, u32)> = topo.triangles_of(a).collect();
+                assert_eq!(&got, expect, "arc {a}: triangle enumeration");
+            }
+            let total: usize = triangles.iter().map(Vec::len).sum();
+            assert_eq!(topo.triangle_count(), total);
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&cch.cols.weights), bits(&weights), "{cost:?}: weights");
+            assert_eq!(cch.cols.kinds, kinds, "{cost:?}: expansion rules");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Multigraphs dense in repeats, so parallel edges, one-way edges
+        /// and 2-cycles (the owner tables' empty diagonal) all occur.
+        #[test]
+        fn cch_per_mid_customization_matches_brute_force_triangles(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
+        ) {
+            use crate::geometry::Point;
+            let mut b = crate::builder::GraphBuilder::new();
+            let vs: Vec<VertexId> = (0..n)
+                .map(|i| b.add_vertex(Point::new((i * 137 % 700) as f64, (i * 311 % 900) as f64)))
+                .collect();
+            let categories = [RoadCategory::Arterial, RoadCategory::Rural, RoadCategory::Residential];
+            for (f, t, w) in edges {
+                let (f, t) = (f % n, t % n);
+                if f != t {
+                    let attrs = EdgeAttrs::with_default_speed(f64::from(w), categories[w as usize % 3]);
+                    b.add_edge(vs[f], vs[t], attrs).unwrap();
+                }
+            }
+            assert_matches_brute_force(&b.build());
+        }
+    }
+
+    #[test]
+    fn cch_per_mid_customization_matches_brute_force_triangles_on_the_region() {
+        assert_matches_brute_force(&region());
     }
 
     #[test]

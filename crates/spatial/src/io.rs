@@ -47,7 +47,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::algo::cch::{CchConfig, CchTopology};
+use crate::algo::cch::CchTopology;
 use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
 use crate::algo::landmarks::{LandmarkMetric, LandmarkTable};
 use crate::builder::GraphBuilder;
@@ -502,13 +502,12 @@ pub fn write_cch<W: Write>(topo: &CchTopology, out: &mut W) -> std::io::Result<(
     writeln!(out, "arcs {}", topo.arc_count())?;
     for (i, (from, to)) in topo.arc_endpoints().iter().enumerate() {
         let originals = topo.originals_of(i);
-        let triangles = topo.triangles_of(i);
         write!(out, "c {} {} o {}", from.0, to.0, originals.len())?;
         for e in originals {
             write!(out, " {}", e.0)?;
         }
-        write!(out, " t {}", triangles.len())?;
-        for &(b, c) in triangles {
+        write!(out, " t {}", topo.triangles_of(i).count())?;
+        for (b, c) in topo.triangles_of(i) {
             write!(out, " {b} {c}")?;
         }
         writeln!(out)?;
@@ -528,9 +527,11 @@ pub fn cch_to_string(topo: &CchTopology) -> String {
 /// permutation, arc endpoints, per-pair arc uniqueness, edge references
 /// and triangle structure (each triangle's legs must connect through an
 /// intermediate vertex ranked below both endpoints, which is what makes
-/// customization well-ordered and unpacking terminate); corrupt input
-/// yields [`SpatialError::Parse`] instead of a topology that would
-/// mis-route after customization.
+/// customization well-ordered and unpacking terminate), and that each
+/// arc lists exactly its lower triangles in ascending mid rank — the
+/// ones [`CchTopology::triangles_of`] enumerates; corrupt input yields
+/// [`SpatialError::Parse`] instead of a topology that would mis-route
+/// after customization.
 pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
     let mut lines = input.lines();
     let header = next_content_line(&mut lines)?;
@@ -635,6 +636,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                 "fill-in arc {i} has no supporting triangle"
             )));
         }
+        let mut last_mid = None;
         for _ in 0..j {
             let b = parse_u32(it.next(), "triangle arc")?;
             let c = parse_u32(it.next(), "triangle arc")?;
@@ -653,12 +655,19 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                     "arc {i} triangle ({b}, {c}) legs do not connect {from} -> {to}"
                 )));
             }
-            if rank[via.index()] >= rank[from as usize].min(rank[to as usize]) {
+            let mid = rank[via.index()];
+            if mid >= rank[from as usize].min(rank[to as usize]) {
                 return Err(SpatialError::Parse(format!(
                     "arc {i} triangle intermediate {} is not ranked below both endpoints",
                     via.0
                 )));
             }
+            if last_mid.is_some_and(|l| mid <= l) {
+                return Err(SpatialError::Parse(format!(
+                    "arc {i} triangles are not in strictly ascending mid rank"
+                )));
+            }
+            last_mid = Some(mid);
             triangles.push((i as u32, b, c));
         }
         if it.next().is_some() {
@@ -669,7 +678,14 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
     // Contracting a vertex records one triangle per (in, out) pair of
     // the arcs hanging off it, bar the 2-cycles. Holding the file to
     // that count catches a dropped triangle and bounds the per-vertex
-    // owner tables `finalise` allocates by the file's own size.
+    // owner tables `finalise` allocates by the file's own size. It also
+    // makes the file's lists *exactly* the arcs' lower triangles: each
+    // listed triangle is a real one (legs checked above) and distinct
+    // (one owner, strictly ascending mids), there are at most that many
+    // real ones, so a list matching the count misses none — and in
+    // ascending mid rank it is the order `triangles_of` enumerates. The
+    // owner tables come from the file and the sparse pass enumerates
+    // from the arcs, so a mismatch would otherwise mis-route silently.
     let (mut ins, mut outs) = (vec![0u64; n], vec![0u64; n]);
     let mut two_cycles = 0u64;
     for &(from, to) in &ends {
@@ -688,10 +704,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
             triangles.len()
         )));
     }
-    let threads = CchConfig::default().threads;
-    Ok(CchTopology::finalise(
-        rank, ends, edge_arc, triangles, threads,
-    ))
+    Ok(CchTopology::finalise(rank, ends, edge_arc, triangles))
 }
 
 /// Parses a CCH topology from its v1 text representation.
@@ -1499,6 +1512,43 @@ mod tests {
             let t_pos = backed.find(" t ").unwrap();
             let gutted = format!("{} t 0", &backed[..t_pos]);
             assert!(cch_from_str(&text.replace(&backed, &gutted)).is_err());
+            // The owner tables come from the file's triangle lists, the
+            // sparse pass enumerates from the arcs: a list that is not
+            // exactly the arc's lower triangles in ascending mid rank is
+            // refused — one dropped, one added (with another arc's
+            // dropped, so the total still matches), two swapped.
+            let relist = |line: &str, edit: &dyn Fn(&mut Vec<String>)| {
+                let t_pos = line.find(" t ").unwrap();
+                let toks: Vec<&str> = line[t_pos..].split_ascii_whitespace().skip(2).collect();
+                let mut pairs: Vec<String> = toks.chunks(2).map(|p| p.join(" ")).collect();
+                edit(&mut pairs);
+                let relisted = format!("{} t {} {}", &line[..t_pos], pairs.len(), pairs.join(" "));
+                (line.to_string(), relisted)
+            };
+            let with = |edits: &[(String, String)]| -> String {
+                let lines = text
+                    .lines()
+                    .map(|l| match edits.iter().find(|(old, _)| old == l) {
+                        Some((_, new)) => new.as_str(),
+                        None => l,
+                    });
+                lines.collect::<Vec<_>>().join("\n")
+            };
+            let mut multi = text.lines().filter(|l| {
+                let t_pos = l.find(" t ").unwrap_or(l.len());
+                l.starts_with("c ") && l[t_pos..].split_ascii_whitespace().count() >= 6
+            });
+            let (first, second) = (multi.next().unwrap(), multi.next().unwrap());
+            assert!(
+                cch_from_str(&with(&[])).unwrap() == topo,
+                "the edit helper is faithful"
+            );
+            let dropped = relist(first, &|p| drop(p.pop()));
+            assert!(cch_from_str(&with(std::slice::from_ref(&dropped))).is_err());
+            let added = relist(second, &|p| p.push(p[0].clone()));
+            assert!(cch_from_str(&with(&[dropped, added])).is_err());
+            let swapped = relist(first, &|p| p.swap(0, 1));
+            assert!(cch_from_str(&with(&[swapped])).is_err());
             // Trailing tokens on an arc line are rejected.
             let padded = format!("{} 4", first_orig);
             assert!(cch_from_str(&text.replace(&first_orig, &padded)).is_err());
