@@ -48,14 +48,14 @@
 //! # Atomic live-weight swaps
 //!
 //! Live weights are double-buffered, and only *columns* are ever
-//! copied. The CCH topology (ranks, arcs, triangles, search segments)
+//! copied. The CCH topology (ranks, arcs, owner tables, search segments)
 //! is built once and shared by `Arc`; a [`Cch`] owns just what
 //! customization writes, and it owns the live weight vector too — the
 //! single copy, which requests route under as
 //! `CostModel::Custom(cch.custom_weights())`, so the engine's
 //! `usable_for` gate passes on slice identity instead of comparing every
-//! weight per query. A generation therefore costs 28 B per arc plus 8 B
-//! per edge, against the topology's once-only 28 B per arc and 12 B per
+//! weight per query. A generation therefore costs 16 B per arc plus 8 B
+//! per edge, against the topology's once-only 28 B per arc and 4 B per
 //! triangle (the budget table is in the `pathrank_spatial::algo::cch`
 //! module doc).
 //!

@@ -15,10 +15,10 @@
 //!    priority, but on *topology only* (an arc between a pair of
 //!    uncontracted neighbours exists or it does not — no estimate, no
 //!    witness searches, no weights). Contracting `v` inserts an arc
-//!    `u -> w` for every in/out neighbour pair and records the **lower
-//!    triangle** `(u -> w, u -> v, v -> w)`; the full chordal shortcut
-//!    topology and its supporting-arc links are materialised exactly
-//!    once.
+//!    `u -> w` for every in/out neighbour pair that lacks one, so the
+//!    arcs are chordal: every `(u -> v, v -> w)` pair through a mid `v`
+//!    ranked below both ends is a **lower triangle** of the arc
+//!    `u -> w`. Triangles are implied by the arcs and never listed.
 //! 2. **Customization** ([`CchTopology::customize`] /
 //!    [`CchTopology::customize_weights`]) re-derives every arc weight for
 //!    a concrete metric: initialise each arc from its cheapest parallel
@@ -27,9 +27,10 @@
 //!    mids in ascending rank. A mid's triangles are the cells of its
 //!    owner table (down-in arcs × up-out arcs), whose legs hang off the
 //!    mid and so were final when the sweep left lower ranks; each owner
-//!    meets its triangles in ascending mid order, which is the order the
-//!    builder recorded them in. At paper scale this runs in single-digit
-//!    milliseconds, ≥10x faster than a metric-aware rebuild. When only a
+//!    meets its triangles in ascending mid order, the order
+//!    [`CchTopology::triangles_of`] enumerates them in. At paper scale
+//!    this runs in single-digit milliseconds, ≥10x faster than a
+//!    metric-aware rebuild. When only a
 //!    few edges moved — the live telemetry shape — [`Cch::apply_delta`]
 //!    skips even that: it seeds the arcs owning the changed edges and
 //!    chases the change upward through the triangle DAG, stopping
@@ -44,12 +45,14 @@
 //!    segments) plus the columns one customization wrote. Structure is
 //!    built once and shared by `Arc`; a [`Cch`] owns *only* what
 //!    customization writes, so cloning one — a server publishing a
-//!    snapshot — copies weight columns and nothing else.
+//!    snapshot — copies weight columns and nothing else. An arc's id *is*
+//!    its slot in the rank-space search segments, so one weight column
+//!    serves customization (by arc) and queries (by slot) alike.
 //!
 //!    | per arc | bytes | owner |
 //!    |---|---|---|
-//!    | weight, expansion rule, search-segment weight | 8 + 12 + 8 | every [`Cch`] |
-//!    | endpoints, segment entry (`other`, `arc`), `arc_to_seg` | 8 + 8 + 4 | topology, once |
+//!    | weight (= search-segment weight), expansion rule | 8 + 8 | every [`Cch`] |
+//!    | endpoints, segment entry (`other`, `arc`) | 8 + 8 | topology, once |
 //!    | down-list entry (`other`, `arc`) under its higher endpoint | 8 | topology, once |
 //!    | `orig_offsets` | 4 | topology, once |
 //!
@@ -72,7 +75,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::algo::ch::{ChArcKind, HierarchyView, SearchArc, Skeleton};
+use crate::algo::ch::{ArcRule, HierarchyView, SearchArc, Skeleton};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
@@ -96,8 +99,8 @@ impl Default for CchConfig {
 const SLOTS_PER_BUCKET: usize = 16;
 
 /// The metric-independent half of a customizable contraction hierarchy:
-/// contraction order, merged chordal arc topology, supporting-triangle
-/// links, and the per-rank up/down search skeleton.
+/// contraction order, merged chordal arc topology, the owner tables of
+/// its triangles, and the per-rank up/down search skeleton.
 ///
 /// Build (or load via [`crate::io::read_cch`]) once per graph topology,
 /// wrap in an [`Arc`], then [`CchTopology::customize`] per metric or
@@ -109,12 +112,8 @@ pub struct CchTopology {
     /// Arc -> merged original edges, CSR.
     orig_offsets: Vec<u32>,
     orig_edges: Vec<EdgeId>,
-    /// Lower triangles, counted once when the topology is finalised.
+    /// Lower triangles, counted when the owner tables are filled.
     triangles: usize,
-    /// Elimination levels. Arc ids are renumbered level-contiguously
-    /// (by the level of the lower endpoint, stable within a level), so
-    /// every triangle's legs carry smaller ids than its owner.
-    levels: usize,
     /// Down-lists in rank space, two per rank `r`: the arcs from `r` to
     /// lower ranks (down-out) at `down[down_offsets[2r]..down_offsets[2r + 1]]`,
     /// then the arcs from lower ranks into `r` (down-in) up to
@@ -138,12 +137,11 @@ pub struct CchTopology {
     /// `u32::MAX` where there is none (`p == q`, the 2-cycle diagonal).
     /// A support's dependents are its row or its column, the co-support
     /// read from the other half of the segment
-    /// ([`CchTopology::dependents_of`]). Every owner lives on a strictly
-    /// higher elimination level (triangles only reference strictly
-    /// lower-level supports), so dependents always carry larger arc ids
-    /// — what lets [`Cch::apply_delta`] sweep pending arcs in ascending
-    /// id order and know every support is final before its dependents
-    /// recompute.
+    /// ([`CchTopology::dependents_of`]). An owner `p -> q` sits in the
+    /// segment of `min(p, q)`, above the mid both supports sit at, so
+    /// dependents always carry larger arc ids — what lets
+    /// [`Cch::apply_delta`] sweep pending arcs in ascending id order and
+    /// know every support is final before its dependents recompute.
     cell_offsets: Vec<u32>,
     cells: Vec<u32>,
     /// Search-segment slot -> rank, one entry per [`SLOTS_PER_BUCKET`]
@@ -153,14 +151,10 @@ pub struct CchTopology {
     /// endpoints costs the walk a miss per arc (measured: a tenth of the
     /// sparse pass).
     slot_rank: Vec<u32>,
-    /// Arc id -> its slot in the skeleton's rank-space search segments.
-    /// The topology keeps exactly one arc per directed vertex pair, so
-    /// the map is a bijection; partial customization uses it to sync a
-    /// changed arc's segment weight without a full-sweep pass.
-    arc_to_seg: Vec<u32>,
     /// Ranks, arc endpoints and search segments — weight-independent
     /// because arcs are unique per directed pair, so no customization can
-    /// change which arc a segment slot holds.
+    /// change which arc a segment slot holds. Arc `i` is the one in slot
+    /// `i`: `skel.seg_arcs[i].arc == i`.
     skel: Skeleton,
 }
 
@@ -172,8 +166,6 @@ struct TopoBuilder {
     arcs: Vec<(VertexId, VertexId)>,
     /// Original edge -> the arc that merged it (`u32::MAX`: self-loop).
     edge_arc: Vec<u32>,
-    /// `(a, b, c)` triangles in creation order.
-    triangles: Vec<(u32, u32, u32)>,
     out_adj: Vec<Vec<u32>>,
     in_adj: Vec<Vec<u32>>,
     /// `u32::MAX` while uncontracted, final rank afterwards.
@@ -254,7 +246,6 @@ impl TopoBuilder {
         TopoBuilder {
             arcs,
             edge_arc,
-            triangles: Vec::new(),
             out_adj,
             in_adj,
             rank: vec![u32::MAX; n],
@@ -316,28 +307,23 @@ impl Contract for TopoBuilder {
 
     /// Contracts `v` at `rank`: completes the chordal clique among its
     /// uncontracted neighbours (inserting fill-in arcs where missing),
-    /// records one lower triangle per `(in, out)` pair, then bumps and
-    /// prunes the neighbourhood exactly like the weighted builder.
+    /// then bumps and prunes the neighbourhood exactly like the weighted
+    /// builder.
     fn contract(&mut self, v: VertexId, rank: u32, scratch: &mut TopoScratch) {
         self.gather_neighbors(v, scratch);
         self.rank[v.index()] = rank;
         for i in 0..scratch.ins.len() {
-            let (u, a_in) = scratch.ins[i];
+            let u = scratch.ins[i].0;
             scratch.stamp_heads(self, u);
             // Arcs inserted below go to distinct heads, none of which is
             // tested again under this stamp.
-            for &(w, a_out) in &scratch.outs {
-                if w == u {
-                    continue;
-                }
-                let a = scratch.arc_to(w).unwrap_or_else(|| {
+            for &(w, _) in &scratch.outs {
+                if w != u && scratch.arc_to(w).is_none() {
                     let a = self.arcs.len() as u32;
                     self.arcs.push((u, w));
                     self.out_adj[u.index()].push(a);
                     self.in_adj[w.index()].push(a);
-                    a
-                });
-                self.triangles.push((a, a_in, a_out));
+                }
             }
         }
 
@@ -372,7 +358,8 @@ struct Dependents<'a> {
     table: &'a [u32],
     cell: usize,
     stride: usize,
-    co_supports: std::slice::Iter<'a, SearchArc>,
+    /// The co-supports' slots, which are their arc ids.
+    co_supports: std::ops::Range<u32>,
 }
 
 impl Iterator for Dependents<'_> {
@@ -383,7 +370,7 @@ impl Iterator for Dependents<'_> {
             let owner = self.table[self.cell];
             self.cell += self.stride;
             if owner != u32::MAX {
-                return Some((owner, co.arc));
+                return Some((owner, co));
             }
         }
         None
@@ -421,7 +408,7 @@ impl CchTopology {
     /// Runs the metric-independent preprocessing: fixes the contraction
     /// order (edge-difference + lazy updates on topology only, initial
     /// priorities fanned out over `cfg.threads` workers) and materialises
-    /// the full chordal shortcut topology with its supporting triangles.
+    /// the full chordal shortcut topology.
     /// Deterministic and bit-identical for any thread count.
     pub fn build(g: &Graph, cfg: &CchConfig) -> Self {
         let mut b = TopoBuilder::new(g);
@@ -431,98 +418,62 @@ impl CchTopology {
         let TopoBuilder {
             arcs,
             edge_arc,
-            triangles,
             rank,
             ..
         } = b;
-        Self::finalise(rank, arcs, edge_arc, triangles)
+        Self::finalise(rank, arcs, edge_arc)
     }
 
     /// Finalises a topology from flat arrays in creation (or file)
-    /// order — arc endpoints, the arc of every original edge, and
-    /// `(owner, b, c)` triangles: computes elimination levels, renumbers
-    /// arcs level-contiguously (stable, so creation order survives within
-    /// a level), lays out the search skeleton and the down-lists, and
-    /// files every triangle's owner in its mid's table — the only use of
-    /// the triangle list, which dies here. Every grouping is one counting
-    /// sort into its final array; nothing per-arc is allocated. Shared by
-    /// [`CchTopology::build`] (trusted input) and the io deserialiser
-    /// (which validates first that the list is exactly the arcs' lower
-    /// triangles in ascending mid rank).
+    /// order — arc endpoints and the arc of every original edge: numbers
+    /// the arcs by search slot, lays out the search skeleton and the
+    /// down-lists, and reads the owner tables off the arcs. Every
+    /// grouping is one counting sort into its final array. Shared by
+    /// [`CchTopology::build`] (trusted input) and the io deserialiser,
+    /// which checks first that the arcs are chordal — that every cell of
+    /// every owner table has its arc.
     pub(crate) fn finalise(
         rank: Vec<u32>,
         old_ends: Vec<(VertexId, VertexId)>,
         mut edge_arc: Vec<u32>,
-        triangles: Vec<(u32, u32, u32)>,
     ) -> Self {
         let n = rank.len();
         let arc_count = old_ends.len();
-        // An arc hangs off its lower-ranked endpoint: upward when that
-        // is its tail.
-        let lower_upper = |&(from, to): &(VertexId, VertexId)| {
-            let (rf, rt) = (rank[from.index()], rank[to.index()]);
-            (rf.min(rt), rf.max(rt), rf < rt)
-        };
 
-        // Vertex elimination levels over the chordal graph, in rank
-        // space: one more than the deepest lower-ranked neighbour. Arcs
-        // grouped by lower endpoint and swept in rank order push each
-        // final level up to the higher endpoint.
-        let (lower_offsets, uppers) = group_by_key(n, 0, |emit| {
-            for e in &old_ends {
-                let (lower, upper, _) = lower_upper(e);
-                emit(lower, upper);
-            }
-        });
-        let mut vlevel = vec![0u32; n];
-        for r in 0..n {
-            let (lo, hi) = (lower_offsets[r] as usize, lower_offsets[r + 1] as usize);
-            for &upper in &uppers[lo..hi] {
-                vlevel[upper as usize] = vlevel[upper as usize].max(vlevel[r] + 1);
-            }
-        }
-        drop(uppers);
-
-        // Renumber arcs so each elimination level is contiguous.
-        let arc_level = |e: &(VertexId, VertexId)| vlevel[lower_upper(e).0 as usize];
-        let levels = old_ends.iter().map(arc_level).max().map_or(0, |l| l + 1);
-        let (_, old_id) = group_by_key(levels as usize, 0, |emit| {
-            for (e, old) in old_ends.iter().zip(0u32..) {
-                emit(arc_level(e), old);
+        // Search segments, one per rank: upward out-arcs then downward
+        // in-arcs, creation order within each half — and an arc's id is
+        // its slot. A half's arcs share their lower endpoint; an owner
+        // hangs off a rank above the mid both its supports hang off, so
+        // it sorts after them. Arcs are unique per directed pair, so
+        // unlike `ContractionHierarchy::assemble` there is nothing to
+        // dedupe and every arc owns exactly one slot.
+        let no_arc = SearchArc { other: 0, arc: 0 };
+        let (halves, mut seg_arcs) = group_by_key(2 * n, no_arc, |emit| {
+            for (&(from, to), arc) in old_ends.iter().zip(0u32..) {
+                let (rf, rt) = (rank[from.index()], rank[to.index()]);
+                let (half, other) = (2 * rf.min(rt) + u32::from(rf > rt), rf.max(rt));
+                emit(half, SearchArc { other, arc });
             }
         });
         let mut new_id = vec![0u32; arc_count];
-        for (new, &old) in old_id.iter().enumerate() {
-            new_id[old as usize] = new as u32;
+        let mut ends = Vec::with_capacity(arc_count);
+        for (sa, slot) in seg_arcs.iter_mut().zip(0u32..) {
+            new_id[sa.arc as usize] = slot;
+            ends.push(old_ends[sa.arc as usize]);
+            sa.arc = slot;
         }
-        let ends: Vec<_> = old_id.iter().map(|&old| old_ends[old as usize]).collect();
-        drop((old_ends, old_id));
+        drop(old_ends);
 
         // Original edges under their arc, ascending `EdgeId` within one.
         for a in edge_arc.iter_mut().filter(|a| **a != u32::MAX) {
             *a = new_id[*a as usize];
         }
+        drop(new_id);
         let (orig_offsets, orig_edges) = group_by_key(arc_count, EdgeId(0), |emit| {
             for (&a, e) in edge_arc.iter().zip(0u32..).filter(|(&a, _)| a != u32::MAX) {
                 emit(a, EdgeId(e));
             }
         });
-
-        // Search segments, one per rank: upward out-arcs then downward
-        // in-arcs, ascending arc id within each half. Arcs are unique per
-        // directed pair, so unlike `ContractionHierarchy::assemble` there
-        // is nothing to dedupe and every arc owns exactly one slot.
-        let no_arc = SearchArc { other: 0, arc: 0 };
-        let (halves, seg_arcs) = group_by_key(2 * n, no_arc, |emit| {
-            for (e, arc) in ends.iter().zip(0u32..) {
-                let (lower, other, upward) = lower_upper(e);
-                emit(2 * lower + u32::from(!upward), SearchArc { other, arc });
-            }
-        });
-        let mut arc_to_seg = vec![0u32; arc_count];
-        for (slot, sa) in seg_arcs.iter().enumerate() {
-            arc_to_seg[sa.arc as usize] = slot as u32;
-        }
 
         let mut slot_rank = Vec::with_capacity(seg_arcs.len() / SLOTS_PER_BUCKET + 1);
         let mut r = 0usize;
@@ -532,28 +483,6 @@ impl CchTopology {
             }
             slot_rank.push(r as u32);
         }
-
-        // Reverse index for sparse partial customization: the owner of
-        // every triangle, at (row of `b`, column of `c`) in the table
-        // of the rank both legs hang off.
-        let mut cell_offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        for seg in halves.windows(3).step_by(2) {
-            cell_offsets.push(total as u32);
-            total += (seg[2] - seg[1]) as usize * (seg[1] - seg[0]) as usize;
-        }
-        cell_offsets.push(u32::try_from(total).expect("CCH owner tables exceed 32-bit offsets"));
-        let mut cells = vec![u32::MAX; total];
-        for &(a, b, c) in &triangles {
-            let (a, b, c) = (new_id[a as usize], new_id[b as usize], new_id[c as usize]);
-            let r = rank[ends[c as usize].0.index()] as usize;
-            let (lo, mid) = (halves[2 * r], halves[2 * r + 1]);
-            let row = (arc_to_seg[b as usize] - mid) as usize;
-            let col = (arc_to_seg[c as usize] - lo) as usize;
-            cells[cell_offsets[r] as usize + row * (mid - lo) as usize + col] = a;
-        }
-        let triangle_count = triangles.len();
-        drop((triangles, new_id));
 
         // Down-lists, filed under each arc's higher endpoint: a search
         // segment's upward half is down-in arcs of their heads, its
@@ -565,26 +494,65 @@ impl CchTopology {
                 for (slot, sa) in (lo..hi).zip(&seg_arcs[lo as usize..hi as usize]) {
                     let entry = SearchArc {
                         other: r as u32,
-                        arc: sa.arc,
+                        arc: slot,
                     };
                     emit(2 * sa.other + u32::from(slot < mid), entry);
                 }
             }
         });
 
+        // Reverse index for sparse partial customization, read off the
+        // chordal arcs: in the table of rank `v`, the cell (down-in
+        // `p -> v`, up-out `v -> q`) is the arc `p -> q`. Per rank `p`,
+        // stamp the heads of its out-arcs (its upward half and its
+        // down-out list), then fill `p`'s row in the table of each lower
+        // neighbour.
+        let mut cell_offsets = Vec::with_capacity(n + 1);
+        let mut total = 0usize;
+        for seg in halves.windows(3).step_by(2) {
+            cell_offsets.push(total as u32);
+            total += (seg[2] - seg[1]) as usize * (seg[1] - seg[0]) as usize;
+        }
+        cell_offsets.push(u32::try_from(total).expect("CCH owner tables exceed 32-bit offsets"));
+        let mut cells = vec![u32::MAX; total];
+        let mut triangles = 0;
+        // `out_arc[q] = (p, arc p -> q)` for every out-arc of the rank
+        // `p` being filed.
+        let mut out_arc = vec![(u32::MAX, 0u32); n];
+        for p in 0..n {
+            let ups = &seg_arcs[halves[2 * p] as usize..halves[2 * p + 1] as usize];
+            let down_out = &down[down_offsets[2 * p] as usize..down_offsets[2 * p + 1] as usize];
+            for sa in ups.iter().chain(down_out) {
+                out_arc[sa.other as usize] = (p as u32, sa.arc);
+            }
+            for b in down_out {
+                let v = b.other as usize;
+                let (lo, mid) = (halves[2 * v] as usize, halves[2 * v + 1] as usize);
+                let row = cell_offsets[v] as usize + (b.arc as usize - mid) * (mid - lo);
+                let row = &mut cells[row..row + mid - lo];
+                for (cell, c) in row.iter_mut().zip(&seg_arcs[lo..mid]) {
+                    // `q == p` is a 2-cycle: the diagonal, no triangle.
+                    if c.other as usize != p {
+                        let (stamp, a) = out_arc[c.other as usize];
+                        assert_eq!(stamp, p as u32, "CCH arcs are not chordal");
+                        *cell = a;
+                        triangles += 1;
+                    }
+                }
+            }
+        }
+
         CchTopology {
             m: edge_arc.len(),
             orig_offsets,
             orig_edges,
-            triangles: triangle_count,
-            levels: levels as usize,
+            triangles,
             down_offsets,
             down,
             edge_arc,
             cell_offsets,
             cells,
             slot_rank,
-            arc_to_seg,
             skel: Skeleton {
                 seg_offsets: halves.iter().step_by(2).copied().collect(),
                 seg_mid: halves.iter().skip(1).step_by(2).copied().collect(),
@@ -624,11 +592,6 @@ impl CchTopology {
         self.triangles
     }
 
-    /// Number of elimination levels (the depth of the elimination tree).
-    pub fn level_count(&self) -> usize {
-        self.levels
-    }
-
     /// Contraction rank of every vertex, indexed by vertex id.
     pub fn ranks(&self) -> &[u32] {
         &self.skel.rank
@@ -640,7 +603,7 @@ impl CchTopology {
     /// down-lists and 12 B per rank of table and list offsets — the
     /// module doc has the whole budget.
     pub fn heap_bytes(&self) -> usize {
-        let per_arc = self.orig_offsets.len() + self.arc_to_seg.len() + self.slot_rank.len();
+        let per_arc = self.orig_offsets.len() + self.slot_rank.len();
         let per_edge = self.orig_edges.len() + self.edge_arc.len();
         let per_rank = self.cell_offsets.len() + self.down_offsets.len();
         4 * (per_arc + per_edge + per_rank + self.cells.len())
@@ -657,10 +620,8 @@ impl CchTopology {
 
     /// Supporting lower triangles of arc `a = u -> w`, as the
     /// `(u -> v, v -> w)` arc pairs customization relaxes, in ascending
-    /// rank of the mid `v` — the order the builder recorded them in.
-    /// Enumerated by merging `u`'s down-out and `w`'s down-in lists:
-    /// every common lower neighbour is a triangle, because both arcs
-    /// existed when `v` was contracted and that contraction recorded it.
+    /// rank of the mid `v`. Enumerated by merging `u`'s down-out and
+    /// `w`'s down-in lists: every common lower neighbour is a mid.
     pub fn triangles_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let (u, w) = self.skel.ends[a];
         let rank = |v: VertexId| self.skel.rank[v.index()] as usize;
@@ -680,8 +641,8 @@ impl CchTopology {
     }
 
     /// The triangles arc `a` supports, as `(owner, co-support)` — owners
-    /// all on strictly higher elimination levels, hence strictly larger
-    /// arc ids. An arc is a support only at its lower endpoint `v`: a
+    /// all hang off higher ranks, hence carry strictly larger arc ids.
+    /// An arc is a support only at its lower endpoint `v`: a
     /// downward `p -> v` is a `b` leg and its dependents are its row of
     /// `v`'s owner table, an upward `v -> q` is a `c` leg and they are
     /// its column (see `cells`); the co-supports are the other half of
@@ -694,30 +655,29 @@ impl CchTopology {
     /// list.
     pub fn dependents_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let skel = &self.skel;
-        let slot = self.arc_to_seg[a] as usize;
-        let mut r = self.slot_rank[slot / SLOTS_PER_BUCKET] as usize;
-        while skel.seg_offsets[r + 1] as usize <= slot {
+        let mut r = self.slot_rank[a / SLOTS_PER_BUCKET] as usize;
+        while skel.seg_offsets[r + 1] as usize <= a {
             r += 1;
         }
-        let lo = skel.seg_offsets[r] as usize;
-        let mid = skel.seg_mid[r] as usize;
-        let hi = skel.seg_offsets[r + 1] as usize;
+        let lo = skel.seg_offsets[r];
+        let mid = skel.seg_mid[r];
+        let hi = skel.seg_offsets[r + 1];
         let table = &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
-        let ups = mid - lo;
-        let (cell, stride, co_supports) = if slot < mid {
-            (slot - lo, ups, &skel.seg_arcs[mid..hi])
+        let ups = (mid - lo) as usize;
+        let (cell, stride, co_supports) = if a < mid as usize {
+            (a - lo as usize, ups, mid..hi)
         } else {
-            ((slot - mid) * ups, 1, &skel.seg_arcs[lo..mid])
+            ((a - mid as usize) * ups, 1, lo..mid)
         };
         Dependents {
             table,
             cell,
             stride,
-            co_supports: co_supports.iter(),
+            co_supports,
         }
     }
 
-    /// Arc endpoints in final (level-contiguous) order.
+    /// Arc endpoints, indexed by arc id (= search slot).
     pub fn arc_endpoints(&self) -> &[(VertexId, VertexId)] {
         &self.skel.ends
     }
@@ -772,43 +732,42 @@ impl CchTopology {
         &self,
         edge_cost: impl Fn(EdgeId) -> f64,
         weights: &mut Vec<f64>,
-        kinds: &mut Vec<ChArcKind>,
+        rules: &mut Vec<ArcRule>,
     ) {
         let arc_count = self.arc_count();
         weights.clear();
         weights.resize(arc_count, f64::INFINITY);
-        kinds.clear();
-        kinds.resize(arc_count, ChArcKind::Shortcut(u32::MAX, u32::MAX));
+        rules.clear();
+        rules.resize(arc_count, ArcRule(u32::MAX, u32::MAX));
         for a in 0..arc_count {
             for &e in self.originals_of(a) {
                 let c = edge_cost(e);
                 if c < weights[a] {
                     weights[a] = c;
-                    kinds[a] = ChArcKind::Original(e);
+                    rules[a] = ArcRule::original(e);
                 }
             }
         }
         let skel = &self.skel;
         for r in 0..self.vertex_count() {
-            let lo = skel.seg_offsets[r] as usize;
-            let mid = skel.seg_mid[r] as usize;
-            let hi = skel.seg_offsets[r + 1] as usize;
-            let ups = &skel.seg_arcs[lo..mid];
-            if ups.is_empty() {
+            let lo = skel.seg_offsets[r];
+            let mid = skel.seg_mid[r];
+            let hi = skel.seg_offsets[r + 1];
+            if lo == mid {
                 continue;
             }
             let table =
                 &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
-            for (row, b) in table.chunks_exact(ups.len()).zip(&skel.seg_arcs[mid..hi]) {
-                let wb = weights[b.arc as usize];
-                for (&owner, c) in row.iter().zip(ups) {
+            for (row, b) in table.chunks_exact((mid - lo) as usize).zip(mid..hi) {
+                let wb = weights[b as usize];
+                for (&owner, c) in row.iter().zip(lo..mid) {
                     if owner == u32::MAX {
                         continue;
                     }
-                    let cand = wb + weights[c.arc as usize];
+                    let cand = wb + weights[c as usize];
                     if cand < weights[owner as usize] {
                         weights[owner as usize] = cand;
-                        kinds[owner as usize] = ChArcKind::Shortcut(b.arc, c.arc);
+                        rules[owner as usize] = ArcRule(b, c);
                     }
                 }
             }
@@ -820,15 +779,13 @@ impl CchTopology {
     }
 }
 
-/// What one customization writes: 28 bytes per arc.
+/// What one customization writes: 16 bytes per arc.
 #[derive(Debug, Clone, Default)]
 struct Columns {
-    /// Per arc: customized weight and expansion rule.
+    /// Per arc: customized weight — also the query loop's search-segment
+    /// weight column, since an arc's id is its slot — and expansion rule.
     weights: Vec<f64>,
-    kinds: Vec<ChArcKind>,
-    /// Per search-segment slot `i`: `weights[skel.seg_arcs[i].arc]`,
-    /// inlined where the query loop reads it.
-    seg_weights: Vec<f64>,
+    rules: Vec<ArcRule>,
 }
 
 /// What the last sparse pass of a [`Cch`] wrote, and on top of which
@@ -887,11 +844,7 @@ fn partial_customize(
     seeds: impl IntoIterator<Item = u32>,
     edge_cost: impl Fn(EdgeId) -> f64,
 ) {
-    let Columns {
-        weights,
-        kinds,
-        seg_weights,
-    } = cols;
+    let Columns { weights, rules } = cols;
     let arc_count = topo.arc_count();
     let words = arc_count.div_ceil(64);
     pending.clear();
@@ -920,24 +873,23 @@ fn partial_customize(
         let a = ai as u32;
         recomputed.push(a);
         let mut w = f64::INFINITY;
-        let mut k = ChArcKind::Shortcut(u32::MAX, u32::MAX);
+        let mut k = ArcRule(u32::MAX, u32::MAX);
         for &e in topo.originals_of(ai) {
             let c = edge_cost(e);
             if c < w {
                 w = c;
-                k = ChArcKind::Original(e);
+                k = ArcRule::original(e);
             }
         }
         for (b, c) in topo.triangles_of(ai) {
             let cand = weights[b as usize] + weights[c as usize];
             if cand < w {
                 w = cand;
-                k = ChArcKind::Shortcut(b, c);
+                k = ArcRule(b, c);
             }
         }
         let old_w = std::mem::replace(&mut weights[ai], w);
-        kinds[ai] = k;
-        seg_weights[topo.arc_to_seg[ai] as usize] = w;
+        rules[ai] = k;
         if old_w.to_bits() != w.to_bits() {
             // `-0.0` never bit-matches a stored weight here (costs are
             // sums of non-negative edge costs), so a bits-changed,
@@ -953,7 +905,7 @@ fn partial_customize(
                 // The dependent's one triangle through this arc is its
                 // stored rule iff the rule names this arc at all.
                 let hit = if increased {
-                    matches!(kinds[di], ChArcKind::Shortcut(b, c) if b == a || c == a)
+                    rules[di].joins(a)
                 } else {
                     w + weights[co as usize] <= weights[di]
                 };
@@ -1049,15 +1001,13 @@ impl Clone for Cch {
             let (mine, theirs) = (&mut self.cols, &source.cols);
             for a in log.arcs.iter().map(|&a| a as usize) {
                 mine.weights[a] = theirs.weights[a];
-                mine.kinds[a] = theirs.kinds[a];
-                mine.seg_weights[self.topo.arc_to_seg[a] as usize] = theirs.weights[a];
+                mine.rules[a] = theirs.rules[a];
             }
         } else {
             self.topo = Arc::clone(&source.topo);
             self.custom.clone_from(&source.custom);
             self.cols.weights.clone_from(&source.cols.weights);
-            self.cols.kinds.clone_from(&source.cols.kinds);
-            self.cols.seg_weights.clone_from(&source.cols.seg_weights);
+            self.cols.rules.clone_from(&source.cols.rules);
         }
         self.metric = source.metric;
         self.weights_epoch = source.weights_epoch;
@@ -1105,15 +1055,15 @@ impl Cch {
     /// (the `pathrank_serve_index_bytes` gauge): what a snapshot costs.
     pub fn heap_bytes(&self) -> usize {
         let c = &self.cols;
-        8 * (c.weights.len() + c.seg_weights.len())
-            + std::mem::size_of_val(c.kinds.as_slice())
+        8 * c.weights.len()
+            + std::mem::size_of_val(c.rules.as_slice())
             + 8 * self.custom.as_ref().map_or(0, Vec::len)
             + 4 * (self.last.edges.len() + self.last.arcs.len())
     }
 
     /// Whether `other` is the same customization bit for bit: same
     /// topology, metric and weights epoch, and every entry of the weight
-    /// vector and of the three columns equal in bits.
+    /// vector and of both columns equal in bits.
     pub fn bit_identical(&self, other: &Cch) -> bool {
         let same_custom = match (&self.custom, &other.custom) {
             (Some(a), Some(b)) => bits_equal(a, b),
@@ -1124,8 +1074,7 @@ impl Cch {
             && (self.metric, self.weights_epoch) == (other.metric, other.weights_epoch)
             && same_custom
             && bits_equal(&self.cols.weights, &other.cols.weights)
-            && self.cols.kinds == other.cols.kinds
-            && bits_equal(&self.cols.seg_weights, &other.cols.seg_weights)
+            && self.cols.rules == other.cols.rules
     }
 
     /// Whether queries under `cost` may use this customization:
@@ -1154,8 +1103,8 @@ impl Cch {
     pub fn view(&self) -> HierarchyView<'_> {
         HierarchyView {
             skel: &self.topo.skel,
-            kinds: &self.cols.kinds,
-            seg_weights: &self.cols.seg_weights,
+            rules: &self.cols.rules,
+            seg_weights: &self.cols.weights,
         }
     }
 
@@ -1164,8 +1113,8 @@ impl Cch {
     /// (re-)customized — exactly what
     /// [`Graph::set_edge_speeds`](crate::graph::Graph::set_edge_speeds)
     /// returns. The arcs owning those edges are seeded into a worklist
-    /// that propagates upward through the triangle DAG in arc-id
-    /// (elimination-level) order; an arc's lower triangles re-relax only
+    /// that propagates upward through the triangle DAG in arc-id order;
+    /// an arc's lower triangles re-relax only
     /// when a support's weight actually changed, and propagation stops
     /// wherever a recomputed weight is bit-unchanged. The result is
     /// bit-identical to a full [`CchTopology::customize`] on the current
@@ -1299,18 +1248,10 @@ impl Cch {
         );
     }
 
-    /// Shared tail of every full customization: derive the arc columns,
-    /// then gather the segment weights from them.
+    /// Shared tail of every full customization.
     fn rederive(&mut self, epoch: u64, edge_cost: impl Fn(EdgeId) -> f64) {
-        let Columns {
-            weights,
-            kinds,
-            seg_weights,
-        } = &mut self.cols;
-        self.topo.derive_into(edge_cost, weights, kinds);
-        seg_weights.clear();
-        let slots = self.topo.skel.seg_arcs.iter();
-        seg_weights.extend(slots.map(|sa| weights[sa.arc as usize]));
+        let Columns { weights, rules } = &mut self.cols;
+        self.topo.derive_into(edge_cost, weights, rules);
         self.weights_epoch = epoch;
         self.stamp = fresh_stamp();
         self.last.base = None;
@@ -1346,7 +1287,6 @@ mod tests {
         assert_eq!(topo.edge_count(), g.edge_count());
         assert!(topo.arc_count() > 0);
         assert!(topo.triangle_count() > 0);
-        assert!(topo.level_count() > 1);
     }
 
     #[test]
@@ -1520,8 +1460,8 @@ mod tests {
         assert!(!length.usable_for(&CostModel::Custom(&weights)));
     }
 
-    /// Full bitwise comparison of two customized indexes: arc weights,
-    /// expansion rules and search-segment weights.
+    /// Full bitwise comparison of two customized indexes: arc weights
+    /// and expansion rules.
     fn assert_bit_identical(a: &Cch, b: &Cch, what: &str) {
         let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(
@@ -1529,12 +1469,7 @@ mod tests {
             bits(&b.cols.weights),
             "{what}: arc weights"
         );
-        assert_eq!(a.cols.kinds, b.cols.kinds, "{what}: expansion rules");
-        assert_eq!(
-            bits(&a.cols.seg_weights),
-            bits(&b.cols.seg_weights),
-            "{what}: segment weights"
-        );
+        assert_eq!(a.cols.rules, b.cols.rules, "{what}: expansion rules");
     }
 
     #[test]
@@ -1721,7 +1656,7 @@ mod tests {
         topo: &CchTopology,
         g: &Graph,
         cost: impl Fn(EdgeId) -> f64,
-    ) -> (Vec<Vec<(u32, u32)>>, Vec<f64>, Vec<ChArcKind>) {
+    ) -> (Vec<Vec<(u32, u32)>>, Vec<f64>, Vec<ArcRule>) {
         let (ends, rank) = (topo.arc_endpoints(), topo.ranks());
         let arc_of: std::collections::HashMap<_, _> = ends.iter().copied().zip(0u32..).collect();
         let mut by_rank = vec![VertexId(0); rank.len()];
@@ -1729,13 +1664,13 @@ mod tests {
             by_rank[r as usize] = VertexId(v as u32);
         }
         let mut weights = vec![f64::INFINITY; ends.len()];
-        let mut kinds = vec![ChArcKind::Shortcut(u32::MAX, u32::MAX); ends.len()];
+        let mut rules = vec![ArcRule(u32::MAX, u32::MAX); ends.len()];
         for e in (0..g.edge_count() as u32).map(EdgeId) {
             let rec = g.edge(e);
             if let Some(&a) = arc_of.get(&(rec.from, rec.to)) {
                 if cost(e) < weights[a as usize] {
                     weights[a as usize] = cost(e);
-                    kinds[a as usize] = ChArcKind::Original(e);
+                    rules[a as usize] = ArcRule::original(e);
                 }
             }
         }
@@ -1753,11 +1688,11 @@ mod tests {
                 let cand = weights[b as usize] + weights[c as usize];
                 if cand < weights[a] {
                     weights[a] = cand;
-                    kinds[a] = ChArcKind::Shortcut(b, c);
+                    rules[a] = ArcRule(b, c);
                 }
             }
         }
-        (triangles, weights, kinds)
+        (triangles, weights, rules)
     }
 
     /// The per-mid sweep and the merged enumeration against the textbook
@@ -1774,7 +1709,7 @@ mod tests {
         ];
         for cost in costs {
             let cch = topo.customize(g, &cost);
-            let (triangles, weights, kinds) =
+            let (triangles, weights, rules) =
                 brute_force_customize(&topo, g, |e| cost.edge_cost(g, e));
             for (a, expect) in triangles.iter().enumerate() {
                 let got: Vec<(u32, u32)> = topo.triangles_of(a).collect();
@@ -1784,7 +1719,58 @@ mod tests {
             assert_eq!(topo.triangle_count(), total);
             let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&cch.cols.weights), bits(&weights), "{cost:?}: weights");
-            assert_eq!(cch.cols.kinds, kinds, "{cost:?}: expansion rules");
+            assert_eq!(cch.cols.rules, rules, "{cost:?}: expansion rules");
+        }
+    }
+
+    /// A multigraph on `n` vertices keeping every repeated pair as a
+    /// parallel edge.
+    fn multigraph(n: usize, edges: &[(usize, usize, u32)]) -> Graph {
+        use crate::geometry::Point;
+        let mut b = crate::builder::GraphBuilder::new();
+        let vs: Vec<VertexId> = (0..n)
+            .map(|i| b.add_vertex(Point::new((i * 137 % 700) as f64, (i * 311 % 900) as f64)))
+            .collect();
+        let categories = [
+            RoadCategory::Arterial,
+            RoadCategory::Rural,
+            RoadCategory::Residential,
+        ];
+        for &(f, t, w) in edges {
+            let (f, t) = (f % n, t % n);
+            if f != t {
+                let attrs = EdgeAttrs::with_default_speed(f64::from(w), categories[w as usize % 3]);
+                b.add_edge(vs[f], vs[t], attrs).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    /// Arc ids are search slots, and every owner cell names the arc
+    /// closing its two legs, with an id above both.
+    fn assert_numbered_by_slot(topo: &CchTopology) {
+        let skel = &topo.skel;
+        for (i, sa) in skel.seg_arcs.iter().enumerate() {
+            assert_eq!(sa.arc as usize, i, "slot {i} holds another arc");
+        }
+        for r in 0..topo.vertex_count() {
+            let (lo, mid, hi) = (
+                skel.seg_offsets[r],
+                skel.seg_mid[r],
+                skel.seg_offsets[r + 1],
+            );
+            let table =
+                &topo.cells[topo.cell_offsets[r] as usize..topo.cell_offsets[r + 1] as usize];
+            let cells = (mid..hi).flat_map(|b| (lo..mid).map(move |c| (b, c)));
+            for (&owner, (b, c)) in table.iter().zip(cells) {
+                let (p, q) = (skel.ends[b as usize].0, skel.ends[c as usize].1);
+                if p == q {
+                    assert_eq!(owner, u32::MAX, "a 2-cycle cell names an owner");
+                } else {
+                    assert_eq!(skel.ends[owner as usize], (p, q), "cell ({b}, {c})");
+                    assert!(owner > b && owner > c, "owner {owner} below leg {b} or {c}");
+                }
+            }
         }
     }
 
@@ -1798,21 +1784,21 @@ mod tests {
             n in 2usize..10,
             edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
         ) {
-            use crate::geometry::Point;
-            let mut b = crate::builder::GraphBuilder::new();
-            let vs: Vec<VertexId> = (0..n)
-                .map(|i| b.add_vertex(Point::new((i * 137 % 700) as f64, (i * 311 % 900) as f64)))
-                .collect();
-            let categories = [RoadCategory::Arterial, RoadCategory::Rural, RoadCategory::Residential];
-            for (f, t, w) in edges {
-                let (f, t) = (f % n, t % n);
-                if f != t {
-                    let attrs = EdgeAttrs::with_default_speed(f64::from(w), categories[w as usize % 3]);
-                    b.add_edge(vs[f], vs[t], attrs).unwrap();
-                }
-            }
-            assert_matches_brute_force(&b.build());
+            assert_matches_brute_force(&multigraph(n, &edges));
         }
+
+        #[test]
+        fn cch_arc_ids_are_search_slots_on_multigraphs(
+            n in 2usize..10,
+            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
+        ) {
+            assert_numbered_by_slot(&CchTopology::build(&multigraph(n, &edges), &CchConfig::default()));
+        }
+    }
+
+    #[test]
+    fn cch_arc_ids_are_search_slots_on_the_region() {
+        assert_numbered_by_slot(&CchTopology::build(&region(), &CchConfig::default()));
     }
 
     #[test]

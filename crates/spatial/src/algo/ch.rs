@@ -80,6 +80,42 @@ pub enum ChArcKind {
     Shortcut(u32, u32),
 }
 
+/// The stored form of a [`ChArcKind`], 8 bytes where the enum takes 12:
+/// `(first, second)` for a shortcut, `(edge, u32::MAX)` for an original
+/// edge. No arc id is `u32::MAX` (ids are below a `u32` arc count).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ArcRule(pub(crate) u32, pub(crate) u32);
+
+const _: () = assert!(std::mem::size_of::<ArcRule>() == 8);
+
+impl ArcRule {
+    pub(crate) fn original(e: EdgeId) -> Self {
+        ArcRule(e.0, u32::MAX)
+    }
+
+    /// The public view.
+    pub(crate) fn kind(self) -> ChArcKind {
+        match self {
+            ArcRule(e, u32::MAX) => ChArcKind::Original(EdgeId(e)),
+            ArcRule(first, second) => ChArcKind::Shortcut(first, second),
+        }
+    }
+
+    /// Whether this is a shortcut with `arc` as one of its halves.
+    pub(crate) fn joins(self, arc: u32) -> bool {
+        self.1 != u32::MAX && (self.0 == arc || self.1 == arc)
+    }
+}
+
+impl From<ChArcKind> for ArcRule {
+    fn from(kind: ChArcKind) -> Self {
+        match kind {
+            ChArcKind::Original(e) => ArcRule::original(e),
+            ChArcKind::Shortcut(first, second) => ArcRule(first, second),
+        }
+    }
+}
+
 /// One arc of the hierarchy's search graph (original edge or shortcut).
 #[derive(Debug, Clone, Copy)]
 pub struct ChArc {
@@ -144,7 +180,7 @@ pub(crate) struct SearchArc {
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchyView<'a> {
     pub(crate) skel: &'a Skeleton,
-    pub(crate) kinds: &'a [ChArcKind],
+    pub(crate) rules: &'a [ArcRule],
     pub(crate) seg_weights: &'a [f64],
 }
 
@@ -168,7 +204,7 @@ pub struct ContractionHierarchy {
     /// Arc pool columns beside `skel.ends`: original edges first (`arc i`
     /// = `EdgeId(i)` for `i < m`), shortcuts appended in creation order.
     weights: Vec<f64>,
-    kinds: Vec<ChArcKind>,
+    rules: Vec<ArcRule>,
     /// Weight of `skel.seg_arcs[i]` under the build metric.
     seg_weights: Vec<f64>,
 }
@@ -744,7 +780,7 @@ impl ContractionHierarchy {
             m,
             weights_epoch: 0,
             weights: arcs.iter().map(|a| a.weight).collect(),
-            kinds: arcs.iter().map(|a| a.kind).collect(),
+            rules: arcs.iter().map(|a| a.kind.into()).collect(),
             skel: Skeleton {
                 ends: arcs.iter().map(|a| (a.from, a.to)).collect(),
                 seg_offsets: halves.iter().step_by(2).copied().collect(),
@@ -779,17 +815,17 @@ impl ContractionHierarchy {
 
     /// Number of shortcut arcs the contraction inserted.
     pub fn shortcut_count(&self) -> usize {
-        self.kinds.len() - self.m
+        self.rules.len() - self.m
     }
 
     /// The full arc pool (original edges first, then shortcuts).
     pub fn arcs(&self) -> impl ExactSizeIterator<Item = ChArc> + '_ {
-        let cols = self.skel.ends.iter().zip(&self.weights).zip(&self.kinds);
-        cols.map(|((&(from, to), &weight), &kind)| ChArc {
+        let cols = self.skel.ends.iter().zip(&self.weights).zip(&self.rules);
+        cols.map(|((&(from, to), &weight), rule)| ChArc {
             from,
             to,
             weight,
-            kind,
+            kind: rule.kind(),
         })
     }
 
@@ -798,7 +834,7 @@ impl ContractionHierarchy {
     pub fn heap_bytes(&self) -> usize {
         self.skel.heap_bytes()
             + 8 * (self.weights.len() + self.seg_weights.len())
-            + std::mem::size_of_val(self.kinds.as_slice())
+            + std::mem::size_of_val(self.rules.as_slice())
     }
 
     /// Contraction rank of `v` (higher = contracted later = nearer the
@@ -823,7 +859,7 @@ impl ContractionHierarchy {
     pub fn view(&self) -> HierarchyView<'_> {
         HierarchyView {
             skel: &self.skel,
-            kinds: &self.kinds,
+            rules: &self.rules,
             seg_weights: &self.seg_weights,
         }
     }
@@ -968,7 +1004,7 @@ impl HierarchyView<'_> {
         stack.clear();
         stack.push(arc);
         while let Some(a) = stack.pop() {
-            match self.kinds[a as usize] {
+            match self.rules[a as usize].kind() {
                 ChArcKind::Original(e) => {
                     edges.push(e);
                     vertices.push(self.skel.ends[a as usize].1);

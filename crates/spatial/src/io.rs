@@ -31,11 +31,11 @@
 //!   read;
 //! * [`write_cch`] / [`read_cch`] — the *metric-independent* half of a
 //!   customizable hierarchy ([`CchTopology`]): the fingerprint, the
-//!   contraction order and the chordal arc topology with its
-//!   supporting triangles. No weights are stored — they are re-derived
-//!   in milliseconds by `customize` after loading, so one persisted
-//!   topology serves every metric, custom cost vector and live-traffic
-//!   epoch.
+//!   contraction order and the chordal arcs with their original edges
+//!   (the triangles follow from the arcs). No weights are stored — they
+//!   are re-derived in milliseconds by `customize` after loading, so one
+//!   persisted topology serves every metric, custom cost vector and
+//!   live-traffic epoch.
 //!
 //! Floats are written with Rust's shortest-round-trip `Display`, so
 //! distances survive the text round-trip **bit-identically** — a
@@ -56,11 +56,12 @@ use crate::geo::LocalProjection;
 use crate::geometry::Point;
 use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use crate::osm::{ImportConfig, ImportStats, ImportedGraph};
+use crate::util::group_by_key;
 
 const MAGIC: &str = "pathrank-graph v1";
 const LANDMARKS_MAGIC: &str = "pathrank-landmarks v1";
 const CH_MAGIC: &str = "pathrank-ch v1";
-const CCH_MAGIC: &str = "pathrank-cch v1";
+const CCH_MAGIC: &str = "pathrank-cch v2";
 const IMPORTED_MAGIC: &str = "pathrank-osm-graph v1";
 
 /// Writes `g` to `out` in the v1 text format.
@@ -486,11 +487,11 @@ pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
 }
 
 /// Writes the metric-independent half of a customizable contraction
-/// hierarchy ([`CchTopology`]) in the v1 text format: the graph
+/// hierarchy ([`CchTopology`]) in the v2 text format: the graph
 /// fingerprint, the rank permutation, and one line per chordal arc
-/// (`c <from> <to> o <k> <edges…> t <j> <b c …>`) listing its merged
-/// original edges and supporting lower triangles. Weights are not
-/// stored; customization re-derives them after loading.
+/// (`c <from> <to> o <k> <edges…>`) listing its merged original edges.
+/// Weights are not stored; customization re-derives them after loading.
+/// Neither are triangles: the arcs imply them.
 pub fn write_cch<W: Write>(topo: &CchTopology, out: &mut W) -> std::io::Result<()> {
     writeln!(out, "{CCH_MAGIC}")?;
     writeln!(out, "graph {} {}", topo.vertex_count(), topo.edge_count())?;
@@ -506,10 +507,6 @@ pub fn write_cch<W: Write>(topo: &CchTopology, out: &mut W) -> std::io::Result<(
         for e in originals {
             write!(out, " {}", e.0)?;
         }
-        write!(out, " t {}", topo.triangles_of(i).count())?;
-        for (b, c) in topo.triangles_of(i) {
-            write!(out, " {b} {c}")?;
-        }
         writeln!(out)?;
     }
     Ok(())
@@ -522,14 +519,12 @@ pub fn cch_to_string(topo: &CchTopology) -> String {
     String::from_utf8(buf).expect("format is ASCII")
 }
 
-/// Reads a CCH topology in the v1 text format, recomputing elimination
-/// levels and rebuilding the search-graph skeleton. Validates the rank
+/// Reads a CCH topology in the v2 text format, rebuilding the
+/// search-graph skeleton and the owner tables. Validates the rank
 /// permutation, arc endpoints, per-pair arc uniqueness, edge references
-/// and triangle structure (each triangle's legs must connect through an
-/// intermediate vertex ranked below both endpoints, which is what makes
-/// customization well-ordered and unpacking terminate), and that each
-/// arc lists exactly its lower triangles in ascending mid rank — the
-/// ones [`CchTopology::triangles_of`] enumerates; corrupt input yields
+/// and chordality (every pair of arcs `p -> v -> q` through a vertex
+/// ranked below both ends needs its arc `p -> q`, and every fill-in arc
+/// needs such a pair below it); corrupt input yields
 /// [`SpatialError::Parse`] instead of a topology that would mis-route
 /// after customization.
 pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
@@ -572,12 +567,12 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         )));
     }
     // Flat in file order, as `CchTopology::finalise` takes them: arc
-    // endpoints, the arc of every original edge (`u32::MAX`: none, which
-    // doubles as the claimed-once check) and `(owner, b, c)` triangles.
+    // endpoints and the arc of every original edge (`u32::MAX`: none,
+    // which doubles as the claimed-once check).
     let mut ends: Vec<(VertexId, VertexId)> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
     let mut edge_arc = vec![u32::MAX; m];
-    let mut triangles: Vec<(u32, u32, u32)> = Vec::new();
-    let mut seen_pair = std::collections::HashSet::with_capacity(arc_count.min(MAX_PREALLOC));
+    let mut fill_ins = Vec::new();
+    let mut arc_of = std::collections::HashMap::with_capacity(arc_count.min(MAX_PREALLOC));
     for i in 0..arc_count {
         let line = next_content_line(&mut lines)?;
         let mut it = line.split_ascii_whitespace();
@@ -593,7 +588,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                 "arc {i} has invalid endpoints ({from} -> {to}, {n} vertices)"
             )));
         }
-        if !seen_pair.insert((from, to)) {
+        if arc_of.insert((from, to), i).is_some() {
             return Err(SpatialError::Parse(format!(
                 "duplicate arc for vertex pair {from} -> {to}"
             )));
@@ -625,89 +620,53 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
             }
             last = Some(e);
         }
-        if it.next() != Some("t") {
-            return Err(SpatialError::Parse(format!(
-                "arc {i} is missing its triangles section"
-            )));
-        }
-        let j = parse_u32(it.next(), "triangle count")? as usize;
-        if k == 0 && j == 0 {
-            return Err(SpatialError::Parse(format!(
-                "fill-in arc {i} has no supporting triangle"
-            )));
-        }
-        let mut last_mid = None;
-        for _ in 0..j {
-            let b = parse_u32(it.next(), "triangle arc")?;
-            let c = parse_u32(it.next(), "triangle arc")?;
-            // Supporting arcs live at strictly lower elimination levels,
-            // and levels are stored contiguously in ascending order, so
-            // in a well-formed file both legs precede this arc.
-            if b as usize >= i || c as usize >= i {
-                return Err(SpatialError::Parse(format!(
-                    "arc {i} triangle references a non-preceding arc ({b}, {c})"
-                )));
-            }
-            let (leg_b, leg_c) = (ends[b as usize], ends[c as usize]);
-            let via = leg_b.1;
-            if leg_b.0 .0 != from || leg_c.1 .0 != to || leg_c.0 != via {
-                return Err(SpatialError::Parse(format!(
-                    "arc {i} triangle ({b}, {c}) legs do not connect {from} -> {to}"
-                )));
-            }
-            let mid = rank[via.index()];
-            if mid >= rank[from as usize].min(rank[to as usize]) {
-                return Err(SpatialError::Parse(format!(
-                    "arc {i} triangle intermediate {} is not ranked below both endpoints",
-                    via.0
-                )));
-            }
-            if last_mid.is_some_and(|l| mid <= l) {
-                return Err(SpatialError::Parse(format!(
-                    "arc {i} triangles are not in strictly ascending mid rank"
-                )));
-            }
-            last_mid = Some(mid);
-            triangles.push((i as u32, b, c));
+        if k == 0 {
+            fill_ins.push(i);
         }
         if it.next().is_some() {
             return Err(SpatialError::Parse(format!("arc {i} has trailing tokens")));
         }
         ends.push((VertexId(from), VertexId(to)));
     }
-    // Contracting a vertex records one triangle per (in, out) pair of
-    // the arcs hanging off it, bar the 2-cycles. Holding the file to
-    // that count catches a dropped triangle and bounds the per-vertex
-    // owner tables `finalise` allocates by the file's own size. It also
-    // makes the file's lists *exactly* the arcs' lower triangles: each
-    // listed triangle is a real one (legs checked above) and distinct
-    // (one owner, strictly ascending mids), there are at most that many
-    // real ones, so a list matching the count misses none — and in
-    // ascending mid rank it is the order `triangles_of` enumerates. The
-    // owner tables come from the file and the sparse pass enumerates
-    // from the arcs, so a mismatch would otherwise mis-route silently.
-    let (mut ins, mut outs) = (vec![0u64; n], vec![0u64; n]);
-    let mut two_cycles = 0u64;
-    for &(from, to) in &ends {
-        if rank[from.index()] < rank[to.index()] {
-            outs[from.index()] += 1;
-            two_cycles += u64::from(seen_pair.contains(&(to.0, from.0)));
-        } else {
-            ins[to.index()] += 1;
+    // `finalise` reads every owner-table cell (down-in `p -> v`, up-out
+    // `v -> q`) off the arcs as the arc `p -> q`, so the arcs must be
+    // chordal: each such pair with `p != q` needs its arc. A fill-in arc
+    // also needs one pair below it, or no customization ever gives it a
+    // finite weight. Both hold before `finalise` sizes the tables. Here
+    // `higher[2v]` lists the tails of `v`'s down-in arcs, `higher[2v + 1]`
+    // the heads of its up-out arcs.
+    let (halves, higher) = group_by_key(2 * n, 0u32, |emit| {
+        for &(from, to) in &ends {
+            if rank[from.index()] < rank[to.index()] {
+                emit(2 * from.0 + 1, to.0);
+            } else {
+                emit(2 * to.0, from.0);
+            }
+        }
+    });
+    let mut supported = vec![false; arc_count];
+    for (v, seg) in halves.windows(3).step_by(2).enumerate() {
+        let (lo, mid, hi) = (seg[0] as usize, seg[1] as usize, seg[2] as usize);
+        for &p in &higher[lo..mid] {
+            for &q in higher[mid..hi].iter().filter(|&&q| q != p) {
+                let a = arc_of.get(&(p, q)).ok_or_else(|| {
+                    SpatialError::Parse(format!(
+                        "arcs are not chordal: {p} -> {v} -> {q} but no arc {p} -> {q}"
+                    ))
+                })?;
+                supported[*a] = true;
+            }
         }
     }
-    let pairs: u64 = ins.iter().zip(&outs).map(|(i, o)| i * o).sum();
-    let implied = pairs - two_cycles;
-    if triangles.len() as u64 != implied {
+    if let Some(&a) = fill_ins.iter().find(|&&a| !supported[a]) {
         return Err(SpatialError::Parse(format!(
-            "{} triangles recorded, the arcs imply {implied}",
-            triangles.len()
+            "fill-in arc {a} has no lower triangle"
         )));
     }
-    Ok(CchTopology::finalise(rank, ends, edge_arc, triangles))
+    Ok(CchTopology::finalise(rank, ends, edge_arc))
 }
 
-/// Parses a CCH topology from its v1 text representation.
+/// Parses a CCH topology from its v2 text representation.
 pub fn cch_from_str(s: &str) -> Result<CchTopology, SpatialError> {
     read_cch(s.as_bytes())
 }
@@ -1319,8 +1278,9 @@ mod tests {
             let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
             let text = cch_to_string(&topo);
             let back = Arc::new(cch_from_str(&text).unwrap());
-            // Arcs are stored level-sorted, and reloading preserves that
-            // order, so re-serialising must reproduce the exact bytes.
+            // Arcs are stored in slot order, and reloading numbers them
+            // the same way, so re-serialising must reproduce the exact
+            // bytes.
             assert_eq!(cch_to_string(&back), text, "round-trip is not byte-stable");
             assert_eq!(back.ranks(), topo.ranks());
             assert_eq!(back.arc_count(), topo.arc_count());
@@ -1356,28 +1316,65 @@ mod tests {
             })
         }
 
+        /// The topology with every arc id replaced by what it names:
+        /// ranks, then arcs sorted by `(from, to)`, each with its original
+        /// edges and its lower triangles as `(from, mid, to)` in ascending
+        /// mid rank.
+        fn canonical_form(topo: &CchTopology) -> String {
+            let ends = topo.arc_endpoints();
+            let mut order: Vec<usize> = (0..ends.len()).collect();
+            order.sort_by_key(|&a| (ends[a].0 .0, ends[a].1 .0));
+            let mut s = String::from("ranks");
+            for r in topo.ranks() {
+                s += &format!(" {r}");
+            }
+            for a in order {
+                let (from, to) = ends[a];
+                s += &format!("\n{} {} o", from.0, to.0);
+                for e in topo.originals_of(a) {
+                    s += &format!(" {}", e.0);
+                }
+                s += " t";
+                for (b, _) in topo.triangles_of(a) {
+                    s += &format!(" ({} {} {})", from.0, ends[b as usize].1 .0, to.0);
+                }
+            }
+            s
+        }
+
         #[test]
         fn cch_flat_build_is_golden_and_roundtrips_array_for_array() {
-            // FNV-1a of the serialised topology, pinned on the commit
-            // before the flat build: ranks, level-contiguous arc
-            // numbering, merged originals and per-arc triangle order are
-            // all in the text, so the flat build is a change of
-            // representation and nothing else.
+            // Two FNV-1a pins per map. The canonical form names no arc id
+            // — ranks, arcs by endpoints, their originals and triangles —
+            // and was pinned before arcs were numbered by search slot, so
+            // it holds every numbering to the same topology. The text pin
+            // also covers the arc order the file stores (slot order).
             let grid = GridConfig {
                 nx: 24,
                 ny: 24,
                 ..GridConfig::small_test()
             };
-            for (g, golden) in [
+            for (g, canonical, golden) in [
                 (
                     region_network(&RegionConfig::small_test(), 11),
-                    0x722e_5f81_4cb3_ebfc,
+                    0xa43b_d095_8bc7_14e8,
+                    0xe7b5_7187_4422_4243,
                 ),
-                (grid_network(&grid, 5), 0xec63_83fd_4e60_967c),
+                (
+                    grid_network(&grid, 5),
+                    0x6bb6_b6bd_786d_0b5c,
+                    0x3b17_86d3_aea8_cd25,
+                ),
             ] {
                 let topo = CchTopology::build(&g, &CchConfig::default());
+                let form = canonical_form(&topo);
+                assert_eq!(fnv1a64(form.as_bytes()), canonical, "topology drifted");
                 let text = cch_to_string(&topo);
-                assert_eq!(fnv1a64(text.as_bytes()), golden, "topology drifted");
+                assert_eq!(
+                    fnv1a64(text.as_bytes()),
+                    golden,
+                    "serialised topology drifted"
+                );
                 // The reader feeds the same finaliser: every array of the
                 // reloaded topology (`PartialEq` covers them all,
                 // reverse index and search skeleton included) must equal
@@ -1427,7 +1424,7 @@ mod tests {
             // An arc claiming an edge outside the graph.
             let first_orig = text
                 .lines()
-                .find(|l| l.starts_with("c ") && !l.contains(" o 0 "))
+                .find(|l| l.starts_with("c ") && !l.ends_with(" o 0"))
                 .expect("region CCH has arcs with originals")
                 .to_string();
             let mut toks: Vec<String> = first_orig
@@ -1444,7 +1441,7 @@ mod tests {
                 .collect();
             let second_orig = text
                 .lines()
-                .filter(|l| l.starts_with("c ") && !l.contains(" o 0 "))
+                .filter(|l| l.starts_with("c ") && !l.ends_with(" o 0"))
                 .nth(1)
                 .expect("region CCH has at least two arcs with originals")
                 .to_string();
@@ -1478,77 +1475,40 @@ mod tests {
                 text.replace(&second, &t.join(" "))
             };
             assert!(cch_from_str(&dup_pair).is_err());
-            // A triangle referencing a non-preceding arc (customization
-            // would read an unsettled weight).
-            let tri_line = text
-                .lines()
-                .find(|l| l.starts_with("c ") && !l.trim_end().ends_with(" t 0"))
-                .expect("region CCH has triangles")
-                .to_string();
-            let mut toks: Vec<String> = tri_line
-                .split_ascii_whitespace()
-                .map(str::to_string)
-                .collect();
-            let t_pos = toks.iter().position(|t| t == "t").unwrap();
-            toks[t_pos + 2] = format!("{}", topo.arc_count() + 9);
-            assert!(cch_from_str(&text.replace(&tri_line, &toks.join(" "))).is_err());
-            // A fill-in arc stripped of its triangles has no way to ever
-            // receive a finite weight; the reader must refuse it.
-            let fill_in = text
-                .lines()
-                .find(|l| l.starts_with("c ") && l.contains(" o 0 "))
-                .expect("region CCH has fill-in arcs")
-                .to_string();
-            let t_pos = fill_in.find(" t ").unwrap();
-            let gutted = format!("{} t 0", &fill_in[..t_pos]);
-            assert!(cch_from_str(&text.replace(&fill_in, &gutted)).is_err());
-            // An arc that keeps an original edge parses without its
-            // triangles; only the count the arcs imply catches the loss.
-            let backed = text
-                .lines()
-                .find(|l| !l.contains(" o 0 ") && !l.ends_with(" t 0") && l.starts_with("c "))
-                .expect("region CCH has original arcs with triangles")
-                .to_string();
-            let t_pos = backed.find(" t ").unwrap();
-            let gutted = format!("{} t 0", &backed[..t_pos]);
-            assert!(cch_from_str(&text.replace(&backed, &gutted)).is_err());
-            // The owner tables come from the file's triangle lists, the
-            // sparse pass enumerates from the arcs: a list that is not
-            // exactly the arc's lower triangles in ascending mid rank is
-            // refused — one dropped, one added (with another arc's
-            // dropped, so the total still matches), two swapped.
-            let relist = |line: &str, edit: &dyn Fn(&mut Vec<String>)| {
-                let t_pos = line.find(" t ").unwrap();
-                let toks: Vec<&str> = line[t_pos..].split_ascii_whitespace().skip(2).collect();
-                let mut pairs: Vec<String> = toks.chunks(2).map(|p| p.join(" ")).collect();
-                edit(&mut pairs);
-                let relisted = format!("{} t {} {}", &line[..t_pos], pairs.len(), pairs.join(" "));
-                (line.to_string(), relisted)
+            // The owner tables are read off the arcs, so the reader must
+            // refuse arcs that are not chordal or leave a fill-in arc
+            // without a lower triangle — and say so.
+            let refusal = |text: &str| match cch_from_str(text) {
+                Err(SpatialError::Parse(msg)) => msg,
+                other => panic!("expected a parse error, got {other:?}"),
             };
-            let with = |edits: &[(String, String)]| -> String {
-                let lines = text
-                    .lines()
-                    .map(|l| match edits.iter().find(|(old, _)| old == l) {
-                        Some((_, new)) => new.as_str(),
-                        None => l,
-                    });
-                lines.collect::<Vec<_>>().join("\n")
+            let arc_line = |a: usize| {
+                let line = text.lines().filter(|l| l.starts_with("c ")).nth(a).unwrap();
+                format!("{line}\n")
             };
-            let mut multi = text.lines().filter(|l| {
-                let t_pos = l.find(" t ").unwrap_or(l.len());
-                l.starts_with("c ") && l[t_pos..].split_ascii_whitespace().count() >= 6
-            });
-            let (first, second) = (multi.next().unwrap(), multi.next().unwrap());
+            // A dropped fill-in arc: the pair it closed has no arc.
+            let fill_in = (0..topo.arc_count())
+                .find(|&a| topo.originals_of(a).is_empty())
+                .expect("region CCH has fill-in arcs");
+            let dropped = text
+                .replace(&arc_line(fill_in), "")
+                .replace(&arcs_line, &format!("arcs {}", topo.arc_count() - 1));
+            assert!(refusal(&dropped).contains("not chordal"));
+            // An arc with no lower triangle stripped of its originals: a
+            // fill-in arc no customization can give a finite weight.
+            let lone = (0..topo.arc_count())
+                .find(|&a| {
+                    !topo.originals_of(a).is_empty() && topo.triangles_of(a).next().is_none()
+                })
+                .expect("region CCH has arcs without lower triangles");
+            let line = arc_line(lone);
+            let stripped = format!("{} o 0\n", &line[..line.find(" o ").unwrap()]);
+            assert!(refusal(&text.replace(&line, &stripped)).contains("no lower triangle"));
+            // A v1 file, which listed triangles after the originals.
             assert!(
-                cch_from_str(&with(&[])).unwrap() == topo,
-                "the edit helper is faithful"
+                refusal(&text.replacen("pathrank-cch v2", "pathrank-cch v1", 1))
+                    .contains("bad header")
             );
-            let dropped = relist(first, &|p| drop(p.pop()));
-            assert!(cch_from_str(&with(std::slice::from_ref(&dropped))).is_err());
-            let added = relist(second, &|p| p.push(p[0].clone()));
-            assert!(cch_from_str(&with(&[dropped, added])).is_err());
-            let swapped = relist(first, &|p| p.swap(0, 1));
-            assert!(cch_from_str(&with(&[swapped])).is_err());
             // Trailing tokens on an arc line are rejected.
             let padded = format!("{} 4", first_orig);
             assert!(cch_from_str(&text.replace(&first_orig, &padded)).is_err());

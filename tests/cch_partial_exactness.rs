@@ -24,8 +24,9 @@
 //! The sparse pass finds an arc's dependents through the topology's
 //! per-rank owner tables; a second property holds that reverse index to
 //! the forward triangle lists on multigraphs (parallel edges, one-way
-//! edges, 2-cycles — the graph model has no self-loops to add), and a
-//! byte-budget guard keeps it at 4 bytes per triangle.
+//! edges, 2-cycles — the graph model has no self-loops to add), and
+//! byte-budget guards keep it at 4 bytes per triangle and a
+//! customization at 16 bytes per arc.
 
 use std::sync::Arc;
 
@@ -298,7 +299,7 @@ fn cch_partial_reverse_index_stays_at_four_bytes_per_triangle() {
     let topo = CchTopology::build(&g, &CchConfig::default());
     let (forward, reverse) = triangle_links(&topo);
     assert!(forward == reverse, "reverse index diverged on the region");
-    let per_arc = 2 * 4 + 8 + 8 + 8; // offset/slot, endpoints, segment and down-list entries
+    let per_arc = 4 + 8 + 8 + 8; // originals offset, endpoints, segment and down-list entries
     let per_edge = 2 * 4; // the edge under its arc, the arc of the edge
     let per_vertex = 6 * 4; // rank, two segment bounds, table offset, two down-list bounds
     let budget = 4 * topo.triangle_count()
@@ -316,6 +317,35 @@ fn cch_partial_reverse_index_stays_at_four_bytes_per_triangle() {
         topo.triangle_count(),
         topo.arc_count()
     );
+}
+
+/// A customization holds one 8-byte weight and one 8-byte expansion
+/// rule per arc — a second per-arc column cannot come back unnoticed —
+/// plus its custom weight vector and the log of its last sparse pass
+/// (4 bytes per changed edge and per recomputed arc).
+#[test]
+fn cch_customization_stays_at_sixteen_bytes_per_arc() {
+    let g = region_network(&RegionConfig::small_test(), 7);
+    let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
+    let budget = |cch: &Cch, custom_edges: usize, log: usize| {
+        let bytes = cch.heap_bytes();
+        let budget = 16 * topo.arc_count() + 8 * custom_edges + 4 * log;
+        assert!(
+            bytes <= budget,
+            "customization holds {bytes} B, budget {budget} B"
+        );
+    };
+    budget(&topo.customize(&g, &CostModel::TravelTime), 0, 0);
+    let weights: Vec<f64> = (0..g.edge_count()).map(|i| 1.0 + (i % 5) as f64).collect();
+    let mut custom = topo.customize_weights(&g, &weights);
+    budget(&custom, g.edge_count(), 0);
+    let updates: Vec<(EdgeId, f64)> = (0..g.edge_count() as u32)
+        .step_by(11)
+        .map(|e| (EdgeId(e), 9.5))
+        .collect();
+    let recomputed = custom.apply_weight_delta(&updates);
+    assert!(recomputed > 0);
+    budget(&custom, g.edge_count(), updates.len() + recomputed);
 }
 
 /// A fixed deterministic grid-ish graph for the directed unit cases.
