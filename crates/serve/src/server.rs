@@ -54,8 +54,8 @@
 //! single copy, which requests route under as
 //! `CostModel::Custom(cch.custom_weights())`, so the engine's
 //! `usable_for` gate passes on slice identity instead of comparing every
-//! weight per query. A generation therefore costs 16 B per arc plus 8 B
-//! per edge, against the topology's once-only 28 B per arc and 4 B per
+//! weight per query. A generation therefore costs 12 B per arc plus 8 B
+//! per edge, against the topology's once-only 16 B per arc and 4 B per
 //! triangle (the budget table is in the `pathrank_spatial::algo::cch`
 //! module doc).
 //!

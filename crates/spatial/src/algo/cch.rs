@@ -41,18 +41,19 @@
 //! 3. **Queries** run the stall-on-demand bidirectional upward search,
 //!    the shortcut unpacking and the bucket many-to-many sweeps of
 //!    [`crate::algo::ch`] unchanged, through a [`HierarchyView`]: the
-//!    topology's weight-free [`Skeleton`] (ranks, endpoints, search
-//!    segments) plus the columns one customization wrote. Structure is
+//!    topology's weight-free [`Skeleton`] (ranks and search segments)
+//!    plus the columns one customization wrote. Structure is
 //!    built once and shared by `Arc`; a [`Cch`] owns *only* what
 //!    customization writes, so cloning one — a server publishing a
 //!    snapshot — copies weight columns and nothing else. An arc's id *is*
 //!    its slot in the rank-space search segments, so one weight column
-//!    serves customization (by arc) and queries (by slot) alike.
+//!    serves customization (by arc) and queries (by slot) alike, and an
+//!    arc's endpoints are read off its slot rather than stored.
 //!
 //!    | per arc | bytes | owner |
 //!    |---|---|---|
-//!    | weight (= search-segment weight), expansion rule | 8 + 8 | every [`Cch`] |
-//!    | endpoints, segment entry (`other`, `arc`) | 8 + 8 | topology, once |
+//!    | weight (= search-segment weight), expansion word (mid rank or tagged edge) | 8 + 4 | every [`Cch`] |
+//!    | segment entry (`other`) | 4 | topology, once |
 //!    | down-list entry (`other`, `arc`) under its higher endpoint | 8 | topology, once |
 //!    | `orig_offsets` | 4 | topology, once |
 //!
@@ -61,9 +62,10 @@
 //!    | owner cell in its mid's (down-in × up-out) table | 4 | topology, once |
 //!
 //!    plus one 4-byte `u32::MAX` cell per 2-cycle through a mid (the
-//!    table's diagonal, where no triangle exists), three 4-byte
-//!    `cell_offsets` / `down_offsets` entries per rank and a quarter byte
-//!    per arc of `slot_rank`.
+//!    table's diagonal, where no triangle exists), seven 4-byte entries
+//!    per rank (rank, vertex of the rank, segment bounds, `cell_offsets`,
+//!    `down_offsets`) and a quarter byte per arc of the skeleton's
+//!    slot -> rank hints.
 //!
 //! The price of skipping witness searches is a denser search graph (every
 //! chordal fill-in arc is kept, where CH would prune witnessed ones), so
@@ -95,9 +97,6 @@ impl Default for CchConfig {
     }
 }
 
-/// Slots per entry of `CchTopology::slot_rank`.
-const SLOTS_PER_BUCKET: usize = 16;
-
 /// The metric-independent half of a customizable contraction hierarchy:
 /// contraction order, merged chordal arc topology, the owner tables of
 /// its triangles, and the per-rank up/down search skeleton.
@@ -122,7 +121,7 @@ pub struct CchTopology {
     /// are where `u`'s down-out and `w`'s down-in lists name the same
     /// rank ([`CchTopology::triangles_of`]).
     down_offsets: Vec<u32>,
-    down: Vec<SearchArc>,
+    down: Vec<DownArc>,
     /// Original edge -> the (unique) arc that merged it; `u32::MAX` for
     /// edges the topology dropped (self-loops). The entry point of a
     /// sparse delta: a changed edge cost seeds exactly this arc.
@@ -144,18 +143,21 @@ pub struct CchTopology {
     /// know every support is final before its dependents recompute.
     cell_offsets: Vec<u32>,
     cells: Vec<u32>,
-    /// Search-segment slot -> rank, one entry per [`SLOTS_PER_BUCKET`]
-    /// slots: the rank whose segment holds the bucket's first slot, from
-    /// where a slot's own rank is a step or two along `seg_offsets`.
-    /// Small enough to stay cached, where the route through the arc's
-    /// endpoints costs the walk a miss per arc (measured: a tenth of the
-    /// sparse pass).
-    slot_rank: Vec<u32>,
-    /// Ranks, arc endpoints and search segments — weight-independent
-    /// because arcs are unique per directed pair, so no customization can
-    /// change which arc a segment slot holds. Arc `i` is the one in slot
-    /// `i`: `skel.seg_arcs[i].arc == i`.
+    /// Ranks and search segments — weight-independent because arcs are
+    /// unique per directed pair, so no customization can change which
+    /// arc a segment slot holds. Arc `i` is the one in slot `i`, and its
+    /// ranks are read off the slot ([`Skeleton::slot_ends`]) through a
+    /// slot -> rank hint small enough to stay cached, where stored
+    /// endpoints cost the sparse pass a miss per arc (measured: a tenth
+    /// of it).
     skel: Skeleton,
+}
+
+/// A down-list entry: the rank of the arc's lower endpoint, and the arc.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DownArc {
+    other: u32,
+    arc: u32,
 }
 
 /// Build-time working state: dynamic chordal adjacency among
@@ -379,16 +381,16 @@ impl Iterator for Dependents<'_> {
 
 /// The lower triangles of one arc `u -> w` ([`CchTopology::triangles_of`]):
 /// a merge of `u`'s down-out list with `w`'s down-in list, both sorted
-/// by the lower rank, yielding `(u -> v, v -> w)` wherever they meet.
+/// by the lower rank, yielding `(u -> v, v -> w, v)` wherever they meet.
 struct Triangles<'a> {
-    outs: &'a [SearchArc],
-    ins: &'a [SearchArc],
+    outs: &'a [DownArc],
+    ins: &'a [DownArc],
 }
 
 impl Iterator for Triangles<'_> {
-    type Item = (u32, u32);
+    type Item = (u32, u32, u32);
 
-    fn next(&mut self) -> Option<(u32, u32)> {
+    fn next(&mut self) -> Option<(u32, u32, u32)> {
         while let ([b, outs @ ..], [c, ins @ ..]) = (self.outs, self.ins) {
             if b.other <= c.other {
                 self.outs = outs;
@@ -397,7 +399,7 @@ impl Iterator for Triangles<'_> {
                 self.ins = ins;
             }
             if b.other == c.other {
-                return Some((b.arc, c.arc));
+                return Some((b.arc, c.arc, b.other));
             }
         }
         None
@@ -439,6 +441,10 @@ impl CchTopology {
     ) -> Self {
         let n = rank.len();
         let arc_count = old_ends.len();
+        assert!(
+            n.max(edge_arc.len()) <= ArcRule::ORIGINAL as usize,
+            "ranks and edge ids must fit 31 bits"
+        );
 
         // Search segments, one per rank: upward out-arcs then downward
         // in-arcs, creation order within each half — and an arc's id is
@@ -447,22 +453,21 @@ impl CchTopology {
         // it sorts after them. Arcs are unique per directed pair, so
         // unlike `ContractionHierarchy::assemble` there is nothing to
         // dedupe and every arc owns exactly one slot.
-        let no_arc = SearchArc { other: 0, arc: 0 };
-        let (halves, mut seg_arcs) = group_by_key(2 * n, no_arc, |emit| {
+        let (halves, by_slot) = group_by_key(2 * n, 0u32, |emit| {
             for (&(from, to), arc) in old_ends.iter().zip(0u32..) {
                 let (rf, rt) = (rank[from.index()], rank[to.index()]);
-                let (half, other) = (2 * rf.min(rt) + u32::from(rf > rt), rf.max(rt));
-                emit(half, SearchArc { other, arc });
+                emit(2 * rf.min(rt) + u32::from(rf > rt), arc);
             }
         });
         let mut new_id = vec![0u32; arc_count];
-        let mut ends = Vec::with_capacity(arc_count);
-        for (sa, slot) in seg_arcs.iter_mut().zip(0u32..) {
-            new_id[sa.arc as usize] = slot;
-            ends.push(old_ends[sa.arc as usize]);
-            sa.arc = slot;
+        let mut seg_arcs = Vec::with_capacity(arc_count);
+        for (&arc, slot) in by_slot.iter().zip(0u32..) {
+            new_id[arc as usize] = slot;
+            let (from, to) = old_ends[arc as usize];
+            let other = rank[from.index()].max(rank[to.index()]);
+            seg_arcs.push(SearchArc { other });
         }
-        drop(old_ends);
+        drop((old_ends, by_slot));
 
         // Original edges under their arc, ascending `EdgeId` within one.
         for a in edge_arc.iter_mut().filter(|a| **a != u32::MAX) {
@@ -475,24 +480,16 @@ impl CchTopology {
             }
         });
 
-        let mut slot_rank = Vec::with_capacity(seg_arcs.len() / SLOTS_PER_BUCKET + 1);
-        let mut r = 0usize;
-        for first in (0..=seg_arcs.len()).step_by(SLOTS_PER_BUCKET) {
-            while r + 1 < n && halves[2 * r + 2] as usize <= first {
-                r += 1;
-            }
-            slot_rank.push(r as u32);
-        }
-
         // Down-lists, filed under each arc's higher endpoint: a search
         // segment's upward half is down-in arcs of their heads, its
         // downward half down-out arcs of their tails. Sweeping segments
         // in rank order emits every list sorted by the lower rank.
+        let no_arc = DownArc { other: 0, arc: 0 };
         let (down_offsets, down) = group_by_key(2 * n, no_arc, |emit| {
             for r in 0..n {
                 let (lo, mid, hi) = (halves[2 * r], halves[2 * r + 1], halves[2 * r + 2]);
                 for (slot, sa) in (lo..hi).zip(&seg_arcs[lo as usize..hi as usize]) {
-                    let entry = SearchArc {
+                    let entry = DownArc {
                         other: r as u32,
                         arc: slot,
                     };
@@ -520,10 +517,13 @@ impl CchTopology {
         // `p` being filed.
         let mut out_arc = vec![(u32::MAX, 0u32); n];
         for p in 0..n {
-            let ups = &seg_arcs[halves[2 * p] as usize..halves[2 * p + 1] as usize];
+            let (lo, mid) = (halves[2 * p], halves[2 * p + 1]);
             let down_out = &down[down_offsets[2 * p] as usize..down_offsets[2 * p + 1] as usize];
-            for sa in ups.iter().chain(down_out) {
-                out_arc[sa.other as usize] = (p as u32, sa.arc);
+            for (slot, sa) in (lo..mid).zip(&seg_arcs[lo as usize..mid as usize]) {
+                out_arc[sa.other as usize] = (p as u32, slot);
+            }
+            for b in down_out {
+                out_arc[b.other as usize] = (p as u32, b.arc);
             }
             for b in down_out {
                 let v = b.other as usize;
@@ -552,14 +552,7 @@ impl CchTopology {
             edge_arc,
             cell_offsets,
             cells,
-            slot_rank,
-            skel: Skeleton {
-                seg_offsets: halves.iter().step_by(2).copied().collect(),
-                seg_mid: halves.iter().skip(1).step_by(2).copied().collect(),
-                seg_arcs,
-                ends,
-                rank,
-            },
+            skel: Skeleton::new(rank, halves, seg_arcs),
         }
     }
 
@@ -603,10 +596,9 @@ impl CchTopology {
     /// down-lists and 12 B per rank of table and list offsets — the
     /// module doc has the whole budget.
     pub fn heap_bytes(&self) -> usize {
-        let per_arc = self.orig_offsets.len() + self.slot_rank.len();
         let per_edge = self.orig_edges.len() + self.edge_arc.len();
         let per_rank = self.cell_offsets.len() + self.down_offsets.len();
-        4 * (per_arc + per_edge + per_rank + self.cells.len())
+        4 * (self.orig_offsets.len() + per_edge + per_rank + self.cells.len())
             + std::mem::size_of_val(self.down.as_slice())
             + self.skel.heap_bytes()
     }
@@ -619,17 +611,17 @@ impl CchTopology {
     }
 
     /// Supporting lower triangles of arc `a = u -> w`, as the
-    /// `(u -> v, v -> w)` arc pairs customization relaxes, in ascending
-    /// rank of the mid `v`. Enumerated by merging `u`'s down-out and
-    /// `w`'s down-in lists: every common lower neighbour is a mid.
-    pub fn triangles_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let (u, w) = self.skel.ends[a];
-        let rank = |v: VertexId| self.skel.rank[v.index()] as usize;
+    /// `(u -> v, v -> w)` arc pairs customization relaxes with the rank
+    /// of the mid `v`, in ascending mid rank. Enumerated by merging `u`'s
+    /// down-out and `w`'s down-in lists: every common lower neighbour is
+    /// a mid.
+    pub fn triangles_of(&self, a: usize) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        let (u, w) = self.skel.slot_ends(a);
         let list =
             |i: usize| &self.down[self.down_offsets[i] as usize..self.down_offsets[i + 1] as usize];
         Triangles {
-            outs: list(2 * rank(u)),
-            ins: list(2 * rank(w) + 1),
+            outs: list(2 * u as usize),
+            ins: list(2 * w as usize + 1),
         }
     }
 
@@ -655,13 +647,8 @@ impl CchTopology {
     /// list.
     pub fn dependents_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let skel = &self.skel;
-        let mut r = self.slot_rank[a / SLOTS_PER_BUCKET] as usize;
-        while skel.seg_offsets[r + 1] as usize <= a {
-            r += 1;
-        }
-        let lo = skel.seg_offsets[r];
-        let mid = skel.seg_mid[r];
-        let hi = skel.seg_offsets[r + 1];
+        let r = skel.rank_of_slot(a);
+        let (lo, mid, hi) = skel.bounds(r);
         let table = &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
         let ups = (mid - lo) as usize;
         let (cell, stride, co_supports) = if a < mid as usize {
@@ -677,9 +664,10 @@ impl CchTopology {
         }
     }
 
-    /// Arc endpoints, indexed by arc id (= search slot).
-    pub fn arc_endpoints(&self) -> &[(VertexId, VertexId)] {
-        &self.skel.ends
+    /// Arc endpoints in arc id (= search slot) order, read off the
+    /// slots.
+    pub fn arc_endpoints(&self) -> impl ExactSizeIterator<Item = (VertexId, VertexId)> + '_ {
+        self.skel.arc_ends()
     }
 
     /// Customizes the topology for `cost`, deriving every arc weight
@@ -721,7 +709,8 @@ impl CchTopology {
     /// The customization core: per-arc init from the cheapest parallel
     /// original (lowest `EdgeId` on ties), then one sweep over the mids
     /// in ascending rank relaxing every cell of each mid's owner table,
-    /// `owner ← row + column` with a strict `<`. Both legs of a cell hang
+    /// `owner ← row + column` with a strict `<`, the winner's expansion
+    /// word naming the mid. Both legs of a cell hang
     /// off the mid, so all their triangles (through lower mids) are done
     /// when it is read; each owner sees its triangles in ascending mid
     /// rank, the order [`CchTopology::triangles_of`] yields them, which
@@ -738,7 +727,7 @@ impl CchTopology {
         weights.clear();
         weights.resize(arc_count, f64::INFINITY);
         rules.clear();
-        rules.resize(arc_count, ArcRule(u32::MAX, u32::MAX));
+        rules.resize(arc_count, ArcRule(u32::MAX));
         for a in 0..arc_count {
             for &e in self.originals_of(a) {
                 let c = edge_cost(e);
@@ -750,9 +739,7 @@ impl CchTopology {
         }
         let skel = &self.skel;
         for r in 0..self.vertex_count() {
-            let lo = skel.seg_offsets[r];
-            let mid = skel.seg_mid[r];
-            let hi = skel.seg_offsets[r + 1];
+            let (lo, mid, hi) = skel.bounds(r);
             if lo == mid {
                 continue;
             }
@@ -767,7 +754,7 @@ impl CchTopology {
                     let cand = wb + weights[c as usize];
                     if cand < weights[owner as usize] {
                         weights[owner as usize] = cand;
-                        rules[owner as usize] = ArcRule(b, c);
+                        rules[owner as usize] = ArcRule::shortcut(r as u32);
                     }
                 }
             }
@@ -779,11 +766,11 @@ impl CchTopology {
     }
 }
 
-/// What one customization writes: 16 bytes per arc.
+/// What one customization writes: 12 bytes per arc.
 #[derive(Debug, Clone, Default)]
 struct Columns {
     /// Per arc: customized weight — also the query loop's search-segment
-    /// weight column, since an arc's id is its slot — and expansion rule.
+    /// weight column, since an arc's id is its slot — and expansion word.
     weights: Vec<f64>,
     rules: Vec<ArcRule>,
 }
@@ -818,8 +805,9 @@ fn fresh_stamp() -> u64 {
 /// strict `<` in both phases), and classifies each dependent link when
 /// an arc's weight *bits* changed rather than marking all of them:
 ///
-/// - weight **increased**: only a dependent whose stored expansion rule
-///   is exactly this triangle can be affected — every other candidate
+/// - weight **increased**: only a dependent whose stored expansion word
+///   names this triangle's mid (a dependent has one triangle per mid)
+///   can be affected — every other candidate
 ///   of that dependent is bitwise-unchanged and its previous winner
 ///   (the earliest scan-order candidate reaching the minimum) still
 ///   wins, because a worsened non-winning candidate stays non-winning.
@@ -873,7 +861,7 @@ fn partial_customize(
         let a = ai as u32;
         recomputed.push(a);
         let mut w = f64::INFINITY;
-        let mut k = ArcRule(u32::MAX, u32::MAX);
+        let mut k = ArcRule(u32::MAX);
         for &e in topo.originals_of(ai) {
             let c = edge_cost(e);
             if c < w {
@@ -881,11 +869,11 @@ fn partial_customize(
                 k = ArcRule::original(e);
             }
         }
-        for (b, c) in topo.triangles_of(ai) {
+        for (b, c, mid) in topo.triangles_of(ai) {
             let cand = weights[b as usize] + weights[c as usize];
             if cand < w {
                 w = cand;
-                k = ArcRule(b, c);
+                k = ArcRule::shortcut(mid);
             }
         }
         let old_w = std::mem::replace(&mut weights[ai], w);
@@ -896,6 +884,9 @@ fn partial_customize(
             // numerically-equal pair falls through to the conservative
             // decrease path.
             let increased = w > old_w;
+            // Every triangle through this arc has its lower endpoint as
+            // the mid.
+            let through = ArcRule::shortcut(topo.skel.rank_of_slot(ai) as u32);
             for (d, co) in topo.dependents_of(ai) {
                 let di = d as usize;
                 let mask = 1u64 << (di & 63);
@@ -903,9 +894,9 @@ fn partial_customize(
                     continue;
                 }
                 // The dependent's one triangle through this arc is its
-                // stored rule iff the rule names this arc at all.
+                // stored rule iff the rule names this arc's mid.
                 let hit = if increased {
-                    rules[di].joins(a)
+                    rules[di] == through
                 } else {
                     w + weights[co as usize] <= weights[di]
                 };
@@ -1649,22 +1640,23 @@ mod tests {
     /// strict `<`); then arcs in ascending rank of their lower endpoint
     /// relax their lower triangles, found by trying every vertex ranked
     /// below both endpoints, in ascending rank, for a `u -> v` and a
-    /// `v -> w` arc. Returns the triangle lists it relaxed, the weights
-    /// and the expansion rules.
+    /// `v -> w` arc. Returns the triangle lists it relaxed (with the
+    /// mid's rank), the weights and the expansion rules.
     #[allow(clippy::type_complexity)]
     fn brute_force_customize(
         topo: &CchTopology,
         g: &Graph,
         cost: impl Fn(EdgeId) -> f64,
-    ) -> (Vec<Vec<(u32, u32)>>, Vec<f64>, Vec<ArcRule>) {
-        let (ends, rank) = (topo.arc_endpoints(), topo.ranks());
+    ) -> (Vec<Vec<(u32, u32, u32)>>, Vec<f64>, Vec<ArcRule>) {
+        let ends: Vec<_> = topo.arc_endpoints().collect();
+        let rank = topo.ranks();
         let arc_of: std::collections::HashMap<_, _> = ends.iter().copied().zip(0u32..).collect();
         let mut by_rank = vec![VertexId(0); rank.len()];
         for (v, &r) in rank.iter().enumerate() {
             by_rank[r as usize] = VertexId(v as u32);
         }
         let mut weights = vec![f64::INFINITY; ends.len()];
-        let mut rules = vec![ArcRule(u32::MAX, u32::MAX); ends.len()];
+        let mut rules = vec![ArcRule(u32::MAX); ends.len()];
         for e in (0..g.edge_count() as u32).map(EdgeId) {
             let rec = g.edge(e);
             if let Some(&a) = arc_of.get(&(rec.from, rec.to)) {
@@ -1684,11 +1676,12 @@ mod tests {
                 let (Some(&b), Some(&c)) = (arc_of.get(&(u, v)), arc_of.get(&(v, w))) else {
                     continue;
                 };
-                triangles[a].push((b, c));
+                let mid = rank[v.index()];
+                triangles[a].push((b, c, mid));
                 let cand = weights[b as usize] + weights[c as usize];
                 if cand < weights[a] {
                     weights[a] = cand;
-                    rules[a] = ArcRule(b, c);
+                    rules[a] = ArcRule::shortcut(mid);
                 }
             }
         }
@@ -1712,7 +1705,7 @@ mod tests {
             let (triangles, weights, rules) =
                 brute_force_customize(&topo, g, |e| cost.edge_cost(g, e));
             for (a, expect) in triangles.iter().enumerate() {
-                let got: Vec<(u32, u32)> = topo.triangles_of(a).collect();
+                let got: Vec<(u32, u32, u32)> = topo.triangles_of(a).collect();
                 assert_eq!(&got, expect, "arc {a}: triangle enumeration");
             }
             let total: usize = triangles.iter().map(Vec::len).sum();
@@ -1746,28 +1739,29 @@ mod tests {
         b.build()
     }
 
-    /// Arc ids are search slots, and every owner cell names the arc
+    /// Arc ids are search slots: the endpoints read off every slot name
+    /// one arc per vertex pair, and every owner cell names the arc
     /// closing its two legs, with an id above both.
     fn assert_numbered_by_slot(topo: &CchTopology) {
         let skel = &topo.skel;
-        for (i, sa) in skel.seg_arcs.iter().enumerate() {
-            assert_eq!(sa.arc as usize, i, "slot {i} holds another arc");
-        }
+        let ends: Vec<_> = (0..topo.arc_count()).map(|a| skel.slot_ends(a)).collect();
+        let pairs: std::collections::HashSet<_> = ends.iter().collect();
+        assert_eq!(pairs.len(), ends.len(), "two slots hold one arc");
         for r in 0..topo.vertex_count() {
-            let (lo, mid, hi) = (
-                skel.seg_offsets[r],
-                skel.seg_mid[r],
-                skel.seg_offsets[r + 1],
-            );
+            let (lo, mid, hi) = skel.bounds(r);
             let table =
                 &topo.cells[topo.cell_offsets[r] as usize..topo.cell_offsets[r + 1] as usize];
             let cells = (mid..hi).flat_map(|b| (lo..mid).map(move |c| (b, c)));
             for (&owner, (b, c)) in table.iter().zip(cells) {
-                let (p, q) = (skel.ends[b as usize].0, skel.ends[c as usize].1);
+                let (p, q) = (ends[b as usize].0, ends[c as usize].1);
+                assert_eq!(
+                    (ends[b as usize].1, ends[c as usize].0),
+                    (r as u32, r as u32)
+                );
                 if p == q {
                     assert_eq!(owner, u32::MAX, "a 2-cycle cell names an owner");
                 } else {
-                    assert_eq!(skel.ends[owner as usize], (p, q), "cell ({b}, {c})");
+                    assert_eq!(ends[owner as usize], (p, q), "cell ({b}, {c})");
                     assert!(owner > b && owner > c, "owner {owner} below leg {b} or {c}");
                 }
             }

@@ -36,6 +36,15 @@
 //!   the estimate may over-count, which can misplace a vertex but never
 //!   drop a shortcut. Bit-identical for any thread count (golden
 //!   fingerprints in the unit tests).
+//! * **One arc numbering, nothing stored that a slot implies.** The build
+//!   grows an arc pool, but the finished hierarchy keeps none: an arc's
+//!   id is its slot in the rank-space search CSR, one slot per vertex
+//!   pair and direction. A search entry is the other endpoint's rank (4
+//!   bytes); weight and expansion word are columns indexed by slot; the
+//!   endpoints are the segment's rank and the entry. A shortcut's
+//!   expansion word is its mid's rank, and its legs are the mid's slots
+//!   to its two ends (`ContractionHierarchy::assemble` keeps exactly
+//!   the arcs contraction joined).
 //!
 //! A witness search is capped ([`ChConfig::witness_settle_cap`]); hitting
 //! the cap may insert a redundant shortcut but can never drop a needed
@@ -70,49 +79,44 @@ impl Default for ChConfig {
     }
 }
 
-/// What an arc expands to: an original graph edge, or the concatenation
-/// of two lower-level arcs (the pair a contracted vertex joined).
+/// What an arc expands to: an original graph edge, or the two arcs
+/// through the vertex whose contraction inserted it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChArcKind {
     /// A real edge of the underlying graph.
     Original(EdgeId),
-    /// A shortcut: expands to arc `.0` followed by arc `.1`.
-    Shortcut(u32, u32),
+    /// A shortcut through the given *mid* vertex, ranked below both
+    /// ends: expands to the arc `from -> mid` followed by `mid -> to`.
+    Shortcut(VertexId),
 }
 
-/// The stored form of a [`ChArcKind`], 8 bytes where the enum takes 12:
-/// `(first, second)` for a shortcut, `(edge, u32::MAX)` for an original
-/// edge. No arc id is `u32::MAX` (ids are below a `u32` arc count).
+/// The stored form of an arc's expansion, one word per arc per
+/// weighting: the mid's *rank* for a shortcut, or the edge id with
+/// [`ArcRule::ORIGINAL`] set for an original edge. The legs of a
+/// shortcut are not named: each is the one arc between its ends, found
+/// in the mid's search segment ([`Skeleton::find`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ArcRule(pub(crate) u32, pub(crate) u32);
+pub(crate) struct ArcRule(pub(crate) u32);
 
-const _: () = assert!(std::mem::size_of::<ArcRule>() == 8);
+const _: () = assert!(std::mem::size_of::<ArcRule>() == 4);
 
 impl ArcRule {
+    /// Tags an original edge; ranks and edge ids stay below it.
+    pub(crate) const ORIGINAL: u32 = 1 << 31;
+
     pub(crate) fn original(e: EdgeId) -> Self {
-        ArcRule(e.0, u32::MAX)
+        ArcRule(e.0 | Self::ORIGINAL)
     }
 
-    /// The public view.
-    pub(crate) fn kind(self) -> ChArcKind {
-        match self {
-            ArcRule(e, u32::MAX) => ChArcKind::Original(EdgeId(e)),
-            ArcRule(first, second) => ChArcKind::Shortcut(first, second),
-        }
+    pub(crate) fn shortcut(mid: u32) -> Self {
+        ArcRule(mid)
     }
 
-    /// Whether this is a shortcut with `arc` as one of its halves.
-    pub(crate) fn joins(self, arc: u32) -> bool {
-        self.1 != u32::MAX && (self.0 == arc || self.1 == arc)
-    }
-}
-
-impl From<ChArcKind> for ArcRule {
-    fn from(kind: ChArcKind) -> Self {
-        match kind {
-            ChArcKind::Original(e) => ArcRule::original(e),
-            ChArcKind::Shortcut(first, second) => ArcRule(first, second),
-        }
+    /// The edge of an original arc; `None` for a shortcut, whose word
+    /// is its mid's rank.
+    #[inline]
+    pub(crate) fn edge(self) -> Option<EdgeId> {
+        (self.0 & Self::ORIGINAL != 0).then_some(EdgeId(self.0 & !Self::ORIGINAL))
     }
 }
 
@@ -124,58 +128,161 @@ pub struct ChArc {
     /// Head vertex.
     pub to: VertexId,
     /// Arc weight under the build metric (for shortcuts, the sum of the
-    /// two child arc weights as computed at contraction time).
+    /// two leg weights).
     pub weight: f64,
     /// Expansion rule.
     pub kind: ChArcKind,
 }
 
-/// The weight-independent half of a hierarchy: ranks, arc endpoints and
-/// the rank-space search CSR. A [`ContractionHierarchy`] owns one beside
-/// its weights; every customization of a
+/// Slots per entry of `Skeleton::slot_rank`.
+const SLOTS_PER_BUCKET: usize = 16;
+
+/// Entries [`Skeleton::find`] compares at once.
+const FIND_WINDOW: usize = 8;
+
+/// The weight-independent half of a hierarchy: ranks and the rank-space
+/// search CSR, whose slots number the arcs — an arc's id *is* its slot,
+/// and its endpoints are read off the slot. A [`ContractionHierarchy`]
+/// owns one beside its weights; every customization of a
 /// [`crate::algo::cch::CchTopology`] shares the topology's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Skeleton {
     /// `rank[v]` = contraction position of `v` (0 contracted first).
     pub(crate) rank: Vec<u32>,
-    /// `(tail, head)` of every arc of the pool, in vertex space.
-    pub(crate) ends: Vec<(VertexId, VertexId)>,
+    /// `order[r]` = the vertex of rank `r`, the inverse of `rank`.
+    pub(crate) order: Vec<VertexId>,
     // Search graph in CSR form, one contiguous segment per rank holding
     // the *upward out-arcs* (to higher-ranked heads) followed by the
     // *downward in-arcs* (from higher-ranked tails). The forward search
     // expands the first part and stall-checks the second; the backward
     // search does the reverse — so every settle reads one contiguous
     // region of `seg_arcs` and of the matching weight column (the query
-    // is cache-line-bound).
-    pub(crate) seg_offsets: Vec<u32>,
-    pub(crate) seg_mid: Vec<u32>,
+    // is cache-line-bound). There is one slot per vertex pair and
+    // direction. Rank `r`'s upward half is `halves[2r]..halves[2r + 1]`,
+    // its downward half `..halves[2r + 2]`: one array, so a segment's
+    // bounds share a cache line ([`Skeleton::bounds`]).
+    halves: Vec<u32>,
     pub(crate) seg_arcs: Vec<SearchArc>,
+    /// Slot -> rank, one entry per [`SLOTS_PER_BUCKET`] slots: the rank
+    /// whose segment holds the bucket's first slot, from where a slot's
+    /// own rank is a step or two along the segment bounds
+    /// ([`Skeleton::rank_of_slot`]).
+    slot_rank: Vec<u32>,
 }
 
 impl Skeleton {
+    /// Lays out the skeleton from the rank array and the search arcs
+    /// grouped into halves (`halves[2r]..halves[2r + 1]` upward,
+    /// `..halves[2r + 2]` downward).
+    pub(crate) fn new(rank: Vec<u32>, halves: Vec<u32>, seg_arcs: Vec<SearchArc>) -> Self {
+        let n = rank.len();
+        let mut order = vec![VertexId(0); n];
+        for (v, &r) in (0u32..).zip(&rank) {
+            order[r as usize] = VertexId(v);
+        }
+        let mut slot_rank = Vec::with_capacity(seg_arcs.len() / SLOTS_PER_BUCKET + 1);
+        let mut r = 0usize;
+        for first in (0..=seg_arcs.len()).step_by(SLOTS_PER_BUCKET) {
+            while r + 1 < n && halves[2 * r + 2] as usize <= first {
+                r += 1;
+            }
+            slot_rank.push(r as u32);
+        }
+        Skeleton {
+            rank,
+            order,
+            halves,
+            seg_arcs,
+            slot_rank,
+        }
+    }
+
     pub(crate) fn heap_bytes(&self) -> usize {
-        4 * (self.rank.len() + self.seg_offsets.len() + self.seg_mid.len())
-            + 8 * (self.ends.len() + self.seg_arcs.len())
+        let per_rank = self.rank.len() + self.order.len() + self.halves.len();
+        4 * (per_rank + self.slot_rank.len() + self.seg_arcs.len())
+    }
+
+    /// `(start, mid, end)` of rank `r`'s segment: its upward half is
+    /// `start..mid`, its downward half `mid..end`.
+    #[inline]
+    pub(crate) fn bounds(&self, r: usize) -> (u32, u32, u32) {
+        let b = &self.halves[2 * r..2 * r + 3];
+        (b[0], b[1], b[2])
+    }
+
+    /// The rank whose segment holds `slot` — the arc's lower endpoint.
+    #[inline]
+    pub(crate) fn rank_of_slot(&self, slot: usize) -> usize {
+        let mut r = self.slot_rank[slot / SLOTS_PER_BUCKET] as usize;
+        while self.halves[2 * r + 2] as usize <= slot {
+            r += 1;
+        }
+        r
+    }
+
+    /// `(tail rank, head rank)` of the arc in `slot`.
+    #[inline]
+    pub(crate) fn slot_ends(&self, slot: usize) -> (u32, u32) {
+        let r = self.rank_of_slot(slot) as u32;
+        let other = self.seg_arcs[slot].other;
+        if slot < self.halves[2 * r as usize + 1] as usize {
+            (r, other)
+        } else {
+            (other, r)
+        }
+    }
+
+    /// `(tail, head)` of every arc, in slot order.
+    pub(crate) fn arc_ends(&self) -> impl ExactSizeIterator<Item = (VertexId, VertexId)> + '_ {
+        (0..self.seg_arcs.len()).map(|slot| {
+            let (tail, head) = self.slot_ends(slot);
+            (self.order[tail as usize], self.order[head as usize])
+        })
+    }
+
+    /// The slot in `lo..hi`, one half of a segment ([`Skeleton::bounds`]),
+    /// whose entry names rank `other` (a pair has one slot per
+    /// direction). Halves are short — four entries on average on the
+    /// 43k map — so a window of [`FIND_WINDOW`] entries from `lo` is
+    /// compared branch-free: an early-exit scan mispredicts its exit once
+    /// per call, and unpacking calls this twice per shortcut.
+    #[inline]
+    pub(crate) fn find(&self, (lo, hi): (u32, u32), other: u32) -> Option<u32> {
+        let (lo, hi) = (lo as usize, hi as usize);
+        let window = self.seg_arcs.get(lo..lo + FIND_WINDOW);
+        let Some(window) = window.filter(|_| hi - lo <= FIND_WINDOW) else {
+            let pos = self.seg_arcs[lo..hi]
+                .iter()
+                .position(|sa| sa.other == other)?;
+            return Some((lo + pos) as u32);
+        };
+        let hits = window
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (i, sa)| m | u32::from(sa.other == other) << i);
+        let hits = hits & ((1 << (hi - lo)) - 1);
+        (hits != 0).then(|| (lo as u32) + hits.trailing_zeros())
     }
 }
 
-/// One adjacency entry of the query-time search graphs. Its weight sits
-/// at the same index of a separate column, so a live re-weighting writes
-/// that column and never copies structure.
+/// One adjacency entry of the query-time search graphs: the *rank* of
+/// the arc's other endpoint — head on upward entries, tail on downward
+/// ones (the query loop runs entirely in rank space, see
+/// [`ContractionHierarchy::assemble`]). The entry's position is the
+/// arc's id; its weight and expansion rule sit at the same index of
+/// separate columns, so a live re-weighting writes those and never
+/// copies structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SearchArc {
-    /// The *rank* of the arc's other endpoint: head on upward entries,
-    /// tail on downward ones (the query loop runs entirely in rank
-    /// space, see [`ContractionHierarchy::assemble`]).
     pub(crate) other: u32,
-    /// Index into the arc pool (for parent chains / unpacking).
-    pub(crate) arc: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<SearchArc>() == 4);
+
 /// What the query, unpack and many-to-many loops read: a [`Skeleton`]
-/// plus the two columns they need of one weighting — per-arc expansion
-/// rules and per-segment-slot weights. [`ContractionHierarchy::view`] and
-/// [`crate::algo::cch::Cch::view`] both produce it, so each loop is
+/// plus the two columns they need of one weighting, both indexed by
+/// slot — expansion rules and weights. [`ContractionHierarchy::view`]
+/// and [`crate::algo::cch::Cch::view`] both produce it, so each loop is
 /// written once.
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchyView<'a> {
@@ -201,9 +308,7 @@ pub struct ContractionHierarchy {
     /// engine skips the index when the graph has been mutated since.
     weights_epoch: u64,
     skel: Skeleton,
-    /// Arc pool columns beside `skel.ends`: original edges first (`arc i`
-    /// = `EdgeId(i)` for `i < m`), shortcuts appended in creation order.
-    weights: Vec<f64>,
+    /// Expansion rule of `skel.seg_arcs[i]`.
     rules: Vec<ArcRule>,
     /// Weight of `skel.seg_arcs[i]` under the build metric.
     seg_weights: Vec<f64>,
@@ -218,8 +323,8 @@ pub struct ContractionHierarchy {
 struct ChEntry {
     /// `(last-touching epoch << 1) | settled-bit`.
     stamp: u32,
-    /// Arc that reached the vertex; `u32::MAX` marks the search root.
-    parent_arc: u32,
+    /// Rank that reached the vertex; `u32::MAX` marks the search root.
+    parent: u32,
     /// Tentative (then final) distance in the current epoch.
     dist: f64,
 }
@@ -247,7 +352,7 @@ impl ChSide {
             entries: vec![
                 ChEntry {
                     stamp: 0,
-                    parent_arc: u32::MAX,
+                    parent: u32::MAX,
                     dist: f64::INFINITY,
                 };
                 n
@@ -288,8 +393,8 @@ impl ChSide {
     }
 
     #[inline]
-    pub(crate) fn parent_arc(&self, v: VertexId) -> u32 {
-        self.entries[v.index()].parent_arc
+    pub(crate) fn parent(&self, v: VertexId) -> u32 {
+        self.entries[v.index()].parent
     }
 
     #[inline]
@@ -304,11 +409,11 @@ impl ChSide {
     }
 
     #[inline]
-    pub(crate) fn relax(&mut self, v: VertexId, d: f64, parent_arc: u32) {
+    pub(crate) fn relax(&mut self, v: VertexId, d: f64, parent: u32) {
         self.entries[v.index()] = ChEntry {
             stamp: self.epoch << 1,
             dist: d,
-            parent_arc,
+            parent,
         };
         self.pushed_total += 1;
     }
@@ -336,10 +441,19 @@ pub struct ChSearch {
     /// Matching vertex sequence (`edge_buf.len() + 1` entries), emitted
     /// during unpacking so path assembly never re-reads the graph.
     vertex_buf: Vec<VertexId>,
-    /// Explicit expansion stack (recursion-free shortcut unpacking).
-    unpack_stack: Vec<u32>,
-    /// Forward parent-arc chain scratch (meet back to the source).
-    chain_buf: Vec<u32>,
+    unpack: Unpack,
+}
+
+/// Scratch of [`HierarchyView::expand`]: the path's arcs as a list of
+/// `(slot or expansion word, tail rank, head rank)` nodes chained in path
+/// order by `link` (`u32::MAX` ends it), and the nodes of the current
+/// level still to expand.
+#[derive(Debug, Clone, Default)]
+struct Unpack {
+    nodes: Vec<(u32, u32, u32)>,
+    link: Vec<u32>,
+    pending: Vec<u32>,
+    shortcuts: Vec<u32>,
 }
 
 impl ChSearch {
@@ -350,8 +464,7 @@ impl ChSearch {
             bwd: ChSide::new(n),
             edge_buf: Vec::new(),
             vertex_buf: Vec::new(),
-            unpack_stack: Vec::new(),
-            chain_buf: Vec::new(),
+            unpack: Unpack::default(),
         }
     }
 
@@ -655,7 +768,7 @@ impl Contract for Builder {
                 from,
                 to,
                 weight,
-                kind: ChArcKind::Shortcut(a_in, a_out),
+                kind: ChArcKind::Shortcut(v),
             });
             self.out_adj[from.index()].push(id);
             self.in_adj[to.index()].push(id);
@@ -700,52 +813,61 @@ impl ContractionHierarchy {
             contract_in_priority_order(g.vertex_count(), cfg.threads, &mut b);
             (b.rank, b.arcs)
         };
-        let mut ch = Self::assemble(metric, g.edge_count(), rank, arcs);
+        let mut ch = Self::assemble(metric, g.edge_count(), rank, arcs)
+            .unwrap_or_else(|e| panic!("contraction joined an arc the search graph drops: {e}"));
         ch.weights_epoch = g.weights_epoch();
         ch
     }
 
-    /// Builds the CSR search graphs from the rank array and arc pool
+    /// Builds the CSR search graph from the rank array and an arc pool
     /// (shared by [`ContractionHierarchy::build`] and the io layer's
-    /// deserialiser).
+    /// deserialiser), numbering the arcs by search slot.
     ///
-    /// The search graphs live in **rank space**: CSR buckets and
+    /// The search graph lives in **rank space**: CSR buckets and
     /// [`SearchArc::other`] use a vertex's rank, not its id. Every query
     /// climbs into the same top-of-hierarchy vertices, so rank-ordering
     /// the per-vertex state and adjacency clusters that shared hot
     /// region into a few contiguous cache lines (a large constant-factor
-    /// win on the memory-bound query loop). The arc *pool* stays in
-    /// vertex space for unpacking.
+    /// win on the memory-bound query loop).
+    ///
+    /// Contraction can leave several parallel arcs between one vertex
+    /// pair (an original edge plus successively cheaper shortcuts), and
+    /// a pool read from elsewhere may hold self-loops. Neither kind can
+    /// lie on a shortest path except the cheapest parallel arc, so only
+    /// that one gets a slot (lowest pool id on ties, at the pair's first
+    /// position). It is also the only one a shortcut can have as a leg:
+    /// contraction joins the cheapest parallel arc, lowest id on ties
+    /// (`Builder::gather_neighbors`), and no arc to a contracted vertex
+    /// appears later. So every shortcut's legs are slots of its mid,
+    /// with weights summing to its own in bits; this is checked, and a
+    /// pool that breaks it (or names a mid not ranked below both ends)
+    /// is refused with the reason.
     pub(crate) fn assemble(
         metric: LandmarkMetric,
         m: usize,
         rank: Vec<u32>,
         arcs: Vec<ChArc>,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let n = rank.len();
-        // An arc hangs off its lower-ranked endpoint, in the upward half
-        // of that rank's segment when that is its tail; halves hold arc
-        // ids in ascending order.
-        let no_arc = SearchArc { other: 0, arc: 0 };
-        let (mut halves, mut seg_arcs) = group_by_key(2 * n, no_arc, |emit| {
+        if n.max(m) > ArcRule::ORIGINAL as usize {
+            return Err(format!("{n} vertices or {m} edges do not fit 31-bit ids"));
+        }
+        // Pool ids grouped by half (the lower endpoint's, upward when
+        // that is the tail), ascending within one.
+        let (mut halves, mut pool) = group_by_key(2 * n, 0u32, |emit| {
             for (arc, i) in arcs.iter().zip(0u32..) {
                 let (rf, rt) = (rank[arc.from.index()], rank[arc.to.index()]);
-                if rf < rt {
-                    emit(2 * rf, SearchArc { other: rt, arc: i });
-                } else {
-                    emit(2 * rt + 1, SearchArc { other: rf, arc: i });
+                if rf != rt {
+                    emit(2 * rf.min(rt) + u32::from(rf > rt), i);
                 }
             }
         });
-        // Contraction can leave several parallel arcs between one vertex
-        // pair (an original edge plus successively cheaper shortcuts);
-        // only the cheapest can ever lie on a shortest path, so the
-        // search graphs keep just that one, at the pair's first position
-        // (lowest arc id on ties, for determinism). The arc *pool* keeps
-        // everything: dominated arcs may still be children of shortcuts
-        // and are needed for unpacking. Compacts `seg_arcs` in place;
-        // `slot_of[r]` is one past the slot holding the current half's
-        // arc to rank `r`.
+        let other = |i: u32| {
+            let arc = &arcs[i as usize];
+            rank[arc.from.index()].max(rank[arc.to.index()])
+        };
+        // Keep each pair once, compacting in place; `slot_of[r]` is one
+        // past the slot holding the current half's arc to rank `r`.
         let mut slot_of = vec![0u32; n];
         let (mut read, mut write) = (0usize, 0usize);
         for h in 0..2 * n {
@@ -753,43 +875,74 @@ impl ContractionHierarchy {
             let end = halves[h + 1] as usize;
             halves[h] = start as u32;
             for i in read..end {
-                let sa = seg_arcs[i];
-                let slot = slot_of[sa.other as usize] as usize;
+                let arc = pool[i];
+                let slot = slot_of[other(arc) as usize] as usize;
                 if slot > start {
-                    let best = &mut seg_arcs[slot - 1].arc;
-                    if arcs[sa.arc as usize].weight < arcs[*best as usize].weight {
-                        *best = sa.arc;
+                    let best = &mut pool[slot - 1];
+                    if arcs[arc as usize].weight < arcs[*best as usize].weight {
+                        *best = arc;
                     }
                 } else {
-                    seg_arcs[write] = sa;
+                    pool[write] = arc;
                     write += 1;
-                    slot_of[sa.other as usize] = write as u32;
+                    slot_of[other(arc) as usize] = write as u32;
                 }
             }
             read = end;
         }
         halves[2 * n] = write as u32;
-        seg_arcs.truncate(write);
-        seg_arcs.shrink_to_fit();
-        let seg_weights = seg_arcs
+        pool.truncate(write);
+        let seg_arcs = pool
             .iter()
-            .map(|sa| arcs[sa.arc as usize].weight)
+            .map(|&i| SearchArc { other: other(i) })
             .collect();
-        ContractionHierarchy {
+        let seg_weights: Vec<f64> = pool.iter().map(|&i| arcs[i as usize].weight).collect();
+        let rules: Vec<ArcRule> = pool
+            .iter()
+            .map(|&i| match arcs[i as usize].kind {
+                ChArcKind::Original(e) => ArcRule::original(e),
+                ChArcKind::Shortcut(mid) => ArcRule::shortcut(rank[mid.index()]),
+            })
+            .collect();
+        drop((arcs, pool, slot_of));
+        let skel = Skeleton::new(rank, halves, seg_arcs);
+        for (slot, rule) in rules.iter().enumerate() {
+            if rule.edge().is_some() {
+                continue;
+            }
+            let (tail, head) = skel.slot_ends(slot);
+            let mid = rule.0;
+            let (from, to) = (skel.order[tail as usize].0, skel.order[head as usize].0);
+            if mid >= tail.min(head) {
+                return Err(format!(
+                    "shortcut {from} -> {to} has a mid of rank {mid}, not below both ends"
+                ));
+            }
+            let (lo, split, hi) = skel.bounds(mid as usize);
+            let legs = skel
+                .find((split, hi), tail)
+                .zip(skel.find((lo, split), head));
+            let Some((b, c)) = legs else {
+                return Err(format!(
+                    "shortcut {from} -> {to} misses a leg through rank {mid}"
+                ));
+            };
+            let sum = seg_weights[b as usize] + seg_weights[c as usize];
+            if sum.to_bits() != seg_weights[slot].to_bits() {
+                return Err(format!(
+                    "shortcut {from} -> {to} weighs {}, its legs {sum}",
+                    seg_weights[slot]
+                ));
+            }
+        }
+        Ok(ContractionHierarchy {
             metric,
             m,
             weights_epoch: 0,
-            weights: arcs.iter().map(|a| a.weight).collect(),
-            rules: arcs.iter().map(|a| a.kind.into()).collect(),
-            skel: Skeleton {
-                ends: arcs.iter().map(|a| (a.from, a.to)).collect(),
-                seg_offsets: halves.iter().step_by(2).copied().collect(),
-                seg_mid: halves.iter().skip(1).step_by(2).copied().collect(),
-                seg_arcs,
-                rank,
-            },
+            skel,
+            rules,
             seg_weights,
-        }
+        })
     }
 
     /// The metric the hierarchy was built under.
@@ -813,27 +966,31 @@ impl ContractionHierarchy {
         self.weights_epoch
     }
 
-    /// Number of shortcut arcs the contraction inserted.
+    /// Number of shortcut arcs in the search graph.
     pub fn shortcut_count(&self) -> usize {
-        self.rules.len() - self.m
+        self.rules.iter().filter(|r| r.edge().is_none()).count()
     }
 
-    /// The full arc pool (original edges first, then shortcuts).
+    /// Every arc of the search graph, in slot order; endpoints are read
+    /// off the slots.
     pub fn arcs(&self) -> impl ExactSizeIterator<Item = ChArc> + '_ {
-        let cols = self.skel.ends.iter().zip(&self.weights).zip(&self.rules);
-        cols.map(|((&(from, to), &weight), rule)| ChArc {
+        let cols = self.skel.arc_ends().zip(&self.seg_weights).zip(&self.rules);
+        cols.map(|(((from, to), &weight), rule)| ChArc {
             from,
             to,
             weight,
-            kind: rule.kind(),
+            kind: match rule.edge() {
+                Some(e) => ChArcKind::Original(e),
+                None => ChArcKind::Shortcut(self.skel.order[rule.0 as usize]),
+            },
         })
     }
 
     /// Heap bytes the index holds (the `pathrank_serve_index_bytes`
-    /// gauge).
+    /// gauge): 16 B per slot (entry, weight, rule) and per vertex.
     pub fn heap_bytes(&self) -> usize {
         self.skel.heap_bytes()
-            + 8 * (self.weights.len() + self.seg_weights.len())
+            + 8 * self.seg_weights.len()
             + std::mem::size_of_val(self.rules.as_slice())
     }
 
@@ -875,9 +1032,8 @@ impl HierarchyView<'_> {
     /// weights)`: upward out-arcs first, downward in-arcs after.
     #[inline]
     pub(crate) fn segment(&self, u: VertexId) -> (&[SearchArc], &[f64], &[SearchArc], &[f64]) {
-        let lo = self.skel.seg_offsets[u.index()] as usize;
-        let ups = self.skel.seg_mid[u.index()] as usize - lo;
-        let hi = self.skel.seg_offsets[u.index() + 1] as usize;
+        let (lo, mid, hi) = self.skel.bounds(u.index());
+        let (lo, ups, hi) = (lo as usize, (mid - lo) as usize, hi as usize);
         let (up, down) = self.skel.seg_arcs[lo..hi].split_at(ups);
         let (up_w, down_w) = self.seg_weights[lo..hi].split_at(ups);
         (up, up_w, down, down_w)
@@ -943,7 +1099,7 @@ impl HierarchyView<'_> {
                 }
                 let nd = d + w;
                 if nd < fwd.dist(v) {
-                    fwd.relax(v, nd, sa.arc);
+                    fwd.relax(v, nd, u.0);
                     fwd.heap.push(MinCost { cost: nd, item: v });
                 }
             }
@@ -982,7 +1138,7 @@ impl HierarchyView<'_> {
                 // A label at or past `best` can never improve the meet
                 // (the forward distance is non-negative).
                 if nd < bwd.dist(v) && nd < best {
-                    bwd.relax(v, nd, sa.arc);
+                    bwd.relax(v, nd, u.0);
                     bwd.heap.push(MinCost { cost: nd, item: v });
                 }
             }
@@ -990,30 +1146,68 @@ impl HierarchyView<'_> {
         meet.map(|m| (m, best))
     }
 
-    /// Expands `arc` into original edges appended to `edges`, emitting
-    /// each edge's head vertex into `vertices` alongside (explicit
-    /// stack; shortcut nesting can be deep). Original-edge arcs carry
-    /// their endpoints in the pool, so no graph lookups are needed.
-    fn expand_arc(
-        &self,
-        arc: u32,
-        stack: &mut Vec<u32>,
-        edges: &mut Vec<EdgeId>,
-        vertices: &mut Vec<VertexId>,
-    ) {
-        stack.clear();
-        stack.push(arc);
-        while let Some(a) = stack.pop() {
-            match self.rules[a as usize].kind() {
-                ChArcKind::Original(e) => {
-                    edges.push(e);
-                    vertices.push(self.skel.ends[a as usize].1);
-                }
-                ChArcKind::Shortcut(first, second) => {
-                    stack.push(second);
-                    stack.push(first);
-                }
+    /// Expands `u.nodes` — `(slot, tail rank, head rank)`, in path order —
+    /// into original edges appended to `edges`, emitting each edge's head
+    /// vertex into `vertices` alongside. Level by level: a pass reads the
+    /// expansion word of every node of the level and replaces each
+    /// shortcut by its legs `tail -> mid` and `mid -> head`, the mid's
+    /// downward slot from `tail` and upward slot to `head`, linked in
+    /// where the shortcut was. Finding them takes three dependent loads
+    /// (expansion word, segment bounds, segment entries), but the
+    /// shortcuts of one level are independent, so their loads overlap
+    /// where a depth-first expansion waits on them one shortcut at a time
+    /// (on the 43k map that wait doubled the unpack time). A node is
+    /// visited once per level it takes part in, and the pass that reads
+    /// the words compacts the shortcuts without a branch: whether an arc
+    /// is original is a coin toss to the branch predictor.
+    fn expand(&self, u: &mut Unpack, edges: &mut Vec<EdgeId>, vertices: &mut Vec<VertexId>) {
+        let leg = |half, other| {
+            let slot = self.skel.find(half, other);
+            slot.expect("a shortcut's legs are slots of its mid")
+        };
+        const ORIGINAL: u32 = ArcRule::ORIGINAL;
+        let Unpack {
+            nodes,
+            link,
+            pending,
+            shortcuts,
+        } = u;
+        link.clear();
+        link.extend(1..nodes.len() as u32);
+        link.push(u32::MAX);
+        pending.clear();
+        pending.extend(0..nodes.len() as u32);
+        while !pending.is_empty() {
+            // A node's first field is a slot until its expansion word is
+            // read, then the word: an original keeps it, a shortcut is
+            // replaced by its legs.
+            shortcuts.resize(pending.len(), 0);
+            let mut k = 0usize;
+            for &i in pending.iter() {
+                let word = &mut nodes[i as usize].0;
+                *word = self.rules[*word as usize].0;
+                shortcuts[k] = i;
+                k += usize::from(*word & ORIGINAL == 0);
             }
+            shortcuts.truncate(k);
+            pending.clear();
+            for &i in shortcuts.iter() {
+                let (mid, tail, head) = nodes[i as usize];
+                let (lo, split, hi) = self.skel.bounds(mid as usize);
+                let j = nodes.len() as u32;
+                nodes[i as usize] = (leg((split, hi), tail), tail, mid);
+                nodes.push((leg((lo, split), head), mid, head));
+                link.push(link[i as usize]);
+                link[i as usize] = j;
+                pending.extend([i, j]);
+            }
+        }
+        let mut i = 0;
+        while i != u32::MAX {
+            let (word, _, head) = nodes[i as usize];
+            edges.push(EdgeId(word & !ORIGINAL));
+            vertices.push(self.skel.order[head as usize]);
+            i = link[i as usize];
         }
     }
 
@@ -1059,55 +1253,57 @@ impl HierarchyView<'_> {
             return None;
         }
         let (meet, _) = self.run_query(search, source, target)?;
-        let (rank, ends) = (&self.skel.rank, &self.skel.ends);
-        // Forward chain: arcs source -> meet, gathered top-down. The
-        // parent chains live in rank space; the pool arcs they name are
-        // in vertex space.
-        let mut chain = std::mem::take(&mut search.chain_buf);
-        chain.clear();
-        let mut cur = meet;
+        let ChSearch {
+            fwd,
+            bwd,
+            edge_buf: edges,
+            vertex_buf: vertices,
+            unpack,
+        } = search;
+        let arcs = &mut unpack.nodes;
+        // The search arcs of the path, in path order: the forward parent
+        // chain (meet -> source) reversed, then the backward one (meet ->
+        // target). Both chains name ranks; the arc between a vertex and
+        // its parent is a slot of the parent, the lower of the two.
+        arcs.clear();
+        let mut cur = meet.0;
         loop {
-            let a = search.fwd.parent_arc(cur);
-            if a == u32::MAX {
+            let p = fwd.parent(VertexId(cur));
+            if p == u32::MAX {
                 break;
             }
-            chain.push(a);
-            cur = VertexId(rank[ends[a as usize].0.index()]);
+            let (lo, split, _) = self.skel.bounds(p as usize);
+            let slot = self.skel.find((lo, split), cur);
+            arcs.push((slot.expect("a parent reached its child upward"), p, cur));
+            cur = p;
         }
         debug_assert_eq!(
-            cur.0,
-            rank[source.index()],
+            cur,
+            self.skel.rank[source.index()],
             "forward chain must reach the source"
         );
-        let mut edges = std::mem::take(&mut search.edge_buf);
-        let mut vertices = std::mem::take(&mut search.vertex_buf);
-        let mut stack = std::mem::take(&mut search.unpack_stack);
+        arcs.reverse();
+        let mut cur = meet.0;
+        loop {
+            let p = bwd.parent(VertexId(cur));
+            if p == u32::MAX {
+                break;
+            }
+            let (_, split, hi) = self.skel.bounds(p as usize);
+            let slot = self.skel.find((split, hi), cur);
+            arcs.push((slot.expect("a parent reached its child downward"), cur, p));
+            cur = p;
+        }
+        debug_assert_eq!(
+            cur,
+            self.skel.rank[target.index()],
+            "backward chain must reach the target"
+        );
         edges.clear();
         vertices.clear();
         vertices.push(source);
-        for &a in chain.iter().rev() {
-            self.expand_arc(a, &mut stack, &mut edges, &mut vertices);
-        }
-        // Backward chain: arcs meet -> target, already in path order.
-        let mut cur = meet;
-        loop {
-            let a = search.bwd.parent_arc(cur);
-            if a == u32::MAX {
-                break;
-            }
-            self.expand_arc(a, &mut stack, &mut edges, &mut vertices);
-            cur = VertexId(rank[ends[a as usize].1.index()]);
-        }
-        debug_assert_eq!(
-            cur.0,
-            rank[target.index()],
-            "backward chain must reach the target"
-        );
-        search.chain_buf = chain;
-        search.edge_buf = edges;
-        search.vertex_buf = vertices;
-        search.unpack_stack = stack;
-        Some((&search.edge_buf, &search.vertex_buf))
+        self.expand(unpack, edges, vertices);
+        Some((edges, vertices))
     }
 }
 
@@ -1329,18 +1525,25 @@ mod tests {
         grid_network(&cfg, 5)
     }
 
-    /// FNV-1a, word-wise, over everything `build` decides: the rank array
-    /// and the arc pool (endpoints, weight bits, expansion rule).
+    /// FNV-1a, word-wise, over everything `build` decides, naming no arc
+    /// id: the rank array, then the search arcs sorted by `(from, to)`,
+    /// each as its weight bits and then its edge id (an original) or its
+    /// `(from, mid, to)` (a shortcut). Pinned before arcs were numbered
+    /// by search slot, so it holds every numbering to one hierarchy.
     fn fingerprint(ch: &ContractionHierarchy) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut word = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
         ch.ranks().iter().for_each(|&r| word(u64::from(r)));
-        for a in ch.arcs() {
-            word(u64::from(a.from.0) << 32 | u64::from(a.to.0));
+        let mut arcs: Vec<ChArc> = ch.arcs().collect();
+        arcs.sort_by_key(|a| (a.from.0, a.to.0));
+        for a in arcs {
             word(a.weight.to_bits());
             match a.kind {
                 ChArcKind::Original(e) => word(u64::from(e.0)),
-                ChArcKind::Shortcut(x, y) => word(1 << 63 | u64::from(x) << 32 | u64::from(y)),
+                ChArcKind::Shortcut(mid) => {
+                    word(1 << 63 | u64::from(a.from.0) << 32 | u64::from(mid.0));
+                    word(u64::from(a.to.0));
+                }
             }
         }
         h
@@ -1354,8 +1557,8 @@ mod tests {
         // searches: an estimate may buy build time with index size only
         // up to 5 %.
         for (g, golden, search_ordered) in [
-            (region(), 0x63d6_d686_4fa3_55acu64, 114usize),
-            (grid24(), 0x9c41_e465_3bbd_4a81u64, 3550usize),
+            (region(), 0x86ad_11aa_2b10_a63bu64, 114usize),
+            (grid24(), 0xddcb_a30b_cf64_05feu64, 3550usize),
         ] {
             for threads in [1, 2, 4] {
                 let cfg = ChConfig {
@@ -1375,6 +1578,17 @@ mod tests {
                     ch.shortcut_count()
                 );
             }
+        }
+        // Raw multigraphs, whose pools hold dominated parallel arcs the
+        // search graph drops (234 -> 201 and 314 -> 260 arcs).
+        for (n, seed, golden, slots) in [
+            (40, 3, 0x5031_40cd_d239_5f0bu64, 201),
+            (60, 9, 0x4550_2f6f_8494_3294u64, 260),
+        ] {
+            let ch = raw_hierarchy(n, &random_multigraph(n as u32, seed)).0;
+            assert_eq!(ch.arcs().len(), slots, "seed {seed}");
+            let print = fingerprint(&ch);
+            assert!(print == golden, "seed {seed} drifted: {print:#018x}");
         }
     }
 
@@ -1441,6 +1655,170 @@ mod tests {
             }
         }
         raw
+    }
+
+    /// The hierarchy `build` makes of raw arcs (one worker), plus the
+    /// legs contraction chose for every shortcut of its pool, by pool id
+    /// (`legs[i - raw.len()]` for pool arc `i`): the contraction replayed
+    /// in rank order, reading each plan's `needed` list.
+    fn raw_hierarchy(
+        n: usize,
+        raw: &[(u32, u32, f64)],
+    ) -> (ContractionHierarchy, Vec<ChArc>, Vec<(u32, u32)>) {
+        let mut ordered = raw_builder(n, raw);
+        contract_in_priority_order(n, 1, &mut ordered);
+        let mut replay = raw_builder(n, raw);
+        let mut space = WitnessSpace::default();
+        let mut legs = Vec::new();
+        let mut order = vec![VertexId(0); n];
+        for (v, &r) in ordered.rank.iter().enumerate() {
+            order[r as usize] = VertexId(v as u32);
+        }
+        for (r, &v) in (0u32..).zip(&order) {
+            replay.contract(v, r, &mut space);
+            legs.extend(space.needed.iter().map(|&(a, b, _)| (a, b)));
+        }
+        let same = |a: &ChArc, b: &ChArc| {
+            (a.from, a.to, a.weight.to_bits(), a.kind) == (b.from, b.to, b.weight.to_bits(), b.kind)
+        };
+        assert!(ordered
+            .arcs
+            .iter()
+            .zip(&replay.arcs)
+            .all(|(a, b)| same(a, b)));
+        assert_eq!(ordered.arcs.len(), raw.len() + legs.len());
+        let ch = ContractionHierarchy::assemble(
+            LandmarkMetric::Length,
+            raw.len(),
+            ordered.rank,
+            ordered.arcs,
+        )
+        .expect("a built pool assembles");
+        (ch, replay.arcs, legs)
+    }
+
+    /// Single-source distances over raw arcs, O(n²) textbook Dijkstra.
+    fn raw_distances(n: usize, raw: &[(u32, u32, f64)], s: usize) -> Vec<f64> {
+        let mut dist = vec![f64::INFINITY; n];
+        let mut done = vec![false; n];
+        dist[s] = 0.0;
+        while let Some(x) = (0..n)
+            .filter(|&x| !done[x] && dist[x].is_finite())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+        {
+            done[x] = true;
+            for &(_, to, w) in raw.iter().filter(|a| a.0 as usize == x) {
+                dist[to as usize] = dist[to as usize].min(dist[x] + w);
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn ch_slots_keep_the_legs_contraction_joined_on_multigraphs() {
+        // Random multigraphs with parallel arcs, zero weights, 2-cycles
+        // and a self-loop at every fifth vertex; integer weights keep
+        // every cost exact under any association.
+        use crate::algo::cch::{CchConfig, CchTopology};
+        use crate::algo::m2m::M2mSearch;
+        for seed in 1..=40u64 {
+            let n = 4 + (seed % 13) as usize;
+            let mut raw = random_multigraph(n as u32, seed);
+            raw.extend((0..n as u32).step_by(5).map(|v| (v, v, f64::from(v % 3))));
+            let (ch, pool, legs) = raw_hierarchy(n, &raw);
+            // The pool arc a slot keeps: the cheapest of its pair, lowest
+            // id on ties.
+            let mut kept = std::collections::HashMap::new();
+            for (arc, i) in pool.iter().zip(0u32..) {
+                let best = kept.entry((arc.from, arc.to)).or_insert(i);
+                if arc.weight < pool[*best as usize].weight {
+                    *best = i;
+                }
+            }
+            let pool_unpack = |arc: u32| {
+                let (mut edges, mut stack) = (Vec::new(), vec![arc]);
+                while let Some(a) = stack.pop() {
+                    match a.checked_sub(raw.len() as u32) {
+                        None => edges.push(EdgeId(a)),
+                        Some(s) => stack.extend([legs[s as usize].1, legs[s as usize].0]),
+                    }
+                }
+                edges
+            };
+            let view = ch.view();
+            let mut search = ChSearch::new(n);
+            for (slot, arc) in ch.arcs().enumerate() {
+                assert_ne!(arc.from, arc.to, "seed {seed}: a self-loop has a slot");
+                let i = kept[&(arc.from, arc.to)];
+                assert_eq!(arc.weight.to_bits(), pool[i as usize].weight.to_bits());
+                if let ChArcKind::Shortcut(mid) = arc.kind {
+                    let (a_in, a_out) = legs[i as usize - raw.len()];
+                    assert_eq!(
+                        (a_in, a_out),
+                        (kept[&(arc.from, mid)], kept[&(mid, arc.to)]),
+                        "seed {seed}: slot {slot} joins a dropped arc"
+                    );
+                }
+                let (tail, head) = ch.skel.slot_ends(slot);
+                let (mut edges, mut vertices) = (Vec::new(), Vec::new());
+                let mut unpack = Unpack {
+                    nodes: vec![(slot as u32, tail, head)],
+                    ..Unpack::default()
+                };
+                view.expand(&mut unpack, &mut edges, &mut vertices);
+                assert_eq!(
+                    edges,
+                    pool_unpack(i),
+                    "seed {seed}: slot {slot} unpacks differently"
+                );
+                assert_eq!(vertices.last(), Some(&arc.to));
+            }
+            // Costs: the CH, a CCH over the same arcs as a graph under a
+            // custom vector (zeros included), and m2m tables on both.
+            let mut b = GraphBuilder::new();
+            for i in 0..n {
+                b.add_vertex(Point::new(i as f64, 0.0));
+            }
+            let mut custom = Vec::new();
+            for &(from, to, w) in raw.iter().filter(|a| a.0 != a.1) {
+                let attrs = EdgeAttrs::with_default_speed(1.0, RoadCategory::Residential);
+                b.add_edge(VertexId(from), VertexId(to), attrs).unwrap();
+                custom.push(w);
+            }
+            let g = b.build();
+            let topo = std::sync::Arc::new(CchTopology::build(&g, &CchConfig::default()));
+            let cch = topo.customize_weights(&g, &custom);
+            let everyone: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
+            let mut m2m = M2mSearch::new(n);
+            let tables = [
+                view.many_to_many(&mut m2m, &everyone, &everyone),
+                cch.view().many_to_many(&mut m2m, &everyone, &everyone),
+            ];
+            for s in 0..n {
+                let expect = raw_distances(n, &raw, s);
+                for (t, want) in expect.iter().map(|d| d.to_bits()).enumerate() {
+                    let (sv, tv) = (VertexId(s as u32), VertexId(t as u32));
+                    for (name, got) in [
+                        ("ch", view.query_cost(&mut search, sv, tv)),
+                        ("cch", cch.view().query_cost(&mut search, sv, tv)),
+                        ("ch m2m", Some(tables[0].dist(s, t))),
+                        ("cch m2m", Some(tables[1].dist(s, t))),
+                    ] {
+                        let got = got.unwrap_or(f64::INFINITY).to_bits();
+                        assert_eq!(got, want, "seed {seed}: {name} {s} -> {t}");
+                    }
+                    // A path's edges sum to its cost and chain s to t.
+                    if let Some((edges, vertices)) = view.query_path(&mut search, sv, tv) {
+                        let cost: f64 = edges.iter().map(|e| raw[e.index()].2).sum();
+                        assert_eq!(cost.to_bits(), want, "seed {seed}: path {s} -> {t}");
+                        for (e, pair) in edges.iter().zip(vertices.windows(2)) {
+                            let (from, to, _) = raw[e.index()];
+                            assert_eq!((VertexId(from), VertexId(to)), (pair[0], pair[1]));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Reference for the proof: the shortcuts contracting `v` needs, by

@@ -228,7 +228,7 @@ impl HierarchyView<'_> {
                     }
                     let nd = d + w;
                     if nd < side.dist(v) {
-                        side.relax(v, nd, sa.arc);
+                        side.relax(v, nd, u.0);
                         side.heap.push(MinCost { cost: nd, item: v });
                     }
                 }
@@ -289,7 +289,7 @@ impl HierarchyView<'_> {
                 }
                 let nd = d + w;
                 if nd < side.dist(v) {
-                    side.relax(v, nd, sa.arc);
+                    side.relax(v, nd, u.0);
                     side.heap.push(MinCost { cost: nd, item: v });
                 }
             }

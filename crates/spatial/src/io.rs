@@ -26,9 +26,9 @@
 //!   [`LandmarkTable`]s: the metric, the graph fingerprint, the landmark
 //!   ids and the forward/backward distance vectors;
 //! * [`write_ch`] / [`read_ch`] — [`ContractionHierarchy`] indexes: the
-//!   metric, the fingerprint, the rank permutation and the arc pool
-//!   (original edges and shortcuts); the query-time CSR is rebuilt on
-//!   read;
+//!   metric, the fingerprint, the rank permutation and the search arcs
+//!   in slot order (original edges, and shortcuts named by their mid);
+//!   the query-time CSR is rebuilt on read;
 //! * [`write_cch`] / [`read_cch`] — the *metric-independent* half of a
 //!   customizable hierarchy ([`CchTopology`]): the fingerprint, the
 //!   contraction order and the chordal arcs with their original edges
@@ -60,7 +60,7 @@ use crate::util::group_by_key;
 
 const MAGIC: &str = "pathrank-graph v1";
 const LANDMARKS_MAGIC: &str = "pathrank-landmarks v1";
-const CH_MAGIC: &str = "pathrank-ch v1";
+const CH_MAGIC: &str = "pathrank-ch v2";
 const CCH_MAGIC: &str = "pathrank-cch v2";
 const IMPORTED_MAGIC: &str = "pathrank-osm-graph v1";
 
@@ -260,6 +260,36 @@ fn parse_f64_row(line: &str, prefix: &str, count: usize) -> Result<Vec<f64>, Spa
     Ok(row)
 }
 
+/// A `ranks <r0> <r1> …` line holding a permutation of `0..n`.
+fn parse_ranks(line: &str, n: usize) -> Result<Vec<u32>, SpatialError> {
+    let mut it = line.split_ascii_whitespace();
+    if it.next() != Some("ranks") {
+        return Err(SpatialError::Parse(format!(
+            "expected ranks line, got {line:?}"
+        )));
+    }
+    let rank: Vec<u32> = it
+        .map(|t| t.parse::<u32>())
+        .collect::<Result<_, _>>()
+        .map_err(|e| SpatialError::Parse(format!("bad rank: {e}")))?;
+    if rank.len() != n {
+        return Err(SpatialError::Parse(format!(
+            "rank line has {} entries, expected {n}",
+            rank.len()
+        )));
+    }
+    let mut seen = vec![false; n];
+    for &r in &rank {
+        if (r as usize) >= n || seen[r as usize] {
+            return Err(SpatialError::Parse(format!(
+                "ranks are not a permutation of 0..{n} (offending rank {r})"
+            )));
+        }
+        seen[r as usize] = true;
+    }
+    Ok(rank)
+}
+
 /// Writes an ALT landmark table in the v1 text format.
 pub fn write_landmarks<W: Write>(table: &LandmarkTable, out: &mut W) -> std::io::Result<()> {
     writeln!(out, "{LANDMARKS_MAGIC}")?;
@@ -343,9 +373,10 @@ pub fn landmarks_from_str(s: &str) -> Result<LandmarkTable, SpatialError> {
     read_landmarks(s.as_bytes())
 }
 
-/// Writes a contraction hierarchy in the v1 text format: the rank
-/// permutation plus the arc pool (`a <from> <to> <weight> e <edge>` for
-/// original edges, `a <from> <to> <weight> s <lo> <hi>` for shortcuts).
+/// Writes a contraction hierarchy in the v2 text format: the rank
+/// permutation plus one line per search arc in slot order
+/// (`a <from> <to> <weight> e <edge>` for an original edge,
+/// `a <from> <to> <weight> m <mid>` for a shortcut through vertex `mid`).
 pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Result<()> {
     writeln!(out, "{CH_MAGIC}")?;
     writeln!(out, "metric {}", metric_tag(ch.metric()))?;
@@ -357,17 +388,10 @@ pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Re
     writeln!(out)?;
     writeln!(out, "arcs {}", ch.arcs().len())?;
     for arc in ch.arcs() {
+        let (from, to, w) = (arc.from.0, arc.to.0, arc.weight);
         match arc.kind {
-            ChArcKind::Original(e) => writeln!(
-                out,
-                "a {} {} {} e {}",
-                arc.from.0, arc.to.0, arc.weight, e.0
-            )?,
-            ChArcKind::Shortcut(lo, hi) => writeln!(
-                out,
-                "a {} {} {} s {lo} {hi}",
-                arc.from.0, arc.to.0, arc.weight
-            )?,
+            ChArcKind::Original(e) => writeln!(out, "a {from} {to} {w} e {}", e.0)?,
+            ChArcKind::Shortcut(mid) => writeln!(out, "a {from} {to} {w} m {}", mid.0)?,
         }
     }
     Ok(())
@@ -380,10 +404,12 @@ pub fn ch_to_string(ch: &ContractionHierarchy) -> String {
     String::from_utf8(buf).expect("format is ASCII")
 }
 
-/// Reads a contraction hierarchy in the v1 text format, rebuilding the
-/// query-time search graphs. Validates the rank permutation, arc
-/// endpoints and shortcut topology (children must precede their
-/// shortcut, so unpacking provably terminates); corrupt input yields
+/// Reads a contraction hierarchy in the v2 text format, rebuilding the
+/// query-time search graph. Validates the rank permutation, arc
+/// endpoints (no self-loops, one arc per vertex pair and direction) and
+/// edge ids, and the shortcut topology: every mid ranks below both ends
+/// and both legs are arcs of the mid, weighing the shortcut in sum, so
+/// unpacking provably terminates. Corrupt input yields
 /// [`SpatialError::Parse`] instead of an index that would mis-route.
 pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialError> {
     let mut lines = input.lines();
@@ -393,39 +419,10 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
     }
     let metric = parse_metric(&next_content_line(&mut lines)?)?;
     let (n, m) = parse_fingerprint(&next_content_line(&mut lines)?)?;
-    let rank_line = next_content_line(&mut lines)?;
-    let mut it = rank_line.split_ascii_whitespace();
-    if it.next() != Some("ranks") {
-        return Err(SpatialError::Parse(format!(
-            "expected ranks line, got {rank_line:?}"
-        )));
-    }
-    let rank: Vec<u32> = it
-        .map(|t| t.parse::<u32>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| SpatialError::Parse(format!("bad rank: {e}")))?;
-    if rank.len() != n {
-        return Err(SpatialError::Parse(format!(
-            "rank line has {} entries, expected {n}",
-            rank.len()
-        )));
-    }
-    let mut seen = vec![false; n];
-    for &r in &rank {
-        if (r as usize) >= n || seen[r as usize] {
-            return Err(SpatialError::Parse(format!(
-                "ranks are not a permutation of 0..{n} (offending rank {r})"
-            )));
-        }
-        seen[r as usize] = true;
-    }
+    let rank = parse_ranks(&next_content_line(&mut lines)?, n)?;
     let arc_count = parse_count(&next_content_line(&mut lines)?, "arcs")?;
-    if arc_count < m {
-        return Err(SpatialError::Parse(format!(
-            "arc pool ({arc_count}) smaller than the edge count ({m})"
-        )));
-    }
     let mut arcs: Vec<ChArc> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
+    let mut pairs = std::collections::HashSet::with_capacity(arc_count.min(MAX_PREALLOC));
     for i in 0..arc_count {
         let line = next_content_line(&mut lines)?;
         let mut it = line.split_ascii_whitespace();
@@ -436,9 +433,14 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
         }
         let from = parse_u32(it.next(), "arc from")?;
         let to = parse_u32(it.next(), "arc to")?;
-        if from as usize >= n || to as usize >= n {
+        if from as usize >= n || to as usize >= n || from == to {
             return Err(SpatialError::Parse(format!(
-                "arc {i} endpoint out of range ({from} -> {to}, {n} vertices)"
+                "arc {i} has invalid endpoints ({from} -> {to}, {n} vertices)"
+            )));
+        }
+        if !pairs.insert((from, to)) {
+            return Err(SpatialError::Parse(format!(
+                "duplicate arc for vertex pair {from} -> {to}"
             )));
         }
         let weight = parse_f64(it.next(), "arc weight")?;
@@ -455,15 +457,14 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
                 }
                 ChArcKind::Original(EdgeId(e))
             }
-            Some("s") => {
-                let lo = parse_u32(it.next(), "shortcut child")?;
-                let hi = parse_u32(it.next(), "shortcut child")?;
-                if lo as usize >= i || hi as usize >= i {
+            Some("m") => {
+                let mid = parse_u32(it.next(), "shortcut mid")?;
+                if mid as usize >= n {
                     return Err(SpatialError::Parse(format!(
-                        "shortcut arc {i} references a non-preceding child ({lo}, {hi})"
+                        "shortcut arc {i} names mid {mid} outside the graph's {n} vertices"
                     )));
                 }
-                ChArcKind::Shortcut(lo, hi)
+                ChArcKind::Shortcut(VertexId(mid))
             }
             other => {
                 return Err(SpatialError::Parse(format!(
@@ -471,6 +472,9 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
                 )))
             }
         };
+        if it.next().is_some() {
+            return Err(SpatialError::Parse(format!("arc {i} has trailing tokens")));
+        }
         arcs.push(ChArc {
             from: VertexId(from),
             to: VertexId(to),
@@ -478,10 +482,10 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
             kind,
         });
     }
-    Ok(ContractionHierarchy::assemble(metric, m, rank, arcs))
+    ContractionHierarchy::assemble(metric, m, rank, arcs).map_err(SpatialError::Parse)
 }
 
-/// Parses a contraction hierarchy from its v1 text representation.
+/// Parses a contraction hierarchy from its v2 text representation.
 pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
     read_ch(s.as_bytes())
 }
@@ -501,7 +505,7 @@ pub fn write_cch<W: Write>(topo: &CchTopology, out: &mut W) -> std::io::Result<(
     }
     writeln!(out)?;
     writeln!(out, "arcs {}", topo.arc_count())?;
-    for (i, (from, to)) in topo.arc_endpoints().iter().enumerate() {
+    for (i, (from, to)) in topo.arc_endpoints().enumerate() {
         let originals = topo.originals_of(i);
         write!(out, "c {} {} o {}", from.0, to.0, originals.len())?;
         for e in originals {
@@ -534,32 +538,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         return Err(SpatialError::Parse(format!("bad header {header:?}")));
     }
     let (n, m) = parse_fingerprint(&next_content_line(&mut lines)?)?;
-    let rank_line = next_content_line(&mut lines)?;
-    let mut it = rank_line.split_ascii_whitespace();
-    if it.next() != Some("ranks") {
-        return Err(SpatialError::Parse(format!(
-            "expected ranks line, got {rank_line:?}"
-        )));
-    }
-    let rank: Vec<u32> = it
-        .map(|t| t.parse::<u32>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| SpatialError::Parse(format!("bad rank: {e}")))?;
-    if rank.len() != n {
-        return Err(SpatialError::Parse(format!(
-            "rank line has {} entries, expected {n}",
-            rank.len()
-        )));
-    }
-    let mut seen = vec![false; n];
-    for &r in &rank {
-        if (r as usize) >= n || seen[r as usize] {
-            return Err(SpatialError::Parse(format!(
-                "ranks are not a permutation of 0..{n} (offending rank {r})"
-            )));
-        }
-        seen[r as usize] = true;
-    }
+    let rank = parse_ranks(&next_content_line(&mut lines)?, n)?;
     let arc_count = parse_count(&next_content_line(&mut lines)?, "arcs")?;
     if u32::try_from(arc_count).is_err() {
         return Err(SpatialError::Parse(format!(
@@ -1220,7 +1199,7 @@ mod tests {
         }
 
         #[test]
-        fn corrupt_ch_input_is_rejected() {
+        fn ch_corrupt_input_is_rejected() {
             let g = region();
             let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
             let text = ch_to_string(&ch);
@@ -1245,31 +1224,77 @@ mod tests {
                 text.replace(&ranks_line, &t.join(" "))
             };
             assert!(ch_from_str(&dup).is_err());
-            // A shortcut referencing a later arc (expansion would not
-            // terminate) is rejected by the topology check.
-            let shortcut_line = text
-                .lines()
-                .find(|l| l.starts_with('a') && l.contains(" s "))
-                .expect("region CH has shortcuts")
-                .to_string();
-            let mut toks: Vec<String> = shortcut_line
-                .split_ascii_whitespace()
-                .map(str::to_string)
-                .collect();
-            toks[5] = format!("{}", ch.arcs().len() + 7);
-            assert!(ch_from_str(&text.replace(&shortcut_line, &toks.join(" "))).is_err());
             // Negative or non-finite weights are rejected.
-            let arc_line = text
-                .lines()
-                .find(|l| l.starts_with("a "))
-                .unwrap()
-                .to_string();
-            let mut toks: Vec<String> = arc_line
-                .split_ascii_whitespace()
-                .map(str::to_string)
-                .collect();
-            toks[3] = "-5".into();
-            assert!(ch_from_str(&text.replace(&arc_line, &toks.join(" "))).is_err());
+            let arcs: Vec<ChArc> = ch.arcs().collect();
+            let arc_line = |a: usize| {
+                let line = text.lines().filter(|l| l.starts_with("a ")).nth(a).unwrap();
+                format!("{line}\n")
+            };
+            let with_token = |a: usize, i: usize, tok: &str| {
+                let line = arc_line(a);
+                let mut toks: Vec<&str> = line.split_ascii_whitespace().collect();
+                toks[i] = tok;
+                text.replace(&line, &format!("{}\n", toks.join(" ")))
+            };
+            assert!(ch_from_str(&with_token(0, 3, "-5")).is_err());
+            // Every other refusal names its reason.
+            let refusal = |text: &str| match ch_from_str(text) {
+                Err(SpatialError::Parse(msg)) => msg,
+                other => panic!("expected a parse error, got {other:?}"),
+            };
+            // An original naming an edge outside the graph.
+            let original = arcs
+                .iter()
+                .position(|a| matches!(a.kind, ChArcKind::Original(_)))
+                .unwrap();
+            let out_of_range = format!("{}", g.edge_count() + 3);
+            assert!(refusal(&with_token(original, 5, &out_of_range)).contains("outside the graph"));
+            // A self-loop.
+            let from = arcs[original].from.0.to_string();
+            assert!(refusal(&with_token(original, 2, &from)).contains("invalid endpoints"));
+            // A second arc for one vertex pair.
+            let (a0, a1) = (arc_line(0), arc_line(1));
+            let dup = text.replacen(&a1, &a0, 1);
+            assert!(refusal(&dup).contains("duplicate arc"));
+            // A shortcut through a mid not ranked below both ends: the
+            // top-ranked vertex.
+            let (slot, shortcut) = arcs
+                .iter()
+                .enumerate()
+                .find_map(|(i, a)| match a.kind {
+                    ChArcKind::Shortcut(mid) => Some((i, (a.from, mid, a.to))),
+                    _ => None,
+                })
+                .expect("region CH has shortcuts");
+            let top =
+                (0..g.vertex_count()).find(|&v| ch.ranks()[v] as usize == g.vertex_count() - 1);
+            let top = top.unwrap().to_string();
+            assert!(refusal(&with_token(slot, 5, &top)).contains("not below both ends"));
+            // A shortcut whose leg is missing from the file.
+            let (from, mid, _) = shortcut;
+            let leg = arcs
+                .iter()
+                .position(|a| (a.from, a.to) == (from, mid))
+                .unwrap();
+            let missing = text
+                .replace(&arc_line(leg), "")
+                .replace(&arcs_line, &format!("arcs {}", arcs.len() - 1));
+            assert!(refusal(&missing).contains("misses a leg"));
+            // A shortcut that does not weigh its legs' sum.
+            let heavier = format!("{}", arcs[slot].weight + 1.0);
+            assert!(refusal(&with_token(slot, 3, &heavier)).contains("its legs"));
+            // An edge count past the 31-bit ids an expansion word holds.
+            let graph_line = format!("graph {} {}", g.vertex_count(), g.edge_count());
+            let wide = text.replace(
+                &graph_line,
+                &format!("graph {} 2147483650", g.vertex_count()),
+            );
+            assert!(refusal(&wide).contains("31-bit"));
+            // A v1 file, which named shortcut legs by pool id.
+            assert!(
+                refusal(&text.replacen("pathrank-ch v2", "pathrank-ch v1", 1))
+                    .contains("bad header")
+            );
         }
 
         #[test]
@@ -1321,7 +1346,7 @@ mod tests {
         /// edges and its lower triangles as `(from, mid, to)` in ascending
         /// mid rank.
         fn canonical_form(topo: &CchTopology) -> String {
-            let ends = topo.arc_endpoints();
+            let ends: Vec<_> = topo.arc_endpoints().collect();
             let mut order: Vec<usize> = (0..ends.len()).collect();
             order.sort_by_key(|&a| (ends[a].0 .0, ends[a].1 .0));
             let mut s = String::from("ranks");
@@ -1335,7 +1360,7 @@ mod tests {
                     s += &format!(" {}", e.0);
                 }
                 s += " t";
-                for (b, _) in topo.triangles_of(a) {
+                for (b, ..) in topo.triangles_of(a) {
                     s += &format!(" ({} {} {})", from.0, ends[b as usize].1 .0, to.0);
                 }
             }

@@ -26,7 +26,7 @@
 //! the forward triangle lists on multigraphs (parallel edges, one-way
 //! edges, 2-cycles — the graph model has no self-loops to add), and
 //! byte-budget guards keep it at 4 bytes per triangle and a
-//! customization at 16 bytes per arc.
+//! customization at 12 bytes per arc.
 
 use std::sync::Arc;
 
@@ -219,7 +219,7 @@ type Links = Vec<(u32, u32, u32)>;
 fn triangle_links(topo: &CchTopology) -> (Links, Links) {
     let (mut forward, mut reverse) = (Links::new(), Links::new());
     for a in 0..topo.arc_count() {
-        for (b, c) in topo.triangles_of(a) {
+        for (b, c, _) in topo.triangles_of(a) {
             forward.push((b, a as u32, c));
             forward.push((c, a as u32, b));
         }
@@ -272,7 +272,7 @@ proptest! {
 /// Two-cycles among the topology's arcs: the diagonal cells of its
 /// owner tables, which hold no triangle.
 fn two_cycles(topo: &CchTopology) -> usize {
-    let arcs: std::collections::HashSet<_> = topo.arc_endpoints().iter().copied().collect();
+    let arcs: std::collections::HashSet<_> = topo.arc_endpoints().collect();
     let both_ways = |&&(from, to): &&(VertexId, VertexId)| arcs.contains(&(to, from));
     arcs.iter().filter(both_ways).count() / 2
 }
@@ -299,9 +299,9 @@ fn cch_partial_reverse_index_stays_at_four_bytes_per_triangle() {
     let topo = CchTopology::build(&g, &CchConfig::default());
     let (forward, reverse) = triangle_links(&topo);
     assert!(forward == reverse, "reverse index diverged on the region");
-    let per_arc = 4 + 8 + 8 + 8; // originals offset, endpoints, segment and down-list entries
+    let per_arc = 4 + 4 + 8; // originals offset, segment and down-list entries
     let per_edge = 2 * 4; // the edge under its arc, the arc of the edge
-    let per_vertex = 6 * 4; // rank, two segment bounds, table offset, two down-list bounds
+    let per_vertex = 7 * 4; // rank, vertex of the rank, two segment bounds, table offset, two down-list bounds
     let budget = 4 * topo.triangle_count()
         + 4 * two_cycles(&topo)
         + per_arc * topo.arc_count()
@@ -319,17 +319,17 @@ fn cch_partial_reverse_index_stays_at_four_bytes_per_triangle() {
     );
 }
 
-/// A customization holds one 8-byte weight and one 8-byte expansion
-/// rule per arc — a second per-arc column cannot come back unnoticed —
+/// A customization holds one 8-byte weight and one 4-byte expansion
+/// word per arc — a second per-arc column cannot come back unnoticed —
 /// plus its custom weight vector and the log of its last sparse pass
 /// (4 bytes per changed edge and per recomputed arc).
 #[test]
-fn cch_customization_stays_at_sixteen_bytes_per_arc() {
+fn cch_customization_stays_at_twelve_bytes_per_arc() {
     let g = region_network(&RegionConfig::small_test(), 7);
     let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
     let budget = |cch: &Cch, custom_edges: usize, log: usize| {
         let bytes = cch.heap_bytes();
-        let budget = 16 * topo.arc_count() + 8 * custom_edges + 4 * log;
+        let budget = 12 * topo.arc_count() + 8 * custom_edges + 4 * log;
         assert!(
             bytes <= budget,
             "customization holds {bytes} B, budget {budget} B"

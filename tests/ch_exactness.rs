@@ -367,6 +367,36 @@ fn ch_survives_io_roundtrip_on_random_style_graph() {
     }
 }
 
+/// The hierarchy stores no per-arc column it can derive: 16 bytes per
+/// search slot (4-byte entry, weight, 4-byte expansion word) plus a
+/// quarter byte of slot -> rank hints, and 16 per vertex (rank, vertex
+/// of the rank, two segment bounds), against a budget of 16 per slot and
+/// 20 per vertex. Release builds check the 43k-vertex serving map; debug builds
+/// (tier-1) a paper-scale one, which holds the same per-item budget.
+#[test]
+fn ch_index_stays_at_sixteen_bytes_per_slot() {
+    use pathrank::spatial::generators::{region_network, RegionConfig};
+    let base = RegionConfig::paper_scale();
+    let mult = if cfg!(debug_assertions) { 1 } else { 16 };
+    let cfg = RegionConfig {
+        n_towns: base.n_towns * mult,
+        town_size: (20, 20),
+        region_extent_m: base.region_extent_m * (mult as f64).sqrt(),
+        extra_highways: base.extra_highways * mult,
+        ..base
+    };
+    let g = region_network(&cfg, 2020);
+    let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+    let slots = ch.arcs().len();
+    let budget = 16 * slots + 20 * g.vertex_count();
+    assert!(
+        ch.heap_bytes() <= budget,
+        "hierarchy holds {} B, budget {budget} B ({slots} slots, {} vertices)",
+        ch.heap_bytes(),
+        g.vertex_count()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
