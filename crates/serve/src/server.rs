@@ -48,15 +48,15 @@
 //! # Atomic live-weight swaps
 //!
 //! Live weights are double-buffered, and only *columns* are ever
-//! copied. The CCH topology (ranks, arcs, owner tables, search segments)
+//! copied. The CCH topology (ranks, arcs, down-lists, search segments)
 //! is built once and shared by `Arc`; a [`Cch`] owns just what
 //! customization writes, and it owns the live weight vector too — the
 //! single copy, which requests route under as
 //! `CostModel::Custom(cch.custom_weights())`, so the engine's
 //! `usable_for` gate passes on slice identity instead of comparing every
 //! weight per query. A generation therefore costs 12 B per arc plus 8 B
-//! per edge, against the topology's once-only 16 B per arc and 4 B per
-//! triangle (the budget table is in the `pathrank_spatial::algo::cch`
+//! per edge, against the topology's once-only 16 B per arc and nothing
+//! per triangle (the budget table is in the `pathrank_spatial::algo::cch`
 //! module doc).
 //!
 //! Two generations are resident: the one being served and the one it

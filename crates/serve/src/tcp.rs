@@ -21,7 +21,9 @@
 //! seeing its first `QueueFull` can tell an isolated blip (`n=1`) from
 //! systemic overload (`n=40000`) without a second round trip.
 //! `BadRequest` is a parse failure on this connection, not a server
-//! error, and carries no counter.
+//! error, and carries no counter. A line that is not UTF-8, or longer
+//! than [`MAX_LINE_BYTES`] (the rest of it is discarded up to its
+//! newline), is a `BadRequest` too; the connection stays open.
 //!
 //! `STATS` scrapes the server's metrics registry
 //! ([`RouteServer::metrics_snapshot`]) and answers with a framed dump:
@@ -46,7 +48,7 @@
 //! benchmarks drive the server in-process so transport noise never
 //! pollutes the latency numbers.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -147,21 +149,66 @@ fn stats_reply(server: &RouteServer, line: &str) -> String {
     }
 }
 
+/// Longest request line read into memory, newline excluded, so a client
+/// that never sends a newline cannot grow the buffer without bound. An
+/// `UPDATE` pair takes about 25 bytes, so one line still carries some
+/// 40 000 of them.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One request line off the wire, as [`read_line_capped`] found it.
+enum Frame {
+    /// A line up to [`MAX_LINE_BYTES`] long, in the caller's buffer.
+    Line,
+    /// A longer line, discarded through its newline.
+    TooLong,
+    Eof,
+}
+
+/// Reads one line into `buf` without its `\n` (or `\r\n`) — the last
+/// line may lack one, as with [`BufRead::lines`] — reading at most one
+/// byte past [`MAX_LINE_BYTES`] of it into memory.
+fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Frame> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    reader.by_ref().take(cap).read_until(b'\n', buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n')?;
+        return Ok(Frame::TooLong);
+    } else if buf.is_empty() {
+        return Ok(Frame::Eof);
+    }
+    Ok(Frame::Line)
+}
+
 /// Serves one connection until EOF or a write error.
 pub fn serve_connection(stream: TcpStream, server: &RouteServer) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line_capped(&mut reader, &mut buf)? {
+            Frame::Eof => return Ok(()),
+            Frame::TooLong => None,
+            Frame::Line => std::str::from_utf8(&buf).ok(),
+        };
+        let Some(line) = line else {
+            writer.write_all(b"ERR BadRequest\n")?;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
         if line.trim_start().starts_with("STATS") {
-            writer.write_all(stats_reply(server, &line).as_bytes())?;
+            writer.write_all(stats_reply(server, line).as_bytes())?;
             continue;
         }
         if line.trim_start().starts_with("UPDATE") {
-            let answer = match parse_update(&line) {
+            let answer = match parse_update(line) {
                 None => "ERR BadRequest\n".to_string(),
                 Some(updates) => match server.update_live_weights_sparse(&updates) {
                     Ok(generation) => format!("OK {generation}\n"),
@@ -171,7 +218,7 @@ pub fn serve_connection(stream: TcpStream, server: &RouteServer) -> std::io::Res
             writer.write_all(answer.as_bytes())?;
             continue;
         }
-        let answer = match parse_line(server, &line) {
+        let answer = match parse_line(server, line) {
             None => "ERR BadRequest\n".to_string(),
             Some(req) => match server.route(req) {
                 Err(e) => error_reply(server, e),
@@ -186,7 +233,6 @@ pub fn serve_connection(stream: TcpStream, server: &RouteServer) -> std::io::Res
         };
         writer.write_all(answer.as_bytes())?;
     }
-    Ok(())
 }
 
 /// Accept loop: one thread per connection, each sharing `server`.
@@ -198,5 +244,47 @@ pub fn run_listener(listener: TcpListener, server: Arc<RouteServer>) -> std::io:
         std::thread::spawn(move || {
             let _ = serve_connection(stream, &server);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_tcp_line_cap_bounds_the_buffer() {
+        // Lines of 3x, 1x and 1x + 1 the cap, then two short ones.
+        let mut wire = Vec::new();
+        for len in [3 * MAX_LINE_BYTES, MAX_LINE_BYTES, MAX_LINE_BYTES + 1] {
+            wire.resize(wire.len() + len, b'x');
+            wire.push(b'\n');
+        }
+        wire.extend_from_slice(b"ROUTE 1 2 length\r\nlast");
+        let mut reader = BufReader::new(wire.as_slice());
+        let mut buf = Vec::new();
+        let mut frames = Vec::new();
+        loop {
+            let frame = read_line_capped(&mut reader, &mut buf).expect("in memory");
+            assert!(
+                buf.capacity() <= 2 * MAX_LINE_BYTES,
+                "buffer outgrew the cap"
+            );
+            match frame {
+                Frame::Eof => break,
+                Frame::TooLong => frames.push("too long".to_string()),
+                Frame::Line if buf.len() == MAX_LINE_BYTES => frames.push("at the cap".to_string()),
+                Frame::Line => frames.push(String::from_utf8(buf.clone()).expect("ASCII")),
+            }
+        }
+        assert_eq!(
+            frames,
+            [
+                "too long",
+                "at the cap",
+                "too long",
+                "ROUTE 1 2 length",
+                "last"
+            ]
+        );
     }
 }

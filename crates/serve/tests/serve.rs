@@ -928,3 +928,57 @@ fn serve_tcp_round_trip() {
     reader.read_line(&mut line).expect("reply");
     assert_eq!(line.trim(), "ERR NoBackend n=1");
 }
+
+#[test]
+fn serve_tcp_bad_lines_answer_bad_request_and_keep_the_connection() {
+    let graph = Arc::new(integer_city(6));
+    let ch = Arc::new(ContractionHierarchy::build(
+        &graph,
+        LandmarkMetric::Length,
+        &ChConfig::default(),
+    ));
+    let mut engine = QueryEngine::new(&graph);
+    engine.set_ch(Some(Arc::clone(&ch)));
+    let want = engine
+        .shortest_path_cost(VertexId(0), VertexId(35), CostModel::Length)
+        .expect("grid is connected");
+    let server = Arc::new(RouteServer::start(
+        Arc::clone(&graph),
+        ServerIndexes {
+            ch: Some(ch),
+            ..ServerIndexes::default()
+        },
+        ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    ));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = pathrank_serve::tcp::run_listener(listener, server);
+        });
+    }
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |request: &[u8]| {
+        writer.write_all(request).expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        line.trim().to_string()
+    };
+    let route = format!("OK {want} Ch 0 0");
+
+    // Twice the line cap before the first newline: refused once, at
+    // the newline, and the next line is read afresh.
+    let mut long = vec![b'x'; 2 * pathrank_serve::tcp::MAX_LINE_BYTES];
+    long.push(b'\n');
+    assert_eq!(exchange(&long), "ERR BadRequest");
+    assert_eq!(exchange(b"ROUTE 0 35 length\n"), route);
+    // A line that is not UTF-8 is a bad request, not a hang-up.
+    assert_eq!(exchange(b"ROUTE 0 \xff\xfe length\n"), "ERR BadRequest");
+    assert_eq!(exchange(b"ROUTE 0 35 length\n"), route);
+}

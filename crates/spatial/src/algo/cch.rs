@@ -24,20 +24,23 @@
 //!    a concrete metric: initialise each arc from its cheapest parallel
 //!    original edge, then relax every lower triangle
 //!    (`w(a) = min(w(a), w(b) + w(c))`) in one sequential sweep over the
-//!    mids in ascending rank. A mid's triangles are the cells of its
-//!    owner table (down-in arcs × up-out arcs), whose legs hang off the
-//!    mid and so were final when the sweep left lower ranks; each owner
-//!    meets its triangles in ascending mid order, the order
-//!    [`CchTopology::triangles_of`] enumerates them in. At paper scale
-//!    this runs in single-digit milliseconds, ≥10x faster than a
-//!    metric-aware rebuild. When only a
-//!    few edges moved — the live telemetry shape — [`Cch::apply_delta`]
+//!    tails in ascending rank. A tail `p` stamps its out-arcs into a row
+//!    indexed by head rank, then walks its lower neighbours `v` in
+//!    ascending rank: every up-out arc `v -> q` of `v` closes the
+//!    triangle of the owner `p -> q` it looks up in the row. Both legs
+//!    were final when read (`v -> q` at the earlier tail `v`, `p -> v`
+//!    through mids below `v`), and each owner meets its triangles in
+//!    ascending mid order, the order [`CchTopology::triangles_of`]
+//!    enumerates them in. At paper scale this runs in single-digit
+//!    milliseconds, ≥10x faster than a metric-aware rebuild. When only
+//!    a few edges moved — the live telemetry shape — [`Cch::apply_delta`]
 //!    skips even that: it seeds the arcs owning the changed edges and
 //!    chases the change upward through the triangle DAG, stopping
 //!    wherever a recomputed weight lands on the same bits. A pending arc
-//!    finds its own triangles by merging its tail's and its head's
-//!    rank-sorted down-lists ([`CchTopology::triangles_of`]), so no
-//!    per-owner triangle list is stored.
+//!    finds its triangles by stamping its tail's down-out list and
+//!    scanning its head's down-in list, and a changed arc its dependents
+//!    by stamping the out-arcs (or in-arcs) of its other end, so nothing
+//!    is stored per triangle.
 //! 3. **Queries** run the stall-on-demand bidirectional upward search,
 //!    the shortcut unpacking and the bucket many-to-many sweeps of
 //!    [`crate::algo::ch`] unchanged, through a [`HierarchyView`]: the
@@ -57,15 +60,10 @@
 //!    | down-list entry (`other`, `arc`) under its higher endpoint | 8 | topology, once |
 //!    | `orig_offsets` | 4 | topology, once |
 //!
-//!    | per triangle | bytes | owner |
-//!    |---|---|---|
-//!    | owner cell in its mid's (down-in × up-out) table | 4 | topology, once |
-//!
-//!    plus one 4-byte `u32::MAX` cell per 2-cycle through a mid (the
-//!    table's diagonal, where no triangle exists), seven 4-byte entries
-//!    per rank (rank, vertex of the rank, segment bounds, `cell_offsets`,
-//!    `down_offsets`) and a quarter byte per arc of the skeleton's
-//!    slot -> rank hints.
+//!    plus six 4-byte entries per rank (rank, vertex of the rank, two
+//!    segment bounds, two `down_offsets`), a quarter byte per arc of the
+//!    skeleton's slot -> rank hints, and nothing per triangle. The
+//!    stamped row (8 bytes per rank) is scratch beside each [`Cch`].
 //!
 //! The price of skipping witness searches is a denser search graph (every
 //! chordal fill-in arc is kept, where CH would prune witnessed ones), so
@@ -98,8 +96,8 @@ impl Default for CchConfig {
 }
 
 /// The metric-independent half of a customizable contraction hierarchy:
-/// contraction order, merged chordal arc topology, the owner tables of
-/// its triangles, and the per-rank up/down search skeleton.
+/// contraction order, merged chordal arc topology (whose triangles it
+/// implies and never lists), and the per-rank up/down search skeleton.
 ///
 /// Build (or load via [`crate::io::read_cch`]) once per graph topology,
 /// wrap in an [`Arc`], then [`CchTopology::customize`] per metric or
@@ -111,7 +109,7 @@ pub struct CchTopology {
     /// Arc -> merged original edges, CSR.
     orig_offsets: Vec<u32>,
     orig_edges: Vec<EdgeId>,
-    /// Lower triangles, counted when the owner tables are filled.
+    /// Lower triangles, counted when `finalise` checks chordality.
     triangles: usize,
     /// Down-lists in rank space, two per rank `r`: the arcs from `r` to
     /// lower ranks (down-out) at `down[down_offsets[2r]..down_offsets[2r + 1]]`,
@@ -119,30 +117,14 @@ pub struct CchTopology {
     /// `down_offsets[2r + 2]`. Each entry is the lower endpoint's rank
     /// and the arc, sorted by that rank — so the triangles of `u -> w`
     /// are where `u`'s down-out and `w`'s down-in lists name the same
-    /// rank ([`CchTopology::triangles_of`]).
+    /// rank, and a rank's out-arcs (in-arcs) are its upward (downward)
+    /// segment half plus its down-out (down-in) list.
     down_offsets: Vec<u32>,
     down: Vec<DownArc>,
     /// Original edge -> the (unique) arc that merged it; `u32::MAX` for
     /// edges the topology dropped (self-loops). The entry point of a
     /// sparse delta: a changed edge cost seeds exactly this arc.
     edge_arc: Vec<u32>,
-    /// Reverse triangle index, one owner table per rank. A triangle
-    /// `(owner p -> q, p -> v, v -> q)` is born at the contraction of
-    /// its mid `v` as one cell of (down-in arcs of `v`) × (up-out arcs
-    /// of `v`), and both supports sit in `v`'s search segment, so the
-    /// table of rank `r` is row-major over the segment's two halves:
-    /// `cells[cell_offsets[r] + i * ups + j]` is the owner of the
-    /// triangle through the `i`-th down-in and the `j`-th up-out arc —
-    /// `u32::MAX` where there is none (`p == q`, the 2-cycle diagonal).
-    /// A support's dependents are its row or its column, the co-support
-    /// read from the other half of the segment
-    /// ([`CchTopology::dependents_of`]). An owner `p -> q` sits in the
-    /// segment of `min(p, q)`, above the mid both supports sit at, so
-    /// dependents always carry larger arc ids — what lets
-    /// [`Cch::apply_delta`] sweep pending arcs in ascending id order and
-    /// know every support is final before its dependents recompute.
-    cell_offsets: Vec<u32>,
-    cells: Vec<u32>,
     /// Ranks and search segments — weight-independent because arcs are
     /// unique per directed pair, so no customization can change which
     /// arc a segment slot holds. Arc `i` is the one in slot `i`, and its
@@ -158,6 +140,42 @@ pub struct CchTopology {
 struct DownArc {
     other: u32,
     arc: u32,
+}
+
+/// The arcs of one vertex looked up by their other end: `(token, arc)`
+/// per vertex, where an entry counts only while its token is the
+/// current one, so a new stamp costs O(1) and filling it one write per
+/// arc. Scratch — 8 bytes per vertex, never cloned or counted — that
+/// stands in for a stored triangle index: customization looks up the
+/// owner that closes a pair of legs in the row of its tail or head.
+#[derive(Debug, Default)]
+pub struct ArcRow {
+    row: Vec<(u32, u32)>,
+    token: u32,
+}
+
+impl ArcRow {
+    /// Forgets every entry, sizing the row for `n` vertices.
+    fn restamp(&mut self, n: usize) {
+        if self.row.len() != n || self.token == u32::MAX {
+            self.row.clear();
+            self.row.resize(n, (0, 0));
+            self.token = 0;
+        }
+        self.token += 1;
+    }
+
+    #[inline]
+    fn insert(&mut self, other: u32, arc: u32) {
+        self.row[other as usize] = (self.token, arc);
+    }
+
+    /// The arc stamped for `other` since the last restamp.
+    #[inline]
+    fn get(&self, other: u32) -> Option<u32> {
+        let (token, arc) = self.row[other as usize];
+        (token == self.token).then_some(arc)
+    }
 }
 
 /// Build-time working state: dynamic chordal adjacency among
@@ -186,34 +204,26 @@ struct TopoScratch {
     /// Stamp per vertex: `seen[v] == rank + 1` marks `v` as already
     /// handled as a neighbour by the contraction at `rank`.
     seen: Vec<u32>,
-    /// `(token, arc)` per vertex: `heads[w].0 == token` marks `w` as a
-    /// head of the in-neighbour stamped under `token`, reached by arc
-    /// `heads[w].1` (see [`TopoScratch::stamp_heads`]).
-    heads: Vec<(u32, u32)>,
-    token: u32,
+    /// The live out-arcs of the in-neighbour last stamped, by head
+    /// vertex (see [`TopoScratch::stamp_heads`]).
+    heads: ArcRow,
 }
 
 impl TopoScratch {
-    /// Stamps the heads of `u`'s live out-arcs under a fresh token, so
-    /// that [`TopoScratch::arc_to`] answers "is there an arc `u -> w`"
-    /// in O(1) for every out-neighbour `w` of the vertex being probed.
+    /// Stamps the heads of `u`'s live out-arcs, so that
+    /// [`TopoScratch::arc_to`] answers "is there an arc `u -> w`" in
+    /// O(1) for every out-neighbour `w` of the vertex being probed.
     fn stamp_heads(&mut self, b: &TopoBuilder, u: VertexId) {
-        if self.heads.len() != b.rank.len() || self.token == u32::MAX {
-            self.heads.clear();
-            self.heads.resize(b.rank.len(), (0, 0));
-            self.token = 0;
-        }
-        self.token += 1;
+        self.heads.restamp(b.rank.len());
         for &a in &b.out_adj[u.index()] {
-            self.heads[b.arcs[a as usize].1.index()] = (self.token, a);
+            self.heads.insert(b.arcs[a as usize].1 .0, a);
         }
     }
 
     /// The arc `u -> w` from `u`'s out-arcs as last stamped.
     #[inline]
     fn arc_to(&self, w: VertexId) -> Option<u32> {
-        let (token, a) = self.heads[w.index()];
-        (token == self.token).then_some(a)
+        self.heads.get(w.0)
     }
 }
 
@@ -352,36 +362,10 @@ impl Contract for TopoBuilder {
     }
 }
 
-/// One row or column of an owner table, walked in step with the half
-/// segment holding the co-supports ([`CchTopology::dependents_of`]).
-/// Hand-rolled: the `skip`/`step_by`/`zip`/`filter` chain it replaces
-/// costs the sparse pass a tenth (measured).
-struct Dependents<'a> {
-    table: &'a [u32],
-    cell: usize,
-    stride: usize,
-    /// The co-supports' slots, which are their arc ids.
-    co_supports: std::ops::Range<u32>,
-}
-
-impl Iterator for Dependents<'_> {
-    type Item = (u32, u32);
-
-    fn next(&mut self) -> Option<(u32, u32)> {
-        for co in self.co_supports.by_ref() {
-            let owner = self.table[self.cell];
-            self.cell += self.stride;
-            if owner != u32::MAX {
-                return Some((owner, co));
-            }
-        }
-        None
-    }
-}
-
 /// The lower triangles of one arc `u -> w` ([`CchTopology::triangles_of`]):
 /// a merge of `u`'s down-out list with `w`'s down-in list, both sorted
 /// by the lower rank, yielding `(u -> v, v -> w, v)` wherever they meet.
+/// The reference enumeration the tests hold the stamped lookups to.
 struct Triangles<'a> {
     outs: &'a [DownArc],
     ins: &'a [DownArc],
@@ -429,11 +413,12 @@ impl CchTopology {
     /// Finalises a topology from flat arrays in creation (or file)
     /// order — arc endpoints and the arc of every original edge: numbers
     /// the arcs by search slot, lays out the search skeleton and the
-    /// down-lists, and reads the owner tables off the arcs. Every
+    /// down-lists, and counts the triangles, asserting that every pair
+    /// of legs has the arc customization will look up for it. Every
     /// grouping is one counting sort into its final array. Shared by
     /// [`CchTopology::build`] (trusted input) and the io deserialiser,
-    /// which checks first that the arcs are chordal — that every cell of
-    /// every owner table has its arc.
+    /// which checks first that the arcs are chordal, so the assertion
+    /// never fires on a file.
     pub(crate) fn finalise(
         rank: Vec<u32>,
         old_ends: Vec<(VertexId, VertexId)>,
@@ -498,62 +483,20 @@ impl CchTopology {
             }
         });
 
-        // Reverse index for sparse partial customization, read off the
-        // chordal arcs: in the table of rank `v`, the cell (down-in
-        // `p -> v`, up-out `v -> q`) is the arc `p -> q`. Per rank `p`,
-        // stamp the heads of its out-arcs (its upward half and its
-        // down-out list), then fill `p`'s row in the table of each lower
-        // neighbour.
-        let mut cell_offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        for seg in halves.windows(3).step_by(2) {
-            cell_offsets.push(total as u32);
-            total += (seg[2] - seg[1]) as usize * (seg[1] - seg[0]) as usize;
-        }
-        cell_offsets.push(u32::try_from(total).expect("CCH owner tables exceed 32-bit offsets"));
-        let mut cells = vec![u32::MAX; total];
-        let mut triangles = 0;
-        // `out_arc[q] = (p, arc p -> q)` for every out-arc of the rank
-        // `p` being filed.
-        let mut out_arc = vec![(u32::MAX, 0u32); n];
-        for p in 0..n {
-            let (lo, mid) = (halves[2 * p], halves[2 * p + 1]);
-            let down_out = &down[down_offsets[2 * p] as usize..down_offsets[2 * p + 1] as usize];
-            for (slot, sa) in (lo..mid).zip(&seg_arcs[lo as usize..mid as usize]) {
-                out_arc[sa.other as usize] = (p as u32, slot);
-            }
-            for b in down_out {
-                out_arc[b.other as usize] = (p as u32, b.arc);
-            }
-            for b in down_out {
-                let v = b.other as usize;
-                let (lo, mid) = (halves[2 * v] as usize, halves[2 * v + 1] as usize);
-                let row = cell_offsets[v] as usize + (b.arc as usize - mid) * (mid - lo);
-                let row = &mut cells[row..row + mid - lo];
-                for (cell, c) in row.iter_mut().zip(&seg_arcs[lo..mid]) {
-                    // `q == p` is a 2-cycle: the diagonal, no triangle.
-                    if c.other as usize != p {
-                        let (stamp, a) = out_arc[c.other as usize];
-                        assert_eq!(stamp, p as u32, "CCH arcs are not chordal");
-                        *cell = a;
-                        triangles += 1;
-                    }
-                }
-            }
-        }
-
-        CchTopology {
+        let mut topo = CchTopology {
             m: edge_arc.len(),
             orig_offsets,
             orig_edges,
-            triangles,
+            triangles: 0,
             down_offsets,
             down,
             edge_arc,
-            cell_offsets,
-            cells,
             skel: Skeleton::new(rank, halves, seg_arcs),
-        }
+        };
+        let mut triangles = 0;
+        topo.for_each_triangle(&mut ArcRow::default(), |_, _, _, _| triangles += 1);
+        topo.triangles = triangles;
+        topo
     }
 
     /// Vertex count of the graph the topology was built for.
@@ -591,14 +534,13 @@ impl CchTopology {
     }
 
     /// Heap bytes the topology holds (the `pathrank_serve_index_bytes`
-    /// gauge); every customization shares them. Per triangle that is
-    /// the 4 B owner cell, plus 4 B per diagonal cell, 8 B per arc of
-    /// down-lists and 12 B per rank of table and list offsets — the
-    /// module doc has the whole budget.
+    /// gauge); every customization shares them. Nothing grows with the
+    /// triangle count: beside the skeleton that is 8 B per arc of
+    /// down-lists, 4 B per arc and 8 B per edge of originals and 8 B
+    /// per rank of list offsets — the module doc has the whole budget.
     pub fn heap_bytes(&self) -> usize {
         let per_edge = self.orig_edges.len() + self.edge_arc.len();
-        let per_rank = self.cell_offsets.len() + self.down_offsets.len();
-        4 * (self.orig_offsets.len() + per_edge + per_rank + self.cells.len())
+        4 * (self.orig_offsets.len() + per_edge + self.down_offsets.len())
             + std::mem::size_of_val(self.down.as_slice())
             + self.skel.heap_bytes()
     }
@@ -614,15 +556,99 @@ impl CchTopology {
     /// `(u -> v, v -> w)` arc pairs customization relaxes with the rank
     /// of the mid `v`, in ascending mid rank. Enumerated by merging `u`'s
     /// down-out and `w`'s down-in lists: every common lower neighbour is
-    /// a mid.
+    /// a mid. The reference for the stamped lookups customization runs.
     pub fn triangles_of(&self, a: usize) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
         let (u, w) = self.skel.slot_ends(a);
-        let list =
-            |i: usize| &self.down[self.down_offsets[i] as usize..self.down_offsets[i + 1] as usize];
         Triangles {
-            outs: list(2 * u as usize),
-            ins: list(2 * w as usize + 1),
+            outs: self.down_out(u as usize),
+            ins: self.down_in(w as usize),
         }
+    }
+
+    /// Rank `r`'s arcs to lower ranks, ascending by the lower rank.
+    fn down_out(&self, r: usize) -> &[DownArc] {
+        &self.down[self.down_offsets[2 * r] as usize..self.down_offsets[2 * r + 1] as usize]
+    }
+
+    /// Rank `r`'s arcs from lower ranks, ascending by the lower rank.
+    fn down_in(&self, r: usize) -> &[DownArc] {
+        &self.down[self.down_offsets[2 * r + 1] as usize..self.down_offsets[2 * r + 2] as usize]
+    }
+
+    /// Stamps every out-arc of rank `p` into `row` by its head's rank.
+    fn stamp_out_arcs(&self, p: usize, row: &mut ArcRow) {
+        row.restamp(self.vertex_count());
+        let (lo, mid, _) = self.skel.bounds(p);
+        for (slot, sa) in (lo..mid).zip(&self.skel.seg_arcs[lo as usize..mid as usize]) {
+            row.insert(sa.other, slot);
+        }
+        for b in self.down_out(p) {
+            row.insert(b.other, b.arc);
+        }
+    }
+
+    /// Stamps every in-arc of rank `q` into `row` by its tail's rank.
+    fn stamp_in_arcs(&self, q: usize, row: &mut ArcRow) {
+        row.restamp(self.vertex_count());
+        let (_, mid, hi) = self.skel.bounds(q);
+        for (slot, sa) in (mid..hi).zip(&self.skel.seg_arcs[mid as usize..hi as usize]) {
+            row.insert(sa.other, slot);
+        }
+        for c in self.down_in(q) {
+            row.insert(c.other, c.arc);
+        }
+    }
+
+    /// The arc `p -> q` closing the legs `p -> v -> q`, from the row
+    /// stamped for `p`'s out-arcs or `q`'s in-arcs.
+    #[inline]
+    fn closing_arc(row: &ArcRow, end: u32) -> u32 {
+        row.get(end).expect("CCH arcs are not chordal")
+    }
+
+    /// Every lower triangle once, as `(owner p -> q, p -> v, v -> q, v)`,
+    /// tails `p` in ascending rank and, per tail, mids `v` in ascending
+    /// rank: `p` stamps its out-arcs, then each up-out arc `v -> q` of
+    /// each lower neighbour `v` (but the 2-cycle back to `p`) names its
+    /// owner by `q`. So every owner meets its mids in ascending rank,
+    /// after all triangles of both legs: `v -> q` belongs to the earlier
+    /// tail `v`, and `p -> v` has only mids below `v`.
+    fn for_each_triangle(&self, row: &mut ArcRow, mut relax: impl FnMut(u32, u32, u32, u32)) {
+        let skel = &self.skel;
+        for p in 0..self.vertex_count() {
+            let down_out = self.down_out(p);
+            if down_out.is_empty() {
+                continue;
+            }
+            self.stamp_out_arcs(p, row);
+            for b in down_out {
+                let (lo, mid, _) = skel.bounds(b.other as usize);
+                for (c, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
+                    if sa.other as usize != p {
+                        relax(Self::closing_arc(row, sa.other), b.arc, c, b.other);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`CchTopology::triangles_of`] as the sparse pass enumerates it:
+    /// stamp `u`'s down-out list, then scan `w`'s down-in list, which
+    /// keeps ascending mid order.
+    fn stamped_triangles_of<'a>(
+        &'a self,
+        a: usize,
+        row: &'a mut ArcRow,
+    ) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
+        let (u, w) = self.skel.slot_ends(a);
+        row.restamp(self.vertex_count());
+        for b in self.down_out(u as usize) {
+            row.insert(b.other, b.arc);
+        }
+        let row: &ArcRow = row;
+        let ins = self.down_in(w as usize);
+        ins.iter()
+            .filter_map(move |c| Some((row.get(c.other)?, c.arc, c.other)))
     }
 
     /// The arc that merged original edge `e` (`None` when the topology
@@ -632,36 +658,45 @@ impl CchTopology {
         (a != u32::MAX).then_some(a)
     }
 
-    /// The triangles arc `a` supports, as `(owner, co-support)` — owners
-    /// all hang off higher ranks, hence carry strictly larger arc ids.
-    /// An arc is a support only at its lower endpoint `v`: a
-    /// downward `p -> v` is a `b` leg and its dependents are its row of
-    /// `v`'s owner table, an upward `v -> q` is a `c` leg and they are
-    /// its column (see `cells`); the co-supports are the other half of
-    /// `v`'s search segment, in step. An owner `p -> q` has at most one
+    /// The triangles arc `a` supports, as `(owner, co-support)`, with
+    /// `row` as scratch. An arc is a support only at its lower endpoint
+    /// `v`, and its co-supports are the other half of `v`'s search
+    /// segment: a downward `p -> v` pairs with every up-out `v -> q`,
+    /// its owners `p -> q` looked up among `p`'s stamped out-arcs; an
+    /// upward `v -> q` pairs with every down-in `p -> v`, its owners
+    /// among `q`'s stamped in-arcs (2-cycles `p == q` close no
+    /// triangle). An owner `p -> q` sits in the segment of `min(p, q)`,
+    /// above `v`, so dependents carry strictly larger arc ids than
+    /// their supports — what lets [`Cch::apply_delta`] sweep pending
+    /// arcs in ascending id order and know every support is final
+    /// before its dependents recompute. An owner has at most one
     /// triangle through `a` (as the `p -> v` leg `a` fixes `v` by its
     /// head, as the `v -> q` leg by its tail, and it cannot be both), so
     /// the link lets the partial pass classify the event
     /// (defining-support check on increases, candidate check on
     /// decreases) without re-scanning the dependent's full triangle
     /// list.
-    pub fn dependents_of(&self, a: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+    pub fn dependents_of<'a>(
+        &'a self,
+        a: usize,
+        row: &'a mut ArcRow,
+    ) -> impl Iterator<Item = (u32, u32)> + 'a {
         let skel = &self.skel;
-        let r = skel.rank_of_slot(a);
-        let (lo, mid, hi) = skel.bounds(r);
-        let table = &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
-        let ups = (mid - lo) as usize;
-        let (cell, stride, co_supports) = if a < mid as usize {
-            (a - lo as usize, ups, mid..hi)
+        let (lo, mid, hi) = skel.bounds(skel.rank_of_slot(a));
+        let far = skel.seg_arcs[a].other;
+        let co_supports = if a < mid as usize {
+            self.stamp_in_arcs(far as usize, row);
+            mid..hi
         } else {
-            ((a - mid as usize) * ups, 1, lo..mid)
+            self.stamp_out_arcs(far as usize, row);
+            lo..mid
         };
-        Dependents {
-            table,
-            cell,
-            stride,
-            co_supports,
-        }
+        let row: &ArcRow = row;
+        let seg = &skel.seg_arcs[co_supports.start as usize..co_supports.end as usize];
+        co_supports
+            .zip(seg)
+            .filter(move |(_, sa)| sa.other != far)
+            .map(move |(co, sa)| (Self::closing_arc(row, sa.other), co))
     }
 
     /// Arc endpoints in arc id (= search slot) order, read off the
@@ -703,25 +738,27 @@ impl CchTopology {
             stamp: fresh_stamp(),
             last: DeltaLog::default(),
             pending: Vec::new(),
+            row: ArcRow::default(),
         }
     }
 
     /// The customization core: per-arc init from the cheapest parallel
-    /// original (lowest `EdgeId` on ties), then one sweep over the mids
-    /// in ascending rank relaxing every cell of each mid's owner table,
-    /// `owner ← row + column` with a strict `<`, the winner's expansion
-    /// word naming the mid. Both legs of a cell hang
-    /// off the mid, so all their triangles (through lower mids) are done
-    /// when it is read; each owner sees its triangles in ascending mid
-    /// rank, the order [`CchTopology::triangles_of`] yields them, which
-    /// the sparse pass relaxes in too. Writes the caller's columns in
-    /// place: after a [`Cch`]'s first pass a full re-customization
-    /// allocates nothing.
+    /// original (lowest `EdgeId` on ties), then one sweep over the tails
+    /// in ascending rank relaxing every triangle,
+    /// `p -> q ← (p -> v) + (v -> q)` with a strict `<`, the winner's
+    /// expansion word naming the mid `v`
+    /// ([`CchTopology::for_each_triangle`], which looks each owner up in
+    /// `row`). Both legs are final when read, and each owner sees its
+    /// triangles in ascending mid rank, the order
+    /// [`CchTopology::triangles_of`] yields them, which the sparse pass
+    /// relaxes in too. Writes the caller's columns in place: after a
+    /// [`Cch`]'s first pass a full re-customization allocates nothing.
     fn derive_into(
         &self,
         edge_cost: impl Fn(EdgeId) -> f64,
         weights: &mut Vec<f64>,
         rules: &mut Vec<ArcRule>,
+        row: &mut ArcRow,
     ) {
         let arc_count = self.arc_count();
         weights.clear();
@@ -737,28 +774,13 @@ impl CchTopology {
                 }
             }
         }
-        let skel = &self.skel;
-        for r in 0..self.vertex_count() {
-            let (lo, mid, hi) = skel.bounds(r);
-            if lo == mid {
-                continue;
+        self.for_each_triangle(row, |owner, b, c, mid| {
+            let cand = weights[b as usize] + weights[c as usize];
+            if cand < weights[owner as usize] {
+                weights[owner as usize] = cand;
+                rules[owner as usize] = ArcRule::shortcut(mid);
             }
-            let table =
-                &self.cells[self.cell_offsets[r] as usize..self.cell_offsets[r + 1] as usize];
-            for (row, b) in table.chunks_exact((mid - lo) as usize).zip(mid..hi) {
-                let wb = weights[b as usize];
-                for (&owner, c) in row.iter().zip(lo..mid) {
-                    if owner == u32::MAX {
-                        continue;
-                    }
-                    let cand = wb + weights[c as usize];
-                    if cand < weights[owner as usize] {
-                        weights[owner as usize] = cand;
-                        rules[owner as usize] = ArcRule::shortcut(r as u32);
-                    }
-                }
-            }
-        }
+        });
         debug_assert!(
             weights.iter().all(|w| w.is_finite()),
             "every arc must end customization with a finite weight"
@@ -798,12 +820,13 @@ fn fresh_stamp() -> u64 {
 
 /// The sparse-delta customization core: sweeps a pending-arc bitset in
 /// ascending id order (supports are final before dependents — see
-/// `CchTopology::cells`), fully recomputes each pending arc
+/// [`CchTopology::dependents_of`]), fully recomputes each pending arc
 /// exactly like `CchTopology::derive_into` visits it (cheapest original
 /// in ascending `EdgeId`, then every lower triangle in ascending mid
-/// rank, merged from the down-lists by [`CchTopology::triangles_of`];
-/// strict `<` in both phases), and classifies each dependent link when
-/// an arc's weight *bits* changed rather than marking all of them:
+/// rank, found by stamping the tail's down-out list and scanning the
+/// head's down-in list; strict `<` in both phases), and classifies each
+/// dependent link when an arc's weight *bits* changed rather than
+/// marking all of them:
 ///
 /// - weight **increased**: only a dependent whose stored expansion word
 ///   names this triangle's mid (a dependent has one triangle per mid)
@@ -822,12 +845,14 @@ fn fresh_stamp() -> u64 {
 /// Marked arcs always run the full derive-order recompute (weight and
 /// expansion rule), so arcs never marked keep bitwise-unchanged inputs
 /// and the fixed point is bit-identical to a full customization.
-/// `pending` is scratch (resized here, drained back to all-zero);
-/// `recomputed` is overwritten with the arcs recomputed, ascending.
+/// `pending` (resized here, drained back to all-zero) and `row` are
+/// scratch; `recomputed` is overwritten with the arcs recomputed,
+/// ascending.
 fn partial_customize(
     topo: &CchTopology,
     cols: &mut Columns,
     pending: &mut Vec<u64>,
+    row: &mut ArcRow,
     recomputed: &mut Vec<u32>,
     seeds: impl IntoIterator<Item = u32>,
     edge_cost: impl Fn(EdgeId) -> f64,
@@ -869,7 +894,7 @@ fn partial_customize(
                 k = ArcRule::original(e);
             }
         }
-        for (b, c, mid) in topo.triangles_of(ai) {
+        for (b, c, mid) in topo.stamped_triangles_of(ai, row) {
             let cand = weights[b as usize] + weights[c as usize];
             if cand < w {
                 w = cand;
@@ -887,7 +912,7 @@ fn partial_customize(
             // Every triangle through this arc has its lower endpoint as
             // the mid.
             let through = ArcRule::shortcut(topo.skel.rank_of_slot(ai) as u32);
-            for (d, co) in topo.dependents_of(ai) {
+            for (d, co) in topo.dependents_of(ai, row) {
                 let di = d as usize;
                 let mask = 1u64 << (di & 63);
                 if pending[di >> 6] & mask != 0 {
@@ -960,6 +985,8 @@ pub struct Cch {
     /// back to all-zero, so it is scratch, not state — neither cloned
     /// nor counted in [`Cch::heap_bytes`].
     pending: Vec<u64>,
+    /// The row both passes look owners up in; scratch like `pending`.
+    row: ArcRow,
 }
 
 impl Clone for Cch {
@@ -973,6 +1000,7 @@ impl Clone for Cch {
             stamp: self.stamp,
             last: DeltaLog::default(),
             pending: Vec::new(),
+            row: ArcRow::default(),
         }
     }
 
@@ -1137,8 +1165,9 @@ impl Cch {
                 self.last.edges.clear();
                 let topo = &self.topo;
                 let seeds = changed.iter().filter_map(|&(e, _)| topo.arc_of_edge(e));
-                let (pending, arcs) = (&mut self.pending, &mut self.last.arcs);
-                partial_customize(topo, &mut self.cols, pending, arcs, seeds, |e| {
+                let (pending, row) = (&mut self.pending, &mut self.row);
+                let arcs = &mut self.last.arcs;
+                partial_customize(topo, &mut self.cols, pending, row, arcs, seeds, |e| {
                     CostModel::TravelTime.edge_cost(g, e)
                 });
                 self.log_sparse_pass()
@@ -1178,8 +1207,9 @@ impl Cch {
         let custom: &[f64] = custom;
         let topo = &self.topo;
         let seeds = self.last.edges.iter().filter_map(|&e| topo.arc_of_edge(e));
-        let (pending, arcs) = (&mut self.pending, &mut self.last.arcs);
-        partial_customize(topo, &mut self.cols, pending, arcs, seeds, |e| {
+        let (pending, row) = (&mut self.pending, &mut self.row);
+        let arcs = &mut self.last.arcs;
+        partial_customize(topo, &mut self.cols, pending, row, arcs, seeds, |e| {
             custom[e.index()]
         });
         self.log_sparse_pass()
@@ -1242,7 +1272,8 @@ impl Cch {
     /// Shared tail of every full customization.
     fn rederive(&mut self, epoch: u64, edge_cost: impl Fn(EdgeId) -> f64) {
         let Columns { weights, rules } = &mut self.cols;
-        self.topo.derive_into(edge_cost, weights, rules);
+        self.topo
+            .derive_into(edge_cost, weights, rules, &mut self.row);
         self.weights_epoch = epoch;
         self.stamp = fresh_stamp();
         self.last.base = None;
@@ -1704,9 +1735,13 @@ mod tests {
             let cch = topo.customize(g, &cost);
             let (triangles, weights, rules) =
                 brute_force_customize(&topo, g, |e| cost.edge_cost(g, e));
+            let mut row = ArcRow::default();
             for (a, expect) in triangles.iter().enumerate() {
                 let got: Vec<(u32, u32, u32)> = topo.triangles_of(a).collect();
                 assert_eq!(&got, expect, "arc {a}: triangle enumeration");
+                let stamped: Vec<(u32, u32, u32)> =
+                    topo.stamped_triangles_of(a, &mut row).collect();
+                assert_eq!(&stamped, expect, "arc {a}: stamped triangle enumeration");
             }
             let total: usize = triangles.iter().map(Vec::len).sum();
             assert_eq!(topo.triangle_count(), total);
@@ -1740,39 +1775,50 @@ mod tests {
     }
 
     /// Arc ids are search slots: the endpoints read off every slot name
-    /// one arc per vertex pair, and every owner cell names the arc
-    /// closing its two legs, with an id above both.
+    /// one arc per vertex pair, and every dependent a support's stamped
+    /// lookup finds is the arc closing the two legs through the
+    /// support's lower end, with an id above both.
     fn assert_numbered_by_slot(topo: &CchTopology) {
         let skel = &topo.skel;
         let ends: Vec<_> = (0..topo.arc_count()).map(|a| skel.slot_ends(a)).collect();
         let pairs: std::collections::HashSet<_> = ends.iter().collect();
         assert_eq!(pairs.len(), ends.len(), "two slots hold one arc");
-        for r in 0..topo.vertex_count() {
-            let (lo, mid, hi) = skel.bounds(r);
-            let table =
-                &topo.cells[topo.cell_offsets[r] as usize..topo.cell_offsets[r + 1] as usize];
-            let cells = (mid..hi).flat_map(|b| (lo..mid).map(move |c| (b, c)));
-            for (&owner, (b, c)) in table.iter().zip(cells) {
-                let (p, q) = (ends[b as usize].0, ends[c as usize].1);
-                assert_eq!(
-                    (ends[b as usize].1, ends[c as usize].0),
-                    (r as u32, r as u32)
-                );
-                if p == q {
-                    assert_eq!(owner, u32::MAX, "a 2-cycle cell names an owner");
+        let mut row = ArcRow::default();
+        let mut links = 0;
+        for a in 0..topo.arc_count() {
+            let v = skel.rank_of_slot(a) as u32;
+            for (owner, co) in topo.dependents_of(a, &mut row) {
+                // `b = p -> v` and `c = v -> q`, whichever of the two `a` is.
+                let (b, c) = if ends[a].1 == v {
+                    (a, co as usize)
                 } else {
-                    assert_eq!(ends[owner as usize], (p, q), "cell ({b}, {c})");
-                    assert!(owner > b && owner > c, "owner {owner} below leg {b} or {c}");
-                }
+                    (co as usize, a)
+                };
+                assert_eq!((ends[b].1, ends[c].0), (v, v), "legs ({b}, {c}) miss {v}");
+                assert_eq!(
+                    ends[owner as usize],
+                    (ends[b].0, ends[c].1),
+                    "legs ({b}, {c})"
+                );
+                assert!(
+                    owner as usize > b.max(c),
+                    "owner {owner} below leg {b} or {c}"
+                );
+                links += 1;
             }
         }
+        assert_eq!(
+            links,
+            2 * topo.triangle_count(),
+            "a triangle under each support"
+        );
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Multigraphs dense in repeats, so parallel edges, one-way edges
-        /// and 2-cycles (the owner tables' empty diagonal) all occur.
+        /// and 2-cycles (leg pairs that close no triangle) all occur.
         #[test]
         fn cch_per_mid_customization_matches_brute_force_triangles(
             n in 2usize..10,

@@ -48,7 +48,7 @@
 use std::io::{BufRead, Write};
 
 use crate::algo::cch::CchTopology;
-use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
+use crate::algo::ch::{ArcRule, ChArc, ChArcKind, ContractionHierarchy};
 use crate::algo::landmarks::{LandmarkMetric, LandmarkTable};
 use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
@@ -524,13 +524,14 @@ pub fn cch_to_string(topo: &CchTopology) -> String {
 }
 
 /// Reads a CCH topology in the v2 text format, rebuilding the
-/// search-graph skeleton and the owner tables. Validates the rank
-/// permutation, arc endpoints, per-pair arc uniqueness, edge references
-/// and chordality (every pair of arcs `p -> v -> q` through a vertex
-/// ranked below both ends needs its arc `p -> q`, and every fill-in arc
-/// needs such a pair below it); corrupt input yields
-/// [`SpatialError::Parse`] instead of a topology that would mis-route
-/// after customization.
+/// search-graph skeleton and the down-lists. Validates the id range of
+/// the fingerprint, the rank permutation, arc endpoints, per-pair arc
+/// uniqueness, edge references and chordality (every pair of arcs
+/// `p -> v -> q` through a vertex ranked below both ends needs its arc
+/// `p -> q`, and every fill-in arc needs such a pair below it); corrupt
+/// input yields [`SpatialError::Parse`] instead of a topology that would
+/// mis-route after customization. Nothing is sized by the header's edge
+/// count before the arc lines have parsed.
 pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
     let mut lines = input.lines();
     let header = next_content_line(&mut lines)?;
@@ -538,6 +539,11 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         return Err(SpatialError::Parse(format!("bad header {header:?}")));
     }
     let (n, m) = parse_fingerprint(&next_content_line(&mut lines)?)?;
+    if n.max(m) > ArcRule::ORIGINAL as usize {
+        return Err(SpatialError::Parse(format!(
+            "{n} vertices or {m} edges do not fit 31-bit ids"
+        )));
+    }
     let rank = parse_ranks(&next_content_line(&mut lines)?, n)?;
     let arc_count = parse_count(&next_content_line(&mut lines)?, "arcs")?;
     if u32::try_from(arc_count).is_err() {
@@ -546,10 +552,9 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         )));
     }
     // Flat in file order, as `CchTopology::finalise` takes them: arc
-    // endpoints and the arc of every original edge (`u32::MAX`: none,
-    // which doubles as the claimed-once check).
+    // endpoints, and `(edge, arc)` for every original an arc claims.
     let mut ends: Vec<(VertexId, VertexId)> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
-    let mut edge_arc = vec![u32::MAX; m];
+    let mut claims: Vec<(u32, u32)> = Vec::new();
     let mut fill_ins = Vec::new();
     let mut arc_of = std::collections::HashMap::with_capacity(arc_count.min(MAX_PREALLOC));
     for i in 0..arc_count {
@@ -586,12 +591,7 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
                     "arc {i} names edge {e} outside the graph's {m} edges"
                 )));
             }
-            if edge_arc[e as usize] != u32::MAX {
-                return Err(SpatialError::Parse(format!(
-                    "edge {e} is claimed by more than one arc"
-                )));
-            }
-            edge_arc[e as usize] = i as u32;
+            claims.push((e, i as u32));
             if last.is_some_and(|l| e <= l) {
                 return Err(SpatialError::Parse(format!(
                     "arc {i} original edges are not strictly ascending"
@@ -607,13 +607,24 @@ pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
         }
         ends.push((VertexId(from), VertexId(to)));
     }
-    // `finalise` reads every owner-table cell (down-in `p -> v`, up-out
-    // `v -> q`) off the arcs as the arc `p -> q`, so the arcs must be
-    // chordal: each such pair with `p != q` needs its arc. A fill-in arc
-    // also needs one pair below it, or no customization ever gives it a
-    // finite weight. Both hold before `finalise` sizes the tables. Here
-    // `higher[2v]` lists the tails of `v`'s down-in arcs, `higher[2v + 1]`
-    // the heads of its up-out arcs.
+    // The arc of every original edge (`u32::MAX`: none, which doubles as
+    // the claimed-once check), sized only now that the lines vouch for
+    // the claims.
+    let mut edge_arc = vec![u32::MAX; m];
+    for (e, i) in claims {
+        if std::mem::replace(&mut edge_arc[e as usize], i) != u32::MAX {
+            return Err(SpatialError::Parse(format!(
+                "edge {e} is claimed by more than one arc"
+            )));
+        }
+    }
+    // Customization looks up the arc `p -> q` of every pair of legs
+    // (down-in `p -> v`, up-out `v -> q`), so the arcs must be chordal:
+    // each such pair with `p != q` needs its arc (`finalise` would
+    // panic on a miss). A fill-in arc also needs one pair below it, or
+    // no customization ever gives it a finite weight. Here `higher[2v]`
+    // lists the tails of `v`'s down-in arcs, `higher[2v + 1]` the heads
+    // of its up-out arcs.
     let (halves, higher) = group_by_key(2 * n, 0u32, |emit| {
         for &(from, to) in &ends {
             if rank[from.index()] < rank[to.index()] {
@@ -1500,13 +1511,20 @@ mod tests {
                 text.replace(&second, &t.join(" "))
             };
             assert!(cch_from_str(&dup_pair).is_err());
-            // The owner tables are read off the arcs, so the reader must
-            // refuse arcs that are not chordal or leave a fill-in arc
-            // without a lower triangle — and say so.
+            // Customization looks up the arc closing every pair of legs,
+            // so the reader must refuse arcs that are not chordal or leave
+            // a fill-in arc without a lower triangle — and say so.
             let refusal = |text: &str| match cch_from_str(text) {
                 Err(SpatialError::Parse(msg)) => msg,
                 other => panic!("expected a parse error, got {other:?}"),
             };
+            // A header whose counts overflow the 31-bit ids is refused
+            // before anything is sized from it: a per-edge array for 2^40
+            // edges would take 4 TiB.
+            for m in ["1099511627776", "3000000000"] {
+                let header = format!("pathrank-cch v2\ngraph 1 {m}\nranks 0\narcs 0\n");
+                assert!(refusal(&header).contains("31-bit"), "edge count {m}");
+            }
             let arc_line = |a: usize| {
                 let line = text.lines().filter(|l| l.starts_with("c ")).nth(a).unwrap();
                 format!("{line}\n")
