@@ -172,26 +172,14 @@ pub fn generate_group_with(
 /// *costs* are identical to the plain engine's; only tie-breaking among
 /// equal-cost optima may differ. Callers that already hold a table for
 /// this graph (e.g. `Workbench`) pass it through
-/// [`generate_groups_with_landmarks`] instead of re-precomputing.
+/// [`generate_groups_with_backends`] instead of re-precomputing.
 pub fn generate_groups(
     g: &Graph,
     trajectories: &[Path],
     cfg: &CandidateConfig,
     threads: usize,
 ) -> Vec<TrainingGroup> {
-    generate_groups_with_landmarks(g, trajectories, cfg, threads, None)
-}
-
-/// [`generate_groups`] on a caller-provided ALT table (must be built on
-/// `g` under the length metric); `None` builds a transient one.
-pub fn generate_groups_with_landmarks(
-    g: &Graph,
-    trajectories: &[Path],
-    cfg: &CandidateConfig,
-    threads: usize,
-    landmarks: Option<Arc<LandmarkTable>>,
-) -> Vec<TrainingGroup> {
-    generate_groups_with_backends(g, trajectories, cfg, threads, landmarks, None)
+    generate_groups_with_backends(g, trajectories, cfg, threads, None, None)
 }
 
 /// [`generate_groups`] with every search index the caller already holds:

@@ -137,7 +137,9 @@ pub struct Workbench {
     ch: OnceLock<Arc<ContractionHierarchy>>,
     /// Metrics registry every engine this workbench hands out records
     /// into (`pathrank_engine_*`), plus — when map matching ran — the
-    /// matcher's probe-cache counters (`pathrank_match_*`). Swap in
+    /// matcher's two probe-cache counters
+    /// (`pathrank_match_sp_probes_total`,
+    /// `pathrank_match_sp_cache_hits_total`). Swap in
     /// [`Registry::disabled`] via [`Workbench::with_graph_and_registry`]
     /// to turn the whole layer into no-op sinks.
     registry: Registry,

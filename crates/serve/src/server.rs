@@ -29,8 +29,7 @@
 //! of the row its source swept. Batched costs are the bucket sums —
 //! exact, and *bit-identical* to sequential engine answers on
 //! integer-weight graphs (see [`crate::fixture`]); on arbitrary float
-//! weights they agree up to float re-association, the same caveat the
-//! map matcher's bulk fill documents.
+//! weights they agree up to float re-association.
 //!
 //! # Deadlines and degradation
 //!

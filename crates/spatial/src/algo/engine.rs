@@ -876,11 +876,6 @@ impl<'g> QueryEngine<'g> {
         self.landmarks = table;
     }
 
-    /// The attached landmark table, if any.
-    pub fn landmark_table(&self) -> Option<&Arc<LandmarkTable>> {
-        self.landmarks.as_ref()
-    }
-
     /// Whether a query under `cost` would consult the ALT table (i.e. a
     /// table is attached and its metric matches). Exposed so tests and
     /// benchmarks can assert which heuristic regime a query runs in.
@@ -927,11 +922,6 @@ impl<'g> QueryEngine<'g> {
         self.m2m_search = None;
         self.m2m_prepared = None;
         self.ch = ch;
-    }
-
-    /// The attached contraction hierarchy, if any.
-    pub fn ch_index(&self) -> Option<&Arc<ContractionHierarchy>> {
-        self.ch.as_ref()
     }
 
     /// Whether an unconstrained query under `cost` would run on the CH.
@@ -982,11 +972,6 @@ impl<'g> QueryEngine<'g> {
         self.m2m_search = None;
         self.m2m_prepared = None;
         self.cch = cch;
-    }
-
-    /// The attached customized CCH, if any.
-    pub fn cch_index(&self) -> Option<&Arc<Cch>> {
-        self.cch.as_ref()
     }
 
     /// Whether an unconstrained query under `cost` would run on the CCH.
@@ -1291,7 +1276,7 @@ impl<'g> QueryEngine<'g> {
     /// point-to-point queries. `Some` only when the attached
     /// hierarchy covers `cost` (the same per-query metric gate as every
     /// other backend decision); `None` means the caller keeps its
-    /// pairwise path — map matching falls back to its shared sp-cache.
+    /// pairwise path.
     pub fn many_to_many(
         &mut self,
         sources: &[VertexId],

@@ -119,8 +119,8 @@ pub struct LandmarkTable {
     /// "distances" would silently break admissibility).
     m: usize,
     /// Weights epoch of the graph at build time (see
-    /// [`Graph::weights_epoch`]); 0 for deserialised tables. The engine
-    /// skips the table when the graph has been mutated since.
+    /// [`Graph::weights_epoch`]). The engine skips the table when the
+    /// graph has been mutated since.
     weights_epoch: u64,
     landmarks: Vec<VertexId>,
     /// `d(L_l, v)` at `[l * n + v]` (one-to-all from each landmark).
@@ -232,8 +232,7 @@ impl LandmarkTable {
         self.m
     }
 
-    /// Weights epoch of the graph this table was built against
-    /// (0 for tables loaded from disk).
+    /// Weights epoch of the graph this table was built against.
     pub fn weights_epoch(&self) -> u64 {
         self.weights_epoch
     }
@@ -264,35 +263,6 @@ impl LandmarkTable {
     /// Whether queries under `cost` may use this table.
     pub fn usable_for(&self, cost: &CostModel<'_>) -> bool {
         self.k() > 0 && self.metric.matches(cost)
-    }
-
-    /// Raw distance vectors (`d(L_l, v)` then `d(v, L_l)`, each `k * n`
-    /// row-major) — the serialisation payload of [`crate::io`].
-    pub(crate) fn raw_vectors(&self) -> (&[f64], &[f64]) {
-        (&self.from_landmark, &self.to_landmark)
-    }
-
-    /// Reassembles a table from its serialised parts (`crate::io`
-    /// deserialiser; slice lengths are validated there).
-    pub(crate) fn from_raw_parts(
-        metric: LandmarkMetric,
-        n: usize,
-        m: usize,
-        landmarks: Vec<VertexId>,
-        from_landmark: Vec<f64>,
-        to_landmark: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(from_landmark.len(), landmarks.len() * n);
-        debug_assert_eq!(to_landmark.len(), landmarks.len() * n);
-        LandmarkTable {
-            metric,
-            n,
-            m,
-            weights_epoch: 0,
-            landmarks,
-            from_landmark,
-            to_landmark,
-        }
     }
 
     /// Fills `cache` with this table's distance vectors for `node`

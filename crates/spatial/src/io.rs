@@ -18,13 +18,13 @@
 //!
 //! Edge lines are `e <from> <to> <length_m> <speed_kmh> <category-tag>`.
 //!
-//! The precomputed indexes the engine layer routes with round-trip the
-//! same way, each under its own versioned header, so servers can persist
-//! them next to the graph and skip the precompute on restart:
+//! The two hierarchy indexes round-trip the same way, each under its own
+//! versioned header, so a caller can persist one next to the graph and
+//! reload it instead of re-running the precompute. No binary in this
+//! workspace reloads one yet: the `serve` binary builds its CH and CCH
+//! at startup. ALT landmark tables have no file format; they are rebuilt
+//! from the graph.
 //!
-//! * [`write_landmarks`] / [`read_landmarks`] — ALT
-//!   [`LandmarkTable`]s: the metric, the graph fingerprint, the landmark
-//!   ids and the forward/backward distance vectors;
 //! * [`write_ch`] / [`read_ch`] — [`ContractionHierarchy`] indexes: the
 //!   metric, the fingerprint, the rank permutation and the search arcs
 //!   in slot order (original edges, and shortcuts named by their mid);
@@ -49,7 +49,7 @@ use std::io::{BufRead, Write};
 
 use crate::algo::cch::CchTopology;
 use crate::algo::ch::{ArcRule, ChArc, ChArcKind, ContractionHierarchy};
-use crate::algo::landmarks::{LandmarkMetric, LandmarkTable};
+use crate::algo::landmarks::LandmarkMetric;
 use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
 use crate::geo::LocalProjection;
@@ -59,7 +59,6 @@ use crate::osm::{ImportConfig, ImportStats, ImportedGraph};
 use crate::util::group_by_key;
 
 const MAGIC: &str = "pathrank-graph v1";
-const LANDMARKS_MAGIC: &str = "pathrank-landmarks v1";
 const CH_MAGIC: &str = "pathrank-ch v2";
 const CCH_MAGIC: &str = "pathrank-cch v2";
 const IMPORTED_MAGIC: &str = "pathrank-osm-graph v1";
@@ -232,34 +231,6 @@ fn next_content_line(
 /// size.
 const MAX_PREALLOC: usize = 1 << 20;
 
-/// Parses a whitespace-separated vector of exactly `count` distances:
-/// non-negative (possibly infinite) floats. Negative or NaN entries are
-/// rejected — a tampered distance would silently break the ALT bounds'
-/// admissibility, turning corruption into wrong routes instead of an
-/// error.
-fn parse_f64_row(line: &str, prefix: &str, count: usize) -> Result<Vec<f64>, SpatialError> {
-    let mut it = line.split_ascii_whitespace();
-    if it.next() != Some(prefix) {
-        return Err(SpatialError::Parse(format!(
-            "expected {prefix:?} row, got {line:?}"
-        )));
-    }
-    let row: Result<Vec<f64>, _> = it.map(|t| t.parse::<f64>()).collect();
-    let row = row.map_err(|e| SpatialError::Parse(format!("bad float in {prefix:?} row: {e}")))?;
-    if row.len() != count {
-        return Err(SpatialError::Parse(format!(
-            "{prefix:?} row has {} values, expected {count}",
-            row.len()
-        )));
-    }
-    if let Some(d) = row.iter().find(|d| d.is_nan() || **d < 0.0) {
-        return Err(SpatialError::Parse(format!(
-            "invalid distance {d} in {prefix:?} row"
-        )));
-    }
-    Ok(row)
-}
-
 /// A `ranks <r0> <r1> …` line holding a permutation of `0..n`.
 fn parse_ranks(line: &str, n: usize) -> Result<Vec<u32>, SpatialError> {
     let mut it = line.split_ascii_whitespace();
@@ -288,89 +259,6 @@ fn parse_ranks(line: &str, n: usize) -> Result<Vec<u32>, SpatialError> {
         seen[r as usize] = true;
     }
     Ok(rank)
-}
-
-/// Writes an ALT landmark table in the v1 text format.
-pub fn write_landmarks<W: Write>(table: &LandmarkTable, out: &mut W) -> std::io::Result<()> {
-    writeln!(out, "{LANDMARKS_MAGIC}")?;
-    writeln!(out, "metric {}", metric_tag(table.metric()))?;
-    writeln!(out, "graph {} {}", table.vertex_count(), table.edge_count())?;
-    write!(out, "landmarks {}", table.k())?;
-    for l in table.landmarks() {
-        write!(out, " {}", l.0)?;
-    }
-    writeln!(out)?;
-    let n = table.vertex_count();
-    let (from, to) = table.raw_vectors();
-    for l in 0..table.k() {
-        for (prefix, vec) in [("F", from), ("T", to)] {
-            write!(out, "{prefix}")?;
-            for d in &vec[l * n..(l + 1) * n] {
-                write!(out, " {d}")?;
-            }
-            writeln!(out)?;
-        }
-    }
-    Ok(())
-}
-
-/// Serialises an ALT landmark table to a `String`.
-pub fn landmarks_to_string(table: &LandmarkTable) -> String {
-    let mut buf = Vec::new();
-    write_landmarks(table, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("format is ASCII")
-}
-
-/// Reads an ALT landmark table in the v1 text format. The caller is
-/// responsible for attaching it only to the graph it was built for — the
-/// embedded fingerprint is re-checked by
-/// [`crate::algo::engine::QueryEngine::with_landmarks`].
-pub fn read_landmarks<R: BufRead>(input: R) -> Result<LandmarkTable, SpatialError> {
-    let mut lines = input.lines();
-    let header = next_content_line(&mut lines)?;
-    if header != LANDMARKS_MAGIC {
-        return Err(SpatialError::Parse(format!("bad header {header:?}")));
-    }
-    let metric = parse_metric(&next_content_line(&mut lines)?)?;
-    let (n, m) = parse_fingerprint(&next_content_line(&mut lines)?)?;
-    let lm_line = next_content_line(&mut lines)?;
-    let mut it = lm_line.split_ascii_whitespace();
-    if it.next() != Some("landmarks") {
-        return Err(SpatialError::Parse(format!(
-            "expected landmarks line, got {lm_line:?}"
-        )));
-    }
-    let k: usize = it
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| SpatialError::Parse("bad landmark count".into()))?;
-    let landmarks: Vec<VertexId> = it
-        .map(|t| t.parse::<u32>().map(VertexId))
-        .collect::<Result<_, _>>()
-        .map_err(|e| SpatialError::Parse(format!("bad landmark id: {e}")))?;
-    if landmarks.len() != k {
-        return Err(SpatialError::Parse(format!(
-            "landmark line has {} ids, expected {k}",
-            landmarks.len()
-        )));
-    }
-    if let Some(l) = landmarks.iter().find(|l| l.index() >= n) {
-        return Err(SpatialError::VertexOutOfBounds { vertex: *l, len: n });
-    }
-    let mut from = Vec::with_capacity(k.saturating_mul(n).min(MAX_PREALLOC));
-    let mut to = Vec::with_capacity(k.saturating_mul(n).min(MAX_PREALLOC));
-    for _ in 0..k {
-        from.extend(parse_f64_row(&next_content_line(&mut lines)?, "F", n)?);
-        to.extend(parse_f64_row(&next_content_line(&mut lines)?, "T", n)?);
-    }
-    Ok(LandmarkTable::from_raw_parts(
-        metric, n, m, landmarks, from, to,
-    ))
-}
-
-/// Parses an ALT landmark table from its v1 text representation.
-pub fn landmarks_from_str(s: &str) -> Result<LandmarkTable, SpatialError> {
-    read_landmarks(s.as_bytes())
 }
 
 /// Writes a contraction hierarchy in the v2 text format: the rank
@@ -1069,63 +957,12 @@ mod tests {
         use super::*;
         use crate::algo::cch::{CchConfig, CchTopology};
         use crate::algo::ch::{ChConfig, ChSearch, ContractionHierarchy};
-        use crate::algo::engine::QueryEngine;
-        use crate::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-        use crate::graph::{CostModel, VertexId};
+        use crate::algo::landmarks::LandmarkMetric;
+        use crate::graph::VertexId;
         use std::sync::Arc;
 
         fn region() -> Graph {
             region_network(&RegionConfig::small_test(), 23)
-        }
-
-        #[test]
-        fn landmarks_roundtrip_bit_identical() {
-            let g = region();
-            for metric in [LandmarkMetric::Length, LandmarkMetric::TravelTime] {
-                let table = LandmarkTable::build(&g, metric, &LandmarkConfig::default());
-                let text = landmarks_to_string(&table);
-                let back = landmarks_from_str(&text).unwrap();
-                assert_eq!(back.metric(), table.metric());
-                assert_eq!(back.vertex_count(), table.vertex_count());
-                assert_eq!(back.edge_count(), table.edge_count());
-                assert_eq!(back.landmarks(), table.landmarks());
-                for l in 0..table.k() {
-                    for v in g.vertices() {
-                        assert_eq!(
-                            back.from_landmark(l, v).to_bits(),
-                            table.from_landmark(l, v).to_bits(),
-                            "forward vector diverged after round-trip"
-                        );
-                        assert_eq!(
-                            back.to_landmark(l, v).to_bits(),
-                            table.to_landmark(l, v).to_bits(),
-                            "backward vector diverged after round-trip"
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn reloaded_landmarks_serve_identical_queries() {
-            let g = region();
-            let table =
-                LandmarkTable::build(&g, LandmarkMetric::Length, &LandmarkConfig::default());
-            let reloaded = landmarks_from_str(&landmarks_to_string(&table)).unwrap();
-            let mut a = QueryEngine::new(&g).with_landmarks(Arc::new(table));
-            let mut b = QueryEngine::new(&g).with_landmarks(Arc::new(reloaded));
-            assert!(b.uses_alt(CostModel::Length));
-            let n = g.vertex_count() as u32;
-            for (s, t) in [(0, n - 1), (n / 2, 1), (n / 3, 2 * n / 3)] {
-                let (s, t) = (VertexId(s), VertexId(t));
-                let pa = a.shortest_path(s, t, CostModel::Length);
-                let pb = b.shortest_path(s, t, CostModel::Length);
-                assert_eq!(
-                    pa.map(|p| p.edges().to_vec()),
-                    pb.map(|p| p.edges().to_vec()),
-                    "reloaded table changed an answer"
-                );
-            }
         }
 
         #[test]
@@ -1160,53 +997,10 @@ mod tests {
         #[test]
         fn index_headers_are_versioned_and_checked() {
             let g = region();
-            let table =
-                LandmarkTable::build(&g, LandmarkMetric::Length, &LandmarkConfig::default());
-            let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
             // Wrong or missing versions are rejected outright.
-            assert!(landmarks_from_str("pathrank-landmarks v0\n").is_err());
             assert!(ch_from_str("pathrank-ch v0\n").is_err());
             // Feeding one format to the other reader fails on the header.
-            assert!(landmarks_from_str(&ch_to_string(&ch)).is_err());
-            assert!(ch_from_str(&landmarks_to_string(&table)).is_err());
-        }
-
-        #[test]
-        fn corrupt_landmark_input_is_rejected() {
-            let g = region();
-            let table =
-                LandmarkTable::build(&g, LandmarkMetric::Length, &LandmarkConfig::default());
-            let text = landmarks_to_string(&table);
-            // Truncation (anywhere) must error, never mis-build.
-            assert!(landmarks_from_str(&text[..text.len() / 2]).is_err());
-            assert!(landmarks_from_str(&text[..text.len() * 9 / 10]).is_err());
-            // A tampered metric tag.
-            assert!(landmarks_from_str(&text.replace("metric length", "metric banana")).is_err());
-            // A landmark id outside the graph.
-            let k_line = format!("landmarks {}", table.k());
-            let bad = text.replace(&k_line, &format!("landmarks {} 99999", table.k() - 1));
-            assert!(landmarks_from_str(&bad).is_err());
-            // A NaN or negative distance smuggled into a row: either
-            // would silently break the triangle bounds' admissibility,
-            // so both must be parse errors.
-            for bad_value in ["NaN", "-1e9"] {
-                let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-                let f_row = lines.iter().position(|l| l.starts_with('F')).unwrap();
-                let mut toks: Vec<&str> = lines[f_row].split_ascii_whitespace().collect();
-                toks[1] = bad_value;
-                lines[f_row] = toks.join(" ");
-                assert!(
-                    landmarks_from_str(&lines.join("\n")).is_err(),
-                    "{bad_value} distance must be rejected"
-                );
-            }
-            // A header claiming an absurd element count must error (on
-            // truncation), not abort on a huge preallocation.
-            let huge = text.replace(
-                &format!("graph {} {}", g.vertex_count(), g.edge_count()),
-                "graph 999999999999 5",
-            );
-            assert!(landmarks_from_str(&huge).is_err());
+            assert!(ch_from_str(&graph_to_string(&g)).is_err());
         }
 
         #[test]

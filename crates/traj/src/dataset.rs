@@ -29,14 +29,14 @@ impl TrajectoryDataset {
 
     /// Builds the dataset by map-matching each trip's GPS trace (the full
     /// paper pipeline). Trips whose trace cannot be matched are dropped.
-    /// One [`MapMatcher`] — a single spatial index plus a single query
-    /// engine — serves every trace.
+    /// One [`MapMatcher`] — a single spatial index, a single plain query
+    /// engine and one fleet-wide probe cache — serves every trace.
     pub fn from_map_matching(g: &Graph, trips: &[Trip], cfg: &MapMatchConfig) -> Self {
         Self::from_map_matching_with_stats(g, trips, cfg).0
     }
 
     /// Like [`TrajectoryDataset::from_map_matching`], but also hands back
-    /// the matcher's probe-cache and m2m statistics
+    /// the matcher's probe-cache statistics
     /// ([`crate::mapmatch::MatchStats`]) for callers feeding a metrics
     /// registry.
     pub fn from_map_matching_with_stats(

@@ -9,13 +9,9 @@
 //! stitched into a connected [`Path`] with shortest-path gap filling.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use pathrank_spatial::algo::cch::Cch;
-use pathrank_spatial::algo::ch::ContractionHierarchy;
 use pathrank_spatial::algo::engine::QueryEngine;
-use pathrank_spatial::algo::landmarks::LandmarkTable;
 use pathrank_spatial::geometry::{project_onto_polyline, project_onto_segment, Point};
 use pathrank_spatial::graph::{CostModel, EdgeId, Graph, VertexId};
 use pathrank_spatial::osm::ImportedGraph;
@@ -51,21 +47,14 @@ impl Default for MapMatchConfig {
     }
 }
 
-/// Statistics of a matcher's shortest-path probe cache and its
-/// many-to-many bulk fills ([`MapMatcher::stats`]).
+/// Statistics of a matcher's shortest-path probe cache
+/// ([`MapMatcher::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Route-distance probes issued by the HMM transition model.
     pub sp_probes: u64,
     /// Probes answered from the shared cache without a search.
     pub sp_cache_hits: u64,
-    /// Many-to-many transition tables built (one per ping-to-ping block
-    /// that still had uncached probe pairs; requires a CH-backed engine).
-    pub m2m_tables: u64,
-    /// Probe-cache entries bulk-filled by those tables — each is a
-    /// pairwise shortest-path search the transition model no longer
-    /// issues (the block's `S + T` upward sweeps replace them all).
-    pub m2m_pairs: u64,
 }
 
 impl MatchStats {
@@ -76,14 +65,6 @@ impl MatchStats {
         } else {
             self.sp_cache_hits as f64 / self.sp_probes as f64
         }
-    }
-
-    /// Pairwise probes avoided by the bucket-based many-to-many bulk
-    /// fill: transition pairs whose route distance came out of a
-    /// [`DistanceTable`](pathrank_spatial::algo::m2m::DistanceTable)
-    /// instead of an individual engine search.
-    pub fn probes_avoided_by_m2m(&self) -> u64 {
-        self.m2m_pairs
     }
 
     /// Folds this snapshot into `registry`'s `pathrank_match_*` counter
@@ -104,176 +85,75 @@ impl MatchStats {
             "Probes answered from the shared fleet cache without a search",
             self.sp_cache_hits,
         );
-        add(
-            "pathrank_match_m2m_tables_total",
-            "Many-to-many transition tables built during matching",
-            self.m2m_tables,
-        );
-        add(
-            "pathrank_match_m2m_pairs_total",
-            "Probe-cache entries bulk-filled by m2m tables",
-            self.m2m_pairs,
-        );
     }
 }
 
-/// Shortest-path probe cache, keyed by `(source, target, metric)`.
+/// Length-metric shortest-path probe cache, keyed by `(source, target)`.
 ///
 /// Vehicles of one fleet drive the same corridors, so consecutive-fix
 /// candidate pairs repeat heavily *across* traces — a [`MapMatcher`]
-/// keeps one of these for its lifetime (the ROADMAP's fleet-level
-/// sp-cache), while the one-shot entry points use a transient per-trace
-/// one. Cached values are exactly what the engine would return, so the
-/// cache can never change a match. `Custom` cost models bypass the cache
-/// entirely (their per-edge costs may change between queries).
+/// keeps one of these for its lifetime (the fleet-level sp-cache).
+/// Cached values are exactly what the engine would return, so the cache
+/// can never change a match.
 #[derive(Debug, Default)]
 struct SpCache {
-    map: HashMap<(u32, u32, u8), Option<f64>>,
+    map: HashMap<(u32, u32), Option<f64>>,
     stats: MatchStats,
 }
 
 impl SpCache {
-    /// Stable per-metric tag; `None` for uncacheable models.
-    fn metric_tag(cost: &CostModel<'_>) -> Option<u8> {
-        match cost {
-            CostModel::Length => Some(0),
-            CostModel::TravelTime => Some(1),
-            CostModel::Custom(_) => None,
-        }
-    }
-
-    /// `engine.shortest_path_cost(s, t, cost)` through the cache.
-    fn probe(
-        &mut self,
-        engine: &mut QueryEngine<'_>,
-        s: VertexId,
-        t: VertexId,
-        cost: CostModel<'_>,
-    ) -> Option<f64> {
-        let Some(tag) = Self::metric_tag(&cost) else {
-            return engine.shortest_path_cost(s, t, cost);
-        };
+    /// `engine.shortest_path_cost(s, t, CostModel::Length)` through the
+    /// cache. The cost-only probe materialises no path, so a miss
+    /// allocates nothing on the reused engine.
+    fn probe(&mut self, engine: &mut QueryEngine<'_>, s: VertexId, t: VertexId) -> Option<f64> {
         self.stats.sp_probes += 1;
-        match self.map.entry((s.0, t.0, tag)) {
+        match self.map.entry((s.0, t.0)) {
             Entry::Occupied(e) => {
                 self.stats.sp_cache_hits += 1;
                 *e.get()
             }
-            Entry::Vacant(e) => *e.insert(engine.shortest_path_cost(s, t, cost)),
-        }
-    }
-
-    /// Bulk-fills the cache for one whole trace's transition blocks with
-    /// a single bucket-based many-to-many table instead of one
-    /// independent probe per candidate pair. Only pairs the transition
-    /// model would actually probe ([`Transition::Probe`]) and that are
-    /// not cached yet are gathered across every consecutive layer pair;
-    /// trace-level batching is what makes the bucket algorithm pay off —
-    /// a single ping-to-ping block has barely more pairs than distinct
-    /// endpoints, but a trace revisits the same candidate endpoints over
-    /// and over, so `S + T` upward sweeps replace several times that
-    /// many searches. A break-even gate keeps warm-cache traces (where
-    /// almost everything hits anyway) on the plain probe path, and only
-    /// the gathered (previously uncached) pairs are written back — a
-    /// cached answer is never overwritten. Filled values are the
-    /// table's raw shortcut-weight sums: exact, and equal to what an
-    /// engine probe would have cached up to float association
-    /// (bit-identical on integer-weight graphs; a Viterbi decision
-    /// could only differ on a score tie below that association error —
-    /// the same class of tie-break caveat every backend switch in this
-    /// workspace carries, locked in deterministically by
-    /// `tests/m2m_exactness.rs`). A `None` from the engine (no CH
-    /// covering the metric) leaves the cache untouched and the per-pair
-    /// probes remain the fallback.
-    fn bulk_fill(&mut self, engine: &mut QueryEngine<'_>, layers: &[Vec<Candidate>]) {
-        let cost = CostModel::Length;
-        let tag = Self::metric_tag(&cost).expect("length metric is cacheable");
-        let g = engine.graph();
-        let mut needed: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut seen: HashSet<(u32, u32)> = HashSet::new();
-        for w in layers.windows(2) {
-            for a in &w[0] {
-                for b in &w[1] {
-                    if let Transition::Probe(s, t, _) = transition_shape(g, a, b) {
-                        if !self.map.contains_key(&(s.0, t.0, tag)) && seen.insert((s.0, t.0)) {
-                            needed.push((s, t));
-                        }
-                    }
-                }
-            }
-        }
-        let mut sources: Vec<VertexId> = needed.iter().map(|&(s, _)| s).collect();
-        sources.sort_unstable_by_key(|v| v.0);
-        sources.dedup();
-        let mut targets: Vec<VertexId> = needed.iter().map(|&(_, t)| t).collect();
-        targets.sort_unstable_by_key(|v| v.0);
-        targets.dedup();
-        // Break-even gate: the fill costs ~one upward sweep per distinct
-        // endpoint (about what one warm point-to-point probe costs), so
-        // it must replace clearly more probes than it runs sweeps —
-        // otherwise (e.g. a fleet-warmed cache) plain probing wins.
-        if needed.is_empty() || 2 * needed.len() < 3 * (sources.len() + targets.len()) {
-            return;
-        }
-        let Some(table) = engine.many_to_many(&sources, &targets, cost) else {
-            return;
-        };
-        self.stats.m2m_tables += 1;
-        for (s, t) in needed {
-            let d = table.dist_between(s, t).expect("gathered endpoints");
-            self.map.insert((s.0, t.0, tag), d.is_finite().then_some(d));
-            self.stats.m2m_pairs += 1;
+            Entry::Vacant(e) => *e.insert(engine.shortest_path_cost(s, t, CostModel::Length)),
         }
     }
 }
 
-/// How one HMM transition is routed, shared by the per-pair probe path
-/// and the many-to-many bulk fill so the two can never disagree about
-/// which pairs need a network search.
-enum Transition {
-    /// Readable straight off the candidate geometry (same edge, or
-    /// consecutive edges sharing a vertex): the on-network distance.
-    Direct(f64),
-    /// Needs the shortest-path distance `.0 -> .1`, to which the fixed
-    /// partial-edge contribution `.2` (tail of the first edge + head of
-    /// the second) is added.
-    Probe(VertexId, VertexId, f64),
-}
-
-/// Classifies the transition from candidate `a` to candidate `b`.
-fn transition_shape(g: &Graph, a: &Candidate, b: &Candidate) -> Transition {
+/// On-network distance from candidate `a` to candidate `b`. Read
+/// straight off the candidate geometry when both sit on one edge or on
+/// consecutive edges sharing a vertex; otherwise the cached
+/// shortest-path distance between the two edges plus the partial edges
+/// at either end (tail of the first, head of the second).
+fn route_dist(
+    cache: &mut SpCache,
+    engine: &mut QueryEngine<'_>,
+    a: &Candidate,
+    b: &Candidate,
+) -> Option<f64> {
+    let g = engine.graph();
     let (ea, eb) = (g.edge(a.edge), g.edge(b.edge));
     if a.edge == b.edge {
         let delta = (b.t - a.t) * ea.attrs.length_m;
         // Small backward jitter is GPS noise, not a loop around the
         // block; treat it as (almost) standing still.
         if delta >= -30.0 {
-            return Transition::Direct(delta.abs());
+            return Some(delta.abs());
         }
     }
     let tail = (1.0 - a.t) * ea.attrs.length_m;
     let head = b.t * eb.attrs.length_m;
     if ea.to == eb.from {
-        Transition::Direct(tail + head)
+        Some(tail + head)
     } else {
-        Transition::Probe(ea.to, eb.from, tail + head)
+        cache.probe(engine, ea.to, eb.from).map(|d| tail + head + d)
     }
 }
 
-/// A reusable matcher: one [`RTree`], one [`QueryEngine`] and one
+/// A reusable matcher: one [`RTree`], one plain [`QueryEngine`] and one
 /// shared shortest-path cache serving any number of traces.
 ///
-/// [`map_match_with`] already reuses a caller's engine, but it still
-/// rebuilds the `O(E)` spatial index per trace; batch callers (dataset
-/// assembly, servers) hold a `MapMatcher` instead, which hoists the index
-/// build out of the per-trace loop entirely and shares the probe cache
-/// across a whole fleet ([`MapMatcher::stats`] reports its hit rate).
-/// The engine can additionally carry ALT landmarks
-/// ([`MapMatcher::with_landmarks`]) or a contraction hierarchy
-/// ([`MapMatcher::with_ch`]) so every HMM transition probe and
-/// gap-filling search takes the strongest available backend — probes are
-/// exact either way, so matches are unaffected apart from equal-cost
-/// tie-breaking.
+/// Batch callers (dataset assembly) hold a `MapMatcher`, which builds
+/// the `O(E)` spatial index once and shares the probe cache across a
+/// whole fleet ([`MapMatcher::stats`] reports its hit rate); the
+/// one-shot [`map_match`] builds both per call.
 pub struct MapMatcher<'g> {
     engine: QueryEngine<'g>,
     index: RTree,
@@ -328,34 +208,6 @@ impl<'g> MapMatcher<'g> {
     /// geometry).
     pub fn for_imported(imported: &'g ImportedGraph, cfg: MapMatchConfig) -> Self {
         Self::new_with_geometry(&imported.graph, &imported.edge_geometry, cfg)
-    }
-
-    /// Attaches ALT landmarks to the matcher's engine (see
-    /// [`QueryEngine::with_landmarks`]); transition probes fall back to
-    /// plain searches automatically if the table's metric ever stops
-    /// matching the probes' cost model.
-    pub fn with_landmarks(mut self, table: Arc<LandmarkTable>) -> Self {
-        self.engine = self.engine.with_landmarks(table);
-        self
-    }
-
-    /// Attaches a contraction hierarchy (see [`QueryEngine::with_ch`]):
-    /// the HMM transition probes and gap-filling searches are exactly the
-    /// unconstrained point-to-point shape the CH backend accelerates.
-    pub fn with_ch(mut self, ch: Arc<ContractionHierarchy>) -> Self {
-        self.engine = self.engine.with_ch(ch);
-        self
-    }
-
-    /// Attaches a customized CCH (see [`QueryEngine::with_cch`]): same
-    /// acceleration shape as [`MapMatcher::with_ch`], but the index is
-    /// re-customizable in milliseconds, so congestion-aware matching can
-    /// follow live weight changes. The engine's weights-epoch gate drops
-    /// the index automatically if the graph's weights mutate after it was
-    /// customized.
-    pub fn with_cch(mut self, cch: Arc<Cch>) -> Self {
-        self.engine = self.engine.with_cch(cch);
-        self
     }
 
     /// The matcher configuration.
@@ -413,36 +265,16 @@ struct Candidate {
 /// Returns `None` when the trace is too short or no consistent candidate
 /// chain exists (e.g. every fix is far from any road).
 ///
-/// One-shot convenience over [`map_match_with`], which reuses a
-/// caller-provided [`QueryEngine`] across traces — the HMM transition
-/// model probes a shortest path between every candidate pair of
-/// consecutive GPS fixes, so matching is routing-query dominated.
+/// One-shot convenience over a fresh [`MapMatcher`]; callers matching
+/// more than one trace hold a matcher instead, which keeps its spatial
+/// index and probe cache across traces.
 pub fn map_match(g: &Graph, trace: &GpsTrace, cfg: &MapMatchConfig) -> Option<Path> {
-    map_match_with(&mut QueryEngine::new(g), trace, cfg)
-}
-
-/// [`map_match`] on a caller-provided engine: all route-distance probes
-/// (many per fix pair) and gap-filling searches reuse the engine's
-/// search state instead of allocating per query. Still builds the
-/// spatial index per call — batch callers hold a [`MapMatcher`], which
-/// hoists that too.
-pub fn map_match_with(
-    engine: &mut QueryEngine<'_>,
-    trace: &GpsTrace,
-    cfg: &MapMatchConfig,
-) -> Option<Path> {
-    if trace.len() < 2 {
-        return None;
-    }
-    let index = RTree::build(engine.graph());
-    match_on(engine, &index, None, trace, cfg, &mut SpCache::default())
+    MapMatcher::new(g, cfg.clone()).match_trace(trace)
 }
 
 /// The matcher core: candidate layers from a prebuilt index (projecting
 /// onto full polylines when `geometry` is given), Viterbi over
-/// engine-probed route distances (through `sp_cache`, bulk-filled
-/// block-by-block from many-to-many tables when the engine carries a CH
-/// covering the probe metric), stitching.
+/// length-metric route distances probed through `sp_cache`, stitching.
 fn match_on(
     engine: &mut QueryEngine<'_>,
     index: &RTree,
@@ -540,23 +372,6 @@ fn match_on(
         -(c.dist * c.dist) / (2.0 * cfg.sigma_m * cfg.sigma_m)
             + cfg.heading_weight * (c.heading_cos - 1.0)
     };
-    let route_dist = |sp_cache: &mut SpCache,
-                      engine: &mut QueryEngine<'_>,
-                      a: &Candidate,
-                      b: &Candidate|
-     -> Option<f64> {
-        match transition_shape(engine.graph(), a, b) {
-            Transition::Direct(d) => Some(d),
-            // The cost-only probe never materialises a path, so cache
-            // misses allocate nothing on the reused engine; a
-            // `MapMatcher` carries the cache across traces, so
-            // fleet-repeated corridors hit it — and on a CH-backed
-            // engine the whole block was bulk-filled beforehand.
-            Transition::Probe(s, t, fixed) => sp_cache
-                .probe(engine, s, t, CostModel::Length)
-                .map(|d| fixed + d),
-        }
-    };
 
     let mut score: Vec<f64> = layers[0].iter().map(emission).collect();
     let mut back: Vec<Vec<usize>> = Vec::with_capacity(layers.len());
@@ -569,13 +384,6 @@ fn match_on(
         .map(|layer| layer.iter().map(|c| c.pos).collect())
         .collect();
 
-    // One DistanceTable call per trace: every probe-shaped candidate
-    // pair of every ping-to-ping block lands in the cache before the
-    // Viterbi loop reads it (the loop itself is unchanged; see
-    // `SpCache::bulk_fill` for the exactness contract).
-    if engine.uses_ch(CostModel::Length) {
-        sp_cache.bulk_fill(engine, &layers);
-    }
     for li in 1..layers.len() {
         let mut next_score = vec![f64::NEG_INFINITY; layers[li].len()];
         let mut next_back = vec![0usize; layers[li].len()];
@@ -851,33 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn reused_engine_matches_identically() {
-        // One engine across all traces must reproduce the one-shot
-        // matcher's output exactly — the map-matching face of the
-        // stale-generation bug class.
-        let g = region_network(&RegionConfig::small_test(), 4);
-        let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-        let cfg = MapMatchConfig::default();
-        let mut engine = QueryEngine::new(&g);
-        for trip in trips.iter().take(6) {
-            let fresh = map_match(&g, &trip.trace, &cfg);
-            let reused = map_match_with(&mut engine, &trip.trace, &cfg);
-            match (fresh, reused) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.vertices(), b.vertices());
-                    assert_eq!(a.edges(), b.edges());
-                }
-                (None, None) => {}
-                (a, b) => panic!("match divergence: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn matcher_reuses_one_index_across_traces() {
-        // The ROADMAP fix: `map_match_with` rebuilt the spatial index per
-        // trace; a MapMatcher must hold one index for its lifetime and
-        // still reproduce the one-shot matcher's output exactly.
+        // A MapMatcher must hold one index (and one engine) for its
+        // lifetime and still reproduce the one-shot matcher's output
+        // exactly.
         let g = region_network(&RegionConfig::small_test(), 4);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
         let cfg = MapMatchConfig::default();
@@ -902,37 +687,10 @@ mod tests {
     }
 
     #[test]
-    fn alt_matcher_recovers_routes_like_plain_matcher() {
-        use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-        use std::sync::Arc;
-        let g = region_network(&RegionConfig::small_test(), 4);
-        let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-        let table = Arc::new(LandmarkTable::build(
-            &g,
-            LandmarkMetric::Length,
-            &LandmarkConfig::default(),
-        ));
-        let cfg = MapMatchConfig::default();
-        let mut plain = MapMatcher::new(&g, cfg.clone());
-        let mut alt = MapMatcher::new(&g, cfg).with_landmarks(table);
-        for trip in trips.iter().take(6) {
-            // ALT probes return bit-identical route costs, so the Viterbi
-            // decisions — and the matched routes — must agree.
-            let a = plain.match_trace(&trip.trace);
-            let b = alt.match_trace(&trip.trace);
-            match (a, b) {
-                (Some(a), Some(b)) => assert_eq!(a.edges(), b.edges()),
-                (None, None) => {}
-                (a, b) => panic!("ALT match divergence: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn fleet_sp_cache_hits_across_traces_without_changing_matches() {
-        // The ROADMAP's fleet-level sp-cache: corridors repeat across a
-        // fleet's traces, so the shared cache must (a) actually hit and
-        // (b) never change a match (cached values are exactly what the
+        // The fleet-level sp-cache: corridors repeat across a fleet's
+        // traces, so the shared cache must (a) actually hit and (b)
+        // never change a match (cached values are exactly what the
         // engine would return).
         let g = region_network(&RegionConfig::small_test(), 4);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
@@ -958,101 +716,46 @@ mod tests {
             "fleet traces share corridors; the cache must hit"
         );
         assert!(stats.hit_rate() > 0.0 && stats.hit_rate() <= 1.0);
-        // Without a CH there is nothing to bulk-fill from.
-        assert_eq!(stats.m2m_tables, 0);
-        assert_eq!(stats.probes_avoided_by_m2m(), 0);
-
-        // The CH-backed matcher serves the same fleet through bulk
-        // many-to-many fills: the avoided-probe counter must move and
-        // every remaining probe must hit the pre-filled cache.
-        use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use std::sync::Arc;
-        let ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig::default(),
-        ));
-        let mut fast = MapMatcher::new(&g, cfg).with_ch(ch);
-        for trip in trips.iter().take(8) {
-            fast.match_trace(&trip.trace);
-        }
-        let stats = fast.stats();
-        assert!(stats.m2m_tables > 0, "CH matcher must build m2m tables");
-        assert!(
-            stats.probes_avoided_by_m2m() > 0,
-            "bulk fills must avoid pairwise probes"
-        );
-        // Bulk-filled traces turn former misses into hits; only traces
-        // the break-even gate kept on the plain path may still miss.
-        assert!(
-            stats.hit_rate() > 0.9,
-            "bulk-filled fleet should probe almost entirely from cache \
-             (hit rate {:.3})",
-            stats.hit_rate()
-        );
     }
 
+    /// Pins every match on a region fleet: one [`MapMatcher`]'s matched
+    /// edges per trace, its probe and cache-hit counts, then every
+    /// trace's one-shot [`map_match`] edges, folded into one FNV-1a.
+    /// Any change to candidate generation, the transition probes, the
+    /// probe cache or stitching moves it.
     #[test]
-    fn ch_matcher_recovers_routes_like_plain_matcher() {
-        use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use std::sync::Arc;
-        let g = region_network(&RegionConfig::small_test(), 4);
-        let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-        let ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig::default(),
-        ));
-        let cfg = MapMatchConfig::default();
-        let mut plain = MapMatcher::new(&g, cfg.clone());
-        let mut fast = MapMatcher::new(&g, cfg).with_ch(ch);
-        for trip in trips.iter().take(6) {
-            // CH probes return exact route costs, so the Viterbi
-            // decisions — and the matched routes — must agree (the
-            // region's float geometry makes optima unique).
-            let a = plain.match_trace(&trip.trace);
-            let b = fast.match_trace(&trip.trace);
-            match (a, b) {
-                (Some(a), Some(b)) => assert_eq!(a.edges(), b.edges()),
-                (None, None) => {}
-                (a, b) => panic!("CH match divergence: {a:?} vs {b:?}"),
+    fn mapmatch_golden_region() {
+        fn fold(h: u64, word: u64) -> u64 {
+            word.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        fn fold_match(h: u64, m: Option<Path>) -> u64 {
+            match m {
+                None => fold(h, u64::MAX),
+                Some(p) => p
+                    .edges()
+                    .iter()
+                    .fold(fold(h, p.len() as u64), |h, e| fold(h, u64::from(e.0))),
             }
         }
-    }
-
-    #[test]
-    fn m2m_metric_mismatch_falls_back_to_probe_cache() {
-        // A TravelTime-metric CH cannot serve the Length transition
-        // probes: the bulk fill must stay inert and the sp-cache path
-        // must carry the probes, matching the plain matcher exactly.
-        use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
-        use pathrank_spatial::algo::landmarks::LandmarkMetric;
-        use std::sync::Arc;
         let g = region_network(&RegionConfig::small_test(), 4);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-        let tt_ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::TravelTime,
-            &ChConfig::default(),
-        ));
         let cfg = MapMatchConfig::default();
-        let mut plain = MapMatcher::new(&g, cfg.clone());
-        let mut mismatched = MapMatcher::new(&g, cfg).with_ch(tt_ch);
-        for trip in trips.iter().take(6) {
-            let a = plain.match_trace(&trip.trace);
-            let b = mismatched.match_trace(&trip.trace);
-            match (a, b) {
-                (Some(a), Some(b)) => assert_eq!(a.edges(), b.edges()),
-                (None, None) => {}
-                (a, b) => panic!("fallback match divergence: {a:?} vs {b:?}"),
-            }
+        let mut matcher = MapMatcher::new(&g, cfg.clone());
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for trip in &trips {
+            h = fold_match(h, matcher.match_trace(&trip.trace));
         }
-        let stats = mismatched.stats();
-        assert_eq!(stats.m2m_tables, 0, "metric gate must block the fill");
-        assert_eq!(stats.m2m_pairs, 0);
-        assert!(stats.sp_probes > 0, "probes must flow through the cache");
+        let stats = matcher.stats();
+        h = fold(fold(h, stats.sp_probes), stats.sp_cache_hits);
+        for trip in &trips {
+            h = fold_match(h, map_match(&g, &trip.trace, &cfg));
+        }
+        assert_eq!(
+            (trips.len(), stats.sp_probes, stats.sp_cache_hits, h),
+            (12, 3791, 3477, 0x8543_ce87_55ea_3c5a)
+        );
     }
 
     #[test]

@@ -20,12 +20,8 @@
 //! * the streamed rows (`prepare_m2m_targets` + `m2m_distances_from`,
 //!   the path the route server runs) vs the one-to-all tree;
 //! * `CostModel::Custom` and metric-mismatched batched calls must
-//!   return `None` (the caller's sp-cache fallback path), asserted at
-//!   the engine layer;
-//! * map matching with the bulk fill on (length CH attached) vs off (no
-//!   hierarchy) must produce identical matched edge sequences, and a
-//!   metric-mismatched hierarchy must leave the fill inert while matches
-//!   still equal the plain matcher's.
+//!   return `None` (the caller falls back to pairwise searches), asserted at
+//!   the engine layer.
 
 use std::sync::Arc;
 
@@ -210,7 +206,7 @@ proptest! {
     ) {
         // The metric gate of the batched entry points: a Custom cost
         // slice or a mismatched metric must force the caller onto its
-        // fallback (map matching's sp-cache probes), never a stale table.
+        // pairwise fallback, never a stale table.
         let g = build_graph(n, &coords, &edges);
         let custom: Vec<f64> = (0..g.edge_count())
             .map(|i| 1.0 + ((i as u32 * salt) % 17) as f64)
@@ -337,58 +333,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Deterministic companion: on a simulated fleet, the bulk fill must not
-/// change a single matched edge sequence — a CH-backed matcher (fill on)
-/// and a metric-mismatched hierarchy (fill inert) vs the plain matcher
-/// (no hierarchy, no fill).
-#[test]
-fn m2m_map_match_results_unchanged_on_vs_off() {
-    use pathrank::spatial::generators::{region_network, RegionConfig};
-    use pathrank::traj::mapmatch::{MapMatchConfig, MapMatcher};
-    use pathrank::traj::simulator::{simulate_fleet, SimulationConfig};
-
-    let g = region_network(&RegionConfig::small_test(), 4);
-    let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
-    let ch = Arc::new(ContractionHierarchy::build(
-        &g,
-        LandmarkMetric::Length,
-        &ChConfig::default(),
-    ));
-    let tt_ch = Arc::new(ContractionHierarchy::build(
-        &g,
-        LandmarkMetric::TravelTime,
-        &ChConfig::default(),
-    ));
-    let cfg = MapMatchConfig::default();
-    let mut plain = MapMatcher::new(&g, cfg.clone());
-    let mut on = MapMatcher::new(&g, cfg.clone()).with_ch(ch);
-    let mut mismatched = MapMatcher::new(&g, cfg).with_ch(tt_ch);
-    for trip in trips.iter().take(10) {
-        let reference = plain.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-        for matcher in [&mut on, &mut mismatched] {
-            let got = matcher.match_trace(&trip.trace).map(|p| p.edges().to_vec());
-            assert_eq!(reference, got, "matcher configuration changed a match");
-        }
-    }
-    assert!(
-        on.stats().m2m_tables > 0,
-        "the m2m matcher must actually bulk-fill"
-    );
-    assert!(on.stats().probes_avoided_by_m2m() > 0);
-    assert_eq!(
-        plain.stats().m2m_tables,
-        0,
-        "without a hierarchy no tables may be built"
-    );
-    assert_eq!(
-        mismatched.stats().m2m_tables,
-        0,
-        "a TravelTime CH cannot serve Length transition probes"
-    );
-    assert!(
-        mismatched.stats().sp_probes > 0,
-        "the mismatched matcher must fall back to the sp-cache path"
-    );
 }
