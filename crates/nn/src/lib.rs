@@ -20,8 +20,8 @@
 //! * [`layers`] — Embedding (frozen or trainable), Linear, GRU and LSTM
 //!   cells: each records its step on the tape and carries the same
 //!   arithmetic over row blocks for the kernel;
-//! * [`optim`] — SGD (with momentum) and Adam with per-row state, plus
-//!   global-norm gradient clipping;
+//! * [`optim`] — Adam with per-row state (global-norm gradient clipping
+//!   is [`params::GradStore::clip_global_norm`]);
 //! * [`init`] — Xavier/uniform initialisers with explicit seeds.
 //!
 //! Every differentiable operation is verified against finite differences in

@@ -240,17 +240,6 @@ impl Grad {
         }
     }
 
-    /// Calls `f(row, values)` for every row that counts: each row of a
-    /// whole matrix, the touched ones otherwise.
-    pub(crate) fn for_each_row(&self, mut f: impl FnMut(usize, &[f32])) {
-        match self {
-            Grad::Dense(m) => (0..m.rows()).for_each(|r| f(r, m.row(r))),
-            Grad::Rows(b) => {
-                (b.rows().iter().enumerate()).for_each(|(slot, &r)| f(r as usize, b.slot(slot)))
-            }
-        }
-    }
-
     fn values_mut(&mut self) -> &mut [f32] {
         match self {
             Grad::Dense(m) => m.data_mut(),

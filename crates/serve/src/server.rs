@@ -881,22 +881,13 @@ fn serve_batched(
     targets.dedup();
     let target_col: HashMap<u32, usize> =
         targets.iter().enumerate().map(|(i, v)| (v.0, i)).collect();
-    if !engine.prepare_m2m_targets(&targets, cost) {
-        // The index was swapped between backend resolution and here;
-        // individual dispatch re-resolves per query and stays exact.
-        for job in jobs.drain(..) {
-            let cost_val = engine.shortest_path_cost(job.req.source, job.req.target, cost);
-            obs.served_sequential.inc();
-            obs.latency_ns.record_duration(job.admitted.elapsed());
-            let _ = job.reply.send(Ok(RouteReply {
-                cost: cost_val,
-                backend: engine.backend_for(cost),
-                batched: false,
-                weights_generation: generation,
-            }));
-        }
-        return;
-    }
+    // `serve_group` resolved `backend` to `Ch`/`Cch` for this `cost` on
+    // the same exclusively borrowed engine, untouched since, so the
+    // hierarchy covers `cost` and the buckets always fill.
+    assert!(
+        engine.prepare_m2m_targets(&targets, cost),
+        "{backend:?} covers the batch's cost model"
+    );
     let mut by_source: HashMap<u32, Vec<Job>> = HashMap::new();
     for job in jobs.drain(..) {
         by_source.entry(job.req.source.0).or_default().push(job);

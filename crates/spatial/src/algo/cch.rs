@@ -101,8 +101,8 @@ impl Default for CchConfig {
 /// contraction order, merged chordal arc topology (whose triangles it
 /// implies and never lists), and the per-rank up/down search skeleton.
 ///
-/// Build (or load via [`crate::io::read_cch`]) once per graph topology,
-/// wrap in an [`Arc`], then [`CchTopology::customize`] per metric or
+/// Build once per graph topology, wrap in an [`Arc`], then
+/// [`CchTopology::customize`] per metric or
 /// [`CchTopology::customize_weights`] per weight vector — the expensive
 /// ordering work is never repeated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,8 +112,6 @@ pub struct CchTopology {
     /// Arc -> merged original edges, CSR.
     orig_offsets: Vec<u32>,
     orig_edges: Vec<EdgeId>,
-    /// Lower triangles, counted when `finalise` checks chordality.
-    triangles: usize,
     /// Down-lists in rank space, two per rank `r`: the arcs from `r` to
     /// lower ranks (down-out) at `down[down_offsets[2r]..down_offsets[2r + 1]]`,
     /// then the arcs from lower ranks into `r` (down-in) up to
@@ -413,16 +411,13 @@ impl CchTopology {
         Self::finalise(rank, arcs, edge_arc)
     }
 
-    /// Finalises a topology from flat arrays in creation (or file)
-    /// order — arc endpoints and the arc of every original edge: numbers
-    /// the arcs by search slot, lays out the search skeleton and the
-    /// down-lists, and counts the triangles, asserting that every pair
-    /// of legs has the arc customization will look up for it. Every
-    /// grouping is one counting sort into its final array. Shared by
-    /// [`CchTopology::build`] (trusted input) and the io deserialiser,
-    /// which checks first that the arcs are chordal, so the assertion
-    /// never fires on a file.
-    pub(crate) fn finalise(
+    /// The tail of [`CchTopology::build`], from the flat arrays in
+    /// creation order — arc endpoints and the arc of every original
+    /// edge: numbers the arcs by search slot and lays out the search
+    /// skeleton and the down-lists, each grouping one counting sort into
+    /// its final array. `TopoBuilder::contract` leaves the arcs chordal,
+    /// so every pair of legs has the arc customization looks up for it.
+    fn finalise(
         rank: Vec<u32>,
         old_ends: Vec<(VertexId, VertexId)>,
         mut edge_arc: Vec<u32>,
@@ -486,20 +481,15 @@ impl CchTopology {
             }
         });
 
-        let mut topo = CchTopology {
+        CchTopology {
             m: edge_arc.len(),
             orig_offsets,
             orig_edges,
-            triangles: 0,
             down_offsets,
             down,
             edge_arc,
             skel: Skeleton::new(rank, halves, seg_arcs),
-        };
-        let mut triangles = 0;
-        topo.for_each_triangle(&mut ArcRow::default(), |_, _, _, _| triangles += 1);
-        topo.triangles = triangles;
-        topo
+        }
     }
 
     /// Vertex count of the graph the topology was built for.
@@ -517,18 +507,6 @@ impl CchTopology {
     /// fill-ins).
     pub fn arc_count(&self) -> usize {
         self.orig_offsets.len() - 1
-    }
-
-    /// Fill-in arcs: chordal shortcuts with no underlying original edge.
-    pub fn fill_in_count(&self) -> usize {
-        (0..self.arc_count())
-            .filter(|&a| self.originals_of(a).is_empty())
-            .count()
-    }
-
-    /// Lower triangles (the customization work list).
-    pub fn triangle_count(&self) -> usize {
-        self.triangles
     }
 
     /// Contraction rank of every vertex, indexed by vertex id.
@@ -700,12 +678,6 @@ impl CchTopology {
             .zip(seg)
             .filter(move |(_, sa)| sa.other != far)
             .map(move |(co, sa)| (Self::closing_arc(row, sa.other), co))
-    }
-
-    /// Arc endpoints in arc id (= search slot) order, read off the
-    /// slots.
-    pub fn arc_endpoints(&self) -> impl ExactSizeIterator<Item = (VertexId, VertexId)> + '_ {
-        self.skel.arc_ends()
     }
 
     /// Customizes the topology for `cost`, deriving every arc weight
@@ -1237,7 +1209,67 @@ mod tests {
         assert_eq!(topo.vertex_count(), g.vertex_count());
         assert_eq!(topo.edge_count(), g.edge_count());
         assert!(topo.arc_count() > 0);
-        assert!(topo.triangle_count() > 0);
+        assert!(triangle_total(&topo) > 0);
+    }
+
+    /// Lower triangles over all arcs, by the merged enumeration.
+    fn triangle_total(topo: &CchTopology) -> usize {
+        (0..topo.arc_count())
+            .map(|a| topo.triangles_of(a).count())
+            .sum()
+    }
+
+    fn fnv1a64(data: &[u8]) -> u64 {
+        data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The topology with every arc id replaced by what it names:
+    /// ranks, then arcs sorted by `(from, to)`, each with its original
+    /// edges and its lower triangles as `(from, mid, to)` in ascending
+    /// mid rank.
+    fn canonical_form(topo: &CchTopology) -> String {
+        let ends: Vec<_> = topo.skel.arc_ends().collect();
+        let mut order: Vec<usize> = (0..ends.len()).collect();
+        order.sort_by_key(|&a| (ends[a].0 .0, ends[a].1 .0));
+        let mut s = String::from("ranks");
+        for r in topo.ranks() {
+            s += &format!(" {r}");
+        }
+        for a in order {
+            let (from, to) = ends[a];
+            s += &format!("\n{} {} o", from.0, to.0);
+            for e in topo.originals_of(a) {
+                s += &format!(" {}", e.0);
+            }
+            s += " t";
+            for (b, ..) in topo.triangles_of(a) {
+                s += &format!(" ({} {} {})", from.0, ends[b as usize].1 .0, to.0);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn cch_flat_build_is_golden() {
+        // One FNV-1a pin per map over a canonical form that names no arc
+        // id — ranks, arcs by endpoints, their originals and triangles.
+        // It was pinned before arcs were numbered by search slot, so it
+        // holds every numbering to the same topology.
+        let grid = GridConfig {
+            nx: 24,
+            ny: 24,
+            ..GridConfig::small_test()
+        };
+        for (g, canonical) in [
+            (region(), 0xa43b_d095_8bc7_14e8),
+            (grid_network(&grid, 5), 0x6bb6_b6bd_786d_0b5c),
+        ] {
+            let topo = CchTopology::build(&g, &CchConfig::default());
+            let form = canonical_form(&topo);
+            assert_eq!(fnv1a64(form.as_bytes()), canonical, "topology drifted");
+        }
     }
 
     #[test]
@@ -1540,7 +1572,7 @@ mod tests {
         g: &Graph,
         cost: impl Fn(EdgeId) -> f64,
     ) -> (Vec<Vec<(u32, u32, u32)>>, Vec<f64>, Vec<ArcRule>) {
-        let ends: Vec<_> = topo.arc_endpoints().collect();
+        let ends: Vec<_> = topo.skel.arc_ends().collect();
         let rank = topo.ranks();
         let arc_of: std::collections::HashMap<_, _> = ends.iter().copied().zip(0u32..).collect();
         let mut by_rank = vec![VertexId(0); rank.len()];
@@ -1604,8 +1636,6 @@ mod tests {
                     topo.stamped_triangles_of(a, &mut row).collect();
                 assert_eq!(&stamped, expect, "arc {a}: stamped triangle enumeration");
             }
-            let total: usize = triangles.iter().map(Vec::len).sum();
-            assert_eq!(topo.triangle_count(), total);
             let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&cch.cols.weights), bits(&weights), "{cost:?}: weights");
             assert_eq!(cch.cols.rules, rules, "{cost:?}: expansion rules");
@@ -1670,7 +1700,7 @@ mod tests {
         }
         assert_eq!(
             links,
-            2 * topo.triangle_count(),
+            2 * triangle_total(topo),
             "a triangle under each support"
         );
     }

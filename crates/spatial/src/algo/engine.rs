@@ -596,13 +596,6 @@ impl TreeView<'_> {
         self.source
     }
 
-    /// Whether this view came from a reverse sweep
-    /// ([`QueryEngine::one_to_all_rev`]): `dist(v)` is then `d(v, root)`
-    /// and `parent_of(v)` the next hop *toward* the root.
-    pub fn is_reverse(&self) -> bool {
-        self.reverse
-    }
-
     /// Whether `v` was reached from the source.
     #[inline]
     pub fn reached(&self, v: VertexId) -> bool {
@@ -760,9 +753,6 @@ struct PreparedM2m {
     /// `true` when the buckets were filled via the customized CCH,
     /// `false` when via the metric-built CH.
     via_cch: bool,
-    /// Number of prepared targets — the length of every row
-    /// [`QueryEngine::m2m_distances_from`] returns.
-    targets: usize,
 }
 
 /// The largest `B` such that `cost(e) >= B · euclid(e.from, e.to)` holds
@@ -1278,18 +1268,8 @@ impl<'g> QueryEngine<'g> {
         let n = self.g.vertex_count();
         let search = self.m2m_search.get_or_insert_with(|| M2mSearch::new(n));
         hierarchy.prepare_targets(search, targets);
-        self.m2m_prepared = Some(PreparedM2m {
-            via_cch,
-            targets: targets.len(),
-        });
+        self.m2m_prepared = Some(PreparedM2m { via_cch });
         true
-    }
-
-    /// Number of targets the streaming buckets currently cover (the row
-    /// length of [`QueryEngine::m2m_distances_from`]), or `None` when no
-    /// prepared buckets are live.
-    pub fn prepared_m2m_targets(&self) -> Option<usize> {
-        self.m2m_prepared.map(|p| p.targets)
     }
 
     /// One forward upward sweep over the buckets deposited by the last
@@ -1859,7 +1839,6 @@ mod tests {
             .expect("CH covers Length");
 
         assert!(engine.prepare_m2m_targets(&targets, CostModel::Length));
-        assert_eq!(engine.prepared_m2m_targets(), Some(targets.len()));
         for (i, &s) in sources.iter().enumerate() {
             let row = engine
                 .m2m_distances_from(s, CostModel::Length)
@@ -1874,7 +1853,6 @@ mod tests {
         // The monolithic entry points overwrite the buckets, so the
         // streaming tag must drop with them.
         engine.many_to_many(&sources[..1], &targets[..2], CostModel::Length);
-        assert_eq!(engine.prepared_m2m_targets(), None);
         assert!(engine
             .m2m_distances_from(sources[0], CostModel::Length)
             .is_none());

@@ -62,16 +62,6 @@ pub struct DistanceTable {
 }
 
 impl DistanceTable {
-    /// The source vertices, in row order.
-    pub fn sources(&self) -> &[VertexId] {
-        &self.sources
-    }
-
-    /// The target vertices, in column order.
-    pub fn targets(&self) -> &[VertexId] {
-        &self.targets
-    }
-
     /// `(rows, columns)` = `(sources, targets)` counts.
     pub fn shape(&self) -> (usize, usize) {
         (self.sources.len(), self.targets.len())
@@ -151,11 +141,6 @@ impl M2mSearch {
     /// Number of vertex slots.
     pub fn capacity(&self) -> usize {
         self.bucket_stamp.len()
-    }
-
-    /// Number of targets in the currently prepared bucket set.
-    pub fn prepared_targets(&self) -> usize {
-        self.prepared
     }
 }
 
@@ -456,9 +441,9 @@ mod tests {
         let table = ch.many_to_many(&mut s1, &sources, &targets);
         let mut s2 = M2mSearch::new(g.vertex_count());
         ch.prepare_targets(&mut s2, &targets);
-        assert_eq!(s2.prepared_targets(), targets.len());
         for (i, &s) in sources.iter().enumerate() {
             let row = ch.distances_from(&mut s2, s);
+            assert_eq!(row.len(), targets.len());
             for (j, &d) in row.iter().enumerate() {
                 assert_eq!(table.dist(i, j).to_bits(), d.to_bits());
             }

@@ -18,24 +18,17 @@
 //!
 //! Edge lines are `e <from> <to> <length_m> <speed_kmh> <category-tag>`.
 //!
-//! The two hierarchy indexes round-trip the same way, each under its own
+//! The contraction hierarchy round-trips the same way, under its own
 //! versioned header, so a caller can persist one next to the graph and
 //! reload it instead of re-running the precompute. No binary in this
 //! workspace reloads one yet: the `serve` binary builds its CH and CCH
-//! at startup. ALT landmark tables have no file format; they are rebuilt
-//! from the graph.
+//! at startup. The CCH topology and ALT landmark tables have no file
+//! format; they are rebuilt from the graph.
 //!
 //! * [`write_ch`] / [`read_ch`] — [`ContractionHierarchy`] indexes: the
 //!   metric, the fingerprint, the rank permutation and the search arcs
 //!   in slot order (original edges, and shortcuts named by their mid);
-//!   the query-time CSR is rebuilt on read;
-//! * [`write_cch`] / [`read_cch`] — the *metric-independent* half of a
-//!   customizable hierarchy ([`CchTopology`]): the fingerprint, the
-//!   contraction order and the chordal arcs with their original edges
-//!   (the triangles follow from the arcs). No weights are stored — they
-//!   are re-derived in milliseconds by `customize` after loading, so one
-//!   persisted topology serves every metric, custom cost vector and
-//!   live-traffic epoch.
+//!   the query-time CSR is rebuilt on read.
 //!
 //! Floats are written with Rust's shortest-round-trip `Display`, so
 //! distances survive the text round-trip **bit-identically** — a
@@ -47,8 +40,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::algo::cch::CchTopology;
-use crate::algo::ch::{ArcRule, ChArc, ChArcKind, ContractionHierarchy};
+use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
@@ -56,11 +48,9 @@ use crate::geo::LocalProjection;
 use crate::geometry::Point;
 use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use crate::osm::{ImportConfig, ImportStats, ImportedGraph};
-use crate::util::group_by_key;
 
 const MAGIC: &str = "pathrank-graph v1";
 const CH_MAGIC: &str = "pathrank-ch v2";
-const CCH_MAGIC: &str = "pathrank-cch v2";
 const IMPORTED_MAGIC: &str = "pathrank-osm-graph v1";
 
 /// Writes `g` to `out` in the v1 text format.
@@ -376,177 +366,6 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
 /// Parses a contraction hierarchy from its v2 text representation.
 pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
     read_ch(s.as_bytes())
-}
-
-/// Writes the metric-independent half of a customizable contraction
-/// hierarchy ([`CchTopology`]) in the v2 text format: the graph
-/// fingerprint, the rank permutation, and one line per chordal arc
-/// (`c <from> <to> o <k> <edges…>`) listing its merged original edges.
-/// Weights are not stored; customization re-derives them after loading.
-/// Neither are triangles: the arcs imply them.
-pub fn write_cch<W: Write>(topo: &CchTopology, out: &mut W) -> std::io::Result<()> {
-    writeln!(out, "{CCH_MAGIC}")?;
-    writeln!(out, "graph {} {}", topo.vertex_count(), topo.edge_count())?;
-    write!(out, "ranks")?;
-    for r in topo.ranks() {
-        write!(out, " {r}")?;
-    }
-    writeln!(out)?;
-    writeln!(out, "arcs {}", topo.arc_count())?;
-    for (i, (from, to)) in topo.arc_endpoints().enumerate() {
-        let originals = topo.originals_of(i);
-        write!(out, "c {} {} o {}", from.0, to.0, originals.len())?;
-        for e in originals {
-            write!(out, " {}", e.0)?;
-        }
-        writeln!(out)?;
-    }
-    Ok(())
-}
-
-/// Serialises a CCH topology to a `String`.
-pub fn cch_to_string(topo: &CchTopology) -> String {
-    let mut buf = Vec::new();
-    write_cch(topo, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("format is ASCII")
-}
-
-/// Reads a CCH topology in the v2 text format, rebuilding the
-/// search-graph skeleton and the down-lists. Validates the id range of
-/// the fingerprint, the rank permutation, arc endpoints, per-pair arc
-/// uniqueness, edge references and chordality (every pair of arcs
-/// `p -> v -> q` through a vertex ranked below both ends needs its arc
-/// `p -> q`, and every fill-in arc needs such a pair below it); corrupt
-/// input yields [`SpatialError::Parse`] instead of a topology that would
-/// mis-route after customization. Nothing is sized by the header's edge
-/// count before the arc lines have parsed.
-pub fn read_cch<R: BufRead>(input: R) -> Result<CchTopology, SpatialError> {
-    let mut lines = input.lines();
-    let header = next_content_line(&mut lines)?;
-    if header != CCH_MAGIC {
-        return Err(SpatialError::Parse(format!("bad header {header:?}")));
-    }
-    let (n, m) = parse_fingerprint(&next_content_line(&mut lines)?)?;
-    if n.max(m) > ArcRule::ORIGINAL as usize {
-        return Err(SpatialError::Parse(format!(
-            "{n} vertices or {m} edges do not fit 31-bit ids"
-        )));
-    }
-    let rank = parse_ranks(&next_content_line(&mut lines)?, n)?;
-    let arc_count = parse_count(&next_content_line(&mut lines)?, "arcs")?;
-    if u32::try_from(arc_count).is_err() {
-        return Err(SpatialError::Parse(format!(
-            "{arc_count} arcs do not fit 32-bit arc ids"
-        )));
-    }
-    // Flat in file order, as `CchTopology::finalise` takes them: arc
-    // endpoints, and `(edge, arc)` for every original an arc claims.
-    let mut ends: Vec<(VertexId, VertexId)> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
-    let mut claims: Vec<(u32, u32)> = Vec::new();
-    let mut fill_ins = Vec::new();
-    let mut arc_of = std::collections::HashMap::with_capacity(arc_count.min(MAX_PREALLOC));
-    for i in 0..arc_count {
-        let line = next_content_line(&mut lines)?;
-        let mut it = line.split_ascii_whitespace();
-        if it.next() != Some("c") {
-            return Err(SpatialError::Parse(format!(
-                "expected cch arc line {i}, got {line:?}"
-            )));
-        }
-        let from = parse_u32(it.next(), "arc from")?;
-        let to = parse_u32(it.next(), "arc to")?;
-        if from as usize >= n || to as usize >= n || from == to {
-            return Err(SpatialError::Parse(format!(
-                "arc {i} has invalid endpoints ({from} -> {to}, {n} vertices)"
-            )));
-        }
-        if arc_of.insert((from, to), i).is_some() {
-            return Err(SpatialError::Parse(format!(
-                "duplicate arc for vertex pair {from} -> {to}"
-            )));
-        }
-        if it.next() != Some("o") {
-            return Err(SpatialError::Parse(format!(
-                "arc {i} is missing its originals section"
-            )));
-        }
-        let k = parse_u32(it.next(), "original count")? as usize;
-        let mut last = None;
-        for _ in 0..k {
-            let e = parse_u32(it.next(), "original edge id")?;
-            if e as usize >= m {
-                return Err(SpatialError::Parse(format!(
-                    "arc {i} names edge {e} outside the graph's {m} edges"
-                )));
-            }
-            claims.push((e, i as u32));
-            if last.is_some_and(|l| e <= l) {
-                return Err(SpatialError::Parse(format!(
-                    "arc {i} original edges are not strictly ascending"
-                )));
-            }
-            last = Some(e);
-        }
-        if k == 0 {
-            fill_ins.push(i);
-        }
-        if it.next().is_some() {
-            return Err(SpatialError::Parse(format!("arc {i} has trailing tokens")));
-        }
-        ends.push((VertexId(from), VertexId(to)));
-    }
-    // The arc of every original edge (`u32::MAX`: none, which doubles as
-    // the claimed-once check), sized only now that the lines vouch for
-    // the claims.
-    let mut edge_arc = vec![u32::MAX; m];
-    for (e, i) in claims {
-        if std::mem::replace(&mut edge_arc[e as usize], i) != u32::MAX {
-            return Err(SpatialError::Parse(format!(
-                "edge {e} is claimed by more than one arc"
-            )));
-        }
-    }
-    // Customization looks up the arc `p -> q` of every pair of legs
-    // (down-in `p -> v`, up-out `v -> q`), so the arcs must be chordal:
-    // each such pair with `p != q` needs its arc (`finalise` would
-    // panic on a miss). A fill-in arc also needs one pair below it, or
-    // no customization ever gives it a finite weight. Here `higher[2v]`
-    // lists the tails of `v`'s down-in arcs, `higher[2v + 1]` the heads
-    // of its up-out arcs.
-    let (halves, higher) = group_by_key(2 * n, 0u32, |emit| {
-        for &(from, to) in &ends {
-            if rank[from.index()] < rank[to.index()] {
-                emit(2 * from.0 + 1, to.0);
-            } else {
-                emit(2 * to.0, from.0);
-            }
-        }
-    });
-    let mut supported = vec![false; arc_count];
-    for (v, seg) in halves.windows(3).step_by(2).enumerate() {
-        let (lo, mid, hi) = (seg[0] as usize, seg[1] as usize, seg[2] as usize);
-        for &p in &higher[lo..mid] {
-            for &q in higher[mid..hi].iter().filter(|&&q| q != p) {
-                let a = arc_of.get(&(p, q)).ok_or_else(|| {
-                    SpatialError::Parse(format!(
-                        "arcs are not chordal: {p} -> {v} -> {q} but no arc {p} -> {q}"
-                    ))
-                })?;
-                supported[*a] = true;
-            }
-        }
-    }
-    if let Some(&a) = fill_ins.iter().find(|&&a| !supported[a]) {
-        return Err(SpatialError::Parse(format!(
-            "fill-in arc {a} has no lower triangle"
-        )));
-    }
-    Ok(CchTopology::finalise(rank, ends, edge_arc))
-}
-
-/// Parses a CCH topology from its v2 text representation.
-pub fn cch_from_str(s: &str) -> Result<CchTopology, SpatialError> {
-    read_cch(s.as_bytes())
 }
 
 /// Writes an imported road network ([`ImportedGraph`]) in the v1 text
@@ -955,11 +774,9 @@ mod tests {
 
     mod indexes {
         use super::*;
-        use crate::algo::cch::{CchConfig, CchTopology};
         use crate::algo::ch::{ChConfig, ChSearch, ContractionHierarchy};
         use crate::algo::landmarks::LandmarkMetric;
         use crate::graph::VertexId;
-        use std::sync::Arc;
 
         fn region() -> Graph {
             region_network(&RegionConfig::small_test(), 23)
@@ -1100,255 +917,6 @@ mod tests {
                 refusal(&text.replacen("pathrank-ch v2", "pathrank-ch v1", 1))
                     .contains("bad header")
             );
-        }
-
-        #[test]
-        fn cch_roundtrip_is_byte_stable_and_customizes_identically() {
-            let g = region();
-            let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
-            let text = cch_to_string(&topo);
-            let back = Arc::new(cch_from_str(&text).unwrap());
-            // Arcs are stored in slot order, and reloading numbers them
-            // the same way, so re-serialising must reproduce the exact
-            // bytes.
-            assert_eq!(cch_to_string(&back), text, "round-trip is not byte-stable");
-            assert_eq!(back.ranks(), topo.ranks());
-            assert_eq!(back.arc_count(), topo.arc_count());
-            assert_eq!(back.fill_in_count(), topo.fill_in_count());
-            assert_eq!(back.triangle_count(), topo.triangle_count());
-            // Weights are not persisted: customization on the reloaded
-            // topology must reproduce the original answers bit for bit.
-            let n = g.vertex_count() as u32;
-            for metric in [LandmarkMetric::Length, LandmarkMetric::TravelTime] {
-                let a = topo.customize(&g, &metric.cost_model());
-                let b = back.customize(&g, &metric.cost_model());
-                let mut sa = ChSearch::new(g.vertex_count());
-                let mut sb = ChSearch::new(g.vertex_count());
-                for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (3, n - 2)] {
-                    let (s, t) = (VertexId(s), VertexId(t));
-                    assert_eq!(
-                        a.view().query_cost(&mut sa, s, t).map(f64::to_bits),
-                        b.view().query_cost(&mut sb, s, t).map(f64::to_bits),
-                        "reloaded CCH changed a {metric:?} cost for {s:?}->{t:?}"
-                    );
-                    assert_eq!(
-                        a.view().query_edges(&mut sa, s, t).map(<[_]>::to_vec),
-                        b.view().query_edges(&mut sb, s, t).map(<[_]>::to_vec),
-                        "reloaded CCH changed a {metric:?} path for {s:?}->{t:?}"
-                    );
-                }
-            }
-        }
-
-        fn fnv1a64(data: &[u8]) -> u64 {
-            data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        }
-
-        /// The topology with every arc id replaced by what it names:
-        /// ranks, then arcs sorted by `(from, to)`, each with its original
-        /// edges and its lower triangles as `(from, mid, to)` in ascending
-        /// mid rank.
-        fn canonical_form(topo: &CchTopology) -> String {
-            let ends: Vec<_> = topo.arc_endpoints().collect();
-            let mut order: Vec<usize> = (0..ends.len()).collect();
-            order.sort_by_key(|&a| (ends[a].0 .0, ends[a].1 .0));
-            let mut s = String::from("ranks");
-            for r in topo.ranks() {
-                s += &format!(" {r}");
-            }
-            for a in order {
-                let (from, to) = ends[a];
-                s += &format!("\n{} {} o", from.0, to.0);
-                for e in topo.originals_of(a) {
-                    s += &format!(" {}", e.0);
-                }
-                s += " t";
-                for (b, ..) in topo.triangles_of(a) {
-                    s += &format!(" ({} {} {})", from.0, ends[b as usize].1 .0, to.0);
-                }
-            }
-            s
-        }
-
-        #[test]
-        fn cch_flat_build_is_golden_and_roundtrips_array_for_array() {
-            // Two FNV-1a pins per map. The canonical form names no arc id
-            // — ranks, arcs by endpoints, their originals and triangles —
-            // and was pinned before arcs were numbered by search slot, so
-            // it holds every numbering to the same topology. The text pin
-            // also covers the arc order the file stores (slot order).
-            let grid = GridConfig {
-                nx: 24,
-                ny: 24,
-                ..GridConfig::small_test()
-            };
-            for (g, canonical, golden) in [
-                (
-                    region_network(&RegionConfig::small_test(), 11),
-                    0xa43b_d095_8bc7_14e8,
-                    0xe7b5_7187_4422_4243,
-                ),
-                (
-                    grid_network(&grid, 5),
-                    0x6bb6_b6bd_786d_0b5c,
-                    0x3b17_86d3_aea8_cd25,
-                ),
-            ] {
-                let topo = CchTopology::build(&g, &CchConfig::default());
-                let form = canonical_form(&topo);
-                assert_eq!(fnv1a64(form.as_bytes()), canonical, "topology drifted");
-                let text = cch_to_string(&topo);
-                assert_eq!(
-                    fnv1a64(text.as_bytes()),
-                    golden,
-                    "serialised topology drifted"
-                );
-                // The reader feeds the same finaliser: every array of the
-                // reloaded topology (`PartialEq` covers them all,
-                // reverse index and search skeleton included) must equal
-                // the built one's.
-                assert!(
-                    cch_from_str(&text).unwrap() == topo,
-                    "reloaded topology differs from the built one"
-                );
-            }
-        }
-
-        #[test]
-        fn cch_corrupt_input_is_rejected() {
-            let g = region();
-            let topo = CchTopology::build(&g, &CchConfig::default());
-            let text = cch_to_string(&topo);
-            // Wrong version / foreign format fail on the header.
-            assert!(cch_from_str("pathrank-cch v0\n").is_err());
-            assert!(cch_from_str(&ch_to_string(&ContractionHierarchy::build(
-                &g,
-                LandmarkMetric::Length,
-                &ChConfig::default()
-            )))
-            .is_err());
-            // Truncation (anywhere) must error, never mis-build.
-            assert!(cch_from_str(&text[..text.len() / 2]).is_err());
-            assert!(cch_from_str(&text[..text.len() * 9 / 10]).is_err());
-            // An absurd arc count errors on truncation instead of
-            // aborting on a huge preallocation.
-            let arcs_line = format!("arcs {}", topo.arc_count());
-            assert!(cch_from_str(&text.replace(&arcs_line, "arcs 18446744073709551615")).is_err());
-            // A rank out of range / duplicated breaks the permutation.
-            let ranks_line = text
-                .lines()
-                .find(|l| l.starts_with("ranks"))
-                .unwrap()
-                .to_string();
-            let mut toks: Vec<&str> = ranks_line.split_ascii_whitespace().collect();
-            toks[1] = "999999";
-            assert!(cch_from_str(&text.replace(&ranks_line, &toks.join(" "))).is_err());
-            let dup = {
-                let mut t: Vec<&str> = ranks_line.split_ascii_whitespace().collect();
-                t[1] = t[2];
-                text.replace(&ranks_line, &t.join(" "))
-            };
-            assert!(cch_from_str(&dup).is_err());
-            // An arc claiming an edge outside the graph.
-            let first_orig = text
-                .lines()
-                .find(|l| l.starts_with("c ") && !l.ends_with(" o 0"))
-                .expect("region CCH has arcs with originals")
-                .to_string();
-            let mut toks: Vec<String> = first_orig
-                .split_ascii_whitespace()
-                .map(str::to_string)
-                .collect();
-            let o_pos = toks.iter().position(|t| t == "o").unwrap();
-            toks[o_pos + 2] = format!("{}", g.edge_count() + 3);
-            assert!(cch_from_str(&text.replace(&first_orig, &toks.join(" "))).is_err());
-            // Two arcs claiming the same original edge.
-            let mut toks: Vec<String> = first_orig
-                .split_ascii_whitespace()
-                .map(str::to_string)
-                .collect();
-            let second_orig = text
-                .lines()
-                .filter(|l| l.starts_with("c ") && !l.ends_with(" o 0"))
-                .nth(1)
-                .expect("region CCH has at least two arcs with originals")
-                .to_string();
-            let stolen = second_orig
-                .split_ascii_whitespace()
-                .nth(
-                    second_orig
-                        .split_ascii_whitespace()
-                        .position(|t| t == "o")
-                        .unwrap()
-                        + 2,
-                )
-                .unwrap();
-            toks[o_pos + 2] = stolen.to_string();
-            assert!(cch_from_str(&text.replace(&first_orig, &toks.join(" "))).is_err());
-            // A duplicate (from, to) vertex pair.
-            let dup_pair = {
-                let second = text
-                    .lines()
-                    .filter(|l| l.starts_with("c "))
-                    .nth(1)
-                    .unwrap()
-                    .to_string();
-                let first_toks: Vec<&str> = first_orig.split_ascii_whitespace().collect();
-                let mut t: Vec<String> = second
-                    .split_ascii_whitespace()
-                    .map(str::to_string)
-                    .collect();
-                t[1] = first_toks[1].to_string();
-                t[2] = first_toks[2].to_string();
-                text.replace(&second, &t.join(" "))
-            };
-            assert!(cch_from_str(&dup_pair).is_err());
-            // Customization looks up the arc closing every pair of legs,
-            // so the reader must refuse arcs that are not chordal or leave
-            // a fill-in arc without a lower triangle — and say so.
-            let refusal = |text: &str| match cch_from_str(text) {
-                Err(SpatialError::Parse(msg)) => msg,
-                other => panic!("expected a parse error, got {other:?}"),
-            };
-            // A header whose counts overflow the 31-bit ids is refused
-            // before anything is sized from it: a per-edge array for 2^40
-            // edges would take 4 TiB.
-            for m in ["1099511627776", "3000000000"] {
-                let header = format!("pathrank-cch v2\ngraph 1 {m}\nranks 0\narcs 0\n");
-                assert!(refusal(&header).contains("31-bit"), "edge count {m}");
-            }
-            let arc_line = |a: usize| {
-                let line = text.lines().filter(|l| l.starts_with("c ")).nth(a).unwrap();
-                format!("{line}\n")
-            };
-            // A dropped fill-in arc: the pair it closed has no arc.
-            let fill_in = (0..topo.arc_count())
-                .find(|&a| topo.originals_of(a).is_empty())
-                .expect("region CCH has fill-in arcs");
-            let dropped = text
-                .replace(&arc_line(fill_in), "")
-                .replace(&arcs_line, &format!("arcs {}", topo.arc_count() - 1));
-            assert!(refusal(&dropped).contains("not chordal"));
-            // An arc with no lower triangle stripped of its originals: a
-            // fill-in arc no customization can give a finite weight.
-            let lone = (0..topo.arc_count())
-                .find(|&a| {
-                    !topo.originals_of(a).is_empty() && topo.triangles_of(a).next().is_none()
-                })
-                .expect("region CCH has arcs without lower triangles");
-            let line = arc_line(lone);
-            let stripped = format!("{} o 0\n", &line[..line.find(" o ").unwrap()]);
-            assert!(refusal(&text.replace(&line, &stripped)).contains("no lower triangle"));
-            // A v1 file, which listed triangles after the originals.
-            assert!(
-                refusal(&text.replacen("pathrank-cch v2", "pathrank-cch v1", 1))
-                    .contains("bad header")
-            );
-            // Trailing tokens on an arc line are rejected.
-            let padded = format!("{} 4", first_orig);
-            assert!(cch_from_str(&text.replace(&first_orig, &padded)).is_err());
         }
     }
 }

@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use pathrank_spatial::algo::engine::QueryEngine;
 use pathrank_spatial::geometry::{project_onto_polyline, project_onto_segment, Point};
 use pathrank_spatial::graph::{CostModel, EdgeId, Graph, VertexId};
-use pathrank_spatial::osm::ImportedGraph;
 use pathrank_spatial::path::Path;
 use pathrank_spatial::rtree::RTree;
 
@@ -201,13 +200,6 @@ impl<'g> MapMatcher<'g> {
             cache: SpCache::default(),
             geometry: Some(geometry),
         }
-    }
-
-    /// Convenience [`MapMatcher::new_with_geometry`] over an OSM
-    /// [`ImportedGraph`] (graph plus its retained contraction
-    /// geometry).
-    pub fn for_imported(imported: &'g ImportedGraph, cfg: MapMatchConfig) -> Self {
-        Self::new_with_geometry(&imported.graph, &imported.edge_geometry, cfg)
     }
 
     /// The matcher configuration.

@@ -227,7 +227,6 @@ impl DenseGrads {
 /// gradient.
 struct DenseAdam {
     lr: f32,
-    weight_decay: f32,
     t: i32,
     moments: Vec<Option<(Matrix, Matrix)>>,
 }
@@ -252,7 +251,7 @@ impl DenseAdam {
                 let m_hat = *mv / bc1;
                 let v_hat = *vv / bc2;
                 let p = &mut theta.data_mut()[j];
-                *p -= self.lr * (m_hat / (v_hat.sqrt() + eps) + self.weight_decay * *p);
+                *p -= self.lr * (m_hat / (v_hat.sqrt() + eps));
             }
         }
     }
@@ -317,11 +316,9 @@ proptest! {
             store.add("mixed", random_matrix(5, 2, -1.0, 1.0, &mut rng)),
         ];
         let mut reference = store.clone();
-        let weight_decay = if seed % 4 == 0 { 0.01 } else { 0.0 };
-        let mut adam = Adam::new(0.05).with_weight_decay(weight_decay);
+        let mut adam = Adam::new(0.05);
         let mut dense_adam = DenseAdam {
             lr: 0.05,
-            weight_decay,
             t: 0,
             moments: vec![None, None, None],
         };
