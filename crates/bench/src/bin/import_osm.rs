@@ -1,9 +1,10 @@
 //! CLI for the `spatial::osm` importer: raw OSM XML in, network
-//! statistics out, optionally a persisted `pathrank-osm-graph v1` file.
+//! statistics out, optionally a `pathrank-graph v1` file that every
+//! experiment binary's `--graph` flag reads.
 //!
 //! ```text
 //! cargo run --release -p pathrank-bench --bin import_osm -- INPUT.osm.xml
-//!     [--out FILE]        write the persisted imported graph
+//!     [--out FILE]        write the imported graph (`pathrank-graph v1`)
 //!     [--keep-service]    also import service/track access roads
 //!     [--no-scc]          skip the largest-SCC prune
 //!     [--no-contract]     skip degree-2 chain contraction
@@ -119,12 +120,12 @@ fn main() {
 
     if let Some(out_path) = out {
         let mut buf = Vec::new();
-        pathrank_spatial::io::write_imported_graph(&imported, &mut buf)
+        pathrank_spatial::io::write_graph(&imported.graph, &mut buf)
             .expect("writing to a Vec cannot fail");
         std::fs::write(&out_path, &buf)
             .unwrap_or_else(|e| die(&format!("writing {out_path}: {e}")));
         println!(
-            "wrote pathrank-osm-graph v1 ({} bytes) to {out_path}",
+            "wrote pathrank-graph v1 ({} bytes) to {out_path}",
             buf.len()
         );
     }

@@ -12,8 +12,8 @@
 //! --k N              candidates per trajectory   (default 10)
 //! --seed N           master seed                 (default 2020)
 //! --threads N        worker threads              (default 2)
-//! --graph FILE       run on a real network (OSM XML, persisted import
-//!                    or plain graph file) instead of the generator
+//! --graph FILE       run on a real network (OSM XML or a graph file)
+//!                    instead of the generator
 //! ```
 
 use pathrank_core::pipeline::ExperimentConfig;
@@ -38,7 +38,7 @@ pub struct Scale {
     /// Tiny smoke-run mode.
     pub quick: bool,
     /// Road-network file to run on instead of the synthetic generator
-    /// (raw OSM XML, a persisted import, or a plain graph file).
+    /// (raw OSM XML or a `pathrank-graph v1` file).
     pub graph: Option<String>,
 }
 
@@ -110,8 +110,8 @@ impl Scale {
     }
 
     /// The experiment workbench for this scale: built on the `--graph`
-    /// network when one was given (raw OSM XML, persisted import or
-    /// plain graph file), on the synthetic region otherwise.
+    /// network when one was given (raw OSM XML or a graph file), on the
+    /// synthetic region otherwise.
     pub fn workbench(&self) -> pathrank_core::pipeline::Workbench {
         use pathrank_core::pipeline::Workbench;
         match &self.graph {

@@ -204,8 +204,7 @@ impl Workbench {
     }
 
     /// Builds the shared environment from a road-network file: a raw OSM
-    /// XML extract, a persisted `pathrank-osm-graph v1` import, or a
-    /// plain `pathrank-graph v1` file — whatever
+    /// XML extract or a `pathrank-graph v1` file — whatever
     /// [`pathrank_spatial::io::load_graph_auto`] recognises. This is the
     /// entry point behind every experiment binary's `--graph` flag: the
     /// whole pipeline (ALT/CH indexes, candidate generation, map
@@ -214,8 +213,8 @@ impl Workbench {
         path: impl AsRef<std::path::Path>,
         cfg: ExperimentConfig,
     ) -> Result<Self, pathrank_spatial::SpatialError> {
-        let loaded = pathrank_spatial::io::load_graph_auto(path.as_ref())?;
-        Ok(Self::with_graph(loaded.graph, cfg))
+        let graph = pathrank_spatial::io::load_graph_auto(path.as_ref())?;
+        Ok(Self::with_graph(graph, cfg))
     }
 
     /// The experiment configuration.

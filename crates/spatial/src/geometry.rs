@@ -93,75 +93,6 @@ pub fn point_segment_distance(p: &Point, a: &Point, b: &Point) -> f64 {
     project_onto_segment(p, a, b).distance
 }
 
-/// Result of projecting a point onto a polyline
-/// ([`project_onto_polyline`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolylineProjection {
-    /// The closest point across all segments of the polyline.
-    pub point: Point,
-    /// Distance from the query point to [`PolylineProjection::point`],
-    /// in metres.
-    pub distance: f64,
-    /// *Arclength fraction* along the whole polyline in `[0, 1]`
-    /// (0 = first point, 1 = last point) — the polyline counterpart of
-    /// [`Projection::t`], comparable across polylines of different
-    /// segment counts.
-    pub t: f64,
-    /// Index of the segment holding the closest point: segment `i`
-    /// spans `pts[i] -> pts[i + 1]`. Lets callers recover the *local*
-    /// direction at the projection (the chord direction of a folded
-    /// polyline can point anywhere).
-    pub segment: usize,
-}
-
-/// Projects `p` onto the polyline `pts` (closest point over every
-/// segment). Ties between segments keep the earliest segment, so a
-/// vertex shared by two segments reports the incoming one.
-///
-/// A single-point polyline behaves like a degenerate segment (everything
-/// projects onto that point at `t = 0`).
-///
-/// # Panics
-/// If `pts` is empty.
-pub fn project_onto_polyline(p: &Point, pts: &[Point]) -> PolylineProjection {
-    assert!(!pts.is_empty(), "cannot project onto an empty polyline");
-    if pts.len() == 1 {
-        return PolylineProjection {
-            point: pts[0],
-            distance: p.distance(&pts[0]),
-            t: 0.0,
-            segment: 0,
-        };
-    }
-    let total: f64 = pts.windows(2).map(|w| w[0].distance(&w[1])).sum();
-    let mut best = PolylineProjection {
-        point: pts[0],
-        distance: f64::INFINITY,
-        t: 0.0,
-        segment: 0,
-    };
-    let mut prefix = 0.0;
-    for (i, w) in pts.windows(2).enumerate() {
-        let seg = project_onto_segment(p, &w[0], &w[1]);
-        let seg_len = w[0].distance(&w[1]);
-        if seg.distance < best.distance {
-            let along = prefix + seg.t * seg_len;
-            best = PolylineProjection {
-                point: seg.point,
-                distance: seg.distance,
-                t: if total > 0.0 {
-                    (along / total).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                },
-                segment: i,
-            };
-        }
-        prefix += seg_len;
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,68 +151,5 @@ mod tests {
         let proj = project_onto_segment(&p, &a, &a);
         assert_eq!(proj.point, a);
         assert!((proj.distance - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn polyline_projection_picks_closest_segment() {
-        // U-shaped polyline: down, across, up. A point inside the U is
-        // closest to the bottom segment.
-        let pts = [
-            Point::new(0.0, 100.0),
-            Point::new(0.0, 0.0),
-            Point::new(100.0, 0.0),
-            Point::new(100.0, 100.0),
-        ];
-        let p = Point::new(50.0, 30.0);
-        let proj = project_onto_polyline(&p, &pts);
-        assert_eq!(proj.segment, 1);
-        assert!((proj.distance - 30.0).abs() < 1e-12);
-        assert!((proj.point.x - 50.0).abs() < 1e-12 && proj.point.y.abs() < 1e-12);
-        // Arclength fraction: 100 (first leg) + 50 into the 300 total.
-        assert!((proj.t - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn polyline_projection_t_is_monotone_along_the_line() {
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(0.0, 300.0),
-            Point::new(40.0, 300.0),
-            Point::new(40.0, 0.0),
-        ];
-        let probes = [
-            Point::new(-5.0, 50.0),
-            Point::new(-5.0, 250.0),
-            Point::new(20.0, 305.0),
-            Point::new(45.0, 250.0),
-            Point::new(45.0, 50.0),
-        ];
-        let mut last = -1.0;
-        for p in &probes {
-            let t = project_onto_polyline(p, &pts).t;
-            assert!(t > last, "t must increase along the hairpin, got {t}");
-            last = t;
-        }
-    }
-
-    #[test]
-    fn polyline_projection_matches_segment_on_two_points() {
-        let (a, b) = (Point::new(3.0, -2.0), Point::new(50.0, 17.0));
-        let p = Point::new(20.0, 30.0);
-        let seg = project_onto_segment(&p, &a, &b);
-        let poly = project_onto_polyline(&p, &[a, b]);
-        assert_eq!(poly.point, seg.point);
-        assert_eq!(poly.distance, seg.distance);
-        assert_eq!(poly.segment, 0);
-        assert!((poly.t - seg.t).abs() < 1e-15);
-    }
-
-    #[test]
-    fn polyline_projection_single_point() {
-        let a = Point::new(1.0, 1.0);
-        let proj = project_onto_polyline(&Point::new(4.0, 5.0), &[a]);
-        assert_eq!(proj.point, a);
-        assert!((proj.distance - 5.0).abs() < 1e-12);
-        assert_eq!(proj.t, 0.0);
     }
 }

@@ -1,42 +1,44 @@
 //! Plain-text serialisation of road networks and their precomputed
 //! search indexes.
 //!
-//! The format is a stable, diff-friendly line format (one vertex or edge
-//! per line) so that generated networks can be checked into experiment
-//! repositories and inspected by hand:
+//! Two formats, each under its own versioned header:
 //!
-//! ```text
-//! pathrank-graph v1
-//! vertices 3
-//! v 0.0 0.0
-//! v 100.0 0.0
-//! v 200.0 0.0
-//! edges 2
-//! e 0 1 100.0 50.0 R
-//! e 1 2 105.0 50.0 A
-//! ```
+//! * [`write_graph`] / [`read_graph`] — a [`Graph`] as a stable,
+//!   diff-friendly line format (one vertex or edge per line), so that
+//!   generated and imported networks can be checked into experiment
+//!   repositories and inspected by hand:
 //!
-//! Edge lines are `e <from> <to> <length_m> <speed_kmh> <category-tag>`.
+//!   ```text
+//!   pathrank-graph v1
+//!   vertices 3
+//!   v 0.0 0.0
+//!   v 100.0 0.0
+//!   v 200.0 0.0
+//!   edges 2
+//!   e 0 1 100.0 50.0 R
+//!   e 1 2 105.0 50.0 A
+//!   ```
 //!
-//! The contraction hierarchy round-trips the same way, under its own
-//! versioned header, so a caller can persist one next to the graph and
-//! reload it instead of re-running the precompute. No binary in this
-//! workspace reloads one yet: the `serve` binary builds its CH and CCH
-//! at startup. The CCH topology and ALT landmark tables have no file
-//! format; they are rebuilt from the graph.
-//!
+//!   Edge lines are `e <from> <to> <length_m> <speed_kmh> <category-tag>`.
+//!   The last edge line ends the file.
 //! * [`write_ch`] / [`read_ch`] — [`ContractionHierarchy`] indexes: the
 //!   metric, the fingerprint, the rank permutation and the search arcs
 //!   in slot order (original edges, and shortcuts named by their mid);
-//!   the query-time CSR is rebuilt on read.
+//!   the query-time CSR is rebuilt on read. No binary in this workspace
+//!   reloads one yet: the `serve` binary builds its CH and CCH at
+//!   startup. The CCH topology and ALT landmark tables have no file
+//!   format; they are rebuilt from the graph.
+//!
+//! [`load_graph_auto`] is the one loader behind every experiment
+//! binary's `--graph`: it takes a graph file or raw OSM XML.
 //!
 //! Floats are written with Rust's shortest-round-trip `Display`, so
 //! distances survive the text round-trip **bit-identically** — a
-//! reloaded index answers exactly like the one that was saved (asserted
-//! by the round-trip tests). Readers validate headers, counts, id
-//! ranges and shortcut topology, and reject corrupt input with
-//! [`SpatialError::Parse`] rather than building an index that would
-//! silently mis-route.
+//! reloaded graph or index answers exactly like the one that was saved
+//! (asserted by the round-trip tests). Readers validate headers, counts,
+//! id ranges, tokens per line and shortcut topology, and reject corrupt
+//! input with [`SpatialError::Parse`] rather than building a network or
+//! index that would silently mis-route.
 
 use std::io::{BufRead, Write};
 
@@ -44,14 +46,12 @@ use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
-use crate::geo::LocalProjection;
 use crate::geometry::Point;
 use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
-use crate::osm::{ImportConfig, ImportStats, ImportedGraph};
+use crate::osm::ImportConfig;
 
 const MAGIC: &str = "pathrank-graph v1";
 const CH_MAGIC: &str = "pathrank-ch v2";
-const IMPORTED_MAGIC: &str = "pathrank-osm-graph v1";
 
 /// Writes `g` to `out` in the v1 text format.
 pub fn write_graph<W: Write>(g: &Graph, out: &mut W) -> std::io::Result<()> {
@@ -83,20 +83,19 @@ pub fn graph_to_string(g: &Graph) -> String {
     String::from_utf8(buf).expect("format is ASCII")
 }
 
-/// Reads the graph body (header line onwards) from a line iterator —
-/// shared by [`read_graph`] and the imported-network format, which
-/// embeds a complete plain graph section.
-fn read_graph_body(
-    lines: &mut impl Iterator<Item = std::io::Result<String>>,
-) -> Result<Graph, SpatialError> {
-    let header = next_content_line(lines)?;
+/// Reads a graph in the v1 text format. Every vertex and edge line must
+/// carry exactly its fields, and nothing may follow the last edge line:
+/// a doubled file or a stray token is corruption, not slack.
+pub fn read_graph<R: BufRead>(input: R) -> Result<Graph, SpatialError> {
+    let mut lines = input.lines();
+    let header = next_content_line(&mut lines)?;
     if header != MAGIC {
         return Err(SpatialError::Parse(format!("bad header {header:?}")));
     }
-    let vcount = parse_count(&next_content_line(lines)?, "vertices")?;
+    let vcount = parse_count(&next_content_line(&mut lines)?, "vertices")?;
     let mut b = GraphBuilder::with_capacity(vcount.min(MAX_PREALLOC), 0);
     for i in 0..vcount {
-        let line = next_content_line(lines)?;
+        let line = next_content_line(&mut lines)?;
         let mut it = line.split_ascii_whitespace();
         if it.next() != Some("v") {
             return Err(SpatialError::Parse(format!(
@@ -110,11 +109,16 @@ fn read_graph_body(
                 "non-finite coordinates on vertex line {i}: {line:?}"
             )));
         }
+        if it.next().is_some() {
+            return Err(SpatialError::Parse(format!(
+                "vertex line {i} has trailing tokens: {line:?}"
+            )));
+        }
         b.add_vertex(Point::new(x, y));
     }
-    let ecount = parse_count(&next_content_line(lines)?, "edges")?;
+    let ecount = parse_count(&next_content_line(&mut lines)?, "edges")?;
     for i in 0..ecount {
-        let line = next_content_line(lines)?;
+        let line = next_content_line(&mut lines)?;
         let mut it = line.split_ascii_whitespace();
         if it.next() != Some("e") {
             return Err(SpatialError::Parse(format!(
@@ -125,13 +129,23 @@ fn read_graph_body(
         let to = parse_u32(it.next(), "edge to")?;
         let length_m = parse_f64(it.next(), "edge length")?;
         let speed_kmh = parse_f64(it.next(), "edge speed")?;
-        let tag = it
-            .next()
-            .and_then(|s| s.bytes().next())
-            .ok_or_else(|| SpatialError::Parse("missing category tag".into()))?;
+        let tag = match it.next().map(str::as_bytes) {
+            Some(&[tag]) => tag,
+            Some(_) => {
+                return Err(SpatialError::Parse(format!(
+                    "edge line {i} has a category tag longer than one byte: {line:?}"
+                )))
+            }
+            None => return Err(SpatialError::Parse("missing category tag".into())),
+        };
         let category = RoadCategory::from_tag(tag).ok_or_else(|| {
             SpatialError::Parse(format!("unknown category tag {:?}", tag as char))
         })?;
+        if it.next().is_some() {
+            return Err(SpatialError::Parse(format!(
+                "edge line {i} has trailing tokens: {line:?}"
+            )));
+        }
         b.add_edge(
             VertexId(from),
             VertexId(to),
@@ -143,12 +157,12 @@ fn read_graph_body(
         )
         .map_err(|e| SpatialError::Parse(format!("edge {i}: {e}")))?;
     }
+    if let Ok(extra) = next_content_line(&mut lines) {
+        return Err(SpatialError::Parse(format!(
+            "trailing content after the last edge line: {extra:?}"
+        )));
+    }
     Ok(b.build())
-}
-
-/// Reads a graph in the v1 text format.
-pub fn read_graph<R: BufRead>(input: R) -> Result<Graph, SpatialError> {
-    read_graph_body(&mut input.lines())
 }
 
 /// Parses a graph from its v1 text representation.
@@ -368,184 +382,19 @@ pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
     read_ch(s.as_bytes())
 }
 
-/// Writes an imported road network ([`ImportedGraph`]) in the v1 text
-/// format: the projection origin, a complete embedded plain-graph
-/// section, then one geometry row per edge (`g <k> x1 y1 … xk yk` —
-/// the interior points chain contraction folded into the edge).
-pub fn write_imported_graph<W: Write>(ig: &ImportedGraph, out: &mut W) -> std::io::Result<()> {
-    writeln!(out, "{IMPORTED_MAGIC}")?;
-    writeln!(out, "origin {} {}", ig.projection.lat0, ig.projection.lon0)?;
-    write_graph(&ig.graph, out)?;
-    writeln!(out, "geometry {}", ig.edge_geometry.len())?;
-    for geom in &ig.edge_geometry {
-        write!(out, "g {}", geom.len())?;
-        for p in geom {
-            write!(out, " {} {}", p.x, p.y)?;
-        }
-        writeln!(out)?;
-    }
-    Ok(())
-}
-
-/// Serialises an imported road network to a `String`.
-pub fn imported_to_string(ig: &ImportedGraph) -> String {
-    let mut buf = Vec::new();
-    write_imported_graph(ig, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("format is ASCII")
-}
-
-/// Reads an imported road network in the v1 text format. Import-time
-/// pipeline statistics are not persisted; the returned
-/// [`ImportedGraph::stats`] carries only what the file itself knows
-/// (final counts and total length).
-pub fn read_imported_graph<R: BufRead>(input: R) -> Result<ImportedGraph, SpatialError> {
-    let mut lines = input.lines();
-    let header = next_content_line(&mut lines)?;
-    if header != IMPORTED_MAGIC {
-        return Err(SpatialError::Parse(format!("bad header {header:?}")));
-    }
-    let origin = next_content_line(&mut lines)?;
-    let mut it = origin.split_ascii_whitespace();
-    if it.next() != Some("origin") {
-        return Err(SpatialError::Parse(format!(
-            "expected origin line, got {origin:?}"
-        )));
-    }
-    let lat0 = parse_f64(it.next(), "origin latitude")?;
-    let lon0 = parse_f64(it.next(), "origin longitude")?;
-    if !crate::geo::valid_lat_lon(lat0, lon0) {
-        return Err(SpatialError::Parse(format!(
-            "origin ({lat0}, {lon0}) out of range"
-        )));
-    }
-    let graph = read_graph_body(&mut lines)?;
-    let gcount = parse_count(&next_content_line(&mut lines)?, "geometry")?;
-    if gcount != graph.edge_count() {
-        return Err(SpatialError::Parse(format!(
-            "geometry section has {gcount} rows, graph has {} edges",
-            graph.edge_count()
-        )));
-    }
-    let mut edge_geometry: Vec<Vec<Point>> = Vec::with_capacity(gcount.min(MAX_PREALLOC));
-    for i in 0..gcount {
-        let line = next_content_line(&mut lines)?;
-        let mut it = line.split_ascii_whitespace();
-        if it.next() != Some("g") {
-            return Err(SpatialError::Parse(format!(
-                "expected geometry row {i}, got {line:?}"
-            )));
-        }
-        let k: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| SpatialError::Parse(format!("bad point count in geometry row {i}")))?;
-        let mut pts = Vec::with_capacity(k.min(MAX_PREALLOC));
-        for _ in 0..k {
-            let x = parse_f64(it.next(), "geometry x")?;
-            let y = parse_f64(it.next(), "geometry y")?;
-            if !x.is_finite() || !y.is_finite() {
-                return Err(SpatialError::Parse(format!(
-                    "non-finite geometry point in row {i}"
-                )));
-            }
-            pts.push(Point::new(x, y));
-        }
-        if it.next().is_some() {
-            return Err(SpatialError::Parse(format!(
-                "geometry row {i} has more than {k} points"
-            )));
-        }
-        edge_geometry.push(pts);
-    }
-    // The geometry section is the end of the format: trailing content
-    // (a doubled file, a stale second graph) is corruption, not slack.
-    if let Ok(extra) = next_content_line(&mut lines) {
-        return Err(SpatialError::Parse(format!(
-            "trailing content after the geometry section: {extra:?}"
-        )));
-    }
-    let stats = ImportStats {
-        final_vertices: graph.vertex_count(),
-        final_edges: graph.edge_count(),
-        total_km: graph.total_length_m() / 1000.0,
-        ..ImportStats::default()
-    };
-    Ok(ImportedGraph {
-        graph,
-        edge_geometry,
-        projection: LocalProjection::new(lat0, lon0),
-        stats,
-    })
-}
-
-/// Parses an imported road network from its v1 text representation.
-pub fn imported_from_str(s: &str) -> Result<ImportedGraph, SpatialError> {
-    read_imported_graph(s.as_bytes())
-}
-
-/// How [`load_graph_auto`] recognised a network file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphFileKind {
-    /// A plain `pathrank-graph v1` file (no geometry, no projection).
-    PlainText,
-    /// A persisted `pathrank-osm-graph v1` import.
-    Imported,
-    /// Raw OSM XML, imported on the fly with [`ImportConfig::default`].
-    OsmXml,
-}
-
-/// A network loaded by [`load_graph_auto`]: the graph plus, when the
-/// source carried them, the imported extras (geometry, projection,
-/// import stats). The graph is stored exactly once — use
-/// [`LoadedGraph::into_imported`] to reassemble an [`ImportedGraph`]
-/// when the extras are present.
-#[derive(Debug)]
-pub struct LoadedGraph {
-    /// The routable graph.
-    pub graph: Graph,
-    /// How the file was recognised.
-    pub kind: GraphFileKind,
-    /// Per-edge interior geometry, absent for plain graph files.
-    pub geometry: Option<Vec<Vec<Point>>>,
-    /// The lat/lon ↔ planar projection, absent for plain graph files.
-    pub projection: Option<LocalProjection>,
-    /// Import pipeline statistics (on-the-fly XML imports only; a
-    /// persisted import records final counts, a plain file nothing).
-    pub stats: Option<ImportStats>,
-}
-
-impl LoadedGraph {
-    /// Reassembles the [`ImportedGraph`] when the source carried the
-    /// imported extras (`None` for plain graph files). Consumes `self`
-    /// so the graph is moved, never duplicated.
-    pub fn into_imported(self) -> Option<ImportedGraph> {
-        match (self.geometry, self.projection) {
-            (Some(edge_geometry), Some(projection)) => Some(ImportedGraph {
-                graph: self.graph,
-                edge_geometry,
-                projection,
-                stats: self.stats.unwrap_or_default(),
-            }),
-            _ => None,
-        }
-    }
-}
-
 /// Loads a road network from `path`, sniffing the format off the first
-/// buffered bytes: a persisted import (`pathrank-osm-graph v1`), a
-/// plain graph (`pathrank-graph v1`), or raw OSM XML (anything starting
-/// with `<`), which is imported on the fly with the default
-/// [`ImportConfig`]. All three paths stream through the same
+/// buffered bytes: a graph file (`pathrank-graph v1`) or raw OSM XML
+/// (anything starting with `<`), which is imported on the fly with the
+/// default [`ImportConfig`]. Both paths stream through the same
 /// [`std::io::BufReader`] — a country-scale `.osm.xml` is never
 /// materialised in memory. Every experiment binary's `--graph` flag goes
-/// through here, so the three spellings of "a real network" are
-/// interchangeable.
-pub fn load_graph_auto(path: &std::path::Path) -> Result<LoadedGraph, SpatialError> {
-    use std::io::BufRead as _;
+/// through here, so an extract and the graph file `import_osm --out`
+/// writes from it are interchangeable.
+pub fn load_graph_auto(path: &std::path::Path) -> Result<Graph, SpatialError> {
     let file = std::fs::File::open(path)
         .map_err(|e| SpatialError::Parse(format!("cannot read {}: {e}", path.display())))?;
     let mut reader = std::io::BufReader::new(file);
-    // Peek without consuming: the magic lines fit comfortably inside
+    // Peek without consuming: the magic line fits comfortably inside
     // the first buffered block.
     let head = reader
         .fill_buf()
@@ -555,36 +404,14 @@ pub fn load_graph_auto(path: &std::path::Path) -> Result<LoadedGraph, SpatialErr
         .position(|b| !b.is_ascii_whitespace())
         .unwrap_or(head.len());
     let head = &head[start..];
-    if head.starts_with(IMPORTED_MAGIC.as_bytes()) {
-        let ig = read_imported_graph(reader)?;
-        Ok(LoadedGraph {
-            graph: ig.graph,
-            kind: GraphFileKind::Imported,
-            geometry: Some(ig.edge_geometry),
-            projection: Some(ig.projection),
-            stats: Some(ig.stats),
-        })
-    } else if head.starts_with(MAGIC.as_bytes()) {
-        Ok(LoadedGraph {
-            graph: read_graph(reader)?,
-            kind: GraphFileKind::PlainText,
-            geometry: None,
-            projection: None,
-            stats: None,
-        })
+    if head.starts_with(MAGIC.as_bytes()) {
+        read_graph(reader)
     } else if head.first() == Some(&b'<') {
         let data = crate::osm::parse_osm_xml(reader)?;
-        let ig = crate::osm::import_osm(&data, &ImportConfig::default())?;
-        Ok(LoadedGraph {
-            graph: ig.graph,
-            kind: GraphFileKind::OsmXml,
-            geometry: Some(ig.edge_geometry),
-            projection: Some(ig.projection),
-            stats: Some(ig.stats),
-        })
+        Ok(crate::osm::import_osm(&data, &ImportConfig::default())?.graph)
     } else {
         Err(SpatialError::Parse(format!(
-            "{}: not a pathrank graph, a persisted import or OSM XML",
+            "{}: not a pathrank graph or OSM XML",
             path.display()
         )))
     }
@@ -642,8 +469,15 @@ mod tests {
     fn rejects_truncated_input() {
         let g = grid_network(&GridConfig::small_test(), 13);
         let text = graph_to_string(&g);
-        let cut = &text[..text.len() / 2];
-        assert!(graph_from_str(cut).is_err());
+        let trimmed = text.trim_end();
+        for cut in 0..trimmed.len() {
+            assert!(
+                graph_from_str(&trimmed[..cut]).is_err(),
+                "prefix of {cut} of {} bytes accepted",
+                trimmed.len()
+            );
+        }
+        assert_eq!(graph_from_str(trimmed).unwrap(), g);
     }
 
     #[test]
@@ -671,98 +505,58 @@ mod tests {
         assert_eq!(graph_from_str(&text).unwrap(), g);
     }
 
+    #[test]
+    fn rejects_stray_tokens_and_trailing_content() {
+        let g = grid_network(&GridConfig::small_test(), 13);
+        let text = graph_to_string(&g);
+        let first_edge = text.lines().find(|l| l.starts_with("e ")).unwrap();
+        let first_vertex = text.lines().find(|l| l.starts_with("v ")).unwrap();
+        let cases = [
+            ("doubled file", format!("{text}{text}")),
+            ("extra line", format!("{text}extra stuff\n")),
+            (
+                "long category tag",
+                text.replacen(first_edge, &format!("{first_edge}xyz"), 1),
+            ),
+            (
+                "edge trailing token",
+                text.replacen(first_edge, &format!("{first_edge} trailing"), 1),
+            ),
+            (
+                "vertex trailing token",
+                text.replacen(first_vertex, &format!("{first_vertex} 99"), 1),
+            ),
+        ];
+        for (what, bad) in cases {
+            assert_ne!(bad, text, "{what}: the corruption must change the text");
+            assert!(
+                matches!(graph_from_str(&bad), Err(SpatialError::Parse(_))),
+                "{what} accepted"
+            );
+        }
+    }
+
     mod imported {
         use super::*;
         use crate::osm::synth::{synthetic_city, write_osm_xml, SynthCityConfig};
-        use crate::osm::{import_osm_str, ImportConfig, ImportedGraph};
-
-        fn city() -> ImportedGraph {
-            let xml = write_osm_xml(&synthetic_city(&SynthCityConfig::default(), 13));
-            import_osm_str(&xml, &ImportConfig::default()).unwrap()
-        }
-
-        #[test]
-        fn imported_roundtrip_is_bit_identical() {
-            let ig = city();
-            let text = imported_to_string(&ig);
-            let back = imported_from_str(&text).unwrap();
-            // Shortest-Display floats survive the text round-trip
-            // bit-for-bit: graph equality is exact.
-            assert_eq!(back.graph, ig.graph);
-            assert_eq!(back.edge_geometry, ig.edge_geometry);
-            assert_eq!(back.projection.lat0, ig.projection.lat0);
-            assert_eq!(back.projection.lon0, ig.projection.lon0);
-            // And a second round-trip is byte-stable.
-            assert_eq!(imported_to_string(&back), text);
-        }
-
-        #[test]
-        fn corrupt_imported_input_is_rejected() {
-            let ig = city();
-            let text = imported_to_string(&ig);
-            assert!(imported_from_str(&text[..text.len() / 2]).is_err());
-            assert!(imported_from_str(&text[..text.len() * 9 / 10]).is_err());
-            assert!(imported_from_str("pathrank-osm-graph v0\n").is_err());
-            // An out-of-range origin.
-            let lat0 = ig.projection.lat0;
-            let bad = text.replace(&format!("origin {lat0}"), "origin 777");
-            assert!(imported_from_str(&bad).is_err());
-            // A geometry count that disagrees with the edge count.
-            let bad = text.replace(&format!("geometry {}", ig.graph.edge_count()), "geometry 3");
-            assert!(imported_from_str(&bad).is_err());
-            // A non-finite geometry point.
-            let row = text
-                .lines()
-                .find(|l| l.starts_with("g ") && !l.ends_with("g 0"))
-                .unwrap()
-                .to_string();
-            let mut toks: Vec<String> = row.split_ascii_whitespace().map(str::to_string).collect();
-            if toks.len() > 2 {
-                toks[2] = "NaN".into();
-                assert!(imported_from_str(&text.replace(&row, &toks.join(" "))).is_err());
-            }
-            // Feeding the plain-graph reader an imported file (and vice
-            // versa) fails on the header.
-            assert!(graph_from_str(&text).is_err());
-            assert!(imported_from_str(&graph_to_string(&ig.graph)).is_err());
-            // Trailing content (an accidentally doubled file) is
-            // corruption, not slack.
-            let doubled = format!("{text}{text}");
-            assert!(imported_from_str(&doubled).is_err());
-            assert!(imported_from_str(&format!("{text}\nextra stuff\n")).is_err());
-        }
+        use crate::osm::{import_osm_str, ImportConfig};
 
         #[test]
         fn load_graph_auto_sniffs_all_three_formats() {
             let dir = std::env::temp_dir().join(format!("pathrank-io-test-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
-            let ig = city();
+            let xml = write_osm_xml(&synthetic_city(&SynthCityConfig::default(), 13));
+            let g = import_osm_str(&xml, &ImportConfig::default())
+                .unwrap()
+                .graph;
 
             let xml_path = dir.join("city.osm.xml");
-            std::fs::write(
-                &xml_path,
-                write_osm_xml(&synthetic_city(&SynthCityConfig::default(), 13)),
-            )
-            .unwrap();
-            let from_xml = load_graph_auto(&xml_path).unwrap();
-            assert_eq!(from_xml.kind, GraphFileKind::OsmXml);
-            assert_eq!(from_xml.graph, ig.graph);
-            assert!(from_xml.geometry.is_some() && from_xml.projection.is_some());
-            let reassembled = from_xml.into_imported().unwrap();
-            assert_eq!(reassembled.edge_geometry, ig.edge_geometry);
+            std::fs::write(&xml_path, &xml).unwrap();
+            assert_eq!(load_graph_auto(&xml_path).unwrap(), g);
 
-            let imp_path = dir.join("city.graph");
-            std::fs::write(&imp_path, imported_to_string(&ig)).unwrap();
-            let from_imp = load_graph_auto(&imp_path).unwrap();
-            assert_eq!(from_imp.kind, GraphFileKind::Imported);
-            assert_eq!(from_imp.graph, ig.graph);
-
-            let plain_path = dir.join("city.plain");
-            std::fs::write(&plain_path, graph_to_string(&ig.graph)).unwrap();
-            let from_plain = load_graph_auto(&plain_path).unwrap();
-            assert_eq!(from_plain.kind, GraphFileKind::PlainText);
-            assert_eq!(from_plain.graph, ig.graph);
-            assert!(from_plain.into_imported().is_none());
+            let graph_path = dir.join("city.graph");
+            std::fs::write(&graph_path, graph_to_string(&g)).unwrap();
+            assert_eq!(load_graph_auto(&graph_path).unwrap(), g);
 
             let junk_path = dir.join("junk");
             std::fs::write(&junk_path, "not a graph at all").unwrap();

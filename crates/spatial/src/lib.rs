@@ -24,8 +24,8 @@
 //!   [`algo::engine`], with [`algo::dijkstra`] as the reference oracle;
 //! * path [`similarity`] measures, most importantly the weighted Jaccard
 //!   similarity that defines PathRank's ground-truth ranking scores;
-//! * a packed STR-bulk-loaded [`rtree::RTree`] over edge polyline
-//!   segments for GPS candidate snapping.
+//! * a packed STR-bulk-loaded [`rtree::RTree`] over edge chords for GPS
+//!   candidate snapping.
 //!
 //! # Quick example
 //!

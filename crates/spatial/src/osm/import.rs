@@ -7,7 +7,7 @@ use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
 use crate::geo::{haversine_m, LocalProjection};
 use crate::geometry::Point;
-use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
+use crate::graph::{EdgeAttrs, Graph, RoadCategory, VertexId};
 
 use super::{highway_class, parse_maxspeed_kmh, way_direction, OsmData, WayDirection};
 
@@ -24,8 +24,7 @@ pub struct ImportConfig {
     /// generators give the same guarantee).
     pub prune_to_largest_scc: bool,
     /// Contract degree-2 pass-through vertices into single edges, with
-    /// length and travel time preserved exactly and the removed
-    /// vertices' coordinates retained as intermediate edge geometry.
+    /// length and travel time preserved exactly.
     pub contract_chains: bool,
 }
 
@@ -80,33 +79,16 @@ pub struct ImportStats {
     pub total_km: f64,
 }
 
-/// An imported road network: the routable [`Graph`] plus everything the
-/// planar model alone cannot carry — the projection that maps graph
-/// coordinates back to WGS84 and the intermediate geometry chain
-/// contraction folded into each edge (for map matching and rendering).
+/// An imported road network: the routable [`Graph`] plus the projection
+/// that maps graph coordinates back to WGS84 and what the import did.
 #[derive(Debug, Clone)]
 pub struct ImportedGraph {
     /// The routable graph, in local planar metres.
     pub graph: Graph,
-    /// Interior geometry per edge (endpoints excluded), aligned with
-    /// edge ids. Empty for edges that never spanned a contracted vertex.
-    pub edge_geometry: Vec<Vec<Point>>,
     /// The lat/lon ↔ planar mapping used at import time.
     pub projection: LocalProjection,
     /// Stage-by-stage import statistics.
     pub stats: ImportStats,
-}
-
-impl ImportedGraph {
-    /// Full polyline of edge `e` (endpoints included), in planar metres.
-    pub fn edge_polyline(&self, e: EdgeId) -> Vec<Point> {
-        let rec = self.graph.edge(e);
-        let mut pts = Vec::with_capacity(self.edge_geometry[e.index()].len() + 2);
-        pts.push(self.graph.coord(rec.from));
-        pts.extend_from_slice(&self.edge_geometry[e.index()]);
-        pts.push(self.graph.coord(rec.to));
-        pts
-    }
 }
 
 /// A directed edge in the intermediate (pre-CSR) representation.
@@ -117,8 +99,6 @@ struct RawEdge {
     length_m: f64,
     time_s: f64,
     category: RoadCategory,
-    /// Interior points (endpoints excluded).
-    geometry: Vec<Point>,
 }
 
 impl RawEdge {
@@ -237,7 +217,6 @@ pub fn import_osm(data: &OsmData, cfg: &ImportConfig) -> Result<ImportedGraph, S
                 length_m,
                 time_s,
                 category: class.category,
-                geometry: Vec::new(),
             };
             match dir {
                 WayDirection::Forward => edges.push(seg(u, v)),
@@ -297,11 +276,8 @@ pub fn import_osm(data: &OsmData, cfg: &ImportConfig) -> Result<ImportedGraph, S
     stats.final_edges = edges.len();
     stats.total_km = edges.iter().map(|e| e.length_m).sum::<f64>() / 1000.0;
 
-    let graph = build_graph(&coords, &edges);
-    let edge_geometry: Vec<Vec<Point>> = edges.into_iter().map(|e| e.geometry).collect();
     Ok(ImportedGraph {
-        graph,
-        edge_geometry,
+        graph: build_graph(&coords, &edges),
         projection,
         stats,
     })
@@ -329,26 +305,20 @@ fn build_graph(coords: &[Point], edges: &[RawEdge]) -> Graph {
 }
 
 /// Folds a run of consecutive directed edges into one edge: length and
-/// travel time are exact sums, the category comes from the longest
-/// constituent, and the intermediate vertices' coordinates (plus any
-/// geometry the constituents already carried) become interior geometry.
-fn fold_run(edges: &[RawEdge], coords: &[Point], run: &[u32]) -> RawEdge {
+/// travel time are exact sums, and the category comes from the longest
+/// constituent.
+fn fold_run(edges: &[RawEdge], run: &[u32]) -> RawEdge {
     let mut length_m = 0.0;
     let mut time_s = 0.0;
-    let mut geometry: Vec<Point> = Vec::new();
     let mut category = edges[run[0] as usize].category;
     let mut longest = -1.0f64;
-    for (k, &ei) in run.iter().enumerate() {
+    for &ei in run {
         let e = &edges[ei as usize];
         length_m += e.length_m;
         time_s += e.time_s;
         if e.length_m > longest {
             longest = e.length_m;
             category = e.category;
-        }
-        geometry.extend_from_slice(&e.geometry);
-        if k + 1 < run.len() {
-            geometry.push(coords[e.to as usize]);
         }
     }
     RawEdge {
@@ -357,7 +327,6 @@ fn fold_run(edges: &[RawEdge], coords: &[Point], run: &[u32]) -> RawEdge {
         length_m,
         time_s,
         category,
-        geometry,
     }
 }
 
@@ -367,11 +336,9 @@ fn fold_run(edges: &[RawEdge], coords: &[Point], run: &[u32]) -> RawEdge {
 /// distinct neighbours). Each maximal run of interior vertices between
 /// two anchors collapses into one edge whose length and travel time are
 /// the exact sums of its constituents (speed is re-derived, category
-/// taken from the longest constituent) and whose interior geometry
-/// records the folded vertices — map matching still sees the true
-/// street shape. Runs looping back onto their own anchor split at a
-/// deterministic interior vertex (self-loops are forbidden); cycles
-/// with no anchor at all are left uncontracted.
+/// taken from the longest constituent). Runs looping back onto their
+/// own anchor split at a deterministic interior vertex (self-loops are
+/// forbidden); cycles with no anchor at all are left uncontracted.
 fn contract_chains(coords: Vec<Point>, edges: Vec<RawEdge>) -> (Vec<Point>, Vec<RawEdge>) {
     let n = coords.len();
     let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n]; // edge indices
@@ -452,11 +419,11 @@ fn contract_chains(coords: Vec<Point>, edges: Vec<RawEdge>) -> (Vec<Point>, Vec<
             let split = (0..run_edges.len() - 1)
                 .min_by_key(|&k| edges[run_edges[k] as usize].to)
                 .expect("anchor loops span at least two edges");
-            merged.push(fold_run(&edges, &coords, &run_edges[..=split]));
-            merged.push(fold_run(&edges, &coords, &run_edges[split + 1..]));
+            merged.push(fold_run(&edges, &run_edges[..=split]));
+            merged.push(fold_run(&edges, &run_edges[split + 1..]));
             continue;
         }
-        merged.push(fold_run(&edges, &coords, &run_edges));
+        merged.push(fold_run(&edges, &run_edges));
     }
 
     // Edges whose tail is interior and that no walk consumed belong to
@@ -596,24 +563,6 @@ mod tests {
         let tt = |g: &Graph| g.edges().map(|e| e.attrs.travel_time_s()).sum::<f64>();
         let (ta, tb) = (tt(&loose.graph), tt(&tight.graph));
         assert!((ta - tb).abs() < 1e-6 * ta, "{ta} vs {tb}");
-        // The chain 3-7-8-9 folded into one edge pair whose geometry
-        // remembers vertices 7 and 8.
-        let with_geom: Vec<&Vec<Point>> = tight
-            .edge_geometry
-            .iter()
-            .filter(|g| !g.is_empty())
-            .collect();
-        assert!(!with_geom.is_empty(), "contraction must retain geometry");
-        assert!(with_geom.iter().any(|g| g.len() == 2));
-        // Polylines include the endpoints.
-        for e in 0..tight.graph.edge_count() {
-            let pl = tight.edge_polyline(EdgeId(e as u32));
-            assert!(pl.len() >= 2);
-            assert_eq!(
-                pl[0],
-                tight.graph.coord(tight.graph.edge(EdgeId(e as u32)).from)
-            );
-        }
     }
 
     #[test]

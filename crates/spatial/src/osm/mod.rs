@@ -21,15 +21,13 @@
 //!    [`crate::geo::haversine_m`] edge lengths, prunes to the largest
 //!    strongly-connected component (every routing query has an answer),
 //!    and contracts degree-2 chains into single edges — length and
-//!    travel time preserved exactly, intermediate geometry retained for
-//!    map matching. The result is an [`ImportedGraph`] whose
-//!    [`Graph`](crate::graph::Graph) is ready for every existing index
-//!    (ALT, CH, many-to-many, the snapping [`crate::rtree::RTree`]).
-//! 3. **Persist** — [`crate::io::write_imported_graph`] /
-//!    [`crate::io::read_imported_graph`] round-trip the imported network
-//!    (graph + projection origin + edge geometry) through a versioned
-//!    text format, and [`crate::io::load_graph_auto`] sniffs raw XML,
-//!    imported and plain graph files alike.
+//!    travel time preserved exactly. The result is an [`ImportedGraph`]
+//!    whose [`Graph`](crate::graph::Graph) is ready for every existing
+//!    index (ALT, CH, many-to-many, the snapping [`crate::rtree::RTree`]).
+//! 3. **Persist** — the graph round-trips through the plain
+//!    `pathrank-graph v1` format ([`crate::io::write_graph`] /
+//!    [`crate::io::read_graph`]), and [`crate::io::load_graph_auto`]
+//!    sniffs raw XML and graph files alike.
 //!
 //! [`synth::write_osm_xml`] and [`synth::synthetic_city`] close the
 //! loop for testing: a deterministic synthetic-OSM writer and a city

@@ -1,4 +1,4 @@
-//! Packed STR-bulk-loaded R-tree over edge polyline segments.
+//! Packed STR-bulk-loaded R-tree over edge chords.
 //!
 //! The map matcher's candidate lookup: per GPS probe, a query descends a
 //! shallow tree of bounding rectangles, pruning whole subtrees by exact
@@ -10,13 +10,12 @@
 //! simply group [`FANOUT`] consecutive nodes, valid because STR order is
 //! already spatially coherent.
 //!
-//! Indexed items are individual *segments* of each edge's polyline
-//! (interior chain geometry included, matching the geometry-aware
-//! matcher), so a folded edge is found by probes near any of its bends.
+//! Each edge is indexed as one segment, its straight `from -> to` chord
+//! — the same line the map matcher projects fixes onto.
 //! [`RTree::edges_within`] filters hits by exact
-//! [`point_segment_distance`] and returns the deduplicated, ascending
-//! list of edge ids — exactly the set a brute-force scan over every
-//! segment would return.
+//! [`point_segment_distance`] and returns the ascending list of edge
+//! ids — exactly the set a brute-force scan over every chord would
+//! return.
 
 use crate::geometry::{point_segment_distance, Point};
 use crate::graph::{EdgeId, Graph};
@@ -26,7 +25,7 @@ const LEAF_CAP: usize = 16;
 /// Child nodes per inner node.
 const FANOUT: usize = 16;
 
-/// One indexed polyline segment, flattened for cache-friendly leaf scans.
+/// One indexed edge chord, flattened for cache-friendly leaf scans.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     ax: f64,
@@ -101,7 +100,7 @@ impl Mbr {
     }
 }
 
-/// Packed-leaf R-tree over edge polyline segments; see the
+/// Packed-leaf R-tree over edge chords; see the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct RTree {
@@ -116,9 +115,6 @@ pub struct RTree {
 
 impl RTree {
     /// Builds the index over straight `from -> to` chords of every edge.
-    ///
-    /// This is blind to interior chain geometry — use
-    /// [`RTree::build_with_geometry`] when edges carry polylines.
     pub fn build(g: &Graph) -> RTree {
         let mut segs = Vec::with_capacity(g.edge_count());
         for (i, e) in g.edges().enumerate() {
@@ -127,31 +123,6 @@ impl RTree {
                 g.coord(e.to),
                 EdgeId(i as u32),
             ));
-        }
-        Self::pack(segs)
-    }
-
-    /// Builds the index over every segment of every edge's polyline
-    /// (`coord(from)`, interior `geometry[e]` points, `coord(to)`), so
-    /// folded edges are discoverable near their bends.
-    ///
-    /// # Panics
-    /// If `geometry.len() != g.edge_count()`.
-    pub fn build_with_geometry(g: &Graph, geometry: &[Vec<Point>]) -> RTree {
-        assert_eq!(
-            geometry.len(),
-            g.edge_count(),
-            "geometry must have one (possibly empty) chain per edge"
-        );
-        let mut segs = Vec::with_capacity(g.edge_count());
-        for (i, e) in g.edges().enumerate() {
-            let id = EdgeId(i as u32);
-            let mut prev = g.coord(e.from);
-            for &mid in &geometry[i] {
-                segs.push(Segment::new(prev, mid, id));
-                prev = mid;
-            }
-            segs.push(Segment::new(prev, g.coord(e.to), id));
         }
         Self::pack(segs)
     }
@@ -199,19 +170,19 @@ impl RTree {
         }
     }
 
-    /// Number of indexed segments.
+    /// Number of indexed chords (one per edge).
     pub fn len(&self) -> usize {
         self.segments.len()
     }
 
-    /// Whether the index holds no segments.
+    /// Whether the index holds no chords.
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
 
-    /// Ids of all edges with at least one polyline segment within
-    /// `radius_m` of `p`, deduplicated and ascending — exactly the set a
-    /// brute-force scan over every indexed segment returns.
+    /// Ids of all edges whose chord passes within `radius_m` of `p`,
+    /// ascending — exactly the set a brute-force scan over every chord
+    /// returns.
     pub fn edges_within(&self, p: &Point, radius_m: f64) -> Vec<EdgeId> {
         let mut out = Vec::new();
         self.edges_within_into(p, radius_m, &mut out);
@@ -219,7 +190,7 @@ impl RTree {
     }
 
     /// Allocation-reusing form of [`RTree::edges_within`]: clears `out`
-    /// and fills it with the same deduplicated ascending id set.
+    /// and fills it with the same ascending id set.
     ///
     /// The descent recurses instead of keeping an explicit stack: depth
     /// is the tree height (a handful of levels even at city scale), and
@@ -236,7 +207,6 @@ impl RTree {
             self.descend(top, node, p, radius_m, r_sq, out);
         }
         out.sort_unstable();
-        out.dedup();
     }
 
     /// DFS into `node` at `level` (0 = leaves), appending every in-radius
@@ -351,29 +321,6 @@ mod tests {
                 assert_eq!(tree.edges_within(&p, r), brute_force(&g, &p, r));
             }
         }
-    }
-
-    #[test]
-    fn rtree_geometry_segments_make_folded_edges_visible() {
-        // One edge folded into a U whose bottom passes far from both
-        // endpoints; with chords only, a probe at the bottom misses it.
-        let mut b = GraphBuilder::new();
-        let v0 = b.add_vertex(Point::new(0.0, 0.0));
-        let v1 = b.add_vertex(Point::new(40.0, 0.0));
-        let e = b
-            .add_edge(
-                v0,
-                v1,
-                EdgeAttrs::with_default_speed(640.0, RoadCategory::Residential),
-            )
-            .unwrap();
-        let g = b.build();
-        let chain = vec![vec![Point::new(0.0, -300.0), Point::new(40.0, -300.0)]];
-        let probe = Point::new(20.0, -295.0);
-        let chords = RTree::build(&g);
-        assert!(chords.edges_within(&probe, 30.0).is_empty());
-        let folded = RTree::build_with_geometry(&g, &chain);
-        assert_eq!(folded.edges_within(&probe, 30.0), vec![e]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use pathrank_spatial::algo::engine::QueryEngine;
-use pathrank_spatial::geometry::{project_onto_polyline, project_onto_segment, Point};
+use pathrank_spatial::geometry::{project_onto_segment, Point};
 use pathrank_spatial::graph::{CostModel, EdgeId, Graph, VertexId};
 use pathrank_spatial::path::Path;
 use pathrank_spatial::rtree::RTree;
@@ -158,11 +158,6 @@ pub struct MapMatcher<'g> {
     index: RTree,
     cfg: MapMatchConfig,
     cache: SpCache,
-    /// Interior edge geometry for imported graphs (aligned with edge
-    /// ids); `None` on plain graphs, where every edge is its chord.
-    /// Drives both the spatial index build and candidate projection,
-    /// so the two always agree about where an edge runs.
-    geometry: Option<&'g [Vec<Point>]>,
 }
 
 impl<'g> MapMatcher<'g> {
@@ -174,31 +169,6 @@ impl<'g> MapMatcher<'g> {
             index: RTree::build(g),
             cfg,
             cache: SpCache::default(),
-            geometry: None,
-        }
-    }
-
-    /// [`MapMatcher::new`] for graphs whose edges carry interior
-    /// geometry: the R-tree indexes full polylines
-    /// ([`RTree::build_with_geometry`]) and candidates project onto
-    /// them, so contracted chains — whose chord can be hundreds of
-    /// metres from the actual road — still produce candidates near any
-    /// point of the road. `geometry` is interior points per edge,
-    /// aligned with edge ids.
-    ///
-    /// # Panics
-    /// If `geometry.len() != g.edge_count()`.
-    pub fn new_with_geometry(
-        g: &'g Graph,
-        geometry: &'g [Vec<Point>],
-        cfg: MapMatchConfig,
-    ) -> Self {
-        MapMatcher {
-            engine: QueryEngine::new(g),
-            index: RTree::build_with_geometry(g, geometry),
-            cfg,
-            cache: SpCache::default(),
-            geometry: Some(geometry),
         }
     }
 
@@ -225,7 +195,6 @@ impl<'g> MapMatcher<'g> {
         match_on(
             &mut self.engine,
             &self.index,
-            self.geometry,
             trace,
             &self.cfg,
             &mut self.cache,
@@ -236,19 +205,15 @@ impl<'g> MapMatcher<'g> {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     edge: EdgeId,
-    /// Fractional position of the projection along the edge, `[0, 1]` —
-    /// segment fraction for straight edges, *arclength* fraction of the
-    /// full polyline for edges with interior geometry.
+    /// Fractional position of the projection along the edge chord,
+    /// `[0, 1]`.
     t: f64,
     /// Distance from the fix to the projection, metres.
     dist: f64,
-    /// Cosine between the vehicle heading and the local road direction
-    /// at the projection.
+    /// Cosine between the vehicle heading and the edge direction.
     heading_cos: f64,
-    /// The projected road position itself. Computed from the same
-    /// formula as `coord(from).lerp(coord(to), t)` on straight edges;
-    /// on geometry edges it is the true polyline point, which the
-    /// endpoint lerp cannot reconstruct.
+    /// The projected road position itself, computed from the same
+    /// formula as `coord(from).lerp(coord(to), t)`.
     pos: Point,
 }
 
@@ -264,13 +229,12 @@ pub fn map_match(g: &Graph, trace: &GpsTrace, cfg: &MapMatchConfig) -> Option<Pa
     MapMatcher::new(g, cfg.clone()).match_trace(trace)
 }
 
-/// The matcher core: candidate layers from a prebuilt index (projecting
-/// onto full polylines when `geometry` is given), Viterbi over
-/// length-metric route distances probed through `sp_cache`, stitching.
+/// The matcher core: candidate layers from a prebuilt index, Viterbi
+/// over length-metric route distances probed through `sp_cache`,
+/// stitching.
 fn match_on(
     engine: &mut QueryEngine<'_>,
     index: &RTree,
-    geometry: Option<&[Vec<Point>]>,
     trace: &GpsTrace,
     cfg: &MapMatchConfig,
     sp_cache: &mut SpCache,
@@ -293,10 +257,8 @@ fn match_on(
         .collect();
 
     // Candidate layers; fixes with no nearby road are skipped entirely.
-    // `poly` is a scratch buffer assembling `from -> interior -> to`
-    // polylines for geometry edges (reused across candidates); `near`
-    // is the snapping buffer one index query per fix refills in place.
-    let mut poly: Vec<Point> = Vec::new();
+    // `near` is the snapping buffer one index query per fix refills in
+    // place.
     let mut near: Vec<EdgeId> = Vec::new();
     let mut layers: Vec<Vec<Candidate>> = Vec::with_capacity(trace.len());
     for (fi, fix) in trace.points.iter().enumerate() {
@@ -306,45 +268,23 @@ fn match_on(
             .filter_map(|&e| {
                 let rec = g.edge(e);
                 let (a, b) = (g.coord(rec.from), g.coord(rec.to));
-                let interior = geometry.map_or(&[][..], |gm| gm[e.index()].as_slice());
-                // (t, distance, projected point, local road direction):
-                // straight edges keep the segment projection bit-for-bit;
-                // geometry edges project onto the true polyline, whose
-                // local direction — not the chord's — feeds the heading
-                // term (a hairpin's chord points nowhere useful).
-                let (t, dist, pos, dir) = if interior.is_empty() {
-                    let proj = project_onto_segment(&fix.pos, &a, &b);
-                    (proj.t, proj.distance, proj.point, (b.x - a.x, b.y - a.y))
-                } else {
-                    poly.clear();
-                    poly.push(a);
-                    poly.extend_from_slice(interior);
-                    poly.push(b);
-                    let proj = project_onto_polyline(&fix.pos, &poly);
-                    let (sa, sb) = (poly[proj.segment], poly[proj.segment + 1]);
-                    (
-                        proj.t,
-                        proj.distance,
-                        proj.point,
-                        (sb.x - sa.x, sb.y - sa.y),
-                    )
-                };
-                if dist > cfg.candidate_radius_m {
+                let proj = project_onto_segment(&fix.pos, &a, &b);
+                if proj.distance > cfg.candidate_radius_m {
                     return None;
                 }
                 // Heading agreement in [-1, 1]; 1 when driving along the
                 // road direction, -1 against it.
                 let heading_cos = headings[fi].map_or(0.0, |(hx, hy)| {
-                    let (ex, ey) = dir;
+                    let (ex, ey) = (b.x - a.x, b.y - a.y);
                     let en = (ex * ex + ey * ey).sqrt().max(1e-9);
                     hx * ex / en + hy * ey / en
                 });
                 Some(Candidate {
                     edge: e,
-                    t,
-                    dist,
+                    t: proj.t,
+                    dist: proj.distance,
                     heading_cos,
-                    pos,
+                    pos: proj.point,
                 })
             })
             .collect();
@@ -367,10 +307,9 @@ fn match_on(
 
     let mut score: Vec<f64> = layers[0].iter().map(emission).collect();
     let mut back: Vec<Vec<usize>> = Vec::with_capacity(layers.len());
-    // Road positions come straight off the candidates: for straight
-    // edges `c.pos` is the same `coord(from) + t · (coord(to) -
-    // coord(from))` expression the old endpoint lerp computed
-    // (bit-identical); for geometry edges it is the true polyline point.
+    // Road positions come straight off the candidates: `c.pos` is the
+    // same `coord(from) + t · (coord(to) - coord(from))` expression an
+    // endpoint lerp computes (bit-identical).
     let positions: Vec<Vec<Point>> = layers
         .iter()
         .map(|layer| layer.iter().map(|c| c.pos).collect())
@@ -510,114 +449,6 @@ mod tests {
         for (_, e) in g.out_edges(v) {
             assert!(near.contains(&e), "index must return incident edge {e:?}");
         }
-    }
-
-    /// A contracted hairpin: endpoints 40 m apart on the baseline, but
-    /// the road itself loops 300 m north through retained interior
-    /// geometry, then continues east to `c`. Edge 0/1 are the two
-    /// directions of the hairpin, edge 2/3 the straight continuation.
-    fn hairpin_graph() -> (pathrank_spatial::graph::Graph, Vec<Vec<Point>>) {
-        use pathrank_spatial::builder::GraphBuilder;
-        use pathrank_spatial::graph::{EdgeAttrs, RoadCategory};
-        let mut b = GraphBuilder::new();
-        let a = b.add_vertex(Point::new(0.0, 0.0));
-        let v = b.add_vertex(Point::new(40.0, 0.0));
-        let c = b.add_vertex(Point::new(240.0, 0.0));
-        // Polyline a -> (0,300) -> (40,300) -> v: 300 + 40 + 300 m.
-        b.add_bidirectional(
-            a,
-            v,
-            EdgeAttrs::with_default_speed(640.0, RoadCategory::Residential),
-        )
-        .unwrap();
-        b.add_bidirectional(
-            v,
-            c,
-            EdgeAttrs::with_default_speed(200.0, RoadCategory::Residential),
-        )
-        .unwrap();
-        let g = b.build();
-        let up = vec![Point::new(0.0, 300.0), Point::new(40.0, 300.0)];
-        let down = vec![Point::new(40.0, 300.0), Point::new(0.0, 300.0)];
-        let geometry = vec![up, down, vec![], vec![]];
-        (g, geometry)
-    }
-
-    #[test]
-    fn hairpin_edge_is_invisible_to_the_endpoint_index() {
-        // The folded-hairpin regression: the chord index only knows the
-        // 40 m chord at y = 0, so a fix at the hairpin's apex — 300 m
-        // up, directly ON the road — returns nothing.
-        let (g, geometry) = hairpin_graph();
-        let apex = Point::new(20.0, 300.0);
-        let chords = RTree::build(&g);
-        assert!(
-            chords.edges_within(&apex, 60.0).is_empty(),
-            "the chord index must provably miss the hairpin (the bug)"
-        );
-        let polylines = RTree::build_with_geometry(&g, &geometry);
-        assert_eq!(
-            polylines.edges_within(&apex, 60.0),
-            [EdgeId(0), EdgeId(1)],
-            "polyline index must return both hairpin directions"
-        );
-        // Straight edges answer identically from both indexes.
-        let on_straight = Point::new(140.0, 10.0);
-        assert_eq!(
-            chords.edges_within(&on_straight, 60.0),
-            polylines.edges_within(&on_straight, 60.0)
-        );
-    }
-
-    #[test]
-    fn hairpin_trace_matches_through_the_geometry_matcher() {
-        let (g, geometry) = hairpin_graph();
-        let trace = GpsTrace {
-            vehicle: 0,
-            points: [
-                Point::new(2.0, 80.0),
-                Point::new(-3.0, 220.0),
-                Point::new(18.0, 303.0),
-                Point::new(43.0, 210.0),
-                Point::new(38.0, 60.0),
-                Point::new(110.0, 4.0),
-                Point::new(210.0, -3.0),
-            ]
-            .iter()
-            .enumerate()
-            .map(|(i, &pos)| crate::gps::GpsPoint {
-                pos,
-                t_s: i as f64 * 5.0,
-            })
-            .collect(),
-        };
-        let cfg = MapMatchConfig::default();
-
-        // A chord-built matcher cannot see the hairpin: every fix on
-        // the loop has no candidate, so the matched route misses edge 0.
-        let mut old = MapMatcher::new(&g, cfg.clone());
-        let old_match = old.match_trace(&trace);
-        assert!(
-            !old_match.is_some_and(|p| p.edges().contains(&EdgeId(0))),
-            "endpoint index must lose the hairpin edge (the bug)"
-        );
-
-        // The geometry matcher recovers the true route: around the
-        // hairpin (edge 0), then the straight continuation (edge 2).
-        let mut fixed = MapMatcher::new_with_geometry(&g, &geometry, cfg);
-        let p = fixed
-            .match_trace(&trace)
-            .expect("geometry matcher must match the hairpin trace");
-        assert!(
-            p.edges().contains(&EdgeId(0)),
-            "matched route must include the hairpin, got {:?}",
-            p.edges()
-        );
-        assert!(
-            p.edges().contains(&EdgeId(2)),
-            "matched route must continue east, got {:?}",
-            p.edges()
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
 use pathrank::spatial::graph::{CostModel, Graph, VertexId};
-use pathrank::spatial::io::{imported_from_str, imported_to_string, load_graph_auto};
+use pathrank::spatial::io::{graph_from_str, graph_to_string, load_graph_auto};
 use pathrank::spatial::osm::synth::{synthetic_city, write_osm_xml, SynthCityConfig};
 use pathrank::spatial::osm::{
     import_osm, parse_osm_str, ImportConfig, ImportedGraph, OsmData, OsmNode, OsmWay,
@@ -70,14 +70,9 @@ fn osm_fixture_imports_with_expected_pipeline() {
     );
     assert!(s.total_km > 10.0, "{s:?}");
     assert!(s.highway_histogram.len() >= 5, "{:?}", s.highway_histogram);
-    // Strongly connected and geometry-aligned.
+    // Strongly connected.
     let g = &ig.graph;
     assert_eq!(g.largest_scc().len(), g.vertex_count());
-    assert_eq!(ig.edge_geometry.len(), g.edge_count());
-    assert!(
-        ig.edge_geometry.iter().any(|geom| !geom.is_empty()),
-        "contracted edges must retain interior geometry"
-    );
     // Contracted lengths dominate the straight line between endpoints
     // (haversine sums can only stretch a chord), so Euclidean
     // heuristics stay admissible on imported networks.
@@ -90,9 +85,27 @@ fn osm_fixture_imports_with_expected_pipeline() {
         );
     }
     // The persisted form round-trips bit-identically.
-    let back = imported_from_str(&imported_to_string(&ig)).unwrap();
-    assert_eq!(back.graph, ig.graph);
-    assert_eq!(back.edge_geometry, ig.edge_geometry);
+    let back = graph_from_str(&graph_to_string(&ig.graph)).unwrap();
+    assert_eq!(back, ig.graph);
+}
+
+/// The fixture's imported graph, pinned byte for byte: an FNV-1a of its
+/// `pathrank-graph v1` text. Any change to filtering, projection, the
+/// SCC prune or chain contraction (lengths, speeds, categories, vertex
+/// numbering) moves it.
+#[test]
+fn osm_fixture_graph_is_golden() {
+    let text = graph_to_string(&fixture_imported().graph);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(
+        h,
+        0x3114_7165_efa6_4b31,
+        "fixture graph moved ({} bytes)",
+        text.len()
+    );
 }
 
 #[test]
@@ -239,16 +252,10 @@ fn osm_load_graph_auto_serves_all_three_spellings_identically() {
     let dir = std::env::temp_dir().join(format!("pathrank-osm-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let from_xml = load_graph_auto(std::path::Path::new(FIXTURE)).unwrap();
-    let imported = from_xml.into_imported().expect("XML path carries extras");
+    assert_eq!(from_xml, fixture_imported().graph);
     let persisted = dir.join("fixture.graph");
-    std::fs::write(&persisted, imported_to_string(&imported)).unwrap();
-    let from_persisted = load_graph_auto(&persisted).unwrap();
-    assert_eq!(imported.graph, from_persisted.graph);
-    assert_eq!(
-        Some(&imported.edge_geometry),
-        from_persisted.geometry.as_ref(),
-        "persisted geometry must round-trip through the auto-loader"
-    );
+    std::fs::write(&persisted, graph_to_string(&from_xml)).unwrap();
+    assert_eq!(load_graph_auto(&persisted).unwrap(), from_xml);
     std::fs::remove_dir_all(&dir).ok();
 }
 

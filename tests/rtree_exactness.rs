@@ -4,23 +4,20 @@
 //! The packed STR R-tree is the map matcher's only snapping index, so it
 //! must return exactly the edges a GPS fix can snap to. These properties
 //! drive [`RTree::edges_within`] against a brute-force scan over every
-//! edge, requiring **identical candidate sets** — not merely similar
+//! edge chord, requiring **identical candidate sets** — not merely similar
 //! ones.
 //!
 //! Covered regimes:
 //! * `edges_within` equals the brute-force in-radius set (ascending
-//!   `EdgeId`, deduplicated) across random probe points and radii,
+//!   `EdgeId`) across random probe points and radii,
 //!   including radius 0 and probes far outside the network;
 //! * the `_into` variant reuses its output buffer without leaking stale
-//!   candidates between queries;
-//! * polyline geometry: the geometry-aware matcher's index sees the true
-//!   geometry (a hairpin detour), not just the straight chord.
+//!   candidates between queries.
 
 use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::geometry::{point_segment_distance, Point};
 use pathrank::spatial::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use pathrank::spatial::rtree::RTree;
-use pathrank::traj::mapmatch::{MapMatchConfig, MapMatcher};
 use proptest::prelude::*;
 
 /// Builds a random directed graph from proptest-drawn raw material.
@@ -44,25 +41,14 @@ fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -
     b.build()
 }
 
-/// Ground truth: every edge whose polyline — `from`, the edge's interior
-/// `geometry` points if given, `to` — passes within `radius_m` of `p`,
-/// ascending by id.
-fn brute_force_within(
-    g: &Graph,
-    geometry: Option<&[Vec<Point>]>,
-    p: &Point,
-    radius_m: f64,
-) -> Vec<EdgeId> {
+/// Ground truth: every edge whose chord `from -> to` passes within
+/// `radius_m` of `p`, ascending by id.
+fn brute_force_within(g: &Graph, p: &Point, radius_m: f64) -> Vec<EdgeId> {
     (0..g.edge_count() as u32)
         .map(EdgeId)
         .filter(|&e| {
             let rec = g.edge(e);
-            let interior = geometry.map_or(&[][..], |gm| gm[e.index()].as_slice());
-            let mut poly = vec![g.coord(rec.from)];
-            poly.extend_from_slice(interior);
-            poly.push(g.coord(rec.to));
-            poly.windows(2)
-                .any(|w| point_segment_distance(p, &w[0], &w[1]) <= radius_m)
+            point_segment_distance(p, &g.coord(rec.from), &g.coord(rec.to)) <= radius_m
         })
         .collect()
 }
@@ -89,7 +75,7 @@ proptest! {
             // Radius 0 (degenerate: only edges the probe sits on) is
             // checked alongside the drawn radius on every probe.
             for r in [0.0, radius] {
-                let expect = brute_force_within(&g, None, &p, r);
+                let expect = brute_force_within(&g, &p, r);
                 let got = rt.edges_within(&p, r);
                 prop_assert_eq!(
                     got.as_slice(),
@@ -105,58 +91,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Deterministic companion: with polyline geometry attached, the
-/// matcher's index must cover the true geometry — a hairpin detour far
-/// off the chord snaps exactly where a scan over every polyline says.
-#[test]
-fn rtree_geometry_hairpin_candidates_match_brute_force() {
-    // One straight corridor a->b->c plus a parallel edge a->c whose true
-    // geometry detours 400 m north of the chord midway.
-    let mut b = GraphBuilder::new();
-    let va = b.add_vertex(Point::new(0.0, 0.0));
-    let vb = b.add_vertex(Point::new(500.0, 0.0));
-    let vc = b.add_vertex(Point::new(1000.0, 0.0));
-    let attrs = |w: f64| EdgeAttrs::with_default_speed(w, RoadCategory::Rural);
-    b.add_bidirectional(va, vb, attrs(500.0)).unwrap();
-    b.add_bidirectional(vb, vc, attrs(500.0)).unwrap();
-    let detour = b.add_bidirectional(va, vc, attrs(1900.0)).unwrap();
-    let g = b.build();
-    let mut geometry: Vec<Vec<Point>> = vec![Vec::new(); g.edge_count()];
-    let hairpin = vec![
-        Point::new(300.0, 200.0),
-        Point::new(500.0, 400.0),
-        Point::new(700.0, 200.0),
-    ];
-    geometry[detour.index()] = hairpin.clone();
-    geometry[detour.index() + 1] = hairpin.into_iter().rev().collect();
-
-    let cfg = MapMatchConfig::default();
-    let radius = cfg.candidate_radius_m;
-    let matcher = MapMatcher::new_with_geometry(&g, &geometry, cfg);
-    // Probes next to the hairpin apex (far from every chord) and along
-    // the corridor.
-    let apex = Point::new(500.0, 390.0);
-    for p in [
-        apex,
-        Point::new(300.0, 190.0),
-        Point::new(250.0, 10.0),
-        Point::new(990.0, -5.0),
-    ] {
-        let got = matcher.index().edges_within(&p, radius);
-        assert!(!got.is_empty(), "probe at {p:?} found no candidates");
-        assert_eq!(
-            got,
-            brute_force_within(&g, Some(&geometry), &p, radius),
-            "R-tree candidates diverged from the polyline scan at {p:?}"
-        );
-    }
-    assert!(
-        matcher
-            .index()
-            .edges_within(&apex, radius)
-            .contains(&detour),
-        "hairpin apex must snap to the detour edge through the R-tree"
-    );
 }
