@@ -6,9 +6,7 @@
 //! actually has room to diversify on a given network.
 
 use pathrank_bench::Scale;
-use pathrank_core::candidates::{
-    generate_groups, trajectory_detour_factors, CandidateConfig, Strategy,
-};
+use pathrank_core::candidates::{trajectory_detour_factors, CandidateConfig, Strategy};
 use pathrank_spatial::similarity::{weighted_jaccard, EdgeWeight};
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -23,7 +21,7 @@ fn main() {
     let scale = Scale::parse(std::env::args());
     // `--graph FILE` swaps the synthetic region for a real (imported)
     // network; the diagnostics below are identical either way.
-    let wb = scale.workbench();
+    let mut wb = scale.workbench();
     println!(
         "network: {} vertices ({}); {} train trajectories; k = {}",
         wb.graph.vertex_count(),
@@ -35,8 +33,7 @@ fn main() {
     // How far the simulated drivers deviate from the shortest path — the
     // paper's core observation, probed for every group at once through a
     // single CH many-to-many distance table.
-    let mut engine = wb.query_engine();
-    let mut detours = trajectory_detour_factors(&mut engine, &wb.train_paths);
+    let mut detours = trajectory_detour_factors(&mut wb.query_engine(), &wb.train_paths);
     detours.sort_by(f64::total_cmp);
     println!(
         "trajectory detour factor (len / shortest): mean {:.3}, p50 {:.3}, p90 {:.3}, max {:.3}",
@@ -51,7 +48,9 @@ fn main() {
             k: scale.k,
             ..CandidateConfig::paper_default(strategy)
         };
-        let groups = generate_groups(&wb.graph, &wb.train_paths, &ccfg, scale.threads);
+        // The Workbench's cached ALT table and CH, as every table binary
+        // generates its groups.
+        let groups = wb.train_groups(&ccfg);
 
         let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
         let mut labels: Vec<f64> = groups

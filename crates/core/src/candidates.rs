@@ -117,19 +117,11 @@ impl TrainingGroup {
     }
 }
 
-/// Generates the labelled candidate group for one trajectory.
-///
-/// One-shot convenience over [`generate_group_with`]; batch callers hold
-/// one [`QueryEngine`] per worker instead (see [`generate_groups`]).
-pub fn generate_group(g: &Graph, trajectory: &Path, cfg: &CandidateConfig) -> TrainingGroup {
-    generate_group_with(&mut QueryEngine::new(g), trajectory, cfg)
-}
-
-/// [`generate_group`] on a caller-provided engine. Candidate generation
-/// is the single heaviest routing consumer in the pipeline — up to
-/// `max_scan` paths enumerated per trajectory, each firing a constrained
-/// spur search per vertex past its deviation point — and all of it reuses
-/// the engine's search state.
+/// Generates the labelled candidate group for one trajectory on a
+/// caller-provided engine. Candidate generation is the single heaviest
+/// routing consumer in the pipeline — up to `max_scan` paths enumerated
+/// per trajectory, each firing a constrained spur search per vertex past
+/// its deviation point — and all of it reuses the engine's search state.
 pub fn generate_group_with(
     engine: &mut QueryEngine<'_>,
     trajectory: &Path,
@@ -163,28 +155,16 @@ pub fn generate_group_with(
 }
 
 /// Generates groups for many trajectories on `threads` OS threads
-/// (candidate generation dominates preprocessing time). Every worker
-/// allocates one [`QueryEngine`] and reuses it for every trajectory it
-/// claims; all workers share one ALT landmark table
-/// ([`pathrank_spatial::algo::landmarks::LandmarkTable`], built here
-/// once under the length metric the candidate searches run on), so every
+/// (candidate generation dominates preprocessing time), with every search
+/// index the caller already holds: an ALT table (`None` builds a
+/// transient one) and optionally a contraction hierarchy, both built on
+/// `g` under the length metric.
+///
+/// Every worker allocates one [`QueryEngine`] and reuses it for every
+/// trajectory it claims; all workers share the one ALT table, so every
 /// spur search is landmark-directed. ALT preserves exactness — candidate
 /// *costs* are identical to the plain engine's; only tie-breaking among
-/// equal-cost optima may differ. Callers that already hold a table for
-/// this graph (e.g. `Workbench`) pass it through
-/// [`generate_groups_with_backends`] instead of re-precomputing.
-pub fn generate_groups(
-    g: &Graph,
-    trajectories: &[Path],
-    cfg: &CandidateConfig,
-    threads: usize,
-) -> Vec<TrainingGroup> {
-    generate_groups_with_backends(g, trajectories, cfg, threads, None, None)
-}
-
-/// [`generate_groups`] with every search index the caller already holds:
-/// an ALT table (`None` builds a transient one) and optionally a
-/// contraction hierarchy, both built on `g` under the length metric.
+/// equal-cost optima may differ.
 ///
 /// Each worker engine attaches both indexes and lets the per-query
 /// [`pathrank_spatial::algo::engine::SearchBackend`] dispatch sort out
@@ -313,7 +293,7 @@ mod tests {
     fn group_contains_trajectory_with_score_one() {
         let (g, paths) = setup();
         let cfg = CandidateConfig::paper_default(Strategy::DTkDI);
-        let group = generate_group(&g, &paths[0], &cfg);
+        let group = generate_group_with(&mut QueryEngine::new(&g), &paths[0], &cfg);
         assert!(!group.is_empty());
         assert!(group.candidates[0].path.same_route(&paths[0]));
         assert_eq!(group.candidates[0].score, 1.0);
@@ -323,7 +303,7 @@ mod tests {
     fn scores_are_correct_weighted_jaccard() {
         let (g, paths) = setup();
         let cfg = CandidateConfig::paper_default(Strategy::TkDI);
-        let group = generate_group(&g, &paths[1], &cfg);
+        let group = generate_group_with(&mut QueryEngine::new(&g), &paths[1], &cfg);
         for c in &group.candidates {
             let expect = weighted_jaccard(&g, &c.path, &paths[1], EdgeWeight::Length);
             assert!((c.score - expect).abs() < 1e-12);
@@ -342,7 +322,7 @@ mod tests {
         let d = VertexId((g.vertex_count() - 1) as u32);
         let sp = shortest_path(&g, s, d, CostModel::Length).unwrap();
         let cfg = CandidateConfig::paper_default(Strategy::TkDI);
-        let group = generate_group(&g, &sp, &cfg);
+        let group = generate_group_with(&mut QueryEngine::new(&g), &sp, &cfg);
         let copies = group
             .candidates
             .iter()
@@ -361,11 +341,12 @@ mod tests {
                 include_trajectory: false,
                 ..CandidateConfig::paper_default(strategy)
             };
+            let mut engine = QueryEngine::new(&g);
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
             let mut n = 0usize;
             for p in &paths {
-                let group = generate_group(&g, p, &cfg);
+                let group = generate_group_with(&mut engine, p, &cfg);
                 for c in &group.candidates {
                     lo = lo.min(c.score);
                     hi = hi.max(c.score);
@@ -391,7 +372,7 @@ mod tests {
             let cfg = CandidateConfig::paper_default(strategy);
             let mut engine = QueryEngine::new(&g);
             for p in paths.iter().take(6) {
-                let fresh = generate_group(&g, p, &cfg);
+                let fresh = generate_group_with(&mut QueryEngine::new(&g), p, &cfg);
                 let reused = generate_group_with(&mut engine, p, &cfg);
                 assert_eq!(fresh.len(), reused.len());
                 for (a, b) in fresh.candidates.iter().zip(reused.candidates.iter()) {
@@ -409,10 +390,10 @@ mod tests {
         // the one-thread (sequential) result element for element.
         let (g, paths) = setup();
         let cfg = CandidateConfig::paper_default(Strategy::DTkDI);
-        let seq = generate_groups(&g, &paths, &cfg, 1);
+        let seq = generate_groups_with_backends(&g, &paths, &cfg, 1, None, None);
         assert_eq!(seq.len(), paths.len());
         for threads in [2, 3, 7] {
-            let par = generate_groups(&g, &paths, &cfg, threads);
+            let par = generate_groups_with_backends(&g, &paths, &cfg, threads, None, None);
             assert_eq!(seq.len(), par.len());
             for (a, b) in seq.iter().zip(par.iter()) {
                 assert_eq!(a.trajectory, b.trajectory, "{threads} threads");
@@ -427,14 +408,15 @@ mod tests {
 
     #[test]
     fn alt_threaded_groups_match_plain_engine_generation() {
-        // generate_groups now runs every worker on ALT landmarks; on the
+        // generate_groups_with_backends runs every worker on ALT landmarks
+        // (a transient table when given none); on the
         // float-geometry region network the optimum is unique, so the
         // groups must be identical to a plain (landmark-free) engine's —
         // same candidate routes, bit-identical scores.
         let (g, paths) = setup();
         for strategy in [Strategy::TkDI, Strategy::DTkDI] {
             let cfg = CandidateConfig::paper_default(strategy);
-            let alt = generate_groups(&g, &paths, &cfg, 2);
+            let alt = generate_groups_with_backends(&g, &paths, &cfg, 2, None, None);
             let mut plain_engine = QueryEngine::new(&g);
             for (group, p) in alt.iter().zip(paths.iter()) {
                 let plain = generate_group_with(&mut plain_engine, p, &cfg);
@@ -514,7 +496,7 @@ mod tests {
                 k: 4,
                 ..CandidateConfig::paper_default(strategy)
             };
-            let group = generate_group(&g, &paths[0], &cfg);
+            let group = generate_group_with(&mut QueryEngine::new(&g), &paths[0], &cfg);
             // k candidates plus (possibly) the trajectory itself.
             assert!(group.len() <= 5, "{strategy:?} produced {}", group.len());
         }

@@ -141,20 +141,22 @@ pub mod baselines {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{generate_groups, CandidateConfig, Strategy};
+    use crate::candidates::{generate_groups_with_backends, CandidateConfig, Strategy};
     use pathrank_spatial::generators::{region_network, RegionConfig};
-    use pathrank_traj::dataset::split_trips;
+    use pathrank_traj::dataset::TrajectoryDataset;
     use pathrank_traj::simulator::{simulate_fleet, SimulationConfig};
 
     fn groups() -> (Graph, Vec<TrainingGroup>) {
         let g = region_network(&RegionConfig::small_test(), 50);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 51);
-        let (paths, _) = split_trips(&trips, 1.0, 52);
+        let paths = trips.into_iter().map(|t| t.path).collect();
+        let (paths, _) = TrajectoryDataset { paths }.split(1.0, 52);
         let cfg = CandidateConfig {
             k: 5,
             ..CandidateConfig::paper_default(Strategy::DTkDI)
         };
-        let gs = generate_groups(&g, &paths[..8.min(paths.len())], &cfg, 2);
+        let gs =
+            generate_groups_with_backends(&g, &paths[..8.min(paths.len())], &cfg, 2, None, None);
         (g, gs)
     }
 

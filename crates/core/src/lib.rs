@@ -33,7 +33,7 @@ pub mod model;
 pub mod pipeline;
 pub mod trainer;
 
-pub use candidates::{generate_group, generate_groups, CandidateConfig, Strategy, TrainingGroup};
+pub use candidates::{CandidateConfig, Strategy, TrainingGroup};
 pub use eval::{evaluate_model, EvalResult};
 pub use model::{EmbeddingMode, EncoderKind, ModelConfig, PathRankModel};
 pub use pipeline::{ExperimentConfig, ExperimentResult, Workbench};

@@ -2,9 +2,15 @@
 //!
 //! A [`Workbench`] owns everything that is *shared* across the
 //! configurations of one table: the road network, the simulated fleet, the
-//! train/test trajectory split, per-`M` node2vec embeddings and per-strategy
-//! candidate groups (all cached). [`Workbench::run`] then trains and
-//! evaluates one PathRank configuration.
+//! train/test split of its map-matched trajectory paths, per-`M` node2vec
+//! embeddings and per-strategy candidate groups (all cached).
+//! [`Workbench::run`] then trains and evaluates one PathRank
+//! configuration.
+//!
+//! Trajectories are recovered the way the paper recovers them: every
+//! simulated trip's GPS trace goes through one HMM
+//! [`pathrank_traj::mapmatch::MapMatcher`], and traces that do not match
+//! are dropped. The model never sees the simulator's true paths.
 //!
 //! Evaluation protocol: following the paper, each training-data strategy
 //! is evaluated on *its own* candidate sets over the held-out test
@@ -50,9 +56,6 @@ pub struct ExperimentConfig {
     pub max_hops: usize,
     /// Fraction of trajectories used for training.
     pub train_frac: f64,
-    /// Recover trajectory paths by HMM map matching (full paper pipeline)
-    /// instead of reading the simulator's ground truth (fast path).
-    pub use_map_matching: bool,
     /// Worker threads for candidate generation and training.
     pub threads: usize,
     /// Master seed.
@@ -74,7 +77,6 @@ impl ExperimentConfig {
             min_hops: 3,
             max_hops: 60,
             train_frac: 0.75,
-            use_map_matching: false,
             threads: 2,
             seed: 2020,
         }
@@ -96,7 +98,6 @@ impl ExperimentConfig {
             min_hops: 5,
             max_hops: 60,
             train_frac: 0.8,
-            use_map_matching: false,
             threads: 2,
             seed: 2020,
         }
@@ -136,9 +137,8 @@ pub struct Workbench {
     /// shared by candidate generation and every engine handed out.
     ch: OnceLock<Arc<ContractionHierarchy>>,
     /// Metrics registry every engine this workbench hands out records
-    /// into (`pathrank_engine_*`), plus — when map matching ran — the
-    /// matcher's two probe-cache counters
-    /// (`pathrank_match_sp_probes_total`,
+    /// into (`pathrank_engine_*`), plus the map matcher's two probe-cache
+    /// counters (`pathrank_match_sp_probes_total`,
     /// `pathrank_match_sp_cache_hits_total`). Swap in
     /// [`Registry::disabled`] via [`Workbench::with_graph_and_registry`]
     /// to turn the whole layer into no-op sinks.
@@ -146,9 +146,9 @@ pub struct Workbench {
 }
 
 impl Workbench {
-    /// Builds the shared environment: network → fleet → trajectory paths →
-    /// train/test split. The network comes from the synthetic region
-    /// generator; see [`Workbench::with_graph`] /
+    /// Builds the shared environment: network → fleet → map-matched
+    /// trajectory paths → train/test split. The network comes from the
+    /// synthetic region generator; see [`Workbench::with_graph`] /
     /// [`Workbench::from_graph_file`] for real (imported) networks.
     pub fn new(cfg: ExperimentConfig) -> Self {
         let graph = region_network(&cfg.region, cfg.seed);
@@ -175,17 +175,12 @@ impl Workbench {
         registry: Registry,
     ) -> Self {
         let trips = simulate_fleet(&graph, &cfg.sim, cfg.seed.wrapping_add(1));
-        let dataset = if cfg.use_map_matching {
-            let (dataset, match_stats) = TrajectoryDataset::from_map_matching_with_stats(
-                &graph,
-                &trips,
-                &MapMatchConfig::default(),
-            );
-            match_stats.record_into(&registry);
-            dataset
-        } else {
-            TrajectoryDataset::from_true_paths(&trips)
-        };
+        let (dataset, match_stats) = TrajectoryDataset::from_map_matching_with_stats(
+            &graph,
+            &trips,
+            &MapMatchConfig::default(),
+        );
+        match_stats.record_into(&registry);
         let mut dataset = dataset.filter_min_hops(cfg.min_hops);
         dataset.paths.retain(|p| p.len() <= cfg.max_hops);
         let (train_paths, test_paths) = dataset.split(cfg.train_frac, cfg.seed.wrapping_add(2));
@@ -426,6 +421,32 @@ mod tests {
         }
     }
 
+    /// Pins what the model trains and is tested on: an FNV-1a over each
+    /// train path's vertex count and vertex ids, then each test path's.
+    /// Any change to the fleet, map matching, the trip filters or the
+    /// split moves it.
+    #[test]
+    fn workbench_dataset_is_golden() {
+        fn fold(h: u64, word: u32) -> u64 {
+            word.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let wb = Workbench::new(ExperimentConfig::small_test());
+        let h = wb
+            .train_paths
+            .iter()
+            .chain(&wb.test_paths)
+            .fold(0xcbf2_9ce4_8422_2325, |h, p| {
+                let h = fold(h, p.vertices().len() as u32);
+                p.vertices().iter().fold(h, |h, v| fold(h, v.0))
+            });
+        assert_eq!(
+            (wb.train_paths.len(), wb.test_paths.len(), h),
+            (9, 3, 0x64ae_3785_0fb2_fe98)
+        );
+    }
+
     #[test]
     fn workbench_query_engine_routes_on_its_network() {
         use pathrank_spatial::graph::{CostModel, VertexId};
@@ -475,9 +496,7 @@ mod tests {
     #[test]
     fn obs_workbench_registry_collects_engine_and_match_series() {
         use pathrank_spatial::graph::{CostModel, VertexId};
-        let mut cfg = ExperimentConfig::small_test();
-        cfg.use_map_matching = true;
-        let wb = Workbench::new(cfg);
+        let wb = Workbench::new(ExperimentConfig::small_test());
         // Map matching already ran inside the constructor.
         let snap = wb.metrics_snapshot();
         assert!(

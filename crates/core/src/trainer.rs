@@ -192,22 +192,30 @@ fn worker(model: &PathRankModel, samples: &[Sample], ids: &[usize], grads: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{generate_groups, CandidateConfig, Strategy};
+    use crate::candidates::{generate_groups_with_backends, CandidateConfig, Strategy};
     use crate::model::{EmbeddingMode, ModelConfig, PathRankModel};
     use pathrank_embed::node2vec::{train_node2vec, Node2VecConfig};
     use pathrank_spatial::generators::{region_network, RegionConfig};
-    use pathrank_traj::dataset::split_trips;
+    use pathrank_traj::dataset::TrajectoryDataset;
     use pathrank_traj::simulator::{simulate_fleet, SimulationConfig};
 
     fn tiny_setup() -> (Graph, Vec<TrainingGroup>) {
         let g = region_network(&RegionConfig::small_test(), 42);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 43);
-        let (train_paths, _) = split_trips(&trips, 1.0, 44);
+        let paths = trips.into_iter().map(|t| t.path).collect();
+        let (train_paths, _) = TrajectoryDataset { paths }.split(1.0, 44);
         let cfg = CandidateConfig {
             k: 4,
             ..CandidateConfig::paper_default(Strategy::DTkDI)
         };
-        let groups = generate_groups(&g, &train_paths[..6.min(train_paths.len())], &cfg, 2);
+        let groups = generate_groups_with_backends(
+            &g,
+            &train_paths[..6.min(train_paths.len())],
+            &cfg,
+            2,
+            None,
+            None,
+        );
         (g, groups)
     }
 

@@ -24,6 +24,9 @@
 //!   is [`params::GradStore::clip_global_norm`]);
 //! * [`init`] — Xavier/uniform initialisers with explicit seeds.
 //!
+//! Parameters live in memory only: a trained model has no file format
+//! (the workspace's one persistence module is `pathrank_spatial::io`).
+//!
 //! Every differentiable operation is verified against finite differences in
 //! the test suite; `tests/model_exactness.rs` at the workspace root holds
 //! the kernel to the tape and the row-sparse store to whole matrices, bit
@@ -57,7 +60,6 @@ pub mod layers;
 pub mod matrix;
 pub mod optim;
 pub mod params;
-pub mod serialize;
 pub mod tape;
 
 pub use matrix::Matrix;

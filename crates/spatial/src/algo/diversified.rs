@@ -9,11 +9,13 @@
 //! every already-kept path does not exceed a threshold. The result is a
 //! compact set of genuinely different alternatives, which the paper shows
 //! trains a markedly better ranking model (Tables 1 and 2).
+//!
+//! The selection runs on the caller's engine,
+//! [`QueryEngine::diversified_top_k`]; this module holds its parameters.
+//!
+//! [`QueryEngine::diversified_top_k`]: crate::algo::engine::QueryEngine::diversified_top_k
 
-use crate::algo::engine::QueryEngine;
-use crate::graph::{CostModel, Graph, VertexId};
-use crate::path::Path;
-use crate::similarity::{sorted_edge_set, weighted_jaccard_sorted, EdgeWeight};
+use crate::similarity::EdgeWeight;
 
 /// Parameters of diversified top-k selection.
 #[derive(Debug, Clone, Copy)]
@@ -47,62 +49,13 @@ impl DiversifiedConfig {
     }
 }
 
-/// Selects up to `cfg.k` diverse loopless shortest paths from `source` to
-/// `target`, in cost order, each with its cost. The first (overall
-/// cheapest) path is always kept.
-///
-/// One-shot convenience over [`QueryEngine::diversified_top_k`].
-pub fn diversified_top_k(
-    g: &Graph,
-    source: VertexId,
-    target: VertexId,
-    cost: CostModel<'_>,
-    cfg: &DiversifiedConfig,
-) -> Vec<(Path, f64)> {
-    diversified_top_k_with(&mut QueryEngine::new(g), source, target, cost, cfg)
-}
-
-/// [`diversified_top_k`] on a caller-provided engine: the underlying Yen
-/// enumeration (typically scanning several times `cfg.k` paths, each of
-/// which fires a batch of spur searches) reuses the engine's
-/// [`crate::algo::engine::SearchSpace`].
-pub fn diversified_top_k_with(
-    engine: &mut QueryEngine<'_>,
-    source: VertexId,
-    target: VertexId,
-    cost: CostModel<'_>,
-    cfg: &DiversifiedConfig,
-) -> Vec<(Path, f64)> {
-    let g = engine.graph();
-    let mut kept: Vec<(Path, f64)> = Vec::with_capacity(cfg.k);
-    if cfg.k == 0 {
-        return kept;
-    }
-    // Sorted edge sets of the kept paths, so each pair costs one merge walk.
-    let mut kept_edges: Vec<Vec<_>> = Vec::with_capacity(cfg.k);
-    // The cheapest path is examined (and kept) whatever the scan cap.
-    let scan = cfg.max_scan.max(1);
-    for (p, c) in engine.yen_iter(source, target, cost).limit(scan) {
-        let edges = sorted_edge_set(&p);
-        let diverse = kept_edges
-            .iter()
-            .all(|q| weighted_jaccard_sorted(g, &edges, q, cfg.weight) <= cfg.threshold + 1e-12);
-        if diverse {
-            kept.push((p, c));
-            kept_edges.push(edges);
-            if kept.len() >= cfg.k {
-                break;
-            }
-        }
-    }
-    kept
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::yen::yen_k_shortest;
+    use crate::algo::engine::QueryEngine;
     use crate::generators::{grid_network, GridConfig};
+    use crate::graph::{CostModel, Graph, VertexId};
+    use crate::path::Path;
     use crate::similarity::weighted_jaccard;
 
     fn setup() -> (Graph, VertexId, VertexId) {
@@ -120,8 +73,8 @@ mod tests {
             max_scan: 1000,
             weight: EdgeWeight::Length,
         };
-        let div = diversified_top_k(&g, s, t, CostModel::Length, &cfg);
-        let plain = yen_k_shortest(&g, s, t, CostModel::Length, 5);
+        let div = QueryEngine::new(&g).diversified_top_k(s, t, CostModel::Length, &cfg);
+        let plain = QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, 5);
         assert_eq!(div.len(), plain.len());
         for ((dp, dc), (pp, pc)) in div.iter().zip(plain.iter()) {
             assert!(dp.same_route(pp));
@@ -133,7 +86,7 @@ mod tests {
     fn all_kept_pairs_respect_threshold() {
         let (g, s, t) = setup();
         let cfg = DiversifiedConfig::with_k(6);
-        let kept = diversified_top_k(&g, s, t, CostModel::Length, &cfg);
+        let kept = QueryEngine::new(&g).diversified_top_k(s, t, CostModel::Length, &cfg);
         assert!(!kept.is_empty());
         for i in 0..kept.len() {
             for j in (i + 1)..kept.len() {
@@ -150,14 +103,14 @@ mod tests {
     fn diversified_is_more_diverse_than_plain() {
         let (g, s, t) = setup();
         let k = 5;
-        let plain = yen_k_shortest(&g, s, t, CostModel::Length, k);
+        let plain = QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, k);
         let cfg = DiversifiedConfig {
             k,
             threshold: 0.5,
             max_scan: 2000,
             weight: EdgeWeight::Length,
         };
-        let div = diversified_top_k(&g, s, t, CostModel::Length, &cfg);
+        let div = QueryEngine::new(&g).diversified_top_k(s, t, CostModel::Length, &cfg);
         let mean_sim = |set: &[(Path, f64)]| {
             let mut total = 0.0;
             let mut count = 0usize;
@@ -183,8 +136,8 @@ mod tests {
     fn costs_stay_sorted_and_first_is_optimal() {
         let (g, s, t) = setup();
         let cfg = DiversifiedConfig::with_k(5);
-        let kept = diversified_top_k(&g, s, t, CostModel::Length, &cfg);
-        let best = yen_k_shortest(&g, s, t, CostModel::Length, 1);
+        let kept = QueryEngine::new(&g).diversified_top_k(s, t, CostModel::Length, &cfg);
+        let best = QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, 1);
         assert!(
             kept[0].0.same_route(&best[0].0),
             "cheapest path is always kept"
@@ -203,7 +156,9 @@ mod tests {
             max_scan: 10,
             weight: EdgeWeight::Length,
         };
-        assert!(diversified_top_k(&g, s, t, CostModel::Length, &cfg).is_empty());
+        assert!(QueryEngine::new(&g)
+            .diversified_top_k(s, t, CostModel::Length, &cfg)
+            .is_empty());
         // With an impossible threshold and a small scan budget we still
         // terminate quickly with just the first path.
         let cfg = DiversifiedConfig {
@@ -212,7 +167,7 @@ mod tests {
             max_scan: 5,
             weight: EdgeWeight::Length,
         };
-        let kept = diversified_top_k(&g, s, t, CostModel::Length, &cfg);
+        let kept = QueryEngine::new(&g).diversified_top_k(s, t, CostModel::Length, &cfg);
         assert!(!kept.is_empty() && kept.len() <= 5);
     }
 }

@@ -15,9 +15,9 @@
 //! that last wrote it, so stale entries from earlier queries are simply
 //! never read. [`QueryEngine`] owns a forward space, a lazily allocated
 //! backward one for reverse sweeps, and exposes every algorithm of this
-//! crate as a method; the few free functions left in the sibling modules
-//! (the reference Dijkstra, Yen, diversified top-k) allocate a transient
-//! engine for one-shot callers.
+//! crate as a method; the only free functions left, the reference
+//! Dijkstra oracles in [`crate::algo::dijkstra`], allocate a transient
+//! engine per call.
 //!
 //! There is one graph and one search loop. Dijkstra and A*, one-to-one and
 //! one-to-all, forward and reverse, with or without banned sets and a cost
@@ -54,13 +54,14 @@ use pathrank_obs::{Counter, Registry};
 
 use crate::algo::cch::Cch;
 use crate::algo::ch::{ChSearch, ContractionHierarchy, HierarchyView};
-use crate::algo::diversified::{diversified_top_k_with, DiversifiedConfig};
+use crate::algo::diversified::DiversifiedConfig;
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
 use crate::algo::m2m::{DistanceTable, M2mSearch};
 use crate::algo::yen::YenIter;
 use crate::geometry::Point;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::path::Path;
+use crate::similarity::{sorted_edge_set, weighted_jaccard_sorted};
 use crate::util::{BitSet, MinCost};
 
 /// Sentinel parent entry marking a search root (or an untouched slot).
@@ -1392,7 +1393,8 @@ impl<'g> QueryEngine<'g> {
 
     /// Plain-Dijkstra variant of
     /// [`QueryEngine::constrained_shortest_path`], skipping the `O(E)`
-    /// heuristic-bound scan. The one-shot free wrapper uses this: a
+    /// heuristic-bound scan. The reference oracle
+    /// [`crate::algo::dijkstra::constrained_shortest_path`] uses this: a
     /// transient engine serves exactly one search, so a whole-graph
     /// precompute cannot amortize there.
     pub(crate) fn constrained_shortest_path_dijkstra(
@@ -1440,8 +1442,7 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Lazy Yen top-k iterator whose spur searches all reuse this
-    /// engine's forward space. Engine counterpart of
-    /// [`crate::algo::yen::YenIter::new`].
+    /// engine's forward space (see [`crate::algo::yen`]).
     pub fn yen_iter<'e, 'c>(
         &'e mut self,
         source: VertexId,
@@ -1451,8 +1452,9 @@ impl<'g> QueryEngine<'g> {
         YenIter::on_engine(self, source, target, cost)
     }
 
-    /// The k cheapest loopless paths. Engine counterpart of
-    /// [`crate::algo::yen::yen_k_shortest`].
+    /// The k cheapest loopless paths from `source` to `target` (fewer if
+    /// the graph does not contain k distinct simple paths): the paper's
+    /// TkDI candidates.
     pub fn yen_k_shortest(
         &mut self,
         source: VertexId,
@@ -1463,8 +1465,12 @@ impl<'g> QueryEngine<'g> {
         self.yen_iter(source, target, cost).limit(k).collect()
     }
 
-    /// Diversified top-k (the paper's D-TkDI). Engine counterpart of
-    /// [`crate::algo::diversified::diversified_top_k`].
+    /// Selects up to `cfg.k` diverse loopless shortest paths from `source`
+    /// to `target`, in cost order, each with its cost: the paper's D-TkDI
+    /// candidates (see [`crate::algo::diversified`]). The first (overall
+    /// cheapest) path is always kept. The Yen enumeration underneath —
+    /// typically several times `cfg.k` paths, each firing a batch of spur
+    /// searches — runs on this engine.
     pub fn diversified_top_k(
         &mut self,
         source: VertexId,
@@ -1472,7 +1478,29 @@ impl<'g> QueryEngine<'g> {
         cost: CostModel<'_>,
         cfg: &DiversifiedConfig,
     ) -> Vec<(Path, f64)> {
-        diversified_top_k_with(self, source, target, cost, cfg)
+        let g = self.g;
+        let mut kept: Vec<(Path, f64)> = Vec::with_capacity(cfg.k);
+        if cfg.k == 0 {
+            return kept;
+        }
+        // Sorted edge sets of the kept paths, so each pair costs one merge walk.
+        let mut kept_edges: Vec<Vec<_>> = Vec::with_capacity(cfg.k);
+        // The cheapest path is examined (and kept) whatever the scan cap.
+        let scan = cfg.max_scan.max(1);
+        for (p, c) in self.yen_iter(source, target, cost).limit(scan) {
+            let edges = sorted_edge_set(&p);
+            let diverse = kept_edges.iter().all(|q| {
+                weighted_jaccard_sorted(g, &edges, q, cfg.weight) <= cfg.threshold + 1e-12
+            });
+            if diverse {
+                kept.push((p, c));
+                kept_edges.push(edges);
+                if kept.len() >= cfg.k {
+                    break;
+                }
+            }
+        }
+        kept
     }
 }
 

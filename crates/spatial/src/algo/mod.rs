@@ -33,11 +33,11 @@
 //!   D-TkDI strategy): enumerate in cost order, keep a path only if it is
 //!   dissimilar enough from every path kept so far.
 //!
-//! Query-heavy callers hold a [`engine::QueryEngine`] (one per worker
-//! thread) and use its methods. The free functions that remain —
-//! [`shortest_path`], [`constrained_shortest_path`], [`yen_k_shortest`]
-//! and [`diversified_top_k`] — allocate a transient engine per call, for
-//! tests and one-shot examples.
+//! Callers hold a [`engine::QueryEngine`] (one per worker thread) and use
+//! its methods: every search, Yen and D-TkDI included, runs on an engine
+//! the caller owns. The two free functions left, [`shortest_path`] and
+//! [`constrained_shortest_path`], are the exactness harnesses' reference
+//! oracles.
 
 pub mod cch;
 pub mod ch;
@@ -52,10 +52,10 @@ pub mod yen;
 pub use cch::{Cch, CchConfig, CchTopology};
 pub use ch::{ChConfig, ChSearch, ContractionHierarchy};
 pub use dijkstra::{constrained_shortest_path, shortest_path};
-pub use diversified::{diversified_top_k, diversified_top_k_with, DiversifiedConfig};
+pub use diversified::DiversifiedConfig;
 pub use engine::{
     safe_heuristic_bound, EngineObs, QueryEngine, SearchBackend, SearchSpace, TreeView,
 };
 pub use landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable, NodeVectors};
 pub use m2m::{DistanceTable, M2mSearch};
-pub use yen::{yen_k_shortest, YenIter};
+pub use yen::YenIter;

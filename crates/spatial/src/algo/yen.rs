@@ -4,16 +4,15 @@
 //! strategy (the paper's D-TkDI) consumes shortest paths in cost order until
 //! it has accumulated k *diverse* ones — which may require scanning far more
 //! than k candidates. The plain TkDI strategy is the first k items of the
-//! same iterator ([`yen_k_shortest`]).
+//! same iterator ([`QueryEngine::yen_k_shortest`]).
 //!
 //! Yen's algorithm is the crate's heaviest [`SearchSpace`] customer: every
 //! accepted path triggers constrained spur searches along its vertices, all
-//! on one [`QueryEngine`] — either an engine borrowed from the caller
-//! ([`QueryEngine::yen_iter`]) or a transient one owned by the iterator
-//! ([`YenIter::new`]). The iterator yields exactly what the textbook loop
-//! (spur from every vertex of every accepted path, kept as the test oracle
-//! below) yields, and makes only the searches whose result can still be
-//! pulled.
+//! on the caller's [`QueryEngine`], which the iterator borrows
+//! ([`QueryEngine::yen_iter`]). The iterator yields exactly what the
+//! textbook loop (spur from every vertex of every accepted path, kept as
+//! the test oracle below) yields, and makes only the searches whose result
+//! can still be pulled.
 //!
 //! A path is identified by its route, the vertex sequence
 //! ([`Path::same_route`]): a ban on the step an accepted path takes out of a
@@ -59,7 +58,7 @@
 use std::collections::BTreeMap;
 
 use crate::algo::engine::QueryEngine;
-use crate::graph::{CostModel, EdgeId, Graph, VertexId};
+use crate::graph::{CostModel, EdgeId, VertexId};
 use crate::path::Path;
 use crate::util::BitSet;
 
@@ -82,40 +81,25 @@ struct Candidate {
     dev: usize,
 }
 
-/// The engine a [`YenIter`] runs its searches on: its own, or one lent by
-/// the caller so spur searches share state with the caller's other queries.
-enum EngineRef<'g, 'e> {
-    /// Boxed so the iterator stays small when the engine is borrowed.
-    Owned(Box<QueryEngine<'g>>),
-    Borrowed(&'e mut QueryEngine<'g>),
-}
-
-impl<'g> EngineRef<'g, '_> {
-    fn get(&mut self) -> &mut QueryEngine<'g> {
-        match self {
-            EngineRef::Owned(engine) => engine,
-            EngineRef::Borrowed(engine) => engine,
-        }
-    }
-}
-
 /// Lazily yields the loopless shortest paths from `source` to `target` in
-/// non-decreasing cost order, each with its total cost.
+/// non-decreasing cost order, each with its total cost. Made by
+/// [`QueryEngine::yen_iter`], whose engine every search runs on.
 ///
 /// ```
-/// use pathrank_spatial::algo::yen::YenIter;
+/// use pathrank_spatial::algo::engine::QueryEngine;
 /// use pathrank_spatial::generators::{grid_network, GridConfig};
 /// use pathrank_spatial::graph::{CostModel, VertexId};
 ///
 /// let g = grid_network(&GridConfig::small_test(), 3);
-/// let mut it = YenIter::new(&g, VertexId(0), VertexId(12), CostModel::Length);
+/// let mut engine = QueryEngine::new(&g);
+/// let mut it = engine.yen_iter(VertexId(0), VertexId(12), CostModel::Length);
 /// let (best, c1) = it.next().unwrap();
 /// let (_second, c2) = it.next().unwrap();
 /// assert!(c1 <= c2);
 /// assert!(best.is_simple());
 /// ```
 pub struct YenIter<'g, 'e, 'c> {
-    engine: EngineRef<'g, 'e>,
+    engine: &'e mut QueryEngine<'g>,
     cost: CostModel<'c>,
     source: VertexId,
     target: VertexId,
@@ -137,45 +121,17 @@ pub struct YenIter<'g, 'e, 'c> {
     exhausted: bool,
 }
 
-impl<'g, 'c> YenIter<'g, 'g, 'c> {
-    /// Creates the iterator over a transient engine of its own; no search
-    /// happens until the first `next()`. When the surrounding code already
-    /// holds a [`QueryEngine`], prefer [`QueryEngine::yen_iter`], which
-    /// reuses it.
-    pub fn new(
-        g: &'g Graph,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'c>,
-    ) -> YenIter<'g, 'g, 'c> {
-        Self::with_engine(
-            EngineRef::Owned(Box::new(QueryEngine::new(g))),
-            source,
-            target,
-            cost,
-        )
-    }
-}
-
 impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
     /// Creates the iterator on a borrowed engine (see
-    /// [`QueryEngine::yen_iter`]).
+    /// [`QueryEngine::yen_iter`]); no search happens until the first
+    /// `next()`.
     pub(crate) fn on_engine(
         engine: &'e mut QueryEngine<'g>,
         source: VertexId,
         target: VertexId,
         cost: CostModel<'c>,
     ) -> YenIter<'g, 'e, 'c> {
-        Self::with_engine(EngineRef::Borrowed(engine), source, target, cost)
-    }
-
-    fn with_engine(
-        mut engine: EngineRef<'g, 'e>,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'c>,
-    ) -> YenIter<'g, 'e, 'c> {
-        let g = engine.get().graph();
+        let g = engine.graph();
         let (nv, ne) = (g.vertex_count(), g.edge_count());
         YenIter {
             engine,
@@ -206,7 +162,7 @@ impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
     /// Makes the spur searches owed for the path accepted last and queues
     /// what they find.
     fn spur_from_last(&mut self) {
-        let g = self.engine.get().graph();
+        let g = self.engine.graph();
         let prev = self.accepted.last().expect("called after an acceptance");
         let (vertices, edges) = (prev.path.vertices(), prev.path.edges());
         let remaining = self.limit - self.accepted.len();
@@ -249,7 +205,7 @@ impl<'g, 'e, 'c> YenIter<'g, 'e, 'c> {
             for e in &self.spur_bans {
                 self.banned_edges.insert(e.0);
             }
-            let spur = self.engine.get().constrained_shortest_path(
+            let spur = self.engine.constrained_shortest_path(
                 vertices[i],
                 self.target,
                 self.cost,
@@ -297,10 +253,9 @@ impl Iterator for YenIter<'_, '_, '_> {
         }
         let next = if self.accepted.is_empty() {
             // The unconstrained shortest path "deviates" at the source.
-            let g = self.engine.get().graph();
+            let g = self.engine.graph();
             let first = self
                 .engine
-                .get()
                 .shortest_path(self.source, self.target, self.cost);
             first.map(|path| Candidate {
                 cost: path.cost(g, self.cost),
@@ -321,18 +276,6 @@ impl Iterator for YenIter<'_, '_, '_> {
     }
 }
 
-/// The k cheapest loopless paths from `source` to `target` (fewer if the
-/// graph does not contain k distinct simple paths).
-pub fn yen_k_shortest(
-    g: &Graph,
-    source: VertexId,
-    target: VertexId,
-    cost: CostModel<'_>,
-    k: usize,
-) -> Vec<(Path, f64)> {
-    YenIter::new(g, source, target, cost).limit(k).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,7 +283,7 @@ mod tests {
     use crate::builder::GraphBuilder;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::geometry::Point;
-    use crate::graph::{EdgeAttrs, RoadCategory};
+    use crate::graph::{EdgeAttrs, Graph, RoadCategory};
     use crate::util::MinCost;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -532,7 +475,7 @@ mod tests {
     #[test]
     fn classic_example_top3() {
         let (g, [c, d, e, f, gg, h]) = yen_example();
-        let paths = yen_k_shortest(&g, c, h, CostModel::Length, 3);
+        let paths = QueryEngine::new(&g).yen_k_shortest(c, h, CostModel::Length, 3);
         assert_eq!(paths.len(), 3);
         assert_eq!(paths[0].0.vertices(), &[c, e, f, h]);
         assert!((paths[0].1 - 5.0).abs() < 1e-12);
@@ -544,12 +487,16 @@ mod tests {
 
     #[test]
     fn engine_yen_matches_free_function() {
-        let (g, [c, _, _, _, _, h]) = yen_example();
-        let free = yen_k_shortest(&g, c, h, CostModel::Length, 10);
+        // A fresh engine against one whose space earlier queries have
+        // left behind.
+        let (g, [c, d, _, _, gg, h]) = yen_example();
+        let fresh = QueryEngine::new(&g).yen_k_shortest(c, h, CostModel::Length, 10);
         let mut engine = QueryEngine::new(&g);
-        let on_engine = engine.yen_k_shortest(c, h, CostModel::Length, 10);
-        assert_eq!(free.len(), on_engine.len());
-        for ((pa, ca), (pb, cb)) in free.iter().zip(on_engine.iter()) {
+        assert!(engine.shortest_path(d, gg, CostModel::Length).is_some());
+        assert!(!engine.yen_k_shortest(d, h, CostModel::Length, 3).is_empty());
+        let reused = engine.yen_k_shortest(c, h, CostModel::Length, 10);
+        assert_eq!(fresh.len(), reused.len());
+        for ((pa, ca), (pb, cb)) in fresh.iter().zip(reused.iter()) {
             assert_eq!(pa.vertices(), pb.vertices());
             assert!((ca - cb).abs() < 1e-12);
         }
@@ -562,7 +509,7 @@ mod tests {
         let g = grid_network(&GridConfig::small_test(), 99);
         let s = VertexId(0);
         let t = VertexId((g.vertex_count() - 1) as u32);
-        let paths = yen_k_shortest(&g, s, t, CostModel::Length, 12);
+        let paths = QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, 12);
         assert!(paths.len() >= 2, "grid has many alternatives");
         let mut seen = HashSet::new();
         let mut last = 0.0f64;
@@ -592,7 +539,7 @@ mod tests {
         b.add_edge(v[2], v[3], a(2.0)).unwrap();
         b.add_edge(v[0], v[3], a(10.0)).unwrap();
         let g = b.build();
-        let paths = yen_k_shortest(&g, v[0], v[3], CostModel::Length, 10);
+        let paths = QueryEngine::new(&g).yen_k_shortest(v[0], v[3], CostModel::Length, 10);
         assert_eq!(paths.len(), 3);
         assert!((paths[0].1 - 2.0).abs() < 1e-12);
         assert!((paths[1].1 - 4.0).abs() < 1e-12);
@@ -613,8 +560,8 @@ mod tests {
                 b.add_edge(v[from], v[to], attrs).unwrap();
             }
             let g = b.build();
-            let paths = YenIter::new(&g, v[0], v[n - 1], CostModel::Length);
-            paths
+            QueryEngine::new(&g)
+                .yen_iter(v[0], v[n - 1], CostModel::Length)
                 .map(|(p, c)| (p.vertices().iter().map(|v| v.0).collect::<Vec<_>>(), c))
                 .collect::<Vec<_>>()
         };
@@ -681,13 +628,16 @@ mod tests {
         )
         .unwrap();
         let g = b.build();
-        assert!(yen_k_shortest(&g, v0, v1, CostModel::Length, 5).is_empty());
+        assert!(QueryEngine::new(&g)
+            .yen_k_shortest(v0, v1, CostModel::Length, 5)
+            .is_empty());
     }
 
     #[test]
     fn iterator_is_fused_after_exhaustion() {
         let (g, [c, _, _, _, _, h]) = yen_example();
-        let mut it = YenIter::new(&g, c, h, CostModel::Length);
+        let mut engine = QueryEngine::new(&g);
+        let mut it = engine.yen_iter(c, h, CostModel::Length);
         let mut count = 0;
         while it.next().is_some() {
             count += 1;
@@ -704,7 +654,7 @@ mod proptests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::geometry::Point;
-    use crate::graph::{EdgeAttrs, RoadCategory};
+    use crate::graph::{EdgeAttrs, Graph, RoadCategory};
     use proptest::prelude::*;
 
     /// Brute-force enumeration of all simple routes, each at the cost of
@@ -780,7 +730,7 @@ mod proptests {
             let (g, vs) = build(n, edges, parallel == 1);
             let (s, t) = (vs[0], vs[n - 1]);
             let oracle = all_simple_paths(&g, s, t);
-            let yen: Vec<f64> = YenIter::new(&g, s, t, CostModel::Length)
+            let yen: Vec<f64> = QueryEngine::new(&g).yen_iter(s, t, CostModel::Length)
                 .map(|(_, c)| c)
                 .collect();
             prop_assert_eq!(yen.len(), oracle.len(),
@@ -803,7 +753,7 @@ mod proptests {
         ) {
             let (g, vs) = build(n, edges, parallel == 1);
             let (s, t) = (vs[0], vs[n - 1]);
-            let all: Vec<(Path, f64)> = YenIter::new(&g, s, t, CostModel::Length).collect();
+            let all: Vec<(Path, f64)> = QueryEngine::new(&g).yen_iter(s, t, CostModel::Length).collect();
             let oracle = all_simple_paths(&g, s, t);
             prop_assert_eq!(
                 all.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
@@ -815,7 +765,7 @@ mod proptests {
             prop_assert_eq!(distinct.len(), all.len(), "a path was yielded twice");
             for limit in 0..=all.len() + 1 {
                 let limited: Vec<(Path, f64)> =
-                    YenIter::new(&g, s, t, CostModel::Length).limit(limit).collect();
+                    QueryEngine::new(&g).yen_iter(s, t, CostModel::Length).limit(limit).collect();
                 prop_assert_eq!(
                     &limited[..],
                     &all[..limit.min(all.len())],

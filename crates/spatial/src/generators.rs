@@ -7,7 +7,6 @@
 //! and many near-optimal alternative routes between any two places:
 //!
 //! * [`grid_network`] — a jittered Manhattan grid (one town);
-//! * [`ring_radial_network`] — a ring-and-spoke city;
 //! * [`region_network`] — several grid towns scattered over a region and
 //!   stitched together with multi-segment highways: the default stand-in
 //!   for the paper's regional network.
@@ -157,91 +156,6 @@ fn connect_wiggly(
         EdgeAttrs::with_default_speed((dist * factor).max(1.0), cat),
     )
     .expect("generated street must be valid");
-}
-
-/// Configuration of [`ring_radial_network`].
-#[derive(Debug, Clone)]
-pub struct RingRadialConfig {
-    /// Number of concentric rings.
-    pub rings: usize,
-    /// Number of spokes (radial roads).
-    pub spokes: usize,
-    /// Radial distance between consecutive rings, in metres.
-    pub ring_spacing_m: f64,
-    /// Extra length factor above the straight-line distance.
-    pub wiggle: f64,
-}
-
-impl RingRadialConfig {
-    /// A small deterministic city used in tests (4 rings × 8 spokes).
-    pub fn small_test() -> Self {
-        RingRadialConfig {
-            rings: 4,
-            spokes: 8,
-            ring_spacing_m: 150.0,
-            wiggle: 0.1,
-        }
-    }
-}
-
-/// Generates a ring-and-spoke city: `rings × spokes` vertices plus a centre
-/// vertex, rings connected circumferentially (residential), spokes radially
-/// (arterial).
-pub fn ring_radial_network(cfg: &RingRadialConfig, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new();
-    let centre = b.add_vertex(Point::new(0.0, 0.0));
-    let mut ring_ids: Vec<Vec<VertexId>> = Vec::with_capacity(cfg.rings);
-    for r in 1..=cfg.rings {
-        let radius = r as f64 * cfg.ring_spacing_m;
-        let mut ids = Vec::with_capacity(cfg.spokes);
-        for s in 0..cfg.spokes {
-            let theta = s as f64 / cfg.spokes as f64 * std::f64::consts::TAU;
-            ids.push(b.add_vertex(Point::new(radius * theta.cos(), radius * theta.sin())));
-        }
-        ring_ids.push(ids);
-    }
-    // Circumferential edges.
-    for ids in &ring_ids {
-        for s in 0..cfg.spokes {
-            connect_wiggly(
-                &mut b,
-                ids[s],
-                ids[(s + 1) % cfg.spokes],
-                RoadCategory::Residential,
-                0.0,
-                cfg.wiggle,
-                &mut rng,
-            );
-        }
-    }
-    // Radial edges; innermost ring connects to the centre. The spoke
-    // index addresses several rings at once, so a range loop is clearer
-    // than nested iterators here.
-    #[allow(clippy::needless_range_loop)]
-    for s in 0..cfg.spokes {
-        connect_wiggly(
-            &mut b,
-            centre,
-            ring_ids[0][s],
-            RoadCategory::Arterial,
-            0.0,
-            cfg.wiggle,
-            &mut rng,
-        );
-        for r in 0..cfg.rings - 1 {
-            connect_wiggly(
-                &mut b,
-                ring_ids[r][s],
-                ring_ids[r + 1][s],
-                RoadCategory::Arterial,
-                0.0,
-                cfg.wiggle,
-                &mut rng,
-            );
-        }
-    }
-    finalize_connected(b)
 }
 
 /// Configuration of [`region_network`], the North Jutland stand-in.
@@ -484,7 +398,6 @@ mod tests {
     fn edge_lengths_at_least_euclidean() {
         for g in [
             grid_network(&GridConfig::town(), 3),
-            ring_radial_network(&RingRadialConfig::small_test(), 3),
             region_network(&RegionConfig::small_test(), 3),
         ] {
             for e in g.edges() {
@@ -505,16 +418,6 @@ mod tests {
         let n = g.vertex_count();
         assert!(n > 300, "most of the town should survive, got {n}");
         assert_eq!(g.largest_scc().len(), n);
-    }
-
-    #[test]
-    fn ring_radial_shape() {
-        let cfg = RingRadialConfig::small_test();
-        let g = ring_radial_network(&cfg, 5);
-        assert_eq!(g.vertex_count(), 1 + cfg.rings * cfg.spokes);
-        assert_eq!(g.largest_scc().len(), g.vertex_count());
-        // Centre has `spokes` incident roads in each direction.
-        assert_eq!(g.out_degree(VertexId(0)), cfg.spokes);
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //!   The last edge line ends the file.
 //! * [`write_ch`] / [`read_ch`] — [`ContractionHierarchy`] indexes: the
 //!   metric, the fingerprint, the rank permutation and the search arcs
-//!   in slot order (original edges, and shortcuts named by their mid);
-//!   the query-time CSR is rebuilt on read. No binary in this workspace
-//!   reloads one yet: the `serve` binary builds its CH and CCH at
-//!   startup. The CCH topology and ALT landmark tables have no file
-//!   format; they are rebuilt from the graph.
+//!   in slot order (original edges, and shortcuts named by their mid),
+//!   closed by an `end` line; the query-time CSR is rebuilt on read. No
+//!   binary in this workspace reloads one yet: the `serve` binary builds
+//!   its CH and CCH at startup. The CCH topology and ALT landmark tables
+//!   have no file format; they are rebuilt from the graph.
 //!
 //! [`load_graph_auto`] is the one loader behind every experiment
 //! binary's `--graph`: it takes a graph file or raw OSM XML.
@@ -36,9 +36,10 @@
 //! distances survive the text round-trip **bit-identically** — a
 //! reloaded graph or index answers exactly like the one that was saved
 //! (asserted by the round-trip tests). Readers validate headers, counts,
-//! id ranges, tokens per line and shortcut topology, and reject corrupt
-//! input with [`SpatialError::Parse`] rather than building a network or
-//! index that would silently mis-route.
+//! id ranges, tokens per line and shortcut topology, refuse anything
+//! after a file's last record, and reject corrupt input with
+//! [`SpatialError::Parse`] rather than building a network or index that
+//! would silently mis-route.
 
 use std::io::{BufRead, Write};
 
@@ -51,7 +52,7 @@ use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use crate::osm::ImportConfig;
 
 const MAGIC: &str = "pathrank-graph v1";
-const CH_MAGIC: &str = "pathrank-ch v2";
+const CH_MAGIC: &str = "pathrank-ch v3";
 
 /// Writes `g` to `out` in the v1 text format.
 pub fn write_graph<W: Write>(g: &Graph, out: &mut W) -> std::io::Result<()> {
@@ -109,11 +110,7 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<Graph, SpatialError> {
                 "non-finite coordinates on vertex line {i}: {line:?}"
             )));
         }
-        if it.next().is_some() {
-            return Err(SpatialError::Parse(format!(
-                "vertex line {i} has trailing tokens: {line:?}"
-            )));
-        }
+        no_trailing_tokens(it, &line)?;
         b.add_vertex(Point::new(x, y));
     }
     let ecount = parse_count(&next_content_line(&mut lines)?, "edges")?;
@@ -141,11 +138,7 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<Graph, SpatialError> {
         let category = RoadCategory::from_tag(tag).ok_or_else(|| {
             SpatialError::Parse(format!("unknown category tag {:?}", tag as char))
         })?;
-        if it.next().is_some() {
-            return Err(SpatialError::Parse(format!(
-                "edge line {i} has trailing tokens: {line:?}"
-            )));
-        }
+        no_trailing_tokens(it, &line)?;
         b.add_edge(
             VertexId(from),
             VertexId(to),
@@ -157,11 +150,7 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<Graph, SpatialError> {
         )
         .map_err(|e| SpatialError::Parse(format!("edge {i}: {e}")))?;
     }
-    if let Ok(extra) = next_content_line(&mut lines) {
-        return Err(SpatialError::Parse(format!(
-            "trailing content after the last edge line: {extra:?}"
-        )));
-    }
+    no_trailing_content(&mut lines, "the last edge line")?;
     Ok(b.build())
 }
 
@@ -184,11 +173,13 @@ fn parse_metric(line: &str) -> Result<LandmarkMetric, SpatialError> {
             "expected metric line, got {line:?}"
         )));
     }
-    match it.next() {
-        Some("length") => Ok(LandmarkMetric::Length),
-        Some("travel_time") => Ok(LandmarkMetric::TravelTime),
-        other => Err(SpatialError::Parse(format!("unknown metric {other:?}"))),
-    }
+    let metric = match it.next() {
+        Some("length") => LandmarkMetric::Length,
+        Some("travel_time") => LandmarkMetric::TravelTime,
+        other => return Err(SpatialError::Parse(format!("unknown metric {other:?}"))),
+    };
+    no_trailing_tokens(it, line)?;
+    Ok(metric)
 }
 
 /// `graph <n> <m>` fingerprint line.
@@ -207,6 +198,7 @@ fn parse_fingerprint(line: &str) -> Result<(usize, usize), SpatialError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| SpatialError::Parse("bad edge count in fingerprint".into()))?;
+    no_trailing_tokens(it, line)?;
     Ok((n, m))
 }
 
@@ -225,6 +217,19 @@ fn next_content_line(
             Some(Err(e)) => return Err(SpatialError::Parse(e.to_string())),
             None => return Err(SpatialError::Parse("unexpected end of input".into())),
         }
+    }
+}
+
+/// Refuses any content line left after the file's last record, `after`.
+fn no_trailing_content(
+    lines: &mut impl Iterator<Item = std::io::Result<String>>,
+    after: &str,
+) -> Result<(), SpatialError> {
+    match next_content_line(lines) {
+        Ok(extra) => Err(SpatialError::Parse(format!(
+            "trailing content after {after}: {extra:?}"
+        ))),
+        Err(_) => Ok(()),
     }
 }
 
@@ -265,10 +270,11 @@ fn parse_ranks(line: &str, n: usize) -> Result<Vec<u32>, SpatialError> {
     Ok(rank)
 }
 
-/// Writes a contraction hierarchy in the v2 text format: the rank
-/// permutation plus one line per search arc in slot order
+/// Writes a contraction hierarchy in the v3 text format: the rank
+/// permutation, one line per search arc in slot order
 /// (`a <from> <to> <weight> e <edge>` for an original edge,
-/// `a <from> <to> <weight> m <mid>` for a shortcut through vertex `mid`).
+/// `a <from> <to> <weight> m <mid>` for a shortcut through vertex `mid`)
+/// and an `end` line, so a file cut anywhere is refused on read.
 pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Result<()> {
     writeln!(out, "{CH_MAGIC}")?;
     writeln!(out, "metric {}", metric_tag(ch.metric()))?;
@@ -286,7 +292,7 @@ pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Re
             ChArcKind::Shortcut(mid) => writeln!(out, "a {from} {to} {w} m {}", mid.0)?,
         }
     }
-    Ok(())
+    writeln!(out, "end")
 }
 
 /// Serialises a contraction hierarchy to a `String`.
@@ -296,12 +302,13 @@ pub fn ch_to_string(ch: &ContractionHierarchy) -> String {
     String::from_utf8(buf).expect("format is ASCII")
 }
 
-/// Reads a contraction hierarchy in the v2 text format, rebuilding the
+/// Reads a contraction hierarchy in the v3 text format, rebuilding the
 /// query-time search graph. Validates the rank permutation, arc
 /// endpoints (no self-loops, one arc per vertex pair and direction) and
 /// edge ids, and the shortcut topology: every mid ranks below both ends
 /// and both legs are arcs of the mid, weighing the shortcut in sum, so
-/// unpacking provably terminates. Corrupt input yields
+/// unpacking provably terminates. The `end` line must follow the last
+/// arc, and nothing may follow it. Corrupt input yields
 /// [`SpatialError::Parse`] instead of an index that would mis-route.
 pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialError> {
     let mut lines = input.lines();
@@ -364,9 +371,7 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
                 )))
             }
         };
-        if it.next().is_some() {
-            return Err(SpatialError::Parse(format!("arc {i} has trailing tokens")));
-        }
+        no_trailing_tokens(it, &line)?;
         arcs.push(ChArc {
             from: VertexId(from),
             to: VertexId(to),
@@ -374,10 +379,17 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
             kind,
         });
     }
+    let last = next_content_line(&mut lines)?;
+    if last != "end" {
+        return Err(SpatialError::Parse(format!(
+            "expected end after {arc_count} arcs, got {last:?}"
+        )));
+    }
+    no_trailing_content(&mut lines, "the end line")?;
     ContractionHierarchy::assemble(metric, m, rank, arcs).map_err(SpatialError::Parse)
 }
 
-/// Parses a contraction hierarchy from its v2 text representation.
+/// Parses a contraction hierarchy from its v3 text representation.
 pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
     read_ch(s.as_bytes())
 }
@@ -424,9 +436,23 @@ fn parse_count(line: &str, keyword: &str) -> Result<usize, SpatialError> {
             "expected {keyword:?} line, got {line:?}"
         )));
     }
-    it.next()
+    let count = it
+        .next()
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| SpatialError::Parse(format!("bad count in {line:?}")))
+        .ok_or_else(|| SpatialError::Parse(format!("bad count in {line:?}")))?;
+    no_trailing_tokens(it, line)?;
+    Ok(count)
+}
+
+/// Refuses a line with tokens past its last field.
+fn no_trailing_tokens<'a>(
+    mut rest: impl Iterator<Item = &'a str>,
+    line: &str,
+) -> Result<(), SpatialError> {
+    match rest.next() {
+        Some(_) => Err(SpatialError::Parse(format!("trailing tokens on {line:?}"))),
+        None => Ok(()),
+    }
 }
 
 fn parse_f64(tok: Option<&str>, what: &str) -> Result<f64, SpatialError> {
@@ -526,6 +552,14 @@ mod tests {
                 "vertex trailing token",
                 text.replacen(first_vertex, &format!("{first_vertex} 99"), 1),
             ),
+            (
+                "vertex count trailing token",
+                text.replacen("vertices 25\n", "vertices 25 9\n", 1),
+            ),
+            (
+                "edge count trailing token",
+                text.replacen("edges 80\n", "edges 80 9\n", 1),
+            ),
         ];
         for (what, bad) in cases {
             assert_ne!(bad, text, "{what}: the corruption must change the text");
@@ -610,6 +644,12 @@ mod tests {
             let g = region();
             // Wrong or missing versions are rejected outright.
             assert!(ch_from_str("pathrank-ch v0\n").is_err());
+            // A v2 file has no end line, so a cut one read as whole.
+            let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+            let v2 = ch_to_string(&ch)
+                .replacen("pathrank-ch v3", "pathrank-ch v2", 1)
+                .replace("end\n", "");
+            assert!(ch_from_str(&v2).is_err());
             // Feeding one format to the other reader fails on the header.
             assert!(ch_from_str(&graph_to_string(&g)).is_err());
         }
@@ -708,9 +748,57 @@ mod tests {
             assert!(refusal(&wide).contains("31-bit"));
             // A v1 file, which named shortcut legs by pool id.
             assert!(
-                refusal(&text.replacen("pathrank-ch v2", "pathrank-ch v1", 1))
+                refusal(&text.replacen("pathrank-ch v3", "pathrank-ch v1", 1))
                     .contains("bad header")
             );
+            // Trailing tokens on a count line, content past the last arc.
+            let metric_line = "metric length\n";
+            let arcs_count = format!("{arcs_line}\n");
+            let cases = [
+                ("doubled file", format!("{text}{text}")),
+                (
+                    "extra arc before end",
+                    text.replace("end\n", &format!("{}end\n", arc_line(0))),
+                ),
+                ("extra arc after end", format!("{text}{}", arc_line(0))),
+                (
+                    "metric trailing token",
+                    text.replacen(metric_line, "metric length junk\n", 1),
+                ),
+                (
+                    "fingerprint trailing token",
+                    text.replacen(&graph_line, &format!("{graph_line} 7"), 1),
+                ),
+                (
+                    "arc count trailing token",
+                    text.replacen(&arcs_count, &format!("{arcs_line} x\n"), 1),
+                ),
+            ];
+            for (what, bad) in cases {
+                assert_ne!(bad, text, "{what}: the corruption must change the text");
+                assert!(
+                    matches!(ch_from_str(&bad), Err(SpatialError::Parse(_))),
+                    "{what} accepted"
+                );
+            }
+        }
+
+        /// Every cut of a CH file is refused, none panics: the `end` line
+        /// is what tells a whole file from one cut inside its last arc.
+        #[test]
+        fn ch_every_truncation_is_rejected() {
+            let g = grid_network(&GridConfig::small_test(), 13);
+            let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+            let text = ch_to_string(&ch);
+            let trimmed = text.trim_end();
+            for cut in 0..trimmed.len() {
+                assert!(
+                    ch_from_str(&trimmed[..cut]).is_err(),
+                    "prefix of {cut} of {} bytes accepted",
+                    trimmed.len()
+                );
+            }
+            assert_eq!(ch_from_str(trimmed).unwrap().ranks(), ch.ranks());
         }
     }
 }

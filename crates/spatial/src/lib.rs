@@ -9,9 +9,9 @@
 //!   once built (live weights are `CostModel::Custom` vectors that a
 //!   customized [`algo::cch::Cch`] follows);
 //! * deterministic synthetic [`generators`] that produce road networks with
-//!   realistic structure (grid towns, ring-radial cities, multi-town
-//!   regions connected by highways) — the substitute for the proprietary
-//!   North Jutland network used in the paper;
+//!   realistic structure (grid towns and multi-town regions connected
+//!   by highways) — the substitute for the proprietary North Jutland
+//!   network used in the paper;
 //! * real road-network ingestion ([`osm`]): a dependency-free streaming
 //!   OSM XML parser and an importer (highway filtering, `maxspeed` /
 //!   `oneway` handling, [`geo`] haversine lengths, SCC pruning, degree-2
@@ -29,15 +29,21 @@
 //!
 //! # Quick example
 //!
+//! Every search runs on a [`QueryEngine`] the caller holds and reuses:
+//!
 //! ```
 //! use pathrank_spatial::generators::{grid_network, GridConfig};
-//! use pathrank_spatial::algo::dijkstra::shortest_path;
 //! use pathrank_spatial::graph::{CostModel, VertexId};
+//! use pathrank_spatial::QueryEngine;
 //!
 //! let g = grid_network(&GridConfig::small_test(), 7);
-//! let p = shortest_path(&g, VertexId(0), VertexId(24), CostModel::Length)
+//! let mut engine = QueryEngine::new(&g);
+//! let p = engine
+//!     .shortest_path(VertexId(0), VertexId(24), CostModel::Length)
 //!     .expect("grid is strongly connected");
 //! assert!(p.length_m(&g) > 0.0);
+//! let top3 = engine.yen_k_shortest(VertexId(0), VertexId(24), CostModel::Length, 3);
+//! assert!(top3[0].0.same_route(&p));
 //! ```
 
 #![warn(missing_docs)]

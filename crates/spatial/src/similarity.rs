@@ -183,7 +183,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::algo::yen::YenIter;
+    use crate::algo::engine::QueryEngine;
     use crate::generators::{grid_network, GridConfig};
     use crate::graph::{CostModel, VertexId};
     use proptest::prelude::*;
@@ -202,7 +202,8 @@ mod proptests {
         if s == t {
             return None;
         }
-        let paths: Vec<_> = YenIter::new(g, s, t, CostModel::Length)
+        let paths: Vec<_> = QueryEngine::new(g)
+            .yen_iter(s, t, CostModel::Length)
             .take(8)
             .map(|(p, _)| p)
             .collect();

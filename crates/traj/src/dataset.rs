@@ -1,5 +1,6 @@
-//! Trajectory dataset assembly: from simulated (or matched) trips to the
-//! train/test trajectory path sets PathRank consumes.
+//! Trajectory dataset assembly: from simulated trips, through map
+//! matching of their GPS traces, to the train/test trajectory path sets
+//! PathRank consumes.
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -13,20 +14,11 @@ use crate::simulator::Trip;
 /// A set of trajectory paths ready for training-data generation.
 #[derive(Debug, Clone)]
 pub struct TrajectoryDataset {
-    /// Ground-truth trajectory paths (one per usable trip).
+    /// Trajectory paths (one per matched trip, in trip order).
     pub paths: Vec<Path>,
 }
 
 impl TrajectoryDataset {
-    /// Builds the dataset from the drivers' true paths (fast; used by the
-    /// experiment pipeline, where GPS recovery is not the variable under
-    /// study).
-    pub fn from_true_paths(trips: &[Trip]) -> Self {
-        TrajectoryDataset {
-            paths: trips.iter().map(|t| t.path.clone()).collect(),
-        }
-    }
-
     /// Builds the dataset by map-matching each trip's GPS trace (the full
     /// paper pipeline). Trips whose trace cannot be matched are dropped.
     /// One [`MapMatcher`] — a single spatial index, a single plain query
@@ -83,12 +75,6 @@ impl TrajectoryDataset {
     }
 }
 
-/// Convenience: splits raw trips (by their true paths) into train/test path
-/// sets.
-pub fn split_trips(trips: &[Trip], train_frac: f64, seed: u64) -> (Vec<Path>, Vec<Path>) {
-    TrajectoryDataset::from_true_paths(trips).split(train_frac, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,18 +87,17 @@ mod tests {
         (g, t)
     }
 
-    #[test]
-    fn from_true_paths_keeps_everything() {
-        let (_, trips) = trips();
-        let ds = TrajectoryDataset::from_true_paths(&trips);
-        assert_eq!(ds.len(), trips.len());
-        assert!(!ds.is_empty());
+    /// The trips' true paths, in trip order.
+    fn true_paths(trips: &[Trip]) -> TrajectoryDataset {
+        TrajectoryDataset {
+            paths: trips.iter().map(|t| t.path.clone()).collect(),
+        }
     }
 
     #[test]
     fn filter_min_hops_drops_short_paths() {
         let (_, trips) = trips();
-        let before = TrajectoryDataset::from_true_paths(&trips);
+        let before = true_paths(&trips);
         let min_len_before = before.paths.iter().map(Path::len).min().unwrap();
         let ds = before.clone().filter_min_hops(min_len_before + 1);
         assert!(ds.len() < trips.len());
@@ -123,8 +108,8 @@ mod tests {
     fn split_is_seeded_and_partitioning() {
         let (_, trips) = trips();
         let n = trips.len();
-        let (tr1, te1) = split_trips(&trips, 0.75, 5);
-        let (tr2, te2) = split_trips(&trips, 0.75, 5);
+        let (tr1, te1) = true_paths(&trips).split(0.75, 5);
+        let (tr2, te2) = true_paths(&trips).split(0.75, 5);
         assert_eq!(tr1.len() + te1.len(), n);
         assert_eq!(tr1.len(), (n as f64 * 0.75).round() as usize);
         assert_eq!(tr1.len(), tr2.len());
@@ -133,7 +118,7 @@ mod tests {
         }
         assert_eq!(te1.len(), te2.len());
         // Different seed shuffles differently (overwhelmingly likely).
-        let (tr3, _) = split_trips(&trips, 0.75, 6);
+        let (tr3, _) = true_paths(&trips).split(0.75, 6);
         let identical = tr1.iter().zip(tr3.iter()).all(|(a, b)| a.same_route(b));
         assert!(!identical, "different seeds should differ");
     }
@@ -141,10 +126,10 @@ mod tests {
     #[test]
     fn split_extremes() {
         let (_, trips) = trips();
-        let (tr, te) = split_trips(&trips, 1.0, 1);
+        let (tr, te) = true_paths(&trips).split(1.0, 1);
         assert_eq!(te.len(), 0);
         assert_eq!(tr.len(), trips.len());
-        let (tr, te) = split_trips(&trips, 0.0, 1);
+        let (tr, te) = true_paths(&trips).split(0.0, 1);
         assert_eq!(tr.len(), 0);
         assert_eq!(te.len(), trips.len());
     }

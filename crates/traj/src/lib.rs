@@ -29,7 +29,7 @@ pub mod mapmatch;
 pub mod preference;
 pub mod simulator;
 
-pub use dataset::{split_trips, TrajectoryDataset};
+pub use dataset::TrajectoryDataset;
 pub use gps::{GpsPoint, GpsTrace};
 pub use preference::DriverPreference;
 pub use simulator::{simulate_fleet, SimulationConfig, Trip};

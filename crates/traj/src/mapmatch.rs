@@ -7,6 +7,10 @@
 //! consecutive fixes (drivers rarely detour between two samples). Viterbi
 //! decoding picks the most likely candidate sequence, which is then
 //! stitched into a connected [`Path`] with shortest-path gap filling.
+//!
+//! [`MapMatcher`] is the one entry point: callers build it once per
+//! graph and match every trace through [`MapMatcher::match_trace`], so
+//! the spatial index, the engine and the probe cache serve a whole fleet.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -146,13 +150,12 @@ fn route_dist(
     }
 }
 
-/// A reusable matcher: one [`RTree`], one plain [`QueryEngine`] and one
+/// The map matcher: one [`RTree`], one plain [`QueryEngine`] and one
 /// shared shortest-path cache serving any number of traces.
 ///
-/// Batch callers (dataset assembly) hold a `MapMatcher`, which builds
-/// the `O(E)` spatial index once and shares the probe cache across a
-/// whole fleet ([`MapMatcher::stats`] reports its hit rate); the
-/// one-shot [`map_match`] builds both per call.
+/// Callers hold a `MapMatcher`, which builds the `O(E)` spatial index
+/// once and shares the probe cache across a whole fleet
+/// ([`MapMatcher::stats`] reports its hit rate).
 pub struct MapMatcher<'g> {
     engine: QueryEngine<'g>,
     index: RTree,
@@ -189,8 +192,11 @@ impl<'g> MapMatcher<'g> {
         &self.index
     }
 
-    /// Matches one trace; equivalent to [`map_match`] but with the index,
-    /// engine and probe cache shared across calls.
+    /// Matches a GPS trace onto the network, with the index, engine and
+    /// probe cache shared across calls.
+    ///
+    /// Returns `None` when the trace is too short or no consistent
+    /// candidate chain exists (e.g. every fix is far from any road).
     pub fn match_trace(&mut self, trace: &GpsTrace) -> Option<Path> {
         match_on(
             &mut self.engine,
@@ -215,18 +221,6 @@ struct Candidate {
     /// The projected road position itself, computed from the same
     /// formula as `coord(from).lerp(coord(to), t)`.
     pos: Point,
-}
-
-/// Matches a GPS trace onto the network.
-///
-/// Returns `None` when the trace is too short or no consistent candidate
-/// chain exists (e.g. every fix is far from any road).
-///
-/// One-shot convenience over a fresh [`MapMatcher`]; callers matching
-/// more than one trace hold a matcher instead, which keeps its spatial
-/// index and probe cache across traces.
-pub fn map_match(g: &Graph, trace: &GpsTrace, cfg: &MapMatchConfig) -> Option<Path> {
-    MapMatcher::new(g, cfg.clone()).match_trace(trace)
 }
 
 /// The matcher core: candidate layers from a prebuilt index, Viterbi
@@ -438,6 +432,12 @@ mod tests {
     use pathrank_spatial::generators::{region_network, RegionConfig};
     use pathrank_spatial::similarity::{weighted_jaccard, EdgeWeight};
 
+    /// `trace` matched by a matcher of its own, which no earlier trace
+    /// warmed.
+    fn fresh_match(g: &Graph, trace: &GpsTrace, cfg: &MapMatchConfig) -> Option<Path> {
+        MapMatcher::new(g, cfg.clone()).match_trace(trace)
+    }
+
     #[test]
     fn edge_index_finds_nearby_edges() {
         let g = region_network(&RegionConfig::small_test(), 2);
@@ -463,10 +463,11 @@ mod tests {
             ..Default::default()
         };
 
+        let mut matcher = MapMatcher::new(&g, mm);
         let mut total_sim = 0.0;
         let mut matched_count = 0usize;
         for trip in trips.iter().take(8) {
-            let Some(matched) = map_match(&g, &trip.trace, &mm) else {
+            let Some(matched) = matcher.match_trace(&trip.trace) else {
                 continue;
             };
             matched.validate(&g).unwrap();
@@ -484,15 +485,14 @@ mod tests {
     #[test]
     fn matcher_reuses_one_index_across_traces() {
         // A MapMatcher must hold one index (and one engine) for its
-        // lifetime and still reproduce the one-shot matcher's output
-        // exactly.
+        // lifetime and still reproduce a fresh matcher's output exactly.
         let g = region_network(&RegionConfig::small_test(), 4);
         let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 17);
         let cfg = MapMatchConfig::default();
         let mut matcher = MapMatcher::new(&g, cfg.clone());
         let index_ptr: *const RTree = matcher.index();
         for trip in trips.iter().take(6) {
-            let fresh = map_match(&g, &trip.trace, &cfg);
+            let fresh = fresh_match(&g, &trip.trace, &cfg);
             let hoisted = matcher.match_trace(&trip.trace);
             match (fresh, hoisted) {
                 (Some(a), Some(b)) => {
@@ -521,7 +521,7 @@ mod tests {
         let mut matcher = MapMatcher::new(&g, cfg.clone());
         assert_eq!(matcher.stats(), MatchStats::default());
         for trip in trips.iter().take(8) {
-            let fresh = map_match(&g, &trip.trace, &cfg);
+            let fresh = fresh_match(&g, &trip.trace, &cfg);
             let cached = matcher.match_trace(&trip.trace);
             match (fresh, cached) {
                 (Some(a), Some(b)) => {
@@ -543,7 +543,7 @@ mod tests {
 
     /// Pins every match on a region fleet: one [`MapMatcher`]'s matched
     /// edges per trace, its probe and cache-hit counts, then every
-    /// trace's one-shot [`map_match`] edges, folded into one FNV-1a.
+    /// trace's edges from a fresh matcher, folded into one FNV-1a.
     /// Any change to candidate generation, the transition probes, the
     /// probe cache or stitching moves it.
     #[test]
@@ -573,7 +573,7 @@ mod tests {
         let stats = matcher.stats();
         h = fold(fold(h, stats.sp_probes), stats.sp_cache_hits);
         for trip in &trips {
-            h = fold_match(h, map_match(&g, &trip.trace, &cfg));
+            h = fold_match(h, fresh_match(&g, &trip.trace, &cfg));
         }
         assert_eq!(
             (trips.len(), stats.sp_probes, stats.sp_cache_hits, h),
@@ -588,7 +588,7 @@ mod tests {
             vehicle: 0,
             points: vec![],
         };
-        assert!(map_match(&g, &trace, &MapMatchConfig::default()).is_none());
+        assert!(fresh_match(&g, &trace, &MapMatchConfig::default()).is_none());
     }
 
     #[test]
@@ -603,6 +603,6 @@ mod tests {
                 })
                 .collect(),
         };
-        assert!(map_match(&g, &trace, &MapMatchConfig::default()).is_none());
+        assert!(fresh_match(&g, &trace, &MapMatchConfig::default()).is_none());
     }
 }

@@ -13,8 +13,8 @@
 //! 50–70-hop trips the first few hundred Yen paths are all small detours
 //! of the cheapest one, so none of them passes the threshold.
 
-use pathrank::spatial::algo::diversified::{diversified_top_k, DiversifiedConfig};
-use pathrank::spatial::algo::yen::yen_k_shortest;
+use pathrank::spatial::algo::diversified::DiversifiedConfig;
+use pathrank::spatial::algo::engine::QueryEngine;
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, VertexId};
 use pathrank::spatial::path::Path;
@@ -70,15 +70,17 @@ fn main() {
         t
     );
 
+    // One engine serves both enumerations: every search reuses its space.
+    let mut engine = QueryEngine::new(&g);
     let k = 6;
-    let plain = yen_k_shortest(&g, s, t, CostModel::Length, k);
+    let plain = engine.yen_k_shortest(s, t, CostModel::Length, k);
     describe(&g, "TkDI: plain top-k shortest paths", &plain);
 
     let cfg = DiversifiedConfig {
         threshold: 0.6,
         ..DiversifiedConfig::with_k(k)
     };
-    let diverse = diversified_top_k(&g, s, t, CostModel::Length, &cfg);
+    let diverse = engine.diversified_top_k(s, t, CostModel::Length, &cfg);
     describe(&g, "D-TkDI: diversified top-k (threshold 0.6)", &diverse);
 
     println!(

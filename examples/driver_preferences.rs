@@ -9,7 +9,7 @@
 //! pairs under their hidden preference cost, and compares the preferred
 //! path against the shortest and fastest paths.
 
-use pathrank::spatial::algo::dijkstra::shortest_path;
+use pathrank::spatial::algo::engine::QueryEngine;
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, VertexId};
 use pathrank::spatial::similarity::{weighted_jaccard, EdgeWeight};
@@ -32,6 +32,8 @@ fn main() {
         "driver", "trip", "detour_len", "detour_time", "sim_shortest", "sim_fastest"
     );
 
+    // One engine answers every query, whatever its cost model.
+    let mut engine = QueryEngine::new(&g);
     let mut neither = 0usize;
     let mut total = 0usize;
     for driver in 0..5u64 {
@@ -48,9 +50,9 @@ fn main() {
                 }
             };
             let (Some(preferred), Some(short), Some(fast)) = (
-                shortest_path(&g, s, t, CostModel::Custom(&costs)),
-                shortest_path(&g, s, t, CostModel::Length),
-                shortest_path(&g, s, t, CostModel::TravelTime),
+                engine.shortest_path(s, t, CostModel::Custom(&costs)),
+                engine.shortest_path(s, t, CostModel::Length),
+                engine.shortest_path(s, t, CostModel::TravelTime),
             ) else {
                 continue;
             };

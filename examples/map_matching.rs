@@ -10,7 +10,7 @@
 
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::similarity::{weighted_jaccard, EdgeWeight};
-use pathrank::traj::mapmatch::{map_match, MapMatchConfig};
+use pathrank::traj::mapmatch::{MapMatchConfig, MapMatcher};
 use pathrank::traj::simulator::{simulate_fleet, SimulationConfig};
 
 fn main() {
@@ -39,10 +39,13 @@ fn main() {
             ..MapMatchConfig::default()
         };
 
+        // One matcher per noise level: its index and probe cache serve
+        // every trace of the fleet.
+        let mut matcher = MapMatcher::new(&g, mm);
         let mut matched = 0usize;
         let mut total_sim = 0.0;
         for trip in &trips {
-            if let Some(path) = map_match(&g, &trip.trace, &mm) {
+            if let Some(path) = matcher.match_trace(&trip.trace) {
                 total_sim += weighted_jaccard(&g, &path, &trip.path, EdgeWeight::Length);
                 matched += 1;
             }

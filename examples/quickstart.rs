@@ -6,18 +6,19 @@
 //! ```
 //!
 //! Steps: build a road network → simulate a fleet of drivers with hidden
-//! preferences → generate labelled training data with diversified top-k
-//! shortest paths → pre-train node2vec → train PathRank (PR-A2) → rank the
-//! candidate paths of an unseen query.
+//! preferences → map-match their GPS traces → generate labelled training
+//! data with diversified top-k shortest paths → pre-train node2vec → train
+//! PathRank (PR-A2) → rank the candidate paths of an unseen query.
 
-use pathrank::core::candidates::{generate_group, CandidateConfig, Strategy};
+use pathrank::core::candidates::{generate_group_with, CandidateConfig, Strategy};
 use pathrank::core::eval::evaluate_model;
 use pathrank::core::model::ModelConfig;
 use pathrank::core::pipeline::{ExperimentConfig, Workbench};
 use pathrank::core::trainer::TrainConfig;
 
 fn main() {
-    // 1. Shared environment: network, fleet, train/test trajectory split.
+    // 1. Shared environment: network, fleet, map-matched trajectories and
+    //    their train/test split.
     //    `small_test` is a two-town region; swap in `paper_scale()` for the
     //    full experiment environment.
     let mut cfg = ExperimentConfig::small_test();
@@ -48,7 +49,7 @@ fn main() {
 
     // 3. Rank candidates for one held-out trajectory.
     let trajectory = wb.test_paths[0].clone();
-    let group = generate_group(&wb.graph, &trajectory, &ccfg);
+    let group = generate_group_with(&mut wb.query_engine(), &trajectory, &ccfg);
     println!(
         "\nranking {} candidates for query {:?} -> {:?}:",
         group.len(),

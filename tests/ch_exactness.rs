@@ -30,7 +30,6 @@ use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank::spatial::algo::dijkstra::{constrained_shortest_path, shortest_path};
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-use pathrank::spatial::algo::yen::yen_k_shortest;
 use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::geometry::Point;
 use pathrank::spatial::graph::{CostModel, EdgeAttrs, Graph, RoadCategory, VertexId};
@@ -143,7 +142,7 @@ proptest! {
         let mut engine = engine.with_landmarks(table);
         let s = VertexId(0);
         let t = VertexId((n - 1) as u32);
-        let plain: Vec<f64> = yen_k_shortest(&g, s, t, CostModel::Length, k)
+        let plain: Vec<f64> = QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, k)
             .into_iter()
             .map(|(_, c)| c)
             .collect();

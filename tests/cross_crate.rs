@@ -1,16 +1,16 @@
 //! Cross-crate integration: invariants that only hold when the substrates
 //! compose correctly.
 
-use pathrank::core::candidates::{generate_group, CandidateConfig, Strategy};
+use pathrank::core::candidates::{generate_group_with, CandidateConfig, Strategy};
 use pathrank::embed::node2vec::{train_node2vec, Node2VecConfig};
 use pathrank::nn::matrix::Matrix;
 use pathrank::spatial::algo::dijkstra::shortest_path;
-use pathrank::spatial::algo::yen::yen_k_shortest;
+use pathrank::spatial::algo::engine::QueryEngine;
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, Graph, VertexId};
 use pathrank::spatial::io::{graph_from_str, graph_to_string};
 use pathrank::spatial::similarity::{weighted_jaccard, EdgeWeight};
-use pathrank::traj::mapmatch::{map_match, MapMatchConfig};
+use pathrank::traj::mapmatch::{MapMatchConfig, MapMatcher};
 use pathrank::traj::simulator::{simulate_fleet, SimulationConfig};
 
 fn region() -> Graph {
@@ -50,7 +50,7 @@ fn candidate_groups_contain_the_optimal_path() {
             k: 5,
             ..CandidateConfig::paper_default(strategy)
         };
-        let group = generate_group(&g, trajectory, &cfg);
+        let group = generate_group_with(&mut QueryEngine::new(&g), trajectory, &cfg);
         assert!(
             group.candidates.iter().any(|c| c.path.same_route(&sp)),
             "{strategy:?} must include the shortest path"
@@ -69,8 +69,9 @@ fn simulated_trajectory_scores_higher_than_distant_alternatives() {
         k: 6,
         ..CandidateConfig::paper_default(Strategy::DTkDI)
     };
+    let mut engine = QueryEngine::new(&g);
     for trip in trips.iter().take(5) {
-        let group = generate_group(&g, &trip.path, &cfg);
+        let group = generate_group_with(&mut engine, &trip.path, &cfg);
         assert_eq!(group.candidates[0].score, 1.0);
         for c in &group.candidates[1..] {
             assert!(
@@ -96,10 +97,11 @@ fn map_matched_path_scores_near_original() {
         sigma_m: 6.0,
         ..MapMatchConfig::default()
     };
+    let mut matcher = MapMatcher::new(&g, mm);
     let mut total = 0.0;
     let mut n = 0usize;
     for trip in trips.iter().take(6) {
-        if let Some(matched) = map_match(&g, &trip.trace, &mm) {
+        if let Some(matched) = matcher.match_trace(&trip.trace) {
             total += weighted_jaccard(&g, &matched, &trip.path, EdgeWeight::Length);
             n += 1;
         }
@@ -140,7 +142,7 @@ fn yen_paths_share_endpoints_with_query() {
     let g = region();
     let s = VertexId(3);
     let t = VertexId((g.vertex_count() - 5) as u32);
-    for (p, cost) in yen_k_shortest(&g, s, t, CostModel::Length, 8) {
+    for (p, cost) in QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, 8) {
         assert_eq!(p.source(), s);
         assert_eq!(p.target(), t);
         assert!(p.is_simple());

@@ -113,7 +113,6 @@ fn baselines_are_outperformed_or_matched_on_mae() {
 #[test]
 fn map_matching_pipeline_variant_runs() {
     let mut cfg = ExperimentConfig::small_test();
-    cfg.use_map_matching = true;
     cfg.sim.n_vehicles = 4;
     cfg.sim.trips_per_vehicle = 4;
     let wb = Workbench::new(cfg);

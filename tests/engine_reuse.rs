@@ -18,7 +18,6 @@
 use pathrank::obs::Registry;
 use pathrank::spatial::algo::dijkstra::{constrained_shortest_path, shortest_path};
 use pathrank::spatial::algo::engine::{EngineObs, QueryEngine, TreeView};
-use pathrank::spatial::algo::yen::yen_k_shortest;
 use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::generators::{grid_network, region_network, GridConfig, RegionConfig};
 use pathrank::spatial::geometry::Point;
@@ -208,7 +207,7 @@ fn yen_on_engine_is_deterministic_and_matches_fresh() {
 
     for &(a, b) in &pairs {
         let (s, t) = (VertexId(a), VertexId(b));
-        let fresh = yen_k_shortest(&g, s, t, CostModel::Length, 8);
+        let fresh = QueryEngine::new(&g).yen_k_shortest(s, t, CostModel::Length, 8);
 
         let mut engine = QueryEngine::new(&g);
         let first = engine.yen_k_shortest(s, t, CostModel::Length, 8);
