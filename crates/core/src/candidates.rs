@@ -15,8 +15,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use pathrank_spatial::algo::ch::ContractionHierarchy;
 use pathrank_spatial::algo::diversified::DiversifiedConfig;
 use pathrank_spatial::algo::engine::QueryEngine;
@@ -26,7 +24,7 @@ use pathrank_spatial::path::Path;
 use pathrank_spatial::similarity::{weighted_jaccard, EdgeWeight};
 
 /// Candidate-generation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Plain top-k shortest paths.
     TkDI,
@@ -87,7 +85,7 @@ impl CandidateConfig {
 }
 
 /// One labelled candidate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankedCandidate {
     /// The candidate path.
     pub path: Path,
@@ -96,7 +94,7 @@ pub struct RankedCandidate {
 }
 
 /// All labelled candidates for one trajectory path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingGroup {
     /// The trajectory path (ground truth driver behaviour).
     pub trajectory: Path,

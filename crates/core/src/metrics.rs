@@ -306,10 +306,10 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use pathrank_testkit::prelude::*;
 
     fn finite_vec() -> impl Strategy<Value = Vec<f64>> {
-        proptest::collection::vec(-100.0f64..100.0, 2..20)
+        pathrank_testkit::collection::vec(-100.0f64..100.0, 2..20)
     }
 
     proptest! {

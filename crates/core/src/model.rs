@@ -21,9 +21,8 @@
 //!   candidate's normalised length and travel-time ratios, a reproduction
 //!   of the full paper's multi-task extension.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::SeedableRng;
 
 use pathrank_nn::infer;
 use pathrank_nn::layers::{Embedding, Encoder, GruCell, Linear, LstmCell};
@@ -32,7 +31,7 @@ use pathrank_nn::params::ParamStore;
 use pathrank_nn::tape::{Tape, Var};
 
 /// How the vertex-embedding matrix `B` is initialised and updated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmbeddingMode {
     /// PR-A1: node2vec initialisation, frozen during training.
     FrozenPretrained,
@@ -54,7 +53,7 @@ impl EmbeddingMode {
 }
 
 /// Which sequence encoder digests the embedded path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncoderKind {
     /// Gated recurrent unit (the paper's choice).
     Gru,

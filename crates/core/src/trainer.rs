@@ -7,10 +7,9 @@
 //! are merged, averaged, clipped and applied by Adam. This is exactly
 //! mini-batch SGD — parallelism changes wall-clock time, not semantics.
 
-use crossbeam::thread;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::seq::SliceRandom;
+use pathrank_rng::SeedableRng;
 
 use pathrank_nn::optim::{Adam, Optimizer};
 use pathrank_nn::params::GradStore;
@@ -158,17 +157,16 @@ fn batch_gradients(
         return worker(model, samples, batch, &mut stores[0]);
     }
     let shares = batch.chunks(batch.len().div_ceil(threads));
-    let losses: Vec<f64> = thread::scope(|scope| {
+    let losses: Vec<f64> = std::thread::scope(|scope| {
         let handles: Vec<_> = shares
             .zip(stores.iter_mut())
-            .map(|(ids, grads)| scope.spawn(move |_| worker(model, samples, ids, grads)))
+            .map(|(ids, grads)| scope.spawn(move || worker(model, samples, ids, grads)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("trainer worker panicked"))
             .collect()
-    })
-    .expect("thread scope failed");
+    });
 
     let (grads, rest) = stores.split_first_mut().expect("at least one store");
     for g in rest.iter() {

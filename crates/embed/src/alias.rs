@@ -1,8 +1,8 @@
 //! Walker's alias method: O(n) construction, O(1) sampling from an
 //! arbitrary discrete distribution.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::Rng;
 
 /// An alias table over `0..n` built from unnormalised weights.
 #[derive(Debug, Clone)]
@@ -81,7 +81,7 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     #[test]
     fn uniform_weights_sample_uniformly() {

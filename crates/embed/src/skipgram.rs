@@ -9,7 +9,7 @@
 //!
 //! The result is fixed, in bits, by two orders, and the kernel keeps both
 //! from the textbook single-target loop (the oracle in
-//! `tests/sgns_exactness.rs`):
+//! `crates/embed/tests/sgns_exactness.rs`):
 //!
 //! * each target's dot product with the centre is one f32 sum in
 //!   ascending `d`, starting from `0.0`;
@@ -30,8 +30,8 @@
 //! the negatives draw from the rng after initialisation, so drawing all of
 //! a pair's negatives up front consumes it in the same order.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use pathrank_nn::matrix::Matrix;
 

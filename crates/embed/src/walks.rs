@@ -10,8 +10,8 @@
 //! each multiplied by the edge weight (we use 1 for road networks, as the
 //! paper's embedding is purely topological).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use pathrank_spatial::graph::Graph;
 

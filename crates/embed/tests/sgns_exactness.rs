@@ -16,9 +16,9 @@ use pathrank_embed::alias::AliasTable;
 use pathrank_embed::skipgram::{train_skipgram, SkipGramConfig};
 use pathrank_embed::walks::{generate_walks, WalkConfig};
 use pathrank_nn::matrix::Matrix;
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 use pathrank_spatial::generators::{region_network, RegionConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 struct Fnv(u64);
 

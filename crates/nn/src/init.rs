@@ -1,7 +1,7 @@
 //! Weight initialisers with explicit seeds.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::Rng;
 
 use crate::matrix::Matrix;
 
@@ -21,7 +21,7 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     #[test]
     fn uniform_respects_bounds() {

@@ -8,7 +8,7 @@
 //! * **PR-A2** — [`Embedding::lookup_trainable`]: lookups are recorded on
 //!   the tape and gradients scatter back into the table rows.
 
-use rand::rngs::StdRng;
+use pathrank_rng::rngs::StdRng;
 
 use crate::init::uniform;
 use crate::matrix::Matrix;
@@ -70,7 +70,7 @@ impl Embedding {
 mod tests {
     use super::*;
     use crate::params::GradStore;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     fn setup() -> (ParamStore, Embedding) {
         let mut store = ParamStore::new();

@@ -10,7 +10,7 @@
 //! h' = (1 − z)∘h + z∘c
 //! ```
 
-use rand::rngs::StdRng;
+use pathrank_rng::rngs::StdRng;
 
 use crate::infer::{gate_rows, sigmoid};
 use crate::init::xavier_uniform;
@@ -156,7 +156,7 @@ impl GruCell {
 mod tests {
     use super::*;
     use crate::params::GradStore;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     fn cell(in_dim: usize, hidden: usize) -> (ParamStore, GruCell) {
         let mut store = ParamStore::new();

@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use rand::rngs::StdRng;
+use pathrank_rng::rngs::StdRng;
 
 use crate::infer::rows_times;
 use crate::init::xavier_uniform;
@@ -75,7 +75,7 @@ impl Linear {
 mod tests {
     use super::*;
     use crate::params::GradStore;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     #[test]
     fn forward_shape_and_bias() {

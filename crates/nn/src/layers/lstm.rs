@@ -13,7 +13,7 @@
 //! h' = o∘tanh(c')
 //! ```
 
-use rand::rngs::StdRng;
+use pathrank_rng::rngs::StdRng;
 
 use crate::infer::{gate_rows, sigmoid};
 use crate::init::xavier_uniform;
@@ -175,7 +175,7 @@ impl LstmCell {
 mod tests {
     use super::*;
     use crate::params::GradStore;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     fn cell(in_dim: usize, hidden: usize) -> (ParamStore, LstmCell) {
         let mut store = ParamStore::new();

@@ -4,10 +4,8 @@
 //! entries wide, so a simple cache-friendly `i-k-j` matmul is plenty. The
 //! matmul inner loop is written over slices so LLVM can autovectorise it.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

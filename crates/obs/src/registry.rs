@@ -505,9 +505,9 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Hand-rolled JSON form (the workspace deliberately has no serde
-    /// backend): counters/gauges as `{name, labels, value}` rows,
-    /// histograms with count, sum and interpolated p50/p99/p999.
+    /// Hand-rolled JSON form (the workspace has no outside packages):
+    /// counters/gauges as `{name, labels, value}` rows, histograms with
+    /// count, sum and interpolated p50/p99/p999.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"counters\":[");

@@ -1188,7 +1188,7 @@ mod tests {
     use crate::algo::dijkstra::shortest_path;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::graph::{EdgeAttrs, EdgeId, RoadCategory};
-    use proptest::prelude::*;
+    use pathrank_testkit::prelude::*;
 
     fn region() -> Graph {
         region_network(&RegionConfig::small_test(), 11)
@@ -1713,7 +1713,7 @@ mod tests {
         #[test]
         fn cch_per_mid_customization_matches_brute_force_triangles(
             n in 2usize..10,
-            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
+            edges in pathrank_testkit::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
         ) {
             assert_matches_brute_force(&multigraph(n, &edges));
         }
@@ -1721,7 +1721,7 @@ mod tests {
         #[test]
         fn cch_arc_ids_are_search_slots_on_multigraphs(
             n in 2usize..10,
-            edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
+            edges in pathrank_testkit::collection::vec((0usize..10, 0usize..10, 1u32..60), 1..48),
         ) {
             assert_numbered_by_slot(&CchTopology::build(&multigraph(n, &edges), &CchConfig::default()));
         }

@@ -243,7 +243,7 @@ mod proptests {
     use crate::builder::GraphBuilder;
     use crate::geometry::Point;
     use crate::graph::{EdgeAttrs, EdgeId, RoadCategory};
-    use proptest::prelude::*;
+    use pathrank_testkit::prelude::*;
 
     /// Bellman–Ford oracle for distances (slow but obviously correct).
     fn bellman_ford(g: &Graph, s: VertexId) -> Vec<f64> {
@@ -301,7 +301,7 @@ mod proptests {
         #[test]
         fn dijkstra_matches_bellman_ford(
             n in 2usize..24,
-            extra in proptest::collection::vec((0usize..24, 0usize..24, 0u32..1000), 0..40),
+            extra in pathrank_testkit::collection::vec((0usize..24, 0usize..24, 0u32..1000), 0..40),
             s in 0usize..24,
         ) {
             let g = random_graph(n, extra);
@@ -323,7 +323,7 @@ mod proptests {
         #[test]
         fn tree_paths_cost_equals_distance(
             n in 2usize..20,
-            extra in proptest::collection::vec((0usize..20, 0usize..20, 0u32..1000), 0..30),
+            extra in pathrank_testkit::collection::vec((0usize..20, 0usize..20, 0u32..1000), 0..30),
         ) {
             let g = random_graph(n, extra);
             let s = VertexId(0);

@@ -1911,8 +1911,8 @@ mod tests {
     /// hide a changed relaxation order; the counters and parents cannot.
     fn golden_script(g: &Graph, seed: u64) -> (u64, [(u64, u64); 3]) {
         use crate::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use pathrank_rng::rngs::StdRng;
+        use pathrank_rng::{Rng, SeedableRng};
 
         let (n, m) = (g.vertex_count() as u32, g.edge_count() as u32);
         let custom: Vec<f64> = (0..m).map(|i| 1.0 + (i * 7 % 13) as f64 * 0.37).collect();

@@ -38,9 +38,8 @@
 //! runs computed on per-worker [`QueryEngine`]s across `threads` OS
 //! threads.
 
-use crossbeam::thread;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use crate::algo::engine::QueryEngine;
 use crate::graph::{CostModel, Graph, VertexId};
@@ -186,9 +185,9 @@ impl LandmarkTable {
         let threads = cfg.threads.max(1).min(k.max(1));
         if k > 0 {
             let per = k.div_ceil(threads);
-            thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (block, ls) in to_landmark.chunks_mut(per * n).zip(landmarks.chunks(per)) {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut engine = QueryEngine::new(g);
                         for (row, &l) in block.chunks_mut(n).zip(ls) {
                             let view = engine.one_to_all_rev(l, cost);
@@ -198,8 +197,7 @@ impl LandmarkTable {
                         }
                     });
                 }
-            })
-            .expect("landmark sweep worker panicked");
+            });
         }
 
         LandmarkTable {

@@ -5,8 +5,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crossbeam::thread;
-
 use crate::graph::VertexId;
 
 /// What the ordering loop needs of a builder.
@@ -35,9 +33,9 @@ pub(crate) fn contract_in_priority_order<B: Contract>(
     if n > 0 {
         let per = n.div_ceil(threads.clamp(1, n));
         let bref = &*b;
-        thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ci, chunk) in init_prio.chunks_mut(per).enumerate() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut scratch = B::Scratch::default();
                     for (j, slot) in chunk.iter_mut().enumerate() {
                         let v = VertexId((ci * per + j) as u32);
@@ -45,8 +43,7 @@ pub(crate) fn contract_in_priority_order<B: Contract>(
                     }
                 });
             }
-        })
-        .expect("priority worker panicked");
+        });
     }
 
     let mut queue: BinaryHeap<Reverse<(i64, u32)>> =

@@ -285,8 +285,8 @@ mod tests {
     use crate::geometry::Point;
     use crate::graph::{EdgeAttrs, Graph, RoadCategory};
     use crate::util::MinCost;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use pathrank_rng::rngs::StdRng;
+    use pathrank_rng::{Rng, SeedableRng};
     use std::collections::{BinaryHeap, HashSet};
     use std::sync::Arc;
 
@@ -655,7 +655,7 @@ mod proptests {
     use crate::builder::GraphBuilder;
     use crate::geometry::Point;
     use crate::graph::{EdgeAttrs, Graph, RoadCategory};
-    use proptest::prelude::*;
+    use pathrank_testkit::prelude::*;
 
     /// Brute-force enumeration of all simple routes, each at the cost of
     /// its cheapest parallel edges (oracle, tiny graphs only).
@@ -724,7 +724,7 @@ mod proptests {
         #[test]
         fn yen_enumerates_exactly_the_simple_paths_in_order(
             n in 2usize..7,
-            edges in proptest::collection::vec((0usize..7, 0usize..7, 1u32..50), 1..18),
+            edges in pathrank_testkit::collection::vec((0usize..7, 0usize..7, 1u32..50), 1..18),
             parallel in 0u8..2,
         ) {
             let (g, vs) = build(n, edges, parallel == 1);
@@ -748,7 +748,7 @@ mod proptests {
         #[test]
         fn yen_limit_is_a_prefix_of_the_unlimited_enumeration_on_ties(
             n in 4usize..8,
-            edges in proptest::collection::vec((0usize..8, 0usize..8, 1u32..4), 12..48),
+            edges in pathrank_testkit::collection::vec((0usize..8, 0usize..8, 1u32..4), 12..48),
             parallel in 0u8..2,
         ) {
             let (g, vs) = build(n, edges, parallel == 1);

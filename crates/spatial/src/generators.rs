@@ -16,8 +16,8 @@
 //! and every edge's length is at least the straight-line distance between
 //! its endpoints, keeping A*'s heuristic admissible.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use crate::builder::GraphBuilder;
 use crate::geometry::Point;

@@ -136,7 +136,7 @@ impl LocalProjection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use pathrank_testkit::prelude::*;
 
     /// One degree of latitude (or of longitude at the equator):
     /// 2πR / 360.

@@ -5,10 +5,8 @@
 //! the routing heuristics (A* lower bounds) and by the trajectory crate's
 //! GPS simulation and HMM map matching (point-to-segment projections).
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the local planar coordinate system (metres).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in metres.
     pub x: f64,

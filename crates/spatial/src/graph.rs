@@ -6,12 +6,10 @@
 //! time is derived. Both outgoing and incoming adjacency are stored in CSR
 //! form so that forward and reverse searches are both cache-friendly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Point;
 
 /// Identifier of a vertex; an index into the graph's vertex arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -23,7 +21,7 @@ impl VertexId {
 }
 
 /// Identifier of a directed edge; an index into the graph's edge arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -51,7 +49,7 @@ pub const MAX_EDGE_SPEED_KMH: f64 = 300.0;
 /// Functional road classes, mirroring the hierarchy of a national road
 /// network. The class determines the default speed used to derive travel
 /// times in the synthetic generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadCategory {
     /// Motorways connecting towns (fast, sparse).
     Highway,
@@ -105,7 +103,7 @@ impl RoadCategory {
 }
 
 /// Immutable attributes of a directed edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeAttrs {
     /// Length of the edge in metres. Always positive and finite.
     pub length_m: f64,
@@ -133,7 +131,7 @@ impl EdgeAttrs {
 }
 
 /// One directed edge: tail, head and attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeRecord {
     /// Tail (source) vertex.
     pub from: VertexId,
@@ -184,7 +182,7 @@ impl<'a> CostModel<'a> {
 ///
 /// Construct with [`crate::builder::GraphBuilder`] or one of the
 /// [`crate::generators`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     pub(crate) coords: Vec<Point>,
     // Outgoing CSR.
@@ -415,8 +413,8 @@ impl Graph {
 /// counts are exact and equal, in bits, to bumping each edge once per
 /// descendant in any order. Scratch: 12 B per vertex.
 pub fn edge_popularity(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use pathrank_rng::rngs::StdRng;
+    use pathrank_rng::{Rng, SeedableRng};
 
     let n = g.vertex_count();
     let mut counts = vec![0.0f64; g.edge_count()];

@@ -7,9 +7,9 @@
 //! [`crate::generators`]. The pipeline is:
 //!
 //! 1. **Parse** ([`parse_osm_xml`]) — a dependency-free streaming XML
-//!    pull-parser (the build environment has no registry access, so it
-//!    is hand-rolled like the vendored crate stand-ins) extracts nodes
-//!    (id, lat, lon) and ways (node refs + tags) into an [`OsmData`].
+//!    pull-parser (the workspace has no outside packages, so it is
+//!    hand-rolled) extracts nodes (id, lat, lon) and ways (node refs +
+//!    tags) into an [`OsmData`].
 //!    Malformed input — truncation, mismatched tags, broken entities,
 //!    out-of-range coordinates — is rejected with
 //!    [`SpatialError::Parse`], never a panic.

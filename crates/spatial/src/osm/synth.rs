@@ -17,8 +17,8 @@
 
 use std::fmt::Write as _;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use super::{OsmData, OsmNode, OsmWay};
 use crate::geo::LocalProjection;

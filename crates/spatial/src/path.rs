@@ -5,14 +5,12 @@
 //! GRU); the similarity measures consume the edge sequence (weighted Jaccard
 //! is defined over edge sets).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpatialError;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 
 /// A simple (vertex-repetition-free unless stated otherwise) path through a
 /// [`Graph`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     vertices: Vec<VertexId>,
     edges: Vec<EdgeId>,

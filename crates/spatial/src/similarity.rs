@@ -186,7 +186,7 @@ mod proptests {
     use crate::algo::engine::QueryEngine;
     use crate::generators::{grid_network, GridConfig};
     use crate::graph::{CostModel, VertexId};
-    use proptest::prelude::*;
+    use pathrank_testkit::prelude::*;
 
     /// Draws two simple paths between random endpoints of a fixed grid by
     /// enumerating shortest paths and picking by index.

@@ -11,6 +11,8 @@
 //! * `popularity_golden_region` — an FNV of the scores on the benchmark's
 //!   region ×1, recorded at the commit before the subtree-size count.
 
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 use pathrank_spatial::algo::engine::QueryEngine;
 use pathrank_spatial::builder::GraphBuilder;
 use pathrank_spatial::generators::{region_network, RegionConfig};
@@ -18,8 +20,6 @@ use pathrank_spatial::geometry::Point;
 use pathrank_spatial::graph::{
     edge_popularity, CostModel, EdgeAttrs, Graph, RoadCategory, VertexId,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Edge popularity as it stood before the subtree-size count: every
 /// vertex walks its parent chain to the root and bumps each edge on it.

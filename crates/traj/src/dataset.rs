@@ -2,8 +2,8 @@
 //! matching of their GPS traces, to the train/test trajectory path sets
 //! PathRank consumes.
 
-use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{seq::SliceRandom, SeedableRng};
 
 use pathrank_spatial::graph::Graph;
 use pathrank_spatial::path::Path;

@@ -1,10 +1,9 @@
 //! GPS records and traces.
 
 use pathrank_spatial::geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// A single GPS fix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsPoint {
     /// Measured position (planar metres, already noisy).
     pub pos: Point,
@@ -13,7 +12,7 @@ pub struct GpsPoint {
 }
 
 /// A sequence of GPS fixes from one trip of one vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpsTrace {
     /// The vehicle that produced the trace.
     pub vehicle: u32,
@@ -49,10 +48,10 @@ impl GpsTrace {
     }
 }
 
-/// Draws one standard normal variate via Box–Muller (the `rand` crate is
-/// allowed but `rand_distr` is not, so we roll the two-liner ourselves).
-pub fn sample_standard_normal(rng: &mut rand::rngs::StdRng) -> f64 {
-    use rand::Rng;
+/// Draws one standard normal variate via Box–Muller (`pathrank-rng` has
+/// no distributions, so we roll the two-liner ourselves).
+pub fn sample_standard_normal(rng: &mut pathrank_rng::rngs::StdRng) -> f64 {
+    use pathrank_rng::Rng;
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -61,7 +60,7 @@ pub fn sample_standard_normal(rng: &mut rand::rngs::StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use pathrank_rng::SeedableRng;
 
     #[test]
     fn trace_accessors() {
@@ -101,7 +100,7 @@ mod tests {
 
     #[test]
     fn normal_samples_have_plausible_moments() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let mut rng = pathrank_rng::rngs::StdRng::seed_from_u64(99);
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;

@@ -20,14 +20,13 @@
 //! driver-specific behaviour that a ranking model can learn, while the
 //! shortest and fastest paths remain systematically different.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use pathrank_spatial::graph::{Graph, RoadCategory};
 
 /// A driver's hidden routing preference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriverPreference {
     /// Weight on edge length (metres).
     pub w_len: f64,

@@ -1,8 +1,8 @@
 //! Fleet simulation: drivers with hidden preferences make trips and emit
 //! noisy GPS traces.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 use pathrank_spatial::algo::engine::QueryEngine;
 use pathrank_spatial::geometry::Point;

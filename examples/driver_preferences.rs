@@ -14,8 +14,8 @@ use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, VertexId};
 use pathrank::spatial::similarity::{weighted_jaccard, EdgeWeight};
 use pathrank::traj::preference::DriverPreference;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
 
 fn main() {
     let g = region_network(&RegionConfig::paper_scale(), 2020);

@@ -29,30 +29,10 @@ use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::geometry::Point;
 use pathrank::spatial::graph::{CostModel, EdgeAttrs, Graph, RoadCategory, VertexId};
 use pathrank::spatial::util::BitSet;
-use proptest::prelude::*;
+use pathrank_testkit::prelude::*;
 
-/// Builds a random directed graph from proptest-drawn raw material:
-/// `n` vertices with the given coordinates and deduplicated directed
-/// edges with integer-metre lengths.
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
-    let mut b = GraphBuilder::new();
-    let vs: Vec<VertexId> = (0..n)
-        .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &(f, t, w) in edges {
-        let (f, t) = (f % n, t % n);
-        if f != t && seen.insert((f, t)) {
-            b.add_edge(
-                vs[f],
-                vs[t],
-                EdgeAttrs::with_default_speed(w as f64, RoadCategory::Rural),
-            )
-            .unwrap();
-        }
-    }
-    b.build()
-}
+mod common;
+use common::{build_graph, cost_of, rural};
 
 fn alt_engine(g: &Graph) -> (Arc<LandmarkTable>, QueryEngine<'_>) {
     let table = Arc::new(LandmarkTable::build(
@@ -68,12 +48,6 @@ fn alt_engine(g: &Graph) -> (Arc<LandmarkTable>, QueryEngine<'_>) {
     (table, engine)
 }
 
-/// Exact cost of an optional path under a cost model (`None` ⇒ NaN-free
-/// sentinel), so reachability and cost compare in one assert.
-fn cost_of(g: &Graph, p: &Option<pathrank::spatial::path::Path>, cost: CostModel<'_>) -> f64 {
-    p.as_ref().map_or(-1.0, |p| p.cost(g, cost))
-}
-
 /// Strategy fragments shared by every property: vertex count, one
 /// coordinate and one edge tuple.
 const MAX_N: usize = 10;
@@ -84,10 +58,10 @@ proptest! {
     #[test]
     fn alt_one_to_one_costs_bit_identical_to_dijkstra(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_table, mut engine) = alt_engine(&g);
         for s in 0..n {
             for t in 0..n {
@@ -116,11 +90,11 @@ proptest! {
     #[test]
     fn alt_yen_cost_sequences_bit_identical(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..26),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..26),
         k in 1usize..12,
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_table, mut engine) = alt_engine(&g);
         let s = VertexId(0);
         let t = VertexId((n - 1) as u32);
@@ -139,12 +113,12 @@ proptest! {
     #[test]
     fn alt_constrained_searches_respect_bans_and_match_dijkstra(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
-        banned_v in proptest::collection::vec(0usize..MAX_N, 0..4),
-        banned_e in proptest::collection::vec(0usize..64, 0..8),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        banned_v in pathrank_testkit::collection::vec(0usize..MAX_N, 0..4),
+        banned_e in pathrank_testkit::collection::vec(0usize..64, 0..8),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_table, mut engine) = alt_engine(&g);
         let mut bv = BitSet::new(g.vertex_count());
         for v in banned_v {
@@ -181,11 +155,11 @@ proptest! {
     #[test]
     fn alt_custom_cost_slices_engage_fallback(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
         salt in 1u32..40,
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_table, mut engine) = alt_engine(&g);
         let custom: Vec<f64> = (0..g.edge_count())
             .map(|i| 1.0 + ((i as u32 * salt) % 17) as f64)
@@ -219,14 +193,14 @@ proptest! {
     #[test]
     fn alt_interleaved_metrics_never_leak_between_queries(
         n in 3usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 2..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 2..30),
     ) {
         // Alternating ALT-covered (Length) and fallback (TravelTime /
         // Custom) queries on one engine must each match their plain
         // counterpart — the cached target vectors and active-landmark
         // sets must never bleed into a query they are invalid for.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_table, mut engine) = alt_engine(&g);
         let custom: Vec<f64> = (0..g.edge_count()).map(|i| 2.0 + (i % 5) as f64).collect();
         for s in 0..n.min(4) {

@@ -34,50 +34,12 @@ use pathrank::spatial::algo::cch::{ArcRow, Cch, CchConfig, CchTopology};
 use pathrank::spatial::algo::ch::ChSearch;
 use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
-use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::generators::{region_network, RegionConfig};
-use pathrank::spatial::geometry::Point;
-use pathrank::spatial::graph::{CostModel, EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
-use proptest::prelude::*;
+use pathrank::spatial::graph::{CostModel, EdgeAttrs, EdgeId, Graph, VertexId};
+use pathrank_testkit::prelude::*;
 
-/// Builds a random directed graph from proptest-drawn raw material:
-/// `n` vertices with the given coordinates and directed edges with
-/// integer-metre lengths across mixed road categories (so free-flow
-/// speeds differ per edge). `parallel` keeps repeated `(from, to)`
-/// pairs as parallel edges instead of dropping them.
-fn build_graph_with(
-    n: usize,
-    coords: &[(f64, f64)],
-    edges: &[(usize, usize, u32)],
-    parallel: bool,
-) -> Graph {
-    let mut b = GraphBuilder::new();
-    let vs: Vec<VertexId> = (0..n)
-        .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &(f, t, w) in edges {
-        let (f, t) = (f % n, t % n);
-        let category = match w % 3 {
-            0 => RoadCategory::Arterial,
-            1 => RoadCategory::Rural,
-            _ => RoadCategory::Residential,
-        };
-        if f != t && (seen.insert((f, t)) || parallel) {
-            b.add_edge(
-                vs[f],
-                vs[t],
-                EdgeAttrs::with_default_speed(w as f64, category),
-            )
-            .unwrap();
-        }
-    }
-    b.build()
-}
-
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
-    build_graph_with(n, coords, edges, false)
-}
+mod common;
+use common::{build_graph, mixed_categories};
 
 /// Two customizations of the same topology are the same bits: columns
 /// and custom vector, and all-pairs `query_cost` answers.
@@ -192,14 +154,14 @@ proptest! {
     #[test]
     fn cch_partial_chained_random_deltas_stay_bit_identical(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..28),
-        batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..64, 0.05f64..400.0), 0..10),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..28),
+        batches in pathrank_testkit::collection::vec(
+            pathrank_testkit::collection::vec((0usize..64, 0.05f64..400.0), 0..10),
             1..5,
         ),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, mixed_categories);
         prop_assume!(g.edge_count() > 0);
         let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
         let (mut partial, mut weights) = live(&g, &topo);
@@ -245,11 +207,11 @@ proptest! {
     #[test]
     fn cch_partial_links_reverse_the_triangle_lists_on_multigraphs(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..48),
-        batch in proptest::collection::vec((0usize..64, 0.05f64..400.0), 1..10),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..48),
+        batch in pathrank_testkit::collection::vec((0usize..64, 0.05f64..400.0), 1..10),
     ) {
-        let g = build_graph_with(n, &coords, &edges, true);
+        let g = build_graph(n, &coords, &edges, true, mixed_categories);
         prop_assume!(g.edge_count() > 0);
         let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
         let (forward, reverse) = triangle_links(&topo);
@@ -358,7 +320,7 @@ fn fixed_graph() -> Graph {
         (7, 3, 23),
         (3, 5, 37),
     ];
-    build_graph(8, &coords, &edges)
+    build_graph(8, &coords, &edges, false, mixed_categories)
 }
 
 #[test]

@@ -34,30 +34,10 @@ use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::geometry::Point;
 use pathrank::spatial::graph::{CostModel, EdgeAttrs, Graph, RoadCategory, VertexId};
 use pathrank::spatial::util::BitSet;
-use proptest::prelude::*;
+use pathrank_testkit::prelude::*;
 
-/// Builds a random directed graph from proptest-drawn raw material:
-/// `n` vertices with the given coordinates and deduplicated directed
-/// edges with integer-metre lengths.
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
-    let mut b = GraphBuilder::new();
-    let vs: Vec<VertexId> = (0..n)
-        .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &(f, t, w) in edges {
-        let (f, t) = (f % n, t % n);
-        if f != t && seen.insert((f, t)) {
-            b.add_edge(
-                vs[f],
-                vs[t],
-                EdgeAttrs::with_default_speed(w as f64, RoadCategory::Rural),
-            )
-            .unwrap();
-        }
-    }
-    b.build()
-}
+mod common;
+use common::{build_graph, cost_of, rural};
 
 /// A CH-backed engine (length metric) over `g`, with a small witness cap
 /// so redundant-shortcut paths get exercised too.
@@ -74,12 +54,6 @@ fn ch_engine(g: &Graph) -> (Arc<ContractionHierarchy>, QueryEngine<'_>) {
     (ch, engine)
 }
 
-/// Exact cost of an optional path under a cost model (`None` ⇒ NaN-free
-/// sentinel), so reachability and cost compare in one assert.
-fn cost_of(g: &Graph, p: &Option<pathrank::spatial::path::Path>, cost: CostModel<'_>) -> f64 {
-    p.as_ref().map_or(-1.0, |p| p.cost(g, cost))
-}
-
 const MAX_N: usize = 10;
 
 proptest! {
@@ -88,10 +62,10 @@ proptest! {
     #[test]
     fn ch_one_to_one_costs_bit_identical_to_dijkstra(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_ch, mut engine) = ch_engine(&g);
         prop_assert_eq!(engine.backend_for(CostModel::Length), SearchBackend::Ch);
         for s in 0..n {
@@ -126,13 +100,13 @@ proptest! {
     #[test]
     fn ch_yen_cost_sequences_bit_identical(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..26),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..26),
         k in 1usize..12,
     ) {
         // CH + ALT together — the serving configuration: Yen's initial
         // path runs on the CH, its spur searches on ALT.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let table = Arc::new(LandmarkTable::build(
             &g,
             LandmarkMetric::Length,
@@ -157,12 +131,12 @@ proptest! {
     #[test]
     fn ch_constrained_searches_fall_back_and_respect_bans(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
-        banned_v in proptest::collection::vec(0usize..MAX_N, 0..4),
-        banned_e in proptest::collection::vec(0usize..64, 0..8),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        banned_v in pathrank_testkit::collection::vec(0usize..MAX_N, 0..4),
+        banned_e in pathrank_testkit::collection::vec(0usize..64, 0..8),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_ch, mut engine) = ch_engine(&g);
         // The CH is attached and would cover the metric — but bans make
         // shortcuts unsound, so the constrained dispatch must avoid it.
@@ -206,11 +180,11 @@ proptest! {
     #[test]
     fn ch_custom_cost_slices_engage_fallback(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
         salt in 1u32..40,
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_ch, mut engine) = ch_engine(&g);
         let custom: Vec<f64> = (0..g.edge_count())
             .map(|i| 1.0 + ((i as u32 * salt) % 17) as f64)
@@ -246,14 +220,14 @@ proptest! {
     #[test]
     fn ch_interleaved_metrics_never_leak_between_queries(
         n in 3usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 2..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 2..30),
     ) {
         // Alternating CH-covered (Length) and fallback (TravelTime /
         // Custom) queries on one engine must each match their plain
         // counterpart — the CH scratch state must never bleed into a
         // query it is invalid for.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_ch, mut engine) = ch_engine(&g);
         let custom: Vec<f64> = (0..g.edge_count()).map(|i| 2.0 + (i % 5) as f64).collect();
         for s in 0..n.min(4) {
@@ -278,13 +252,13 @@ proptest! {
     #[test]
     fn ch_unpacked_paths_are_contiguous_edge_sequences(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
     ) {
         // Every returned path must be a contiguous chain of real EdgeIds
         // whose summed lengths equal the reported distance — shortcut
         // unpacking cannot drop, duplicate or reorder edges.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let (_ch, mut engine) = ch_engine(&g);
         for s in 0..n {
             for t in 0..n {
@@ -408,11 +382,11 @@ proptest! {
     #[test]
     fn cch_costs_bit_identical_across_perturbation_rounds(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
-        salts in proptest::collection::vec(0u64..1000, 2..4),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        salts in pathrank_testkit::collection::vec(0u64..1000, 2..4),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         if g.edge_count() == 0 {
             return Ok(());
         }
@@ -468,11 +442,11 @@ proptest! {
     #[test]
     fn cch_custom_weight_vectors_bit_identical(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
         salt in 1u32..40,
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         if g.edge_count() == 0 {
             return Ok(());
         }

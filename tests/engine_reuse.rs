@@ -24,9 +24,9 @@ use pathrank::spatial::geometry::Point;
 use pathrank::spatial::graph::{CostModel, EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use pathrank::spatial::path::Path;
 use pathrank::spatial::util::BitSet;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
+use pathrank_testkit::prelude::*;
 
 fn assert_same_path(fresh: Option<Path>, reused: Option<Path>, ctx: &str) {
     match (fresh, reused) {
@@ -289,8 +289,8 @@ proptest! {
     #[test]
     fn engine_columns_never_go_stale(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec(
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec(
             (0usize..MAX_N, 0usize..MAX_N, 1u32..60, 0u8..6, 0.2f64..250.0),
             1..40,
         ),

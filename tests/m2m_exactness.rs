@@ -31,39 +31,11 @@ use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::landmarks::LandmarkMetric;
 use pathrank::spatial::algo::m2m::M2mSearch;
 use pathrank::spatial::algo::QueryEngine;
-use pathrank::spatial::builder::GraphBuilder;
-use pathrank::spatial::geometry::Point;
-use pathrank::spatial::graph::{CostModel, EdgeAttrs, Graph, RoadCategory, VertexId};
-use proptest::prelude::*;
+use pathrank::spatial::graph::{CostModel, Graph, VertexId};
+use pathrank_testkit::prelude::*;
 
-/// Builds a random directed graph from proptest-drawn raw material:
-/// `n` vertices with the given coordinates and deduplicated directed
-/// edges with integer-metre lengths. The fixed 1.8 km/h speed makes
-/// every travel time exactly `2 × length` — integer-valued, so both
-/// metrics sum exactly in `f64`.
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
-    let mut b = GraphBuilder::new();
-    let vs: Vec<VertexId> = (0..n)
-        .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &(f, t, w) in edges {
-        let (f, t) = (f % n, t % n);
-        if f != t && seen.insert((f, t)) {
-            b.add_edge(
-                vs[f],
-                vs[t],
-                EdgeAttrs {
-                    length_m: w as f64,
-                    speed_kmh: 1.8,
-                    category: RoadCategory::Rural,
-                },
-            )
-            .unwrap();
-        }
-    }
-    b.build()
-}
+mod common;
+use common::{build_graph, integer_times};
 
 /// Pairwise reference distance under `cost`: plain Dijkstra, `0.0` on
 /// the diagonal, `INFINITY` when unreachable — exactly the table's
@@ -85,13 +57,13 @@ proptest! {
     #[test]
     fn m2m_tables_bit_identical_to_pairwise_dijkstra(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
     ) {
         // The full vertex cross-product: unreachable pairs and diagonal
         // self-pairs included, on sparse graphs that are frequently
         // disconnected.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, integer_times);
         let ch = Arc::new(ContractionHierarchy::build(
             &g,
             LandmarkMetric::Length,
@@ -119,14 +91,14 @@ proptest! {
     #[test]
     fn m2m_interleaved_metrics_share_one_scratch_without_leaking(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
         rounds in 1usize..4,
     ) {
         // Alternate Length- and TravelTime-metric tables on ONE scratch:
         // every entry of every round must stay bit-identical to pairwise
         // Dijkstra under the round's metric.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, integer_times);
         let cfg = ChConfig { threads: 2, witness_settle_cap: 8 };
         let ch_len = ContractionHierarchy::build(&g, LandmarkMetric::Length, &cfg);
         let ch_tt = ContractionHierarchy::build(&g, LandmarkMetric::TravelTime, &cfg);
@@ -156,10 +128,10 @@ proptest! {
     #[test]
     fn m2m_streamed_rows_match_one_to_all_tree(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, integer_times);
         let ch = Arc::new(ContractionHierarchy::build(
             &g,
             LandmarkMetric::Length,
@@ -200,14 +172,14 @@ proptest! {
     #[test]
     fn m2m_custom_and_mismatched_metrics_return_none(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
         salt in 1u32..40,
     ) {
         // The metric gate of the batched entry points: a Custom cost
         // slice or a mismatched metric must force the caller onto its
         // pairwise fallback, never a stale table.
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, integer_times);
         let custom: Vec<f64> = (0..g.edge_count())
             .map(|i| 1.0 + ((i as u32 * salt) % 17) as f64)
             .collect();
@@ -237,11 +209,11 @@ proptest! {
     #[test]
     fn cch_m2m_tables_bit_identical_across_perturbation_rounds(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
-        salts in proptest::collection::vec(0u64..1000, 2..4),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        salts in pathrank_testkit::collection::vec(0u64..1000, 2..4),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, integer_times);
         if g.edge_count() == 0 {
             return Ok(());
         }
@@ -301,11 +273,11 @@ proptest! {
     #[test]
     fn cch_interleaved_metrics_share_engine_scratch(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..30), 1..30),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..30), 1..30),
         rounds in 1usize..4,
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, integer_times);
         if g.edge_count() == 0 {
             return Ok(());
         }

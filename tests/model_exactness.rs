@@ -19,9 +19,9 @@ use pathrank::nn::matrix::Matrix;
 use pathrank::nn::optim::{Adam, Optimizer};
 use pathrank::nn::params::{GradStore, ParamId, ParamStore};
 use pathrank::nn::Tape;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
+use pathrank_testkit::prelude::*;
 
 struct Fnv(u64);
 

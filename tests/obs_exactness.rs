@@ -19,38 +19,11 @@ use pathrank::spatial::algo::cch::{CchConfig, CchTopology};
 use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank::spatial::algo::engine::{EngineObs, QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-use pathrank::spatial::builder::GraphBuilder;
-use pathrank::spatial::geometry::Point;
-use pathrank::spatial::graph::{CostModel, EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
-use proptest::prelude::*;
+use pathrank::spatial::graph::{CostModel, EdgeId, Graph, VertexId};
+use pathrank_testkit::prelude::*;
 
-/// Builds a random directed graph from proptest-drawn raw material —
-/// the same recipe as the other exactness harnesses, with mixed road
-/// categories so free-flow speeds differ per edge.
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
-    let mut b = GraphBuilder::new();
-    let vs: Vec<VertexId> = (0..n)
-        .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &(f, t, w) in edges {
-        let (f, t) = (f % n, t % n);
-        let category = match w % 3 {
-            0 => RoadCategory::Arterial,
-            1 => RoadCategory::Rural,
-            _ => RoadCategory::Residential,
-        };
-        if f != t && seen.insert((f, t)) {
-            b.add_edge(
-                vs[f],
-                vs[t],
-                EdgeAttrs::with_default_speed(w as f64, category),
-            )
-            .unwrap();
-        }
-    }
-    b.build()
-}
+mod common;
+use common::{build_graph, mixed_categories};
 
 /// All-pairs bit-identity between a bare engine and its instrumented
 /// twin: backend resolution, full `Path` extraction and cost bits must
@@ -165,14 +138,14 @@ proptest! {
     #[test]
     fn obs_instrumented_engines_stay_bit_identical(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..24),
-        batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..64, 0usize..3), 1..6),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..24),
+        batches in pathrank_testkit::collection::vec(
+            pathrank_testkit::collection::vec((0usize..64, 0usize..3), 1..6),
             1..3,
         ),
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, mixed_categories);
         let m = g.edge_count();
         prop_assume!(m > 0);
         let registry = Registry::new();
@@ -231,7 +204,7 @@ fn obs_fallback_decisions_are_identical_and_counted() {
         (2, 5, 11),
         (4, 1, 7),
     ];
-    let g = build_graph(6, &coords, &edges);
+    let g = build_graph(6, &coords, &edges, false, mixed_categories);
     // Travel-time indexes under length queries: CH, CCH and ALT all
     // mismatch, and both engines must degrade to the same plain search.
     let ix = Indexes::build(&g, LandmarkMetric::TravelTime);

@@ -26,7 +26,7 @@ use pathrank::spatial::osm::synth::{synthetic_city, write_osm_xml, SynthCityConf
 use pathrank::spatial::osm::{
     import_osm, parse_osm_str, ImportConfig, ImportedGraph, OsmData, OsmNode, OsmWay,
 };
-use proptest::prelude::*;
+use pathrank_testkit::prelude::*;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -311,7 +311,7 @@ proptest! {
     #[test]
     fn osm_attribute_reordering_and_entities_are_handled(
         order in 0usize..6,
-        name_idx in proptest::collection::vec(0usize..ADVERSARIAL.len(), 0..24),
+        name_idx in pathrank_testkit::collection::vec(0usize..ADVERSARIAL.len(), 0..24),
         id in 1i64..1_000_000,
         lat in -89.0f64..89.0,
         lon in -179.0f64..179.0,
@@ -353,9 +353,9 @@ proptest! {
     #[test]
     fn osm_writer_parser_roundtrip_is_identity(
         n_nodes in 1usize..12,
-        refs in proptest::collection::vec(0usize..16, 0..12),
-        key_idx in proptest::collection::vec(0usize..KEY_ALPHABET.len(), 1..12),
-        value_idx in proptest::collection::vec(0usize..ADVERSARIAL.len(), 0..20),
+        refs in pathrank_testkit::collection::vec(0usize..16, 0..12),
+        key_idx in pathrank_testkit::collection::vec(0usize..KEY_ALPHABET.len(), 1..12),
+        value_idx in pathrank_testkit::collection::vec(0usize..ADVERSARIAL.len(), 0..20),
     ) {
         let key: String = key_idx.iter().map(|&i| KEY_ALPHABET[i]).collect();
         let value: String = value_idx.iter().map(|&i| ADVERSARIAL[i]).collect();
@@ -383,8 +383,8 @@ proptest! {
     /// always reconcile with the raw way count.
     #[test]
     fn osm_import_skips_missing_refs_and_counters_reconcile(
-        missing in proptest::collection::vec(100i64..200, 0..4),
-        classes in proptest::collection::vec(0usize..6, 1..6),
+        missing in pathrank_testkit::collection::vec(100i64..200, 0..4),
+        classes in pathrank_testkit::collection::vec(0usize..6, 1..6),
     ) {
         let class_names = ["residential", "primary", "footway", "service", "", "motorway"];
         let mut data = OsmData::default();

@@ -14,32 +14,13 @@
 //! * the `_into` variant reuses its output buffer without leaking stale
 //!   candidates between queries.
 
-use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::geometry::{point_segment_distance, Point};
-use pathrank::spatial::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
+use pathrank::spatial::graph::{EdgeId, Graph};
 use pathrank::spatial::rtree::RTree;
-use proptest::prelude::*;
+use pathrank_testkit::prelude::*;
 
-/// Builds a random directed graph from proptest-drawn raw material.
-fn build_graph(n: usize, coords: &[(f64, f64)], edges: &[(usize, usize, u32)]) -> Graph {
-    let mut b = GraphBuilder::new();
-    let vs: Vec<VertexId> = (0..n)
-        .map(|i| b.add_vertex(Point::new(coords[i].0, coords[i].1)))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    for &(f, t, w) in edges {
-        let (f, t) = (f % n, t % n);
-        if f != t && seen.insert((f, t)) {
-            b.add_edge(
-                vs[f],
-                vs[t],
-                EdgeAttrs::with_default_speed(w as f64, RoadCategory::Rural),
-            )
-            .unwrap();
-        }
-    }
-    b.build()
-}
+mod common;
+use common::{build_graph, rural};
 
 /// Ground truth: every edge whose chord `from -> to` passes within
 /// `radius_m` of `p`, ascending by id.
@@ -61,12 +42,12 @@ proptest! {
     #[test]
     fn rtree_edges_within_equals_brute_force(
         n in 2usize..MAX_N,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in proptest::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..36),
-        probes in proptest::collection::vec((-500.0f64..5500.0, -500.0f64..5500.0), 1..12),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
+        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..36),
+        probes in pathrank_testkit::collection::vec((-500.0f64..5500.0, -500.0f64..5500.0), 1..12),
         radius in 1.0f64..2000.0,
     ) {
-        let g = build_graph(n, &coords, &edges);
+        let g = build_graph(n, &coords, &edges, false, rural);
         let rt = RTree::build(&g);
         prop_assert_eq!(rt.len(), g.edge_count());
         let mut out = vec![EdgeId(u32::MAX)]; // stale content must be cleared

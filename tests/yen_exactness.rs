@@ -23,9 +23,9 @@ use pathrank::spatial::graph::{CostModel, EdgeAttrs, Graph, RoadCategory, Vertex
 use pathrank::spatial::path::Path;
 use pathrank::spatial::similarity::EdgeWeight;
 use pathrank::spatial::util::BitSet;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pathrank_rng::rngs::StdRng;
+use pathrank_rng::{Rng, SeedableRng};
+use pathrank_testkit::prelude::*;
 
 fn region() -> Graph {
     region_network(&RegionConfig::small_test(), 11)
@@ -197,9 +197,9 @@ proptest! {
     #[test]
     fn yen_budgeted_search_is_the_unbudgeted_one_within_budget(
         n in 3usize..10,
-        coords in proptest::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), 10..11),
-        edges in proptest::collection::vec((0usize..10, 0usize..10, 1u32..60), 4..40),
-        banned in proptest::collection::vec((0u32..10, 0u32..40), 0..4),
+        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), 10..11),
+        edges in pathrank_testkit::collection::vec((0usize..10, 0usize..10, 1u32..60), 4..40),
+        banned in pathrank_testkit::collection::vec((0u32..10, 0u32..40), 0..4),
     ) {
         let mut b = GraphBuilder::new();
         let vs: Vec<VertexId> =
