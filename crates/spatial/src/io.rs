@@ -77,13 +77,6 @@ pub fn write_graph<W: Write>(g: &Graph, out: &mut W) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Serialises `g` to a `String` in the v1 text format.
-pub fn graph_to_string(g: &Graph) -> String {
-    let mut buf = Vec::new();
-    write_graph(g, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("format is ASCII")
-}
-
 /// Reads a graph in the v1 text format. Every vertex and edge line must
 /// carry exactly its fields, and nothing may follow the last edge line:
 /// a doubled file or a stray token is corruption, not slack.
@@ -152,11 +145,6 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<Graph, SpatialError> {
     }
     no_trailing_content(&mut lines, "the last edge line")?;
     Ok(b.build())
-}
-
-/// Parses a graph from its v1 text representation.
-pub fn graph_from_str(s: &str) -> Result<Graph, SpatialError> {
-    read_graph(s.as_bytes())
 }
 
 fn metric_tag(metric: LandmarkMetric) -> &'static str {
@@ -295,13 +283,6 @@ pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Re
     writeln!(out, "end")
 }
 
-/// Serialises a contraction hierarchy to a `String`.
-pub fn ch_to_string(ch: &ContractionHierarchy) -> String {
-    let mut buf = Vec::new();
-    write_ch(ch, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("format is ASCII")
-}
-
 /// Reads a contraction hierarchy in the v3 text format, rebuilding the
 /// query-time search graph. Validates the rank permutation, arc
 /// endpoints (no self-loops, one arc per vertex pair and direction) and
@@ -389,11 +370,6 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
     ContractionHierarchy::assemble(metric, m, rank, arcs).map_err(SpatialError::Parse)
 }
 
-/// Parses a contraction hierarchy from its v3 text representation.
-pub fn ch_from_str(s: &str) -> Result<ContractionHierarchy, SpatialError> {
-    read_ch(s.as_bytes())
-}
-
 /// Loads a road network from `path`, sniffing the format off the first
 /// buffered bytes: a graph file (`pathrank-graph v1`) or raw OSM XML
 /// (anything starting with `<`), which is imported on the fly with the
@@ -470,52 +446,59 @@ mod tests {
     use super::*;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
 
+    /// `g` in the v1 text format.
+    fn graph_text(g: &Graph) -> String {
+        let mut buf = Vec::new();
+        write_graph(g, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
     #[test]
     fn roundtrip_grid() {
         let g = grid_network(&GridConfig::small_test(), 13);
-        let text = graph_to_string(&g);
-        let back = graph_from_str(&text).unwrap();
+        let text = graph_text(&g);
+        let back = read_graph(text.as_bytes()).unwrap();
         assert_eq!(g, back);
     }
 
     #[test]
     fn roundtrip_region() {
         let g = region_network(&RegionConfig::small_test(), 13);
-        let back = graph_from_str(&graph_to_string(&g)).unwrap();
+        let back = read_graph(graph_text(&g).as_bytes()).unwrap();
         assert_eq!(g, back);
     }
 
     #[test]
     fn rejects_bad_header() {
-        assert!(graph_from_str("nonsense").is_err());
-        assert!(graph_from_str("pathrank-graph v0\nvertices 0\nedges 0\n").is_err());
+        assert!(read_graph(&b"nonsense"[..]).is_err());
+        assert!(read_graph(&b"pathrank-graph v0\nvertices 0\nedges 0\n"[..]).is_err());
     }
 
     #[test]
     fn rejects_truncated_input() {
         let g = grid_network(&GridConfig::small_test(), 13);
-        let text = graph_to_string(&g);
+        let text = graph_text(&g);
         let trimmed = text.trim_end();
         for cut in 0..trimmed.len() {
             assert!(
-                graph_from_str(&trimmed[..cut]).is_err(),
+                read_graph(&trimmed.as_bytes()[..cut]).is_err(),
                 "prefix of {cut} of {} bytes accepted",
                 trimmed.len()
             );
         }
-        assert_eq!(graph_from_str(trimmed).unwrap(), g);
+        assert_eq!(read_graph(trimmed.as_bytes()).unwrap(), g);
     }
 
     #[test]
     fn rejects_malformed_edges() {
         let bad = "pathrank-graph v1\nvertices 2\nv 0 0\nv 1 0\nedges 1\ne 0 5 10 50 R\n";
-        assert!(graph_from_str(bad).is_err());
+        assert!(read_graph(bad.as_bytes()).is_err());
         let bad_tag = "pathrank-graph v1\nvertices 2\nv 0 0\nv 1 0\nedges 1\ne 0 1 10 50 X\n";
-        assert!(graph_from_str(bad_tag).is_err());
+        assert!(read_graph(bad_tag.as_bytes()).is_err());
         // Non-finite coordinates would reach the R-tree and the A* bound.
         for v in ["v NaN 0", "v inf 0", "v 0 -inf", "v 0 nan"] {
             let text = format!("pathrank-graph v1\nvertices 2\nv 0 0\n{v}\nedges 0\n");
-            match graph_from_str(&text) {
+            match read_graph(text.as_bytes()) {
                 Err(SpatialError::Parse(msg)) => {
                     assert!(msg.contains("vertex line 1") && msg.contains(v), "{msg}")
                 }
@@ -527,14 +510,14 @@ mod tests {
     #[test]
     fn tolerates_blank_lines() {
         let g = grid_network(&GridConfig::small_test(), 13);
-        let text = graph_to_string(&g).replace('\n', "\n\n");
-        assert_eq!(graph_from_str(&text).unwrap(), g);
+        let text = graph_text(&g).replace('\n', "\n\n");
+        assert_eq!(read_graph(text.as_bytes()).unwrap(), g);
     }
 
     #[test]
     fn rejects_stray_tokens_and_trailing_content() {
         let g = grid_network(&GridConfig::small_test(), 13);
-        let text = graph_to_string(&g);
+        let text = graph_text(&g);
         let first_edge = text.lines().find(|l| l.starts_with("e ")).unwrap();
         let first_vertex = text.lines().find(|l| l.starts_with("v ")).unwrap();
         let cases = [
@@ -564,7 +547,7 @@ mod tests {
         for (what, bad) in cases {
             assert_ne!(bad, text, "{what}: the corruption must change the text");
             assert!(
-                matches!(graph_from_str(&bad), Err(SpatialError::Parse(_))),
+                matches!(read_graph(bad.as_bytes()), Err(SpatialError::Parse(_))),
                 "{what} accepted"
             );
         }
@@ -573,23 +556,22 @@ mod tests {
     mod imported {
         use super::*;
         use crate::osm::synth::{synthetic_city, write_osm_xml, SynthCityConfig};
-        use crate::osm::{import_osm_str, ImportConfig};
+        use crate::osm::{import_osm, parse_osm_str, ImportConfig};
 
         #[test]
         fn load_graph_auto_sniffs_all_three_formats() {
             let dir = std::env::temp_dir().join(format!("pathrank-io-test-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let xml = write_osm_xml(&synthetic_city(&SynthCityConfig::default(), 13));
-            let g = import_osm_str(&xml, &ImportConfig::default())
-                .unwrap()
-                .graph;
+            let osm = parse_osm_str(&xml).unwrap();
+            let g = import_osm(&osm, &ImportConfig::default()).unwrap().graph;
 
             let xml_path = dir.join("city.osm.xml");
             std::fs::write(&xml_path, &xml).unwrap();
             assert_eq!(load_graph_auto(&xml_path).unwrap(), g);
 
             let graph_path = dir.join("city.graph");
-            std::fs::write(&graph_path, graph_to_string(&g)).unwrap();
+            std::fs::write(&graph_path, graph_text(&g)).unwrap();
             assert_eq!(load_graph_auto(&graph_path).unwrap(), g);
 
             let junk_path = dir.join("junk");
@@ -606,6 +588,13 @@ mod tests {
         use crate::algo::landmarks::LandmarkMetric;
         use crate::graph::VertexId;
 
+        /// `ch` in the v3 text format.
+        fn ch_text(ch: &ContractionHierarchy) -> String {
+            let mut buf = Vec::new();
+            write_ch(ch, &mut buf).unwrap();
+            String::from_utf8(buf).unwrap()
+        }
+
         fn region() -> Graph {
             region_network(&RegionConfig::small_test(), 23)
         }
@@ -617,8 +606,8 @@ mod tests {
             let g = region();
             for metric in [LandmarkMetric::Length, LandmarkMetric::TravelTime] {
                 let ch = ContractionHierarchy::build(&g, metric, &ChConfig::default());
-                let text = ch_to_string(&ch);
-                let back = ch_from_str(&text).unwrap();
+                let text = ch_text(&ch);
+                let back = read_ch(text.as_bytes()).unwrap();
                 assert_eq!(back.metric(), ch.metric());
                 assert_eq!(back.vertex_count(), ch.vertex_count());
                 assert_eq!(back.edge_count(), ch.edge_count());
@@ -643,28 +632,28 @@ mod tests {
         fn index_headers_are_versioned_and_checked() {
             let g = region();
             // Wrong or missing versions are rejected outright.
-            assert!(ch_from_str("pathrank-ch v0\n").is_err());
+            assert!(read_ch(&b"pathrank-ch v0\n"[..]).is_err());
             // A v2 file has no end line, so a cut one read as whole.
             let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-            let v2 = ch_to_string(&ch)
+            let v2 = ch_text(&ch)
                 .replacen("pathrank-ch v3", "pathrank-ch v2", 1)
                 .replace("end\n", "");
-            assert!(ch_from_str(&v2).is_err());
+            assert!(read_ch(v2.as_bytes()).is_err());
             // Feeding one format to the other reader fails on the header.
-            assert!(ch_from_str(&graph_to_string(&g)).is_err());
+            assert!(read_ch(graph_text(&g).as_bytes()).is_err());
         }
 
         #[test]
         fn ch_corrupt_input_is_rejected() {
             let g = region();
             let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-            let text = ch_to_string(&ch);
-            assert!(ch_from_str(&text[..text.len() / 2]).is_err());
+            let text = ch_text(&ch);
+            assert!(read_ch(&text.as_bytes()[..text.len() / 2]).is_err());
             // An absurd arc count errors on truncation instead of
             // aborting on a huge preallocation.
             let arcs_line = format!("arcs {}", ch.arcs().len());
             let huge = text.replace(&arcs_line, "arcs 18446744073709551615");
-            assert!(ch_from_str(&huge).is_err());
+            assert!(read_ch(huge.as_bytes()).is_err());
             // A rank out of range / duplicated breaks the permutation.
             let ranks_line = text
                 .lines()
@@ -673,13 +662,13 @@ mod tests {
                 .to_string();
             let mut toks: Vec<&str> = ranks_line.split_ascii_whitespace().collect();
             toks[1] = "999999";
-            assert!(ch_from_str(&text.replace(&ranks_line, &toks.join(" "))).is_err());
+            assert!(read_ch(text.replace(&ranks_line, &toks.join(" ")).as_bytes()).is_err());
             let dup = {
                 let mut t: Vec<&str> = ranks_line.split_ascii_whitespace().collect();
                 t[1] = t[2];
                 text.replace(&ranks_line, &t.join(" "))
             };
-            assert!(ch_from_str(&dup).is_err());
+            assert!(read_ch(dup.as_bytes()).is_err());
             // Negative or non-finite weights are rejected.
             let arcs: Vec<ChArc> = ch.arcs().collect();
             let arc_line = |a: usize| {
@@ -692,9 +681,9 @@ mod tests {
                 toks[i] = tok;
                 text.replace(&line, &format!("{}\n", toks.join(" ")))
             };
-            assert!(ch_from_str(&with_token(0, 3, "-5")).is_err());
+            assert!(read_ch(with_token(0, 3, "-5").as_bytes()).is_err());
             // Every other refusal names its reason.
-            let refusal = |text: &str| match ch_from_str(text) {
+            let refusal = |text: &str| match read_ch(text.as_bytes()) {
                 Err(SpatialError::Parse(msg)) => msg,
                 other => panic!("expected a parse error, got {other:?}"),
             };
@@ -777,7 +766,7 @@ mod tests {
             for (what, bad) in cases {
                 assert_ne!(bad, text, "{what}: the corruption must change the text");
                 assert!(
-                    matches!(ch_from_str(&bad), Err(SpatialError::Parse(_))),
+                    matches!(read_ch(bad.as_bytes()), Err(SpatialError::Parse(_))),
                     "{what} accepted"
                 );
             }
@@ -789,16 +778,16 @@ mod tests {
         fn ch_every_truncation_is_rejected() {
             let g = grid_network(&GridConfig::small_test(), 13);
             let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-            let text = ch_to_string(&ch);
+            let text = ch_text(&ch);
             let trimmed = text.trim_end();
             for cut in 0..trimmed.len() {
                 assert!(
-                    ch_from_str(&trimmed[..cut]).is_err(),
+                    read_ch(&trimmed.as_bytes()[..cut]).is_err(),
                     "prefix of {cut} of {} bytes accepted",
                     trimmed.len()
                 );
             }
-            assert_eq!(ch_from_str(trimmed).unwrap().ranks(), ch.ranks());
+            assert_eq!(read_ch(trimmed.as_bytes()).unwrap().ranks(), ch.ranks());
         }
     }
 }

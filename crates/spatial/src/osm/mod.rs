@@ -12,7 +12,7 @@
 //!    tags) into an [`OsmData`].
 //!    Malformed input — truncation, mismatched tags, broken entities,
 //!    out-of-range coordinates — is rejected with
-//!    [`SpatialError::Parse`], never a panic.
+//!    [`SpatialError::Parse`](crate::error::SpatialError::Parse), never a panic.
 //! 2. **Import** ([`import_osm`]) — filters ways by `highway` class
 //!    ([`HIGHWAY_CLASSES`]), infers per-edge speeds from `maxspeed` with
 //!    per-class defaults, expands `oneway`/reversed geometry into
@@ -43,7 +43,6 @@ mod xml;
 pub use import::{import_osm, ImportConfig, ImportStats, ImportedGraph};
 pub use xml::{parse_osm_str, parse_osm_xml};
 
-use crate::error::SpatialError;
 use crate::graph::RoadCategory;
 
 /// One OSM node: a WGS84 coordinate with an id.
@@ -231,11 +230,6 @@ pub fn way_direction(way: &OsmWay, class: &HighwayClass) -> WayDirection {
             }
         }
     }
-}
-
-/// Parses an OSM XML string and imports it in one step.
-pub fn import_osm_str(s: &str, cfg: &ImportConfig) -> Result<ImportedGraph, SpatialError> {
-    import_osm(&parse_osm_str(s)?, cfg)
 }
 
 #[cfg(test)]

@@ -15,7 +15,8 @@
 //! shrinking their elements, tuples one component at a time — for at most
 //! a fixed number of body runs, and panics with the property's name, the
 //! attempt, the failure message and both the original and the minimal
-//! inputs.
+//! inputs. The original failure's panic message prints; the shrink runs'
+//! do not.
 //!
 //! A dev-dependency only; it depends on `pathrank-rng` alone, so any
 //! workspace crate's unit tests can use it.
@@ -257,7 +258,9 @@ pub mod collection {
 
 #[doc(hidden)]
 pub mod __rt {
+    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Once;
 
     use pathrank_rng::rngs::StdRng;
     use pathrank_rng::SeedableRng;
@@ -321,6 +324,46 @@ pub mod __rt {
         }
     }
 
+    thread_local! {
+        /// Set while this thread reruns a failing body to shrink it.
+        static SHRINKING: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether this thread is inside a shrink loop.
+    pub(crate) fn is_shrinking() -> bool {
+        SHRINKING.with(Cell::get)
+    }
+
+    /// Marks this thread as shrinking until dropped, unwinding included.
+    /// The first guard installs, once per process, a panic hook that
+    /// stays silent on a shrinking thread and defers to the previous
+    /// hook everywhere else: a shrink reruns a panicking body up to
+    /// [`MAX_SHRINK_RUNS`] times, while the original failure and other
+    /// tests' panics still print.
+    struct Shrinking;
+
+    impl Shrinking {
+        fn begin() -> Self {
+            static QUIET_HOOK: Once = Once::new();
+            QUIET_HOOK.call_once(|| {
+                let previous = std::panic::take_hook();
+                std::panic::set_hook(Box::new(move |info| {
+                    if !is_shrinking() {
+                        previous(info);
+                    }
+                }));
+            });
+            SHRINKING.with(|s| s.set(true));
+            Shrinking
+        }
+    }
+
+    impl Drop for Shrinking {
+        fn drop(&mut self) {
+            SHRINKING.with(|s| s.set(false));
+        }
+    }
+
     /// One body run; a panic fails the case with the panic's message.
     fn run_case<V>(body: &mut impl FnMut(V) -> TestCaseResult, value: V) -> TestCaseResult {
         catch_unwind(AssertUnwindSafe(|| body(value))).unwrap_or_else(|payload| {
@@ -345,6 +388,7 @@ pub mod __rt {
         mut value: S::Value,
         mut msg: String,
     ) -> (S::Value, String, u32) {
+        let _quiet = Shrinking::begin();
         let mut runs = 0;
         'simpler: loop {
             for candidate in strategy.shrink(&value) {
@@ -574,6 +618,36 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("original inputs:\n  x = "), "{report}");
+    }
+
+    thread_local! {
+        /// `(runs outside, runs inside)` a shrink loop of `counted_panics`.
+        static RUNS: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    #[test]
+    fn shrinking_is_flagged_only_inside_the_shrink_loop() {
+        proptest! {
+            fn counted_panics(x in 0u32..100) {
+                RUNS.with(|r| {
+                    let (outside, inside) = r.get();
+                    r.set(if crate::__rt::is_shrinking() {
+                        (outside, inside + 1)
+                    } else {
+                        (outside + 1, inside)
+                    });
+                });
+                assert!(x < 10);
+            }
+        }
+        let report = report_of(counted_panics);
+        assert_eq!(minimal_inputs(&report), "  x = 10", "{report}");
+        let (outside, inside) = RUNS.with(|r| r.get());
+        assert!(outside >= 1 && inside >= 1, "{outside} / {inside} runs");
+        assert!(
+            !crate::__rt::is_shrinking(),
+            "a shrink whose bodies panicked must clear the flag"
+        );
     }
 
     /// FNV-1a over a value's little-endian bytes.

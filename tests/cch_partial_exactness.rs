@@ -32,14 +32,13 @@ use std::sync::Arc;
 
 use pathrank::spatial::algo::cch::{ArcRow, Cch, CchConfig, CchTopology};
 use pathrank::spatial::algo::ch::ChSearch;
-use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, EdgeAttrs, EdgeId, Graph, VertexId};
 use pathrank_testkit::prelude::*;
 
 mod common;
-use common::{build_graph, mixed_categories};
+use common::{assert_engine_agrees, mixed_categories, DrawnGraph, GraphCase};
 
 /// Two customizations of the same topology are the same bits: columns
 /// and custom vector, and all-pairs `query_cost` answers.
@@ -57,35 +56,6 @@ fn assert_same_answers(a: &Cch, b: &Cch, what: &str) {
                 ca.map(f64::to_bits),
                 cb.map(f64::to_bits),
                 "{what}: {s:?}->{t:?} diverged ({ca:?} vs {cb:?})"
-            );
-        }
-    }
-}
-
-/// All-pairs engine-vs-plain-Dijkstra bit-identity under `cost`. The
-/// engine recomputes CCH answers left-to-right over the unpacked
-/// original edges — Dijkstra's own fold order — so bit-equality holds
-/// even on non-integer travel-time weights.
-fn assert_matches_dijkstra(g: &Graph, cch: &Cch, cost: CostModel<'_>, what: &str) {
-    let mut engine = QueryEngine::new(g).with_cch(Arc::new(cch.clone()));
-    assert_eq!(
-        engine.backend_for(cost),
-        SearchBackend::Cch,
-        "{what}: the partially customized index must actually serve"
-    );
-    let n = g.vertex_count() as u32;
-    for s in 0..n {
-        for t in 0..n {
-            let (s, t) = (VertexId(s), VertexId(t));
-            if s == t {
-                continue;
-            }
-            let plain = shortest_path(g, s, t, cost).map(|p| p.cost(g, cost));
-            let fast = engine.shortest_path_cost(s, t, cost);
-            assert_eq!(
-                plain.map(f64::to_bits),
-                fast.map(f64::to_bits),
-                "{what}: {s:?}->{t:?} diverged from Dijkstra"
             );
         }
     }
@@ -137,11 +107,18 @@ fn step(
     let full = topo.customize_weights(g, weights);
     assert_same_answers(partial, &full, what);
     if check_dijkstra {
-        assert_matches_dijkstra(g, partial, CostModel::Custom(weights), what);
+        // The engine recomputes CCH answers left-to-right over the
+        // unpacked original edges — Dijkstra's own fold order — so
+        // bit-equality holds even on non-integer travel-time weights.
+        let mut engine = QueryEngine::new(g).with_cch(Arc::new(partial.clone()));
+        assert_engine_agrees(
+            &mut engine,
+            SearchBackend::Cch,
+            CostModel::Custom(weights),
+            what,
+        );
     }
 }
-
-const MAX_N: usize = 9;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -153,15 +130,10 @@ proptest! {
     /// plain Dijkstra.
     #[test]
     fn cch_partial_chained_random_deltas_stay_bit_identical(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..28),
-        batches in pathrank_testkit::collection::vec(
-            pathrank_testkit::collection::vec((0usize..64, 0.05f64..400.0), 0..10),
-            1..5,
-        ),
+        case in GraphCase::new(mixed_categories),
+        batches in collection::vec(collection::vec((0usize..64, 0.05f64..400.0), 0..10), 1..5),
     ) {
-        let g = build_graph(n, &coords, &edges, false, mixed_categories);
+        let g = case.graph();
         prop_assume!(g.edge_count() > 0);
         let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
         let (mut partial, mut weights) = live(&g, &topo);
@@ -206,12 +178,10 @@ proptest! {
     /// customization.
     #[test]
     fn cch_partial_links_reverse_the_triangle_lists_on_multigraphs(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..48),
-        batch in pathrank_testkit::collection::vec((0usize..64, 0.05f64..400.0), 1..10),
+        case in GraphCase::multigraph(mixed_categories),
+        batch in collection::vec((0usize..64, 0.05f64..400.0), 1..10),
     ) {
-        let g = build_graph(n, &coords, &edges, true, mixed_categories);
+        let g = case.graph();
         prop_assume!(g.edge_count() > 0);
         let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
         let (forward, reverse) = triangle_links(&topo);
@@ -301,10 +271,10 @@ fn cch_customization_stays_at_twelve_bytes_per_arc() {
 
 /// A fixed deterministic grid-ish graph for the directed unit cases.
 fn fixed_graph() -> Graph {
-    let coords: Vec<(f64, f64)> = (0..8)
+    let coords = (0..8)
         .map(|i| (((i * 137) % 700) as f64, ((i * 311) % 900) as f64))
         .collect();
-    let edges: Vec<(usize, usize, u32)> = vec![
+    let edges = vec![
         (0, 1, 13),
         (1, 2, 7),
         (2, 3, 22),
@@ -320,7 +290,12 @@ fn fixed_graph() -> Graph {
         (7, 3, 23),
         (3, 5, 37),
     ];
-    build_graph(8, &coords, &edges, false, mixed_categories)
+    DrawnGraph {
+        coords,
+        edges,
+        attrs: mixed_categories,
+    }
+    .graph()
 }
 
 #[test]

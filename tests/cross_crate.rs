@@ -8,7 +8,7 @@ use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::QueryEngine;
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, Graph, VertexId};
-use pathrank::spatial::io::{graph_from_str, graph_to_string};
+use pathrank::spatial::io::{read_graph, write_graph};
 use pathrank::spatial::similarity::{weighted_jaccard, EdgeWeight};
 use pathrank::traj::mapmatch::{MapMatchConfig, MapMatcher};
 use pathrank::traj::simulator::{simulate_fleet, SimulationConfig};
@@ -20,7 +20,9 @@ fn region() -> Graph {
 #[test]
 fn graph_serialisation_preserves_routing() {
     let g = region();
-    let restored = graph_from_str(&graph_to_string(&g)).unwrap();
+    let mut text = Vec::new();
+    write_graph(&g, &mut text).unwrap();
+    let restored = read_graph(text.as_slice()).unwrap();
     let s = VertexId(1);
     let t = VertexId((g.vertex_count() - 2) as u32);
     let a = shortest_path(&g, s, t, CostModel::Length).unwrap();

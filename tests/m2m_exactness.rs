@@ -25,51 +25,28 @@
 
 use std::sync::Arc;
 
-use pathrank::spatial::algo::cch::{CchConfig, CchTopology};
-use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
-use pathrank::spatial::algo::dijkstra::shortest_path;
+use pathrank::spatial::algo::engine::SearchBackend;
 use pathrank::spatial::algo::landmarks::LandmarkMetric;
 use pathrank::spatial::algo::m2m::M2mSearch;
 use pathrank::spatial::algo::QueryEngine;
-use pathrank::spatial::graph::{CostModel, Graph, VertexId};
+use pathrank::spatial::graph::{CostModel, VertexId};
 use pathrank_testkit::prelude::*;
 
 mod common;
-use common::{build_graph, integer_times};
-
-/// Pairwise reference distance under `cost`: plain Dijkstra, `0.0` on
-/// the diagonal, `INFINITY` when unreachable — exactly the table's
-/// contract.
-fn reference(g: &Graph, s: VertexId, t: VertexId, cost: CostModel<'_>) -> f64 {
-    if s == t {
-        return 0.0;
-    }
-    shortest_path(g, s, t, cost)
-        .map(|p| p.cost(g, cost))
-        .unwrap_or(f64::INFINITY)
-}
-
-const MAX_N: usize = 10;
+use common::{integer_times, live_weights, reference_cost, Backends, GraphCase};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn m2m_tables_bit_identical_to_pairwise_dijkstra(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        case in GraphCase::new(integer_times),
     ) {
         // The full vertex cross-product: unreachable pairs and diagonal
         // self-pairs included, on sparse graphs that are frequently
         // disconnected.
-        let g = build_graph(n, &coords, &edges, false, integer_times);
-        let ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig { threads: 2, witness_settle_cap: 8 },
-        ));
-        let mut engine = QueryEngine::new(&g).with_ch(ch);
+        let (g, n) = (case.graph(), case.n());
+        let mut engine = Backends::build(&g, LandmarkMetric::Length).engine(SearchBackend::Ch);
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         let table = engine
             .many_to_many(&all, &all, CostModel::Length)
@@ -77,7 +54,7 @@ proptest! {
         prop_assert_eq!(table.shape(), (n, n));
         for (i, &s) in all.iter().enumerate() {
             for (j, &t) in all.iter().enumerate() {
-                let expect = reference(&g, s, t, CostModel::Length);
+                let expect = reference_cost(&g, s, t, CostModel::Length);
                 prop_assert_eq!(
                     expect.to_bits(),
                     table.dist(i, j).to_bits(),
@@ -90,18 +67,15 @@ proptest! {
 
     #[test]
     fn m2m_interleaved_metrics_share_one_scratch_without_leaking(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        case in GraphCase::new(integer_times),
         rounds in 1usize..4,
     ) {
         // Alternate Length- and TravelTime-metric tables on ONE scratch:
         // every entry of every round must stay bit-identical to pairwise
         // Dijkstra under the round's metric.
-        let g = build_graph(n, &coords, &edges, false, integer_times);
-        let cfg = ChConfig { threads: 2, witness_settle_cap: 8 };
-        let ch_len = ContractionHierarchy::build(&g, LandmarkMetric::Length, &cfg);
-        let ch_tt = ContractionHierarchy::build(&g, LandmarkMetric::TravelTime, &cfg);
+        let (g, n) = (case.graph(), case.n());
+        let ch_len = Backends::build(&g, LandmarkMetric::Length).ch;
+        let ch_tt = Backends::build(&g, LandmarkMetric::TravelTime).ch;
         let mut search = M2mSearch::new(g.vertex_count());
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         for _ in 0..rounds {
@@ -112,7 +86,7 @@ proptest! {
                 let table = ch.view().many_to_many(&mut search, &all, &all);
                 for (i, &s) in all.iter().enumerate() {
                     for (j, &t) in all.iter().enumerate() {
-                        let expect = reference(&g, s, t, cost);
+                        let expect = reference_cost(&g, s, t, cost);
                         prop_assert_eq!(
                             expect.to_bits(),
                             table.dist(i, j).to_bits(),
@@ -127,17 +101,10 @@ proptest! {
 
     #[test]
     fn m2m_streamed_rows_match_one_to_all_tree(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        case in GraphCase::new(integer_times),
     ) {
-        let g = build_graph(n, &coords, &edges, false, integer_times);
-        let ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig { threads: 2, witness_settle_cap: 8 },
-        ));
-        let mut engine = QueryEngine::new(&g).with_ch(ch);
+        let (g, n) = (case.graph(), case.n());
+        let mut engine = Backends::build(&g, LandmarkMetric::Length).engine(SearchBackend::Ch);
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         prop_assert!(engine.prepare_m2m_targets(&all, CostModel::Length));
         for &s in &all {
@@ -147,7 +114,7 @@ proptest! {
                 .to_vec();
             // Self-distance is 0 on the diagonal entry.
             for (j, &t) in all.iter().enumerate() {
-                let expect = reference(&g, s, t, CostModel::Length);
+                let expect = reference_cost(&g, s, t, CostModel::Length);
                 prop_assert_eq!(
                     expect.to_bits(),
                     row[j].to_bits(),
@@ -171,27 +138,20 @@ proptest! {
 
     #[test]
     fn m2m_custom_and_mismatched_metrics_return_none(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
+        case in GraphCase::new(integer_times),
         salt in 1u32..40,
     ) {
         // The metric gate of the batched entry points: a Custom cost
         // slice or a mismatched metric must force the caller onto its
         // pairwise fallback, never a stale table.
-        let g = build_graph(n, &coords, &edges, false, integer_times);
+        let (g, n) = (case.graph(), case.n());
         let custom: Vec<f64> = (0..g.edge_count())
             .map(|i| 1.0 + ((i as u32 * salt) % 17) as f64)
             .collect();
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         let mut plain = QueryEngine::new(&g);
         prop_assert!(plain.many_to_many(&all, &all, CostModel::Length).is_none());
-        let ch = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig { threads: 2, witness_settle_cap: 8 },
-        ));
-        let mut engine = QueryEngine::new(&g).with_ch(ch);
+        let mut engine = Backends::build(&g, LandmarkMetric::Length).engine(SearchBackend::Ch);
         prop_assert!(engine.many_to_many(&all, &all, CostModel::Length).is_some());
         prop_assert!(engine.many_to_many(&all, &all, CostModel::TravelTime).is_none());
         prop_assert!(engine
@@ -208,29 +168,20 @@ proptest! {
     /// sums the bucket algorithm returns are exact.
     #[test]
     fn cch_m2m_tables_bit_identical_across_perturbation_rounds(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..30),
-        salts in pathrank_testkit::collection::vec(0u64..1000, 2..4),
+        case in GraphCase::new(integer_times),
+        salts in collection::vec(0u64..1000, 2..4),
     ) {
-        let g = build_graph(n, &coords, &edges, false, integer_times);
+        let (g, n) = (case.graph(), case.n());
         if g.edge_count() == 0 {
             return Ok(());
         }
-        let topo = Arc::new(CchTopology::build(&g, &CchConfig { threads: 2 }));
+        let mut b = Backends::build(&g, LandmarkMetric::Length);
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         for (round, &salt) in salts.iter().enumerate() {
-            let live: Vec<f64> = g
-                .edges()
-                .enumerate()
-                .map(|(i, e)| {
-                    let pick = (i as u64).wrapping_mul(31).wrapping_add(salt) % 3;
-                    e.attrs.length_m * [4.0, 2.0, 1.0][pick as usize]
-                })
-                .collect();
+            let live = live_weights(&g, salt);
             let cost = CostModel::Custom(&live);
-            let cch = Arc::new(topo.customize_weights(&g, &live));
-            let mut engine = QueryEngine::new(&g).with_cch(cch);
+            b.cch = Arc::new(b.topo.customize_weights(&g, &live));
+            let mut engine = b.engine(SearchBackend::Cch);
             // The customization covers its vector only: graph-metric
             // batched calls must hit the caller's fallback, not a
             // wrong-metric table.
@@ -241,7 +192,7 @@ proptest! {
                 .expect("live CCH attached");
             for (i, &s) in all.iter().enumerate() {
                 for (j, &t) in all.iter().enumerate() {
-                    let expect = reference(&g, s, t, cost);
+                    let expect = reference_cost(&g, s, t, cost);
                     prop_assert_eq!(
                         expect.to_bits(),
                         table.dist(i, j).to_bits(),
@@ -258,7 +209,7 @@ proptest! {
                     .to_vec();
                 for (j, &t) in all.iter().enumerate() {
                     prop_assert_eq!(
-                        reference(&g, s, t, cost).to_bits(),
+                        reference_cost(&g, s, t, cost).to_bits(),
                         row[j].to_bits(),
                         "round {} CCH streamed row diverged on {:?}->{:?}", round, s, t
                     );
@@ -272,22 +223,15 @@ proptest! {
     /// bucket or label state may leak between the two hierarchies.
     #[test]
     fn cch_interleaved_metrics_share_engine_scratch(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..30), 1..30),
+        case in GraphCase::new(integer_times),
         rounds in 1usize..4,
     ) {
-        let g = build_graph(n, &coords, &edges, false, integer_times);
+        let (g, n) = (case.graph(), case.n());
         if g.edge_count() == 0 {
             return Ok(());
         }
-        let ch_len = Arc::new(ContractionHierarchy::build(
-            &g,
-            LandmarkMetric::Length,
-            &ChConfig { threads: 2, witness_settle_cap: 8 },
-        ));
-        let topo = Arc::new(CchTopology::build(&g, &CchConfig { threads: 2 }));
-        let cch_tt = Arc::new(topo.customize(&g, &CostModel::TravelTime));
+        let ch_len = Backends::build(&g, LandmarkMetric::Length).ch;
+        let cch_tt = Backends::build(&g, LandmarkMetric::TravelTime).cch;
         let mut engine = QueryEngine::new(&g).with_ch(ch_len).with_cch(cch_tt);
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         for _ in 0..rounds {
@@ -297,7 +241,7 @@ proptest! {
                     .expect("each metric has a serving hierarchy");
                 for (i, &s) in all.iter().enumerate() {
                     for (j, &t) in all.iter().enumerate() {
-                        let expect = reference(&g, s, t, cost);
+                        let expect = reference_cost(&g, s, t, cost);
                         prop_assert_eq!(
                             expect.to_bits(),
                             table.dist(i, j).to_bits(),

@@ -15,15 +15,13 @@
 use std::sync::Arc;
 
 use pathrank::obs::Registry;
-use pathrank::spatial::algo::cch::{CchConfig, CchTopology};
-use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank::spatial::algo::engine::{EngineObs, QueryEngine, SearchBackend};
-use pathrank::spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
-use pathrank::spatial::graph::{CostModel, EdgeId, Graph, VertexId};
+use pathrank::spatial::algo::landmarks::LandmarkMetric;
+use pathrank::spatial::graph::{CostModel, EdgeId, VertexId};
 use pathrank_testkit::prelude::*;
 
 mod common;
-use common::{build_graph, mixed_categories};
+use common::{mixed_categories, Backends, DrawnGraph, GraphCase, BACKENDS};
 
 /// All-pairs bit-identity between a bare engine and its instrumented
 /// twin: backend resolution, full `Path` extraction and cost bits must
@@ -57,62 +55,19 @@ fn assert_obs_transparent(
     }
 }
 
-/// The indexes every backend sweep needs, built once per graph state.
-struct Indexes {
-    alt: Arc<LandmarkTable>,
-    ch: Arc<ContractionHierarchy>,
-    topo: Arc<CchTopology>,
-}
-
-impl Indexes {
-    fn build(g: &Graph, metric: LandmarkMetric) -> Self {
-        Indexes {
-            alt: Arc::new(LandmarkTable::build(g, metric, &LandmarkConfig::default())),
-            ch: Arc::new(ContractionHierarchy::build(g, metric, &ChConfig::default())),
-            topo: Arc::new(CchTopology::build(g, &CchConfig::default())),
-        }
-    }
-}
-
-/// Sweeps all four backends over `g`, pairing each bare engine with an
+/// Sweeps all four backends of `b`, pairing each bare engine with an
 /// instrumented twin registered on `registry`, and asserts bit-identity
 /// plus the expected backend resolution: ALT and CH serve graph metrics
 /// only, so under a `Custom` vector their engines fall back to plain.
-fn sweep_backends<'g>(
-    g: &'g Graph,
-    ix: &Indexes,
-    cch: &Arc<pathrank::spatial::algo::cch::Cch>,
-    cost: CostModel<'_>,
-    registry: &Registry,
-    what: &str,
-) {
-    let obs = || EngineObs::new(registry);
-    let metric_only = |backend| match cost {
-        CostModel::Custom(_) => SearchBackend::Plain,
-        _ => backend,
-    };
-    let cases: [(SearchBackend, Box<dyn Fn() -> QueryEngine<'g> + '_>); 4] = [
-        (SearchBackend::Plain, Box::new(|| QueryEngine::new(g))),
-        (
-            metric_only(SearchBackend::Alt),
-            Box::new(|| QueryEngine::new(g).with_landmarks(Arc::clone(&ix.alt))),
-        ),
-        (
-            SearchBackend::Cch,
-            Box::new(|| QueryEngine::new(g).with_cch(Arc::clone(cch))),
-        ),
-        (
-            metric_only(SearchBackend::Ch),
-            Box::new(|| QueryEngine::new(g).with_ch(Arc::clone(&ix.ch))),
-        ),
-    ];
-    for (backend, make) in &cases {
-        let mut bare = make();
-        let mut instrumented = make().with_obs(obs());
+fn sweep_backends(b: &Backends<'_>, cost: CostModel<'_>, registry: &Registry, what: &str) {
+    for backend in BACKENDS {
+        let mut bare = b.engine(backend);
+        let mut instrumented = b.engine(backend).with_obs(EngineObs::new(registry));
+        let expect = b.resolves_to(backend, cost);
         assert_eq!(
             instrumented.backend_for(cost),
-            *backend,
-            "{what}: fixture must exercise {backend:?}"
+            expect,
+            "{what}: fixture must exercise {expect:?}"
         );
         assert_obs_transparent(
             &mut bare,
@@ -122,8 +77,6 @@ fn sweep_backends<'g>(
         );
     }
 }
-
-const MAX_N: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -137,23 +90,17 @@ proptest! {
     /// 0.9, 1.8 or 3.6 km/h, so every cost stays an integer.
     #[test]
     fn obs_instrumented_engines_stay_bit_identical(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..24),
-        batches in pathrank_testkit::collection::vec(
-            pathrank_testkit::collection::vec((0usize..64, 0usize..3), 1..6),
-            1..3,
-        ),
+        case in GraphCase::new(mixed_categories),
+        batches in collection::vec(collection::vec((0usize..64, 0usize..3), 1..6), 1..3),
     ) {
-        let g = build_graph(n, &coords, &edges, false, mixed_categories);
+        let (g, n) = (case.graph(), case.n());
         let m = g.edge_count();
         prop_assume!(m > 0);
         let registry = Registry::new();
-        let ix = Indexes::build(&g, LandmarkMetric::TravelTime);
-        let cch = Arc::new(ix.topo.customize(&g, &CostModel::TravelTime));
-        sweep_backends(&g, &ix, &cch, CostModel::TravelTime, &registry, "travel time");
+        let mut b = Backends::build(&g, LandmarkMetric::TravelTime);
+        sweep_backends(&b, CostModel::TravelTime, &registry, "travel time");
         let mut live = CostModel::Length.weights(&g).to_vec();
-        let mut partial = Arc::new(ix.topo.customize_weights(&g, &live));
+        b.cch = Arc::new(b.topo.customize_weights(&g, &live));
         for (i, batch) in batches.iter().enumerate() {
             let updates: Vec<(EdgeId, f64)> = batch
                 .iter()
@@ -165,9 +112,9 @@ proptest! {
             for &(e, w) in &updates {
                 live[e.index()] = w;
             }
-            Arc::make_mut(&mut partial).apply_weight_delta(&updates);
+            Arc::make_mut(&mut b.cch).apply_weight_delta(&updates);
             let cost = CostModel::Custom(&live);
-            sweep_backends(&g, &ix, &partial, cost, &registry, &format!("batch {i}"));
+            sweep_backends(&b, cost, &registry, &format!("batch {i}"));
         }
         let counted = registry
             .snapshot()
@@ -190,10 +137,10 @@ proptest! {
 /// observe the decision, never steer it.
 #[test]
 fn obs_fallback_decisions_are_identical_and_counted() {
-    let coords: Vec<(f64, f64)> = (0..6)
+    let coords = (0..6)
         .map(|i| (((i * 211) % 800) as f64, ((i * 137) % 500) as f64))
         .collect();
-    let edges: Vec<(usize, usize, u32)> = vec![
+    let edges = vec![
         (0, 1, 9),
         (1, 2, 14),
         (2, 3, 4),
@@ -204,21 +151,24 @@ fn obs_fallback_decisions_are_identical_and_counted() {
         (2, 5, 11),
         (4, 1, 7),
     ];
-    let g = build_graph(6, &coords, &edges, false, mixed_categories);
+    let g = DrawnGraph {
+        coords,
+        edges,
+        attrs: mixed_categories,
+    }
+    .graph();
     // Travel-time indexes under length queries: CH, CCH and ALT all
     // mismatch, and both engines must degrade to the same plain search.
-    let ix = Indexes::build(&g, LandmarkMetric::TravelTime);
-    let cch = Arc::new(ix.topo.customize(&g, &CostModel::TravelTime));
+    let b = Backends::build(&g, LandmarkMetric::TravelTime);
+    let all_indexes = || {
+        QueryEngine::new(&g)
+            .with_landmarks(Arc::clone(&b.alt))
+            .with_ch(Arc::clone(&b.ch))
+            .with_cch(Arc::clone(&b.cch))
+    };
     let registry = Registry::new();
-    let mut bare = QueryEngine::new(&g)
-        .with_landmarks(Arc::clone(&ix.alt))
-        .with_ch(Arc::clone(&ix.ch))
-        .with_cch(Arc::clone(&cch));
-    let mut instrumented = QueryEngine::new(&g)
-        .with_landmarks(Arc::clone(&ix.alt))
-        .with_ch(Arc::clone(&ix.ch))
-        .with_cch(Arc::clone(&cch))
-        .with_obs(EngineObs::new(&registry));
+    let mut bare = all_indexes();
+    let mut instrumented = all_indexes().with_obs(EngineObs::new(&registry));
     let cost = CostModel::Length;
     assert_eq!(instrumented.backend_for(cost), SearchBackend::Plain);
     assert_obs_transparent(

@@ -21,7 +21,7 @@ use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
 use pathrank::spatial::graph::{CostModel, Graph, VertexId};
-use pathrank::spatial::io::{graph_from_str, graph_to_string, load_graph_auto};
+use pathrank::spatial::io::{load_graph_auto, read_graph, write_graph};
 use pathrank::spatial::osm::synth::{synthetic_city, write_osm_xml, SynthCityConfig};
 use pathrank::spatial::osm::{
     import_osm, parse_osm_str, ImportConfig, ImportedGraph, OsmData, OsmNode, OsmWay,
@@ -85,7 +85,9 @@ fn osm_fixture_imports_with_expected_pipeline() {
         );
     }
     // The persisted form round-trips bit-identically.
-    let back = graph_from_str(&graph_to_string(&ig.graph)).unwrap();
+    let mut text = Vec::new();
+    write_graph(&ig.graph, &mut text).unwrap();
+    let back = read_graph(text.as_slice()).unwrap();
     assert_eq!(back, ig.graph);
 }
 
@@ -95,9 +97,10 @@ fn osm_fixture_imports_with_expected_pipeline() {
 /// numbering) moves it.
 #[test]
 fn osm_fixture_graph_is_golden() {
-    let text = graph_to_string(&fixture_imported().graph);
+    let mut text = Vec::new();
+    write_graph(&fixture_imported().graph, &mut text).unwrap();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
+    for &b in &text {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     assert_eq!(
@@ -254,7 +257,7 @@ fn osm_load_graph_auto_serves_all_three_spellings_identically() {
     let from_xml = load_graph_auto(std::path::Path::new(FIXTURE)).unwrap();
     assert_eq!(from_xml, fixture_imported().graph);
     let persisted = dir.join("fixture.graph");
-    std::fs::write(&persisted, graph_to_string(&from_xml)).unwrap();
+    write_graph(&from_xml, &mut std::fs::File::create(&persisted).unwrap()).unwrap();
     assert_eq!(load_graph_auto(&persisted).unwrap(), from_xml);
     std::fs::remove_dir_all(&dir).ok();
 }

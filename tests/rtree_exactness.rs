@@ -20,7 +20,7 @@ use pathrank::spatial::rtree::RTree;
 use pathrank_testkit::prelude::*;
 
 mod common;
-use common::{build_graph, rural};
+use common::{rural, GraphCase};
 
 /// Ground truth: every edge whose chord `from -> to` passes within
 /// `radius_m` of `p`, ascending by id.
@@ -34,20 +34,16 @@ fn brute_force_within(g: &Graph, p: &Point, radius_m: f64) -> Vec<EdgeId> {
         .collect()
 }
 
-const MAX_N: usize = 12;
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn rtree_edges_within_equals_brute_force(
-        n in 2usize..MAX_N,
-        coords in pathrank_testkit::collection::vec((0.0f64..5000.0, 0.0f64..5000.0), MAX_N..MAX_N + 1),
-        edges in pathrank_testkit::collection::vec((0usize..MAX_N, 0usize..MAX_N, 1u32..60), 1..36),
-        probes in pathrank_testkit::collection::vec((-500.0f64..5500.0, -500.0f64..5500.0), 1..12),
+        case in GraphCase::new(rural),
+        probes in collection::vec((-500.0f64..5500.0, -500.0f64..5500.0), 1..12),
         radius in 1.0f64..2000.0,
     ) {
-        let g = build_graph(n, &coords, &edges, false, rural);
+        let g = case.graph();
         let rt = RTree::build(&g);
         prop_assert_eq!(rt.len(), g.edge_count());
         let mut out = vec![EdgeId(u32::MAX)]; // stale content must be cleared
