@@ -15,12 +15,12 @@
 //! for each path alone (`tests/model_exactness.rs` holds it to that):
 //!
 //! * a product accumulates, per output element, `k` ascending from `0.0`
-//!   and skips `a == 0.0`, as [`Matrix::matmul`] does — [`rows_times`] only
+//!   and skips `a == 0.0`, as [`Matrix::matmul`] does — `rows_times` only
 //!   moves the weight row to the outer loop, so that it is read once per
 //!   step for all live paths;
 //! * `x·W` and `h·U` stay two separately rounded products, combined as
 //!   `(xw + hu) + b`;
-//! * [`sigmoid`] is the tape's expression and `tanh` is `f32::tanh`;
+//! * `sigmoid` is the tape's expression and `tanh` is `f32::tanh`;
 //! * `(1 − z)∘h` and `z∘c` are rounded before their sum (no `mul_add`);
 //! * mean-pool is the row-order sum times `1 / rows`.
 //!

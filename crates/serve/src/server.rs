@@ -19,7 +19,7 @@
 //! the moment the batch reaches the m2m threshold — growth past it
 //! comes for free on the next drain, so waiting longer is pure latency.
 //! If the coalesced batch is large enough, *shaped* so the fill saves
-//! sweeps (see [`coalescing_wins`] — a drained handful of unrelated
+//! sweeps (see `coalescing_wins` — a drained handful of unrelated
 //! point queries is all bucket overhead and no saving), and a hierarchy
 //! covers its metric, the worker answers it with one bucket
 //! many-to-many fill:
@@ -142,7 +142,7 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Smallest batch worth *considering* a bucket m2m fill. Even past
     /// this floor, the group only coalesces when the fill actually
-    /// saves sweeps for its shape — see [`coalescing_wins`]: a drained
+    /// saves sweeps for its shape — see `coalescing_wins`: a drained
     /// queue of B unrelated point queries (the low-concurrency regime)
     /// costs `S + T = 2B` half-sweeps through m2m, all bucket overhead
     /// and no saving, so it dispatches pointwise instead. `usize::MAX`

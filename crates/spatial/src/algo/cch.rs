@@ -46,7 +46,7 @@
 //! 3. **Queries** run the stall-on-demand bidirectional upward search,
 //!    the shortcut unpacking and the bucket many-to-many sweeps of
 //!    [`crate::algo::ch`] unchanged, through a [`HierarchyView`]: the
-//!    topology's weight-free [`Skeleton`] (ranks and search segments)
+//!    topology's weight-free `Skeleton` (ranks and search segments)
 //!    plus the columns one customization wrote. Structure is
 //!    built once and shared by `Arc`; a [`Cch`] owns *only* what
 //!    customization writes, so cloning one — a server publishing a
@@ -181,50 +181,55 @@ impl ArcRow {
 
 /// Build-time working state: dynamic chordal adjacency among
 /// uncontracted vertices. Mirrors `ch::Builder`, minus weights and
-/// witness searches.
+/// witness searches — and so minus arc ids: an adjacency entry is the
+/// arc's other endpoint, all the ordering loop ever reads of an arc.
 struct TopoBuilder {
-    /// Arc endpoints, one entry per directed vertex pair ever connected.
+    /// Arc endpoints in creation order, one entry per directed vertex
+    /// pair ever connected; written here, read only by
+    /// [`CchTopology::finalise`].
     arcs: Vec<(VertexId, VertexId)>,
-    /// Original edge -> the arc that merged it (`u32::MAX`: self-loop).
-    edge_arc: Vec<u32>,
-    out_adj: Vec<Vec<u32>>,
-    in_adj: Vec<Vec<u32>>,
+    /// Per uncontracted vertex, the heads of its out-arcs and the tails
+    /// of its in-arcs among uncontracted vertices, and no others:
+    /// `contract` prunes the neighbours' lists and frees the vertex's own.
+    out_adj: Vec<Vec<VertexId>>,
+    in_adj: Vec<Vec<VertexId>>,
     /// `u32::MAX` while uncontracted, final rank afterwards.
     rank: Vec<u32>,
     deleted_neighbors: Vec<u32>,
     level: Vec<u32>,
 }
 
-/// Per-worker gather buffers for the ordering loop.
+/// Per-worker buffers of the ordering loop.
 #[derive(Default)]
 struct TopoScratch {
-    /// Distinct uncontracted in-neighbours of the probed vertex, with
-    /// the (unique) connecting arc.
-    ins: Vec<(VertexId, u32)>,
-    outs: Vec<(VertexId, u32)>,
-    /// Stamp per vertex: `seen[v] == rank + 1` marks `v` as already
-    /// handled as a neighbour by the contraction at `rank`.
-    seen: Vec<u32>,
-    /// The live out-arcs of the in-neighbour last stamped, by head
-    /// vertex (see [`TopoScratch::stamp_heads`]).
-    heads: ArcRow,
+    /// Distinct uncontracted in- and out-neighbours of the probed vertex.
+    ins: Vec<VertexId>,
+    outs: Vec<VertexId>,
+    /// The fill-in contracting the probed vertex inserts, in insertion
+    /// order: every pair `(u, w)` of an in-neighbour and a distinct
+    /// out-neighbour with no arc `u -> w`.
+    fill: Vec<(VertexId, VertexId)>,
+    /// The vertex `ins`, `outs` and `fill` describe, until the builder
+    /// next changes: the loop contracts a vertex right after the
+    /// `priority` call that let it win, which already probed it.
+    probed: Option<VertexId>,
+    /// Per vertex, the token that last marked it; a fresh token clears
+    /// every mark in O(1).
+    marks: Vec<u32>,
+    token: u32,
 }
 
 impl TopoScratch {
-    /// Stamps the heads of `u`'s live out-arcs, so that
-    /// [`TopoScratch::arc_to`] answers "is there an arc `u -> w`" in
-    /// O(1) for every out-neighbour `w` of the vertex being probed.
-    fn stamp_heads(&mut self, b: &TopoBuilder, u: VertexId) {
-        self.heads.restamp(b.rank.len());
-        for &a in &b.out_adj[u.index()] {
-            self.heads.insert(b.arcs[a as usize].1 .0, a);
+    /// A token no vertex is marked with, sizing the marks for `n`
+    /// vertices.
+    fn fresh_token(&mut self, n: usize) -> u32 {
+        if self.marks.len() != n || self.token == u32::MAX {
+            self.marks.clear();
+            self.marks.resize(n, 0);
+            self.token = 0;
         }
-    }
-
-    /// The arc `u -> w` from `u`'s out-arcs as last stamped.
-    #[inline]
-    fn arc_to(&self, w: VertexId) -> Option<u32> {
-        self.heads.get(w.0)
+        self.token += 1;
+        self.token
     }
 }
 
@@ -232,33 +237,22 @@ impl TopoBuilder {
     fn new(g: &Graph) -> Self {
         let n = g.vertex_count();
         let mut arcs: Vec<(VertexId, VertexId)> = Vec::with_capacity(g.edge_count());
-        let mut edge_arc = vec![u32::MAX; g.edge_count()];
-        let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, e) in g.edges().enumerate() {
+        let mut out_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut in_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        for e in g.edges() {
             // Self-loops can never lie on a shortest path (weights are
             // non-negative) and would break the chordal invariants; drop
-            // them from the topology outright.
-            if e.from == e.to {
+            // them from the topology outright. Parallel edges share one
+            // arc.
+            if e.from == e.to || out_adj[e.from.index()].contains(&e.to) {
                 continue;
             }
-            let found = out_adj[e.from.index()]
-                .iter()
-                .find(|&&a| arcs[a as usize].1 == e.to);
-            edge_arc[i] = match found {
-                Some(&a) => a,
-                None => {
-                    let a = arcs.len() as u32;
-                    arcs.push((e.from, e.to));
-                    out_adj[e.from.index()].push(a);
-                    in_adj[e.to.index()].push(a);
-                    a
-                }
-            };
+            arcs.push((e.from, e.to));
+            out_adj[e.from.index()].push(e.to);
+            in_adj[e.to.index()].push(e.from);
         }
         TopoBuilder {
             arcs,
-            edge_arc,
             out_adj,
             in_adj,
             rank: vec![u32::MAX; n],
@@ -267,28 +261,28 @@ impl TopoBuilder {
         }
     }
 
-    #[inline]
-    fn contracted(&self, v: VertexId) -> bool {
-        self.rank[v.index()] != u32::MAX
-    }
-
-    /// Gathers `v`'s uncontracted in/out neighbours. Arcs are unique per
-    /// directed pair, so no parallel-arc dedupe is needed.
-    fn gather_neighbors(&self, v: VertexId, scratch: &mut TopoScratch) {
-        scratch.ins.clear();
-        scratch.outs.clear();
-        for &a in &self.in_adj[v.index()] {
-            let (from, _) = self.arcs[a as usize];
-            if from != v && !self.contracted(from) {
-                scratch.ins.push((from, a));
+    /// Gathers `v`'s uncontracted in/out neighbours and the fill-in its
+    /// contraction needs into `scratch`. Arcs are unique per directed
+    /// pair and the lists hold no self-loop, so nothing is deduplicated.
+    /// Whether `u -> w` exists is one mark: `u`'s heads are marked with a
+    /// token of their own per in-neighbour `u`.
+    fn probe(&self, v: VertexId, scratch: &mut TopoScratch) {
+        scratch.ins.clone_from(&self.in_adj[v.index()]);
+        scratch.outs.clone_from(&self.out_adj[v.index()]);
+        scratch.fill.clear();
+        for i in 0..scratch.ins.len() {
+            let u = scratch.ins[i];
+            let token = scratch.fresh_token(self.rank.len());
+            for &w in &self.out_adj[u.index()] {
+                scratch.marks[w.index()] = token;
+            }
+            for &w in &scratch.outs {
+                if w != u && scratch.marks[w.index()] != token {
+                    scratch.fill.push((u, w));
+                }
             }
         }
-        for &a in &self.out_adj[v.index()] {
-            let (_, to) = self.arcs[a as usize];
-            if to != v && !self.contracted(to) {
-                scratch.outs.push((to, a));
-            }
-        }
+        scratch.probed = Some(v);
     }
 }
 
@@ -301,19 +295,9 @@ impl Contract for TopoBuilder {
     /// witness searches. Pure, so the initial sweep runs it from many
     /// threads.
     fn priority(&self, v: VertexId, scratch: &mut TopoScratch) -> i64 {
-        self.gather_neighbors(v, scratch);
+        self.probe(v, scratch);
         let removed = scratch.ins.len() + scratch.outs.len();
-        let mut added = 0i64;
-        for i in 0..scratch.ins.len() {
-            let u = scratch.ins[i].0;
-            scratch.stamp_heads(self, u);
-            for &(w, _) in &scratch.outs {
-                if w != u && scratch.arc_to(w).is_none() {
-                    added += 1;
-                }
-            }
-        }
-        2 * (added - removed as i64)
+        2 * (scratch.fill.len() as i64 - removed as i64)
             + self.deleted_neighbors[v.index()] as i64
             + 8 * self.level[v.index()] as i64
     }
@@ -321,29 +305,35 @@ impl Contract for TopoBuilder {
     /// Contracts `v` at `rank`: completes the chordal clique among its
     /// uncontracted neighbours (inserting fill-in arcs where missing),
     /// then bumps and prunes the neighbourhood exactly like the weighted
-    /// builder.
+    /// builder. Reuses the probe of the `priority(v)` call just made.
     fn contract(&mut self, v: VertexId, rank: u32, scratch: &mut TopoScratch) {
-        self.gather_neighbors(v, scratch);
+        if scratch.probed != Some(v) {
+            self.probe(v, scratch);
+        }
+        scratch.probed = None;
         self.rank[v.index()] = rank;
-        for i in 0..scratch.ins.len() {
-            let u = scratch.ins[i].0;
-            scratch.stamp_heads(self, u);
-            // Arcs inserted below go to distinct heads, none of which is
-            // tested again under this stamp.
-            for &(w, _) in &scratch.outs {
-                if w != u && scratch.arc_to(w).is_none() {
-                    let a = self.arcs.len() as u32;
-                    self.arcs.push((u, w));
-                    self.out_adj[u.index()].push(a);
-                    self.in_adj[w.index()].push(a);
-                }
-            }
+        for &(u, w) in &scratch.fill {
+            self.arcs.push((u, w));
+            self.out_adj[u.index()].push(w);
+            self.in_adj[w.index()].push(u);
         }
 
+        // `v` is once in each in-neighbour's heads and each
+        // out-neighbour's tails, and in no other list.
+        let unlink = |list: &mut Vec<VertexId>| {
+            let at = list.iter().position(|&x| x == v);
+            list.remove(at.expect("arcs are listed at both ends"));
+        };
+        for &u in &scratch.ins {
+            unlink(&mut self.out_adj[u.index()]);
+        }
+        for &w in &scratch.outs {
+            unlink(&mut self.in_adj[w.index()]);
+        }
         // Each distinct neighbour once, whichever list names it first.
-        scratch.seen.resize(self.rank.len(), 0);
-        for &(nb, _) in scratch.ins.iter().chain(&scratch.outs) {
-            if std::mem::replace(&mut scratch.seen[nb.index()], rank + 1) == rank + 1 {
+        let token = scratch.fresh_token(self.rank.len());
+        for &nb in scratch.ins.iter().chain(&scratch.outs) {
+            if std::mem::replace(&mut scratch.marks[nb.index()], token) == token {
                 continue;
             }
             self.deleted_neighbors[nb.index()] += 1;
@@ -351,15 +341,10 @@ impl Contract for TopoBuilder {
             if self.level[nb.index()] < bumped {
                 self.level[nb.index()] = bumped;
             }
-            let arcs = &self.arcs;
-            let rank = &self.rank;
-            let live = |a: &u32| {
-                let (from, to) = arcs[*a as usize];
-                rank[from.index()] == u32::MAX && rank[to.index()] == u32::MAX
-            };
-            self.out_adj[nb.index()].retain(live);
-            self.in_adj[nb.index()].retain(live);
         }
+        // Nothing reads a contracted vertex's lists again.
+        self.out_adj[v.index()] = Vec::new();
+        self.in_adj[v.index()] = Vec::new();
     }
 }
 
@@ -400,32 +385,22 @@ impl CchTopology {
     pub fn build(g: &Graph, cfg: &CchConfig) -> Self {
         let mut b = TopoBuilder::new(g);
         contract_in_priority_order(g.vertex_count(), cfg.threads, &mut b);
-
-        // Only the flat arrays outlive the ordering loop.
-        let TopoBuilder {
-            arcs,
-            edge_arc,
-            rank,
-            ..
-        } = b;
-        Self::finalise(rank, arcs, edge_arc)
+        // Only the ranks and the arc endpoints outlive the ordering loop.
+        let TopoBuilder { arcs, rank, .. } = b;
+        Self::finalise(g, rank, arcs)
     }
 
-    /// The tail of [`CchTopology::build`], from the flat arrays in
-    /// creation order — arc endpoints and the arc of every original
-    /// edge: numbers the arcs by search slot and lays out the search
-    /// skeleton and the down-lists, each grouping one counting sort into
-    /// its final array. `TopoBuilder::contract` leaves the arcs chordal,
-    /// so every pair of legs has the arc customization looks up for it.
-    fn finalise(
-        rank: Vec<u32>,
-        old_ends: Vec<(VertexId, VertexId)>,
-        mut edge_arc: Vec<u32>,
-    ) -> Self {
+    /// The tail of [`CchTopology::build`], from the ranks and the arc
+    /// endpoints in creation order: numbers the arcs by search slot and
+    /// lays out the search skeleton, the down-lists and the original
+    /// edges under their arcs, each grouping one counting sort into its
+    /// final array. `TopoBuilder::contract` leaves the arcs chordal, so
+    /// every pair of legs has the arc customization looks up for it.
+    fn finalise(g: &Graph, rank: Vec<u32>, old_ends: Vec<(VertexId, VertexId)>) -> Self {
         let n = rank.len();
         let arc_count = old_ends.len();
         assert!(
-            n.max(edge_arc.len()) <= ArcRule::ORIGINAL as usize,
+            n.max(g.edge_count()) <= ArcRule::ORIGINAL as usize,
             "ranks and edge ids must fit 31 bits"
         );
 
@@ -442,26 +417,15 @@ impl CchTopology {
                 emit(2 * rf.min(rt) + u32::from(rf > rt), arc);
             }
         });
-        let mut new_id = vec![0u32; arc_count];
-        let mut seg_arcs = Vec::with_capacity(arc_count);
-        for (&arc, slot) in by_slot.iter().zip(0u32..) {
-            new_id[arc as usize] = slot;
-            let (from, to) = old_ends[arc as usize];
-            let other = rank[from.index()].max(rank[to.index()]);
-            seg_arcs.push(SearchArc { other });
-        }
+        let seg_arcs: Vec<SearchArc> = by_slot
+            .iter()
+            .map(|&arc| {
+                let (from, to) = old_ends[arc as usize];
+                let other = rank[from.index()].max(rank[to.index()]);
+                SearchArc { other }
+            })
+            .collect();
         drop((old_ends, by_slot));
-
-        // Original edges under their arc, ascending `EdgeId` within one.
-        for a in edge_arc.iter_mut().filter(|a| **a != u32::MAX) {
-            *a = new_id[*a as usize];
-        }
-        drop(new_id);
-        let (orig_offsets, orig_edges) = group_by_key(arc_count, EdgeId(0), |emit| {
-            for (&a, e) in edge_arc.iter().zip(0u32..).filter(|(&a, _)| a != u32::MAX) {
-                emit(a, EdgeId(e));
-            }
-        });
 
         // Down-lists, filed under each arc's higher endpoint: a search
         // segment's upward half is down-in arcs of their heads, its
@@ -480,6 +444,28 @@ impl CchTopology {
                 }
             }
         });
+        let skel = Skeleton::new(rank, halves, seg_arcs);
+
+        // Every edge but a self-loop merged into the one arc of its pair,
+        // in the lower endpoint's half; ascending `EdgeId` under an arc.
+        let edge_arc: Vec<u32> = g
+            .edges()
+            .map(|e| {
+                let (rf, rt) = (skel.rank[e.from.index()], skel.rank[e.to.index()]);
+                if rf == rt {
+                    return u32::MAX;
+                }
+                let (lo, mid, hi) = skel.bounds(rf.min(rt) as usize);
+                let half = if rf < rt { (lo, mid) } else { (mid, hi) };
+                skel.find(half, rf.max(rt))
+                    .expect("every edge's pair has an arc")
+            })
+            .collect();
+        let (orig_offsets, orig_edges) = group_by_key(arc_count, EdgeId(0), |emit| {
+            for (&a, e) in edge_arc.iter().zip(0u32..).filter(|(&a, _)| a != u32::MAX) {
+                emit(a, EdgeId(e));
+            }
+        });
 
         CchTopology {
             m: edge_arc.len(),
@@ -488,7 +474,7 @@ impl CchTopology {
             down_offsets,
             down,
             edge_arc,
-            skel: Skeleton::new(rank, halves, seg_arcs),
+            skel,
         }
     }
 
@@ -1270,6 +1256,33 @@ mod tests {
             let form = canonical_form(&topo);
             assert_eq!(fnv1a64(form.as_bytes()), canonical, "topology drifted");
         }
+    }
+
+    #[test]
+    fn cch_contract_without_the_winning_probe_inserts_the_same_arcs() {
+        // The loop contracts a vertex right after the `priority` call that
+        // let it win, and `contract` reuses that call's probe. Replaying
+        // the loop's order with another vertex probed last each time makes
+        // `contract` probe for itself; the arcs, in creation order (which
+        // numbers the slots), must not differ.
+        let g = region();
+        let n = g.vertex_count();
+        let mut looped = TopoBuilder::new(&g);
+        contract_in_priority_order(n, 2, &mut looped);
+        let mut order = vec![VertexId(0); n];
+        for (v, &r) in (0u32..).zip(&looped.rank) {
+            order[r as usize] = VertexId(v);
+        }
+        let mut replay = TopoBuilder::new(&g);
+        let mut scratch = TopoScratch::default();
+        for (r, &v) in (0u32..).zip(&order) {
+            if let Some(&later) = order.get(r as usize + 1) {
+                replay.priority(later, &mut scratch);
+            }
+            replay.contract(v, r, &mut scratch);
+        }
+        assert_eq!(replay.rank, looped.rank);
+        assert!(replay.arcs == looped.arcs, "fill-in arcs differ");
     }
 
     #[test]

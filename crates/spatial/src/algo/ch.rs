@@ -34,8 +34,13 @@
 //!   again whenever a vertex is popped. Witness searches run once per
 //!   vertex, at its contraction, and they alone decide its shortcuts:
 //!   the estimate may over-count, which can misplace a vertex but never
-//!   drop a shortcut. Bit-identical for any thread count (golden
-//!   fingerprints in the unit tests).
+//!   drop a shortcut. A search stops at its verdict: once every target
+//!   is witnessed or out of reach (the popped key plus the cheapest arc
+//!   into it exceeds the path through the contracted vertex), checked in
+//!   O(1) amortised per pop. Settling every target would change no
+//!   verdict, and what the search settles is a prefix of what such a
+//!   search settles (`Builder::witness_search`). Bit-identical for any
+//!   thread count (golden fingerprints in the unit tests).
 //! * **One arc numbering, nothing stored that a slot implies.** The build
 //!   grows an arc pool, but the finished hierarchy keeps none: an arc's
 //!   id is its slot in the rank-space search CSR, one slot per vertex
@@ -279,7 +284,7 @@ pub(crate) struct SearchArc {
 
 const _: () = assert!(std::mem::size_of::<SearchArc>() == 4);
 
-/// What the query, unpack and many-to-many loops read: a [`Skeleton`]
+/// What the query, unpack and many-to-many loops read: a `Skeleton`
 /// plus the two columns they need of one weighting, both indexed by
 /// slot — expansion rules and weights. [`ContractionHierarchy::view`]
 /// and [`crate::algo::cch::Cch::view`] both produce it, so each loop is
@@ -514,11 +519,30 @@ struct WitnessSpace {
     /// Deduplicated `(neighbor, best arc, best weight)` gather buffers.
     ins: Vec<(VertexId, u32, f64)>,
     outs: Vec<(VertexId, u32, f64)>,
+    /// The witness searches' targets, ascending by `dvw - entry`
+    /// ([`Builder::witness_search`]).
+    targets: Vec<Target>,
     /// What the last [`Builder::plan_contraction`] proved needed:
     /// `(in arc, out arc, shortcut weight)`.
     needed: Vec<(u32, u32, f64)>,
     /// [`Builder::plan_contraction`] calls made with this space.
     proofs: usize,
+    /// Lifetime witness-search work: vertices settled, and out-arcs of
+    /// settled vertices scanned.
+    settles: u64,
+    relaxations: u64,
+}
+
+/// An out-neighbour `w` of the vertex `v` being contracted, as its
+/// witness searches see it.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    w: VertexId,
+    /// `d(v, w)`, the cheapest arc `v -> w`.
+    dvw: f64,
+    /// The cheapest live arc into `w` from any vertex but `v`; infinite
+    /// when there is none.
+    entry: f64,
 }
 
 impl WitnessSpace {
@@ -579,6 +603,13 @@ impl Builder {
                 }
             }
             buf.push((nb, arc, w));
+        }
+        if space.stamp.is_empty() {
+            // A label per vertex fits without growing: a heap that grew
+            // search by search reallocated all through the build, and
+            // where those buffers landed moved the process's later peak
+            // RSS (by 1.4 MiB on the 10k map's training run).
+            space.heap.reserve(self.rank.len());
         }
         space.stamp.resize(self.rank.len(), 0);
         space.dist.resize(self.rank.len(), f64::INFINITY);
@@ -646,60 +677,83 @@ impl Builder {
 
     /// Local Dijkstra from `source` among uncontracted vertices, skipping
     /// `avoid`, for witnesses of the paths `source -> avoid -> w` over
-    /// `targets` (`avoid`'s out-neighbours with `d(avoid, w)`; `reach` is
-    /// `d(source, avoid)`). Stops at the settle cap, once every target is
-    /// settled, or once the popped key exceeds `reach + d(avoid, w)` of
-    /// every unsettled target — none of them can be witnessed any more.
-    /// Leaves tentative distances in `space` (upper bounds on the true
-    /// local distance — safe for witness tests even when the cap
-    /// truncates the search) and returns the epoch's mark.
+    /// `targets` (`reach` is `d(source, avoid)`, so the path through
+    /// `avoid` costs `reach + dvw`: the target's *bound*). Stops at the
+    /// settle cap, or at the first pop whose key `d` resolves every
+    /// target, whichever comes first. A target is resolved once it is
+    /// *witnessed* — its tentative distance is at most its bound, and
+    /// distances only fall — or *out of reach*: every label it can still
+    /// get comes through a live arc into it, after a pop at a key of at
+    /// least `d`, so once `d + entry` exceeds its bound no later label
+    /// witnesses it. Resolved targets stay resolved as keys grow, so the
+    /// ones resolved are peeled off the top of `targets`, sorted by
+    /// `dvw - entry` (the last to fall out of reach on top): O(1)
+    /// amortised per pop. Leaves tentative distances in `space` (upper
+    /// bounds on the true local distance — safe for witness tests even
+    /// when the cap truncates the search) and returns the epoch's mark.
+    ///
+    /// Why this is exact: the heap, the `limit` that prunes labels and
+    /// the cap are those of a search that runs until every target is
+    /// settled, and this one stops no later. That search stops once the
+    /// key passes the bound of every unsettled target, and then every
+    /// target is resolved here too: an unsettled one is out of reach
+    /// (`entry` is never negative), and a settled one is witnessed or
+    /// has its bound below its own key. What this search settles is thus a
+    /// prefix of what that one settles, and no verdict differs: a
+    /// witnessed target stays witnessed, and one out of reach can no
+    /// longer be.
     fn witness_search(
         &self,
         space: &mut WitnessSpace,
         source: VertexId,
         avoid: VertexId,
         reach: f64,
-        targets: &[(VertexId, u32, f64)],
+        targets: &[Target],
     ) -> u64 {
-        let farthest_open = |space: &WitnessSpace, mark: u64| {
-            let open = targets
-                .iter()
-                .filter(|t| t.0 != source && space.stamp[t.0.index()] != mark | 1);
-            reach + open.map(|t| t.2).fold(f64::NEG_INFINITY, f64::max)
-        };
         let mark = space.begin();
-        // Labels are pruned against the static bound; the stop bound
-        // tightens as targets settle.
-        let limit = farthest_open(space, mark);
-        let mut stop = limit;
         space.heap.clear();
         space.stamp[source.index()] = mark;
         space.dist[source.index()] = 0.0;
+        // Labels are pruned against the farthest bound of a target other
+        // than the source, which is witnessed from the start.
+        let others = targets.iter().filter(|t| t.w != source);
+        let limit = reach + others.map(|t| t.dvw).fold(f64::NEG_INFINITY, f64::max);
+        let resolved = |space: &WitnessSpace, d: f64, t: &Target| {
+            let bound = reach + t.dvw;
+            d + t.entry > bound || space.reached(mark, t.w).is_some_and(|x| x <= bound)
+        };
         space.heap.push(MinCost {
             cost: 0.0,
             item: source,
         });
+        let mut open = targets.len();
         let mut settled = 0usize;
         while let Some(MinCost { cost: d, item: u }) = space.heap.pop() {
             if space.stamp[u.index()] == mark | 1 {
                 continue;
             }
-            space.stamp[u.index()] = mark | 1;
-            settled += 1;
-            if u != source && targets.iter().any(|t| t.0 == u) {
-                stop = farthest_open(space, mark);
+            while open > 0 && resolved(space, d, &targets[open - 1]) {
+                open -= 1;
             }
-            if d > stop || settled >= self.cap {
+            if open == 0 {
+                break;
+            }
+            space.stamp[u.index()] = mark | 1;
+            space.settles += 1;
+            settled += 1;
+            if settled >= self.cap {
                 break;
             }
             for &a in &self.out_adj[u.index()] {
+                space.relaxations += 1;
                 let arc = self.arcs[a as usize];
-                let v = arc.to;
-                if v == avoid || space.stamp[v.index()] == mark | 1 {
-                    continue;
-                }
-                let nd = d + arc.weight;
-                if nd <= limit && space.reached(mark, v).is_none_or(|old| nd < old) {
+                let (v, nd) = (arc.to, d + arc.weight);
+                // The bound first: it needs no read of `v`'s state.
+                if nd <= limit
+                    && v != avoid
+                    && space.stamp[v.index()] != mark | 1
+                    && space.reached(mark, v).is_none_or(|old| nd < old)
+                {
                     space.stamp[v.index()] = mark;
                     space.dist[v.index()] = nd;
                     space.heap.push(MinCost { cost: nd, item: v });
@@ -719,12 +773,24 @@ impl Builder {
         self.gather_neighbors(v, space);
         let ins = std::mem::take(&mut space.ins);
         let outs = std::mem::take(&mut space.outs);
+        let mut targets = std::mem::take(&mut space.targets);
+        targets.clear();
+        targets.extend(outs.iter().map(|&(w, _, dvw)| {
+            let arcs = self.in_adj[w.index()]
+                .iter()
+                .map(|&a| &self.arcs[a as usize]);
+            let entry = arcs
+                .filter(|arc| arc.from != v)
+                .fold(f64::INFINITY, |m, arc| m.min(arc.weight));
+            Target { w, dvw, entry }
+        }));
+        targets.sort_unstable_by(|a, b| (a.dvw - a.entry).total_cmp(&(b.dvw - b.entry)));
         for &(u, a_in, duv) in &ins {
             // Nothing to prove when `u` is the only out-neighbour.
             if outs.iter().all(|t| t.0 == u) {
                 continue;
             }
-            let mark = self.witness_search(space, u, v, duv, &outs);
+            let mark = self.witness_search(space, u, v, duv, &targets);
             for &(w, a_out, dvw) in &outs {
                 let via = duv + dvw;
                 if w != u && space.reached(mark, w).is_none_or(|witness| witness > via) {
@@ -734,6 +800,7 @@ impl Builder {
         }
         space.ins = ins;
         space.outs = outs;
+        space.targets = targets;
     }
 }
 
@@ -1566,6 +1633,21 @@ mod tests {
                 );
             }
         }
+        // The witness searches' exact work, beside the hierarchy it built:
+        // `(settles, relaxations)` now, and the counts of the search that
+        // ran until every target was settled, which this one must stay
+        // below. Searches run in the sequential loop only, so one worker
+        // counts what any number does.
+        for (g, work, settled_all) in [
+            (region(), (322u64, 1_121u64), (706u64, 2_203u64)),
+            (grid24(), (18_037, 143_668), (43_435, 330_434)),
+        ] {
+            let cap = ChConfig::default().witness_settle_cap;
+            let mut b = Builder::new(&g, LandmarkMetric::Length, cap);
+            let space = contract_in_priority_order(g.vertex_count(), 1, &mut b);
+            assert_eq!((space.settles, space.relaxations), work);
+            assert!(work.0 < settled_all.0 && work.1 < settled_all.1);
+        }
         // Raw multigraphs, whose pools hold dominated parallel arcs the
         // search graph drops (234 -> 201 and 314 -> 260 arcs).
         for (n, seed, golden, slots) in [
@@ -1808,6 +1890,32 @@ mod tests {
         }
     }
 
+    /// Reference for the estimate: the pairs of a distinct in- and
+    /// out-neighbour (cheapest arcs, as gathered) with no live path
+    /// `u -> w` or `u -> x -> w` avoiding `v` within `d(u,v) + d(v,w)`,
+    /// where a first hop from `u` costs its cheapest arc.
+    fn estimate_by_definition(b: &Builder, v: VertexId) -> usize {
+        let live = |x: VertexId| b.rank[x.index()] == u32::MAX;
+        let arcs = || b.arcs.iter().filter(|a| live(a.from) && live(a.to));
+        let hop = |u: VertexId, x: VertexId| {
+            let between = arcs().filter(|a| a.from == u && a.to == x);
+            between.map(|a| a.weight).fold(f64::INFINITY, f64::min)
+        };
+        let mut space = WitnessSpace::default();
+        b.gather_neighbors(v, &mut space);
+        let mut needed = 0;
+        for &(u, _, duv) in &space.ins {
+            for &(w, _, dvw) in space.outs.iter().filter(|t| t.0 != u) {
+                let via = duv + dvw;
+                let two = |a: &&ChArc| a.to == w && a.from != u && a.from != v;
+                let witnessed = hop(u, w) <= via
+                    || arcs().filter(two).any(|a| hop(u, a.from) + a.weight <= via);
+                needed += usize::from(!witnessed);
+            }
+        }
+        needed
+    }
+
     /// Reference for the proof: the shortcuts contracting `v` needs, by
     /// definition — every pair of a distinct in- and out-neighbour whose
     /// exact distance among the uncontracted vertices minus `v` exceeds
@@ -1863,8 +1971,10 @@ mod tests {
         // With the cap lifted `plan_contraction` must find exactly the
         // shortcuts the definition asks for (this is what guards the
         // target-aware stop and the `limit` arithmetic), and the estimate
-        // may only over-count them. Checked on every uncontracted vertex
-        // of every intermediate graph of a contraction in id order.
+        // must count exactly the pairs its own definition asks for (which
+        // guards the scans it skips) and may only over-count the proof.
+        // Checked on every uncontracted vertex of every intermediate graph
+        // of a contraction in id order.
         for seed in 1..=12u64 {
             let n = 6 + (seed % 5) as u32 * 2;
             let mut b = raw_builder(n as usize, &random_multigraph(n, seed));
@@ -1885,6 +1995,11 @@ mod tests {
                         "seed {seed}, {next} contracted, {v:?}"
                     );
                     let estimate = b.estimate_contraction(v, &mut space);
+                    assert_eq!(
+                        estimate.0,
+                        estimate_by_definition(&b, v),
+                        "seed {seed}, {next} contracted, {v:?}: estimate"
+                    );
                     assert!(
                         estimate.0 >= proved.len(),
                         "seed {seed}, {next} contracted, {v:?}: estimated {} of {}",
@@ -1902,6 +2017,125 @@ mod tests {
                     );
                 }
                 b.contract(VertexId(next), next, &mut space);
+            }
+        }
+    }
+
+    /// The witness search and the plan as they were before the search
+    /// stopped at its verdict, kept verbatim: the search runs until every
+    /// target is settled (or the popped key exceeds `reach + d(avoid, w)`
+    /// of every unsettled one), rescanning the targets on every settle.
+    impl Builder {
+        fn reference_witness_search(
+            &self,
+            space: &mut WitnessSpace,
+            source: VertexId,
+            avoid: VertexId,
+            reach: f64,
+            targets: &[(VertexId, u32, f64)],
+        ) -> u64 {
+            let farthest_open = |space: &WitnessSpace, mark: u64| {
+                let open = targets
+                    .iter()
+                    .filter(|t| t.0 != source && space.stamp[t.0.index()] != mark | 1);
+                reach + open.map(|t| t.2).fold(f64::NEG_INFINITY, f64::max)
+            };
+            let mark = space.begin();
+            // Labels are pruned against the static bound; the stop bound
+            // tightens as targets settle.
+            let limit = farthest_open(space, mark);
+            let mut stop = limit;
+            space.heap.clear();
+            space.stamp[source.index()] = mark;
+            space.dist[source.index()] = 0.0;
+            space.heap.push(MinCost {
+                cost: 0.0,
+                item: source,
+            });
+            let mut settled = 0usize;
+            while let Some(MinCost { cost: d, item: u }) = space.heap.pop() {
+                if space.stamp[u.index()] == mark | 1 {
+                    continue;
+                }
+                space.stamp[u.index()] = mark | 1;
+                settled += 1;
+                if u != source && targets.iter().any(|t| t.0 == u) {
+                    stop = farthest_open(space, mark);
+                }
+                if d > stop || settled >= self.cap {
+                    break;
+                }
+                for &a in &self.out_adj[u.index()] {
+                    let arc = self.arcs[a as usize];
+                    let v = arc.to;
+                    if v == avoid || space.stamp[v.index()] == mark | 1 {
+                        continue;
+                    }
+                    let nd = d + arc.weight;
+                    if nd <= limit && space.reached(mark, v).is_none_or(|old| nd < old) {
+                        space.stamp[v.index()] = mark;
+                        space.dist[v.index()] = nd;
+                        space.heap.push(MinCost { cost: nd, item: v });
+                    }
+                }
+            }
+            mark
+        }
+
+        fn reference_plan(&self, v: VertexId, space: &mut WitnessSpace) -> Vec<(u32, u32, f64)> {
+            space.needed.clear();
+            self.gather_neighbors(v, space);
+            let ins = std::mem::take(&mut space.ins);
+            let outs = std::mem::take(&mut space.outs);
+            for &(u, a_in, duv) in &ins {
+                if outs.iter().all(|t| t.0 == u) {
+                    continue;
+                }
+                let mark = self.reference_witness_search(space, u, v, duv, &outs);
+                for &(w, a_out, dvw) in &outs {
+                    let via = duv + dvw;
+                    if w != u && space.reached(mark, w).is_none_or(|witness| witness > via) {
+                        space.needed.push((a_in, a_out, via));
+                    }
+                }
+            }
+            space.ins = ins;
+            space.outs = outs;
+            std::mem::take(&mut space.needed)
+        }
+    }
+
+    #[test]
+    fn ch_witness_stop_keeps_every_capped_verdict() {
+        // The definition test above runs uncapped, where any stop that
+        // settles every vertex within reach is exact; under a cap the
+        // verdicts also depend on which vertices the cap lets settle, so
+        // the search must settle a prefix of the reference's sequence.
+        // Small integer weights make ties, and so heap order, matter.
+        for cap in [2, 3, 5, usize::MAX] {
+            for seed in 1..=12u64 {
+                let n = 6 + (seed % 5) as u32 * 2;
+                let mut b = raw_builder(n as usize, &random_multigraph(n, seed));
+                b.cap = cap;
+                let mut space = WitnessSpace::default();
+                let mut reference = WitnessSpace::default();
+                for next in 0..n {
+                    for v in (next..n).map(VertexId) {
+                        b.plan_contraction(v, &mut space);
+                        let bits = |needed: &[(u32, u32, f64)]| -> Vec<(u32, u32, u64)> {
+                            needed
+                                .iter()
+                                .map(|&(a, b, w)| (a, b, w.to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(
+                            bits(&space.needed),
+                            bits(&b.reference_plan(v, &mut reference)),
+                            "cap {cap}, seed {seed}, {next} contracted, {v:?}"
+                        );
+                    }
+                    b.contract(VertexId(next), next, &mut space);
+                }
             }
         }
     }

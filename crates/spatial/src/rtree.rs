@@ -5,9 +5,9 @@
 //! point-to-rectangle distance. The tree is
 //! bulk-loaded once with the Sort-Tile-Recursive (STR) packing — sort
 //! segments by x-centre, cut into vertical slices, sort each slice by
-//! y-centre, pack runs of [`LEAF_CAP`] — which yields near-square leaves
+//! y-centre, pack runs of `LEAF_CAP` — which yields near-square leaves
 //! with high occupancy and no insertion-time rebalancing. Upper levels
-//! simply group [`FANOUT`] consecutive nodes, valid because STR order is
+//! simply group `FANOUT` consecutive nodes, valid because STR order is
 //! already spatially coherent.
 //!
 //! Each edge is indexed as one segment, its straight `from -> to` chord
