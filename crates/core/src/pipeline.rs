@@ -24,6 +24,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use pathrank_embed::node2vec::{train_node2vec, Node2VecConfig};
+use pathrank_embed::skipgram::SkipGramConfig;
+use pathrank_embed::walks::WalkConfig;
 use pathrank_nn::matrix::Matrix;
 use pathrank_obs::{MetricsSnapshot, Registry};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
@@ -69,10 +71,15 @@ impl ExperimentConfig {
             region: RegionConfig::small_test(),
             sim: SimulationConfig::small_test(),
             n2v: Node2VecConfig {
-                walks_per_vertex: 3,
-                walk_length: 12,
-                epochs: 1,
-                ..Default::default()
+                walks: WalkConfig {
+                    walks_per_vertex: 3,
+                    walk_length: 12,
+                    ..WalkConfig::default()
+                },
+                sgns: SkipGramConfig {
+                    epochs: 1,
+                    ..SkipGramConfig::default()
+                },
             },
             min_hops: 3,
             max_hops: 60,
@@ -281,10 +288,8 @@ impl Workbench {
         if let Some(m) = self.embeddings.get(&dim) {
             return m.clone();
         }
-        let n2v = Node2VecConfig {
-            dim,
-            ..self.cfg.n2v.clone()
-        };
+        let mut n2v = self.cfg.n2v.clone();
+        n2v.sgns.dim = dim;
         let m = train_node2vec(&self.graph, &n2v, self.cfg.seed.wrapping_add(3));
         self.embeddings.insert(dim, m.clone());
         m

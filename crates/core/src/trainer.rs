@@ -193,6 +193,8 @@ mod tests {
     use crate::candidates::{generate_groups_with_backends, CandidateConfig, Strategy};
     use crate::model::{EmbeddingMode, ModelConfig, PathRankModel};
     use pathrank_embed::node2vec::{train_node2vec, Node2VecConfig};
+    use pathrank_embed::skipgram::SkipGramConfig;
+    use pathrank_embed::walks::WalkConfig;
     use pathrank_spatial::generators::{region_network, RegionConfig};
     use pathrank_traj::dataset::TrajectoryDataset;
     use pathrank_traj::simulator::{simulate_fleet, SimulationConfig};
@@ -219,11 +221,16 @@ mod tests {
 
     fn tiny_model(g: &Graph, dim: usize, mode: EmbeddingMode) -> PathRankModel {
         let n2v = Node2VecConfig {
-            dim,
-            walks_per_vertex: 3,
-            walk_length: 12,
-            epochs: 1,
-            ..Default::default()
+            walks: WalkConfig {
+                walks_per_vertex: 3,
+                walk_length: 12,
+                ..WalkConfig::default()
+            },
+            sgns: SkipGramConfig {
+                dim,
+                epochs: 1,
+                ..SkipGramConfig::default()
+            },
         };
         let emb = train_node2vec(g, &n2v, 45);
         let cfg = ModelConfig {

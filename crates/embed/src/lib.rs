@@ -17,7 +17,10 @@
 //! use pathrank_spatial::generators::{grid_network, GridConfig};
 //!
 //! let g = grid_network(&GridConfig::small_test(), 1);
-//! let cfg = Node2VecConfig { dim: 16, walks_per_vertex: 2, walk_length: 10, ..Default::default() };
+//! let mut cfg = Node2VecConfig::default();
+//! cfg.sgns.dim = 16;
+//! cfg.walks.walks_per_vertex = 2;
+//! cfg.walks.walk_length = 10;
 //! let emb = train_node2vec(&g, &cfg, 7);
 //! assert_eq!(emb.shape(), (g.vertex_count(), 16));
 //! ```

@@ -6,65 +6,38 @@ use pathrank_spatial::graph::Graph;
 use crate::skipgram::{train_skipgram, SkipGramConfig};
 use crate::walks::{generate_walks, WalkConfig};
 
-/// All node2vec hyper-parameters in one place.
+/// All node2vec hyper-parameters in one place: the walks, then the
+/// skip-gram trainer over them.
 #[derive(Debug, Clone)]
 pub struct Node2VecConfig {
-    /// Embedding dimensionality `M` (the paper sweeps 64 and 128).
-    pub dim: usize,
-    /// Walks started per vertex.
-    pub walks_per_vertex: usize,
-    /// Length of each walk.
-    pub walk_length: usize,
-    /// Return parameter `p`.
-    pub p: f64,
-    /// In-out parameter `q` (< 1 explores outward, suiting path tasks).
-    pub q: f64,
-    /// Skip-gram window.
-    pub window: usize,
-    /// Negative samples per positive pair.
-    pub negative: usize,
-    /// SGNS learning rate.
-    pub lr: f32,
-    /// SGNS epochs over the walk corpus.
-    pub epochs: usize,
+    /// Biased second-order walks (the paper's `p`, `q`).
+    pub walks: WalkConfig,
+    /// SGNS over the walk corpus; `sgns.dim` is the embedding
+    /// dimensionality `M` (the paper sweeps 64 and 128).
+    pub sgns: SkipGramConfig,
 }
 
 impl Default for Node2VecConfig {
+    /// [`WalkConfig::default`] and [`SkipGramConfig::default`], but three
+    /// SGNS epochs.
     fn default() -> Self {
         Node2VecConfig {
-            dim: 64,
-            walks_per_vertex: 10,
-            walk_length: 40,
-            p: 1.0,
-            q: 0.5,
-            window: 5,
-            negative: 5,
-            lr: 0.025,
-            epochs: 3,
+            walks: WalkConfig::default(),
+            sgns: SkipGramConfig {
+                epochs: 3,
+                ..SkipGramConfig::default()
+            },
         }
     }
 }
 
 /// Trains node2vec on `g` and returns the `vertex_count × dim` embedding.
 pub fn train_node2vec(g: &Graph, cfg: &Node2VecConfig, seed: u64) -> Matrix {
-    let walk_cfg = WalkConfig {
-        walks_per_vertex: cfg.walks_per_vertex,
-        walk_length: cfg.walk_length,
-        p: cfg.p,
-        q: cfg.q,
-    };
-    let walks = generate_walks(g, &walk_cfg, seed);
-    let sg_cfg = SkipGramConfig {
-        dim: cfg.dim,
-        window: cfg.window,
-        negative: cfg.negative,
-        lr: cfg.lr,
-        epochs: cfg.epochs,
-    };
+    let walks = generate_walks(g, &cfg.walks, seed);
     train_skipgram(
         &walks,
         g.vertex_count(),
-        &sg_cfg,
+        &cfg.sgns,
         seed.wrapping_add(0x9E3779B97F4A7C15),
     )
 }
@@ -80,12 +53,10 @@ mod tests {
     #[test]
     fn shape_and_determinism() {
         let g = grid_network(&GridConfig::small_test(), 2);
-        let cfg = Node2VecConfig {
-            dim: 16,
-            walks_per_vertex: 2,
-            walk_length: 10,
-            ..Default::default()
-        };
+        let mut cfg = Node2VecConfig::default();
+        cfg.sgns.dim = 16;
+        cfg.walks.walks_per_vertex = 2;
+        cfg.walks.walk_length = 10;
         let a = train_node2vec(&g, &cfg, 3);
         let b = train_node2vec(&g, &cfg, 3);
         assert_eq!(a.shape(), (25, 16));
@@ -106,12 +77,9 @@ mod tests {
             },
             4,
         );
-        let cfg = Node2VecConfig {
-            dim: 32,
-            walks_per_vertex: 10,
-            walk_length: 20,
-            ..Default::default()
-        };
+        let mut cfg = Node2VecConfig::default();
+        cfg.sgns.dim = 32;
+        cfg.walks.walk_length = 20;
         let emb = train_node2vec(&g, &cfg, 4);
 
         let mut engine = QueryEngine::new(&g);

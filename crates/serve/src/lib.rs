@@ -13,8 +13,8 @@
 //!   back to their callers;
 //! * requests carry **deadlines**; overloaded shards shed
 //!   ([`ServeError::QueueFull`], [`ServeError::DeadlineExpired`])
-//!   or degrade down the backend ladder (CH/CCH → ALT → plain →
-//!   [`ServeError::NoBackend`]) instead of queueing unboundedly;
+//!   or degrade down the backend ladder (CH/CCH → ALT → plain)
+//!   instead of queueing unboundedly;
 //! * live weight updates re-customize the CCH off the serving path and
 //!   **swap in atomically** — a batch snapshots one `(weights, index)`
 //!   pair, so no in-flight query ever sees torn weights.

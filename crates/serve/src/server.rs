@@ -7,7 +7,7 @@
 //! through a *bounded* queue, and answered over a per-request one-shot
 //! channel.
 //!
-//! # Live m2m batching
+//! # Many-to-many batching
 //!
 //! A worker picking up a request first drains everything already queued
 //! (a free batch — those requests have already paid their queueing
@@ -21,12 +21,13 @@
 //! If the coalesced batch is large enough, *shaped* so the fill saves
 //! sweeps (see `coalescing_wins` — a drained handful of unrelated
 //! point queries is all bucket overhead and no saving), and a hierarchy
-//! covers its metric, the worker answers it with one bucket
-//! many-to-many fill:
-//! one backward upward sweep per distinct target, one forward upward
-//! sweep per distinct source — `S + T` half-sweeps where individual
-//! dispatch would pay two per request. Each reply is de-multiplexed out
-//! of the row its source swept. Batched costs are the bucket sums —
+//! covers its metric, the worker answers it with one call of
+//! [`QueryEngine::many_to_many_rows`]: one backward upward sweep per
+//! distinct target, then one forward upward sweep per distinct source,
+//! in ascending id order — `S + T` half-sweeps where individual
+//! dispatch would pay two per request. A source's requests are answered
+//! out of its row as soon as its sweep finishes. Batched costs are the
+//! bucket sums —
 //! exact, and *bit-identical* to sequential engine answers on
 //! integer-weight graphs (see [`crate::fixture`]); on arbitrary float
 //! weights they agree up to float re-association.
@@ -39,10 +40,8 @@
 //! requests unanswered-work-first ([`ServeError::DeadlineExpired`]).
 //! The batching window never waits past the earliest deadline in the
 //! batch. Per metric, queries take the strongest backend that covers
-//! them — CH, CCH, ALT, then plain Dijkstra — and a server configured
-//! with [`ServeConfig::allow_plain`]` = false` rejects queries that
-//! would hit the plain rung ([`ServeError::NoBackend`]) instead of
-//! letting them monopolise a shard.
+//! them — CH, CCH, ALT, then plain Dijkstra; only a live query with no
+//! live weights installed has no backend ([`ServeError::NoBackend`]).
 //!
 //! # Atomic live-weight swaps
 //!
@@ -98,7 +97,6 @@
 //! sparse and full updates race. The engine's own `usable_for` gate
 //! stays on underneath as defence in depth.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -135,8 +133,7 @@ pub struct ServeConfig {
     /// — and waiting the window out only adds latency per request
     /// without ever forming a batch.
     /// The default `1` keeps the window shut until queue depth proves
-    /// there is traffic to coalesce; `0` restores the old
-    /// always-wait behaviour.
+    /// there is traffic to coalesce; `0` always waits.
     pub straggler_min_queued: usize,
     /// Hard cap on coalesced batch size.
     pub max_batch: usize,
@@ -149,11 +146,6 @@ pub struct ServeConfig {
     /// with a zero [`ServeConfig::batch_window`] turns batching off:
     /// every request dispatches individually.
     pub min_batch_for_m2m: usize,
-    /// Whether queries no index covers may fall back to plain Dijkstra.
-    /// `false` turns the ladder's last rung into
-    /// [`ServeError::NoBackend`] — an overload guard for big graphs
-    /// where one plain sweep can starve a shard.
-    pub allow_plain: bool,
 }
 
 impl Default for ServeConfig {
@@ -165,7 +157,6 @@ impl Default for ServeConfig {
             straggler_min_queued: 1,
             max_batch: 64,
             min_batch_for_m2m: 4,
-            allow_plain: true,
         }
     }
 }
@@ -222,8 +213,8 @@ pub enum ServeError {
     QueueFull,
     /// The deadline passed before the request was served.
     DeadlineExpired,
-    /// No backend covers the metric (no live weights installed, or the
-    /// plain rung is disabled and no index matches). Also returned by
+    /// No backend covers the metric: a live query before any live
+    /// weights are installed. Also returned by
     /// [`RouteServer::update_live_weights_sparse`] before any full
     /// vector has been installed — a sparse delta patches an existing
     /// generation and has nothing to patch yet.
@@ -827,13 +818,6 @@ fn serve_group(
         serve_batched(engine, obs, jobs, cost, backend, generation);
         return;
     }
-    if backend == SearchBackend::Plain && !cfg.allow_plain {
-        for job in jobs.drain(..) {
-            obs.error(ServeError::NoBackend);
-            let _ = job.reply.send(Err(ServeError::NoBackend));
-        }
-        return;
-    }
     for job in jobs.drain(..) {
         let cost_val = engine.shortest_path_cost(job.req.source, job.req.target, cost);
         obs.served_sequential.inc();
@@ -854,8 +838,8 @@ fn serve_group(
 /// must save at least two half-sweeps to also cover the fill's bucket
 /// deposit/scan and demux overhead. Hub-shaped traffic (many sources,
 /// few shared targets) passes easily; a drained queue of a few
-/// unrelated point queries — the low-concurrency regime where batching
-/// used to *lose* 2.6x — fails and dispatches pointwise.
+/// unrelated point queries — the low-concurrency regime, where a fill
+/// costs more than it saves — fails and dispatches pointwise.
 fn coalescing_wins(jobs: &[Job]) -> bool {
     let mut sources: Vec<u32> = jobs.iter().map(|j| j.req.source.0).collect();
     sources.sort_unstable();
@@ -866,8 +850,9 @@ fn coalescing_wins(jobs: &[Job]) -> bool {
     sources.len() + targets.len() + 2 <= 2 * jobs.len()
 }
 
-/// The coalesced path: one bucket preparation over the batch's distinct
-/// targets, one forward sweep per distinct source, demuxed back.
+/// The coalesced path: one bucket many-to-many over the batch's distinct
+/// sources (ascending) and targets, each job answered out of its
+/// source's row as soon as that row's sweep finishes.
 fn serve_batched(
     engine: &mut QueryEngine<'_>,
     obs: &ServeObs,
@@ -879,25 +864,18 @@ fn serve_batched(
     let mut targets: Vec<VertexId> = jobs.iter().map(|j| j.req.target).collect();
     targets.sort_unstable_by_key(|v| v.0);
     targets.dedup();
-    let target_col: HashMap<u32, usize> =
-        targets.iter().enumerate().map(|(i, v)| (v.0, i)).collect();
+    // Stable: one source's jobs keep their arrival order.
+    jobs.sort_by_key(|j| j.req.source.0);
+    let mut sources: Vec<VertexId> = jobs.iter().map(|j| j.req.source).collect();
+    sources.dedup();
+    let mut pending = jobs.drain(..).peekable();
     // `serve_group` resolved `backend` to `Ch`/`Cch` for this `cost` on
     // the same exclusively borrowed engine, untouched since, so the
-    // hierarchy covers `cost` and the buckets always fill.
-    assert!(
-        engine.prepare_m2m_targets(&targets, cost),
-        "{backend:?} covers the batch's cost model"
-    );
-    let mut by_source: HashMap<u32, Vec<Job>> = HashMap::new();
-    for job in jobs.drain(..) {
-        by_source.entry(job.req.source.0).or_default().push(job);
-    }
-    for (source, jobs) in by_source {
-        let row = engine
-            .m2m_distances_from(VertexId(source), cost)
-            .expect("buckets prepared above on this backend");
-        for job in jobs {
-            let d = row[target_col[&job.req.target.0]];
+    // hierarchy covers `cost` and every row comes.
+    let covered = engine.many_to_many_rows(&sources, &targets, cost, |i, row| {
+        while let Some(job) = pending.next_if(|j| j.req.source == sources[i]) {
+            let col = targets.binary_search_by_key(&job.req.target.0, |v| v.0);
+            let d = row[col.expect("every target has a column")];
             obs.served_batched.inc();
             obs.latency_ns.record_duration(job.admitted.elapsed());
             let _ = job.reply.send(Ok(RouteReply {
@@ -907,7 +885,8 @@ fn serve_batched(
                 weights_generation: generation,
             }));
         }
-    }
+    });
+    assert!(covered, "{backend:?} covers the batch's cost model");
 }
 
 #[cfg(test)]

@@ -59,6 +59,7 @@
 use std::collections::BinaryHeap;
 
 use crate::algo::landmarks::LandmarkMetric;
+use crate::algo::m2m::Buckets;
 use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::util::{group_by_key, MinCost};
@@ -284,11 +285,11 @@ pub(crate) struct SearchArc {
 
 const _: () = assert!(std::mem::size_of::<SearchArc>() == 4);
 
-/// What the query, unpack and many-to-many loops read: a `Skeleton`
-/// plus the two columns they need of one weighting, both indexed by
-/// slot — expansion rules and weights. [`ContractionHierarchy::view`]
-/// and [`crate::algo::cch::Cch::view`] both produce it, so each loop is
-/// written once.
+/// What the upward sweep and the unpacking read: a `Skeleton` plus the
+/// two columns they need of one weighting, both indexed by slot —
+/// expansion rules and weights. [`ContractionHierarchy::view`] and
+/// [`crate::algo::cch::Cch::view`] both produce it, so point queries and
+/// many-to-many tables run on one loop for either hierarchy.
 #[derive(Debug, Clone, Copy)]
 pub struct HierarchyView<'a> {
     pub(crate) skel: &'a Skeleton,
@@ -330,14 +331,13 @@ struct ChEntry {
     dist: f64,
 }
 
-/// Epoch-stamped scratch state for one direction of a CH query
-/// (`pub(crate)`: also the per-sweep state of the bucket-based
-/// many-to-many module, [`crate::algo::m2m`]).
+/// Epoch-stamped state of one [`HierarchyView::sweep`]: the forward or
+/// backward side of a query, or a many-to-many sweep.
 #[derive(Debug, Clone)]
 pub(crate) struct ChSide {
     epoch: u32,
     entries: Vec<ChEntry>,
-    pub(crate) heap: BinaryHeap<MinCost<VertexId>>,
+    heap: BinaryHeap<MinCost<VertexId>>,
     /// Lifetime settle count across every query on this side — plain
     /// increments mirroring `SearchSpace`'s work counters, differenced
     /// by the engine for per-query work reporting.
@@ -347,7 +347,7 @@ pub(crate) struct ChSide {
 }
 
 impl ChSide {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         ChSide {
             epoch: 0,
             entries: vec![
@@ -364,7 +364,7 @@ impl ChSide {
         }
     }
 
-    pub(crate) fn begin(&mut self) {
+    fn begin(&mut self) {
         // The 31-bit epoch wraps after ~2^31 queries; re-zeroing the
         // stamps then keeps the invalidation sound at amortised zero
         // cost.
@@ -379,12 +379,12 @@ impl ChSide {
     }
 
     #[inline]
-    pub(crate) fn reached(&self, v: VertexId) -> bool {
+    fn reached(&self, v: VertexId) -> bool {
         self.entries[v.index()].stamp >> 1 == self.epoch
     }
 
     #[inline]
-    pub(crate) fn dist(&self, v: VertexId) -> f64 {
+    fn dist(&self, v: VertexId) -> f64 {
         let e = &self.entries[v.index()];
         if e.stamp >> 1 == self.epoch {
             e.dist
@@ -394,23 +394,23 @@ impl ChSide {
     }
 
     #[inline]
-    pub(crate) fn parent(&self, v: VertexId) -> u32 {
+    fn parent(&self, v: VertexId) -> u32 {
         self.entries[v.index()].parent
     }
 
     #[inline]
-    pub(crate) fn is_settled(&self, v: VertexId) -> bool {
+    fn is_settled(&self, v: VertexId) -> bool {
         self.entries[v.index()].stamp == (self.epoch << 1) | 1
     }
 
     #[inline]
-    pub(crate) fn settle(&mut self, v: VertexId) {
+    fn settle(&mut self, v: VertexId) {
         self.entries[v.index()].stamp |= 1;
         self.settled_total += 1;
     }
 
     #[inline]
-    pub(crate) fn relax(&mut self, v: VertexId, d: f64, parent: u32) {
+    fn relax(&mut self, v: VertexId, d: f64, parent: u32) {
         self.entries[v.index()] = ChEntry {
             stamp: self.epoch << 1,
             dist: d,
@@ -422,20 +422,25 @@ impl ChSide {
     /// Stall-on-demand: whether the label `d` is beaten through one of
     /// the opposite-direction `arcs` (weights in the parallel column).
     #[inline]
-    pub(crate) fn stalled(&self, arcs: &[SearchArc], weights: &[f64], d: f64) -> bool {
+    fn stalled(&self, arcs: &[SearchArc], weights: &[f64], d: f64) -> bool {
         let mut pairs = arcs.iter().zip(weights);
         pairs.any(|(sa, &w)| self.dist(VertexId(sa.other)) + w < d)
     }
 }
 
-/// Reusable per-worker scratch state for CH queries: two stamped search
-/// sides plus the unpack buffers. Create once
-/// ([`ChSearch::new`] with the graph's vertex count) and reuse across
-/// queries — steady-state queries perform no `O(V)` allocation, matching
-/// the engine's `SearchSpace` discipline.
+/// Reusable per-worker scratch state for CH and CCH queries and
+/// many-to-many tables: two stamped search sides, the unpack buffers and
+/// the target buckets. Create once ([`ChSearch::new`] with the graph's
+/// vertex count) and reuse across queries — steady-state queries perform
+/// no `O(V)` allocation, matching the engine's `SearchSpace` discipline.
+/// Nothing in it outlives a call: every sweep and every table starts
+/// from a fresh epoch, so one scratch serves any hierarchy over the
+/// graph.
 #[derive(Debug, Clone)]
 pub struct ChSearch {
-    fwd: ChSide,
+    /// The forward side of a query; also the side every many-to-many
+    /// sweep runs on.
+    pub(crate) fwd: ChSide,
     bwd: ChSide,
     /// Unpacked original-edge sequence of the last successful query.
     edge_buf: Vec<EdgeId>,
@@ -443,6 +448,8 @@ pub struct ChSearch {
     /// during unpacking so path assembly never re-reads the graph.
     vertex_buf: Vec<VertexId>,
     unpack: Unpack,
+    /// Many-to-many target buckets, sized by the first table.
+    pub(crate) buckets: Buckets,
 }
 
 /// Scratch of [`HierarchyView::expand`]: the path's arcs as a list of
@@ -466,6 +473,7 @@ impl ChSearch {
             edge_buf: Vec::new(),
             vertex_buf: Vec::new(),
             unpack: Unpack::default(),
+            buckets: Buckets::default(),
         }
     }
 
@@ -1093,85 +1101,93 @@ impl HierarchyView<'_> {
         (up, up_w, down, down_w)
     }
 
+    /// One upward sweep from `root` (a vertex id) over the side's
+    /// search graph — upward arcs when `FORWARD`, downward in-arcs
+    /// otherwise — with stall-on-demand against the opposite half, all
+    /// in rank space. `visit(u, d)` sees each rank as it settles, stalled
+    /// or not (a stalled label is still the cost of a real path), and
+    /// returns the bound: no label at or past it is relaxed, and a pop
+    /// at or past it ends the sweep. A `visit` that always returns
+    /// `INFINITY` runs the sweep to exhaustion.
+    pub(crate) fn sweep<const FORWARD: bool>(
+        &self,
+        side: &mut ChSide,
+        root: VertexId,
+        mut visit: impl FnMut(VertexId, f64) -> f64,
+    ) {
+        debug_assert_eq!(
+            side.entries.len(),
+            self.vertex_count(),
+            "search sized for another graph"
+        );
+        let root = VertexId(self.skel.rank[root.index()]);
+        side.begin();
+        side.relax(root, 0.0, u32::MAX);
+        side.heap.push(MinCost {
+            cost: 0.0,
+            item: root,
+        });
+        let mut bound = f64::INFINITY;
+        while let Some(MinCost { cost: d, item: u }) = side.heap.pop() {
+            if side.is_settled(u) {
+                continue;
+            }
+            // Heap keys are non-decreasing: nothing below the bound left.
+            if d >= bound {
+                break;
+            }
+            side.settle(u);
+            bound = visit(u, d);
+            let (up, up_w, down, down_w) = self.segment(u);
+            let ((arcs, weights), (stall, stall_w)) = if FORWARD {
+                ((up, up_w), (down, down_w))
+            } else {
+                ((down, down_w), (up, up_w))
+            };
+            // A label beaten through a higher-ranked neighbour keeps its
+            // value but is not expanded: no shortest path continues
+            // through it.
+            if side.stalled(stall, stall_w, d) {
+                continue;
+            }
+            for (sa, &w) in arcs.iter().zip(weights) {
+                let v = VertexId(sa.other);
+                if side.is_settled(v) {
+                    continue;
+                }
+                let nd = d + w;
+                if nd < side.dist(v) && nd < bound {
+                    side.relax(v, nd, u.0);
+                    side.heap.push(MinCost { cost: nd, item: v });
+                }
+            }
+        }
+    }
+
     /// Runs the upward bidirectional query and returns the meeting
     /// vertex (as a *rank*) and total arc-weight distance; `None` when
-    /// unreachable. The whole search operates in rank space.
+    /// unreachable.
+    ///
+    /// Two phases. On a well-contracted hierarchy the *full* upward
+    /// closure of a vertex is tiny (a few dozen vertices at paper scale
+    /// — measured smaller than what an alternating bidirectional loop
+    /// settles), so exhausting the forward side first and then sweeping
+    /// the backward side beats interleaving: each phase runs a tight
+    /// single-side loop over state that stays cache-hot. The backward
+    /// sweep meets the completed forward side and is bounded by the best
+    /// connection found (the forward distance is non-negative, so no
+    /// label at or past it can improve the meet).
     fn run_query(
         &self,
         search: &mut ChSearch,
         source: VertexId,
         target: VertexId,
     ) -> Option<(VertexId, f64)> {
-        debug_assert_eq!(
-            search.capacity(),
-            self.vertex_count(),
-            "search sized for another graph"
-        );
-        let source = VertexId(self.skel.rank[source.index()]);
-        let target = VertexId(self.skel.rank[target.index()]);
-        let fwd = &mut search.fwd;
-        let bwd = &mut search.bwd;
-        fwd.begin();
-        bwd.begin();
-        fwd.relax(source, 0.0, u32::MAX);
-        fwd.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
-        bwd.relax(target, 0.0, u32::MAX);
-        bwd.heap.push(MinCost {
-            cost: 0.0,
-            item: target,
-        });
-
-        // Two-phase query. On a well-contracted hierarchy the *full*
-        // upward closure of a vertex is tiny (a few dozen vertices at
-        // paper scale — measured smaller than what an alternating
-        // bidirectional loop settles), so exhausting the forward side
-        // first and then sweeping the backward side beats interleaving:
-        // each phase runs a tight single-side loop over state that stays
-        // cache-hot, with no per-iteration frontier comparisons or
-        // cross-side reads.
-        //
-        // Phase 1: forward upward closure, stall-on-demand (a vertex
-        // whose label is beaten through a higher-ranked neighbour keeps
-        // its label — a valid path cost, fine for meet checks — but is
-        // not expanded; no shortest path continues through it).
-        while let Some(MinCost { cost: d, item: u }) = fwd.heap.pop() {
-            if fwd.is_settled(u) {
-                continue;
-            }
-            fwd.settle(u);
-            let (up, up_w, down, down_w) = self.segment(u);
-            if fwd.stalled(down, down_w, d) {
-                continue;
-            }
-            for (sa, &w) in up.iter().zip(up_w) {
-                let v = VertexId(sa.other);
-                if fwd.is_settled(v) {
-                    continue;
-                }
-                let nd = d + w;
-                if nd < fwd.dist(v) {
-                    fwd.relax(v, nd, u.0);
-                    fwd.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
-
-        // Phase 2: backward upward closure with meet checks against the
-        // completed forward side; prunes on the best connection found.
+        let ChSearch { fwd, bwd, .. } = search;
+        self.sweep::<true>(fwd, source, |_, _| f64::INFINITY);
         let mut best = f64::INFINITY;
         let mut meet: Option<VertexId> = None;
-        while let Some(MinCost { cost: d, item: u }) = bwd.heap.pop() {
-            if bwd.is_settled(u) {
-                continue;
-            }
-            // Heap keys are non-decreasing: nothing below `best` left.
-            if d >= best {
-                break;
-            }
-            bwd.settle(u);
+        self.sweep::<false>(bwd, target, |u, d| {
             if fwd.reached(u) {
                 let total = d + fwd.dist(u);
                 if total < best {
@@ -1179,24 +1195,8 @@ impl HierarchyView<'_> {
                     meet = Some(u);
                 }
             }
-            let (up, up_w, down, down_w) = self.segment(u);
-            if bwd.stalled(up, up_w, d) {
-                continue;
-            }
-            for (sa, &w) in down.iter().zip(down_w) {
-                let v = VertexId(sa.other);
-                if bwd.is_settled(v) {
-                    continue;
-                }
-                let nd = d + w;
-                // A label at or past `best` can never improve the meet
-                // (the forward distance is non-negative).
-                if nd < bwd.dist(v) && nd < best {
-                    bwd.relax(v, nd, u.0);
-                    bwd.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
+            best
+        });
         meet.map(|m| (m, best))
     }
 
@@ -1283,20 +1283,10 @@ impl HierarchyView<'_> {
     }
 
     /// Cheapest `source -> target` path as the unpacked original-edge
-    /// sequence (borrowed from the search's reusable buffer; valid until
-    /// the next query). `None` when unreachable or `source == target`.
-    pub fn query_edges<'s>(
-        &self,
-        search: &'s mut ChSearch,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<&'s [EdgeId]> {
-        self.query_path(search, source, target).map(|(e, _)| e)
-    }
-
-    /// Like [`HierarchyView::query_edges`], also handing back the
-    /// matching vertex sequence (`edges.len() + 1` entries, source
-    /// first) assembled during unpacking.
+    /// sequence and the matching vertex sequence (`edges.len() + 1`
+    /// entries, source first) assembled during unpacking, both borrowed
+    /// from the search's reusable buffers until the next query. `None`
+    /// when unreachable or `source == target`.
     pub fn query_path<'s>(
         &self,
         search: &'s mut ChSearch,
@@ -1313,6 +1303,7 @@ impl HierarchyView<'_> {
             edge_buf: edges,
             vertex_buf: vertices,
             unpack,
+            ..
         } = search;
         let arcs = &mut unpack.nodes;
         // The search arcs of the path, in path order: the forward parent
@@ -1432,8 +1423,8 @@ mod tests {
             let plain = shortest_path(&g, s, t, CostModel::Length).map(|p| p.length_m(&g));
             let ch_cost = ch
                 .view()
-                .query_edges(&mut search, s, t)
-                .map(|edges| edges.iter().map(|&e| g.edge(e).attrs.length_m).sum::<f64>());
+                .query_path(&mut search, s, t)
+                .map(|(edges, _)| edges.iter().map(|&e| g.edge(e).attrs.length_m).sum::<f64>());
             assert_eq!(plain, ch_cost, "{s:?}->{t:?} CH cost diverged");
         }
     }
@@ -1448,7 +1439,7 @@ mod tests {
         let mut checked = 0usize;
         for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (7 % n, n - 2)] {
             let (s, t) = (VertexId(s), VertexId(t));
-            if let Some(edges) = ch.view().query_edges(&mut search, s, t) {
+            if let Some((edges, _)) = ch.view().query_path(&mut search, s, t) {
                 let p = Path::from_edges(&g, edges.to_vec())
                     .expect("unpacked edges must form a contiguous path");
                 assert_eq!(p.source(), s);
@@ -1474,7 +1465,7 @@ mod tests {
             let (s, t) = (VertexId(s), VertexId(t));
             let plain = shortest_path(&g, s, t, CostModel::TravelTime)
                 .map(|p| p.cost(&g, CostModel::TravelTime));
-            let ch_cost = ch.view().query_edges(&mut search, s, t).map(|edges| {
+            let ch_cost = ch.view().query_path(&mut search, s, t).map(|(edges, _)| {
                 edges
                     .iter()
                     .fold(0.0, |a, &e| a + CostModel::TravelTime.edge_cost(&g, e))
@@ -1511,10 +1502,10 @@ mod tests {
         let g = b.build();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let mut search = ChSearch::new(g.vertex_count());
-        assert!(ch.view().query_edges(&mut search, a0, c1).is_none());
+        assert!(ch.view().query_path(&mut search, a0, c1).is_none());
         assert!(ch.view().query_cost(&mut search, a1, c0).is_none());
         assert_eq!(ch.view().query_cost(&mut search, a0, a0), Some(0.0));
-        assert!(ch.view().query_edges(&mut search, a0, a0).is_none());
+        assert!(ch.view().query_path(&mut search, a0, a0).is_none());
         let within = ch.view().query_cost(&mut search, a0, a1);
         assert_eq!(within, Some(100.0));
     }
@@ -1537,6 +1528,55 @@ mod tests {
             let expect = ch.view().query_cost(&mut fresh, s, t);
             assert_eq!(reused, expect, "{s:?}->{t:?} state leaked across queries");
         }
+    }
+
+    #[test]
+    fn ch_sweep_work_and_answers_are_pinned() {
+        // Point queries and a table on the CH and on a TravelTime CCH:
+        // an FNV over the bits of every cost, path and table entry, and
+        // the `(settled, pushed)` work of the point queries and of the
+        // table. Pinned when the query and the two many-to-many phases
+        // each ran a loop of their own; any change to what a sweep
+        // settles, relaxes or stalls moves them.
+        use crate::algo::cch::{CchConfig, CchTopology};
+        let g = grid24();
+        let n = g.vertex_count() as u32;
+        let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+        let topo = std::sync::Arc::new(CchTopology::build(&g, &CchConfig::default()));
+        let cch = topo.customize(&g, &CostModel::TravelTime);
+        let pairs: Vec<(VertexId, VertexId)> = (0..80u32)
+            .map(|i| (VertexId(i * 7_919 % n), VertexId((i * 104_729 + 13) % n)))
+            .collect();
+        let sources: Vec<VertexId> = (0..8).map(|i| VertexId(i * 71 % n)).collect();
+        let targets: Vec<VertexId> = (0..6).map(|i| VertexId((i * 97 + 71) % n)).collect();
+        let mut got = Vec::new();
+        for view in [ch.view(), cch.view()] {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut word = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            let mut search = ChSearch::new(g.vertex_count());
+            for &(s, t) in &pairs {
+                let cost = view.query_cost(&mut search, s, t);
+                word(cost.unwrap_or(f64::INFINITY).to_bits());
+                if let Some((edges, vertices)) = view.query_path(&mut search, s, t) {
+                    edges.iter().for_each(|e| word(u64::from(e.0)));
+                    vertices.iter().for_each(|v| word(u64::from(v.0)));
+                }
+            }
+            let point = search.work_counters();
+            let table = view.many_to_many(&mut search, &sources, &targets);
+            for i in 0..sources.len() {
+                table.row(i).iter().for_each(|d| word(d.to_bits()));
+            }
+            let (settled, pushed) = search.work_counters();
+            got.push((h, point, (settled - point.0, pushed - point.1)));
+        }
+        assert_eq!(
+            got,
+            [
+                (0x9a40_ce10_9ab2_9433, (11_018, 14_768), (659, 899)),
+                (0x9ff8_2911_c2db_cc78, (15_160, 30_166), (880, 1_885)),
+            ]
+        );
     }
 
     #[test]
@@ -1789,7 +1829,6 @@ mod tests {
         // and a self-loop at every fifth vertex; integer weights keep
         // every cost exact under any association.
         use crate::algo::cch::{CchConfig, CchTopology};
-        use crate::algo::m2m::M2mSearch;
         for seed in 1..=40u64 {
             let n = 4 + (seed % 13) as usize;
             let mut raw = random_multigraph(n as u32, seed);
@@ -1858,10 +1897,9 @@ mod tests {
             let topo = std::sync::Arc::new(CchTopology::build(&g, &CchConfig::default()));
             let cch = topo.customize_weights(&g, &custom);
             let everyone: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-            let mut m2m = M2mSearch::new(n);
             let tables = [
-                view.many_to_many(&mut m2m, &everyone, &everyone),
-                cch.view().many_to_many(&mut m2m, &everyone, &everyone),
+                view.many_to_many(&mut search, &everyone, &everyone),
+                cch.view().many_to_many(&mut search, &everyone, &everyone),
             ];
             for s in 0..n {
                 let expect = raw_distances(n, &raw, s);

@@ -27,9 +27,10 @@
 //! [`CostModel::weights`] resolves per query. Relaxation order is
 //! therefore the same whoever calls it, and since heap ties pop in push
 //! order every output is reproducible bit for bit (pinned by the
-//! `engine_golden_*` tests below). Only the hierarchy queries
-//! ([`crate::algo::ch`], [`crate::algo::m2m`]) sweep on loops of their
-//! own, over the upward search graphs.
+//! `engine_golden_*` tests below). The hierarchies have one loop of
+//! their own, the upward sweep in [`crate::algo::ch`]: a CH or CCH
+//! point query is two sweeps, and a many-to-many table
+//! ([`crate::algo::m2m`]) one per target and one per source.
 //!
 //! # Example
 //!
@@ -56,7 +57,7 @@ use crate::algo::cch::Cch;
 use crate::algo::ch::{ChSearch, ContractionHierarchy, HierarchyView};
 use crate::algo::diversified::DiversifiedConfig;
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
-use crate::algo::m2m::{DistanceTable, M2mSearch};
+use crate::algo::m2m::DistanceTable;
 use crate::algo::yen::YenIter;
 use crate::geometry::Point;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
@@ -664,18 +665,11 @@ pub struct QueryEngine<'g> {
     /// covers whatever metric or custom weight vector it was customized
     /// for; ranked between `Ch` and `Alt`.
     cch: Option<Arc<Cch>>,
-    /// CH/CCH scratch state, allocated on the first hierarchy-backed
-    /// query (both hierarchies share one scratch — it is keyed only on
-    /// the vertex count).
+    /// CH/CCH query and many-to-many scratch, allocated on the first
+    /// hierarchy-backed call (both hierarchies share one scratch — it is
+    /// keyed only on the vertex count, and no state in it outlives a
+    /// call).
     ch_search: Option<ChSearch>,
-    /// Bucket-based many-to-many scratch, allocated on the first batched
-    /// query (see [`QueryEngine::many_to_many`]).
-    m2m_search: Option<M2mSearch>,
-    /// Which index filled the m2m target buckets for the *streaming*
-    /// many-to-many API (see [`QueryEngine::prepare_m2m_targets`]), so
-    /// [`QueryEngine::m2m_distances_from`] can refuse to scan buckets
-    /// that a later index swap or cost-model change invalidated.
-    m2m_prepared: Option<PreparedM2m>,
     /// Landmark vectors cached for the current query *target* (forward
     /// searches aim at it; refilled only when the target changes, so
     /// Yen's same-target spur storm gathers them once).
@@ -683,24 +677,6 @@ pub struct QueryEngine<'g> {
     /// Metric handles ([`EngineObs::disabled`] unless attached) —
     /// per-backend query counts, fallback reasons and search work.
     obs: EngineObs,
-}
-
-/// The view of the attached hierarchy a resolved backend runs on: the
-/// customized CCH when `via_cch`, else the metric-built CH. A free
-/// function over the two index slots so callers can keep the engine's
-/// scratch fields mutably borrowed beside the result.
-fn hierarchy_view<'a>(
-    ch: &'a Option<Arc<ContractionHierarchy>>,
-    cch: &'a Option<Arc<Cch>>,
-    via_cch: bool,
-) -> HierarchyView<'a> {
-    if via_cch {
-        let cch = cch.as_deref();
-        cch.expect("CCH backend resolved without an index").view()
-    } else {
-        let ch = ch.as_deref();
-        ch.expect("CH backend resolved without an index").view()
-    }
 }
 
 /// Where [`QueryEngine::dispatch`] left the answer of a point-to-point
@@ -745,17 +721,6 @@ impl Answer<'_> {
     }
 }
 
-/// Bookkeeping for the streaming many-to-many API: records *which*
-/// hierarchy deposited the current target buckets so the forward sweeps
-/// refuse to run against buckets from a swapped-out index or a cost
-/// model the same index no longer covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PreparedM2m {
-    /// `true` when the buckets were filled via the customized CCH,
-    /// `false` when via the metric-built CH.
-    via_cch: bool,
-}
-
 /// The largest `B` such that `cost(e) >= B · euclid(e.from, e.to)` holds
 /// for every edge — i.e. `min_e cost(e) / euclid(e)`, ignoring
 /// zero-length hops. With it, `h(v) = euclid(v, target) · B` is an
@@ -794,8 +759,6 @@ impl<'g> QueryEngine<'g> {
             ch: None,
             cch: None,
             ch_search: None,
-            m2m_search: None,
-            m2m_prepared: None,
             alt_target: NodeVectors::new(),
             obs: EngineObs::disabled(),
         }
@@ -882,9 +845,9 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Non-consuming form of [`QueryEngine::with_ch`]: swaps the shared
-    /// hierarchy in place (or detaches it with `None`), dropping the
-    /// CH/m2m scratch and any streaming-m2m buckets the old index
-    /// deposited. Same fingerprint panic as the builder form.
+    /// hierarchy in place (or detaches it with `None`); the scratch
+    /// stays, as it holds nothing past a call. Same fingerprint panic as
+    /// the builder form.
     pub fn set_ch(&mut self, ch: Option<Arc<ContractionHierarchy>>) {
         if let Some(ch) = &ch {
             assert_eq!(
@@ -893,9 +856,6 @@ impl<'g> QueryEngine<'g> {
                 "contraction hierarchy built for a different graph"
             );
         }
-        self.ch_search = None;
-        self.m2m_search = None;
-        self.m2m_prepared = None;
         self.ch = ch;
     }
 
@@ -927,10 +887,10 @@ impl<'g> QueryEngine<'g> {
     /// Non-consuming form of [`QueryEngine::with_cch`]: swaps the
     /// customized hierarchy in place (or detaches it with `None`). This
     /// is the entry point the serving layer uses to roll a freshly
-    /// re-customized CCH into long-lived worker engines — the swap drops
-    /// the CH/m2m scratch and streaming buckets, so no later query can
-    /// mix old-weight buckets with new-weight sweeps. Same fingerprint
-    /// panic as the builder form.
+    /// re-customized CCH into long-lived worker engines; the scratch
+    /// stays, as it holds nothing past a call, so no query can mix
+    /// old-weight buckets with new-weight sweeps. Same fingerprint panic
+    /// as the builder form.
     pub fn set_cch(&mut self, cch: Option<Arc<Cch>>) {
         if let Some(cch) = &cch {
             assert_eq!(
@@ -939,9 +899,6 @@ impl<'g> QueryEngine<'g> {
                 "CCH customized for a different graph"
             );
         }
-        self.ch_search = None;
-        self.m2m_search = None;
-        self.m2m_prepared = None;
         self.cch = cch;
     }
 
@@ -1018,20 +975,19 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// Runs the hierarchy query for `source -> target` — on the customized
-    /// CCH when `via_cch`, else on the metric-built CH; both share the
-    /// scratch, which is keyed only on the vertex count — and leaves the
-    /// unpacked edge and vertex sequences in its buffers (borrowed).
-    fn hierarchy_path(
-        &mut self,
-        via_cch: bool,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<(&[EdgeId], &[VertexId])> {
-        let view = hierarchy_view(&self.ch, &self.cch, via_cch);
+    /// The view of the attached hierarchy a resolved backend runs on —
+    /// the customized CCH when `via_cch`, else the metric-built CH —
+    /// beside the scratch both share, allocated on first use.
+    fn hierarchy(&mut self, via_cch: bool) -> (HierarchyView<'_>, &mut ChSearch) {
+        let view = if via_cch {
+            let cch = self.cch.as_deref();
+            cch.expect("CCH backend resolved without an index").view()
+        } else {
+            let ch = self.ch.as_deref();
+            ch.expect("CH backend resolved without an index").view()
+        };
         let n = self.g.vertex_count();
-        let search = self.ch_search.get_or_insert_with(|| ChSearch::new(n));
-        view.query_path(search, source, target)
+        (view, self.ch_search.get_or_insert_with(|| ChSearch::new(n)))
     }
 
     /// Which hierarchy an unconstrained query under `cost` runs on:
@@ -1118,8 +1074,8 @@ impl<'g> QueryEngine<'g> {
     ) -> Option<T> {
         self.accounted(cost, |this, backend| match backend {
             SearchBackend::Ch | SearchBackend::Cch => {
-                let (edges, vertices) =
-                    this.hierarchy_path(backend == SearchBackend::Cch, source, target)?;
+                let (view, search) = this.hierarchy(backend == SearchBackend::Cch);
+                let (edges, vertices) = view.query_path(search, source, target)?;
                 read(Answer::Unpacked(edges, vertices))
             }
             SearchBackend::Plain => {
@@ -1228,81 +1184,42 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// Batched many-to-many: the exact `sources × targets`
-    /// [`DistanceTable`] via the bucket algorithm
-    /// ([`HierarchyView::many_to_many`] on the engine's reusable scratch)
-    /// — `T` backward plus `S` forward upward sweeps instead of `S × T`
-    /// point-to-point queries. `Some` only when the attached
-    /// hierarchy covers `cost` (the same per-query metric gate as every
-    /// other backend decision); `None` means the caller keeps its
-    /// pairwise path.
+    /// Batched many-to-many: the exact `sources × targets` table, one row
+    /// at a time — `emit(i, row)` gets the distances from `sources[i]`
+    /// to every target (`f64::INFINITY` when unreachable) as soon as its
+    /// forward sweep finishes. `T` backward plus `S` forward upward
+    /// sweeps on the attached hierarchy
+    /// (`HierarchyView::many_to_many_rows` on the engine's scratch)
+    /// replace `S × T` point-to-point queries. Returns `false`, having
+    /// emitted nothing, when no attached hierarchy covers `cost` (the
+    /// same per-query metric gate as every other backend decision); the
+    /// caller then keeps its pairwise path.
+    pub fn many_to_many_rows(
+        &mut self,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        cost: CostModel<'_>,
+        emit: impl FnMut(usize, &[f64]),
+    ) -> bool {
+        let Some(via_cch) = self.via_cch_for(cost) else {
+            return false;
+        };
+        let (view, search) = self.hierarchy(via_cch);
+        view.many_to_many_rows(search, sources, targets, emit);
+        true
+    }
+
+    /// [`QueryEngine::many_to_many_rows`] collected into a
+    /// [`DistanceTable`]; `None` when no attached hierarchy covers
+    /// `cost`.
     pub fn many_to_many(
         &mut self,
         sources: &[VertexId],
         targets: &[VertexId],
         cost: CostModel<'_>,
     ) -> Option<DistanceTable> {
-        let hierarchy = hierarchy_view(&self.ch, &self.cch, self.via_cch_for(cost)?);
-        let n = self.g.vertex_count();
-        // Re-deposits buckets for *these* targets, invalidating any
-        // streaming preparation (see `prepare_m2m_targets`).
-        self.m2m_prepared = None;
-        let search = self.m2m_search.get_or_insert_with(|| M2mSearch::new(n));
-        Some(hierarchy.many_to_many(search, sources, targets))
-    }
-
-    /// Streaming half of the bucket many-to-many: runs the `T` backward
-    /// upward sweeps once and leaves the target buckets in the engine's
-    /// scratch, so callers can stream sources one at a time through
-    /// [`QueryEngine::m2m_distances_from`] without deciding the full
-    /// source set up front (the shape a batching route server needs —
-    /// requests demux as each forward sweep finishes, instead of waiting
-    /// for a whole [`DistanceTable`]). Returns `false` when no attached
-    /// hierarchy covers `cost`, i.e. exactly when
-    /// [`QueryEngine::many_to_many`] would return `None`.
-    pub fn prepare_m2m_targets(&mut self, targets: &[VertexId], cost: CostModel<'_>) -> bool {
-        self.m2m_prepared = None;
-        let Some(via_cch) = self.via_cch_for(cost) else {
-            return false;
-        };
-        let hierarchy = hierarchy_view(&self.ch, &self.cch, via_cch);
-        let n = self.g.vertex_count();
-        let search = self.m2m_search.get_or_insert_with(|| M2mSearch::new(n));
-        hierarchy.prepare_targets(search, targets);
-        self.m2m_prepared = Some(PreparedM2m { via_cch });
-        true
-    }
-
-    /// One forward upward sweep over the buckets deposited by the last
-    /// [`QueryEngine::prepare_m2m_targets`]: distances from `source` to
-    /// every prepared target, in preparation order (`f64::INFINITY` for
-    /// unreachable pairs), borrowed from the scratch until the next
-    /// engine call. Values are bit-identical to the corresponding
-    /// [`QueryEngine::many_to_many`] row — both run the same sweep over
-    /// the same buckets.
-    ///
-    /// Returns `None` when the buckets are not safe to scan under
-    /// `cost`: nothing prepared yet, an index swap
-    /// ([`QueryEngine::set_ch`]/[`QueryEngine::set_cch`]) dropped them,
-    /// or the index that filled them no longer covers `cost` (e.g. a
-    /// CCH customized for a different weight vector). Callers fall back
-    /// to re-preparing or to point-to-point probes.
-    pub fn m2m_distances_from(&mut self, source: VertexId, cost: CostModel<'_>) -> Option<&[f64]> {
-        let prep = self.m2m_prepared?;
-        let still_covered = if prep.via_cch {
-            self.uses_cch(cost)
-        } else {
-            self.uses_ch(cost)
-        };
-        if !still_covered {
-            return None;
-        }
-        let hierarchy = hierarchy_view(&self.ch, &self.cch, prep.via_cch);
-        let search = self
-            .m2m_search
-            .as_mut()
-            .expect("prepared buckets imply scratch");
-        Some(hierarchy.distances_from(search, source))
+        let (view, search) = self.hierarchy(self.via_cch_for(cost)?);
+        Some(view.many_to_many(search, sources, targets))
     }
 
     /// One-to-all *reverse* Dijkstra: `dist(v)` on the returned view is
@@ -1846,7 +1763,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_m2m_matches_table_rows_bitwise() {
+    fn m2m_rows_match_table_rows_bitwise() {
         use crate::algo::ch::{ChConfig, ContractionHierarchy};
         use crate::algo::landmarks::LandmarkMetric;
         use std::sync::Arc;
@@ -1866,30 +1783,21 @@ mod tests {
             .many_to_many(&sources, &targets, CostModel::Length)
             .expect("CH covers Length");
 
-        assert!(engine.prepare_m2m_targets(&targets, CostModel::Length));
-        for (i, &s) in sources.iter().enumerate() {
-            let row = engine
-                .m2m_distances_from(s, CostModel::Length)
-                .expect("prepared buckets cover Length");
+        let mut rows = 0;
+        let covered = engine.many_to_many_rows(&sources, &targets, CostModel::Length, |i, row| {
+            assert_eq!(i, rows, "rows come in source order");
             assert_eq!(row, table.row(i), "row {i} must match bit-for-bit");
-        }
+            rows += 1;
+        });
+        assert!(covered);
+        assert_eq!(rows, sources.len());
 
-        // A cost model the CH does not cover refuses to scan the buckets.
-        assert!(engine
-            .m2m_distances_from(sources[0], CostModel::TravelTime)
-            .is_none());
-        // The monolithic entry points overwrite the buckets, so the
-        // streaming tag must drop with them.
-        engine.many_to_many(&sources[..1], &targets[..2], CostModel::Length);
-        assert!(engine
-            .m2m_distances_from(sources[0], CostModel::Length)
-            .is_none());
-        // And an index swap clears everything.
-        assert!(engine.prepare_m2m_targets(&targets, CostModel::Length));
+        // A cost model the CH does not cover, or no CH at all, emits
+        // nothing.
+        let refused = |_: usize, _: &[f64]| panic!("a row without a covering hierarchy");
+        assert!(!engine.many_to_many_rows(&sources, &targets, CostModel::TravelTime, refused));
         engine.set_ch(None);
-        assert!(engine
-            .m2m_distances_from(sources[0], CostModel::Length)
-            .is_none());
+        assert!(!engine.many_to_many_rows(&sources, &targets, CostModel::Length, refused));
     }
 
     /// FNV-1a fold of one search space after a query: `(dist bits,

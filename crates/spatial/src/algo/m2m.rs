@@ -34,20 +34,22 @@
 //! float association of shortcut weights — on integer-weight graphs they
 //! are bit-identical to Dijkstra (locked in by `tests/m2m_exactness.rs`).
 //!
-//! The scratch state ([`M2mSearch`]) is epoch-stamped like
-//! [`ChSearch`]/`SearchSpace`: buckets and sweep labels invalidate in
-//! O(1), so steady-state tables perform **no per-call `O(V)` work** —
-//! only the `S × T` output allocation. Prepared target buckets can also
-//! be streamed against ([`HierarchyView::prepare_targets`] +
-//! [`HierarchyView::distances_from`]): a server batching
-//! one-to-many requests against a fixed target set pays the target phase
-//! once.
+//! Both phases are `HierarchyView::sweep` — the point query's loop —
+//! run to exhaustion on the forward side of a [`ChSearch`], whose target
+//! buckets are epoch-stamped like its sweep labels: a table invalidates
+//! them in O(1), so steady-state tables perform **no per-call `O(V)`
+//! work** — only the output. The buckets are allocated by the first
+//! table, so a scratch that never batches never pays for them.
+//! [`QueryEngine::many_to_many_rows`] hands each row over as its sweep
+//! finishes (a batching server replies per row);
+//! [`HierarchyView::many_to_many`] and [`QueryEngine::many_to_many`]
+//! collect the rows into a table.
 //!
-//! [`ChSearch`]: crate::algo::ch::ChSearch
+//! [`QueryEngine::many_to_many_rows`]: crate::algo::engine::QueryEngine::many_to_many_rows
+//! [`QueryEngine::many_to_many`]: crate::algo::engine::QueryEngine::many_to_many
 
-use crate::algo::ch::{ChSide, HierarchyView};
+use crate::algo::ch::{ChSearch, HierarchyView};
 use crate::graph::VertexId;
-use crate::util::MinCost;
 
 /// An `S × T` matrix of exact shortest-path distances, row-major:
 /// `dist(i, j)` is the cost of the cheapest `sources[i] -> targets[j]`
@@ -99,207 +101,124 @@ struct BucketEntry {
     dist: f64,
 }
 
-/// Reusable scratch for bucket-based many-to-many queries: one
-/// epoch-stamped sweep side, per-rank buckets with O(1) bulk
-/// invalidation and the streamed row buffer.
-///
-/// Create once per worker ([`M2mSearch::new`] with the graph's vertex
-/// count) and reuse across tables; like the engine's `SearchSpace`,
-/// steady-state calls allocate nothing `O(V)`.
-#[derive(Debug)]
-pub struct M2mSearch {
-    /// Shared sweep state (targets first, then sources — the phases never
-    /// overlap, so one side suffices).
-    side: ChSide,
-    /// Bucket generation; `buckets[r]` is live iff
-    /// `bucket_stamp[r] == bucket_epoch`, which invalidates every bucket
-    /// at once when a new target set is prepared.
-    bucket_epoch: u32,
-    bucket_stamp: Vec<u32>,
-    /// Per-rank deposits of the current target phase. Entries appear in
-    /// ascending column order (targets are swept in order).
-    buckets: Vec<Vec<BucketEntry>>,
-    /// Number of targets in the currently prepared set.
-    prepared: usize,
-    /// Reused output row of [`HierarchyView::distances_from`].
-    row: Vec<f64>,
+/// Per-rank target buckets of one table, kept in a
+/// [`ChSearch`] between tables: `lists[r]` is live iff
+/// `stamp[r] == epoch`, so a new table invalidates every bucket in O(1).
+/// Empty until the first table.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Buckets {
+    epoch: u32,
+    stamp: Vec<u32>,
+    /// Deposits of the current target phase, in ascending column order
+    /// (targets are swept in order).
+    lists: Vec<Vec<BucketEntry>>,
 }
 
-impl M2mSearch {
-    /// Creates scratch state for graphs with `n` vertices.
-    pub fn new(n: usize) -> Self {
-        M2mSearch {
-            side: ChSide::new(n),
-            bucket_epoch: 0,
-            bucket_stamp: vec![0; n],
-            buckets: vec![Vec::new(); n],
-            prepared: 0,
-            row: Vec::new(),
+impl Buckets {
+    /// Starts a table over `n` ranks: sizes the buckets on first use and
+    /// bumps the generation (re-zeroing the stamps on 32-bit wraparound,
+    /// the same amortised-zero discipline as the sweep sides).
+    fn open(&mut self, n: usize) {
+        if self.stamp.len() != n {
+            self.stamp = vec![0; n];
+            self.lists = vec![Vec::new(); n];
+            self.epoch = 0;
         }
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
     }
 
-    /// Number of vertex slots.
-    pub fn capacity(&self) -> usize {
-        self.bucket_stamp.len()
+    fn deposit(&mut self, r: VertexId, entry: BucketEntry) {
+        let list = &mut self.lists[r.index()];
+        if self.stamp[r.index()] != self.epoch {
+            self.stamp[r.index()] = self.epoch;
+            list.clear();
+        }
+        list.push(entry);
+    }
+
+    fn get(&self, r: VertexId) -> &[BucketEntry] {
+        if self.stamp[r.index()] == self.epoch {
+            &self.lists[r.index()]
+        } else {
+            &[]
+        }
     }
 }
 
 impl HierarchyView<'_> {
-    /// Runs the target phase: one backward upward sweep per target,
-    /// depositing `(column, distance)` bucket entries at every settled
-    /// rank. Invalidates any previously prepared target set in O(1).
-    ///
-    /// Follow with any number of [`HierarchyView::distances_from`]
-    /// calls — a batched one-to-many workload against a fixed target set
-    /// pays this phase once.
-    pub fn prepare_targets(&self, search: &mut M2mSearch, targets: &[VertexId]) {
-        debug_assert_eq!(
-            search.capacity(),
-            self.vertex_count(),
-            "m2m search sized for another graph"
-        );
-        // Bump the bucket generation (re-zero on 32-bit wraparound, the
-        // same amortised-zero discipline as the sweep sides).
-        if search.bucket_epoch == u32::MAX {
-            for s in search.bucket_stamp.iter_mut() {
-                *s = 0;
-            }
-            search.bucket_epoch = 0;
-        }
-        search.bucket_epoch += 1;
-        search.prepared = targets.len();
-
-        let M2mSearch {
-            side,
-            bucket_epoch,
-            bucket_stamp,
-            buckets,
-            ..
-        } = search;
+    /// The target phase: one exhaustive backward sweep per target,
+    /// depositing `(column, distance)` at every settled rank — before
+    /// the stall check, like the meet check of a point query: a stalled
+    /// label is still the cost of a real `u -> t` path.
+    fn prepare_targets(&self, search: &mut ChSearch, targets: &[VertexId]) {
+        let ChSearch { fwd, buckets, .. } = search;
+        buckets.open(self.vertex_count());
         for (j, &t) in targets.iter().enumerate() {
             let col = j as u32;
-            side.begin();
-            let root = VertexId(self.skel.rank[t.index()]);
-            side.relax(root, 0.0, u32::MAX);
-            side.heap.push(MinCost {
-                cost: 0.0,
-                item: root,
+            self.sweep::<false>(fwd, t, |u, dist| {
+                buckets.deposit(u, BucketEntry { col, dist });
+                f64::INFINITY
             });
-            // Backward upward closure (the one-to-one query's phase 2,
-            // run to exhaustion and without a `best` bound — every pair
-            // shares these labels).
-            while let Some(MinCost { cost: d, item: u }) = side.heap.pop() {
-                if side.is_settled(u) {
-                    continue;
-                }
-                side.settle(u);
-                // Deposit before the stall check: a stalled label is
-                // still the cost of a real `u -> t` path, exactly like
-                // the labels the one-to-one meet checks read.
-                let bucket = &mut buckets[u.index()];
-                if bucket_stamp[u.index()] != *bucket_epoch {
-                    bucket_stamp[u.index()] = *bucket_epoch;
-                    bucket.clear();
-                }
-                bucket.push(BucketEntry { col, dist: d });
-                let (up, up_w, down, down_w) = self.segment(u);
-                if side.stalled(up, up_w, d) {
-                    continue;
-                }
-                for (sa, &w) in down.iter().zip(down_w) {
-                    let v = VertexId(sa.other);
-                    if side.is_settled(v) {
-                        continue;
-                    }
-                    let nd = d + w;
-                    if nd < side.dist(v) {
-                        side.relax(v, nd, u.0);
-                        side.heap.push(MinCost { cost: nd, item: v });
-                    }
-                }
-            }
         }
     }
 
-    /// Runs one source phase against the prepared target buckets: a
-    /// forward upward sweep from `source` that scans every settled
-    /// rank's bucket. Returns the distances to the prepared targets, in
-    /// preparation order (borrowed from the search's reusable row buffer;
-    /// valid until the next call).
-    pub fn distances_from<'s>(&self, search: &'s mut M2mSearch, source: VertexId) -> &'s [f64] {
-        debug_assert_eq!(
-            search.capacity(),
-            self.vertex_count(),
-            "m2m search sized for another graph"
-        );
-        let M2mSearch {
-            side,
-            bucket_epoch,
-            bucket_stamp,
-            buckets,
-            prepared,
-            row,
-        } = search;
-        row.clear();
-        row.resize(*prepared, f64::INFINITY);
-        side.begin();
-        let root = VertexId(self.skel.rank[source.index()]);
-        side.relax(root, 0.0, u32::MAX);
-        side.heap.push(MinCost {
-            cost: 0.0,
-            item: root,
+    /// One source phase: an exhaustive forward sweep from `source` that
+    /// scans every settled rank's bucket into `row` (one entry per
+    /// prepared target, `INFINITY` on entry).
+    fn distances_from(&self, search: &mut ChSearch, source: VertexId, row: &mut [f64]) {
+        let ChSearch { fwd, buckets, .. } = search;
+        self.sweep::<true>(fwd, source, |u, d| {
+            for e in buckets.get(u) {
+                let total = d + e.dist;
+                if total < row[e.col as usize] {
+                    row[e.col as usize] = total;
+                }
+            }
+            f64::INFINITY
         });
-        while let Some(MinCost { cost: d, item: u }) = side.heap.pop() {
-            if side.is_settled(u) {
-                continue;
-            }
-            side.settle(u);
-            // Scan before the stall check, mirroring the deposits.
-            if bucket_stamp[u.index()] == *bucket_epoch {
-                for e in &buckets[u.index()] {
-                    let total = d + e.dist;
-                    if total < row[e.col as usize] {
-                        row[e.col as usize] = total;
-                    }
-                }
-            }
-            let (up, up_w, down, down_w) = self.segment(u);
-            if side.stalled(down, down_w, d) {
-                continue;
-            }
-            for (sa, &w) in up.iter().zip(up_w) {
-                let v = VertexId(sa.other);
-                if side.is_settled(v) {
-                    continue;
-                }
-                let nd = d + w;
-                if nd < side.dist(v) {
-                    side.relax(v, nd, u.0);
-                    side.heap.push(MinCost { cost: nd, item: v });
-                }
-            }
-        }
-        row
     }
 
-    /// The full `sources × targets` [`DistanceTable`]:
-    /// [`HierarchyView::prepare_targets`] once, then one
-    /// [`HierarchyView::distances_from`] sweep per source.
+    /// The `sources × targets` table one row at a time: the target
+    /// phase once, then one source phase per source, handing
+    /// `emit(i, row)` the distances from `sources[i]` to every target as
+    /// soon as its sweep finishes (a server replies per row instead of
+    /// waiting for the whole table).
+    pub(crate) fn many_to_many_rows(
+        &self,
+        search: &mut ChSearch,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        mut emit: impl FnMut(usize, &[f64]),
+    ) {
+        self.prepare_targets(search, targets);
+        let mut row = vec![f64::INFINITY; targets.len()];
+        for (i, &s) in sources.iter().enumerate() {
+            row.fill(f64::INFINITY);
+            self.distances_from(search, s, &mut row);
+            emit(i, &row);
+        }
+    }
+
+    /// The full `sources × targets` [`DistanceTable`]: the rows of
+    /// `HierarchyView::many_to_many_rows`, collected.
     ///
     /// `T` backward plus `S` forward upward sweeps replace `S × T`
     /// point-to-point queries — the asymptotic win behind the batched
     /// HMM transition blocks.
     pub fn many_to_many(
         &self,
-        search: &mut M2mSearch,
+        search: &mut ChSearch,
         sources: &[VertexId],
         targets: &[VertexId],
     ) -> DistanceTable {
-        self.prepare_targets(search, targets);
         let mut dist = Vec::with_capacity(sources.len() * targets.len());
-        for &s in sources {
-            dist.extend_from_slice(self.distances_from(search, s));
-        }
+        self.many_to_many_rows(search, sources, targets, |_, row| {
+            dist.extend_from_slice(row)
+        });
         DistanceTable {
             sources: sources.to_vec(),
             targets: targets.to_vec(),
@@ -311,7 +230,7 @@ impl HierarchyView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::ch::{ChConfig, ChSearch, ContractionHierarchy};
+    use crate::algo::ch::{ChConfig, ContractionHierarchy};
     use crate::algo::dijkstra::shortest_path;
     use crate::algo::landmarks::LandmarkMetric;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
@@ -320,7 +239,7 @@ mod tests {
     fn table_vs_pairwise(g: &Graph, sources: &[VertexId], targets: &[VertexId]) {
         let ch = ContractionHierarchy::build(g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = M2mSearch::new(g.vertex_count());
+        let mut search = ChSearch::new(g.vertex_count());
         let table = ch.many_to_many(&mut search, sources, targets);
         assert_eq!(table.shape(), (sources.len(), targets.len()));
         for (i, &s) in sources.iter().enumerate() {
@@ -374,7 +293,7 @@ mod tests {
         let targets: Vec<VertexId> = (0..7).map(|i| VertexId(n - 1 - i * (n / 8))).collect();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = M2mSearch::new(g.vertex_count());
+        let mut search = ChSearch::new(g.vertex_count());
         let table = ch.many_to_many(&mut search, &sources, &targets);
         for (i, &s) in sources.iter().enumerate() {
             for (j, &t) in targets.iter().enumerate() {
@@ -411,12 +330,12 @@ mod tests {
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
         let n = g.vertex_count() as u32;
-        let mut reused = M2mSearch::new(g.vertex_count());
+        let mut reused = ChSearch::new(g.vertex_count());
         let set_a: Vec<VertexId> = (0..4).map(|i| VertexId(i * (n / 4))).collect();
         let set_b: Vec<VertexId> = (0..3).map(|i| VertexId(n / 2 + i)).collect();
         ch.many_to_many(&mut reused, &set_a, &set_b);
         let second = ch.many_to_many(&mut reused, &set_b, &set_a);
-        let mut fresh = M2mSearch::new(g.vertex_count());
+        let mut fresh = ChSearch::new(g.vertex_count());
         let expect = ch.many_to_many(&mut fresh, &set_b, &set_a);
         for i in 0..set_b.len() {
             for j in 0..set_a.len() {
@@ -437,17 +356,19 @@ mod tests {
         let n = g.vertex_count() as u32;
         let sources: Vec<VertexId> = (0..4).map(|i| VertexId(1 + i * (n / 5))).collect();
         let targets: Vec<VertexId> = (0..6).map(|i| VertexId(n - 2 - i * (n / 9))).collect();
-        let mut s1 = M2mSearch::new(g.vertex_count());
+        let mut s1 = ChSearch::new(g.vertex_count());
         let table = ch.many_to_many(&mut s1, &sources, &targets);
-        let mut s2 = M2mSearch::new(g.vertex_count());
-        ch.prepare_targets(&mut s2, &targets);
-        for (i, &s) in sources.iter().enumerate() {
-            let row = ch.distances_from(&mut s2, s);
+        let mut s2 = ChSearch::new(g.vertex_count());
+        let mut rows = 0;
+        ch.many_to_many_rows(&mut s2, &sources, &targets, |i, row| {
+            assert_eq!(i, rows, "rows come in source order");
             assert_eq!(row.len(), targets.len());
             for (j, &d) in row.iter().enumerate() {
                 assert_eq!(table.dist(i, j).to_bits(), d.to_bits());
             }
-        }
+            rows += 1;
+        });
+        assert_eq!(rows, sources.len());
     }
 
     #[test]
@@ -457,11 +378,13 @@ mod tests {
         let ch = ch.view();
         let n = g.vertex_count() as u32;
         let targets: Vec<VertexId> = (0..8).map(|i| VertexId(i * (n / 8))).collect();
-        let mut m2m = M2mSearch::new(g.vertex_count());
+        let mut m2m = ChSearch::new(g.vertex_count());
         let mut p2p = ChSearch::new(g.vertex_count());
         let source = VertexId(n / 3);
-        ch.prepare_targets(&mut m2m, &targets);
-        let dists = ch.distances_from(&mut m2m, source);
+        let mut dists = Vec::new();
+        ch.many_to_many_rows(&mut m2m, &[source], &targets, |_, row| {
+            dists.extend_from_slice(row)
+        });
         assert_eq!(dists.len(), targets.len());
         for (j, &t) in targets.iter().enumerate() {
             let expect = ch.query_cost(&mut p2p, source, t).unwrap_or(f64::INFINITY);
@@ -490,7 +413,7 @@ mod tests {
         let g = b.build();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = M2mSearch::new(g.vertex_count());
+        let mut search = ChSearch::new(g.vertex_count());
         let everyone = [a0, a1, c0, c1];
         let table = ch.many_to_many(&mut search, &everyone, &everyone);
         for (i, &s) in everyone.iter().enumerate() {
@@ -515,7 +438,7 @@ mod tests {
         let n = g.vertex_count() as u32;
         let sources: Vec<VertexId> = (0..4).map(|i| VertexId(i * (n / 4))).collect();
         let targets: Vec<VertexId> = (0..5).map(|i| VertexId(n - 1 - i * (n / 6))).collect();
-        let mut search = M2mSearch::new(g.vertex_count());
+        let mut search = ChSearch::new(g.vertex_count());
         let table = ch.many_to_many(&mut search, &sources, &targets);
         for (i, &s) in sources.iter().enumerate() {
             for (j, &t) in targets.iter().enumerate() {
@@ -533,14 +456,18 @@ mod tests {
         let g = grid_network(&GridConfig::small_test(), 3);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = M2mSearch::new(g.vertex_count());
+        let mut search = ChSearch::new(g.vertex_count());
         let none: [VertexId; 0] = [];
         let some = [VertexId(0)];
         assert_eq!(ch.many_to_many(&mut search, &none, &some).shape(), (0, 1));
         let t = ch.many_to_many(&mut search, &some, &none);
         assert_eq!(t.shape(), (1, 0));
         assert!(t.row(0).is_empty());
-        ch.prepare_targets(&mut search, &none);
-        assert!(ch.distances_from(&mut search, VertexId(0)).is_empty());
+        let mut rows = 0;
+        ch.many_to_many_rows(&mut search, &some, &none, |_, row| {
+            assert!(row.is_empty());
+            rows += 1;
+        });
+        assert_eq!(rows, 1);
     }
 }

@@ -25,8 +25,9 @@
 //! * [`m2m`] — bucket-based many-to-many distance tables over a
 //!   contraction hierarchy: `T` backward plus `S` forward upward sweeps
 //!   fill an exact `S × T` [`m2m::DistanceTable`] instead of `S × T`
-//!   full queries (the HMM transition-matrix shape, streamed row by row
-//!   for batched serving; see [`engine::QueryEngine::many_to_many`]);
+//!   full queries (the HMM transition-matrix shape, handed over row by
+//!   row for batched serving; see [`engine::QueryEngine::many_to_many`]
+//!   and [`engine::QueryEngine::many_to_many_rows`]);
 //! * [`yen`] — Yen's algorithm for the top-k loopless shortest paths,
 //!   exposed as a lazy iterator (the paper's TkDI training-data strategy);
 //! * [`diversified`] — diversified top-k shortest paths (the paper's
@@ -57,5 +58,5 @@ pub use engine::{
     safe_heuristic_bound, EngineObs, QueryEngine, SearchBackend, SearchSpace, TreeView,
 };
 pub use landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable, NodeVectors};
-pub use m2m::{DistanceTable, M2mSearch};
+pub use m2m::DistanceTable;
 pub use yen::YenIter;

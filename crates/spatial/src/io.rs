@@ -618,8 +618,11 @@ mod tests {
                 let n = g.vertex_count() as u32;
                 for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (3, n - 2)] {
                     let (s, t) = (VertexId(s), VertexId(t));
-                    let ea = ch.view().query_edges(&mut sa, s, t).map(<[_]>::to_vec);
-                    let eb = back.view().query_edges(&mut sb, s, t).map(<[_]>::to_vec);
+                    let ea = ch.view().query_path(&mut sa, s, t).map(|(e, _)| e.to_vec());
+                    let eb = back
+                        .view()
+                        .query_path(&mut sb, s, t)
+                        .map(|(e, _)| e.to_vec());
                     assert_eq!(
                         ea, eb,
                         "reloaded {metric:?} CH changed an answer for {s:?}->{t:?}"

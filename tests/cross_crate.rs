@@ -3,6 +3,8 @@
 
 use pathrank::core::candidates::{generate_group_with, CandidateConfig, Strategy};
 use pathrank::embed::node2vec::{train_node2vec, Node2VecConfig};
+use pathrank::embed::skipgram::SkipGramConfig;
+use pathrank::embed::walks::WalkConfig;
 use pathrank::nn::matrix::Matrix;
 use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::QueryEngine;
@@ -120,11 +122,16 @@ fn map_matched_path_scores_near_original() {
 fn node2vec_embeds_every_vertex_for_the_model() {
     let g = region();
     let cfg = Node2VecConfig {
-        dim: 12,
-        walks_per_vertex: 2,
-        walk_length: 10,
-        epochs: 1,
-        ..Default::default()
+        walks: WalkConfig {
+            walks_per_vertex: 2,
+            walk_length: 10,
+            ..WalkConfig::default()
+        },
+        sgns: SkipGramConfig {
+            dim: 12,
+            epochs: 1,
+            ..SkipGramConfig::default()
+        },
     };
     let emb: Matrix = train_node2vec(&g, &cfg, 37);
     assert_eq!(emb.shape(), (g.vertex_count(), 12));

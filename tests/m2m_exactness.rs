@@ -17,8 +17,8 @@
 //! * interleaved `Length`/`TravelTime` metrics on one shared scratch —
 //!   alternating tables between two hierarchies must never leak bucket
 //!   or label state;
-//! * the streamed rows (`prepare_m2m_targets` + `m2m_distances_from`,
-//!   the path the route server runs) vs the one-to-all tree;
+//! * the rows as `many_to_many_rows` emits them (the path the route
+//!   server runs) vs the one-to-all tree;
 //! * `CostModel::Custom` and metric-mismatched batched calls must
 //!   return `None` (the caller falls back to pairwise searches), asserted at
 //!   the engine layer.
@@ -27,8 +27,7 @@ use std::sync::Arc;
 
 use pathrank::spatial::algo::engine::SearchBackend;
 use pathrank::spatial::algo::landmarks::LandmarkMetric;
-use pathrank::spatial::algo::m2m::M2mSearch;
-use pathrank::spatial::algo::QueryEngine;
+use pathrank::spatial::algo::{ChSearch, QueryEngine};
 use pathrank::spatial::graph::{CostModel, VertexId};
 use pathrank_testkit::prelude::*;
 
@@ -76,7 +75,7 @@ proptest! {
         let (g, n) = (case.graph(), case.n());
         let ch_len = Backends::build(&g, LandmarkMetric::Length).ch;
         let ch_tt = Backends::build(&g, LandmarkMetric::TravelTime).ch;
-        let mut search = M2mSearch::new(g.vertex_count());
+        let mut search = ChSearch::new(g.vertex_count());
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         for _ in 0..rounds {
             for (ch, cost) in [
@@ -106,12 +105,13 @@ proptest! {
         let (g, n) = (case.graph(), case.n());
         let mut engine = Backends::build(&g, LandmarkMetric::Length).engine(SearchBackend::Ch);
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        prop_assert!(engine.prepare_m2m_targets(&all, CostModel::Length));
-        for &s in &all {
-            let row = engine
-                .m2m_distances_from(s, CostModel::Length)
-                .expect("length CH attached")
-                .to_vec();
+        let mut rows = Vec::new();
+        let covered = engine.many_to_many_rows(&all, &all, CostModel::Length, |_, row| {
+            rows.push(row.to_vec())
+        });
+        prop_assert!(covered, "length CH attached");
+        prop_assert_eq!(rows.len(), n);
+        for (&s, row) in all.iter().zip(&rows) {
             // Self-distance is 0 on the diagonal entry.
             for (j, &t) in all.iter().enumerate() {
                 let expect = reference_cost(&g, s, t, CostModel::Length);
@@ -121,8 +121,7 @@ proptest! {
                     "streamed row diverged on {:?}->{:?}", s, t
                 );
             }
-            // And against the engine's own one-to-all tree, which must
-            // leave the prepared buckets alone.
+            // And against the engine's own one-to-all tree.
             let view = engine.one_to_all(s, CostModel::Length);
             for (j, &t) in all.iter().enumerate() {
                 if t != s {
@@ -157,8 +156,11 @@ proptest! {
         prop_assert!(engine
             .many_to_many(&all, &all, CostModel::Custom(&custom))
             .is_none());
-        prop_assert!(!engine.prepare_m2m_targets(&all, CostModel::TravelTime));
-        prop_assert!(!engine.prepare_m2m_targets(&all, CostModel::Custom(&custom)));
+        for cost in [CostModel::TravelTime, CostModel::Custom(&custom)] {
+            let mut rows = 0;
+            prop_assert!(!engine.many_to_many_rows(&all, &all, cost, |_, _| rows += 1));
+            prop_assert_eq!(rows, 0, "{:?} emitted a row", cost);
+        }
     }
 
     /// Batched tables off a customizable CH stay bit-identical to
@@ -201,12 +203,12 @@ proptest! {
                     );
                 }
             }
-            prop_assert!(engine.prepare_m2m_targets(&all, cost));
-            for &s in &all {
-                let row = engine
-                    .m2m_distances_from(s, cost)
-                    .expect("live CCH attached")
-                    .to_vec();
+            let mut rows = Vec::new();
+            let covered = engine.many_to_many_rows(&all, &all, cost, |_, row| {
+                rows.push(row.to_vec())
+            });
+            prop_assert!(covered, "live CCH attached");
+            for (&s, row) in all.iter().zip(&rows) {
                 for (j, &t) in all.iter().enumerate() {
                     prop_assert_eq!(
                         reference_cost(&g, s, t, cost).to_bits(),
@@ -219,7 +221,7 @@ proptest! {
     }
 
     /// One engine serving Length off a classic CH and TravelTime off a
-    /// CCH, alternating tables on its single shared m2m scratch — no
+    /// CCH, alternating tables on its single shared scratch — no
     /// bucket or label state may leak between the two hierarchies.
     #[test]
     fn cch_interleaved_metrics_share_engine_scratch(
