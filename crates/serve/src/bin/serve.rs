@@ -5,9 +5,11 @@
 //! serve [--port P] [--side N] [--shards S]
 //! ```
 //!
-//! Binds the port, builds the integer grid city, a Length CH, Length
-//! landmarks and the CCH topology (the three side by side), installs an
-//! initial live weight generation, then accepts. Try it with netcat:
+//! Binds the port, builds the integer grid city, a Length CH and the CCH
+//! topology (the two side by side), installs an initial live weight
+//! generation, then accepts. `length` requests go to the CH, `live` ones
+//! to the CCH and `time` ones to plain Dijkstra: a landmark table would
+//! answer none of them, so none is built. Try it with netcat:
 //!
 //! ```text
 //! $ echo "ROUTE 0 575 length" | nc 127.0.0.1 7111
@@ -23,7 +25,7 @@ use pathrank_serve::tcp::run_listener;
 use pathrank_serve::{RouteServer, ServeConfig, ServerIndexes};
 use pathrank_spatial::algo::cch::{CchConfig, CchTopology};
 use pathrank_spatial::algo::ch::{ChConfig, ContractionHierarchy};
-use pathrank_spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
+use pathrank_spatial::algo::landmarks::LandmarkMetric;
 
 /// The city sides `integer_city` can build: at least a 2×2 grid, and at
 /// most the side whose `4·s·(s−1)` directed edges still fit `u32` ids.
@@ -62,8 +64,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u16, usize, Ser
 
 /// Binds the port, then stands the server up. The listener comes first
 /// so that a taken port is reported before seconds of index building;
-/// the three indexes are independent and build side by side, so
-/// time-to-ready is the slowest of them, not the sum.
+/// the two indexes are independent and build side by side, so
+/// time-to-ready is the slower of them, not the sum.
 fn start(
     port: u16,
     side: usize,
@@ -79,18 +81,15 @@ fn start(
         graph.vertex_count(),
         graph.edge_count()
     );
-    eprintln!("building Length CH, landmarks and CCH topology...");
+    eprintln!("building Length CH and CCH topology...");
     let indexes = std::thread::scope(|scope| {
         let ch = scope.spawn(|| {
             ContractionHierarchy::build(&graph, LandmarkMetric::Length, &ChConfig::default())
         });
-        let landmarks = scope.spawn(|| {
-            LandmarkTable::build(&graph, LandmarkMetric::Length, &LandmarkConfig::default())
-        });
         let topo = CchTopology::build(&graph, &CchConfig::default());
         ServerIndexes {
             ch: Some(Arc::new(ch.join().expect("CH build panicked"))),
-            landmarks: Some(Arc::new(landmarks.join().expect("landmark build panicked"))),
+            landmarks: None,
             cch_topology: Some(Arc::new(topo)),
         }
     });

@@ -78,6 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::algo::ch::{ArcRule, HierarchyView, SearchArc, Skeleton};
+use crate::algo::labels::Marks;
 use crate::algo::landmarks::LandmarkMetric;
 use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
@@ -213,24 +214,9 @@ struct TopoScratch {
     /// next changes: the loop contracts a vertex right after the
     /// `priority` call that let it win, which already probed it.
     probed: Option<VertexId>,
-    /// Per vertex, the token that last marked it; a fresh token clears
-    /// every mark in O(1).
-    marks: Vec<u32>,
-    token: u32,
-}
-
-impl TopoScratch {
-    /// A token no vertex is marked with, sizing the marks for `n`
-    /// vertices.
-    fn fresh_token(&mut self, n: usize) -> u32 {
-        if self.marks.len() != n || self.token == u32::MAX {
-            self.marks.clear();
-            self.marks.resize(n, 0);
-            self.token = 0;
-        }
-        self.token += 1;
-        self.token
-    }
+    /// A vertex set emptied in O(1): the heads of one in-neighbour while
+    /// probing, the neighbours bumped so far while contracting.
+    marks: Marks,
 }
 
 impl TopoBuilder {
@@ -264,20 +250,20 @@ impl TopoBuilder {
     /// Gathers `v`'s uncontracted in/out neighbours and the fill-in its
     /// contraction needs into `scratch`. Arcs are unique per directed
     /// pair and the lists hold no self-loop, so nothing is deduplicated.
-    /// Whether `u -> w` exists is one mark: `u`'s heads are marked with a
-    /// token of their own per in-neighbour `u`.
+    /// Whether `u -> w` exists is one mark: `u`'s heads are marked in a
+    /// set of their own per in-neighbour `u`.
     fn probe(&self, v: VertexId, scratch: &mut TopoScratch) {
         scratch.ins.clone_from(&self.in_adj[v.index()]);
         scratch.outs.clone_from(&self.out_adj[v.index()]);
         scratch.fill.clear();
         for i in 0..scratch.ins.len() {
             let u = scratch.ins[i];
-            let token = scratch.fresh_token(self.rank.len());
+            scratch.marks.begin(self.rank.len());
             for &w in &self.out_adj[u.index()] {
-                scratch.marks[w.index()] = token;
+                scratch.marks.insert(w.index());
             }
             for &w in &scratch.outs {
-                if w != u && scratch.marks[w.index()] != token {
+                if w != u && !scratch.marks.contains(w.index()) {
                     scratch.fill.push((u, w));
                 }
             }
@@ -331,9 +317,9 @@ impl Contract for TopoBuilder {
             unlink(&mut self.in_adj[w.index()]);
         }
         // Each distinct neighbour once, whichever list names it first.
-        let token = scratch.fresh_token(self.rank.len());
+        scratch.marks.begin(self.rank.len());
         for &nb in scratch.ins.iter().chain(&scratch.outs) {
-            if std::mem::replace(&mut scratch.marks[nb.index()], token) == token {
+            if scratch.marks.insert(nb.index()) {
                 continue;
             }
             self.deleted_neighbors[nb.index()] += 1;
@@ -1320,7 +1306,7 @@ mod tests {
     fn cch_queries_match_dijkstra() {
         let g = region();
         let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         for cost in [CostModel::Length, CostModel::TravelTime] {
             let cch = topo.customize(&g, &cost);
             let n = g.vertex_count() as u32;
@@ -1358,7 +1344,7 @@ mod tests {
         // the weight of every (3 + round)-th edge and customizes afresh.
         let g = region();
         let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let mut weights = travel_times(&g);
         for round in 0..3usize {
             for w in weights.iter_mut().step_by(3 + round) {
@@ -1400,7 +1386,7 @@ mod tests {
         other[0] = f64::from_bits(other[0].to_bits() + 1);
         assert!(!cch.usable_for(&CostModel::Custom(&other)));
         assert!(!cch.usable_for(&CostModel::Custom(&own[1..])));
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 2, n / 5)] {
             let (s, t) = (VertexId(s), VertexId(t));
@@ -1498,7 +1484,7 @@ mod tests {
             sparse.usable_for(&CostModel::Custom(&weights)),
             "gating must follow the updated vector"
         );
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 2, n / 5)] {
             let (s, t) = (VertexId(s), VertexId(t));

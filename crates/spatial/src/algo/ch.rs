@@ -56,13 +56,12 @@
 //! one, so caps trade index size for build time without touching
 //! correctness.
 
-use std::collections::BinaryHeap;
-
+use crate::algo::labels::{Side, NO_PARENT};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::algo::m2m::Buckets;
 use crate::algo::order::{contract_in_priority_order, Contract};
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
-use crate::util::{group_by_key, MinCost};
+use crate::util::group_by_key;
 
 /// Parameters of hierarchy construction.
 #[derive(Debug, Clone, Copy)]
@@ -302,7 +301,7 @@ pub struct HierarchyView<'a> {
 /// Build once per (graph, metric), wrap in an `Arc`, and hand a clone to
 /// every worker's `QueryEngine::with_ch` — the index is immutable and
 /// `Sync`, so sharing is free. Queries need a per-worker [`ChSearch`]
-/// scratch state (the engine owns one lazily).
+/// scratch state (the engine owns one).
 #[derive(Debug, Clone)]
 pub struct ContractionHierarchy {
     metric: LandmarkMetric,
@@ -316,132 +315,22 @@ pub struct ContractionHierarchy {
     seg_weights: Vec<f64>,
 }
 
-/// Per-vertex slot of a [`ChSide`]: stamp, distance and parent packed
-/// into one 16-byte entry so a vertex touch costs one cache line, not
-/// three (the query is memory-bound on exactly these random accesses).
-/// Slots are indexed by *rank*, not vertex id — see
-/// [`ContractionHierarchy::assemble`].
-#[derive(Debug, Clone, Copy)]
-struct ChEntry {
-    /// `(last-touching epoch << 1) | settled-bit`.
-    stamp: u32,
-    /// Rank that reached the vertex; `u32::MAX` marks the search root.
-    parent: u32,
-    /// Tentative (then final) distance in the current epoch.
-    dist: f64,
-}
-
-/// Epoch-stamped state of one [`HierarchyView::sweep`]: the forward or
-/// backward side of a query, or a many-to-many sweep.
-#[derive(Debug, Clone)]
-pub(crate) struct ChSide {
-    epoch: u32,
-    entries: Vec<ChEntry>,
-    heap: BinaryHeap<MinCost<VertexId>>,
-    /// Lifetime settle count across every query on this side — plain
-    /// increments mirroring `SearchSpace`'s work counters, differenced
-    /// by the engine for per-query work reporting.
-    settled_total: u64,
-    /// Lifetime relaxation (enqueue) count.
-    pushed_total: u64,
-}
-
-impl ChSide {
-    fn new(n: usize) -> Self {
-        ChSide {
-            epoch: 0,
-            entries: vec![
-                ChEntry {
-                    stamp: 0,
-                    parent: u32::MAX,
-                    dist: f64::INFINITY,
-                };
-                n
-            ],
-            heap: BinaryHeap::new(),
-            settled_total: 0,
-            pushed_total: 0,
-        }
-    }
-
-    fn begin(&mut self) {
-        // The 31-bit epoch wraps after ~2^31 queries; re-zeroing the
-        // stamps then keeps the invalidation sound at amortised zero
-        // cost.
-        if self.epoch >= (u32::MAX >> 1) - 1 {
-            for e in self.entries.iter_mut() {
-                e.stamp = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.heap.clear();
-    }
-
-    #[inline]
-    fn reached(&self, v: VertexId) -> bool {
-        self.entries[v.index()].stamp >> 1 == self.epoch
-    }
-
-    #[inline]
-    fn dist(&self, v: VertexId) -> f64 {
-        let e = &self.entries[v.index()];
-        if e.stamp >> 1 == self.epoch {
-            e.dist
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    #[inline]
-    fn parent(&self, v: VertexId) -> u32 {
-        self.entries[v.index()].parent
-    }
-
-    #[inline]
-    fn is_settled(&self, v: VertexId) -> bool {
-        self.entries[v.index()].stamp == (self.epoch << 1) | 1
-    }
-
-    #[inline]
-    fn settle(&mut self, v: VertexId) {
-        self.entries[v.index()].stamp |= 1;
-        self.settled_total += 1;
-    }
-
-    #[inline]
-    fn relax(&mut self, v: VertexId, d: f64, parent: u32) {
-        self.entries[v.index()] = ChEntry {
-            stamp: self.epoch << 1,
-            dist: d,
-            parent,
-        };
-        self.pushed_total += 1;
-    }
-
-    /// Stall-on-demand: whether the label `d` is beaten through one of
-    /// the opposite-direction `arcs` (weights in the parallel column).
-    #[inline]
-    fn stalled(&self, arcs: &[SearchArc], weights: &[f64], d: f64) -> bool {
-        let mut pairs = arcs.iter().zip(weights);
-        pairs.any(|(sa, &w)| self.dist(VertexId(sa.other)) + w < d)
-    }
-}
-
-/// Reusable per-worker scratch state for CH and CCH queries and
-/// many-to-many tables: two stamped search sides, the unpack buffers and
-/// the target buckets. Create once ([`ChSearch::new`] with the graph's
-/// vertex count) and reuse across queries — steady-state queries perform
-/// no `O(V)` allocation, matching the engine's `SearchSpace` discipline.
+/// Reusable per-worker search state: two stamped search sides, the
+/// unpack buffers and the many-to-many target buckets. It is the state of
+/// CH and CCH queries and tables, and the engine's Dijkstra/A* searches
+/// run on the same two sides. Create once (`ChSearch::default()`, which
+/// allocates nothing) and reuse across queries: a side is sized by its
+/// first search, and steady-state queries perform no `O(V)` allocation.
 /// Nothing in it outlives a call: every sweep and every table starts
 /// from a fresh epoch, so one scratch serves any hierarchy over the
 /// graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChSearch {
     /// The forward side of a query; also the side every many-to-many
     /// sweep runs on.
-    pub(crate) fwd: ChSide,
-    bwd: ChSide,
+    pub(crate) fwd: Side,
+    /// The backward side of a query.
+    pub(crate) bwd: Side,
     /// Unpacked original-edge sequence of the last successful query.
     edge_buf: Vec<EdgeId>,
     /// Matching vertex sequence (`edge_buf.len() + 1` entries), emitted
@@ -465,31 +354,12 @@ struct Unpack {
 }
 
 impl ChSearch {
-    /// Creates scratch state for graphs with `n` vertices.
-    pub fn new(n: usize) -> Self {
-        ChSearch {
-            fwd: ChSide::new(n),
-            bwd: ChSide::new(n),
-            edge_buf: Vec::new(),
-            vertex_buf: Vec::new(),
-            unpack: Unpack::default(),
-            buckets: Buckets::default(),
-        }
-    }
-
-    /// Number of vertex slots.
-    pub fn capacity(&self) -> usize {
-        self.fwd.entries.len()
-    }
-
     /// Lifetime `(settled vertices, heap pushes)` summed over both
-    /// search sides; monotone, never reset (see
-    /// [`crate::algo::engine::SearchSpace::work_counters`]).
+    /// search sides; monotone, never reset. Callers difference two
+    /// readings to get per-query or per-window work.
     pub fn work_counters(&self) -> (u64, u64) {
-        (
-            self.fwd.settled_total + self.bwd.settled_total,
-            self.fwd.pushed_total + self.bwd.pushed_total,
-        )
+        let ((s1, p1), (s2, p2)) = (self.fwd.work(), self.bwd.work());
+        (s1 + s2, p1 + p2)
     }
 }
 
@@ -519,11 +389,10 @@ struct Builder {
 /// contraction loop.
 #[derive(Default)]
 struct WitnessSpace {
-    epoch: u64,
-    /// `(last-touching epoch << 1) | settled-bit` per vertex.
-    stamp: Vec<u64>,
-    dist: Vec<f64>,
-    heap: BinaryHeap<MinCost<VertexId>>,
+    /// The labels of the current estimate, witness search or neighbour
+    /// fold; the side's settle count is the witness searches' (nothing
+    /// else settles).
+    side: Side,
     /// Deduplicated `(neighbor, best arc, best weight)` gather buffers.
     ins: Vec<(VertexId, u32, f64)>,
     outs: Vec<(VertexId, u32, f64)>,
@@ -535,9 +404,8 @@ struct WitnessSpace {
     needed: Vec<(u32, u32, f64)>,
     /// [`Builder::plan_contraction`] calls made with this space.
     proofs: usize,
-    /// Lifetime witness-search work: vertices settled, and out-arcs of
-    /// settled vertices scanned.
-    settles: u64,
+    /// Lifetime out-arcs of settled vertices the witness searches
+    /// scanned.
     relaxations: u64,
 }
 
@@ -554,16 +422,11 @@ struct Target {
 }
 
 impl WitnessSpace {
-    /// Opens a fresh stamp epoch and returns its unsettled mark.
-    fn begin(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch << 1
-    }
-
-    /// Tentative distance of `v` in the epoch of `mark`.
-    #[inline]
-    fn reached(&self, mark: u64, v: VertexId) -> Option<f64> {
-        (self.stamp[v.index()] | 1 == mark | 1).then(|| self.dist[v.index()])
+    /// Lifetime witness-search work: vertices settled, and out-arcs of
+    /// settled vertices scanned.
+    #[cfg(test)]
+    fn work(&self) -> (u64, u64) {
+        (self.side.work().0, self.relaxations)
     }
 }
 
@@ -612,15 +475,15 @@ impl Builder {
             }
             buf.push((nb, arc, w));
         }
-        if space.stamp.is_empty() {
+        if space.side.capacity() == 0 {
             // A label per vertex fits without growing: a heap that grew
             // search by search reallocated all through the build, and
             // where those buffers landed moved the process's later peak
-            // RSS (by 1.4 MiB on the 10k map's training run).
-            space.heap.reserve(self.rank.len());
+            // RSS (by 1.4 MiB on the 10k map's training run). The labels
+            // follow at once for the same reason.
+            space.side.reserve_heap(self.rank.len());
+            space.side.size(self.rank.len());
         }
-        space.stamp.resize(self.rank.len(), 0);
-        space.dist.resize(self.rank.len(), f64::INFINITY);
         space.ins.clear();
         space.outs.clear();
         for &a in &self.in_adj[v.index()] {
@@ -650,15 +513,15 @@ impl Builder {
         let removed = space.ins.len() + space.outs.len();
         let ins = std::mem::take(&mut space.ins);
         let mut needed = 0usize;
+        let side = &mut space.side;
         for &(u, _, duv) in &ins {
             // One hop: the cheapest live arc of `u` per head.
-            let mark = space.begin();
+            side.begin(self.rank.len());
             for &a in &self.out_adj[u.index()] {
                 let arc = self.arcs[a as usize];
                 let x = arc.to;
-                if x != v && space.reached(mark, x).is_none_or(|d| arc.weight < d) {
-                    space.stamp[x.index()] = mark;
-                    space.dist[x.index()] = arc.weight;
+                if x != v && side.tentative(x).is_none_or(|d| arc.weight < d) {
+                    side.label(x, arc.weight, NO_PARENT);
                 }
             }
             for &(w, _, dvw) in &space.outs {
@@ -666,7 +529,7 @@ impl Builder {
                     continue;
                 }
                 let via = duv + dvw;
-                if space.reached(mark, w).is_some_and(|d| d <= via) {
+                if side.tentative(w).is_some_and(|d| d <= via) {
                     continue;
                 }
                 // Two hops: one scan of `w`'s live in-arcs.
@@ -674,7 +537,7 @@ impl Builder {
                     let arc = self.arcs[a as usize];
                     let x = arc.from;
                     let short = |d: f64| d + arc.weight <= via;
-                    x != u && x != v && space.reached(mark, x).is_some_and(short)
+                    x != u && x != v && side.tentative(x).is_some_and(short)
                 });
                 needed += usize::from(!witnessed);
             }
@@ -696,9 +559,9 @@ impl Builder {
     /// witnesses it. Resolved targets stay resolved as keys grow, so the
     /// ones resolved are peeled off the top of `targets`, sorted by
     /// `dvw - entry` (the last to fall out of reach on top): O(1)
-    /// amortised per pop. Leaves tentative distances in `space` (upper
-    /// bounds on the true local distance — safe for witness tests even
-    /// when the cap truncates the search) and returns the epoch's mark.
+    /// amortised per pop. Leaves tentative distances in `space.side`
+    /// (upper bounds on the true local distance — safe for witness tests
+    /// even when the cap truncates the search).
     ///
     /// Why this is exact: the heap, the `limit` that prunes labels and
     /// the cap are those of a search that runs until every target is
@@ -717,37 +580,31 @@ impl Builder {
         avoid: VertexId,
         reach: f64,
         targets: &[Target],
-    ) -> u64 {
-        let mark = space.begin();
-        space.heap.clear();
-        space.stamp[source.index()] = mark;
-        space.dist[source.index()] = 0.0;
+    ) {
+        let side = &mut space.side;
+        side.begin(self.rank.len());
+        side.push(source, 0.0, NO_PARENT, 0.0);
         // Labels are pruned against the farthest bound of a target other
         // than the source, which is witnessed from the start.
         let others = targets.iter().filter(|t| t.w != source);
         let limit = reach + others.map(|t| t.dvw).fold(f64::NEG_INFINITY, f64::max);
-        let resolved = |space: &WitnessSpace, d: f64, t: &Target| {
+        let resolved = |side: &Side, d: f64, t: &Target| {
             let bound = reach + t.dvw;
-            d + t.entry > bound || space.reached(mark, t.w).is_some_and(|x| x <= bound)
+            d + t.entry > bound || side.tentative(t.w).is_some_and(|x| x <= bound)
         };
-        space.heap.push(MinCost {
-            cost: 0.0,
-            item: source,
-        });
         let mut open = targets.len();
         let mut settled = 0usize;
-        while let Some(MinCost { cost: d, item: u }) = space.heap.pop() {
-            if space.stamp[u.index()] == mark | 1 {
+        while let Some((d, u)) = side.pop() {
+            if side.is_settled(u) {
                 continue;
             }
-            while open > 0 && resolved(space, d, &targets[open - 1]) {
+            while open > 0 && resolved(side, d, &targets[open - 1]) {
                 open -= 1;
             }
             if open == 0 {
                 break;
             }
-            space.stamp[u.index()] = mark | 1;
-            space.settles += 1;
+            side.settle(u);
             settled += 1;
             if settled >= self.cap {
                 break;
@@ -759,16 +616,13 @@ impl Builder {
                 // The bound first: it needs no read of `v`'s state.
                 if nd <= limit
                     && v != avoid
-                    && space.stamp[v.index()] != mark | 1
-                    && space.reached(mark, v).is_none_or(|old| nd < old)
+                    && !side.is_settled(v)
+                    && side.tentative(v).is_none_or(|old| nd < old)
                 {
-                    space.stamp[v.index()] = mark;
-                    space.dist[v.index()] = nd;
-                    space.heap.push(MinCost { cost: nd, item: v });
+                    side.push(v, nd, NO_PARENT, nd);
                 }
             }
         }
-        mark
     }
 
     /// Proves which shortcuts contracting `v` needs: one witness search
@@ -798,10 +652,10 @@ impl Builder {
             if outs.iter().all(|t| t.0 == u) {
                 continue;
             }
-            let mark = self.witness_search(space, u, v, duv, &targets);
+            self.witness_search(space, u, v, duv, &targets);
             for &(w, a_out, dvw) in &outs {
                 let via = duv + dvw;
-                if w != u && space.reached(mark, w).is_none_or(|witness| witness > via) {
+                if w != u && space.side.tentative(w).is_none_or(|witness| witness > via) {
                     space.needed.push((a_in, a_out, via));
                 }
             }
@@ -845,12 +699,14 @@ impl Contract for Builder {
             self.in_adj[to.index()].push(id);
         }
         // Bump + prune each distinct neighbour once (the plan left them
-        // in `ins` / `outs`; a fresh stamp epoch folds the two lists).
-        let mark = space.begin();
+        // in `ins` / `outs`; a fresh search epoch folds the two lists).
+        let side = &mut space.side;
+        side.begin(self.rank.len());
         for &(nb, ..) in space.ins.iter().chain(&space.outs) {
-            if std::mem::replace(&mut space.stamp[nb.index()], mark) == mark {
+            if side.reached(nb) {
                 continue;
             }
+            side.label(nb, 0.0, NO_PARENT);
             self.deleted_neighbors[nb.index()] += 1;
             let bumped = self.level[v.index()] + 1;
             if self.level[nb.index()] < bumped {
@@ -1111,24 +967,15 @@ impl HierarchyView<'_> {
     /// `INFINITY` runs the sweep to exhaustion.
     pub(crate) fn sweep<const FORWARD: bool>(
         &self,
-        side: &mut ChSide,
+        side: &mut Side,
         root: VertexId,
         mut visit: impl FnMut(VertexId, f64) -> f64,
     ) {
-        debug_assert_eq!(
-            side.entries.len(),
-            self.vertex_count(),
-            "search sized for another graph"
-        );
         let root = VertexId(self.skel.rank[root.index()]);
-        side.begin();
-        side.relax(root, 0.0, u32::MAX);
-        side.heap.push(MinCost {
-            cost: 0.0,
-            item: root,
-        });
+        side.begin(self.vertex_count());
+        side.push(root, 0.0, NO_PARENT, 0.0);
         let mut bound = f64::INFINITY;
-        while let Some(MinCost { cost: d, item: u }) = side.heap.pop() {
+        while let Some((d, u)) = side.pop() {
             if side.is_settled(u) {
                 continue;
             }
@@ -1147,7 +994,8 @@ impl HierarchyView<'_> {
             // A label beaten through a higher-ranked neighbour keeps its
             // value but is not expanded: no shortest path continues
             // through it.
-            if side.stalled(stall, stall_w, d) {
+            let mut stall = stall.iter().zip(stall_w);
+            if stall.any(|(sa, &w)| side.dist(VertexId(sa.other)) + w < d) {
                 continue;
             }
             for (sa, &w) in arcs.iter().zip(weights) {
@@ -1157,8 +1005,7 @@ impl HierarchyView<'_> {
                 }
                 let nd = d + w;
                 if nd < side.dist(v) && nd < bound {
-                    side.relax(v, nd, u.0);
-                    side.heap.push(MinCost { cost: nd, item: v });
+                    side.push(v, nd, u.0, nd);
                 }
             }
         }
@@ -1314,7 +1161,7 @@ impl HierarchyView<'_> {
         let mut cur = meet.0;
         loop {
             let p = fwd.parent(VertexId(cur));
-            if p == u32::MAX {
+            if p == NO_PARENT {
                 break;
             }
             let (lo, split, _) = self.skel.bounds(p as usize);
@@ -1331,7 +1178,7 @@ impl HierarchyView<'_> {
         let mut cur = meet.0;
         loop {
             let p = bwd.parent(VertexId(cur));
-            if p == u32::MAX {
+            if p == NO_PARENT {
                 break;
             }
             let (_, split, hi) = self.skel.bounds(p as usize);
@@ -1416,7 +1263,7 @@ mod tests {
         // unpacked edges) must still match exactly.
         let g = grid_network(&GridConfig::small_test(), 13);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n - 1, 0), (3, n / 2), (n / 3, 2 * n / 3)] {
             let (s, t) = (VertexId(s), VertexId(t));
@@ -1434,7 +1281,7 @@ mod tests {
         let g = region();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         assert!(ch.shortcut_count() > 0, "region CH should need shortcuts");
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let n = g.vertex_count() as u32;
         let mut checked = 0usize;
         for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (7 % n, n - 2)] {
@@ -1459,7 +1306,7 @@ mod tests {
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::TravelTime, &ChConfig::default());
         assert!(ch.usable_for(&CostModel::TravelTime));
         assert!(!ch.usable_for(&CostModel::Length));
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 2, 1)] {
             let (s, t) = (VertexId(s), VertexId(t));
@@ -1501,7 +1348,7 @@ mod tests {
         b.add_bidirectional(c0, c1, attrs()).unwrap();
         let g = b.build();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         assert!(ch.view().query_path(&mut search, a0, c1).is_none());
         assert!(ch.view().query_cost(&mut search, a1, c0).is_none());
         assert_eq!(ch.view().query_cost(&mut search, a0, a0), Some(0.0));
@@ -1513,18 +1360,17 @@ mod tests {
     #[test]
     fn ch_search_state_reuse_is_clean_across_queries() {
         // An early-exiting query right after a full sweep must not see
-        // stale distances — the ChSide epoch discipline mirrors the
-        // engine's SearchSpace.
+        // stale distances: the search sides' epoch stamps.
         let g = grid_network(&GridConfig::small_test(), 7);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let n = g.vertex_count() as u32;
         let pairs = [(0, n - 1), (1, 2), (n - 1, 0), (n / 2, n / 2 + 1)];
         // Interleave: fresh scratch state must agree with reused one.
         for &(s, t) in &pairs {
             let (s, t) = (VertexId(s), VertexId(t));
             let reused = ch.view().query_cost(&mut search, s, t);
-            let mut fresh = ChSearch::new(g.vertex_count());
+            let mut fresh = ChSearch::default();
             let expect = ch.view().query_cost(&mut fresh, s, t);
             assert_eq!(reused, expect, "{s:?}->{t:?} state leaked across queries");
         }
@@ -1553,7 +1399,7 @@ mod tests {
         for view in [ch.view(), cch.view()] {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             let mut word = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-            let mut search = ChSearch::new(g.vertex_count());
+            let mut search = ChSearch::default();
             for &(s, t) in &pairs {
                 let cost = view.query_cost(&mut search, s, t);
                 word(cost.unwrap_or(f64::INFINITY).to_bits());
@@ -1595,8 +1441,8 @@ mod tests {
             tight.shortcut_count() >= roomy.shortcut_count(),
             "a tighter witness cap can only add shortcuts"
         );
-        let mut st = ChSearch::new(g.vertex_count());
-        let mut sr = ChSearch::new(g.vertex_count());
+        let mut st = ChSearch::default();
+        let mut sr = ChSearch::default();
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 3, 2 * n / 3)] {
             let (s, t) = (VertexId(s), VertexId(t));
@@ -1685,7 +1531,7 @@ mod tests {
             let cap = ChConfig::default().witness_settle_cap;
             let mut b = Builder::new(&g, LandmarkMetric::Length, cap);
             let space = contract_in_priority_order(g.vertex_count(), 1, &mut b);
-            assert_eq!((space.settles, space.relaxations), work);
+            assert_eq!(space.work(), work);
             assert!(work.0 < settled_all.0 && work.1 < settled_all.1);
         }
         // Raw multigraphs, whose pools hold dominated parallel arcs the
@@ -1854,7 +1700,7 @@ mod tests {
                 edges
             };
             let view = ch.view();
-            let mut search = ChSearch::new(n);
+            let mut search = ChSearch::default();
             for (slot, arc) in ch.arcs().enumerate() {
                 assert_ne!(arc.from, arc.to, "seed {seed}: a self-loop has a slot");
                 let i = kept[&(arc.from, arc.to)];
@@ -2060,45 +1906,40 @@ mod tests {
     }
 
     /// The witness search and the plan as they were before the search
-    /// stopped at its verdict, kept verbatim: the search runs until every
-    /// target is settled (or the popped key exceeds `reach + d(avoid, w)`
-    /// of every unsettled one), rescanning the targets on every settle.
+    /// stopped at its verdict, kept verbatim but for the label store: the
+    /// search runs until every target is settled (or the popped key
+    /// exceeds `reach + d(avoid, w)` of every unsettled one), rescanning
+    /// the targets on every settle.
     impl Builder {
         fn reference_witness_search(
             &self,
-            space: &mut WitnessSpace,
+            side: &mut Side,
             source: VertexId,
             avoid: VertexId,
             reach: f64,
             targets: &[(VertexId, u32, f64)],
-        ) -> u64 {
-            let farthest_open = |space: &WitnessSpace, mark: u64| {
+        ) {
+            let farthest_open = |side: &Side| {
                 let open = targets
                     .iter()
-                    .filter(|t| t.0 != source && space.stamp[t.0.index()] != mark | 1);
+                    .filter(|t| t.0 != source && !side.is_settled(t.0));
                 reach + open.map(|t| t.2).fold(f64::NEG_INFINITY, f64::max)
             };
-            let mark = space.begin();
+            side.begin(self.rank.len());
             // Labels are pruned against the static bound; the stop bound
             // tightens as targets settle.
-            let limit = farthest_open(space, mark);
+            let limit = farthest_open(side);
             let mut stop = limit;
-            space.heap.clear();
-            space.stamp[source.index()] = mark;
-            space.dist[source.index()] = 0.0;
-            space.heap.push(MinCost {
-                cost: 0.0,
-                item: source,
-            });
+            side.push(source, 0.0, NO_PARENT, 0.0);
             let mut settled = 0usize;
-            while let Some(MinCost { cost: d, item: u }) = space.heap.pop() {
-                if space.stamp[u.index()] == mark | 1 {
+            while let Some((d, u)) = side.pop() {
+                if side.is_settled(u) {
                     continue;
                 }
-                space.stamp[u.index()] = mark | 1;
+                side.settle(u);
                 settled += 1;
                 if u != source && targets.iter().any(|t| t.0 == u) {
-                    stop = farthest_open(space, mark);
+                    stop = farthest_open(side);
                 }
                 if d > stop || settled >= self.cap {
                     break;
@@ -2106,18 +1947,15 @@ mod tests {
                 for &a in &self.out_adj[u.index()] {
                     let arc = self.arcs[a as usize];
                     let v = arc.to;
-                    if v == avoid || space.stamp[v.index()] == mark | 1 {
+                    if v == avoid || side.is_settled(v) {
                         continue;
                     }
                     let nd = d + arc.weight;
-                    if nd <= limit && space.reached(mark, v).is_none_or(|old| nd < old) {
-                        space.stamp[v.index()] = mark;
-                        space.dist[v.index()] = nd;
-                        space.heap.push(MinCost { cost: nd, item: v });
+                    if nd <= limit && side.tentative(v).is_none_or(|old| nd < old) {
+                        side.push(v, nd, NO_PARENT, nd);
                     }
                 }
             }
-            mark
         }
 
         fn reference_plan(&self, v: VertexId, space: &mut WitnessSpace) -> Vec<(u32, u32, f64)> {
@@ -2129,10 +1967,10 @@ mod tests {
                 if outs.iter().all(|t| t.0 == u) {
                     continue;
                 }
-                let mark = self.reference_witness_search(space, u, v, duv, &outs);
+                self.reference_witness_search(&mut space.side, u, v, duv, &outs);
                 for &(w, a_out, dvw) in &outs {
                     let via = duv + dvw;
-                    if w != u && space.reached(mark, w).is_none_or(|witness| witness > via) {
+                    if w != u && space.side.tentative(w).is_none_or(|witness| witness > via) {
                         space.needed.push((a_in, a_out, via));
                     }
                 }

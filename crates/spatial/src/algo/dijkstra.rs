@@ -4,11 +4,9 @@
 //!
 //! Each call allocates a transient [`QueryEngine`] for a single search.
 //! Query-heavy code (top-k, map matching, candidate generation) holds a
-//! [`QueryEngine`] instead and reuses its [`SearchSpace`] across queries —
+//! [`QueryEngine`] instead and reuses its search labels across queries —
 //! that is where the `O(V)` per-query setup cost actually matters; its
 //! [`QueryEngine::one_to_all`] is the one-to-all shape.
-//!
-//! [`SearchSpace`]: crate::algo::engine::SearchSpace
 
 use crate::algo::engine::QueryEngine;
 use crate::graph::{CostModel, Graph, VertexId};

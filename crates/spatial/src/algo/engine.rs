@@ -10,18 +10,21 @@
 //! paths between candidate layers, and the training-data pipeline does all
 //! of the above per trajectory.
 //!
-//! [`SearchSpace`] keeps those arrays alive across queries and resets them
-//! in O(1) with a query-epoch counter: each vertex slot carries the epoch
-//! that last wrote it, so stale entries from earlier queries are simply
-//! never read. [`QueryEngine`] owns a forward space, a lazily allocated
-//! backward one for reverse sweeps, and exposes every algorithm of this
-//! crate as a method; the only free functions left, the reference
-//! Dijkstra oracles in [`crate::algo::dijkstra`], allocate a transient
-//! engine per call.
+//! One label store keeps that state alive across queries and resets it in
+//! O(1): a search *side* (`labels::Side`) holds a 16-byte label per vertex
+//! — stamp, parent, distance — stamped with the epoch that last wrote it,
+//! so stale labels from earlier queries are simply never read, beside its
+//! heap and its work counters. Every search in the crate runs on sides:
+//! Dijkstra and A* here, the hierarchies' upward sweeps and the CH
+//! builder's witness searches. [`QueryEngine`] owns two, the forward and
+//! backward sides of one [`ChSearch`] (the backward one sized on first
+//! use), and runs every algorithm of this crate on them as a method; the
+//! only free functions left, the reference Dijkstra oracles in
+//! [`crate::algo::dijkstra`], allocate a transient engine per call.
 //!
 //! There is one graph and one search loop. Dijkstra and A*, one-to-one and
 //! one-to-all, forward and reverse, with or without banned sets and a cost
-//! budget, are all `SearchSpace::search`: generic over the ban predicate
+//! budget, are all one function (`search`): generic over the ban predicate
 //! and the heap key, it walks [`Graph::arcs`] in the direction asked and
 //! reads each arc's cost from the one `&[f64]` that
 //! [`CostModel::weights`] resolves per query. Relaxation order is
@@ -41,14 +44,13 @@
 //!
 //! let g = grid_network(&GridConfig::small_test(), 7);
 //! let mut engine = QueryEngine::new(&g);
-//! // Repeated queries reuse the same search arrays — no per-query O(V)
+//! // Repeated queries reuse the same search labels — no per-query O(V)
 //! // allocation after the first.
 //! let a = engine.shortest_path(VertexId(0), VertexId(24), CostModel::Length).unwrap();
 //! let b = engine.shortest_path(VertexId(24), VertexId(3), CostModel::TravelTime).unwrap();
 //! assert!(a.length_m(&g) > 0.0 && b.length_m(&g) > 0.0);
 //! ```
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use pathrank_obs::{Counter, Registry};
@@ -56,6 +58,7 @@ use pathrank_obs::{Counter, Registry};
 use crate::algo::cch::Cch;
 use crate::algo::ch::{ChSearch, ContractionHierarchy, HierarchyView};
 use crate::algo::diversified::DiversifiedConfig;
+use crate::algo::labels::{Side, NO_PARENT};
 use crate::algo::landmarks::{LandmarkTable, NodeVectors};
 use crate::algo::m2m::DistanceTable;
 use crate::algo::yen::YenIter;
@@ -63,10 +66,7 @@ use crate::geometry::Point;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::path::Path;
 use crate::similarity::{sorted_edge_set, weighted_jaccard_sorted};
-use crate::util::{BitSet, MinCost};
-
-/// Sentinel parent entry marking a search root (or an untouched slot).
-const NO_PARENT: (u32, u32) = (u32::MAX, u32::MAX);
+use crate::util::BitSet;
 
 /// The ban set of an unconstrained search.
 #[inline]
@@ -90,242 +90,92 @@ fn dijkstra_key(_: VertexId, g_score: f64) -> f64 {
     g_score
 }
 
-/// Generation-stamped single-search state: distances, parents, settled
-/// flags and the priority queue, reusable across queries with O(1) reset.
+/// The search loop every Dijkstra and A* entry point runs, on `side`:
+/// from `source` over the outgoing arcs of `g` (the incoming ones with
+/// `reverse`), stopping once `target` settles when one is given, never
+/// relaxing an arc `banned` rejects. Starts a fresh search on the side.
+/// Distances are g-scores and the heap is keyed on `key(v, g-score)`:
+/// the g-score itself is Dijkstra, g-score plus an admissible, consistent
+/// bound on the rest is A*. Bans only shrink the edge set, so true
+/// distances only grow and any full-graph bound — Euclidean or ALT —
+/// stays admissible under them. A label's parent word is the edge that
+/// reached it; [`TreeView::parent_of`] reads the parent vertex off it.
 ///
-/// A slot is only meaningful when its stamp matches the current query
-/// epoch; [`SearchSpace::begin`] bumps the epoch, which invalidates every
-/// slot at once without touching memory. The settled flag is packed into
-/// the stamp's low bit, so the whole per-vertex bookkeeping is 24 bytes.
-#[derive(Debug, Clone)]
-pub struct SearchSpace {
-    /// Current query epoch. Slot `v` is live iff `stamp[v] >> 1 == epoch`.
-    epoch: u64,
-    /// `(last-touching epoch << 1) | settled-bit`, per vertex.
-    stamp: Vec<u64>,
-    /// Tentative (then final) cost from the query source, per vertex.
-    dist: Vec<f64>,
-    /// `(parent vertex, connecting edge)` ids; `u32::MAX` marks the root.
-    parent: Vec<(u32, u32)>,
-    /// Reusable priority queue (cleared, not reallocated, between queries).
-    heap: BinaryHeap<MinCost<VertexId>>,
-    /// Lifetime count of settled vertices, across all queries on this
-    /// space. A plain (non-atomic) increment inside [`SearchSpace::settle`]
-    /// — the engine reads deltas around a query to report per-query work
-    /// without touching the hot loop with atomics.
-    settled_total: u64,
-    /// Lifetime count of relaxations (each enqueues one heap entry).
-    pushed_total: u64,
+/// A reverse search yields distances *into* `source`, and its parent
+/// chain points forward: the parent of `v` is the next hop on a cheapest
+/// `v -> source` path.
+///
+/// The search stops at the first popped key above `max_cost` and then
+/// returns `true`. Keys pop in non-decreasing order and every open
+/// vertex of a cheapest path has a key no greater than that path's cost,
+/// so no path within the budget is left; whatever was settled before
+/// that is exactly what the unbudgeted search settles first.
+#[allow(clippy::too_many_arguments)]
+fn search(
+    side: &mut Side,
+    g: &Graph,
+    source: VertexId,
+    target: Option<VertexId>,
+    reverse: bool,
+    weights: &[f64],
+    banned: impl Fn(VertexId, EdgeId) -> bool,
+    key: impl Fn(VertexId, f64) -> f64,
+    max_cost: f64,
+) -> bool {
+    side.begin(g.vertex_count());
+    side.push(source, 0.0, NO_PARENT, key(source, 0.0));
+
+    while let Some((k, u)) = side.pop() {
+        if k > max_cost {
+            return true;
+        }
+        if side.is_settled(u) {
+            continue; // stale heap entry
+        }
+        side.settle(u);
+        if target == Some(u) {
+            break;
+        }
+        let du = side.dist(u);
+        for (v, e) in g.arcs(u, reverse) {
+            if side.is_settled(v) || banned(v, e) {
+                continue;
+            }
+            let w = weights[e.index()];
+            debug_assert!(
+                w >= 0.0,
+                "Dijkstra requires non-negative edge costs, got {w}"
+            );
+            let nd = du + w;
+            if nd < side.dist(v) {
+                side.push(v, nd, e.0, key(v, nd));
+            }
+        }
+    }
+    false
 }
 
-impl SearchSpace {
-    /// Creates a space for graphs with `n` vertices.
-    pub fn new(n: usize) -> Self {
-        SearchSpace {
-            epoch: 0,
-            stamp: vec![0; n],
-            dist: vec![f64::INFINITY; n],
-            parent: vec![NO_PARENT; n],
-            heap: BinaryHeap::new(),
-            settled_total: 0,
-            pushed_total: 0,
-        }
-    }
-
-    /// Lifetime `(settled vertices, heap pushes)` across every query run
-    /// on this space; monotone, never reset. Callers difference two
-    /// readings to get per-query or per-window work.
-    pub fn work_counters(&self) -> (u64, u64) {
-        (self.settled_total, self.pushed_total)
-    }
-
-    /// Number of vertex slots.
-    pub fn capacity(&self) -> usize {
-        self.stamp.len()
-    }
-
-    /// Starts a new query: O(1) — bumps the epoch and clears the heap
-    /// (which keeps its backing allocation).
-    pub fn begin(&mut self) {
-        // With stamps packed as `epoch << 1 | settled`, epoch 2^63 would
-        // overflow the shift; at one query per nanosecond that is ~292
-        // years, so a plain increment is safe for any real workload.
-        self.epoch += 1;
-        self.heap.clear();
-    }
-
-    /// Whether `v` was touched (relaxed) by the current query.
-    #[inline]
-    pub fn reached(&self, v: VertexId) -> bool {
-        self.stamp[v.index()] >> 1 == self.epoch
-    }
-
-    /// Distance from the current query's source to `v`;
-    /// `f64::INFINITY` when unreached.
-    #[inline]
-    pub fn dist(&self, v: VertexId) -> f64 {
-        if self.reached(v) {
-            self.dist[v.index()]
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Parent vertex and connecting edge of `v` on the current search
-    /// tree; `None` for the source and unreached vertices.
-    #[inline]
-    pub fn parent_of(&self, v: VertexId) -> Option<(VertexId, EdgeId)> {
-        if !self.reached(v) {
-            return None;
-        }
-        let (pv, pe) = self.parent[v.index()];
-        if pv == u32::MAX {
-            None
-        } else {
-            Some((VertexId(pv), EdgeId(pe)))
-        }
-    }
-
-    /// Whether `v` was settled (popped with final distance) this query.
-    #[inline]
-    fn is_settled(&self, v: VertexId) -> bool {
-        self.stamp[v.index()] == (self.epoch << 1) | 1
-    }
-
-    #[inline]
-    fn settle(&mut self, v: VertexId) {
-        debug_assert!(self.reached(v), "settling an unreached vertex");
-        self.stamp[v.index()] |= 1;
-        self.settled_total += 1;
-    }
-
-    #[inline]
-    fn relax(&mut self, v: VertexId, d: f64, parent: (u32, u32)) {
-        let i = v.index();
-        self.stamp[i] = self.epoch << 1;
-        self.dist[i] = d;
-        self.parent[i] = parent;
-        self.pushed_total += 1;
-    }
-
-    /// The search loop every Dijkstra and A* entry point runs: from
-    /// `source` over the outgoing arcs of `g` (the incoming ones with
-    /// `reverse`), stopping once `target` settles when one is given,
-    /// never relaxing an arc `banned` rejects. Starts a fresh query
-    /// epoch. `dist` holds g-scores and the heap is keyed on
-    /// `key(v, g-score)`: the g-score itself is Dijkstra, g-score plus an
-    /// admissible, consistent bound on the rest is A*. Bans only shrink
-    /// the edge set, so true distances only grow and any full-graph
-    /// bound — Euclidean or ALT — stays admissible under them.
-    ///
-    /// A reverse search yields distances *into* `source`, and its parent
-    /// chain points forward: `parent_of(v)` is the next hop on a cheapest
-    /// `v -> source` path.
-    ///
-    /// The search stops at the first popped key above `max_cost` and then
-    /// returns `true`. Keys pop in non-decreasing order and every open
-    /// vertex of a cheapest path has a key no greater than that path's
-    /// cost, so no path within the budget is left; whatever was settled
-    /// before that is exactly what the unbudgeted search settles first.
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &mut self,
-        g: &Graph,
-        source: VertexId,
-        target: Option<VertexId>,
-        reverse: bool,
-        weights: &[f64],
-        banned: impl Fn(VertexId, EdgeId) -> bool,
-        key: impl Fn(VertexId, f64) -> f64,
-        max_cost: f64,
-    ) -> bool {
-        debug_assert_eq!(
-            self.capacity(),
-            g.vertex_count(),
-            "space sized for another graph"
-        );
-        self.begin();
-        self.relax(source, 0.0, NO_PARENT);
-        self.heap.push(MinCost {
-            cost: key(source, 0.0),
-            item: source,
-        });
-
-        while let Some(MinCost { cost: k, item: u }) = self.heap.pop() {
-            if k > max_cost {
-                return true;
-            }
-            if self.is_settled(u) {
-                continue; // stale heap entry
-            }
-            self.settle(u);
-            if target == Some(u) {
-                break;
-            }
-            let du = self.dist[u.index()];
-            for (v, e) in g.arcs(u, reverse) {
-                if self.is_settled(v) || banned(v, e) {
-                    continue;
-                }
-                let w = weights[e.index()];
-                debug_assert!(
-                    w >= 0.0,
-                    "Dijkstra requires non-negative edge costs, got {w}"
-                );
-                let nd = du + w;
-                if nd < self.dist(v) {
-                    self.relax(v, nd, (u.0, e.0));
-                    self.heap.push(MinCost {
-                        cost: key(v, nd),
-                        item: v,
-                    });
-                }
-            }
-        }
-        false
-    }
-
-    /// [`SearchSpace::search`] as plain Dijkstra with no bans and no
-    /// budget; a full sweep when `target` is `None`.
-    fn dijkstra(
-        &mut self,
-        g: &Graph,
-        source: VertexId,
-        target: Option<VertexId>,
-        reverse: bool,
-        weights: &[f64],
-    ) {
-        self.search(
-            g,
-            source,
-            target,
-            reverse,
-            weights,
-            no_bans,
-            dijkstra_key,
-            f64::INFINITY,
-        );
-    }
-
-    /// Extracts the tree path `source -> target` recorded by the last
-    /// query, `None` when `target` is unreached or equals `source`.
-    fn extract_path(&self, source: VertexId, target: VertexId) -> Option<Path> {
-        if !self.reached(target) || target == source {
-            return None;
-        }
-        let mut vertices = vec![target];
-        let mut edges = Vec::new();
-        let mut cur = target;
-        while let Some((prev, e)) = self.parent_of(cur) {
-            vertices.push(prev);
-            edges.push(e);
-            cur = prev;
-        }
-        debug_assert_eq!(cur, source, "parent chain must reach the source");
-        vertices.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(vertices, edges))
-    }
+/// [`search`] as plain Dijkstra with no bans and no budget; a full sweep
+/// when `target` is `None`.
+fn dijkstra(
+    side: &mut Side,
+    g: &Graph,
+    source: VertexId,
+    target: Option<VertexId>,
+    reverse: bool,
+    weights: &[f64],
+) {
+    search(
+        side,
+        g,
+        source,
+        target,
+        reverse,
+        weights,
+        no_bans,
+        dijkstra_key,
+        f64::INFINITY,
+    );
 }
 
 /// An admissible, consistent lower bound on the remaining distance to a
@@ -441,11 +291,11 @@ pub enum SearchBackend {
 /// registered once against a [`pathrank_obs::Registry`] and cloned into
 /// every worker engine ([`QueryEngine::with_obs`]).
 ///
-/// The engine's hot loops stay atomics-free: [`SearchSpace`] and
-/// [`crate::algo::ch::ChSearch`] keep plain lifetime work counters, and
-/// the per-query instrumentation differences them around the dispatch,
-/// folding the delta into sharded registry counters — two relaxed
-/// atomic adds per *query*, zero per settled vertex. Handles from
+/// The engine's hot loops stay atomics-free: its two search sides keep
+/// plain lifetime work counters ([`crate::algo::ch::ChSearch::work_counters`]),
+/// and the per-query instrumentation differences them around the
+/// dispatch, folding the delta into sharded registry counters — two
+/// relaxed atomic adds per *query* or table, zero per settled vertex. Handles from
 /// [`EngineObs::disabled`] (the default on every new engine) are no-op
 /// sinks, so un-instrumented callers pay one predictable branch.
 ///
@@ -456,8 +306,8 @@ pub enum SearchBackend {
 ///   attached index (`ch`/`cch`/`alt`) because it does not cover the
 ///   cost model.
 /// * `pathrank_engine_settled_nodes_total` /
-///   `pathrank_engine_heap_pushes_total` — search work, summed over
-///   every space the query touched.
+///   `pathrank_engine_heap_pushes_total` — search work of point queries
+///   and many-to-many tables, summed over both sides.
 /// * `pathrank_engine_spur_searches_total{outcome}` /
 ///   `pathrank_engine_spur_settled_nodes_total` — constrained (Yen spur)
 ///   searches by outcome (`found`, `over_budget`, `unreachable`) and the
@@ -519,12 +369,12 @@ impl EngineObs {
             fallback: [fb("ch"), fb("cch"), fb("alt")],
             settled: registry.counter(
                 "pathrank_engine_settled_nodes_total",
-                "Vertices settled by point-to-point queries, all backends",
+                "Vertices settled by point-to-point queries and many-to-many tables, all backends",
                 &[],
             ),
             pushed: registry.counter(
                 "pathrank_engine_heap_pushes_total",
-                "Heap pushes (relaxations) by point-to-point queries, all backends",
+                "Heap pushes (relaxations) by point-to-point queries and many-to-many tables, all backends",
                 &[],
             ),
             spur_searches: [spur("found"), spur("over_budget"), spur("unreachable")],
@@ -577,15 +427,16 @@ impl Default for EngineObs {
     }
 }
 
-/// Borrowed read-only view of a completed one-to-all search — the one
+/// Borrowed read-only view of a completed Dijkstra/A* search — the one
 /// shape one-to-all results come in.
 ///
-/// It does not copy the `O(V)` arrays; it reads straight from the
-/// engine's [`SearchSpace`], so a reused engine performs no per-query
+/// It does not copy the `O(V)` labels; it reads straight from the
+/// engine's search side, so a reused engine performs no per-query
 /// allocation for one-to-all queries either.
 #[derive(Debug)]
 pub struct TreeView<'a> {
-    space: &'a SearchSpace,
+    g: &'a Graph,
+    side: &'a Side,
     source: VertexId,
     /// Reverse sweeps ([`QueryEngine::one_to_all_rev`]) store next-hops,
     /// not predecessors; a forward `Path` cannot be extracted from them.
@@ -601,20 +452,26 @@ impl TreeView<'_> {
     /// Whether `v` was reached from the source.
     #[inline]
     pub fn reached(&self, v: VertexId) -> bool {
-        self.space.reached(v)
+        self.side.reached(v)
     }
 
     /// Cost of the cheapest path to `v`, `INFINITY` when unreachable.
     #[inline]
     pub fn dist(&self, v: VertexId) -> f64 {
-        self.space.dist(v)
+        self.side.dist(v)
     }
 
     /// Predecessor vertex and edge on a cheapest path to `v` (next hop on
-    /// reverse views).
+    /// reverse views); `None` for the source and unreached vertices. The
+    /// label holds the edge; the vertex is its tail, or its head on
+    /// reverse views.
     #[inline]
     pub fn parent_of(&self, v: VertexId) -> Option<(VertexId, EdgeId)> {
-        self.space.parent_of(v)
+        let e = self.side.parent(v);
+        (e != NO_PARENT).then(|| {
+            let (e, edge) = (EdgeId(e), self.g.edge(EdgeId(e)));
+            (if self.reverse { edge.to } else { edge.from }, e)
+        })
     }
 
     /// Extracts the tree path to `t` (allocates only the returned path).
@@ -627,16 +484,28 @@ impl TreeView<'_> {
             !self.reverse,
             "path_to is not meaningful on a reverse TreeView"
         );
-        if self.reverse {
+        if self.reverse || !self.reached(t) || t == self.source {
             return None;
         }
-        self.space.extract_path(self.source, t)
+        let mut vertices = vec![t];
+        let mut edges = Vec::new();
+        let mut cur = t;
+        while let Some((prev, e)) = self.parent_of(cur) {
+            vertices.push(prev);
+            edges.push(e);
+            cur = prev;
+        }
+        debug_assert_eq!(cur, self.source, "parent chain must reach the source");
+        vertices.reverse();
+        edges.reverse();
+        Some(Path::from_parts_unchecked(vertices, edges))
     }
 }
 
-/// A reusable routing facade over one graph: owns a forward and (lazily) a
-/// backward [`SearchSpace`] and runs every algorithm of this crate on
-/// them.
+/// A reusable routing facade over one graph: owns one [`ChSearch`] — a
+/// forward search side, sized at construction, and a backward one, sized
+/// on first use — and
+/// runs every algorithm of this crate on it.
 ///
 /// Create one per worker thread and keep it for the thread's lifetime;
 /// queries may freely interleave cost models, sources and constraint sets
@@ -644,10 +513,14 @@ impl TreeView<'_> {
 /// (asserted bit-for-bit by `tests/engine_reuse.rs`).
 pub struct QueryEngine<'g> {
     g: &'g Graph,
-    fwd: SearchSpace,
-    /// Backward space, allocated on the first reverse sweep
-    /// ([`QueryEngine::one_to_all_rev`]).
-    bwd: Option<SearchSpace>,
+    /// The engine's two search sides, shared by every algorithm: the
+    /// forward one runs point queries, spur searches, forward sweeps and
+    /// every hierarchy sweep but a point query's backward one; the
+    /// backward one runs that and the reverse sweeps
+    /// ([`QueryEngine::one_to_all_rev`]). Beside them, the unpack buffers
+    /// and the many-to-many buckets. Nothing in it outlives a call, so
+    /// `set_ch`/`set_cch` keep it.
+    search: ChSearch,
     /// Cached admissible A* bounds (see [`safe_heuristic_bound`]) for the
     /// two graph-derived cost models — an `O(E)` scan per model that a
     /// transient engine would redo on every query.
@@ -665,11 +538,6 @@ pub struct QueryEngine<'g> {
     /// covers whatever metric or custom weight vector it was customized
     /// for; ranked between `Ch` and `Alt`.
     cch: Option<Arc<Cch>>,
-    /// CH/CCH query and many-to-many scratch, allocated on the first
-    /// hierarchy-backed call (both hierarchies share one scratch — it is
-    /// keyed only on the vertex count, and no state in it outlives a
-    /// call).
-    ch_search: Option<ChSearch>,
     /// Landmark vectors cached for the current query *target* (forward
     /// searches aim at it; refilled only when the target changes, so
     /// Yen's same-target spur storm gathers them once).
@@ -685,20 +553,20 @@ enum Answer<'e> {
     /// The `(edges, vertices)` a hierarchy query unpacked into its
     /// scratch buffers.
     Unpacked(&'e [EdgeId], &'e [VertexId]),
-    /// The parent chain and distance the forward space holds.
-    Tree(&'e SearchSpace),
+    /// The parent chain and distance the forward side holds.
+    Tree(TreeView<'e>),
 }
 
 impl Answer<'_> {
     /// The answer as a [`Path`]; `None` when a tree search did not reach
     /// `target`.
-    fn path(&self, source: VertexId, target: VertexId) -> Option<Path> {
+    fn path(&self, target: VertexId) -> Option<Path> {
         match self {
             Answer::Unpacked(edges, vertices) => Some(Path::from_parts_unchecked(
                 vertices.to_vec(),
                 edges.to_vec(),
             )),
-            Answer::Tree(space) => space.extract_path(source, target),
+            Answer::Tree(tree) => tree.path_to(target),
         }
     }
 
@@ -713,8 +581,8 @@ impl Answer<'_> {
             Answer::Unpacked(edges, _) => {
                 Some(edges.iter().fold(0.0, |acc, e| acc + weights[e.index()]))
             }
-            Answer::Tree(space) => {
-                let d = space.dist(target);
+            Answer::Tree(tree) => {
+                let d = tree.dist(target);
                 d.is_finite().then_some(d)
             }
         }
@@ -746,19 +614,22 @@ pub fn safe_heuristic_bound(g: &Graph, cost: CostModel<'_>) -> f64 {
 }
 
 impl<'g> QueryEngine<'g> {
-    /// Creates an engine for `g`. This is the only `O(V)` allocation; all
-    /// queries afterwards reuse it.
+    /// Creates an engine for `g`, sizing the forward side: the only
+    /// `O(V)` allocation until a reverse sweep or a hierarchy query sizes
+    /// the backward one; later queries reuse both. The forward side is
+    /// sized here, not at its first search, because where it lands among
+    /// the caller's other allocations moves the benchmark's peak RSS.
     pub fn new(g: &'g Graph) -> Self {
+        let mut search = ChSearch::default();
+        search.fwd.size(g.vertex_count());
         QueryEngine {
             g,
-            fwd: SearchSpace::new(g.vertex_count()),
-            bwd: None,
+            search,
             length_bound: None,
             travel_time_bound: None,
             landmarks: None,
             ch: None,
             cch: None,
-            ch_search: None,
             alt_target: NodeVectors::new(),
             obs: EngineObs::disabled(),
         }
@@ -922,24 +793,6 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// Lifetime `(settled, pushed)` work summed over every search space
-    /// this engine owns. Monotone; instrumentation differences two
-    /// readings around a query.
-    fn total_work(&self) -> (u64, u64) {
-        let (mut s, mut p) = self.fwd.work_counters();
-        if let Some(bwd) = &self.bwd {
-            let (s2, p2) = bwd.work_counters();
-            s += s2;
-            p += p2;
-        }
-        if let Some(ch) = &self.ch_search {
-            let (s2, p2) = ch.work_counters();
-            s += s2;
-            p += p2;
-        }
-        (s, p)
-    }
-
     /// Counts a dispatched point-to-point query and every attached index
     /// that outranks the resolved backend, which it skipped because the
     /// index does not cover the cost model.
@@ -977,7 +830,7 @@ impl<'g> QueryEngine<'g> {
 
     /// The view of the attached hierarchy a resolved backend runs on —
     /// the customized CCH when `via_cch`, else the metric-built CH —
-    /// beside the scratch both share, allocated on first use.
+    /// beside the engine's search state.
     fn hierarchy(&mut self, via_cch: bool) -> (HierarchyView<'_>, &mut ChSearch) {
         let view = if via_cch {
             let cch = self.cch.as_deref();
@@ -986,8 +839,23 @@ impl<'g> QueryEngine<'g> {
             let ch = self.ch.as_deref();
             ch.expect("CH backend resolved without an index").view()
         };
-        let n = self.g.vertex_count();
-        (view, self.ch_search.get_or_insert_with(|| ChSearch::new(n)))
+        (view, &mut self.search)
+    }
+
+    /// A view of the last Dijkstra/A* search on the forward side
+    /// (`reverse == false`) or the backward one.
+    fn tree(&self, source: VertexId, reverse: bool) -> TreeView<'_> {
+        let side = if reverse {
+            &self.search.bwd
+        } else {
+            &self.search.fwd
+        };
+        TreeView {
+            g: self.g,
+            side,
+            source,
+            reverse,
+        }
     }
 
     /// Which hierarchy an unconstrained query under `cost` runs on:
@@ -1009,7 +877,8 @@ impl<'g> QueryEngine<'g> {
     /// Builds the strongest available forward heuristic for a
     /// `source -> target` query, preparing the target-side landmark cache
     /// when ALT applies. A free-standing fn over disjoint fields so
-    /// callers can keep `self.fwd` mutably borrowed alongside the result.
+    /// callers can keep the forward side mutably borrowed alongside the
+    /// result.
     #[allow(clippy::too_many_arguments)]
     fn forward_heuristic<'a>(
         g: &Graph,
@@ -1041,8 +910,8 @@ impl<'g> QueryEngine<'g> {
 
     /// The per-query bookkeeping every unconstrained point-to-point entry
     /// point shares: resolves the backend for `cost`, counts the dispatch
-    /// and the indexes it skipped, runs `run` on that backend and folds the
-    /// work it did — over every space it touched — into the registry.
+    /// and the indexes it skipped, and runs `run` on that backend under
+    /// [`QueryEngine::counted`].
     fn accounted<T>(
         &mut self,
         cost: CostModel<'_>,
@@ -1050,10 +919,16 @@ impl<'g> QueryEngine<'g> {
     ) -> T {
         let backend = self.backend_for(cost);
         self.record_dispatch(backend);
-        let work_before = self.obs.enabled.then(|| self.total_work());
-        let out = run(self, backend);
+        self.counted(|this| run(this, backend))
+    }
+
+    /// Runs `run` and folds the work it did — over both sides — into the
+    /// registry's settled and pushed families.
+    fn counted<T>(&mut self, run: impl FnOnce(&mut Self) -> T) -> T {
+        let work_before = self.obs.enabled.then(|| self.search.work_counters());
+        let out = run(self);
         if let Some((s0, p0)) = work_before {
-            let (s1, p1) = self.total_work();
+            let (s1, p1) = self.search.work_counters();
             self.obs.settled.add_in_shard(self.obs.shard, s1 - s0);
             self.obs.pushed.add_in_shard(self.obs.shard, p1 - p0);
         }
@@ -1080,13 +955,13 @@ impl<'g> QueryEngine<'g> {
             }
             SearchBackend::Plain => {
                 let g = this.g;
-                this.fwd
-                    .dijkstra(g, source, Some(target), false, cost.weights(g));
-                read(Answer::Tree(&this.fwd))
+                let side = &mut this.search.fwd;
+                dijkstra(side, g, source, Some(target), false, cost.weights(g));
+                read(Answer::Tree(this.tree(source, false)))
             }
             SearchBackend::Alt => {
                 this.guided_search(source, target, cost, no_bans, f64::INFINITY);
-                read(Answer::Tree(&this.fwd))
+                read(Answer::Tree(this.tree(source, false)))
             }
         })
     }
@@ -1094,8 +969,7 @@ impl<'g> QueryEngine<'g> {
     /// Forward search toward `target` under the strongest [`Heuristic`]
     /// the engine can justify for `cost` — the ALT triangle bound, else
     /// the cached [`safe_heuristic_bound`] — keyed as plain Dijkstra when
-    /// there is none. Returns whether the budget stopped it
-    /// ([`SearchSpace::search`]).
+    /// there is none. Returns whether the budget stopped it ([`search`]).
     fn guided_search(
         &mut self,
         source: VertexId,
@@ -1116,20 +990,16 @@ impl<'g> QueryEngine<'g> {
             per_meter,
         );
         let (target, weights) = (Some(target), cost.weights(g));
+        let side = &mut self.search.fwd;
         if h.is_active() {
             let key = |v, g_score| g_score + h.eval(g, v);
-            self.fwd
-                .search(g, source, target, false, weights, banned, key, max_cost)
+            search(
+                side, g, source, target, false, weights, banned, key, max_cost,
+            )
         } else {
-            self.fwd.search(
-                g,
-                source,
-                target,
-                false,
-                weights,
-                banned,
-                dijkstra_key,
-                max_cost,
+            let key = dijkstra_key;
+            search(
+                side, g, source, target, false, weights, banned, key, max_cost,
             )
         }
     }
@@ -1149,7 +1019,7 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        self.dispatch(source, target, cost, |a| a.path(source, target))
+        self.dispatch(source, target, cost, |a| a.path(target))
     }
 
     /// Cost of the cheapest `source -> target` path without materialising
@@ -1175,13 +1045,16 @@ impl<'g> QueryEngine<'g> {
     /// per-query `O(V)` allocation). The view is valid until the next
     /// query on this engine.
     pub fn one_to_all(&mut self, source: VertexId, cost: CostModel<'_>) -> TreeView<'_> {
-        self.fwd
-            .dijkstra(self.g, source, None, false, cost.weights(self.g));
-        TreeView {
-            space: &self.fwd,
+        let g = self.g;
+        dijkstra(
+            &mut self.search.fwd,
+            g,
             source,
-            reverse: false,
-        }
+            None,
+            false,
+            cost.weights(g),
+        );
+        self.tree(source, false)
     }
 
     /// Batched many-to-many: the exact `sources × targets` table, one row
@@ -1189,11 +1062,12 @@ impl<'g> QueryEngine<'g> {
     /// to every target (`f64::INFINITY` when unreachable) as soon as its
     /// forward sweep finishes. `T` backward plus `S` forward upward
     /// sweeps on the attached hierarchy
-    /// (`HierarchyView::many_to_many_rows` on the engine's scratch)
-    /// replace `S × T` point-to-point queries. Returns `false`, having
-    /// emitted nothing, when no attached hierarchy covers `cost` (the
-    /// same per-query metric gate as every other backend decision); the
-    /// caller then keeps its pairwise path.
+    /// (`HierarchyView::many_to_many_rows` on the engine's search state)
+    /// replace `S × T` point-to-point queries; their work counts in the
+    /// settled and pushed families of [`EngineObs`], not as queries.
+    /// Returns `false`, having emitted nothing, when no attached
+    /// hierarchy covers `cost` (the same per-query metric gate as every
+    /// other backend decision); the caller then keeps its pairwise path.
     pub fn many_to_many_rows(
         &mut self,
         sources: &[VertexId],
@@ -1204,8 +1078,10 @@ impl<'g> QueryEngine<'g> {
         let Some(via_cch) = self.via_cch_for(cost) else {
             return false;
         };
-        let (view, search) = self.hierarchy(via_cch);
-        view.many_to_many_rows(search, sources, targets, emit);
+        self.counted(|this| {
+            let (view, search) = this.hierarchy(via_cch);
+            view.many_to_many_rows(search, sources, targets, emit);
+        });
         true
     }
 
@@ -1218,26 +1094,24 @@ impl<'g> QueryEngine<'g> {
         targets: &[VertexId],
         cost: CostModel<'_>,
     ) -> Option<DistanceTable> {
-        let (view, search) = self.hierarchy(self.via_cch_for(cost)?);
-        Some(view.many_to_many(search, sources, targets))
+        let via_cch = self.via_cch_for(cost)?;
+        Some(self.counted(|this| {
+            let (view, search) = this.hierarchy(via_cch);
+            view.many_to_many(search, sources, targets)
+        }))
     }
 
     /// One-to-all *reverse* Dijkstra: `dist(v)` on the returned view is
     /// the cost of the cheapest `v -> target` path, and `parent_of(v)` is
     /// the *next hop* toward `target` (so `path_to` returns `None` on
-    /// reverse views). Runs on the backward space, so it does not disturb
+    /// reverse views). Runs on the backward side, so it does not disturb
     /// a forward view. This is the sweep the ALT preprocessing
     /// ([`crate::algo::landmarks::LandmarkTable::build`]) fans out across
     /// worker engines.
     pub fn one_to_all_rev(&mut self, target: VertexId, cost: CostModel<'_>) -> TreeView<'_> {
-        let n = self.g.vertex_count();
-        let bwd = self.bwd.get_or_insert_with(|| SearchSpace::new(n));
-        bwd.dijkstra(self.g, target, None, true, cost.weights(self.g));
-        TreeView {
-            space: bwd,
-            source: target,
-            reverse: true,
-        }
+        let g = self.g;
+        dijkstra(&mut self.search.bwd, g, target, None, true, cost.weights(g));
+        self.tree(target, true)
     }
 
     /// Cheapest `source -> target` path avoiding banned vertices and
@@ -1285,7 +1159,7 @@ impl<'g> QueryEngine<'g> {
         {
             return None;
         }
-        let settled_before = self.fwd.settled_total;
+        let (settled_before, _) = self.search.fwd.work();
         let banned = banned_by(banned_vertices, banned_edges);
         let over_budget = self.guided_search(source, target, cost, banned, max_cost);
         // A budgeted stop can leave the target relaxed but not settled,
@@ -1293,7 +1167,7 @@ impl<'g> QueryEngine<'g> {
         let path = if over_budget {
             None
         } else {
-            self.fwd.extract_path(source, target)
+            self.tree(source, false).path_to(target)
         };
         if self.obs.enabled {
             let outcome = match (&path, over_budget) {
@@ -1302,7 +1176,7 @@ impl<'g> QueryEngine<'g> {
                 (None, false) => 2,
             };
             self.obs.spur_searches[outcome].add_in_shard(self.obs.shard, 1);
-            let settled = self.fwd.settled_total - settled_before;
+            let settled = self.search.fwd.work().0 - settled_before;
             self.obs.spur_settled.add_in_shard(self.obs.shard, settled);
         }
         path
@@ -1328,18 +1202,19 @@ impl<'g> QueryEngine<'g> {
         {
             return None;
         }
-        let banned = banned_by(banned_vertices, banned_edges);
-        self.fwd.search(
-            self.g,
+        let (g, banned) = (self.g, banned_by(banned_vertices, banned_edges));
+        search(
+            &mut self.search.fwd,
+            g,
             source,
             Some(target),
             false,
-            cost.weights(self.g),
+            cost.weights(g),
             banned,
             dijkstra_key,
             f64::INFINITY,
         );
-        self.fwd.extract_path(source, target)
+        self.tree(source, false).path_to(target)
     }
 
     /// The cached [`safe_heuristic_bound`] for `cost`: computed on first
@@ -1359,7 +1234,7 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Lazy Yen top-k iterator whose spur searches all reuse this
-    /// engine's forward space (see [`crate::algo::yen`]).
+    /// engine's forward side (see [`crate::algo::yen`]).
     pub fn yen_iter<'e, 'c>(
         &'e mut self,
         source: VertexId,
@@ -1460,9 +1335,41 @@ mod tests {
             .unwrap();
         // Early exit: vertex 49 is unreached in the *current* epoch even
         // though its slot still physically holds query 1's values.
-        assert!(!engine.fwd.reached(VertexId(49)));
-        assert_eq!(engine.fwd.dist(VertexId(49)), f64::INFINITY);
-        assert!(engine.fwd.parent_of(VertexId(49)).is_none());
+        let view = engine.tree(VertexId(0), false);
+        assert!(!view.reached(VertexId(49)));
+        assert_eq!(view.dist(VertexId(49)), f64::INFINITY);
+        assert!(view.parent_of(VertexId(49)).is_none());
+    }
+
+    #[test]
+    fn epoch_wrap_isolates_queries() {
+        // The same two queries as above, with the forward side's epoch
+        // wrapping between them: the zeroed stamps must read as stale,
+        // not as labels of the query before the wrap.
+        let g = line_graph(50);
+        let mut engine = QueryEngine::new(&g);
+        engine.one_to_all(VertexId(0), CostModel::Length);
+        // The next query runs in the last epoch, the one after it in 1
+        // again: the first query's epoch.
+        engine.search.fwd.set_epoch((u32::MAX >> 1) - 1);
+        let far = engine.one_to_all(VertexId(0), CostModel::Length);
+        assert!((far.dist(VertexId(49)) - 4900.0).abs() < 1e-9);
+        let parent = far.parent_of(VertexId(49));
+        assert_eq!(parent.map(|(v, _)| v), Some(VertexId(48)));
+
+        engine
+            .shortest_path(VertexId(0), VertexId(1), CostModel::Length)
+            .unwrap();
+        let view = engine.tree(VertexId(0), false);
+        for v in (2..50).map(VertexId) {
+            assert!(!view.reached(v), "{v:?} leaked across the wrap");
+            assert_eq!(view.dist(v), f64::INFINITY);
+            assert!(view.parent_of(v).is_none());
+        }
+        assert_eq!(
+            engine.shortest_path(VertexId(0), VertexId(49), CostModel::Length),
+            crate::algo::dijkstra::shortest_path(&g, VertexId(0), VertexId(49), CostModel::Length)
+        );
     }
 
     #[test]
@@ -1719,7 +1626,7 @@ mod tests {
         let g = grid_network(&GridConfig::small_test(), 9);
         let mut engine = QueryEngine::new(&g);
         let t = VertexId(7);
-        assert!(engine.bwd.is_none(), "the backward space is lazy");
+        assert_eq!(engine.search.bwd.capacity(), 0, "the backward side is lazy");
         let fwd: Vec<f64> = {
             let view = engine.one_to_all(t, CostModel::Length);
             g.vertices().map(|v| view.dist(v)).collect()
@@ -1731,10 +1638,10 @@ mod tests {
         // The grid generator adds every edge bidirectionally with equal
         // length, so d(t, v) == d(v, t) bit-for-bit.
         assert_eq!(fwd, rev);
-        // And the reverse sweep must not disturb the forward space.
+        // And the reverse sweep must not disturb the forward side.
         let before = engine.one_to_all(VertexId(0), CostModel::Length).dist(t);
         engine.one_to_all_rev(t, CostModel::Length);
-        // Forward space epoch moved on: the old view is gone, but a fresh
+        // Forward side epoch moved on: the old view is gone, but a fresh
         // forward query still answers identically.
         let after = engine.one_to_all(VertexId(0), CostModel::Length).dist(t);
         assert_eq!(before, after);
@@ -1749,14 +1656,14 @@ mod tests {
         for i in 0..n {
             engine.one_to_all(VertexId(i), CostModel::Length);
         }
-        let cap_after_sweep = engine.fwd.heap.capacity();
+        let cap_after_sweep = engine.search.fwd.heap_capacity();
         assert!(cap_after_sweep > 0);
         // ...after which repeating the same queries must not reallocate.
         for i in 0..n {
             engine.one_to_all(VertexId(i), CostModel::Length);
         }
         assert_eq!(
-            engine.fwd.heap.capacity(),
+            engine.search.fwd.heap_capacity(),
             cap_after_sweep,
             "steady-state queries must not regrow the heap"
         );
@@ -1800,22 +1707,66 @@ mod tests {
         assert!(!engine.many_to_many_rows(&sources, &targets, CostModel::Length, refused));
     }
 
-    /// FNV-1a fold of one search space after a query: `(dist bits,
+    #[test]
+    fn m2m_rows_count_their_work_but_no_queries() {
+        use crate::algo::ch::{ChConfig, ContractionHierarchy};
+        use crate::algo::landmarks::LandmarkMetric;
+
+        let g = grid_network(&GridConfig::small_test(), 11);
+        let ch = Arc::new(ContractionHierarchy::build(
+            &g,
+            LandmarkMetric::Length,
+            &ChConfig::default(),
+        ));
+        let registry = Registry::new();
+        let mut engine = QueryEngine::new(&g)
+            .with_ch(ch)
+            .with_obs(EngineObs::new(&registry));
+        let all: Vec<VertexId> = g.vertices().collect();
+        let read = |registry: &Registry| {
+            let snap = registry.snapshot();
+            let total = |name| snap.counter_total(name, &[]);
+            let queries = ["plain", "alt", "cch", "ch"]
+                .map(|b| snap.counter_total("pathrank_engine_queries_total", &[("backend", b)]));
+            (
+                total("pathrank_engine_settled_nodes_total"),
+                total("pathrank_engine_heap_pushes_total"),
+                queries.iter().sum::<u64>(),
+            )
+        };
+
+        let table = engine.many_to_many(&all, &all, CostModel::Length);
+        assert_eq!(table.map(|t| t.shape()), Some((all.len(), all.len())));
+        let (settled, pushed, queries) = read(&registry);
+        assert!(settled > 0, "a 25 x 25 table settles vertices");
+        assert_eq!((settled, pushed), engine.search.work_counters());
+        assert_eq!(queries, 0, "a table is not a point query");
+
+        assert!(engine.many_to_many_rows(&all, &all, CostModel::Length, |_, _| {}));
+        assert_eq!(read(&registry), (2 * settled, 2 * pushed, 0));
+        // A table no hierarchy covers does no work.
+        assert!(!engine.many_to_many_rows(&all, &all, CostModel::TravelTime, |_, _| {}));
+        assert_eq!(read(&registry), (2 * settled, 2 * pushed, 0));
+    }
+
+    /// FNV-1a fold of one search side after a query: `(dist bits,
     /// parent)` of every vertex, unreached ones included.
-    fn fold_space(h: &mut u64, space: &SearchSpace) {
-        for i in 0..space.capacity() as u32 {
-            let v = VertexId(i);
-            let (pv, pe) = space.parent_of(v).map_or(NO_PARENT, |(p, e)| (p.0, e.0));
-            for word in [space.dist(v).to_bits(), u64::from(pv), u64::from(pe)] {
+    fn fold_side(h: &mut u64, engine: &QueryEngine<'_>, reverse: bool) {
+        let view = engine.tree(VertexId(0), reverse);
+        for v in engine.g.vertices() {
+            let (pv, pe) = view
+                .parent_of(v)
+                .map_or((NO_PARENT, NO_PARENT), |(p, e)| (p.0, e.0));
+            for word in [view.dist(v).to_bits(), u64::from(pv), u64::from(pe)] {
                 *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
     }
 
     /// Runs one fixed query script through every entry point that drives
-    /// the Dijkstra/A* loop and returns the fold of every space state it
+    /// the Dijkstra/A* loop and returns the fold of every side state it
     /// left behind, plus the lifetime `(settled, pushed)` counters of the
-    /// three spaces involved. Equal distances can
+    /// three sides involved. Equal distances can
     /// hide a changed relaxation order; the counters and parents cannot.
     fn golden_script(g: &Graph, seed: u64) -> (u64, [(u64, u64); 3]) {
         use crate::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
@@ -1846,19 +1797,19 @@ mod tests {
         for cost in models {
             let (s, t) = pair();
             plain.one_to_all(s, cost);
-            fold_space(&mut h, &plain.fwd);
+            fold_side(&mut h, &plain, false);
             plain.one_to_all_rev(t, cost);
-            fold_space(&mut h, plain.bwd.as_ref().unwrap());
+            fold_side(&mut h, &plain, true);
         }
         for i in 0..32 {
             let (s, t) = pair();
             plain.shortest_path(s, t, models[i % 3]);
-            fold_space(&mut h, &plain.fwd);
+            fold_side(&mut h, &plain, false);
         }
         for _ in 0..32 {
             let (s, t) = pair();
             alt.shortest_path(s, t, CostModel::Length);
-            fold_space(&mut h, &alt.fwd);
+            fold_side(&mut h, &alt, false);
         }
         // Constrained searches: odd rounds carry a finite budget, 0.8× the
         // unconstrained optimum (always over budget) or 1.3× it.
@@ -1882,10 +1833,10 @@ mod tests {
                 engine.shortest_path_cost(s, t, cost).unwrap_or(1.0) * factor
             };
             engine.constrained_shortest_path(s, t, cost, &bv, &be, max_cost);
-            fold_space(&mut h, &engine.fwd);
+            fold_side(&mut h, engine, false);
         }
-        assert!(alt.bwd.is_none());
-        let counters = [&plain.fwd, &plain.bwd.unwrap(), &alt.fwd].map(SearchSpace::work_counters);
+        assert_eq!(alt.search.bwd.capacity(), 0);
+        let counters = [&plain.search.fwd, &plain.search.bwd, &alt.search.fwd].map(Side::work);
         (h, counters)
     }
 

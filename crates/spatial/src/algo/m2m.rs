@@ -49,6 +49,7 @@
 //! [`QueryEngine::many_to_many`]: crate::algo::engine::QueryEngine::many_to_many
 
 use crate::algo::ch::{ChSearch, HierarchyView};
+use crate::algo::labels::Marks;
 use crate::graph::VertexId;
 
 /// An `S × T` matrix of exact shortest-path distances, row-major:
@@ -102,46 +103,34 @@ struct BucketEntry {
 }
 
 /// Per-rank target buckets of one table, kept in a
-/// [`ChSearch`] between tables: `lists[r]` is live iff
-/// `stamp[r] == epoch`, so a new table invalidates every bucket in O(1).
-/// Empty until the first table.
+/// [`ChSearch`] between tables: `lists[r]` is live iff `r` is in `live`,
+/// so a new table invalidates every bucket in O(1). Empty until the
+/// first table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Buckets {
-    epoch: u32,
-    stamp: Vec<u32>,
+    live: Marks,
     /// Deposits of the current target phase, in ascending column order
     /// (targets are swept in order).
     lists: Vec<Vec<BucketEntry>>,
 }
 
 impl Buckets {
-    /// Starts a table over `n` ranks: sizes the buckets on first use and
-    /// bumps the generation (re-zeroing the stamps on 32-bit wraparound,
-    /// the same amortised-zero discipline as the sweep sides).
+    /// Starts a table over `n` ranks, sizing the buckets on first use.
     fn open(&mut self, n: usize) {
-        if self.stamp.len() != n {
-            self.stamp = vec![0; n];
-            self.lists = vec![Vec::new(); n];
-            self.epoch = 0;
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+        self.lists.resize(n, Vec::new());
+        self.live.begin(n);
     }
 
     fn deposit(&mut self, r: VertexId, entry: BucketEntry) {
         let list = &mut self.lists[r.index()];
-        if self.stamp[r.index()] != self.epoch {
-            self.stamp[r.index()] = self.epoch;
+        if !self.live.insert(r.index()) {
             list.clear();
         }
         list.push(entry);
     }
 
     fn get(&self, r: VertexId) -> &[BucketEntry] {
-        if self.stamp[r.index()] == self.epoch {
+        if self.live.contains(r.index()) {
             &self.lists[r.index()]
         } else {
             &[]
@@ -239,7 +228,7 @@ mod tests {
     fn table_vs_pairwise(g: &Graph, sources: &[VertexId], targets: &[VertexId]) {
         let ch = ContractionHierarchy::build(g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let table = ch.many_to_many(&mut search, sources, targets);
         assert_eq!(table.shape(), (sources.len(), targets.len()));
         for (i, &s) in sources.iter().enumerate() {
@@ -293,7 +282,7 @@ mod tests {
         let targets: Vec<VertexId> = (0..7).map(|i| VertexId(n - 1 - i * (n / 8))).collect();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let table = ch.many_to_many(&mut search, &sources, &targets);
         for (i, &s) in sources.iter().enumerate() {
             for (j, &t) in targets.iter().enumerate() {
@@ -330,12 +319,12 @@ mod tests {
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
         let n = g.vertex_count() as u32;
-        let mut reused = ChSearch::new(g.vertex_count());
+        let mut reused = ChSearch::default();
         let set_a: Vec<VertexId> = (0..4).map(|i| VertexId(i * (n / 4))).collect();
         let set_b: Vec<VertexId> = (0..3).map(|i| VertexId(n / 2 + i)).collect();
         ch.many_to_many(&mut reused, &set_a, &set_b);
         let second = ch.many_to_many(&mut reused, &set_b, &set_a);
-        let mut fresh = ChSearch::new(g.vertex_count());
+        let mut fresh = ChSearch::default();
         let expect = ch.many_to_many(&mut fresh, &set_b, &set_a);
         for i in 0..set_b.len() {
             for j in 0..set_a.len() {
@@ -356,9 +345,9 @@ mod tests {
         let n = g.vertex_count() as u32;
         let sources: Vec<VertexId> = (0..4).map(|i| VertexId(1 + i * (n / 5))).collect();
         let targets: Vec<VertexId> = (0..6).map(|i| VertexId(n - 2 - i * (n / 9))).collect();
-        let mut s1 = ChSearch::new(g.vertex_count());
+        let mut s1 = ChSearch::default();
         let table = ch.many_to_many(&mut s1, &sources, &targets);
-        let mut s2 = ChSearch::new(g.vertex_count());
+        let mut s2 = ChSearch::default();
         let mut rows = 0;
         ch.many_to_many_rows(&mut s2, &sources, &targets, |i, row| {
             assert_eq!(i, rows, "rows come in source order");
@@ -378,8 +367,8 @@ mod tests {
         let ch = ch.view();
         let n = g.vertex_count() as u32;
         let targets: Vec<VertexId> = (0..8).map(|i| VertexId(i * (n / 8))).collect();
-        let mut m2m = ChSearch::new(g.vertex_count());
-        let mut p2p = ChSearch::new(g.vertex_count());
+        let mut m2m = ChSearch::default();
+        let mut p2p = ChSearch::default();
         let source = VertexId(n / 3);
         let mut dists = Vec::new();
         ch.many_to_many_rows(&mut m2m, &[source], &targets, |_, row| {
@@ -413,7 +402,7 @@ mod tests {
         let g = b.build();
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let everyone = [a0, a1, c0, c1];
         let table = ch.many_to_many(&mut search, &everyone, &everyone);
         for (i, &s) in everyone.iter().enumerate() {
@@ -438,7 +427,7 @@ mod tests {
         let n = g.vertex_count() as u32;
         let sources: Vec<VertexId> = (0..4).map(|i| VertexId(i * (n / 4))).collect();
         let targets: Vec<VertexId> = (0..5).map(|i| VertexId(n - 1 - i * (n / 6))).collect();
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let table = ch.many_to_many(&mut search, &sources, &targets);
         for (i, &s) in sources.iter().enumerate() {
             for (j, &t) in targets.iter().enumerate() {
@@ -456,7 +445,7 @@ mod tests {
         let g = grid_network(&GridConfig::small_test(), 3);
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
         let ch = ch.view();
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let none: [VertexId; 0] = [];
         let some = [VertexId(0)];
         assert_eq!(ch.many_to_many(&mut search, &none, &some).shape(), (0, 1));

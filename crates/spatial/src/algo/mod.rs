@@ -1,10 +1,15 @@
 //! Routing algorithms over [`crate::graph::Graph`].
 //!
-//! * [`engine`] — the reusable query layer every algorithm runs on: a
-//!   generation-stamped [`engine::SearchSpace`] (O(1) reset, no per-query
-//!   `O(V)` allocation) whose one search loop is Dijkstra and A*,
-//!   forward and reverse, with or without bans and a cost budget, behind
-//!   the [`engine::QueryEngine`] facade;
+//! * [`engine`] — the reusable query layer every algorithm runs on: one
+//!   search loop, Dijkstra and A*, forward and reverse, with or without
+//!   bans and a cost budget, behind the [`engine::QueryEngine`] facade,
+//!   whose two search sides every hierarchy sweep shares;
+//! * `labels` — the one generation-stamped label store every search runs
+//!   on, Dijkstra/A*, hierarchy sweeps and witness searches alike: a
+//!   search side holds a 16-byte label (stamp, parent, distance) per
+//!   vertex, its heap and its work counters, resets in O(1) and
+//!   allocates nothing per query after its first; stamped vertex sets
+//!   share its epoch wrap;
 //! * [`dijkstra`] — textbook Dijkstra one-to-one, plain and under banned
 //!   vertex/edge sets: the reference oracles of the exactness harnesses;
 //! * [`landmarks`] — ALT preprocessing: landmark distance tables whose
@@ -45,6 +50,7 @@ pub mod ch;
 pub mod dijkstra;
 pub mod diversified;
 pub mod engine;
+mod labels;
 pub mod landmarks;
 pub mod m2m;
 mod order;
@@ -54,9 +60,7 @@ pub use cch::{Cch, CchConfig, CchTopology};
 pub use ch::{ChConfig, ChSearch, ContractionHierarchy};
 pub use dijkstra::{constrained_shortest_path, shortest_path};
 pub use diversified::DiversifiedConfig;
-pub use engine::{
-    safe_heuristic_bound, EngineObs, QueryEngine, SearchBackend, SearchSpace, TreeView,
-};
+pub use engine::{safe_heuristic_bound, EngineObs, QueryEngine, SearchBackend, TreeView};
 pub use landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable, NodeVectors};
 pub use m2m::DistanceTable;
 pub use yen::YenIter;

@@ -6,9 +6,10 @@
 //! than k candidates. The plain TkDI strategy is the first k items of the
 //! same iterator ([`QueryEngine::yen_k_shortest`]).
 //!
-//! Yen's algorithm is the crate's heaviest [`SearchSpace`] customer: every
-//! accepted path triggers constrained spur searches along its vertices, all
-//! on the caller's [`QueryEngine`], which the iterator borrows
+//! Yen's algorithm is the crate's heaviest user of the engine's search
+//! labels: every accepted path triggers constrained spur searches along
+//! its vertices, all on the forward side of the caller's [`QueryEngine`],
+//! which the iterator borrows
 //! ([`QueryEngine::yen_iter`]). The iterator yields exactly what the
 //! textbook loop (spur from every vertex of every accepted path, kept as
 //! the test oracle below) yields, and makes only the searches whose result
@@ -52,8 +53,6 @@
 //!    one, and the kept ones keep their relative sequence, so the limited
 //!    iterator equals the unlimited one's first `n` items even among equal
 //!    costs.
-//!
-//! [`SearchSpace`]: crate::algo::engine::SearchSpace
 
 use std::collections::BTreeMap;
 

@@ -613,8 +613,8 @@ mod tests {
                 assert_eq!(back.edge_count(), ch.edge_count());
                 assert_eq!(back.shortcut_count(), ch.shortcut_count());
                 assert_eq!(back.ranks(), ch.ranks());
-                let mut sa = ChSearch::new(g.vertex_count());
-                let mut sb = ChSearch::new(g.vertex_count());
+                let mut sa = ChSearch::default();
+                let mut sb = ChSearch::default();
                 let n = g.vertex_count() as u32;
                 for (s, t) in [(0, n - 1), (n / 2, 1), (n - 1, n / 3), (3, n - 2)] {
                     let (s, t) = (VertexId(s), VertexId(t));

@@ -45,8 +45,8 @@ use common::{assert_engine_agrees, mixed_categories, DrawnGraph, GraphCase};
 fn assert_same_answers(a: &Cch, b: &Cch, what: &str) {
     assert!(a.bit_identical(b), "{what}: columns differ");
     let n = a.vertex_count();
-    let mut sa = ChSearch::new(n);
-    let mut sb = ChSearch::new(n);
+    let mut sa = ChSearch::default();
+    let mut sb = ChSearch::default();
     for s in 0..n {
         for t in 0..n {
             let (s, t) = (VertexId(s as u32), VertexId(t as u32));

@@ -15,9 +15,14 @@
 //! random built graphs to their edge records, and column searches to
 //! searches over the same weights passed as a `Custom` vector.
 
+use std::sync::Arc;
+
 use pathrank::obs::Registry;
+use pathrank::spatial::algo::cch::{CchConfig, CchTopology};
+use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
 use pathrank::spatial::algo::dijkstra::{constrained_shortest_path, shortest_path};
 use pathrank::spatial::algo::engine::{EngineObs, QueryEngine, TreeView};
+use pathrank::spatial::algo::landmarks::LandmarkMetric;
 use pathrank::spatial::builder::GraphBuilder;
 use pathrank::spatial::generators::{grid_network, region_network, GridConfig, RegionConfig};
 use pathrank::spatial::geometry::Point;
@@ -160,39 +165,93 @@ fn interleaved_banned_sets_match_fresh() {
 
 #[test]
 fn interleaved_algorithms_share_one_engine() {
-    // Reverse sweeps (the backward space's only user), constrained spur
-    // searches, point-to-point queries and forward sweeps run
+    // Reverse sweeps (the backward side's only Dijkstra user), constrained
+    // spur searches, point-to-point queries and forward sweeps run
     // back-to-back on one engine; each must equal its fresh counterpart
-    // bit for bit — every vertex's distance and parent, every path.
+    // bit for bit — every vertex's distance and parent, every path. The
+    // second engine carries a Length CH and a TravelTime CCH, so its
+    // point queries are hierarchy sweeps on the same two sides, and
+    // many-to-many tables run on its forward side between the rest.
     let g = region_network(&RegionConfig::small_test(), 8);
     let n = g.vertex_count() as u32;
-    let mut engine = QueryEngine::new(&g);
-    let mut rng = StdRng::seed_from_u64(1234);
-
-    for round in 0..25u64 {
-        let s = VertexId(rng.gen_range(0..n));
-        let t = VertexId(rng.gen_range(0..n));
-        let mut bv = BitSet::new(g.vertex_count());
-        let mut be = BitSet::new(g.edge_count());
-        bv.insert(rng.gen_range(0..n));
-        be.insert(rng.gen_range(0..g.edge_count() as u32));
-        for cost in [CostModel::Length, CostModel::TravelTime] {
-            let fresh = tree_bits(&g, QueryEngine::new(&g).one_to_all_rev(t, cost));
-            let reused = tree_bits(&g, engine.one_to_all_rev(t, cost));
-            assert_eq!(fresh, reused, "round {round}: reverse sweep into {t:?}");
-
-            let fresh =
-                QueryEngine::new(&g).constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
-            let reused = engine.constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
-            assert_same_path(fresh, reused, &format!("round {round} spur {s:?}->{t:?}"));
-
-            let fresh = shortest_path(&g, t, s, cost);
-            let reused = engine.shortest_path(t, s, cost);
-            assert_same_path(fresh, reused, &format!("round {round} p2p {t:?}->{s:?}"));
+    let ch = Arc::new(ContractionHierarchy::build(
+        &g,
+        LandmarkMetric::Length,
+        &ChConfig::default(),
+    ));
+    let topo = Arc::new(CchTopology::build(&g, &CchConfig::default()));
+    let cch = Arc::new(topo.customize(&g, &CostModel::TravelTime));
+    let new_engine = |indexed: bool| {
+        let engine = QueryEngine::new(&g);
+        if indexed {
+            engine.with_ch(Arc::clone(&ch)).with_cch(Arc::clone(&cch))
+        } else {
+            engine
         }
-        let fresh = tree_bits(&g, QueryEngine::new(&g).one_to_all(s, CostModel::Length));
-        let reused = tree_bits(&g, engine.one_to_all(s, CostModel::Length));
-        assert_eq!(fresh, reused, "round {round}: forward sweep from {s:?}");
+    };
+    let table_bits = |engine: &mut QueryEngine<'_>, ends: &[VertexId], cost| {
+        let table = engine.many_to_many(ends, &ends[1..], cost);
+        let table = table.expect("the CH and the CCH cover both metrics");
+        (0..ends.len())
+            .flat_map(|i| table.row(i).iter().map(|d| d.to_bits()).collect::<Vec<_>>())
+            .collect::<Vec<_>>()
+    };
+
+    for with_tables in [false, true] {
+        let fresh_engine = || new_engine(with_tables);
+        let mut engine = fresh_engine();
+        let hierarchies = [
+            engine.uses_ch(CostModel::Length),
+            engine.uses_cch(CostModel::TravelTime),
+        ];
+        assert_eq!(hierarchies, [with_tables; 2]);
+        let mut rng = StdRng::seed_from_u64(1234);
+        for round in 0..25u64 {
+            let s = VertexId(rng.gen_range(0..n));
+            let t = VertexId(rng.gen_range(0..n));
+            let mut bv = BitSet::new(g.vertex_count());
+            let mut be = BitSet::new(g.edge_count());
+            bv.insert(rng.gen_range(0..n));
+            be.insert(rng.gen_range(0..g.edge_count() as u32));
+            let ends: Vec<VertexId> = (0..4).map(|_| VertexId(rng.gen_range(0..n))).collect();
+            let ctx = |what: &str| format!("round {round}, tables {with_tables}: {what}");
+            for cost in [CostModel::Length, CostModel::TravelTime] {
+                let fresh = tree_bits(&g, fresh_engine().one_to_all_rev(t, cost));
+                let reused = tree_bits(&g, engine.one_to_all_rev(t, cost));
+                assert_eq!(fresh, reused, "{}", ctx("reverse sweep"));
+
+                if with_tables {
+                    let fresh = table_bits(&mut fresh_engine(), &ends, cost);
+                    let reused = table_bits(&mut engine, &ends, cost);
+                    assert_eq!(fresh, reused, "{}", ctx("m2m table"));
+                }
+
+                let fresh =
+                    fresh_engine().constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
+                let reused = engine.constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
+                assert_same_path(fresh, reused, &ctx("spur"));
+
+                let fresh = fresh_engine().shortest_path(t, s, cost);
+                let reused = engine.shortest_path(t, s, cost);
+                assert_same_path(fresh, reused, &ctx("p2p"));
+                let fresh = fresh_engine().shortest_path_cost(s, t, cost);
+                let reused = engine.shortest_path_cost(s, t, cost);
+                assert_eq!(
+                    fresh.map(f64::to_bits),
+                    reused.map(f64::to_bits),
+                    "{}",
+                    ctx("cost")
+                );
+                if !with_tables {
+                    // The plain engine's point query is Dijkstra, the oracle.
+                    let oracle = shortest_path(&g, t, s, cost);
+                    assert_same_path(oracle, engine.shortest_path(t, s, cost), &ctx("oracle"));
+                }
+            }
+            let fresh = tree_bits(&g, fresh_engine().one_to_all(s, CostModel::Length));
+            let reused = tree_bits(&g, engine.one_to_all(s, CostModel::Length));
+            assert_eq!(fresh, reused, "{}", ctx("forward sweep"));
+        }
     }
 }
 

@@ -75,7 +75,7 @@ proptest! {
         let (g, n) = (case.graph(), case.n());
         let ch_len = Backends::build(&g, LandmarkMetric::Length).ch;
         let ch_tt = Backends::build(&g, LandmarkMetric::TravelTime).ch;
-        let mut search = ChSearch::new(g.vertex_count());
+        let mut search = ChSearch::default();
         let all: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         for _ in 0..rounds {
             for (ch, cost) in [
