@@ -275,7 +275,6 @@ pub fn trajectory_detour_factors(engine: &mut QueryEngine<'_>, trajectories: &[P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathrank_spatial::algo::dijkstra::shortest_path;
     use pathrank_spatial::generators::{region_network, RegionConfig};
     use pathrank_spatial::graph::VertexId;
     use pathrank_traj::simulator::{simulate_fleet, SimulationConfig};
@@ -318,7 +317,9 @@ mod tests {
         let (g, _) = setup();
         let s = VertexId(0);
         let d = VertexId((g.vertex_count() - 1) as u32);
-        let sp = shortest_path(&g, s, d, CostModel::Length).unwrap();
+        let sp = QueryEngine::new(&g)
+            .shortest_path(s, d, CostModel::Length)
+            .unwrap();
         let cfg = CandidateConfig::paper_default(Strategy::TkDI);
         let group = generate_group_with(&mut QueryEngine::new(&g), &sp, &cfg);
         let copies = group

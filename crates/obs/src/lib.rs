@@ -2,8 +2,8 @@
 //!
 //! Everything the engine, route server, customization path and map
 //! matcher report at runtime flows through this crate — which, like
-//! `pathrank-serve`, is **std-only**: no metrics framework, no tracing
-//! framework, no allocation on the hot path.
+//! `pathrank-serve`, is **std-only**: no metrics framework, no
+//! allocation on the hot path. There is one stats path, the registry.
 //!
 //! # Design
 //!
@@ -21,12 +21,6 @@
 //!   `Option` threaded through call sites: [`Registry::disabled`]
 //!   returns a registry whose handles are no-op sinks — same types,
 //!   same call sites, a single predictable branch per record.
-//! * [`Tracer`] is a lightweight span/event tracer: fixed-capacity
-//!   per-thread ring buffers of `(span id, &'static str label,
-//!   monotonic nanos, arg)` events, written under an uncontended
-//!   per-ring mutex and drained on demand. Steady state allocates
-//!   nothing — rings are preallocated and overwrite their oldest
-//!   entries.
 //! * [`MetricsSnapshot`] is the typed scrape: Prometheus text format
 //!   ([`MetricsSnapshot::to_prometheus_text`]), hand-rolled JSON
 //!   ([`MetricsSnapshot::to_json`]), and
@@ -36,8 +30,6 @@
 pub mod histogram;
 pub mod promtext;
 pub mod registry;
-pub mod trace;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, CounterSample, Gauge, GaugeSample, MetricsSnapshot, Registry};
-pub use trace::{SpanGuard, TraceHandle, TraceKind, TraceRecord, Tracer};

@@ -28,17 +28,12 @@
 //! | `pathrank_cch_delta_edges` | histogram | — (sparse update sizes) |
 //! | `pathrank_cch_recomputed_arcs` | histogram | — (triangle-closure sizes per sparse update) |
 
-use pathrank_obs::{Counter, Gauge, Histogram, Registry, Tracer};
+use pathrank_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::server::ServeError;
 
-/// Trace ring capacity per worker thread: enough for a few thousand
-/// batch spans between drains without growing past ~100 KiB per shard.
-const TRACE_RING: usize = 4096;
-
 pub(crate) struct ServeObs {
     pub(crate) registry: Registry,
-    pub(crate) tracer: Tracer,
     pub(crate) served_sequential: Counter,
     pub(crate) served_batched: Counter,
     pub(crate) shed_deadline_admission: Counter,
@@ -130,13 +125,7 @@ impl ServeObs {
                 )
             })
             .collect();
-        let tracer = if registry.is_enabled() {
-            Tracer::new(TRACE_RING)
-        } else {
-            Tracer::disabled()
-        };
         ServeObs {
-            tracer,
             served_sequential: served("sequential"),
             served_batched: served("batched"),
             shed_deadline_admission: shed("deadline_expired", "admission"),

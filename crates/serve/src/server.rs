@@ -104,7 +104,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pathrank_obs::{MetricsSnapshot, Registry, TraceRecord};
+use pathrank_obs::{MetricsSnapshot, Registry};
 use pathrank_spatial::algo::cch::{Cch, CchTopology};
 use pathrank_spatial::algo::ch::ContractionHierarchy;
 use pathrank_spatial::algo::engine::{EngineObs, QueryEngine, SearchBackend};
@@ -437,13 +437,6 @@ impl RouteServer {
         self.obs.error_count(e)
     }
 
-    /// Drains the worker trace rings: batch spans (arg = batch size)
-    /// and live-swap events, time-sorted across shards. Empty when the
-    /// server was started with a disabled registry.
-    pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        self.obs.tracer.drain()
-    }
-
     /// Generation of the currently installed live weights (`0` before
     /// the first [`RouteServer::update_live_weights`]).
     pub fn live_generation(&self) -> u64 {
@@ -658,7 +651,6 @@ fn worker_loop(
     engine.set_landmarks(idx.landmarks.clone());
     engine.set_ch(idx.ch.clone());
     engine.set_obs(EngineObs::new(&obs.registry));
-    let trace = obs.tracer.register(format!("route-shard-{shard}"));
     let depth = obs.queue_depth[shard].clone();
     // The live generation this engine's CCH slot currently matches;
     // swapped lazily when a batch snapshots a newer one.
@@ -727,7 +719,6 @@ fn worker_loop(
             }
         }
         obs.batch_size.record(batch.len() as u64);
-        let span = trace.span("batch", batch.len() as u64);
         process_batch(
             &mut engine,
             live,
@@ -737,7 +728,6 @@ fn worker_loop(
             &mut batch,
             &mut groups,
         );
-        drop(span);
     }
 }
 

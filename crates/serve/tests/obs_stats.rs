@@ -1,14 +1,14 @@
 //! Serving-layer observability: the `STATS` TCP command, per-variant
 //! `ERR ... n=<count>` replies, the typed snapshot API and the obs-off
-//! escape hatch. Test names carry the `obs_` prefix so the release CI
-//! step (`cargo test --release -- obs_`) picks them up alongside the
-//! exactness harness.
+//! escape hatch. Test names carry the `obs_` prefix, so
+//! `cargo test --release -- obs_` runs them alongside the exactness
+//! harness.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use pathrank_obs::{promtext, Registry, TraceKind};
+use pathrank_obs::{promtext, Registry};
 use pathrank_serve::fixture::{hub_pairs, integer_city, integer_live_weights};
 use pathrank_serve::{Metric, RouteRequest, RouteServer, ServeConfig, ServeError, ServerIndexes};
 use pathrank_spatial::algo::cch::{CchConfig, CchTopology};
@@ -216,7 +216,7 @@ fn obs_serve_disabled_registry_is_a_true_noop() {
             .expect("served");
         assert!(reply.cost.is_some());
     }
-    // Nothing registered, nothing recorded, nothing traced — but the
+    // Nothing registered, nothing recorded — but the
     // derived quick-look stats still answer (all zeros).
     let snapshot = server.metrics_snapshot();
     assert_eq!(
@@ -224,33 +224,5 @@ fn obs_serve_disabled_registry_is_a_true_noop() {
         0
     );
     assert!(snapshot.to_prometheus_text().ends_with("# EOF\n"));
-    assert!(server.drain_trace().is_empty());
     assert_eq!(server.stats().served, 0);
-}
-
-#[test]
-fn obs_serve_trace_records_batch_spans() {
-    let graph = Arc::new(integer_city(5));
-    let server = start_server(Arc::clone(&graph));
-    for (s, t) in hub_pairs(&graph, 8, 2, 0x7ace) {
-        server
-            .route(RouteRequest {
-                source: s,
-                target: t,
-                metric: Metric::Length,
-                deadline: None,
-            })
-            .expect("served");
-    }
-    let records = server.drain_trace();
-    let enters: Vec<_> = records
-        .iter()
-        .filter(|r| r.label == "batch" && r.kind == TraceKind::Enter)
-        .collect();
-    assert!(!enters.is_empty(), "no batch spans recorded");
-    assert!(enters.iter().all(|r| r.arg >= 1));
-    assert!(records
-        .iter()
-        .filter(|r| r.label == "batch")
-        .all(|r| r.thread == "route-shard-0"));
 }

@@ -1157,7 +1157,7 @@ impl Cch {
 mod tests {
     use super::*;
     use crate::algo::ch::ChSearch;
-    use crate::algo::dijkstra::shortest_path;
+    use crate::algo::engine::QueryEngine;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::graph::{EdgeAttrs, EdgeId, RoadCategory};
     use pathrank_testkit::prelude::*;
@@ -1312,7 +1312,9 @@ mod tests {
             let n = g.vertex_count() as u32;
             for (s, t) in [(0, n - 1), (1, n / 2), (n / 3, 2 * n / 3), (n - 1, 0)] {
                 let (s, t) = (VertexId(s), VertexId(t));
-                let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
+                let expect = QueryEngine::new(&g)
+                    .shortest_path(s, t, cost)
+                    .map(|p| p.cost(&g, cost));
                 let got = cch.view().query_cost(&mut search, s, t);
                 match (expect, got) {
                     (None, None) => {}
@@ -1355,7 +1357,9 @@ mod tests {
             let n = g.vertex_count() as u32;
             for (s, t) in [(0, n - 1), (n / 4, 3 * n / 4)] {
                 let (s, t) = (VertexId(s), VertexId(t));
-                let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
+                let expect = QueryEngine::new(&g)
+                    .shortest_path(s, t, cost)
+                    .map(|p| p.cost(&g, cost));
                 let got = cch.view().query_cost(&mut search, s, t);
                 match (expect, got) {
                     (None, None) => {}
@@ -1391,7 +1395,9 @@ mod tests {
         for (s, t) in [(0, n - 1), (n / 2, n / 5)] {
             let (s, t) = (VertexId(s), VertexId(t));
             let cost = CostModel::Custom(&weights);
-            let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
+            let expect = QueryEngine::new(&g)
+                .shortest_path(s, t, cost)
+                .map(|p| p.cost(&g, cost));
             let got = cch.view().query_cost(&mut search, s, t);
             match (expect, got) {
                 (None, None) => {}
@@ -1489,7 +1495,9 @@ mod tests {
         for (s, t) in [(0, n - 1), (n / 2, n / 5)] {
             let (s, t) = (VertexId(s), VertexId(t));
             let cost = CostModel::Custom(&weights);
-            let expect = shortest_path(&g, s, t, cost).map(|p| p.cost(&g, cost));
+            let expect = QueryEngine::new(&g)
+                .shortest_path(s, t, cost)
+                .map(|p| p.cost(&g, cost));
             let got = sparse.view().query_cost(&mut search, s, t);
             match (expect, got) {
                 (None, None) => {}

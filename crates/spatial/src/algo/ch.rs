@@ -1202,7 +1202,7 @@ impl HierarchyView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::dijkstra::shortest_path;
+    use crate::algo::engine::QueryEngine;
     use crate::builder::GraphBuilder;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::geometry::Point;
@@ -1267,7 +1267,9 @@ mod tests {
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n - 1, 0), (3, n / 2), (n / 3, 2 * n / 3)] {
             let (s, t) = (VertexId(s), VertexId(t));
-            let plain = shortest_path(&g, s, t, CostModel::Length).map(|p| p.length_m(&g));
+            let plain = QueryEngine::new(&g)
+                .shortest_path(s, t, CostModel::Length)
+                .map(|p| p.length_m(&g));
             let ch_cost = ch
                 .view()
                 .query_path(&mut search, s, t)
@@ -1292,7 +1294,9 @@ mod tests {
                 assert_eq!(p.source(), s);
                 assert_eq!(p.target(), t);
                 p.validate(&g).unwrap();
-                let plain = shortest_path(&g, s, t, CostModel::Length).unwrap();
+                let plain = QueryEngine::new(&g)
+                    .shortest_path(s, t, CostModel::Length)
+                    .unwrap();
                 assert_eq!(p.length_m(&g), plain.length_m(&g), "{s:?}->{t:?}");
                 checked += 1;
             }
@@ -1310,7 +1314,8 @@ mod tests {
         let n = g.vertex_count() as u32;
         for (s, t) in [(0, n - 1), (n / 2, 1)] {
             let (s, t) = (VertexId(s), VertexId(t));
-            let plain = shortest_path(&g, s, t, CostModel::TravelTime)
+            let plain = QueryEngine::new(&g)
+                .shortest_path(s, t, CostModel::TravelTime)
                 .map(|p| p.cost(&g, CostModel::TravelTime));
             let ch_cost = ch.view().query_path(&mut search, s, t).map(|(edges, _)| {
                 edges

@@ -18,9 +18,10 @@
 //! Dijkstra and A* here, the hierarchies' upward sweeps and the CH
 //! builder's witness searches. [`QueryEngine`] owns two, the forward and
 //! backward sides of one [`ChSearch`] (the backward one sized on first
-//! use), and runs every algorithm of this crate on them as a method; the
-//! only free functions left, the reference Dijkstra oracles in
-//! [`crate::algo::dijkstra`], allocate a transient engine per call.
+//! use), and runs every algorithm of this crate on them as a method.
+//! There is no free search function: a one-off query is
+//! `QueryEngine::new(g).shortest_path(..)`, and plain Dijkstra on a
+//! fresh engine is the exactness harnesses' reference oracle.
 //!
 //! There is one graph and one search loop. Dijkstra and A*, one-to-one and
 //! one-to-all, forward and reverse, with or without banned sets and a cost
@@ -51,6 +52,7 @@
 //! assert!(a.length_m(&g) > 0.0 && b.length_m(&g) > 0.0);
 //! ```
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use pathrank_obs::{Counter, Registry};
@@ -558,14 +560,19 @@ enum Answer<'e> {
 }
 
 impl Answer<'_> {
-    /// The answer as a [`Path`]; `None` when a tree search did not reach
-    /// `target`.
-    fn path(&self, target: VertexId) -> Option<Path> {
+    /// The answer as a simple [`Path`]; `None` when a tree search did not
+    /// reach `target`. A tree path is simple by construction. An unpacked
+    /// one can revisit a vertex only over edges of zero weight, so only a
+    /// path with such an edge has its cycles cut.
+    fn path(&self, target: VertexId, weights: &[f64]) -> Option<Path> {
         match self {
-            Answer::Unpacked(edges, vertices) => Some(Path::from_parts_unchecked(
-                vertices.to_vec(),
-                edges.to_vec(),
-            )),
+            Answer::Unpacked(edges, vertices) => {
+                let (mut edges, mut vertices) = (edges.to_vec(), vertices.to_vec());
+                if edges.iter().any(|e| weights[e.index()] == 0.0) {
+                    cut_cycles(&mut edges, &mut vertices);
+                }
+                Some(Path::from_parts_unchecked(vertices, edges))
+            }
             Answer::Tree(tree) => tree.path_to(target),
         }
     }
@@ -587,6 +594,34 @@ impl Answer<'_> {
             }
         }
     }
+}
+
+/// Cuts every cycle out of the walk `vertices` (joined by `edges`) at
+/// its vertex's first occurrence. A hierarchy answer is a cheapest walk,
+/// so under non-negative weights each cycle it carries costs exactly
+/// zero: the cut drops only `+ 0.0` terms from the left-to-right cost
+/// fold, which keeps its bits.
+fn cut_cycles(edges: &mut Vec<EdgeId>, vertices: &mut Vec<VertexId>) {
+    let mut first: HashMap<VertexId, usize> = HashMap::with_capacity(vertices.len());
+    let mut kept = 0;
+    for i in 0..vertices.len() {
+        let v = vertices[i];
+        if let Some(&at) = first.get(&v) {
+            for u in &vertices[at + 1..kept] {
+                first.remove(u);
+            }
+            kept = at + 1;
+        } else {
+            first.insert(v, kept);
+            vertices[kept] = v;
+            if kept > 0 {
+                edges[kept - 1] = edges[i - 1];
+            }
+            kept += 1;
+        }
+    }
+    vertices.truncate(kept);
+    edges.truncate(kept - 1);
 }
 
 /// The largest `B` such that `cost(e) >= B · euclid(e.from, e.to)` holds
@@ -1005,11 +1040,12 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Cheapest `source -> target` path, or `None` if unreachable or
-    /// `source == target`. Engine counterpart of
-    /// [`crate::algo::dijkstra::shortest_path`], dispatched through
+    /// `source == target`. Dispatched through
     /// [`QueryEngine::backend_for`]: CH bidirectional upward search,
     /// ALT-guided A*, or plain early-exit Dijkstra (same optimal cost in
     /// every regime; tie-breaking among equal-cost optima may differ).
+    /// The path is simple in every regime: a hierarchy answer that
+    /// revisits a vertex over zero-cost edges has its cycles cut.
     pub fn shortest_path(
         &mut self,
         source: VertexId,
@@ -1019,7 +1055,8 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        self.dispatch(source, target, cost, |a| a.path(target))
+        let weights = cost.weights(self.g);
+        self.dispatch(source, target, cost, |a| a.path(target, weights))
     }
 
     /// Cost of the cheapest `source -> target` path without materialising
@@ -1115,8 +1152,7 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Cheapest `source -> target` path avoiding banned vertices and
-    /// edges — Yen's spur-search engine. Engine counterpart of
-    /// [`crate::algo::dijkstra::constrained_shortest_path`].
+    /// edges — Yen's spur-search engine.
     ///
     /// Spur searches are strongly target-directed, so this runs A* with
     /// the strongest lower bound the engine can justify: the ALT
@@ -1180,41 +1216,6 @@ impl<'g> QueryEngine<'g> {
             self.obs.spur_settled.add_in_shard(self.obs.shard, settled);
         }
         path
-    }
-
-    /// Plain-Dijkstra variant of
-    /// [`QueryEngine::constrained_shortest_path`], skipping the `O(E)`
-    /// heuristic-bound scan. The reference oracle
-    /// [`crate::algo::dijkstra::constrained_shortest_path`] uses this: a
-    /// transient engine serves exactly one search, so a whole-graph
-    /// precompute cannot amortize there.
-    pub(crate) fn constrained_shortest_path_dijkstra(
-        &mut self,
-        source: VertexId,
-        target: VertexId,
-        cost: CostModel<'_>,
-        banned_vertices: &BitSet,
-        banned_edges: &BitSet,
-    ) -> Option<Path> {
-        if source == target
-            || banned_vertices.contains(source.0)
-            || banned_vertices.contains(target.0)
-        {
-            return None;
-        }
-        let (g, banned) = (self.g, banned_by(banned_vertices, banned_edges));
-        search(
-            &mut self.search.fwd,
-            g,
-            source,
-            Some(target),
-            false,
-            cost.weights(g),
-            banned,
-            dijkstra_key,
-            f64::INFINITY,
-        );
-        self.tree(source, false).path_to(target)
     }
 
     /// The cached [`safe_heuristic_bound`] for `cost`: computed on first
@@ -1368,7 +1369,7 @@ mod tests {
         }
         assert_eq!(
             engine.shortest_path(VertexId(0), VertexId(49), CostModel::Length),
-            crate::algo::dijkstra::shortest_path(&g, VertexId(0), VertexId(49), CostModel::Length)
+            QueryEngine::new(&g).shortest_path(VertexId(0), VertexId(49), CostModel::Length)
         );
     }
 
@@ -1385,7 +1386,7 @@ mod tests {
                 CostModel::Custom(&custom),
                 CostModel::TravelTime,
             ] {
-                let fresh = crate::algo::dijkstra::shortest_path(&g, s, t, cost);
+                let fresh = QueryEngine::new(&g).shortest_path(s, t, cost);
                 let reused = engine.shortest_path(s, t, cost);
                 match (fresh, reused) {
                     (Some(a), Some(b)) => {
@@ -1422,7 +1423,7 @@ mod tests {
                 let p = view.path_to(v).unwrap();
                 p.validate(&g).unwrap();
                 assert!((p.length_m(&g) - view.dist(v)).abs() < 1e-9);
-                let direct = crate::algo::dijkstra::shortest_path(&g, s, v, CostModel::Length);
+                let direct = QueryEngine::new(&g).shortest_path(s, v, CostModel::Length);
                 assert_eq!(direct, Some(p));
             }
         }
@@ -1869,5 +1870,327 @@ mod tests {
                 [(15291, 19413), (1728, 2009), (5299, 7676)]
             )
         );
+    }
+
+    #[test]
+    fn cut_cycles_keeps_each_vertex_at_its_first_occurrence() {
+        let walk = |vs: &[u32]| -> (Vec<EdgeId>, Vec<VertexId>) {
+            let edges = (0..vs.len() as u32 - 1).map(EdgeId).collect();
+            (edges, vs.iter().copied().map(VertexId).collect())
+        };
+        let (mut edges, mut vertices) = walk(&[5, 6, 1, 2, 3, 2, 1]);
+        cut_cycles(&mut edges, &mut vertices);
+        assert_eq!(vertices, walk(&[5, 6, 1]).1);
+        assert_eq!(edges, [EdgeId(0), EdgeId(1)]);
+        // A cycle through the source leaves the edge that leaves it last.
+        let (mut edges, mut vertices) = walk(&[0, 1, 0, 2]);
+        cut_cycles(&mut edges, &mut vertices);
+        assert_eq!((edges, vertices), (vec![EdgeId(2)], walk(&[0, 2]).1));
+        let simple = walk(&[3, 1, 4]);
+        let (mut edges, mut vertices) = simple.clone();
+        cut_cycles(&mut edges, &mut vertices);
+        assert_eq!((edges, vertices), simple);
+    }
+
+    /// Classic 5-vertex test graph with a known shortest path structure.
+    ///
+    /// ```text
+    ///      (1)--1--(2)
+    ///      / \       \
+    ///     4   2       3
+    ///    /     \       \
+    ///  (0)--8--(3)--1--(4)
+    /// ```
+    fn weighted() -> Graph {
+        let mut b = GraphBuilder::new();
+        let v: Vec<_> = (0..5)
+            .map(|i| b.add_vertex(Point::new(i as f64, 0.0)))
+            .collect();
+        let mut add = |f: usize, t: usize, w: f64| {
+            b.add_bidirectional(
+                v[f],
+                v[t],
+                EdgeAttrs::with_default_speed(w, RoadCategory::Residential),
+            )
+            .unwrap();
+        };
+        add(0, 1, 4.0);
+        add(1, 2, 1.0);
+        add(1, 3, 2.0);
+        add(0, 3, 8.0);
+        add(3, 4, 1.0);
+        add(2, 4, 3.0);
+        b.build()
+    }
+
+    /// A fresh engine's cheapest `source -> 4` path under `Length` that
+    /// avoids `banned_vertices` and `banned_edges`, on `weighted()`.
+    fn banned_path(
+        g: &Graph,
+        banned_vertices: &BitSet,
+        banned_edges: &BitSet,
+        source: u32,
+    ) -> Option<Path> {
+        QueryEngine::new(g).constrained_shortest_path(
+            VertexId(source),
+            VertexId(4),
+            CostModel::Length,
+            banned_vertices,
+            banned_edges,
+            f64::INFINITY,
+        )
+    }
+
+    #[test]
+    fn one_to_one_matches_hand_result() {
+        let g = weighted();
+        let p = QueryEngine::new(&g)
+            .shortest_path(VertexId(0), VertexId(4), CostModel::Length)
+            .unwrap();
+        // 0 -> 1 -> 3 -> 4 with cost 4 + 2 + 1 = 7 beats 0 -> 3 -> 4 = 9.
+        assert_eq!(
+            p.vertices(),
+            &[VertexId(0), VertexId(1), VertexId(3), VertexId(4)]
+        );
+        assert!((p.length_m(&g) - 7.0).abs() < 1e-12);
+        p.validate(&g).unwrap();
+    }
+
+    #[test]
+    fn tree_distances_are_consistent() {
+        let g = weighted();
+        let mut engine = QueryEngine::new(&g);
+        let tree = engine.one_to_all(VertexId(0), CostModel::Length);
+        let expect = [0.0, 4.0, 5.0, 6.0, 7.0];
+        for (i, &d) in expect.iter().enumerate() {
+            let got = tree.dist(VertexId(i as u32));
+            assert!((got - d).abs() < 1e-12, "dist[{i}] = {got} != {d}");
+        }
+        // Every tree path's cost equals the recorded distance.
+        for v in (1..5u32).map(VertexId) {
+            let p = tree.path_to(v).unwrap();
+            assert!((p.length_m(&g) - tree.dist(v)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn source_equals_target_is_none() {
+        let g = weighted();
+        let mut engine = QueryEngine::new(&g);
+        assert!(engine
+            .shortest_path(VertexId(2), VertexId(2), CostModel::Length)
+            .is_none());
+    }
+
+    #[test]
+    fn unreachable_target() {
+        let mut b = GraphBuilder::new();
+        let v0 = b.add_vertex(Point::new(0.0, 0.0));
+        let v1 = b.add_vertex(Point::new(1.0, 0.0));
+        let v2 = b.add_vertex(Point::new(2.0, 0.0));
+        b.add_edge(
+            v0,
+            v1,
+            EdgeAttrs::with_default_speed(1.0, RoadCategory::Rural),
+        )
+        .unwrap();
+        let g = b.build();
+        let mut engine = QueryEngine::new(&g);
+        assert!(engine.shortest_path(v0, v2, CostModel::Length).is_none());
+        let tree = engine.one_to_all(v0, CostModel::Length);
+        assert!(!tree.reached(v2));
+        assert!(tree.path_to(v2).is_none());
+    }
+
+    #[test]
+    fn banned_vertex_forces_detour() {
+        let g = weighted();
+        let mut bv = BitSet::new(g.vertex_count());
+        let be = BitSet::new(g.edge_count());
+        bv.insert(1); // ban vertex 1, killing 0-1-3-4
+        let p = banned_path(&g, &bv, &be, 0).unwrap();
+        assert_eq!(p.vertices(), &[VertexId(0), VertexId(3), VertexId(4)]);
+        assert!((p.length_m(&g) - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn banned_edge_forces_detour() {
+        let g = weighted();
+        let bv = BitSet::new(g.vertex_count());
+        let mut be = BitSet::new(g.edge_count());
+        // Ban the directed edge 1 -> 3 (find its id).
+        let e13 = g.find_edge(VertexId(1), VertexId(3)).unwrap();
+        be.insert(e13.0);
+        let p = banned_path(&g, &bv, &be, 0).unwrap();
+        // Best remaining: 0-1-2-4 = 4+1+3 = 8 vs 0-3-4 = 9.
+        assert!((p.length_m(&g) - 8.0).abs() < 1e-12);
+        assert_eq!(
+            p.vertices(),
+            &[VertexId(0), VertexId(1), VertexId(2), VertexId(4)]
+        );
+    }
+
+    #[test]
+    fn banned_source_or_target_returns_none() {
+        let g = weighted();
+        let mut bv = BitSet::new(g.vertex_count());
+        let be = BitSet::new(g.edge_count());
+        bv.insert(0);
+        assert!(banned_path(&g, &bv, &be, 0).is_none());
+        assert!(banned_path(&g, &bv, &be, 2).is_some());
+        bv.insert(4);
+        assert!(banned_path(&g, &bv, &be, 2).is_none());
+    }
+
+    #[test]
+    fn travel_time_model_prefers_fast_roads() {
+        // Two routes of equal length, one on a highway: fastest differs
+        // from shortest.
+        let mut b = GraphBuilder::new();
+        let v0 = b.add_vertex(Point::new(0.0, 0.0));
+        let v1 = b.add_vertex(Point::new(500.0, 500.0));
+        let v2 = b.add_vertex(Point::new(500.0, -500.0));
+        let v3 = b.add_vertex(Point::new(1000.0, 0.0));
+        let mut add = |f, t, w, category| {
+            b.add_edge(f, t, EdgeAttrs::with_default_speed(w, category))
+                .unwrap();
+        };
+        add(v0, v1, 1000.0, RoadCategory::Residential);
+        add(v1, v3, 1000.0, RoadCategory::Residential);
+        add(v0, v2, 1100.0, RoadCategory::Highway);
+        add(v2, v3, 1100.0, RoadCategory::Highway);
+        let g = b.build();
+        let mut engine = QueryEngine::new(&g);
+        let short = engine.shortest_path(v0, v3, CostModel::Length).unwrap();
+        let fast = engine.shortest_path(v0, v3, CostModel::TravelTime).unwrap();
+        assert_eq!(short.vertices()[1], v1);
+        assert_eq!(fast.vertices()[1], v2);
+    }
+
+    /// Bellman–Ford distances from `s` under `weights`, into `s` over the
+    /// reversed edges with `reverse` (slow but obviously correct).
+    fn bellman_ford(g: &Graph, s: VertexId, weights: &[f64], reverse: bool) -> Vec<f64> {
+        let n = g.vertex_count();
+        let mut dist = vec![f64::INFINITY; n];
+        dist[s.index()] = 0.0;
+        for _ in 0..n {
+            let mut changed = false;
+            for (e, rec) in g.edges().enumerate() {
+                let (from, to) = if reverse {
+                    (rec.to, rec.from)
+                } else {
+                    (rec.from, rec.to)
+                };
+                let d = dist[from.index()] + weights[e];
+                if d < dist[to.index()] {
+                    dist[to.index()] = d;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        dist
+    }
+
+    /// Random connected-ish digraph: a Hamiltonian cycle (guaranteeing
+    /// strong connectivity) plus random extra edges.
+    fn random_graph(n: usize, extra: Vec<(usize, usize, u32)>) -> Graph {
+        let mut b = GraphBuilder::new();
+        let vs: Vec<_> = (0..n)
+            .map(|i| b.add_vertex(Point::new(i as f64, (i * i % 7) as f64)))
+            .collect();
+        for i in 0..n {
+            b.add_edge(
+                vs[i],
+                vs[(i + 1) % n],
+                EdgeAttrs::with_default_speed(10.0 + i as f64, RoadCategory::Rural),
+            )
+            .unwrap();
+        }
+        for (f, t, w) in extra {
+            let (f, t) = (f % n, t % n);
+            if f != t {
+                let _ = b.add_edge(
+                    vs[f],
+                    vs[t],
+                    EdgeAttrs::with_default_speed(1.0 + (w % 100) as f64, RoadCategory::Rural),
+                );
+            }
+        }
+        b.build()
+    }
+
+    /// `g`'s lengths with every `k`-th entry zeroed: the non-negative
+    /// `Custom` vectors a live update may install.
+    fn zeroed_lengths(g: &Graph, k: usize) -> Vec<f64> {
+        let lengths = CostModel::Length.weights(g).iter().enumerate();
+        lengths
+            .map(|(e, &w)| if e % k == 0 { 0.0 } else { w })
+            .collect()
+    }
+
+    use pathrank_testkit::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Forward and reverse one-to-all sweeps equal Bellman–Ford over
+        /// the edges and over the reversed edges, on directed graphs,
+        /// under the lengths and under a `Custom` vector with zeros.
+        #[test]
+        fn dijkstra_matches_bellman_ford(
+            n in 2usize..24,
+            extra in pathrank_testkit::collection::vec((0usize..24, 0usize..24, 0u32..1000), 0..40),
+            s in 0usize..24,
+            zero_every in 1usize..5,
+        ) {
+            let g = random_graph(n, extra);
+            let s = VertexId((s % n) as u32);
+            let zeroed = zeroed_lengths(&g, zero_every);
+            let mut engine = QueryEngine::new(&g);
+            for cost in [CostModel::Length, CostModel::Custom(&zeroed)] {
+                for reverse in [false, true] {
+                    let oracle = bellman_ford(&g, s, cost.weights(&g), reverse);
+                    let tree = if reverse {
+                        engine.one_to_all_rev(s, cost)
+                    } else {
+                        engine.one_to_all(s, cost)
+                    };
+                    for (v, &bf) in g.vertices().zip(oracle.iter()) {
+                        let dj = tree.dist(v);
+                        if bf.is_finite() {
+                            prop_assert!((dj - bf).abs() < 1e-9,
+                                "dist[{:?}] (reverse {}): dijkstra {} vs bf {}", v, reverse, dj, bf);
+                        } else {
+                            prop_assert!(!dj.is_finite());
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn tree_paths_cost_equals_distance(
+            n in 2usize..20,
+            extra in pathrank_testkit::collection::vec((0usize..20, 0usize..20, 0u32..1000), 0..30),
+            zero_every in 1usize..5,
+        ) {
+            let g = random_graph(n, extra);
+            let s = VertexId(0);
+            let zeroed = zeroed_lengths(&g, zero_every);
+            let mut engine = QueryEngine::new(&g);
+            for cost in [CostModel::Length, CostModel::Custom(&zeroed)] {
+                let tree = engine.one_to_all(s, cost);
+                for v in g.vertices().skip(1) {
+                    if let Some(p) = tree.path_to(v) {
+                        p.validate(&g).unwrap();
+                        prop_assert!(p.is_simple(), "shortest paths are simple");
+                        prop_assert!((p.cost(&g, cost) - tree.dist(v)).abs() < 1e-9);
+                    }
+                }
+            }
+        }
     }
 }

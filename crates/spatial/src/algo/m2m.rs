@@ -220,7 +220,7 @@ impl HierarchyView<'_> {
 mod tests {
     use super::*;
     use crate::algo::ch::{ChConfig, ContractionHierarchy};
-    use crate::algo::dijkstra::shortest_path;
+    use crate::algo::engine::QueryEngine;
     use crate::algo::landmarks::LandmarkMetric;
     use crate::generators::{grid_network, region_network, GridConfig, RegionConfig};
     use crate::graph::{CostModel, Graph};
@@ -233,7 +233,8 @@ mod tests {
         assert_eq!(table.shape(), (sources.len(), targets.len()));
         for (i, &s) in sources.iter().enumerate() {
             for (j, &t) in targets.iter().enumerate() {
-                let plain = shortest_path(g, s, t, CostModel::Length)
+                let plain = QueryEngine::new(g)
+                    .shortest_path(s, t, CostModel::Length)
                     .map(|p| p.length_m(g))
                     .unwrap_or(if s == t { 0.0 } else { f64::INFINITY });
                 let got = table.dist(i, j);
@@ -289,7 +290,8 @@ mod tests {
                 let plain = if s == t {
                     0.0
                 } else {
-                    shortest_path(&g, s, t, CostModel::Length)
+                    QueryEngine::new(&g)
+                        .shortest_path(s, t, CostModel::Length)
                         .map(|p| p.length_m(&g))
                         .unwrap_or(f64::INFINITY)
                 };

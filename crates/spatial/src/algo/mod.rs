@@ -10,8 +10,6 @@
 //!   vertex, its heap and its work counters, resets in O(1) and
 //!   allocates nothing per query after its first; stamped vertex sets
 //!   share its epoch wrap;
-//! * [`dijkstra`] — textbook Dijkstra one-to-one, plain and under banned
-//!   vertex/edge sets: the reference oracles of the exactness harnesses;
 //! * [`landmarks`] — ALT preprocessing: landmark distance tables whose
 //!   triangle-inequality bounds direct every target-directed search on a
 //!   [`engine::QueryEngine`] (see
@@ -41,13 +39,11 @@
 //!
 //! Callers hold a [`engine::QueryEngine`] (one per worker thread) and use
 //! its methods: every search, Yen and D-TkDI included, runs on an engine
-//! the caller owns. The two free functions left, [`shortest_path`] and
-//! [`constrained_shortest_path`], are the exactness harnesses' reference
-//! oracles.
+//! the caller owns. There are no free search functions; plain Dijkstra
+//! on a fresh engine is the exactness harnesses' reference oracle.
 
 pub mod cch;
 pub mod ch;
-pub mod dijkstra;
 pub mod diversified;
 pub mod engine;
 mod labels;
@@ -58,7 +54,6 @@ pub mod yen;
 
 pub use cch::{Cch, CchConfig, CchTopology};
 pub use ch::{ChConfig, ChSearch, ContractionHierarchy};
-pub use dijkstra::{constrained_shortest_path, shortest_path};
 pub use diversified::DiversifiedConfig;
 pub use engine::{safe_heuristic_bound, EngineObs, QueryEngine, SearchBackend, TreeView};
 pub use landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable, NodeVectors};

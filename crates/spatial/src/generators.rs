@@ -373,7 +373,7 @@ fn finalize_connected(b: GraphBuilder) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::dijkstra::shortest_path;
+    use crate::algo::engine::QueryEngine;
     use crate::graph::CostModel;
 
     #[test]
@@ -427,7 +427,7 @@ mod tests {
         assert_eq!(g.largest_scc().len(), g.vertex_count());
         let s = VertexId(0);
         let t = VertexId((g.vertex_count() - 1) as u32);
-        let p = shortest_path(&g, s, t, CostModel::Length);
+        let p = QueryEngine::new(&g).shortest_path(s, t, CostModel::Length);
         assert!(p.is_some(), "strongly connected region must be routable");
     }
 

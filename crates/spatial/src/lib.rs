@@ -21,7 +21,7 @@
 //!   the diversified top-k used by the paper's D-TkDI training-data
 //!   strategy ([`algo::diversified`]) — all running on the one search
 //!   loop of the reusable, generation-stamped query layer in
-//!   [`algo::engine`], with [`algo::dijkstra`] as the reference oracle;
+//!   [`algo::engine`];
 //! * path [`similarity`] measures, most importantly the weighted Jaccard
 //!   similarity that defines PathRank's ground-truth ranking scores;
 //! * a packed STR-bulk-loaded [`rtree::RTree`] over edge chords for GPS

@@ -147,7 +147,7 @@ impl DriverPreference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathrank_spatial::algo::dijkstra::shortest_path;
+    use pathrank_spatial::algo::engine::QueryEngine;
     use pathrank_spatial::generators::{region_network, RegionConfig};
     use pathrank_spatial::graph::{CostModel, VertexId};
     use pathrank_spatial::similarity::{weighted_jaccard, EdgeWeight};
@@ -190,6 +190,7 @@ mod tests {
         let g = region_network(&RegionConfig::small_test(), 3);
         let mut rng = StdRng::seed_from_u64(7);
         let n = g.vertex_count() as u32;
+        let mut engine = QueryEngine::new(&g);
         let mut differs = 0usize;
         let mut total = 0usize;
         for driver in 0..6u64 {
@@ -201,8 +202,8 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let preferred = shortest_path(&g, s, t, CostModel::Custom(&costs));
-                let shortest = shortest_path(&g, s, t, CostModel::Length);
+                let preferred = engine.shortest_path(s, t, CostModel::Custom(&costs));
+                let shortest = engine.shortest_path(s, t, CostModel::Length);
                 let (Some(p), Some(sh)) = (preferred, shortest) else {
                     continue;
                 };

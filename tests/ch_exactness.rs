@@ -17,7 +17,8 @@
 //! interleaved metrics, where the engine must fall back to plain
 //! Dijkstra's very path; disconnected components; the CCH through rounds
 //! of live weight perturbation, and its gate: a customization serves the
-//! bitwise-equal vector only. Deterministic companions: a hierarchy
+//! bitwise-equal vector only; and a CCH over a vector with zero entries,
+//! whose paths stay simple (every regime asserts that). Deterministic companions: a hierarchy
 //! written to the text format and read back serves the same paths, and
 //! the index stays at 16 bytes per search slot.
 
@@ -63,6 +64,17 @@ proptest! {
     #[test]
     fn ch_custom_cost_slices_engage_fallback(case in GraphCase::new(rural), salt in 1u32..40) {
         regimes::custom_slice(&case, salt, HIERARCHIES);
+    }
+
+    /// Zero entries in a `Custom` vector: the CCH's unpacked walks have
+    /// their zero-cost cycles cut, so its paths stay simple.
+    #[test]
+    fn cch_zero_weight_paths_are_simple(
+        case in GraphCase::new(rural),
+        salt in 1u32..40,
+        zeros in 1u32..6,
+    ) {
+        regimes::zero_weights(&case, salt, zeros, HIERARCHIES);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The exactness harnesses' shared machinery: one random-graph strategy,
 //! [`GraphCase`], whose failures shrink to a small graph; the search
 //! backends over one graph, [`Backends`]; one oracle, plain Dijkstra on
-//! a fresh engine ([`reference_cost`], [`assert_engine_agrees`]); and
-//! the exactness regimes, written once over any set of backends
-//! ([`regimes`]).
+//! a fresh engine ([`reference_cost`], [`assert_engine_agrees`]; under
+//! bans, on the graph cost passed as a `Custom` vector, which no
+//! heuristic guides); and the exactness regimes, written once over any
+//! set of backends ([`regimes`]).
 
 // Each harness uses some of these.
 #![allow(dead_code)]
@@ -15,7 +16,6 @@ use std::sync::Arc;
 
 use pathrank::spatial::algo::cch::{Cch, CchConfig, CchTopology};
 use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
-use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::{LandmarkConfig, LandmarkMetric, LandmarkTable};
 use pathrank::spatial::builder::GraphBuilder;
@@ -242,7 +242,7 @@ pub fn reference_cost(g: &Graph, s: VertexId, t: VertexId, cost: CostModel<'_>) 
     if s == t {
         return 0.0;
     }
-    path_cost(g, &shortest_path(g, s, t, cost), cost)
+    path_cost(g, &QueryEngine::new(g).shortest_path(s, t, cost), cost)
 }
 
 /// The cost of `p` under `cost`, `INFINITY` when there is no path.
@@ -380,8 +380,8 @@ pub fn assert_engine_agrees(
 
 /// One `s -> t` query against the oracle, in bits: the path's cost and
 /// the `shortest_path_cost` probe equal plain Dijkstra's, the path is a
-/// valid chain of edges from `s` to `t`, and a query no index serves
-/// returns plain Dijkstra's very path.
+/// simple, valid chain of edges from `s` to `t`, and a query no index
+/// serves returns plain Dijkstra's very path.
 pub fn assert_pair_agrees(
     engine: &mut QueryEngine<'_>,
     s: VertexId,
@@ -390,7 +390,7 @@ pub fn assert_pair_agrees(
     what: &str,
 ) {
     let g = engine.graph();
-    let plain = shortest_path(g, s, t, cost);
+    let plain = QueryEngine::new(g).shortest_path(s, t, cost);
     let want = path_cost(g, &plain, cost);
     let got = engine.shortest_path(s, t, cost);
     let found = path_cost(g, &got, cost);
@@ -408,6 +408,10 @@ pub fn assert_pair_agrees(
     if let Some(p) = &got {
         p.validate(g)
             .unwrap_or_else(|e| panic!("{what}: {s:?}->{t:?} invalid path: {e:?}"));
+        assert!(
+            p.is_simple(),
+            "{what}: {s:?}->{t:?} revisits a vertex: {p:?}"
+        );
         let mut at = s;
         for &e in p.edges() {
             assert_eq!(g.edge(e).from, at, "{what}: {s:?}->{t:?} edges must chain");

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use pathrank::spatial::algo::dijkstra::constrained_shortest_path;
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::LandmarkMetric;
 use pathrank::spatial::graph::{CostModel, VertexId};
@@ -88,6 +87,9 @@ pub fn constrained(
         be.insert((e % g.edge_count()) as u32);
     }
     let cost = CostModel::Length;
+    // The oracle is plain Dijkstra under the bans: `cost`'s own column
+    // as a `Custom` vector, which no heuristic guides on a fresh engine.
+    let unguided = CostModel::Custom(cost.weights(&g));
     for (backend, mut engine) in b.engines(backends) {
         let guided = if backend == SearchBackend::Alt {
             backend
@@ -97,7 +99,14 @@ pub fn constrained(
         prop_assert_eq!(engine.constrained_backend_for(cost), guided);
         for s in (0..case.n() as u32).map(VertexId) {
             for t in (0..case.n() as u32).map(VertexId) {
-                let plain = constrained_shortest_path(&g, s, t, cost, &bv, &be);
+                let plain = QueryEngine::new(&g).constrained_shortest_path(
+                    s,
+                    t,
+                    unguided,
+                    &bv,
+                    &be,
+                    f64::INFINITY,
+                );
                 let fast = engine.constrained_shortest_path(s, t, cost, &bv, &be, f64::INFINITY);
                 prop_assert_eq!(
                     path_cost(&g, &plain, cost).to_bits(),
@@ -130,6 +139,23 @@ pub fn custom_slice(case: &DrawnGraph, salt: u32, backends: &[SearchBackend]) {
     let b = Backends::build(&g, LandmarkMetric::Length);
     let custom = custom_weights(g.edge_count(), salt);
     assert_backends_agree(&b, backends, CostModel::Custom(&custom), "custom");
+}
+
+/// A `Custom` vector with zero entries (a live update may install one:
+/// weights are only held non-negative), served by a CCH customized for
+/// it. A cheapest walk may then revisit a vertex over zero-cost edges;
+/// every engine's path is simple, valid and costs the oracle's bits.
+/// The entries of [`custom_weights`] up to `zeros` become zero, about
+/// `zeros` in 17.
+pub fn zero_weights(case: &DrawnGraph, salt: u32, zeros: u32, backends: &[SearchBackend]) {
+    let g = case.graph();
+    let mut b = Backends::build(&g, LandmarkMetric::Length);
+    let custom: Vec<f64> = custom_weights(g.edge_count(), salt)
+        .into_iter()
+        .map(|w| if w <= zeros as f64 { 0.0 } else { w })
+        .collect();
+    b.cch = Arc::new(b.topo.customize_weights(&g, &custom));
+    assert_backends_agree(&b, backends, CostModel::Custom(&custom), "zero weights");
 }
 
 /// Alternating covered (Length) and fallback (TravelTime / Custom)

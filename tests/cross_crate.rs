@@ -6,7 +6,6 @@ use pathrank::embed::node2vec::{train_node2vec, Node2VecConfig};
 use pathrank::embed::skipgram::SkipGramConfig;
 use pathrank::embed::walks::WalkConfig;
 use pathrank::nn::matrix::Matrix;
-use pathrank::spatial::algo::dijkstra::shortest_path;
 use pathrank::spatial::algo::engine::QueryEngine;
 use pathrank::spatial::generators::{region_network, RegionConfig};
 use pathrank::spatial::graph::{CostModel, Graph, VertexId};
@@ -27,8 +26,12 @@ fn graph_serialisation_preserves_routing() {
     let restored = read_graph(text.as_slice()).unwrap();
     let s = VertexId(1);
     let t = VertexId((g.vertex_count() - 2) as u32);
-    let a = shortest_path(&g, s, t, CostModel::Length).unwrap();
-    let b = shortest_path(&restored, s, t, CostModel::Length).unwrap();
+    let a = QueryEngine::new(&g)
+        .shortest_path(s, t, CostModel::Length)
+        .unwrap();
+    let b = QueryEngine::new(&restored)
+        .shortest_path(s, t, CostModel::Length)
+        .unwrap();
     assert!(
         a.same_route(&b),
         "routing must be identical on the restored graph"
@@ -42,13 +45,9 @@ fn candidate_groups_contain_the_optimal_path() {
     let g = region();
     let trips = simulate_fleet(&g, &SimulationConfig::small_test(), 34);
     let trajectory = &trips[0].path;
-    let sp = shortest_path(
-        &g,
-        trajectory.source(),
-        trajectory.target(),
-        CostModel::Length,
-    )
-    .expect("connected");
+    let sp = QueryEngine::new(&g)
+        .shortest_path(trajectory.source(), trajectory.target(), CostModel::Length)
+        .expect("connected");
     for strategy in [Strategy::TkDI, Strategy::DTkDI] {
         let cfg = CandidateConfig {
             k: 5,

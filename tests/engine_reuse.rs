@@ -20,7 +20,6 @@ use std::sync::Arc;
 use pathrank::obs::Registry;
 use pathrank::spatial::algo::cch::{CchConfig, CchTopology};
 use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
-use pathrank::spatial::algo::dijkstra::{constrained_shortest_path, shortest_path};
 use pathrank::spatial::algo::engine::{EngineObs, QueryEngine, TreeView};
 use pathrank::spatial::algo::landmarks::LandmarkMetric;
 use pathrank::spatial::builder::GraphBuilder;
@@ -79,12 +78,12 @@ fn interleaved_queries_match_fresh_bit_for_bit() {
         // engine never share one.
         match round % 3 {
             0 => {
-                let fresh = shortest_path(&g, s, t, CostModel::Length);
+                let fresh = QueryEngine::new(&g).shortest_path(s, t, CostModel::Length);
                 let reused = engine.shortest_path(s, t, CostModel::Length);
                 assert_same_path(fresh, reused, &format!("round {round} Length {s:?}->{t:?}"));
             }
             1 => {
-                let fresh = shortest_path(&g, s, t, CostModel::TravelTime);
+                let fresh = QueryEngine::new(&g).shortest_path(s, t, CostModel::TravelTime);
                 let reused = engine.shortest_path(s, t, CostModel::TravelTime);
                 assert_same_path(
                     fresh,
@@ -93,7 +92,7 @@ fn interleaved_queries_match_fresh_bit_for_bit() {
                 );
             }
             _ => {
-                let fresh = shortest_path(&g, s, t, CostModel::Custom(&costs));
+                let fresh = QueryEngine::new(&g).shortest_path(s, t, CostModel::Custom(&costs));
                 let reused = engine.shortest_path(s, t, CostModel::Custom(&costs));
                 assert_same_path(fresh, reused, &format!("round {round} Custom {s:?}->{t:?}"));
             }
@@ -124,8 +123,10 @@ fn interleaved_banned_sets_match_fresh() {
             }
         }
         // Bit-identity is asserted fresh-engine vs reused-engine (same
-        // algorithm); the free wrapper runs plain Dijkstra, which may
-        // tie-break differently, so it is held to cost equality.
+        // algorithm). Plain Dijkstra may tie-break differently, so it is
+        // held to cost equality; it runs on the length column passed as a
+        // `Custom` vector, which no heuristic guides on an engine without
+        // landmarks.
         let fresh = QueryEngine::new(&g).constrained_shortest_path(
             s,
             t,
@@ -136,7 +137,14 @@ fn interleaved_banned_sets_match_fresh() {
         );
         let reused =
             engine.constrained_shortest_path(s, t, CostModel::Length, &bv, &be, f64::INFINITY);
-        let free = constrained_shortest_path(&g, s, t, CostModel::Length, &bv, &be);
+        let free = QueryEngine::new(&g).constrained_shortest_path(
+            s,
+            t,
+            CostModel::Custom(CostModel::Length.weights(&g)),
+            &bv,
+            &be,
+            f64::INFINITY,
+        );
         match (&free, &reused) {
             (Some(a), Some(b)) => assert!(
                 (a.length_m(&g) - b.length_m(&g)).abs() < 1e-9,
@@ -153,7 +161,7 @@ fn interleaved_banned_sets_match_fresh() {
 
         // Interleave an unconstrained query so ban-free state follows
         // ban-heavy state on the same space.
-        let fresh = shortest_path(&g, t, s, CostModel::Length);
+        let fresh = QueryEngine::new(&g).shortest_path(t, s, CostModel::Length);
         let reused = engine.shortest_path(t, s, CostModel::Length);
         assert_same_path(
             fresh,
@@ -242,11 +250,6 @@ fn interleaved_algorithms_share_one_engine() {
                     "{}",
                     ctx("cost")
                 );
-                if !with_tables {
-                    // The plain engine's point query is Dijkstra, the oracle.
-                    let oracle = shortest_path(&g, t, s, cost);
-                    assert_same_path(oracle, engine.shortest_path(t, s, cost), &ctx("oracle"));
-                }
             }
             let fresh = tree_bits(&g, fresh_engine().one_to_all(s, CostModel::Length));
             let reused = tree_bits(&g, engine.one_to_all(s, CostModel::Length));
