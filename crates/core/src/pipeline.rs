@@ -277,7 +277,6 @@ impl Workbench {
                 LandmarkMetric::Length,
                 &ChConfig {
                     threads: self.cfg.threads.max(1),
-                    ..ChConfig::default()
                 },
             ))
         })

@@ -1,24 +1,29 @@
 //! Customizable contraction hierarchies (CCH): a metric-independent
 //! contraction phase plus a millisecond re-weighting pass.
 //!
-//! The plain hierarchy in [`crate::algo::ch`] bakes its metric into the
-//! contraction: witness searches prune shortcuts that are not needed
-//! *under the build weights*, so any weight change — live traffic, a
-//! learned [`CostModel::Custom`] vector, a perturbation experiment —
-//! invalidates the whole index and costs a full rebuild (~100 ms at paper
-//! scale). The customizable variant splits the work instead
+//! A hierarchy built for one metric bakes its weights into the arcs it
+//! keeps, so any weight change — live traffic, a learned
+//! [`CostModel::Custom`] vector, a perturbation experiment — invalidates
+//! it and costs a rebuild. The customizable variant splits the work
 //! (Dibbelt, Strasser & Wagner, "Customizable Contraction Hierarchies"):
 //!
 //! 1. **Preprocessing** ([`CchTopology::build`]) fixes a contraction
-//!    order with the deterministic lazy-update loop `ch.rs` also runs
-//!    (`algo/order.rs`, one implementation) and the same edge-difference
-//!    priority, but on *topology only* (an arc between a pair of
-//!    uncontracted neighbours exists or it does not — no estimate, no
-//!    witness searches, no weights). Contracting `v` inserts an arc
-//!    `u -> w` for every in/out neighbour pair that lacks one, so the
+//!    order with the deterministic lazy-update loop of `algo/order.rs`
+//!    and an edge-difference priority on *topology only* (a pair of
+//!    uncontracted vertices is joined or it is not — no weights, no
+//!    search). The topology is the graph's undirected one: a pair joined
+//!    by an edge in either direction gets both arcs, and contracting `v`
+//!    joins every pair of its neighbours that is not joined yet. So the
 //!    arcs are chordal: every `(u -> v, v -> w)` pair through a mid `v`
 //!    ranked below both ends is a **lower triangle** of the arc
-//!    `u -> w`. Triangles are implied by the arcs and never listed.
+//!    `u -> w`, and every vertex's upper neighbours form a clique, which
+//!    makes them all ancestors of it in the **elimination tree** (a
+//!    rank's parent is its lowest upper neighbour). Triangles are implied
+//!    by the arcs and never listed. A direction that no edge or triangle
+//!    covers customizes to `+∞`. The metric-built
+//!    [`crate::algo::ch::ContractionHierarchy`] starts from the same
+//!    order and arcs and keeps the ones a perfect customization leaves
+//!    alone (`metric_hierarchy`).
 //! 2. **Customization** ([`CchTopology::customize`] /
 //!    [`CchTopology::customize_weights`]) re-derives every arc weight for
 //!    a concrete metric: initialise each arc from its cheapest parallel
@@ -43,11 +48,11 @@
 //!    its other end, so nothing is stored per triangle. Graph metrics
 //!    never move (a `Graph` is frozen once built), so a metric
 //!    customization is derived once and has no sparse form.
-//! 3. **Queries** run the stall-on-demand bidirectional upward search,
-//!    the shortcut unpacking and the bucket many-to-many sweeps of
+//! 3. **Queries** run the elimination-tree walk, the shortcut
+//!    unpacking and the bucket many-to-many walks of
 //!    [`crate::algo::ch`] unchanged, through a [`HierarchyView`]: the
-//!    topology's weight-free `Skeleton` (ranks and search segments)
-//!    plus the columns one customization wrote. Structure is
+//!    topology's weight-free `Skeleton` (ranks, tree and search
+//!    segments) plus the columns one customization wrote. Structure is
 //!    built once and shared by `Arc`; a [`Cch`] owns *only* what
 //!    customization writes, so cloning one — a server publishing a
 //!    snapshot — copies weight columns and nothing else. An arc's id *is*
@@ -62,25 +67,25 @@
 //!    | down-list entry (`other`, `arc`) under its higher endpoint | 8 | topology, once |
 //!    | `orig_offsets` | 4 | topology, once |
 //!
-//!    plus six 4-byte entries per rank (rank, vertex of the rank, two
-//!    segment bounds, two `down_offsets`), a quarter byte per arc of the
-//!    skeleton's slot -> rank hints, and nothing per triangle. The
-//!    stamped row (8 bytes per rank) is scratch beside each [`Cch`].
+//!    plus seven 4-byte entries per rank (rank, vertex of the rank, tree
+//!    parent, two segment bounds, two `down_offsets`), a quarter byte per
+//!    arc of the skeleton's slot -> rank hints, and nothing per triangle.
+//!    The stamped row (8 bytes per rank) is scratch beside each [`Cch`].
 //!
-//! The price of skipping witness searches is a denser search graph (every
-//! chordal fill-in arc is kept, where CH would prune witnessed ones), so
-//! per-query latency is somewhat higher than a metric-built CH. The
-//! trade-off wins whenever weights move faster than queries amortise a
-//! rebuild: live-traffic routing, per-driver custom cost vectors, and
-//! perturbation sweeps.
+//! The price of customizability is a denser search graph: every chordal
+//! arc is kept, where the metric-built hierarchy drops the ones its
+//! perfect customization lowered, so a query relaxes more arcs along the
+//! same tree walk. The trade-off wins whenever weights move faster than
+//! queries amortise a rebuild: live-traffic routing, per-driver custom
+//! cost vectors, and perturbation sweeps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::algo::ch::{ArcRule, HierarchyView, SearchArc, Skeleton};
-use crate::algo::labels::Marks;
+use crate::algo::labels::{Marks, NO_PARENT};
 use crate::algo::landmarks::LandmarkMetric;
-use crate::algo::order::{contract_in_priority_order, Contract};
+use crate::algo::order::contract_in_priority_order;
 use crate::graph::{CostModel, EdgeId, Graph, VertexId};
 use crate::util::group_by_key;
 
@@ -181,19 +186,20 @@ impl ArcRow {
 }
 
 /// Build-time working state: dynamic chordal adjacency among
-/// uncontracted vertices. Mirrors `ch::Builder`, minus weights and
-/// witness searches — and so minus arc ids: an adjacency entry is the
-/// arc's other endpoint, all the ordering loop ever reads of an arc.
+/// uncontracted vertices, on the graph's *undirected* topology. A pair
+/// of vertices joined by an edge in either direction gets both arcs, so
+/// every vertex's upper neighbours end up a clique both ways — what the
+/// elimination-tree walk of the queries needs — and a direction that no
+/// edge or triangle covers customizes to `+∞`. An adjacency entry is the
+/// other vertex of a pair, all the ordering loop ever reads of an arc.
 struct TopoBuilder {
-    /// Arc endpoints in creation order, one entry per directed vertex
-    /// pair ever connected; written here, read only by
-    /// [`CchTopology::finalise`].
-    arcs: Vec<(VertexId, VertexId)>,
-    /// Per uncontracted vertex, the heads of its out-arcs and the tails
-    /// of its in-arcs among uncontracted vertices, and no others:
+    /// Vertex pairs in creation order, one entry per pair ever joined;
+    /// written here, read only by [`CchTopology::finalise`], which makes
+    /// two arcs of each.
+    pairs: Vec<(VertexId, VertexId)>,
+    /// Per uncontracted vertex, its uncontracted neighbours, each once:
     /// `contract` prunes the neighbours' lists and frees the vertex's own.
-    out_adj: Vec<Vec<VertexId>>,
-    in_adj: Vec<Vec<VertexId>>,
+    adj: Vec<Vec<VertexId>>,
     /// `u32::MAX` while uncontracted, final rank afterwards.
     rank: Vec<u32>,
     deleted_neighbors: Vec<u32>,
@@ -203,95 +209,86 @@ struct TopoBuilder {
 /// Per-worker buffers of the ordering loop.
 #[derive(Default)]
 struct TopoScratch {
-    /// Distinct uncontracted in- and out-neighbours of the probed vertex.
-    ins: Vec<VertexId>,
-    outs: Vec<VertexId>,
+    /// Uncontracted neighbours of the probed vertex.
+    nbs: Vec<VertexId>,
     /// The fill-in contracting the probed vertex inserts, in insertion
-    /// order: every pair `(u, w)` of an in-neighbour and a distinct
-    /// out-neighbour with no arc `u -> w`.
+    /// order: every pair of its neighbours not joined yet.
     fill: Vec<(VertexId, VertexId)>,
-    /// The vertex `ins`, `outs` and `fill` describe, until the builder
-    /// next changes: the loop contracts a vertex right after the
-    /// `priority` call that let it win, which already probed it.
+    /// The vertex `nbs` and `fill` describe, until the builder next
+    /// changes: the loop contracts a vertex right after the `priority`
+    /// call that let it win, which already probed it.
     probed: Option<VertexId>,
-    /// A vertex set emptied in O(1): the heads of one in-neighbour while
-    /// probing, the neighbours bumped so far while contracting.
+    /// A vertex set emptied in O(1): the neighbours of one neighbour.
     marks: Marks,
 }
 
 impl TopoBuilder {
     fn new(g: &Graph) -> Self {
         let n = g.vertex_count();
-        let mut arcs: Vec<(VertexId, VertexId)> = Vec::with_capacity(g.edge_count());
-        let mut out_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(g.edge_count() / 2);
+        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         for e in g.edges() {
             // Self-loops can never lie on a shortest path (weights are
             // non-negative) and would break the chordal invariants; drop
-            // them from the topology outright. Parallel edges share one
-            // arc.
-            if e.from == e.to || out_adj[e.from.index()].contains(&e.to) {
+            // them from the topology outright. Parallel and opposite
+            // edges share one pair.
+            if e.from == e.to || adj[e.from.index()].contains(&e.to) {
                 continue;
             }
-            arcs.push((e.from, e.to));
-            out_adj[e.from.index()].push(e.to);
-            in_adj[e.to.index()].push(e.from);
+            pairs.push((e.from, e.to));
+            adj[e.from.index()].push(e.to);
+            adj[e.to.index()].push(e.from);
         }
         TopoBuilder {
-            arcs,
-            out_adj,
-            in_adj,
+            pairs,
+            adj,
             rank: vec![u32::MAX; n],
             deleted_neighbors: vec![0; n],
             level: vec![0; n],
         }
     }
 
-    /// Gathers `v`'s uncontracted in/out neighbours and the fill-in its
-    /// contraction needs into `scratch`. Arcs are unique per directed
-    /// pair and the lists hold no self-loop, so nothing is deduplicated.
-    /// Whether `u -> w` exists is one mark: `u`'s heads are marked in a
-    /// set of their own per in-neighbour `u`.
+    /// Gathers `v`'s uncontracted neighbours and the fill-in its
+    /// contraction needs into `scratch`. Pairs are unique and the lists
+    /// hold no self-loop, so nothing is deduplicated. Whether `u` and `w`
+    /// are joined is one mark: `u`'s neighbours are marked in a set of
+    /// their own per neighbour `u`.
     fn probe(&self, v: VertexId, scratch: &mut TopoScratch) {
-        scratch.ins.clone_from(&self.in_adj[v.index()]);
-        scratch.outs.clone_from(&self.out_adj[v.index()]);
+        scratch.nbs.clone_from(&self.adj[v.index()]);
         scratch.fill.clear();
-        for i in 0..scratch.ins.len() {
-            let u = scratch.ins[i];
+        for i in 0..scratch.nbs.len() {
+            let u = scratch.nbs[i];
             scratch.marks.begin(self.rank.len());
-            for &w in &self.out_adj[u.index()] {
+            for &w in &self.adj[u.index()] {
                 scratch.marks.insert(w.index());
             }
-            for &w in &scratch.outs {
-                if w != u && !scratch.marks.contains(w.index()) {
+            for &w in &scratch.nbs[i + 1..] {
+                if !scratch.marks.contains(w.index()) {
                     scratch.fill.push((u, w));
                 }
             }
         }
         scratch.probed = Some(v);
     }
-}
 
-impl Contract for TopoBuilder {
-    type Scratch = TopoScratch;
-
-    /// The lazy-update priority of `v`: same shape as the weighted
-    /// builder's (twice the edge difference plus uniformity terms), with
-    /// "shortcuts needed" counted by pure arc existence instead of
-    /// witness searches. Pure, so the initial sweep runs it from many
-    /// threads.
+    /// The lazy-update priority of `v`: twice the edge difference — arcs
+    /// inserted minus arcs removed, two per pair — plus the
+    /// deleted-neighbours and depth uniformity terms; shortcuts are
+    /// counted by pure pair existence, no weights and no search. Pure,
+    /// so the initial sweep runs it from many threads.
     fn priority(&self, v: VertexId, scratch: &mut TopoScratch) -> i64 {
         self.probe(v, scratch);
-        let removed = scratch.ins.len() + scratch.outs.len();
-        2 * (scratch.fill.len() as i64 - removed as i64)
+        let (inserted, removed) = (2 * scratch.fill.len(), 2 * scratch.nbs.len());
+        2 * (inserted as i64 - removed as i64)
             + self.deleted_neighbors[v.index()] as i64
             + 8 * self.level[v.index()] as i64
     }
 
-    /// Contracts `v` at `rank`: completes the chordal clique among its
-    /// uncontracted neighbours (inserting fill-in arcs where missing),
-    /// then bumps and prunes the neighbourhood exactly like the weighted
-    /// builder. Reuses the probe of the `priority(v)` call just made.
+    /// Contracts `v` at `rank`: completes the clique among its
+    /// uncontracted neighbours (inserting fill-in pairs where missing),
+    /// bumps their deleted-neighbour count and depth, and prunes `v` out
+    /// of their lists. Reuses the probe of the `priority(v)` call just
+    /// made.
     fn contract(&mut self, v: VertexId, rank: u32, scratch: &mut TopoScratch) {
         if scratch.probed != Some(v) {
             self.probe(v, scratch);
@@ -299,39 +296,148 @@ impl Contract for TopoBuilder {
         scratch.probed = None;
         self.rank[v.index()] = rank;
         for &(u, w) in &scratch.fill {
-            self.arcs.push((u, w));
-            self.out_adj[u.index()].push(w);
-            self.in_adj[w.index()].push(u);
+            self.pairs.push((u, w));
+            self.adj[u.index()].push(w);
+            self.adj[w.index()].push(u);
         }
-
-        // `v` is once in each in-neighbour's heads and each
-        // out-neighbour's tails, and in no other list.
-        let unlink = |list: &mut Vec<VertexId>| {
+        let bumped = self.level[v.index()] + 1;
+        for &nb in &scratch.nbs {
+            // `v` is once in each neighbour's list.
+            let list = &mut self.adj[nb.index()];
             let at = list.iter().position(|&x| x == v);
-            list.remove(at.expect("arcs are listed at both ends"));
-        };
-        for &u in &scratch.ins {
-            unlink(&mut self.out_adj[u.index()]);
-        }
-        for &w in &scratch.outs {
-            unlink(&mut self.in_adj[w.index()]);
-        }
-        // Each distinct neighbour once, whichever list names it first.
-        scratch.marks.begin(self.rank.len());
-        for &nb in scratch.ins.iter().chain(&scratch.outs) {
-            if scratch.marks.insert(nb.index()) {
-                continue;
-            }
+            list.swap_remove(at.expect("pairs are listed at both ends"));
             self.deleted_neighbors[nb.index()] += 1;
-            let bumped = self.level[v.index()] + 1;
-            if self.level[nb.index()] < bumped {
-                self.level[nb.index()] = bumped;
+            let level = &mut self.level[nb.index()];
+            *level = (*level).max(bumped);
+        }
+        // Nothing reads a contracted vertex's list again.
+        self.adj[v.index()] = Vec::new();
+    }
+}
+
+/// The weight-free skeleton of `g`'s chordal topology: the ordering
+/// loop (initial priorities fanned out over `threads` workers), then the
+/// arcs — two per vertex pair — numbered by search slot, with the
+/// elimination tree. Search segments, one per rank: upward out-arcs then
+/// downward in-arcs, each half in pair creation order, so the two
+/// halves of a segment name the same ranks in the same order. A half's
+/// arcs share their lower endpoint; an owner hangs off a rank above the
+/// mid both its supports hang off, so it sorts after them. Pairs are
+/// unique, so unlike `ContractionHierarchy::assemble` there is nothing
+/// to dedupe. Deterministic and bit-identical for any thread count.
+fn skeleton(g: &Graph, threads: usize) -> Skeleton {
+    let mut b = TopoBuilder::new(g);
+    let n = g.vertex_count();
+    contract_in_priority_order(
+        n,
+        threads,
+        &mut b,
+        TopoBuilder::priority,
+        TopoBuilder::contract,
+    );
+    // Only the ranks and the pairs outlive the ordering loop.
+    let TopoBuilder { pairs, rank, .. } = b;
+    assert!(
+        n.max(g.edge_count()).max(2 * pairs.len()) <= ArcRule::ORIGINAL as usize,
+        "ranks, edge ids and arc ids must fit 31 bits"
+    );
+    let (halves, by_slot) = group_by_key(2 * n, 0u32, |emit| {
+        for (&(a, b), pair) in pairs.iter().zip(0u32..) {
+            let low = rank[a.index()].min(rank[b.index()]);
+            emit(2 * low, pair);
+            emit(2 * low + 1, pair);
+        }
+    });
+    let seg_arcs: Vec<SearchArc> = by_slot
+        .iter()
+        .map(|&pair| {
+            let (a, b) = pairs[pair as usize];
+            let other = rank[a.index()].max(rank[b.index()]);
+            SearchArc { other }
+        })
+        .collect();
+    drop((pairs, by_slot));
+    // The parent of a rank in the elimination tree is its lowest upper
+    // neighbour; the others are its ancestors, because every upper
+    // neighbourhood is a clique.
+    let parent = (0..n)
+        .map(|r| {
+            let (lo, mid) = (halves[2 * r] as usize, halves[2 * r + 1] as usize);
+            let ups = seg_arcs[lo..mid].iter().map(|sa| sa.other);
+            ups.min().unwrap_or(NO_PARENT)
+        })
+        .collect();
+    Skeleton::new(rank, parent, halves, seg_arcs)
+}
+
+/// Every lower triangle once, as `(owner p -> q, p -> v, v -> q, v)`,
+/// tails `p` in ascending rank and, per tail, mids `v` in ascending
+/// rank: `p` stamps its out-arcs, then each up-out arc `v -> q` of each
+/// lower neighbour `v` (but the 2-cycle back to `p`) names its owner by
+/// `q`. So every owner meets its mids in ascending rank, after all
+/// triangles of both legs: `v -> q` belongs to the earlier tail `v`, and
+/// `p -> v` has only mids below `v`. `down_out(p)` lists `p`'s arcs to
+/// lower ranks, ascending by the lower rank.
+fn for_each_triangle<'d>(
+    skel: &Skeleton,
+    down_out: impl Fn(usize) -> &'d [DownArc],
+    row: &mut ArcRow,
+    mut relax: impl FnMut(u32, u32, u32, u32),
+) {
+    for p in 0..skel.rank.len() {
+        let down_out = down_out(p);
+        if down_out.is_empty() {
+            continue;
+        }
+        stamp_out_arcs(skel, down_out, p, row);
+        for b in down_out {
+            let (lo, mid, _) = skel.bounds(b.other as usize);
+            for (c, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
+                if sa.other as usize != p {
+                    relax(closing_arc(row, sa.other), b.arc, c, b.other);
+                }
             }
         }
-        // Nothing reads a contracted vertex's lists again.
-        self.out_adj[v.index()] = Vec::new();
-        self.in_adj[v.index()] = Vec::new();
     }
+}
+
+/// Stamps every out-arc of rank `p` into `row` by its head's rank: its
+/// upward segment half and its arcs to lower ranks, `down_out`.
+fn stamp_out_arcs(skel: &Skeleton, down_out: &[DownArc], p: usize, row: &mut ArcRow) {
+    row.restamp(skel.rank.len());
+    let (lo, mid, _) = skel.bounds(p);
+    for (slot, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
+        row.insert(sa.other, slot);
+    }
+    for b in down_out {
+        row.insert(b.other, b.arc);
+    }
+}
+
+/// The arc `p -> q` closing the legs `p -> v -> q`, from the row stamped
+/// for `p`'s out-arcs or `q`'s in-arcs.
+#[inline]
+fn closing_arc(row: &ArcRow, end: u32) -> u32 {
+    row.get(end).expect("CCH arcs are not chordal")
+}
+
+/// Lowers one customization's `weights` to the customization's
+/// relaxation of every lower triangle, `p -> q ← (p -> v) + (v -> q)`
+/// with a strict `<`, the winner's expansion word naming the mid `v`.
+fn relax_lower_triangles<'d>(
+    skel: &Skeleton,
+    down_out: impl Fn(usize) -> &'d [DownArc],
+    weights: &mut [f64],
+    rules: &mut [ArcRule],
+    row: &mut ArcRow,
+) {
+    for_each_triangle(skel, down_out, row, |owner, b, c, mid| {
+        let cand = weights[b as usize] + weights[c as usize];
+        if cand < weights[owner as usize] {
+            weights[owner as usize] = cand;
+            rules[owner as usize] = ArcRule::shortcut(mid);
+        }
+    });
 }
 
 /// The lower triangles of one arc `u -> w` ([`CchTopology::triangles_of`]):
@@ -369,50 +475,15 @@ impl CchTopology {
     /// the full chordal shortcut topology.
     /// Deterministic and bit-identical for any thread count.
     pub fn build(g: &Graph, cfg: &CchConfig) -> Self {
-        let mut b = TopoBuilder::new(g);
-        contract_in_priority_order(g.vertex_count(), cfg.threads, &mut b);
-        // Only the ranks and the arc endpoints outlive the ordering loop.
-        let TopoBuilder { arcs, rank, .. } = b;
-        Self::finalise(g, rank, arcs)
+        Self::finalise(g, skeleton(g, cfg.threads))
     }
 
-    /// The tail of [`CchTopology::build`], from the ranks and the arc
-    /// endpoints in creation order: numbers the arcs by search slot and
-    /// lays out the search skeleton, the down-lists and the original
-    /// edges under their arcs, each grouping one counting sort into its
-    /// final array. `TopoBuilder::contract` leaves the arcs chordal, so
-    /// every pair of legs has the arc customization looks up for it.
-    fn finalise(g: &Graph, rank: Vec<u32>, old_ends: Vec<(VertexId, VertexId)>) -> Self {
-        let n = rank.len();
-        let arc_count = old_ends.len();
-        assert!(
-            n.max(g.edge_count()) <= ArcRule::ORIGINAL as usize,
-            "ranks and edge ids must fit 31 bits"
-        );
-
-        // Search segments, one per rank: upward out-arcs then downward
-        // in-arcs, creation order within each half — and an arc's id is
-        // its slot. A half's arcs share their lower endpoint; an owner
-        // hangs off a rank above the mid both its supports hang off, so
-        // it sorts after them. Arcs are unique per directed pair, so
-        // unlike `ContractionHierarchy::assemble` there is nothing to
-        // dedupe and every arc owns exactly one slot.
-        let (halves, by_slot) = group_by_key(2 * n, 0u32, |emit| {
-            for (&(from, to), arc) in old_ends.iter().zip(0u32..) {
-                let (rf, rt) = (rank[from.index()], rank[to.index()]);
-                emit(2 * rf.min(rt) + u32::from(rf > rt), arc);
-            }
-        });
-        let seg_arcs: Vec<SearchArc> = by_slot
-            .iter()
-            .map(|&arc| {
-                let (from, to) = old_ends[arc as usize];
-                let other = rank[from.index()].max(rank[to.index()]);
-                SearchArc { other }
-            })
-            .collect();
-        drop((old_ends, by_slot));
-
+    /// The tail of [`CchTopology::build`], from the skeleton: lays out
+    /// the down-lists and the original edges under their arcs, each
+    /// grouping one counting sort into its final array.
+    fn finalise(g: &Graph, skel: Skeleton) -> Self {
+        let (n, arc_count) = (skel.rank.len(), skel.seg_arcs.len());
+        let (halves, seg_arcs) = (&skel.halves, &skel.seg_arcs);
         // Down-lists, filed under each arc's higher endpoint: a search
         // segment's upward half is down-in arcs of their heads, its
         // downward half down-out arcs of their tails. Sweeping segments
@@ -430,22 +501,13 @@ impl CchTopology {
                 }
             }
         });
-        let skel = Skeleton::new(rank, halves, seg_arcs);
 
-        // Every edge but a self-loop merged into the one arc of its pair,
-        // in the lower endpoint's half; ascending `EdgeId` under an arc.
+        // Every edge but a self-loop merged into the one arc of its pair
+        // and direction, in the lower endpoint's half; ascending `EdgeId`
+        // under an arc.
         let edge_arc: Vec<u32> = g
             .edges()
-            .map(|e| {
-                let (rf, rt) = (skel.rank[e.from.index()], skel.rank[e.to.index()]);
-                if rf == rt {
-                    return u32::MAX;
-                }
-                let (lo, mid, hi) = skel.bounds(rf.min(rt) as usize);
-                let half = if rf < rt { (lo, mid) } else { (mid, hi) };
-                skel.find(half, rf.max(rt))
-                    .expect("every edge's pair has an arc")
-            })
+            .map(|e| skel.arc_between(e.from, e.to).unwrap_or(u32::MAX))
             .collect();
         let (orig_offsets, orig_edges) = group_by_key(arc_count, EdgeId(0), |emit| {
             for (&a, e) in edge_arc.iter().zip(0u32..).filter(|(&a, _)| a != u32::MAX) {
@@ -528,18 +590,6 @@ impl CchTopology {
         &self.down[self.down_offsets[2 * r + 1] as usize..self.down_offsets[2 * r + 2] as usize]
     }
 
-    /// Stamps every out-arc of rank `p` into `row` by its head's rank.
-    fn stamp_out_arcs(&self, p: usize, row: &mut ArcRow) {
-        row.restamp(self.vertex_count());
-        let (lo, mid, _) = self.skel.bounds(p);
-        for (slot, sa) in (lo..mid).zip(&self.skel.seg_arcs[lo as usize..mid as usize]) {
-            row.insert(sa.other, slot);
-        }
-        for b in self.down_out(p) {
-            row.insert(b.other, b.arc);
-        }
-    }
-
     /// Stamps every in-arc of rank `q` into `row` by its tail's rank.
     fn stamp_in_arcs(&self, q: usize, row: &mut ArcRow) {
         row.restamp(self.vertex_count());
@@ -549,39 +599,6 @@ impl CchTopology {
         }
         for c in self.down_in(q) {
             row.insert(c.other, c.arc);
-        }
-    }
-
-    /// The arc `p -> q` closing the legs `p -> v -> q`, from the row
-    /// stamped for `p`'s out-arcs or `q`'s in-arcs.
-    #[inline]
-    fn closing_arc(row: &ArcRow, end: u32) -> u32 {
-        row.get(end).expect("CCH arcs are not chordal")
-    }
-
-    /// Every lower triangle once, as `(owner p -> q, p -> v, v -> q, v)`,
-    /// tails `p` in ascending rank and, per tail, mids `v` in ascending
-    /// rank: `p` stamps its out-arcs, then each up-out arc `v -> q` of
-    /// each lower neighbour `v` (but the 2-cycle back to `p`) names its
-    /// owner by `q`. So every owner meets its mids in ascending rank,
-    /// after all triangles of both legs: `v -> q` belongs to the earlier
-    /// tail `v`, and `p -> v` has only mids below `v`.
-    fn for_each_triangle(&self, row: &mut ArcRow, mut relax: impl FnMut(u32, u32, u32, u32)) {
-        let skel = &self.skel;
-        for p in 0..self.vertex_count() {
-            let down_out = self.down_out(p);
-            if down_out.is_empty() {
-                continue;
-            }
-            self.stamp_out_arcs(p, row);
-            for b in down_out {
-                let (lo, mid, _) = skel.bounds(b.other as usize);
-                for (c, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
-                    if sa.other as usize != p {
-                        relax(Self::closing_arc(row, sa.other), b.arc, c, b.other);
-                    }
-                }
-            }
         }
     }
 
@@ -641,7 +658,7 @@ impl CchTopology {
             self.stamp_in_arcs(far as usize, row);
             mid..hi
         } else {
-            self.stamp_out_arcs(far as usize, row);
+            stamp_out_arcs(skel, self.down_out(far as usize), far as usize, row);
             lo..mid
         };
         let row: &ArcRow = row;
@@ -649,7 +666,7 @@ impl CchTopology {
         co_supports
             .zip(seg)
             .filter(move |(_, sa)| sa.other != far)
-            .map(move |(co, sa)| (Self::closing_arc(row, sa.other), co))
+            .map(move |(co, sa)| (closing_arc(row, sa.other), co))
     }
 
     /// Customizes the topology for `cost`, deriving every arc weight
@@ -697,10 +714,9 @@ impl CchTopology {
     /// original (lowest `EdgeId` on ties), then one sweep over the tails
     /// in ascending rank relaxing every triangle,
     /// `p -> q ← (p -> v) + (v -> q)` with a strict `<`, the winner's
-    /// expansion word naming the mid `v`
-    /// ([`CchTopology::for_each_triangle`], which looks each owner up in
-    /// `row`). Both legs are final when read, and each owner sees its
-    /// triangles in ascending mid rank, the order
+    /// expansion word naming the mid `v` (`for_each_triangle`, which
+    /// looks each owner up in `row`). Both legs are final when read, and
+    /// each owner sees its triangles in ascending mid rank, the order
     /// [`CchTopology::triangles_of`] yields them, which the sparse pass
     /// relaxes in too. Writes the caller's columns in place: after a
     /// [`Cch`]'s first pass a full re-customization allocates nothing.
@@ -725,18 +741,189 @@ impl CchTopology {
                 }
             }
         }
-        self.for_each_triangle(row, |owner, b, c, mid| {
-            let cand = weights[b as usize] + weights[c as usize];
-            if cand < weights[owner as usize] {
-                weights[owner as usize] = cand;
-                rules[owner as usize] = ArcRule::shortcut(mid);
+        relax_lower_triangles(&self.skel, |p| self.down_out(p), weights, rules, row);
+    }
+}
+
+/// Perfect customization in place (Dibbelt, Strasser & Wagner, section
+/// 5): lowers every arc of a customized `weights` column over `skel` to
+/// the distance between its ends, and returns the bitset of the arcs it
+/// lowered. Ranks `u` top-down, every triangle `u < x < w` once, at `u`:
+/// the arcs of `u` to and from `w` relax through `x`, and those to and
+/// from `x` through `w`, over the arcs between `x` and `w`, which are
+/// final already. A shortest `u -> w` path leaves `u` below it up to its
+/// first higher vertex `y`, a neighbour of `u` whose lower path the
+/// customization already weighed, and goes on from `y` at its final
+/// distance, so the triangle through `y` makes the arc exact. `u`'s
+/// out-arcs are stamped in a row by head; its in-arc from the same rank
+/// sits at the same offset of the segment's other half.
+fn perfect_customize(skel: &Skeleton, weights: &mut [f64]) -> Vec<u64> {
+    let n = skel.rank.len();
+    let mut lowered = vec![0u64; weights.len().div_ceil(64)];
+    let mut relax = |weights: &mut [f64], a: u32, cand: f64| {
+        if cand < weights[a as usize] {
+            weights[a as usize] = cand;
+            lowered[a as usize >> 6] |= 1 << (a & 63);
+        }
+    };
+    let mut row = ArcRow::default();
+    for u in (0..n).rev() {
+        let (lo, mid, hi) = skel.bounds(u);
+        if lo == mid {
+            continue;
+        }
+        debug_assert_eq!(mid - lo, hi - mid, "a segment's halves mirror");
+        row.restamp(n);
+        for (slot, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
+            row.insert(sa.other, slot);
+        }
+        for ux in lo..mid {
+            let xu = ux - lo + mid;
+            let (x_lo, x_mid, _) = skel.bounds(skel.seg_arcs[ux as usize].other as usize);
+            for xw in x_lo..x_mid {
+                let Some(uw) = row.get(skel.seg_arcs[xw as usize].other) else {
+                    continue;
+                };
+                let (wx, wu) = (xw - x_lo + x_mid, uw - lo + mid);
+                let w = |a: u32| weights[a as usize];
+                let (via_x, via_x_back) = (w(ux) + w(xw), w(wx) + w(xu));
+                relax(weights, uw, via_x);
+                relax(weights, wu, via_x_back);
+                let w = |a: u32| weights[a as usize];
+                let (via_w, via_w_back) = (w(uw) + w(wx), w(xw) + w(wu));
+                relax(weights, ux, via_w);
+                relax(weights, xu, via_w_back);
+            }
+        }
+    }
+    lowered
+}
+
+/// What arc `a`'s expansion rule sums to: its edge's cost, or its legs'
+/// sums added — the weight customization gave it, read back through the
+/// arcs the perfect pass lowered since.
+fn rule_sum(
+    skel: &Skeleton,
+    a: usize,
+    (rules, weights, lowered): (&[ArcRule], &[f64], &[u64]),
+    edge_cost: &impl Fn(EdgeId) -> f64,
+) -> f64 {
+    if lowered[a >> 6] >> (a & 63) & 1 == 0 {
+        return weights[a];
+    }
+    if let Some(e) = rules[a].edge() {
+        return edge_cost(e);
+    }
+    let (tail, head) = skel.slot_ends(a);
+    let sum = |leg: u32| rule_sum(skel, leg as usize, (rules, weights, lowered), edge_cost);
+    let [b, c] = skel.legs(rules[a].0, tail, head);
+    sum(b) + sum(c)
+}
+
+/// The arcs of a metric-built contraction hierarchy over `g` under
+/// `edge_cost`: the skeleton of `g`'s chordal topology (initial
+/// priorities fanned out over `threads` workers), a customization, a
+/// perfect one over it, and then only the arcs the perfect pass left at
+/// their customized weight — finite, and on a shortest path no higher
+/// vertex offers — plus both legs of every kept shortcut. A kept arc
+/// weighs the distance between its ends. So does a leg in exact
+/// arithmetic, but float sums of other associations can undercut one by
+/// an ulp; such a leg gets back the weight its rule sums to, so every
+/// kept shortcut weighs its legs' sum.
+///
+/// Nothing a [`CchTopology`] keeps for re-customizing is built: the
+/// originals are read off the graph's edges (ascending `EdgeId`, as
+/// under an arc), and the customization's down-out lists live only
+/// through its sweep. The skeleton is pruned in place.
+pub(crate) fn metric_hierarchy(
+    g: &Graph,
+    threads: usize,
+    edge_cost: impl Fn(EdgeId) -> f64,
+) -> (Skeleton, Vec<ArcRule>, Vec<f64>) {
+    let mut skel = skeleton(g, threads);
+    let (n, arcs) = (skel.rank.len(), skel.seg_arcs.len());
+    let mut weights = vec![f64::INFINITY; arcs];
+    let mut rules = vec![ArcRule(u32::MAX); arcs];
+    for (e, rec) in (0u32..).map(EdgeId).zip(g.edges()) {
+        if let Some(a) = skel.arc_between(rec.from, rec.to) {
+            let c = edge_cost(e);
+            if c < weights[a as usize] {
+                weights[a as usize] = c;
+                rules[a as usize] = ArcRule::original(e);
+            }
+        }
+    }
+    {
+        // Each rank's arcs to lower ranks: the downward halves' entries,
+        // filed under their tails, in ascending order of the head.
+        let no_arc = DownArc { other: 0, arc: 0 };
+        let (offsets, down_out) = group_by_key(n, no_arc, |emit| {
+            for v in 0..n {
+                let (_, mid, hi) = skel.bounds(v);
+                for (slot, sa) in (mid..hi).zip(&skel.seg_arcs[mid as usize..hi as usize]) {
+                    emit(
+                        sa.other,
+                        DownArc {
+                            other: v as u32,
+                            arc: slot,
+                        },
+                    );
+                }
             }
         });
-        debug_assert!(
-            weights.iter().all(|w| w.is_finite()),
-            "every arc must end customization with a finite weight"
+        let down_out = |p: usize| &down_out[offsets[p] as usize..offsets[p + 1] as usize];
+        relax_lower_triangles(
+            &skel,
+            down_out,
+            &mut weights,
+            &mut rules,
+            &mut ArcRow::default(),
         );
     }
+    let mut lowered = perfect_customize(&skel, &mut weights);
+    let bit = |set: &[u64], a: usize| set[a >> 6] >> (a & 63) & 1 != 0;
+    let mut keep: Vec<u64> = lowered.iter().map(|&l| !l).collect();
+    for (a, w) in weights.iter().enumerate() {
+        if w.is_infinite() {
+            keep[a >> 6] &= !(1 << (a & 63));
+        }
+    }
+    // Legs top-down: a shortcut's legs sit in its mid's segment, below
+    // both its ends, so they are visited after it.
+    for r in (0..n).rev() {
+        let (lo, mid, hi) = skel.bounds(r);
+        for slot in lo as usize..hi as usize {
+            if !bit(&keep, slot) || rules[slot].edge().is_some() {
+                continue;
+            }
+            let other = skel.seg_arcs[slot].other;
+            let (tail, head) = if slot < mid as usize {
+                (r as u32, other)
+            } else {
+                (other, r as u32)
+            };
+            for leg in skel.legs(rules[slot].0, tail, head).map(|leg| leg as usize) {
+                if !bit(&keep, leg) {
+                    keep[leg >> 6] |= 1 << (leg & 63);
+                    weights[leg] = rule_sum(&skel, leg, (&rules, &weights, &lowered), &edge_cost);
+                    lowered[leg >> 6] &= !(1 << (leg & 63));
+                }
+            }
+        }
+    }
+    skel.retain(
+        |slot| bit(&keep, slot),
+        |from, to| {
+            weights[to] = weights[from];
+            rules[to] = rules[from];
+        },
+    );
+    let kept = skel.seg_arcs.len();
+    weights.truncate(kept);
+    weights.shrink_to_fit();
+    rules.truncate(kept);
+    rules.shrink_to_fit();
+    (skel, rules, weights)
 }
 
 /// What one customization writes: 12 bytes per arc.
@@ -1249,12 +1436,18 @@ mod tests {
         // The loop contracts a vertex right after the `priority` call that
         // let it win, and `contract` reuses that call's probe. Replaying
         // the loop's order with another vertex probed last each time makes
-        // `contract` probe for itself; the arcs, in creation order (which
+        // `contract` probe for itself; the pairs, in creation order (which
         // numbers the slots), must not differ.
         let g = region();
         let n = g.vertex_count();
         let mut looped = TopoBuilder::new(&g);
-        contract_in_priority_order(n, 2, &mut looped);
+        contract_in_priority_order(
+            n,
+            2,
+            &mut looped,
+            TopoBuilder::priority,
+            TopoBuilder::contract,
+        );
         let mut order = vec![VertexId(0); n];
         for (v, &r) in (0u32..).zip(&looped.rank) {
             order[r as usize] = VertexId(v);
@@ -1268,7 +1461,7 @@ mod tests {
             replay.contract(v, r, &mut scratch);
         }
         assert_eq!(replay.rank, looped.rank);
-        assert!(replay.arcs == looped.arcs, "fill-in arcs differ");
+        assert!(replay.pairs == looped.pairs, "fill-in pairs differ");
     }
 
     #[test]

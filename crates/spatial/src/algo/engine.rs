@@ -15,8 +15,8 @@
 //! — stamp, parent, distance — stamped with the epoch that last wrote it,
 //! so stale labels from earlier queries are simply never read, beside its
 //! heap and its work counters. Every search in the crate runs on sides:
-//! Dijkstra and A* here, the hierarchies' upward sweeps and the CH
-//! builder's witness searches. [`QueryEngine`] owns two, the forward and
+//! Dijkstra and A* here, and the hierarchies' elimination-tree walks.
+//! [`QueryEngine`] owns two, the forward and
 //! backward sides of one [`ChSearch`] (the backward one sized on first
 //! use), and runs every algorithm of this crate on them as a method.
 //! There is no free search function: a one-off query is
@@ -32,9 +32,10 @@
 //! therefore the same whoever calls it, and since heap ties pop in push
 //! order every output is reproducible bit for bit (pinned by the
 //! `engine_golden_*` tests below). The hierarchies have one loop of
-//! their own, the upward sweep in [`crate::algo::ch`]: a CH or CCH
-//! point query is two sweeps, and a many-to-many table
-//! ([`crate::algo::m2m`]) one per target and one per source.
+//! their own, the elimination-tree walk in [`crate::algo::ch`]: a CH or
+//! CCH point query walks the ancestors of both endpoints, and a
+//! many-to-many table ([`crate::algo::m2m`]) walks once per target and
+//! once per source.
 //!
 //! # Example
 //!
@@ -52,7 +53,6 @@
 //! assert!(a.length_m(&g) > 0.0 && b.length_m(&g) > 0.0);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use pathrank_obs::{Counter, Registry};
@@ -262,8 +262,9 @@ impl Heuristic<'_> {
 ///   the cost model: the metric it was customized for, or — uniquely
 ///   among the index backends — a [`CostModel::Custom`] vector bitwise
 ///   equal to the customized one. Same unconstrained-only rule as `Ch`
-///   (its arcs are shortcuts too); ranked below `Ch` because the
-///   witness-free chordal search graph is denser.
+///   (its arcs are shortcuts too); ranked below `Ch` because it keeps
+///   every arc of the chordal topology, where the metric-built CH keeps
+///   only the arcs its perfect customization left alone.
 /// * [`SearchBackend::Alt`] — a [`LandmarkTable`] is attached and covers
 ///   the cost model. Landmark lower bounds survive banned sets (bans
 ///   only shrink the graph), so this is also the strongest constrained
@@ -517,7 +518,7 @@ pub struct QueryEngine<'g> {
     g: &'g Graph,
     /// The engine's two search sides, shared by every algorithm: the
     /// forward one runs point queries, spur searches, forward sweeps and
-    /// every hierarchy sweep but a point query's backward one; the
+    /// every hierarchy walk but a point query's backward one; the
     /// backward one runs that and the reverse sweeps
     /// ([`QueryEngine::one_to_all_rev`]). Beside them, the unpack buffers
     /// and the many-to-many buckets. Nothing in it outlives a call, so
@@ -561,18 +562,15 @@ enum Answer<'e> {
 
 impl Answer<'_> {
     /// The answer as a simple [`Path`]; `None` when a tree search did not
-    /// reach `target`. A tree path is simple by construction. An unpacked
-    /// one can revisit a vertex only over edges of zero weight, so only a
-    /// path with such an edge has its cycles cut.
-    fn path(&self, target: VertexId, weights: &[f64]) -> Option<Path> {
+    /// reach `target`. Both kinds are simple by construction: a tree path
+    /// follows parent pointers, and a hierarchy query cuts the cycles an
+    /// unpacked walk can carry under zero weights.
+    fn path(&self, target: VertexId) -> Option<Path> {
         match self {
-            Answer::Unpacked(edges, vertices) => {
-                let (mut edges, mut vertices) = (edges.to_vec(), vertices.to_vec());
-                if edges.iter().any(|e| weights[e.index()] == 0.0) {
-                    cut_cycles(&mut edges, &mut vertices);
-                }
-                Some(Path::from_parts_unchecked(vertices, edges))
-            }
+            Answer::Unpacked(edges, vertices) => Some(Path::from_parts_unchecked(
+                vertices.to_vec(),
+                edges.to_vec(),
+            )),
             Answer::Tree(tree) => tree.path_to(target),
         }
     }
@@ -594,34 +592,6 @@ impl Answer<'_> {
             }
         }
     }
-}
-
-/// Cuts every cycle out of the walk `vertices` (joined by `edges`) at
-/// its vertex's first occurrence. A hierarchy answer is a cheapest walk,
-/// so under non-negative weights each cycle it carries costs exactly
-/// zero: the cut drops only `+ 0.0` terms from the left-to-right cost
-/// fold, which keeps its bits.
-fn cut_cycles(edges: &mut Vec<EdgeId>, vertices: &mut Vec<VertexId>) {
-    let mut first: HashMap<VertexId, usize> = HashMap::with_capacity(vertices.len());
-    let mut kept = 0;
-    for i in 0..vertices.len() {
-        let v = vertices[i];
-        if let Some(&at) = first.get(&v) {
-            for u in &vertices[at + 1..kept] {
-                first.remove(u);
-            }
-            kept = at + 1;
-        } else {
-            first.insert(v, kept);
-            vertices[kept] = v;
-            if kept > 0 {
-                edges[kept - 1] = edges[i - 1];
-            }
-            kept += 1;
-        }
-    }
-    vertices.truncate(kept);
-    edges.truncate(kept - 1);
 }
 
 /// The largest `B` such that `cost(e) >= B · euclid(e.from, e.to)` holds
@@ -775,12 +745,12 @@ impl<'g> QueryEngine<'g> {
     /// *unconstrained* point-to-point query whose cost model the
     /// customization covers — including a bitwise-matching
     /// [`CostModel::Custom`] vector, which no other index backend can
-    /// serve — dispatches to the CH bidirectional upward search on the
-    /// customized weights.
+    /// serve — dispatches to the hierarchy query on the customized
+    /// weights.
     ///
     /// Composes with [`QueryEngine::with_ch`] and
     /// [`QueryEngine::with_landmarks`]; a metric-built `Ch` outranks the
-    /// denser witness-free CCH when both cover a query.
+    /// denser CCH when both cover a query.
     ///
     /// # Panics
     /// If the customization's graph fingerprint (vertex and edge counts)
@@ -795,7 +765,7 @@ impl<'g> QueryEngine<'g> {
     /// is the entry point the serving layer uses to roll a freshly
     /// re-customized CCH into long-lived worker engines; the scratch
     /// stays, as it holds nothing past a call, so no query can mix
-    /// old-weight buckets with new-weight sweeps. Same fingerprint panic
+    /// old-weight buckets with new-weight walks. Same fingerprint panic
     /// as the builder form.
     pub fn set_cch(&mut self, cch: Option<Arc<Cch>>) {
         if let Some(cch) = &cch {
@@ -1041,7 +1011,7 @@ impl<'g> QueryEngine<'g> {
 
     /// Cheapest `source -> target` path, or `None` if unreachable or
     /// `source == target`. Dispatched through
-    /// [`QueryEngine::backend_for`]: CH bidirectional upward search,
+    /// [`QueryEngine::backend_for`]: the hierarchy query,
     /// ALT-guided A*, or plain early-exit Dijkstra (same optimal cost in
     /// every regime; tie-breaking among equal-cost optima may differ).
     /// The path is simple in every regime: a hierarchy answer that
@@ -1055,8 +1025,7 @@ impl<'g> QueryEngine<'g> {
         if source == target {
             return None;
         }
-        let weights = cost.weights(self.g);
-        self.dispatch(source, target, cost, |a| a.path(target, weights))
+        self.dispatch(source, target, cost, |a| a.path(target))
     }
 
     /// Cost of the cheapest `source -> target` path without materialising
@@ -1097,8 +1066,8 @@ impl<'g> QueryEngine<'g> {
     /// Batched many-to-many: the exact `sources × targets` table, one row
     /// at a time — `emit(i, row)` gets the distances from `sources[i]`
     /// to every target (`f64::INFINITY` when unreachable) as soon as its
-    /// forward sweep finishes. `T` backward plus `S` forward upward
-    /// sweeps on the attached hierarchy
+    /// forward walk finishes. `T` backward plus `S` forward
+    /// walks on the attached hierarchy
     /// (`HierarchyView::many_to_many_rows` on the engine's search state)
     /// replace `S × T` point-to-point queries; their work counts in the
     /// settled and pushed families of [`EngineObs`], not as queries.
@@ -1874,22 +1843,29 @@ mod tests {
 
     #[test]
     fn cut_cycles_keeps_each_vertex_at_its_first_occurrence() {
+        use crate::algo::ch::cut_cycles;
         let walk = |vs: &[u32]| -> (Vec<EdgeId>, Vec<VertexId>) {
             let edges = (0..vs.len() as u32 - 1).map(EdgeId).collect();
             (edges, vs.iter().copied().map(VertexId).collect())
         };
+        let mut seen = Side::default();
         let (mut edges, mut vertices) = walk(&[5, 6, 1, 2, 3, 2, 1]);
-        cut_cycles(&mut edges, &mut vertices);
+        cut_cycles(&mut seen, 7, &mut edges, &mut vertices);
         assert_eq!(vertices, walk(&[5, 6, 1]).1);
         assert_eq!(edges, [EdgeId(0), EdgeId(1)]);
         // A cycle through the source leaves the edge that leaves it last.
         let (mut edges, mut vertices) = walk(&[0, 1, 0, 2]);
-        cut_cycles(&mut edges, &mut vertices);
+        cut_cycles(&mut seen, 7, &mut edges, &mut vertices);
         assert_eq!((edges, vertices), (vec![EdgeId(2)], walk(&[0, 2]).1));
         let simple = walk(&[3, 1, 4]);
         let (mut edges, mut vertices) = simple.clone();
-        cut_cycles(&mut edges, &mut vertices);
+        cut_cycles(&mut seen, 7, &mut edges, &mut vertices);
         assert_eq!((edges, vertices), simple);
+        // Two cycles, the second through a vertex the first cut away.
+        let (mut edges, mut vertices) = walk(&[0, 1, 2, 1, 3, 2, 4]);
+        cut_cycles(&mut seen, 7, &mut edges, &mut vertices);
+        assert_eq!(vertices, walk(&[0, 1, 3, 2, 4]).1);
+        assert_eq!(edges, [EdgeId(0), EdgeId(3), EdgeId(4), EdgeId(5)]);
     }
 
     /// Classic 5-vertex test graph with a known shortest path structure.

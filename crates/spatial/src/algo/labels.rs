@@ -4,9 +4,9 @@
 //! A [`Side`] is one search's state — a 16-byte [`Label`] per vertex, the
 //! priority queue and lifetime work counters — reused across searches
 //! and reset in O(1): each label carries the epoch that last wrote it, so
-//! labels of earlier searches are never read. The engine's Dijkstra/A*,
-//! the CH/CCH upward sweeps and the CH builder's witness searches all run
-//! on sides. [`Marks`] is the same stamping without labels, for the
+//! labels of earlier searches are never read. The engine's Dijkstra/A*
+//! and the CH/CCH elimination-tree walks (which use no heap) all run on
+//! sides. [`Marks`] is the same stamping without labels, for the
 //! vertex sets of the CCH ordering loop and the many-to-many buckets.
 //! Both advance their `u32` epoch through [`next_epoch`], the one place
 //! an epoch wraps.
@@ -41,7 +41,7 @@ pub(crate) struct Label {
     /// `(last-touching epoch << 1) | settled-bit`.
     stamp: u32,
     /// What reached the vertex: the parent edge on Dijkstra/A* searches,
-    /// the parent rank on hierarchy sweeps; [`NO_PARENT`] on the root.
+    /// the parent rank on hierarchy walks; [`NO_PARENT`] on the root.
     parent: u32,
     /// Tentative (then final) distance in the current epoch.
     dist: f64,
@@ -88,13 +88,9 @@ impl Side {
     }
 
     /// Label slots allocated: 0 before the first search.
+    #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Reserves heap room for `n` entries.
-    pub(crate) fn reserve_heap(&mut self, n: usize) {
-        self.heap.reserve(n);
     }
 
     /// Lifetime `(settled vertices, heap pushes)`; monotone.

@@ -14,33 +14,31 @@
 //! Shortest Paths Using Highway Hierarchies") factors that repetition
 //! out:
 //!
-//! 1. **Target phase** — one *backward upward* sweep per target `t_j`
-//!    deposits an entry `(j, d(v, t_j))` in a per-rank **bucket** at
-//!    every vertex `v` the sweep settles.
-//! 2. **Source phase** — one *forward upward* sweep per source `s_i`
-//!    scans, at every settled vertex `v`, the bucket left by phase 1 and
+//! 1. **Target phase** — one *backward* walk per target `t_j` up its
+//!    elimination-tree ancestors deposits an entry `(j, d(v, t_j))` in a
+//!    per-rank **bucket** at every ancestor `v` the walk reaches.
+//! 2. **Source phase** — one *forward* walk per source `s_i` scans, at
+//!    every ancestor `v` it reaches, the bucket left by phase 1 and
 //!    improves `table[i][j]` with `d(s_i, v) + d(v, t_j)`.
 //!
-//! `T` backward sweeps plus `S` forward sweeps — each the size of a
+//! `T` backward walks plus `S` forward walks — each the size of a
 //! *half* point-to-point query — replace `S × T` full queries. The meet
-//! logic is exactly the one-to-one query's: a sweep settles stalled
-//! vertices with valid (possibly suboptimal) labels and still
-//! deposits/scans them, so every bucket sum is the cost of a real path
-//! and the canonical up-down meeting vertex of each pair closes the
-//! exact optimum (the same stall-on-demand argument as
-//! [`HierarchyView::query_cost`]).
+//! logic is exactly the one-to-one query's: the highest vertex of a
+//! shortest path is a common ancestor of both ends, where the two walks'
+//! labels are the exact up and down distances, and every other bucket
+//! sum is the cost of a real path.
 //!
 //! Entries are **raw arc-weight sums** (`d_fwd + d_bucket`), exact up to
 //! float association of shortcut weights — on integer-weight graphs they
 //! are bit-identical to Dijkstra (locked in by `tests/m2m_exactness.rs`).
 //!
-//! Both phases are `HierarchyView::sweep` — the point query's loop —
-//! run to exhaustion on the forward side of a [`ChSearch`], whose target
-//! buckets are epoch-stamped like its sweep labels: a table invalidates
+//! Both phases are `HierarchyView::walk` — the point query's step —
+//! run to the top on the forward side of a [`ChSearch`], whose target
+//! buckets are epoch-stamped like its walk labels: a table invalidates
 //! them in O(1), so steady-state tables perform **no per-call `O(V)`
 //! work** — only the output. The buckets are allocated by the first
 //! table, so a scratch that never batches never pays for them.
-//! [`QueryEngine::many_to_many_rows`] hands each row over as its sweep
+//! [`QueryEngine::many_to_many_rows`] hands each row over as its walk
 //! finishes (a batching server replies per row);
 //! [`HierarchyView::many_to_many`] and [`QueryEngine::many_to_many`]
 //! collect the rows into a table.
@@ -94,8 +92,8 @@ impl DistanceTable {
     }
 }
 
-/// One bucket entry: the target's column index and the exact backward
-/// upward distance from the bucket's vertex to that target.
+/// One bucket entry: the target's column index and the backward walk's
+/// distance from the bucket's vertex to that target.
 #[derive(Debug, Clone, Copy)]
 struct BucketEntry {
     col: u32,
@@ -139,42 +137,38 @@ impl Buckets {
 }
 
 impl HierarchyView<'_> {
-    /// The target phase: one exhaustive backward sweep per target,
-    /// depositing `(column, distance)` at every settled rank — before
-    /// the stall check, like the meet check of a point query: a stalled
-    /// label is still the cost of a real `u -> t` path.
+    /// The target phase: one backward walk per target, depositing
+    /// `(column, distance)` at every rank it reaches.
     fn prepare_targets(&self, search: &mut ChSearch, targets: &[VertexId]) {
         let ChSearch { fwd, buckets, .. } = search;
         buckets.open(self.vertex_count());
         for (j, &t) in targets.iter().enumerate() {
             let col = j as u32;
-            self.sweep::<false>(fwd, t, |u, dist| {
-                buckets.deposit(u, BucketEntry { col, dist });
-                f64::INFINITY
+            self.walk::<false>(fwd, t, |u, dist| {
+                buckets.deposit(u, BucketEntry { col, dist })
             });
         }
     }
 
-    /// One source phase: an exhaustive forward sweep from `source` that
-    /// scans every settled rank's bucket into `row` (one entry per
-    /// prepared target, `INFINITY` on entry).
+    /// One source phase: a forward walk from `source` that scans every
+    /// reached rank's bucket into `row` (one entry per prepared target,
+    /// `INFINITY` on entry).
     fn distances_from(&self, search: &mut ChSearch, source: VertexId, row: &mut [f64]) {
         let ChSearch { fwd, buckets, .. } = search;
-        self.sweep::<true>(fwd, source, |u, d| {
+        self.walk::<true>(fwd, source, |u, d| {
             for e in buckets.get(u) {
                 let total = d + e.dist;
                 if total < row[e.col as usize] {
                     row[e.col as usize] = total;
                 }
             }
-            f64::INFINITY
         });
     }
 
     /// The `sources × targets` table one row at a time: the target
     /// phase once, then one source phase per source, handing
     /// `emit(i, row)` the distances from `sources[i]` to every target as
-    /// soon as its sweep finishes (a server replies per row instead of
+    /// soon as its walk finishes (a server replies per row instead of
     /// waiting for the whole table).
     pub(crate) fn many_to_many_rows(
         &self,
@@ -195,7 +189,7 @@ impl HierarchyView<'_> {
     /// The full `sources × targets` [`DistanceTable`]: the rows of
     /// `HierarchyView::many_to_many_rows`, collected.
     ///
-    /// `T` backward plus `S` forward upward sweeps replace `S × T`
+    /// `T` backward plus `S` forward walks replace `S × T`
     /// point-to-point queries — the asymptotic win behind the batched
     /// HMM transition blocks.
     pub fn many_to_many(

@@ -3,9 +3,9 @@
 //! * [`engine`] — the reusable query layer every algorithm runs on: one
 //!   search loop, Dijkstra and A*, forward and reverse, with or without
 //!   bans and a cost budget, behind the [`engine::QueryEngine`] facade,
-//!   whose two search sides every hierarchy sweep shares;
+//!   whose two search sides every hierarchy walk shares;
 //! * `labels` — the one generation-stamped label store every search runs
-//!   on, Dijkstra/A*, hierarchy sweeps and witness searches alike: a
+//!   on, Dijkstra/A* and hierarchy walks alike: a
 //!   search side holds a 16-byte label (stamp, parent, distance) per
 //!   vertex, its heap and its work counters, resets in O(1) and
 //!   allocates nothing per query after its first; stamped vertex sets
@@ -16,17 +16,18 @@
 //!   [`engine::QueryEngine::with_landmarks`]) while provably preserving
 //!   exactness;
 //! * [`cch`] — customizable contraction hierarchies: a metric-independent
-//!   contraction order plus millisecond triangle-relaxation customization,
+//!   contraction order and chordal topology, which the metric-built CH
+//!   starts from too, plus millisecond triangle-relaxation customization,
 //!   so live weight changes (traffic, custom cost vectors) re-weight the
 //!   index instead of rebuilding it (see
 //!   [`engine::QueryEngine::with_cch`]);
 //! * [`ch`] — contraction hierarchies: shortcut-based preprocessing that
-//!   turns unconstrained point-to-point queries into two tiny upward
-//!   searches (see [`engine::SearchBackend`] and
+//!   turns unconstrained point-to-point queries into two walks up an
+//!   elimination tree (see [`engine::SearchBackend`] and
 //!   [`engine::QueryEngine::with_ch`]), with shortcut unpacking back to
 //!   original edge sequences;
 //! * [`m2m`] — bucket-based many-to-many distance tables over a
-//!   contraction hierarchy: `T` backward plus `S` forward upward sweeps
+//!   contraction hierarchy: `T` backward plus `S` forward tree walks
 //!   fill an exact `S × T` [`m2m::DistanceTable`] instead of `S × T`
 //!   full queries (the HMM transition-matrix shape, handed over row by
 //!   row for batched serving; see [`engine::QueryEngine::many_to_many`]
@@ -46,7 +47,7 @@ pub mod cch;
 pub mod ch;
 pub mod diversified;
 pub mod engine;
-mod labels;
+pub(crate) mod labels;
 pub mod landmarks;
 pub mod m2m;
 mod order;

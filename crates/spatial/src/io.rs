@@ -22,9 +22,10 @@
 //!   Edge lines are `e <from> <to> <length_m> <speed_kmh> <category-tag>`.
 //!   The last edge line ends the file.
 //! * [`write_ch`] / [`read_ch`] — [`ContractionHierarchy`] indexes: the
-//!   metric, the fingerprint, the rank permutation and the search arcs
-//!   in slot order (original edges, and shortcuts named by their mid),
-//!   closed by an `end` line; the query-time CSR is rebuilt on read. No
+//!   metric, the fingerprint, the rank permutation, the elimination
+//!   tree the query walks and the search arcs in slot order (original
+//!   edges, and shortcuts named by their mid), closed by an `end` line;
+//!   the query-time CSR is rebuilt on read. No
 //!   binary in this workspace reloads one yet: the `serve` binary builds
 //!   its CH and CCH at startup. The CCH topology and ALT landmark tables
 //!   have no file format; they are rebuilt from the graph.
@@ -36,7 +37,7 @@
 //! distances survive the text round-trip **bit-identically** — a
 //! reloaded graph or index answers exactly like the one that was saved
 //! (asserted by the round-trip tests). Readers validate headers, counts,
-//! id ranges, tokens per line and shortcut topology, refuse anything
+//! id ranges, tokens per line, the tree and shortcut topology, refuse anything
 //! after a file's last record, and reject corrupt input with
 //! [`SpatialError::Parse`] rather than building a network or index that
 //! would silently mis-route.
@@ -44,6 +45,7 @@
 use std::io::{BufRead, Write};
 
 use crate::algo::ch::{ChArc, ChArcKind, ContractionHierarchy};
+use crate::algo::labels::NO_PARENT;
 use crate::algo::landmarks::LandmarkMetric;
 use crate::builder::GraphBuilder;
 use crate::error::SpatialError;
@@ -52,7 +54,7 @@ use crate::graph::{EdgeAttrs, EdgeId, Graph, RoadCategory, VertexId};
 use crate::osm::ImportConfig;
 
 const MAGIC: &str = "pathrank-graph v1";
-const CH_MAGIC: &str = "pathrank-ch v3";
+const CH_MAGIC: &str = "pathrank-ch v4";
 
 /// Writes `g` to `out` in the v1 text format.
 pub fn write_graph<W: Write>(g: &Graph, out: &mut W) -> std::io::Result<()> {
@@ -258,11 +260,13 @@ fn parse_ranks(line: &str, n: usize) -> Result<Vec<u32>, SpatialError> {
     Ok(rank)
 }
 
-/// Writes a contraction hierarchy in the v3 text format: the rank
-/// permutation, one line per search arc in slot order
+/// Writes a contraction hierarchy in the v4 text format: the rank
+/// permutation, each vertex's parent in the elimination tree (`-` on a
+/// root), one line per search arc in slot order
 /// (`a <from> <to> <weight> e <edge>` for an original edge,
-/// `a <from> <to> <weight> m <mid>` for a shortcut through vertex `mid`)
-/// and an `end` line, so a file cut anywhere is refused on read.
+/// `a <from> <to> <weight> m <mid>` for a shortcut through vertex `mid`;
+/// a weight may be `inf`) and an `end` line, so a file cut anywhere is
+/// refused on read.
 pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Result<()> {
     writeln!(out, "{CH_MAGIC}")?;
     writeln!(out, "metric {}", metric_tag(ch.metric()))?;
@@ -270,6 +274,14 @@ pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Re
     write!(out, "ranks")?;
     for r in ch.ranks() {
         write!(out, " {r}")?;
+    }
+    writeln!(out)?;
+    write!(out, "parents")?;
+    for v in (0..ch.vertex_count() as u32).map(VertexId) {
+        match ch.view().parent(v) {
+            Some(p) => write!(out, " {}", p.0)?,
+            None => write!(out, " -")?,
+        }
     }
     writeln!(out)?;
     writeln!(out, "arcs {}", ch.arcs().len())?;
@@ -283,14 +295,17 @@ pub fn write_ch<W: Write>(ch: &ContractionHierarchy, out: &mut W) -> std::io::Re
     writeln!(out, "end")
 }
 
-/// Reads a contraction hierarchy in the v3 text format, rebuilding the
-/// query-time search graph. Validates the rank permutation, arc
-/// endpoints (no self-loops, one arc per vertex pair and direction) and
-/// edge ids, and the shortcut topology: every mid ranks below both ends
-/// and both legs are arcs of the mid, weighing the shortcut in sum, so
-/// unpacking provably terminates. The `end` line must follow the last
-/// arc, and nothing may follow it. Corrupt input yields
-/// [`SpatialError::Parse`] instead of an index that would mis-route.
+/// Reads a contraction hierarchy in the v4 text format, rebuilding the
+/// query-time search graph. Validates the rank permutation, the
+/// elimination tree (a forest whose parents rank above their children,
+/// with every arc's higher end an ancestor of its lower end — what the
+/// query walk relies on), arc endpoints (no self-loops, one arc per
+/// vertex pair and direction) and edge ids, and the shortcut topology:
+/// every mid ranks below both ends and both legs are arcs of the mid,
+/// weighing the shortcut in sum, so unpacking provably terminates. The
+/// `end` line must follow the last arc, and nothing may follow it.
+/// Corrupt input yields [`SpatialError::Parse`] instead of an index that
+/// would mis-route.
 pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialError> {
     let mut lines = input.lines();
     let header = next_content_line(&mut lines)?;
@@ -300,6 +315,7 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
     let metric = parse_metric(&next_content_line(&mut lines)?)?;
     let (n, m) = parse_fingerprint(&next_content_line(&mut lines)?)?;
     let rank = parse_ranks(&next_content_line(&mut lines)?, n)?;
+    let parent = parse_parents(&next_content_line(&mut lines)?, &rank)?;
     let arc_count = parse_count(&next_content_line(&mut lines)?, "arcs")?;
     let mut arcs: Vec<ChArc> = Vec::with_capacity(arc_count.min(MAX_PREALLOC));
     let mut pairs = std::collections::HashSet::with_capacity(arc_count.min(MAX_PREALLOC));
@@ -324,7 +340,7 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
             )));
         }
         let weight = parse_f64(it.next(), "arc weight")?;
-        if !weight.is_finite() || weight < 0.0 {
+        if weight.is_nan() || weight < 0.0 {
             return Err(SpatialError::Parse(format!("arc {i} has weight {weight}")));
         }
         let kind = match it.next() {
@@ -367,7 +383,45 @@ pub fn read_ch<R: BufRead>(input: R) -> Result<ContractionHierarchy, SpatialErro
         )));
     }
     no_trailing_content(&mut lines, "the end line")?;
-    ContractionHierarchy::assemble(metric, m, rank, arcs).map_err(SpatialError::Parse)
+    ContractionHierarchy::assemble(metric, m, rank, parent, arcs).map_err(SpatialError::Parse)
+}
+
+/// A `parents <p0> <p1> …` line: each vertex's parent in the
+/// elimination tree, `-` on a root. Returned by rank, as the rank of the
+/// parent or `NO_PARENT`; whether it is a tree is for the assembler.
+fn parse_parents(line: &str, rank: &[u32]) -> Result<Vec<u32>, SpatialError> {
+    let n = rank.len();
+    let mut it = line.split_ascii_whitespace();
+    if it.next() != Some("parents") {
+        return Err(SpatialError::Parse(format!(
+            "expected parents line, got {line:?}"
+        )));
+    }
+    let mut parent = vec![NO_PARENT; n];
+    let mut count = 0;
+    for (v, tok) in it.enumerate() {
+        if v >= n {
+            return Err(SpatialError::Parse(format!(
+                "parents line has more than {n} entries"
+            )));
+        }
+        if tok != "-" {
+            let p = parse_u32(Some(tok), "parent")?;
+            if p as usize >= n {
+                return Err(SpatialError::Parse(format!(
+                    "vertex {v} has parent {p} outside the graph's {n} vertices"
+                )));
+            }
+            parent[rank[v] as usize] = rank[p as usize];
+        }
+        count += 1;
+    }
+    if count != n {
+        return Err(SpatialError::Parse(format!(
+            "parents line has {count} entries, expected {n}"
+        )));
+    }
+    Ok(parent)
 }
 
 /// Loads a road network from `path`, sniffing the format off the first
@@ -588,7 +642,7 @@ mod tests {
         use crate::algo::landmarks::LandmarkMetric;
         use crate::graph::VertexId;
 
-        /// `ch` in the v3 text format.
+        /// `ch` in the v4 text format.
         fn ch_text(ch: &ContractionHierarchy) -> String {
             let mut buf = Vec::new();
             write_ch(ch, &mut buf).unwrap();
@@ -639,9 +693,18 @@ mod tests {
             // A v2 file has no end line, so a cut one read as whole.
             let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
             let v2 = ch_text(&ch)
-                .replacen("pathrank-ch v3", "pathrank-ch v2", 1)
+                .replacen("pathrank-ch v4", "pathrank-ch v2", 1)
                 .replace("end\n", "");
             assert!(read_ch(v2.as_bytes()).is_err());
+            // A v3 file has no elimination tree, under either header.
+            let parents = ch_text(&ch)
+                .lines()
+                .find(|l| l.starts_with("parents"))
+                .map(|l| format!("{l}\n"))
+                .unwrap();
+            let v3 = ch_text(&ch).replace(&parents, "");
+            assert!(read_ch(v3.as_bytes()).is_err());
+            assert!(read_ch(v3.replacen("v4", "v3", 1).as_bytes()).is_err());
             // Feeding one format to the other reader fails on the header.
             assert!(read_ch(graph_text(&g).as_bytes()).is_err());
         }
@@ -740,7 +803,7 @@ mod tests {
             assert!(refusal(&wide).contains("31-bit"));
             // A v1 file, which named shortcut legs by pool id.
             assert!(
-                refusal(&text.replacen("pathrank-ch v3", "pathrank-ch v1", 1))
+                refusal(&text.replacen("pathrank-ch v4", "pathrank-ch v1", 1))
                     .contains("bad header")
             );
             // Trailing tokens on a count line, content past the last arc.
@@ -773,6 +836,99 @@ mod tests {
                     "{what} accepted"
                 );
             }
+        }
+
+        /// The elimination tree is the query walk's precondition: a
+        /// parents line that is not a forest over ascending ranks, or a
+        /// tree an arc leaves, is refused with the reason, never a panic.
+        #[test]
+        fn ch_tree_corruption_is_refused() {
+            let g = region();
+            let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+            let text = ch_text(&ch);
+            let line = text.lines().find(|l| l.starts_with("parents")).unwrap();
+            let toks: Vec<&str> = line.split_ascii_whitespace().collect();
+            let with_parent = |v: usize, tok: &str| {
+                let mut toks = toks.clone();
+                toks[v + 1] = tok;
+                text.replacen(line, &toks.join(" "), 1)
+            };
+            let refusal = |text: &str| match read_ch(text.as_bytes()) {
+                Err(SpatialError::Parse(msg)) => msg,
+                other => panic!("expected a parse error, got {other:?}"),
+            };
+            let rank = ch.ranks();
+            let child = (0..g.vertex_count())
+                .find(|&v| rank[v] > 0 && ch.view().parent(VertexId(v as u32)).is_some())
+                .unwrap();
+            // A parent ranked below its child, and the child itself.
+            let low = (0..g.vertex_count())
+                .find(|&v| rank[v] < rank[child])
+                .unwrap();
+            assert!(refusal(&with_parent(child, &low.to_string())).contains("not a higher rank"));
+            assert!(refusal(&with_parent(child, &child.to_string())).contains("not a higher rank"));
+            // A parent outside the graph, a token that is no vertex, and a
+            // line one entry short or long.
+            let outside = g.vertex_count().to_string();
+            assert!(refusal(&with_parent(child, &outside)).contains("outside the graph"));
+            assert!(refusal(&with_parent(child, "x")).contains("invalid parent"));
+            let short = text.replacen(line, &toks[..toks.len() - 1].join(" "), 1);
+            assert!(refusal(&short).contains("entries"));
+            let long = text.replacen(line, &format!("{line} -"), 1);
+            assert!(refusal(&long).contains("entries"));
+            // A forest whose ranks ascend, but that an arc leaves: a vertex
+            // with an arc to a higher one made a root.
+            let lower = ch
+                .arcs()
+                .map(|a| {
+                    if rank[a.from.index()] < rank[a.to.index()] {
+                        a.from
+                    } else {
+                        a.to
+                    }
+                })
+                .find(|v| ch.view().parent(*v).is_some())
+                .unwrap();
+            assert!(
+                refusal(&with_parent(lower.index(), "-")).contains("leaves the elimination tree")
+            );
+            assert!(read_ch(text.as_bytes()).is_ok());
+        }
+
+        /// A weight of `+∞` — a direction a customization found no path
+        /// for — is written as `inf` and read back as itself.
+        #[test]
+        fn ch_roundtrip_keeps_infinite_weights() {
+            let g = region();
+            let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
+            let text = ch_text(&ch);
+            let arcs: Vec<ChArc> = ch.arcs().collect();
+            let legs: std::collections::HashSet<_> = arcs
+                .iter()
+                .filter_map(|a| match a.kind {
+                    ChArcKind::Shortcut(mid) => Some([(a.from, mid), (mid, a.to)]),
+                    ChArcKind::Original(_) => None,
+                })
+                .flatten()
+                .collect();
+            let free = arcs
+                .iter()
+                .position(|a| {
+                    matches!(a.kind, ChArcKind::Original(_)) && !legs.contains(&(a.from, a.to))
+                })
+                .expect("an original that is no leg");
+            let line = text
+                .lines()
+                .filter(|l| l.starts_with("a "))
+                .nth(free)
+                .unwrap();
+            let mut toks: Vec<&str> = line.split_ascii_whitespace().collect();
+            toks[3] = "inf";
+            let infinite = text.replacen(line, &toks.join(" "), 1);
+            let back = read_ch(infinite.as_bytes()).unwrap();
+            assert_eq!(back.arcs().nth(free).unwrap().weight, f64::INFINITY);
+            assert_eq!(ch_text(&back), infinite);
+            assert!(read_ch(infinite.replacen("inf", "NaN", 1).as_bytes()).is_err());
         }
 
         /// Every cut of a CH file is refused, none panics: the `end` line

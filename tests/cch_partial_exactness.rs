@@ -220,7 +220,9 @@ fn cch_topology_stores_nothing_per_triangle() {
     let triangles = forward.len() / 2;
     let per_arc = 4 + 4 + 8; // originals offset, segment and down-list entries
     let per_edge = 2 * 4; // the edge under its arc, the arc of the edge
-    let per_vertex = 6 * 4; // rank, vertex of the rank, two segment bounds, two down-list bounds
+                          // rank, vertex of the rank, tree parent, two segment bounds, two
+                          // down-list bounds
+    let per_vertex = 7 * 4;
     let budget = per_arc * topo.arc_count()
         + topo.arc_count() / 4 // one 4-byte rank hint per 16 segment slots
         + per_edge * g.edge_count()

@@ -18,13 +18,22 @@
 //! Dijkstra's very path; disconnected components; the CCH through rounds
 //! of live weight perturbation, and its gate: a customization serves the
 //! bitwise-equal vector only; and a CCH over a vector with zero entries,
-//! whose paths stay simple (every regime asserts that). Deterministic companions: a hierarchy
-//! written to the text format and read back serves the same paths, and
-//! the index stays at 16 bytes per search slot.
+//! whose paths stay simple, through the engine and through its public
+//! view (every regime asserts simple paths). On directed multigraphs the
+//! structure is held too: every CCH and CH arc leads from a vertex to an
+//! elimination-tree ancestor (what the query walk relies on), and the CH
+//! keeps exactly the arcs at their Dijkstra distance with both legs of
+//! every kept shortcut. Deterministic companions: a hierarchy written to
+//! the text format and read back serves the same paths, and the index
+//! stays at 16 bytes per search slot.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use pathrank::spatial::algo::ch::{ChConfig, ContractionHierarchy};
+use pathrank::spatial::algo::cch::{CchConfig, CchTopology};
+use pathrank::spatial::algo::ch::{
+    ChArcKind, ChConfig, ChSearch, ContractionHierarchy, HierarchyView,
+};
 use pathrank::spatial::algo::engine::{QueryEngine, SearchBackend};
 use pathrank::spatial::algo::landmarks::LandmarkMetric;
 use pathrank::spatial::graph::{CostModel, VertexId};
@@ -36,7 +45,7 @@ use common::{
     GraphCase, BACKENDS, MAX_VERTICES,
 };
 
-/// The hierarchies: the witness-search CH and the customizable CCH.
+/// The hierarchies: the metric-built CH and the customizable CCH.
 const HIERARCHIES: &[SearchBackend] = &[SearchBackend::Ch, SearchBackend::Cch];
 
 proptest! {
@@ -136,6 +145,114 @@ proptest! {
     }
 }
 
+/// The walk's precondition: every arc of `view` joins a vertex to one
+/// of its ancestors in the elimination tree, found by climbing parents
+/// from the lower end (by `rank`) until the higher end's rank.
+fn assert_arcs_follow_the_tree(view: HierarchyView<'_>, rank: &[u32], what: &str) {
+    for arc in view.arcs() {
+        let r = |v: VertexId| rank[v.index()];
+        let (low, high) = if r(arc.from) < r(arc.to) {
+            (arc.from, arc.to)
+        } else {
+            (arc.to, arc.from)
+        };
+        let mut x = low;
+        while r(x) < r(high) {
+            x = view
+                .parent(x)
+                .unwrap_or_else(|| panic!("{what}: {low:?} is a root below {high:?}"));
+        }
+        assert_eq!(
+            x, high,
+            "{what}: arc {:?} -> {:?} leaves the tree",
+            arc.from, arc.to
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On directed multigraphs (one-way and parallel edges), every arc
+    /// of the CCH topology and of the metric-built CH leads from a
+    /// vertex to an elimination-tree ancestor, and both share the order.
+    #[test]
+    fn hierarchy_arcs_lead_to_tree_ancestors(case in GraphCase::multigraph(rural)) {
+        let g = case.graph();
+        let topo = Arc::new(CchTopology::build(&g, &CchConfig { threads: 2 }));
+        let cch = topo.customize(&g, &CostModel::Length);
+        assert_arcs_follow_the_tree(cch.view(), topo.ranks(), "cch");
+        let cfg = ChConfig { threads: 2 };
+        let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &cfg);
+        assert_arcs_follow_the_tree(ch.view(), ch.ranks(), "ch");
+        prop_assert_eq!(topo.ranks(), ch.ranks());
+    }
+
+    /// The CH keeps the arcs its perfect customization left alone: on
+    /// integer weights every kept arc weighs exactly the distance between
+    /// its ends, every dropped arc of the topology weighed more after the
+    /// plain customization (or `+∞`), and both legs of every kept
+    /// shortcut are kept.
+    #[test]
+    fn ch_keeps_the_arcs_at_their_distance_and_their_legs(case in GraphCase::multigraph(rural)) {
+        let g = case.graph();
+        let cfg = ChConfig { threads: 2 };
+        let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &cfg);
+        let topo = Arc::new(CchTopology::build(&g, &CchConfig { threads: 2 }));
+        let cch = topo.customize(&g, &CostModel::Length);
+        let mut oracle = QueryEngine::new(&g);
+        let mut dist = |s: VertexId, t: VertexId| {
+            oracle.shortest_path_cost(s, t, CostModel::Length).unwrap_or(f64::INFINITY)
+        };
+        let kept: HashSet<(VertexId, VertexId)> = ch.arcs().map(|a| (a.from, a.to)).collect();
+        for arc in ch.arcs() {
+            let d = dist(arc.from, arc.to);
+            let (from, to) = (arc.from, arc.to);
+            prop_assert_eq!(arc.weight.to_bits(), d.to_bits(), "kept {:?} -> {:?}", from, to);
+            if let ChArcKind::Shortcut(mid) = arc.kind {
+                prop_assert!(kept.contains(&(arc.from, mid)) && kept.contains(&(mid, arc.to)));
+            }
+        }
+        for arc in cch.view().arcs().filter(|a| !kept.contains(&(a.from, a.to))) {
+            let d = dist(arc.from, arc.to);
+            prop_assert!(
+                arc.weight > d || arc.weight.is_infinite(),
+                "dropped {:?} -> {:?} weighs {}, its distance {}",
+                arc.from,
+                arc.to,
+                arc.weight,
+                d
+            );
+        }
+    }
+
+    /// A `Custom` vector with zero entries: the paths a CCH's public view
+    /// returns are simple — a cheapest walk can only revisit a vertex
+    /// over zero weights, and the view cuts those cycles.
+    #[test]
+    fn cch_view_paths_are_simple_under_zero_weights(
+        case in GraphCase::multigraph(rural),
+        salt in 1u32..40,
+        zeros in 1u32..6,
+    ) {
+        let g = case.graph();
+        let custom: Vec<f64> = custom_weights(g.edge_count(), salt)
+            .into_iter()
+            .map(|w| if w <= zeros as f64 { 0.0 } else { w })
+            .collect();
+        let topo = Arc::new(CchTopology::build(&g, &CchConfig { threads: 2 }));
+        let cch = topo.customize_weights(&g, &custom);
+        let mut search = ChSearch::default();
+        let n = g.vertex_count() as u32;
+        for (s, t) in (0..n).flat_map(|s| (0..n).map(move |t| (VertexId(s), VertexId(t)))) {
+            if let Some((_, vertices)) = cch.view().query_path(&mut search, s, t) {
+                let distinct: HashSet<&VertexId> = vertices.iter().collect();
+                prop_assert_eq!(distinct.len(), vertices.len(), "{:?}", vertices);
+            }
+        }
+    }
+}
+
 #[test]
 fn ch_disconnected_components_stay_exact() {
     regimes::disconnected_components(HIERARCHIES);
@@ -169,10 +286,11 @@ fn ch_survives_io_roundtrip_on_random_style_graph() {
 
 /// The hierarchy stores no per-arc column it can derive: 16 bytes per
 /// search slot (4-byte entry, weight, 4-byte expansion word) plus a
-/// quarter byte of slot -> rank hints, and 16 per vertex (rank, vertex
-/// of the rank, two segment bounds), against a budget of 16 per slot and
-/// 20 per vertex. Release builds check the 43k-vertex serving map; debug builds
-/// (tier-1) a paper-scale one, which holds the same per-item budget.
+/// quarter byte of slot -> rank hints, and 20 per vertex (rank, vertex
+/// of the rank, elimination-tree parent, two segment bounds), against a
+/// budget of 16 per slot and 24 per vertex. Release builds check the
+/// 43k-vertex serving map; debug builds (tier-1) a paper-scale one,
+/// which holds the same per-item budget.
 #[test]
 fn ch_index_stays_at_sixteen_bytes_per_slot() {
     use pathrank::spatial::generators::{region_network, RegionConfig};
@@ -188,7 +306,7 @@ fn ch_index_stays_at_sixteen_bytes_per_slot() {
     let g = region_network(&cfg, 2020);
     let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
     let slots = ch.arcs().len();
-    let budget = 16 * slots + 20 * g.vertex_count();
+    let budget = 16 * slots + 24 * g.vertex_count();
     assert!(
         ch.heap_bytes() <= budget,
         "hierarchy holds {} B, budget {budget} B ({slots} slots, {} vertices)",

@@ -270,18 +270,14 @@ pub const BACKENDS: [SearchBackend; 4] = [
 ];
 
 impl<'g> Backends<'g> {
-    /// Three landmarks and a witness cap of 8, so redundant shortcuts
-    /// occur, with two threads wherever a build fans out.
+    /// Three landmarks, with two threads wherever a build fans out.
     pub fn build(g: &'g Graph, metric: LandmarkMetric) -> Self {
         let alt = LandmarkConfig {
             count: 3,
             seed: 0xa17,
             threads: 2,
         };
-        let ch = ChConfig {
-            threads: 2,
-            witness_settle_cap: 8,
-        };
+        let ch = ChConfig { threads: 2 };
         let topo = Arc::new(CchTopology::build(g, &CchConfig { threads: 2 }));
         let graph_cost = match metric {
             LandmarkMetric::Length => CostModel::Length,
