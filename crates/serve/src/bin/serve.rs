@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Binds the port, builds the integer grid city, a Length CH and the CCH
-//! topology (the two side by side), installs an initial live weight
-//! generation, then accepts. `length` requests go to the CH, `live` ones
+//! topology (which reuses the contraction order the CH build left on the
+//! graph), installs an initial live weight generation, logging each
+//! stage's seconds, then accepts. `length` requests go to the CH, `live` ones
 //! to the CCH and `time` ones to plain Dijkstra: a landmark table would
 //! answer none of them, so none is built. Try it with netcat:
 //!
@@ -19,6 +20,7 @@
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 use pathrank_serve::fixture::{integer_city, integer_live_weights};
 use pathrank_serve::tcp::run_listener;
@@ -63,9 +65,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(u16, usize, Ser
 }
 
 /// Binds the port, then stands the server up. The listener comes first
-/// so that a taken port is reported before seconds of index building;
-/// the two indexes are independent and build side by side, so
-/// time-to-ready is the slower of them, not the sum.
+/// so that a taken port is reported before seconds of index building.
+/// The CH build orders the graph and leaves the order on it, so the
+/// topology built after it runs no ordering loop of its own; each stage
+/// logs its seconds.
 fn start(
     port: u16,
     side: usize,
@@ -81,25 +84,34 @@ fn start(
         graph.vertex_count(),
         graph.edge_count()
     );
-    eprintln!("building Length CH and CCH topology...");
-    let indexes = std::thread::scope(|scope| {
-        let ch = scope.spawn(|| {
-            ContractionHierarchy::build(&graph, LandmarkMetric::Length, &ChConfig::default())
-        });
-        let topo = CchTopology::build(&graph, &CchConfig::default());
-        ServerIndexes {
-            ch: Some(Arc::new(ch.join().expect("CH build panicked"))),
-            landmarks: None,
-            cch_topology: Some(Arc::new(topo)),
-        }
+    let ch = timed("Length CH", || {
+        ContractionHierarchy::build(&graph, LandmarkMetric::Length, &ChConfig::default())
     });
+    let topo = timed("CCH topology (order reused)", || {
+        CchTopology::build(&graph, &CchConfig::default())
+    });
+    let indexes = ServerIndexes {
+        ch: Some(Arc::new(ch)),
+        landmarks: None,
+        cch_topology: Some(Arc::new(topo)),
+    };
 
     let server = Arc::new(RouteServer::start(Arc::clone(&graph), indexes, cfg));
-    let generation = server
-        .update_live_weights(integer_live_weights(&graph, 0xbeef))
-        .expect("fixture weights are valid");
+    let generation = timed("live install", || {
+        server
+            .update_live_weights(integer_live_weights(&graph, 0xbeef))
+            .expect("fixture weights are valid")
+    });
     eprintln!("installed live weight generation {generation}");
     Ok((listener, server))
+}
+
+/// Runs `build`, logging its seconds under `what`.
+fn timed<T>(what: &str, build: impl FnOnce() -> T) -> T {
+    let began = Instant::now();
+    let built = build();
+    eprintln!("  {what}: {:.3} s", began.elapsed().as_secs_f64());
+    built
 }
 
 fn main() -> ExitCode {

@@ -11,9 +11,13 @@
 //!    order with the deterministic lazy-update loop of `algo/order.rs`
 //!    and an edge-difference priority on *topology only* (a pair of
 //!    uncontracted vertices is joined or it is not — no weights, no
-//!    search). The topology is the graph's undirected one: a pair joined
-//!    by an edge in either direction gets both arcs, and contracting `v`
-//!    joins every pair of its neighbours that is not joined yet. So the
+//!    search). The order is a property of the graph, which keeps it
+//!    once computed: whichever hierarchy is built first runs the loop,
+//!    and every later build over the same [`Graph`] assembles its arcs
+//!    from the kept order. The topology is the graph's undirected one:
+//!    a pair joined by an edge in either direction gets both arcs, and
+//!    contracting `v` joins every pair of its neighbours that is not
+//!    joined yet. So the
 //!    arcs are chordal: every `(u -> v, v -> w)` pair through a mid `v`
 //!    ranked below both ends is a **lower triangle** of the arc
 //!    `u -> w`, and every vertex's upper neighbours form a clique, which
@@ -28,9 +32,14 @@
 //!    [`CchTopology::customize_weights`]) re-derives every arc weight for
 //!    a concrete metric: initialise each arc from its cheapest parallel
 //!    original edge, then relax every lower triangle
-//!    (`w(a) = min(w(a), w(b) + w(c))`) in one sequential sweep over the
-//!    tails in ascending rank. A tail `p` stamps its out-arcs into a row
-//!    indexed by head rank, then walks its lower neighbours `v` in
+//!    (`w(a) = min(w(a), w(b) + w(c))`) in a sweep over the tails in
+//!    ascending rank. The sweep runs the subtrees below a cut of the
+//!    elimination tree on [`CchConfig::threads`] workers at once, then
+//!    the ranks above the cut (section 6 of the paper): a tail's
+//!    triangles read and write only arcs whose lower end lies in its own
+//!    subtree, so the split is bit-identical to one sequential pass. A
+//!    tail `p` stamps its out-arcs into a row indexed by head rank,
+//!    then walks its lower neighbours `v` in
 //!    ascending rank: every up-out arc `v -> q` of `v` closes the
 //!    triangle of the owner `p -> q` it looks up in the row. Both legs
 //!    were final when read (`v -> q` at the earlier tail `v`, `p -> v`
@@ -79,21 +88,26 @@
 //! queries amortise a rebuild: live-traffic routing, per-driver custom
 //! cost vectors, and perturbation sweeps.
 
+use std::borrow::Cow;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::algo::ch::{ArcRule, HierarchyView, SearchArc, Skeleton};
 use crate::algo::labels::{Marks, NO_PARENT};
 use crate::algo::landmarks::LandmarkMetric;
 use crate::algo::order::contract_in_priority_order;
-use crate::graph::{CostModel, EdgeId, Graph, VertexId};
+use crate::graph::{ContractionOrder, CostModel, EdgeId, Graph, VertexId};
 use crate::util::group_by_key;
 
 /// Tuning knobs for CCH preprocessing.
 #[derive(Debug, Clone)]
 pub struct CchConfig {
-    /// Worker threads for the ordering loop's initial-priority sweep.
-    /// Customization is one sequential sweep and takes no threads.
+    /// Worker threads for the ordering loop's initial-priority sweep and
+    /// for every full customization of the topology, which runs the
+    /// subtrees below a cut of the elimination tree side by side. Results
+    /// are bit-identical for any count; a sparse delta is one sequential
+    /// pass.
     pub threads: usize,
 }
 
@@ -111,7 +125,7 @@ impl Default for CchConfig {
 /// [`CchTopology::customize`] per metric or
 /// [`CchTopology::customize_weights`] per weight vector — the expensive
 /// ordering work is never repeated.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CchTopology {
     /// Edge count of the graph the topology was built for.
     m: usize,
@@ -140,7 +154,24 @@ pub struct CchTopology {
     /// endpoints cost the sparse pass a miss per arc (measured: a tenth
     /// of it).
     skel: Skeleton,
+    /// Workers of every full customization, from [`CchConfig::threads`];
+    /// no part of the topology's value.
+    threads: usize,
 }
+
+impl PartialEq for CchTopology {
+    fn eq(&self, other: &Self) -> bool {
+        self.m == other.m
+            && self.orig_offsets == other.orig_offsets
+            && self.orig_edges == other.orig_edges
+            && self.down_offsets == other.down_offsets
+            && self.down == other.down
+            && self.edge_arc == other.edge_arc
+            && self.skel == other.skel
+    }
+}
+
+impl Eq for CchTopology {}
 
 /// A down-list entry: the rank of the arc's lower endpoint, and the arc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,11 +245,8 @@ struct TopoScratch {
     /// The fill-in contracting the probed vertex inserts, in insertion
     /// order: every pair of its neighbours not joined yet.
     fill: Vec<(VertexId, VertexId)>,
-    /// The vertex `nbs` and `fill` describe, until the builder next
-    /// changes: the loop contracts a vertex right after the `priority`
-    /// call that let it win, which already probed it.
-    probed: Option<VertexId>,
-    /// A vertex set emptied in O(1): the neighbours of one neighbour.
+    /// A vertex set emptied in O(1): the neighbours of one neighbour
+    /// (`probe`), or of the probed vertex (`priority`).
     marks: Marks,
 }
 
@@ -268,32 +296,42 @@ impl TopoBuilder {
                 }
             }
         }
-        scratch.probed = Some(v);
     }
 
     /// The lazy-update priority of `v`: twice the edge difference — arcs
     /// inserted minus arcs removed, two per pair — plus the
     /// deleted-neighbours and depth uniformity terms; shortcuts are
-    /// counted by pure pair existence, no weights and no search. Pure,
-    /// so the initial sweep runs it from many threads.
+    /// counted by pure pair existence, no weights and no search. The
+    /// fill-in is counted, not listed: `v`'s neighbours are marked once,
+    /// every pair among them joined already is met twice over their
+    /// lists, and the rest of the `k (k - 1) / 2` pairs are missing.
+    /// Pure, so the initial sweep runs it from many threads.
     fn priority(&self, v: VertexId, scratch: &mut TopoScratch) -> i64 {
-        self.probe(v, scratch);
-        let (inserted, removed) = (2 * scratch.fill.len(), 2 * scratch.nbs.len());
+        let nbs = &self.adj[v.index()];
+        scratch.marks.begin(self.rank.len());
+        for &u in nbs {
+            scratch.marks.insert(u.index());
+        }
+        let mut joined = 0usize;
+        for &u in nbs {
+            for &w in &self.adj[u.index()] {
+                joined += usize::from(scratch.marks.contains(w.index()));
+            }
+        }
+        let k = nbs.len();
+        let fill = k * k.saturating_sub(1) / 2 - joined / 2;
+        let (inserted, removed) = (2 * fill, 2 * k);
         2 * (inserted as i64 - removed as i64)
             + self.deleted_neighbors[v.index()] as i64
             + 8 * self.level[v.index()] as i64
     }
 
     /// Contracts `v` at `rank`: completes the clique among its
-    /// uncontracted neighbours (inserting fill-in pairs where missing),
-    /// bumps their deleted-neighbour count and depth, and prunes `v` out
-    /// of their lists. Reuses the probe of the `priority(v)` call just
-    /// made.
+    /// uncontracted neighbours (inserting fill-in pairs where missing,
+    /// in the order `probe` lists them), bumps their deleted-neighbour
+    /// count and depth, and prunes `v` out of their lists.
     fn contract(&mut self, v: VertexId, rank: u32, scratch: &mut TopoScratch) {
-        if scratch.probed != Some(v) {
-            self.probe(v, scratch);
-        }
-        scratch.probed = None;
+        self.probe(v, scratch);
         self.rank[v.index()] = rank;
         for &(u, w) in &scratch.fill {
             self.pairs.push((u, w));
@@ -315,21 +353,13 @@ impl TopoBuilder {
     }
 }
 
-/// The weight-free skeleton of `g`'s chordal topology: the ordering
-/// loop (initial priorities fanned out over `threads` workers), then the
-/// arcs — two per vertex pair — numbered by search slot, with the
-/// elimination tree. Search segments, one per rank: upward out-arcs then
-/// downward in-arcs, each half in pair creation order, so the two
-/// halves of a segment name the same ranks in the same order. A half's
-/// arcs share their lower endpoint; an owner hangs off a rank above the
-/// mid both its supports hang off, so it sorts after them. Pairs are
-/// unique, so unlike `ContractionHierarchy::assemble` there is nothing
-/// to dedupe. Deterministic and bit-identical for any thread count.
-fn skeleton(g: &Graph, threads: usize) -> Skeleton {
+/// Runs the ordering loop on `g`'s topology (initial priorities fanned
+/// out over `threads` workers): the ranks and the pairs it joined, in
+/// creation order.
+fn contraction(g: &Graph, threads: usize) -> ContractionOrder {
     let mut b = TopoBuilder::new(g);
-    let n = g.vertex_count();
     contract_in_priority_order(
-        n,
+        g.vertex_count(),
         threads,
         &mut b,
         TopoBuilder::priority,
@@ -337,6 +367,54 @@ fn skeleton(g: &Graph, threads: usize) -> Skeleton {
     );
     // Only the ranks and the pairs outlive the ordering loop.
     let TopoBuilder { pairs, rank, .. } = b;
+    ContractionOrder {
+        rank,
+        pairs: Mutex::new(Some(pairs)),
+    }
+}
+
+/// The pairs the contraction at `rank` joined, replayed: every vertex is
+/// contracted at its rank, one probe each, with no priority and no heap.
+/// The builder's lists after `r` contractions depend only on which
+/// vertices went first, so the pairs come out as the ordering loop made
+/// them.
+fn replay(g: &Graph, rank: &[u32]) -> Vec<(VertexId, VertexId)> {
+    let mut order = vec![VertexId(0); rank.len()];
+    for (v, &r) in (0u32..).zip(rank) {
+        order[r as usize] = VertexId(v);
+    }
+    let mut b = TopoBuilder::new(g);
+    let mut scratch = TopoScratch::default();
+    for (&v, r) in order.iter().zip(0u32..) {
+        b.contract(v, r, &mut scratch);
+    }
+    b.pairs
+}
+
+/// The weight-free skeleton of `g`'s chordal topology: the contraction
+/// order — the graph's, or the ordering loop's on its first build, which
+/// the graph then keeps — then the arcs, two per vertex pair, numbered
+/// by search slot, with the elimination tree. The pairs are the graph's
+/// while it holds them (`take_pairs` takes them, which a topology build
+/// does), replayed from the ranks otherwise. Search segments, one per
+/// rank: upward out-arcs then downward in-arcs, each half in pair
+/// creation order, so the two halves of a segment name the same ranks in
+/// the same order. A half's arcs share their lower endpoint; an owner
+/// hangs off a rank above the mid both its supports hang off, so it
+/// sorts after them. Pairs are unique, so unlike
+/// `ContractionHierarchy::assemble` there is nothing to dedupe.
+/// Deterministic and bit-identical for any thread count.
+fn skeleton(g: &Graph, threads: usize, take_pairs: bool) -> Skeleton {
+    let n = g.vertex_count();
+    let order = g.order.0.get_or_init(|| contraction(g, threads));
+    let mut kept = order.pairs.lock().unwrap_or_else(PoisonError::into_inner);
+    let taken = if take_pairs { kept.take() } else { None };
+    let pairs: Cow<'_, [_]> = match (taken, &*kept) {
+        (Some(pairs), _) => Cow::Owned(pairs),
+        (None, Some(pairs)) => Cow::Borrowed(pairs),
+        (None, None) => Cow::Owned(replay(g, &order.rank)),
+    };
+    let rank = &order.rank;
     assert!(
         n.max(g.edge_count()).max(2 * pairs.len()) <= ArcRule::ORIGINAL as usize,
         "ranks, edge ids and arc ids must fit 31 bits"
@@ -357,6 +435,7 @@ fn skeleton(g: &Graph, threads: usize) -> Skeleton {
         })
         .collect();
     drop((pairs, by_slot));
+    drop(kept);
     // The parent of a rank in the elimination tree is its lowest upper
     // neighbour; the others are its ancestors, because every upper
     // neighbourhood is a clique.
@@ -367,24 +446,27 @@ fn skeleton(g: &Graph, threads: usize) -> Skeleton {
             ups.min().unwrap_or(NO_PARENT)
         })
         .collect();
-    Skeleton::new(rank, parent, halves, seg_arcs)
+    Skeleton::new(rank.clone(), parent, halves, seg_arcs)
 }
 
-/// Every lower triangle once, as `(owner p -> q, p -> v, v -> q, v)`,
-/// tails `p` in ascending rank and, per tail, mids `v` in ascending
-/// rank: `p` stamps its out-arcs, then each up-out arc `v -> q` of each
-/// lower neighbour `v` (but the 2-cycle back to `p`) names its owner by
-/// `q`. So every owner meets its mids in ascending rank, after all
-/// triangles of both legs: `v -> q` belongs to the earlier tail `v`, and
-/// `p -> v` has only mids below `v`. `down_out(p)` lists `p`'s arcs to
-/// lower ranks, ascending by the lower rank.
+/// Every lower triangle of the arcs out of `tails` once, as
+/// `(owner p -> q, p -> v, v -> q, v)`, tails `p` in the order given
+/// (ascending rank) and, per tail, mids `v` in ascending rank: `p` stamps
+/// its out-arcs, then each up-out arc `v -> q` of each lower neighbour
+/// `v` (but the 2-cycle back to `p`) names its owner by `q`. So every
+/// owner meets its mids in ascending rank, after all triangles of both
+/// legs once every tail below `p` in its subtree came first: `v -> q`
+/// belongs to the earlier tail `v`, and `p -> v` has only mids below
+/// `v`. `down_out(p)` lists `p`'s arcs to lower ranks, ascending by the
+/// lower rank.
 fn for_each_triangle<'d>(
     skel: &Skeleton,
-    down_out: impl Fn(usize) -> &'d [DownArc],
+    tails: &[u32],
+    down_out: &impl Fn(usize) -> &'d [DownArc],
     row: &mut ArcRow,
     mut relax: impl FnMut(u32, u32, u32, u32),
 ) {
-    for p in 0..skel.rank.len() {
+    for p in tails.iter().map(|&p| p as usize) {
         let down_out = down_out(p);
         if down_out.is_empty() {
             continue;
@@ -421,23 +503,166 @@ fn closing_arc(row: &ArcRow, end: u32) -> u32 {
     row.get(end).expect("CCH arcs are not chordal")
 }
 
-/// Lowers one customization's `weights` to the customization's
-/// relaxation of every lower triangle, `p -> q ← (p -> v) + (v -> q)`
-/// with a strict `<`, the winner's expansion word naming the mid `v`.
+/// Lowers one customization's columns to the relaxation of every lower
+/// triangle, `p -> q ← (p -> v) + (v -> q)` with a strict `<`, the
+/// winner's expansion word naming the mid `v`: the subtrees of `split`
+/// at once, then the ranks above its cut. A tail's triangles read and
+/// write only arcs whose lower end lies in the tail's own subtree, so
+/// the sweep is bit-identical to one sequential pass in ascending rank.
 fn relax_lower_triangles<'d>(
     skel: &Skeleton,
-    down_out: impl Fn(usize) -> &'d [DownArc],
-    weights: &mut [f64],
-    rules: &mut [ArcRule],
+    split: &TreeSplit,
+    down_out: &(impl Fn(usize) -> &'d [DownArc] + Sync),
+    cols: &mut Columns,
     row: &mut ArcRow,
 ) {
-    for_each_triangle(skel, down_out, row, |owner, b, c, mid| {
-        let cand = weights[b as usize] + weights[c as usize];
-        if cand < weights[owner as usize] {
-            weights[owner as usize] = cand;
-            rules[owner as usize] = ArcRule::shortcut(mid);
-        }
+    let sweep = |tails: &[u32], cols: &mut Columns, row: &mut ArcRow| {
+        let Columns { weights, rules } = cols;
+        for_each_triangle(skel, tails, down_out, row, |owner, b, c, mid| {
+            let cand = weights[b as usize] + weights[c as usize];
+            if cand < weights[owner as usize] {
+                weights[owner as usize] = cand;
+                rules[owner as usize] = ArcRule::shortcut(mid);
+            }
+        });
+    };
+    split.on_parts(cols, row, sweep, |cols, copy, r| {
+        let (lo, _, hi) = skel.bounds(r);
+        let seg = lo as usize..hi as usize;
+        cols.weights[seg.clone()].copy_from_slice(&copy.weights[seg.clone()]);
+        cols.rules[seg.clone()].copy_from_slice(&copy.rules[seg]);
     });
+    sweep(&split.top, cols, row);
+}
+
+/// The elimination tree cut for `threads` workers (Dibbelt, Strasser &
+/// Wagner, section 6): the ranks above the cut, and the subtrees below
+/// it dealt out to the workers. The subtrees share no rank, and every
+/// arc a customization step at a rank reads or writes has its lower end
+/// in that rank's subtree or above the cut.
+struct TreeSplit {
+    /// The ranks above the cut, ascending: one sequential run.
+    top: Vec<u32>,
+    /// Per worker, the ranks of its subtrees, ascending; never empty.
+    parts: Vec<Vec<u32>>,
+}
+
+impl TreeSplit {
+    /// Cuts the heaviest subtree's root away until no subtree weighs
+    /// more than a quarter of a worker's share (or an eighth of the
+    /// ranks sits above the cut), then deals the subtrees out heaviest
+    /// first, each to the least-loaded worker. A rank weighs its upward
+    /// half squared, about the triangles it is the mid of, plus one.
+    /// With one thread every rank is above the cut.
+    fn new(skel: &Skeleton, threads: usize) -> Self {
+        let n = skel.rank.len();
+        if threads <= 1 {
+            return TreeSplit {
+                top: (0..n as u32).collect(),
+                parts: Vec::new(),
+            };
+        }
+        let parent = &skel.parent;
+        let mut weight: Vec<u64> = (0..n)
+            .map(|r| {
+                let (lo, mid, _) = skel.bounds(r);
+                let up = u64::from(mid - lo);
+                up * up + 1
+            })
+            .collect();
+        for r in 0..n {
+            if parent[r] != NO_PARENT {
+                weight[parent[r] as usize] += weight[r];
+            }
+        }
+        let (child_offsets, children) = group_by_key(n, 0u32, |emit| {
+            for (r, &p) in (0u32..).zip(parent) {
+                if p != NO_PARENT {
+                    emit(p, r);
+                }
+            }
+        });
+        let roots = (0u32..).zip(parent).filter(|(_, &p)| p == NO_PARENT);
+        let mut pieces: BinaryHeap<(u64, u32)> =
+            roots.map(|(r, _)| (weight[r as usize], r)).collect();
+        let total: u64 = pieces.iter().map(|&(w, _)| w).sum();
+        let share = total / (4 * threads as u64);
+        let mut above = vec![false; n];
+        let mut cut = 0usize;
+        while let Some(&(w, r)) = pieces.peek() {
+            if w <= share || 8 * cut >= n {
+                break;
+            }
+            pieces.pop();
+            above[r as usize] = true;
+            cut += 1;
+            let kids = child_offsets[r as usize] as usize..child_offsets[r as usize + 1] as usize;
+            pieces.extend(children[kids].iter().map(|&c| (weight[c as usize], c)));
+        }
+        // Heaviest piece first, to the least-loaded worker; every rank
+        // below a piece's root goes where its parent went.
+        let mut load = vec![0u64; threads];
+        let mut worker = vec![u32::MAX; n];
+        for (w, r) in pieces.into_sorted_vec().into_iter().rev() {
+            let k = (0..threads).min_by_key(|&k| load[k]).expect("threads > 1");
+            load[k] += w;
+            worker[r as usize] = k as u32;
+        }
+        let (mut top, mut parts) = (Vec::with_capacity(cut), vec![Vec::new(); threads]);
+        for r in (0..n).rev() {
+            if above[r] {
+                top.push(r as u32);
+            } else {
+                if worker[r] == u32::MAX {
+                    worker[r] = worker[parent[r] as usize];
+                }
+                parts[worker[r] as usize].push(r as u32);
+            }
+        }
+        top.reverse();
+        for part in &mut parts {
+            part.reverse();
+        }
+        parts.retain(|part| !part.is_empty());
+        TreeSplit { top, parts }
+    }
+
+    /// Runs `pass(ranks, cols, row)` for every part at once: the first
+    /// on `cols` itself, each other on a copy of `cols` (and a row of its
+    /// own) in a worker thread of its own. A pass must write only the
+    /// segments of its own ranks; `merge(cols, copy, rank)` copies one
+    /// rank's writes back from a copy.
+    fn on_parts<C: Clone + Send>(
+        &self,
+        cols: &mut C,
+        row: &mut ArcRow,
+        pass: impl Fn(&[u32], &mut C, &mut ArcRow) + Sync,
+        merge: impl Fn(&mut C, &C, usize),
+    ) {
+        let Some((first, rest)) = self.parts.split_first() else {
+            return;
+        };
+        let pass = &pass;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = rest
+                .iter()
+                .map(|ranks| {
+                    let mut copy = cols.clone();
+                    scope.spawn(move || {
+                        pass(ranks, &mut copy, &mut ArcRow::default());
+                        copy
+                    })
+                })
+                .collect();
+            pass(first, cols, row);
+            for (ranks, worker) in rest.iter().zip(workers) {
+                let copy = worker.join().expect("a customization worker panicked");
+                for &r in ranks {
+                    merge(cols, &copy, r as usize);
+                }
+            }
+        });
+    }
 }
 
 /// The lower triangles of one arc `u -> w` ([`CchTopology::triangles_of`]):
@@ -472,16 +697,19 @@ impl CchTopology {
     /// Runs the metric-independent preprocessing: fixes the contraction
     /// order (edge-difference + lazy updates on topology only, initial
     /// priorities fanned out over `cfg.threads` workers) and materialises
-    /// the full chordal shortcut topology.
-    /// Deterministic and bit-identical for any thread count.
+    /// the full chordal shortcut topology. The order is `g`'s own when a
+    /// hierarchy was built on `g` before (see [`Graph`]); the build takes
+    /// the joined pairs `g` kept, or replays them from its ranks.
+    /// Deterministic and bit-identical for any thread count, which also
+    /// sets the workers of every full customization.
     pub fn build(g: &Graph, cfg: &CchConfig) -> Self {
-        Self::finalise(g, skeleton(g, cfg.threads))
+        Self::finalise(g, skeleton(g, cfg.threads, true), cfg.threads)
     }
 
     /// The tail of [`CchTopology::build`], from the skeleton: lays out
     /// the down-lists and the original edges under their arcs, each
     /// grouping one counting sort into its final array.
-    fn finalise(g: &Graph, skel: Skeleton) -> Self {
+    fn finalise(g: &Graph, skel: Skeleton, threads: usize) -> Self {
         let (n, arc_count) = (skel.rank.len(), skel.seg_arcs.len());
         let (halves, seg_arcs) = (&skel.halves, &skel.seg_arcs);
         // Down-lists, filed under each arc's higher endpoint: a search
@@ -523,6 +751,7 @@ impl CchTopology {
             down,
             edge_arc,
             skel,
+            threads,
         }
     }
 
@@ -718,16 +947,14 @@ impl CchTopology {
     /// looks each owner up in `row`). Both legs are final when read, and
     /// each owner sees its triangles in ascending mid rank, the order
     /// [`CchTopology::triangles_of`] yields them, which the sparse pass
-    /// relaxes in too. Writes the caller's columns in place: after a
-    /// [`Cch`]'s first pass a full re-customization allocates nothing.
-    fn derive_into(
-        &self,
-        edge_cost: impl Fn(EdgeId) -> f64,
-        weights: &mut Vec<f64>,
-        rules: &mut Vec<ArcRule>,
-        row: &mut ArcRow,
-    ) {
+    /// relaxes in too. The tails run over the topology's tree cut on its
+    /// `threads` workers (`relax_lower_triangles`). Writes the caller's
+    /// columns in place: after a [`Cch`]'s first pass a full
+    /// re-customization on one thread allocates nothing, and on more
+    /// only each extra worker's copy of the columns.
+    fn derive_into(&self, edge_cost: impl Fn(EdgeId) -> f64, cols: &mut Columns, row: &mut ArcRow) {
         let arc_count = self.arc_count();
+        let Columns { weights, rules } = cols;
         weights.clear();
         weights.resize(arc_count, f64::INFINITY);
         rules.clear();
@@ -741,7 +968,9 @@ impl CchTopology {
                 }
             }
         }
-        relax_lower_triangles(&self.skel, |p| self.down_out(p), weights, rules, row);
+        let split = TreeSplit::new(&self.skel, self.threads);
+        let down_out = |p: usize| self.down_out(p);
+        relax_lower_triangles(&self.skel, &split, &down_out, cols, row);
     }
 }
 
@@ -757,46 +986,66 @@ impl CchTopology {
 /// distance, so the triangle through `y` makes the arc exact. `u`'s
 /// out-arcs are stamped in a row by head; its in-arc from the same rank
 /// sits at the same offset of the segment's other half.
-fn perfect_customize(skel: &Skeleton, weights: &mut [f64]) -> Vec<u64> {
+///
+/// A step at `u` writes only `u`'s segment and reads those of its
+/// ancestors, so the ranks above the cut of `split` run first, top-down,
+/// and then its subtrees at once, each top-down.
+fn perfect_customize(
+    skel: &Skeleton,
+    split: &TreeSplit,
+    weights: Vec<f64>,
+) -> (Vec<f64>, Vec<u64>) {
     let n = skel.rank.len();
-    let mut lowered = vec![0u64; weights.len().div_ceil(64)];
-    let mut relax = |weights: &mut [f64], a: u32, cand: f64| {
-        if cand < weights[a as usize] {
-            weights[a as usize] = cand;
-            lowered[a as usize >> 6] |= 1 << (a & 63);
+    let lowered = vec![0u64; weights.len().div_ceil(64)];
+    let pass = |ranks: &[u32], (weights, lowered): &mut (Vec<f64>, Vec<u64>), row: &mut ArcRow| {
+        let mut relax = |weights: &mut [f64], a: u32, cand: f64| {
+            if cand < weights[a as usize] {
+                weights[a as usize] = cand;
+                lowered[a as usize >> 6] |= 1 << (a & 63);
+            }
+        };
+        for u in ranks.iter().rev().map(|&u| u as usize) {
+            let (lo, mid, hi) = skel.bounds(u);
+            if lo == mid {
+                continue;
+            }
+            debug_assert_eq!(mid - lo, hi - mid, "a segment's halves mirror");
+            row.restamp(n);
+            for (slot, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
+                row.insert(sa.other, slot);
+            }
+            for ux in lo..mid {
+                let xu = ux - lo + mid;
+                let (x_lo, x_mid, _) = skel.bounds(skel.seg_arcs[ux as usize].other as usize);
+                for xw in x_lo..x_mid {
+                    let Some(uw) = row.get(skel.seg_arcs[xw as usize].other) else {
+                        continue;
+                    };
+                    let (wx, wu) = (xw - x_lo + x_mid, uw - lo + mid);
+                    let w = |a: u32| weights[a as usize];
+                    let (via_x, via_x_back) = (w(ux) + w(xw), w(wx) + w(xu));
+                    relax(weights, uw, via_x);
+                    relax(weights, wu, via_x_back);
+                    let w = |a: u32| weights[a as usize];
+                    let (via_w, via_w_back) = (w(uw) + w(wx), w(xw) + w(wu));
+                    relax(weights, ux, via_w);
+                    relax(weights, xu, via_w_back);
+                }
+            }
         }
     };
     let mut row = ArcRow::default();
-    for u in (0..n).rev() {
-        let (lo, mid, hi) = skel.bounds(u);
-        if lo == mid {
-            continue;
+    let mut cols = (weights, lowered);
+    pass(&split.top, &mut cols, &mut row);
+    split.on_parts(&mut cols, &mut row, pass, |(weights, lowered), copy, r| {
+        let (lo, _, hi) = skel.bounds(r);
+        let seg = lo as usize..hi as usize;
+        weights[seg.clone()].copy_from_slice(&copy.0[seg.clone()]);
+        for a in seg {
+            lowered[a >> 6] |= copy.1[a >> 6] & 1 << (a & 63);
         }
-        debug_assert_eq!(mid - lo, hi - mid, "a segment's halves mirror");
-        row.restamp(n);
-        for (slot, sa) in (lo..mid).zip(&skel.seg_arcs[lo as usize..mid as usize]) {
-            row.insert(sa.other, slot);
-        }
-        for ux in lo..mid {
-            let xu = ux - lo + mid;
-            let (x_lo, x_mid, _) = skel.bounds(skel.seg_arcs[ux as usize].other as usize);
-            for xw in x_lo..x_mid {
-                let Some(uw) = row.get(skel.seg_arcs[xw as usize].other) else {
-                    continue;
-                };
-                let (wx, wu) = (xw - x_lo + x_mid, uw - lo + mid);
-                let w = |a: u32| weights[a as usize];
-                let (via_x, via_x_back) = (w(ux) + w(xw), w(wx) + w(xu));
-                relax(weights, uw, via_x);
-                relax(weights, wu, via_x_back);
-                let w = |a: u32| weights[a as usize];
-                let (via_w, via_w_back) = (w(uw) + w(wx), w(xw) + w(wu));
-                relax(weights, ux, via_w);
-                relax(weights, xu, via_w_back);
-            }
-        }
-    }
-    lowered
+    });
+    cols
 }
 
 /// What arc `a`'s expansion rule sums to: its edge's cost, or its legs'
@@ -821,9 +1070,11 @@ fn rule_sum(
 }
 
 /// The arcs of a metric-built contraction hierarchy over `g` under
-/// `edge_cost`: the skeleton of `g`'s chordal topology (initial
-/// priorities fanned out over `threads` workers), a customization, a
-/// perfect one over it, and then only the arcs the perfect pass left at
+/// `edge_cost`: the skeleton of `g`'s chordal topology (the order `g`
+/// kept, or the ordering loop's with initial priorities fanned out over
+/// `threads` workers), a customization, a perfect one over it (both on
+/// `threads` workers, over one cut of the elimination tree), and then
+/// only the arcs the perfect pass left at
 /// their customized weight — finite, and on a shortest path no higher
 /// vertex offers — plus both legs of every kept shortcut. A kept arc
 /// weighs the distance between its ends. So does a leg in exact
@@ -840,19 +1091,22 @@ pub(crate) fn metric_hierarchy(
     threads: usize,
     edge_cost: impl Fn(EdgeId) -> f64,
 ) -> (Skeleton, Vec<ArcRule>, Vec<f64>) {
-    let mut skel = skeleton(g, threads);
+    let mut skel = skeleton(g, threads, false);
     let (n, arcs) = (skel.rank.len(), skel.seg_arcs.len());
-    let mut weights = vec![f64::INFINITY; arcs];
-    let mut rules = vec![ArcRule(u32::MAX); arcs];
+    let mut cols = Columns {
+        weights: vec![f64::INFINITY; arcs],
+        rules: vec![ArcRule(u32::MAX); arcs],
+    };
     for (e, rec) in (0u32..).map(EdgeId).zip(g.edges()) {
         if let Some(a) = skel.arc_between(rec.from, rec.to) {
             let c = edge_cost(e);
-            if c < weights[a as usize] {
-                weights[a as usize] = c;
-                rules[a as usize] = ArcRule::original(e);
+            if c < cols.weights[a as usize] {
+                cols.weights[a as usize] = c;
+                cols.rules[a as usize] = ArcRule::original(e);
             }
         }
     }
+    let split = TreeSplit::new(&skel, threads);
     {
         // Each rank's arcs to lower ranks: the downward halves' entries,
         // filed under their tails, in ascending order of the head.
@@ -872,15 +1126,11 @@ pub(crate) fn metric_hierarchy(
             }
         });
         let down_out = |p: usize| &down_out[offsets[p] as usize..offsets[p + 1] as usize];
-        relax_lower_triangles(
-            &skel,
-            down_out,
-            &mut weights,
-            &mut rules,
-            &mut ArcRow::default(),
-        );
+        relax_lower_triangles(&skel, &split, &down_out, &mut cols, &mut ArcRow::default());
     }
-    let mut lowered = perfect_customize(&skel, &mut weights);
+    let Columns { weights, mut rules } = cols;
+    let (mut weights, mut lowered) = perfect_customize(&skel, &split, weights);
+    drop(split);
     let bit = |set: &[u64], a: usize| set[a >> 6] >> (a & 63) & 1 != 0;
     let mut keep: Vec<u64> = lowered.iter().map(|&l| !l).collect();
     for (a, w) in weights.iter().enumerate() {
@@ -1332,9 +1582,8 @@ impl Cch {
 
     /// Shared tail of every full customization.
     fn rederive(&mut self, edge_cost: impl Fn(EdgeId) -> f64) {
-        let Columns { weights, rules } = &mut self.cols;
         self.topo
-            .derive_into(edge_cost, weights, rules, &mut self.row);
+            .derive_into(edge_cost, &mut self.cols, &mut self.row);
         self.stamp = fresh_stamp();
         self.last.base = None;
     }
@@ -1433,51 +1682,42 @@ mod tests {
 
     #[test]
     fn cch_contract_without_the_winning_probe_inserts_the_same_arcs() {
-        // The loop contracts a vertex right after the `priority` call that
-        // let it win, and `contract` reuses that call's probe. Replaying
-        // the loop's order with another vertex probed last each time makes
-        // `contract` probe for itself; the pairs, in creation order (which
-        // numbers the slots), must not differ.
+        // The loop contracts a vertex right after the `priority` calls
+        // that let it win; a replay of its order contracts every vertex
+        // with no priority call at all. The pairs, in creation order
+        // (which numbers the slots), must not differ.
         let g = region();
-        let n = g.vertex_count();
         let mut looped = TopoBuilder::new(&g);
         contract_in_priority_order(
-            n,
+            g.vertex_count(),
             2,
             &mut looped,
             TopoBuilder::priority,
             TopoBuilder::contract,
         );
-        let mut order = vec![VertexId(0); n];
-        for (v, &r) in (0u32..).zip(&looped.rank) {
-            order[r as usize] = VertexId(v);
-        }
-        let mut replay = TopoBuilder::new(&g);
-        let mut scratch = TopoScratch::default();
-        for (r, &v) in (0u32..).zip(&order) {
-            if let Some(&later) = order.get(r as usize + 1) {
-                replay.priority(later, &mut scratch);
-            }
-            replay.contract(v, r, &mut scratch);
-        }
-        assert_eq!(replay.rank, looped.rank);
-        assert!(replay.pairs == looped.pairs, "fill-in pairs differ");
+        assert!(
+            replay(&g, &looped.rank) == looped.pairs,
+            "fill-in pairs differ"
+        );
     }
 
     #[test]
     fn cch_build_deterministic_across_thread_counts() {
+        // Each build on a clone of its own, which orders afresh.
         let g = region();
-        let a = CchTopology::build(&g, &CchConfig { threads: 1 });
-        let b = CchTopology::build(&g, &CchConfig { threads: 8 });
+        let a = CchTopology::build(&g.clone(), &CchConfig { threads: 1 });
+        let b = CchTopology::build(&g.clone(), &CchConfig { threads: 8 });
         assert_eq!(a.ranks(), b.ranks(), "ordering must not depend on threads");
         assert!(a == b, "topology must not depend on threads");
     }
 
     #[test]
     fn cch_customize_parallel_bitwise_identical() {
-        // Topologies ordered by one and by eight workers customize to the
-        // same bits on a grid large enough for the ordering loop's
-        // initial sweep to split.
+        // Customization runs the subtrees below the tree cut on
+        // `threads` workers; every entry point, and a sparse delta after
+        // a parallel full pass, must land on the one-thread bits. The
+        // grid is large enough for the ordering loop's initial sweep and
+        // the cut to split.
         let g = grid_network(
             &GridConfig {
                 nx: 24,
@@ -1486,13 +1726,131 @@ mod tests {
             },
             5,
         );
-        let seq = Arc::new(CchTopology::build(&g, &CchConfig { threads: 1 }));
-        let par = Arc::new(CchTopology::build(&g, &CchConfig { threads: 8 }));
-        for cost in [CostModel::Length, CostModel::TravelTime] {
-            let a = seq.customize(&g, &cost);
-            let b = par.customize(&g, &cost);
-            assert_bit_identical(&a, &b, "customized weights must not depend on threads");
+        let custom: Vec<f64> = (0..g.edge_count())
+            .map(|e| 1.0 + (e * 7919 % 23) as f64 / 7.0)
+            .collect();
+        let moved: Vec<f64> = custom.iter().map(|w| w * 1.5).collect();
+        let delta: Vec<(EdgeId, f64)> = (0..g.edge_count())
+            .step_by(13)
+            .map(|e| (EdgeId(e as u32), 0.25 + (e % 5) as f64))
+            .collect();
+        let customs = |threads| {
+            let topo = Arc::new(CchTopology::build(&g.clone(), &CchConfig { threads }));
+            let mut again = topo.customize_weights(&g, &moved);
+            again.recustomize_weights(&g, &custom);
+            let mut sparse = topo.customize_weights(&g, &custom);
+            sparse.apply_weight_delta(&delta);
+            [
+                topo.customize(&g, &CostModel::Length),
+                topo.customize(&g, &CostModel::TravelTime),
+                topo.customize_weights(&g, &custom),
+                again,
+                sparse,
+            ]
+        };
+        let seq = customs(1);
+        assert!(TreeSplit::new(&seq[0].topo.skel, 2).parts.len() == 2);
+        for threads in [2, 3, 8] {
+            for (a, b) in seq.iter().zip(&customs(threads)) {
+                assert_bit_identical(a, b, &format!("{threads} threads"));
+            }
         }
+    }
+
+    #[test]
+    fn tree_split_covers_every_rank_once_below_or_above_its_cut() {
+        // Every rank is above the cut or in exactly one part; a part's
+        // ranks ascend, and a rank below the cut shares its part with its
+        // parent unless the parent is above the cut.
+        let g = region();
+        let topo = CchTopology::build(&g, &CchConfig::default());
+        let skel = &topo.skel;
+        for threads in [1, 2, 3, 8] {
+            let split = TreeSplit::new(skel, threads);
+            let mut part_of = vec![None; skel.rank.len()];
+            for (k, ranks) in std::iter::once(&split.top).chain(&split.parts).enumerate() {
+                assert!(ranks.windows(2).all(|w| w[0] < w[1]), "{threads} threads");
+                for &r in ranks {
+                    assert_eq!(part_of[r as usize].replace(k), None, "rank {r} twice");
+                }
+            }
+            assert!(part_of.iter().all(Option::is_some), "{threads} threads");
+            assert!(split.parts.len() <= threads);
+            for (r, &p) in skel.parent.iter().enumerate() {
+                if p != NO_PARENT && part_of[p as usize] != Some(0) {
+                    assert_eq!(part_of[r], part_of[p as usize], "rank {r} left its parent");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchies_built_on_one_graph_match_builds_on_fresh_clones() {
+        // The CH, then the topology (which takes the kept pairs), then a
+        // second CH and topology (which replay them) on one graph: the
+        // same slots, trees, weights and rules as each built alone on a
+        // clone, which starts without the graph's order.
+        use crate::algo::ch::{ChConfig, ContractionHierarchy};
+        let g = region();
+        let cfg = ChConfig { threads: 2 };
+        let ch = |g: &Graph| ContractionHierarchy::build(g, LandmarkMetric::Length, &cfg);
+        let topo = |g: &Graph| Arc::new(CchTopology::build(g, &CchConfig { threads: 2 }));
+        let ch_alone = ch(&g.clone());
+        let topo_alone = topo(&g.clone());
+        let first = (ch(&g), topo(&g));
+        let second = (ch(&g), topo(&g));
+        for (ch, topo) in [first, second] {
+            let (a, b) = (ch.view(), ch_alone.view());
+            assert!(a.skel == b.skel, "CH slots or tree differ");
+            assert_eq!(a.rules, b.rules);
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.seg_weights), bits(b.seg_weights));
+            assert!(*topo == *topo_alone, "topology differs");
+            let cost = CostModel::TravelTime;
+            assert_bit_identical(
+                &topo.customize(&g, &cost),
+                &topo_alone.customize(&g, &cost),
+                "customized",
+            );
+        }
+    }
+
+    #[test]
+    fn a_second_build_runs_no_ordering_loop() {
+        // The graph keeps the order its first build computed: the later
+        // builds, CH or topology, pairs kept or replayed, run no loop,
+        // and a clone starts without the order.
+        use crate::algo::ch::{ChConfig, ContractionHierarchy};
+        use crate::algo::order::LOOPS;
+        let g = region();
+        let loops = || LOOPS.with(|l| l.get());
+        let before = loops();
+        let ch = |g: &Graph| {
+            ContractionHierarchy::build(g, LandmarkMetric::Length, &ChConfig { threads: 2 })
+        };
+        ch(&g);
+        assert_eq!(loops(), before + 1, "the first build orders");
+        CchTopology::build(&g, &CchConfig { threads: 2 });
+        ch(&g);
+        CchTopology::build(&g, &CchConfig { threads: 2 });
+        assert_eq!(loops(), before + 1, "later builds reuse the order");
+        ch(&g.clone());
+        assert_eq!(loops(), before + 2, "a clone orders again");
+    }
+
+    #[test]
+    fn graph_equality_and_io_ignore_the_kept_order() {
+        let g = region();
+        let mut text = Vec::new();
+        crate::io::write_graph(&g, &mut text).unwrap();
+        let fresh = g.clone();
+        CchTopology::build(&g, &CchConfig { threads: 2 });
+        assert!(g.order.0.get().is_some() && fresh.order.0.get().is_none());
+        assert!(g == fresh, "equality ignores the kept order");
+        assert!(g.clone().order.0.get().is_none(), "a clone starts empty");
+        let mut again = Vec::new();
+        crate::io::write_graph(&g, &mut again).unwrap();
+        assert!(text == again, "the graph text changed");
     }
 
     #[test]

@@ -59,8 +59,11 @@ use crate::util::group_by_key;
 /// Parameters of hierarchy construction.
 #[derive(Debug, Clone, Copy)]
 pub struct ChConfig {
-    /// Worker threads for the ordering loop's initial-priority sweep;
-    /// the rest of the build is sequential.
+    /// Worker threads for the ordering loop's initial-priority sweep and
+    /// for the customization and perfect customization, which run the
+    /// subtrees below a cut of the elimination tree side by side; the
+    /// ordering loop itself and the pruning are sequential. Results are
+    /// bit-identical for any count.
     pub threads: usize,
 }
 
@@ -493,9 +496,10 @@ pub(crate) fn cut_cycles(
 impl ContractionHierarchy {
     /// Builds the hierarchy under `metric`: the topology of
     /// [`crate::algo::cch::CchTopology::build`] (its ordering loop's
-    /// initial priorities fanned out over `cfg.threads` workers),
-    /// customized for the metric, customized perfectly, and pruned to
-    /// the arcs the perfect pass left alone and the legs of kept
+    /// initial priorities fanned out over `cfg.threads` workers, or the
+    /// order `g` kept from an earlier build), customized for the metric,
+    /// customized perfectly (both on `cfg.threads` workers), and pruned
+    /// to the arcs the perfect pass left alone and the legs of kept
     /// shortcuts. The result is bit-identical for any thread count.
     pub fn build(g: &Graph, metric: LandmarkMetric, cfg: &ChConfig) -> Self {
         let cost = metric.cost_model();
@@ -755,21 +759,22 @@ impl<'a> HierarchyView<'a> {
     /// ascending rank on `side` — forward over upward arcs when
     /// `FORWARD`, backward over downward in-arcs otherwise — to the top.
     /// `visit(r, d)` sees every reached rank with its distance, final
-    /// when its rank comes up: every arc into it starts lower on the
-    /// chain.
+    /// when its rank comes up (every arc into it starts lower on the
+    /// chain), and returns the bound of the step from it: no label at or
+    /// past it is relaxed or written.
     pub(crate) fn walk<const FORWARD: bool>(
         &self,
         side: &mut Side,
         root: VertexId,
-        mut visit: impl FnMut(VertexId, f64),
+        mut visit: impl FnMut(VertexId, f64) -> f64,
     ) {
         side.begin(self.vertex_count());
         let mut x = self.skel.rank[root.index()];
         side.label(VertexId(x), 0.0, NO_PARENT);
         while x != NO_PARENT {
             if let Some(d) = side.tentative(VertexId(x)) {
-                visit(VertexId(x), d);
-                self.relax::<FORWARD>(side, x, f64::INFINITY);
+                let bound = visit(VertexId(x), d);
+                self.relax::<FORWARD>(side, x, bound);
             }
             x = self.skel.parent[x as usize];
         }
@@ -826,8 +831,8 @@ impl<'a> HierarchyView<'a> {
     }
 
     /// Expands `u.nodes` — `(slot, tail rank, head rank)`, in path order —
-    /// into original edges appended to `edges`, emitting each edge's head
-    /// vertex into `vertices` alongside. Level by level: a pass reads the
+    /// into original edges, handing `emit` each edge with its head's rank
+    /// in path order. Level by level: a pass reads the
     /// expansion word of every node of the level and replaces each
     /// shortcut by its legs `tail -> mid` and `mid -> head`, the mid's
     /// downward slot from `tail` and upward slot to `head`, linked in
@@ -839,7 +844,7 @@ impl<'a> HierarchyView<'a> {
     /// visited once per level it takes part in, and the pass that reads
     /// the words compacts the shortcuts without a branch: whether an arc
     /// is original is a coin toss to the branch predictor.
-    fn expand(&self, u: &mut Unpack, edges: &mut Vec<EdgeId>, vertices: &mut Vec<VertexId>) {
+    fn expand(&self, u: &mut Unpack, mut emit: impl FnMut(EdgeId, u32)) {
         const ORIGINAL: u32 = ArcRule::ORIGINAL;
         let Unpack {
             nodes,
@@ -880,8 +885,7 @@ impl<'a> HierarchyView<'a> {
         let mut i = 0;
         while i != u32::MAX {
             let (word, _, head) = nodes[i as usize];
-            edges.push(EdgeId(word & !ORIGINAL));
-            vertices.push(self.skel.order[head as usize]);
+            emit(EdgeId(word & !ORIGINAL), head);
             i = link[i as usize];
         }
     }
@@ -918,20 +922,60 @@ impl<'a> HierarchyView<'a> {
         if source == target {
             return None;
         }
-        let (meet, _) = self.run_query(search, source, target)?;
+        let meet = self.run_query(search, source, target)?.0;
+        self.path_arcs(search, source, target, meet);
         let ChSearch {
-            fwd,
             bwd,
             edge_buf: edges,
             vertex_buf: vertices,
             unpack,
             ..
         } = search;
+        edges.clear();
+        vertices.clear();
+        vertices.push(source);
+        let order = &self.skel.order;
+        self.expand(unpack, |e, head| {
+            edges.push(e);
+            vertices.push(order[head as usize]);
+        });
+        cut_cycles(bwd, self.vertex_count(), edges, vertices);
+        Some((edges, vertices))
+    }
+
+    /// The cost of [`HierarchyView::query_path`]'s path under `weights`,
+    /// folded left to right over its edges while they unpack — the fold
+    /// order of a Dijkstra relaxation chain — with no edge or vertex list
+    /// and no cycle cut: a cycle of a cheapest walk weighs zero, so
+    /// folding it in adds only `+0.0`, which changes no bit. `None` when
+    /// unreachable or `source == target`.
+    pub fn query_path_cost(
+        &self,
+        search: &mut ChSearch,
+        source: VertexId,
+        target: VertexId,
+        weights: &[f64],
+    ) -> Option<f64> {
+        if source == target {
+            return None;
+        }
+        let meet = self.run_query(search, source, target)?.0;
+        self.path_arcs(search, source, target, meet);
+        let mut cost = 0.0;
+        self.expand(&mut search.unpack, |e, _| cost += weights[e.index()]);
+        Some(cost)
+    }
+
+    /// Lays the search arcs of the path through `meet` out in
+    /// `search.unpack.nodes`, in path order: the forward parent chain
+    /// (meet -> source) reversed, then the backward one (meet -> target).
+    /// Both chains name ranks; the arc between a vertex and its parent
+    /// is a slot of the parent, the lower of the two.
+    fn path_arcs(&self, search: &mut ChSearch, source: VertexId, target: VertexId, meet: VertexId) {
+        let ChSearch {
+            fwd, bwd, unpack, ..
+        } = search;
         let arcs = &mut unpack.nodes;
-        // The search arcs of the path, in path order: the forward parent
-        // chain (meet -> source) reversed, then the backward one (meet ->
-        // target). Both chains name ranks; the arc between a vertex and
-        // its parent is a slot of the parent, the lower of the two.
         arcs.clear();
         let mut cur = meet.0;
         loop {
@@ -966,12 +1010,6 @@ impl<'a> HierarchyView<'a> {
             self.skel.rank[target.index()],
             "backward chain must reach the target"
         );
-        edges.clear();
-        vertices.clear();
-        vertices.push(source);
-        self.expand(unpack, edges, vertices);
-        cut_cycles(bwd, self.vertex_count(), edges, vertices);
-        Some((edges, vertices))
     }
 }
 
@@ -1005,9 +1043,12 @@ mod tests {
 
     #[test]
     fn ch_parallel_build_matches_sequential_bitwise() {
+        // Each build on a clone of its own, which orders afresh.
         let g = region();
-        let seq = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig { threads: 1 });
-        let par = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig { threads: 4 });
+        let build = |threads| {
+            ContractionHierarchy::build(&g.clone(), LandmarkMetric::Length, &ChConfig { threads })
+        };
+        let (seq, par) = (build(1), build(4));
         assert_eq!(
             seq.ranks(),
             par.ranks(),
@@ -1153,7 +1194,8 @@ mod tests {
         // any change to what a walk visits or relaxes moves them. The
         // paths are the ones the heap-driven sweeps found before the
         // walk replaced them, and so are the CCH's cost bits; the CH's
-        // raw arc sums moved with its arcs.
+        // raw arc sums moved with its arcs. A table's source walks relax
+        // nothing at or past the largest entry once every target has one.
         let g = grid24();
         let n = g.vertex_count() as u32;
         let ch = ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig::default());
@@ -1188,8 +1230,8 @@ mod tests {
         assert_eq!(
             got,
             [
-                (0xfaa3_8388_e7eb_7c77, (12_584, 0), (873, 0)),
-                (0x9ff8_2911_c2db_cc78, (13_188, 0), (904, 0)),
+                (0xfaa3_8388_e7eb_7c77, (12_584, 0), (865, 0)),
+                (0x9ff8_2911_c2db_cc78, (13_188, 0), (897, 0)),
             ]
         );
     }
@@ -1236,9 +1278,10 @@ mod tests {
             (region(), 0x0a00_2703_5f5e_1186u64, 282usize),
             (grid24(), 0xeafc_f615_f3c0_a27fu64, 7_676usize),
         ] {
-            for threads in [1, 2, 4] {
-                let ch =
-                    ContractionHierarchy::build(&g, LandmarkMetric::Length, &ChConfig { threads });
+            for threads in [1, 2, 3, 8] {
+                // A clone orders afresh: the loop runs on `threads` too.
+                let cfg = ChConfig { threads };
+                let ch = ContractionHierarchy::build(&g.clone(), LandmarkMetric::Length, &cfg);
                 let print = fingerprint(&ch);
                 assert!(
                     print == golden,
@@ -1363,7 +1406,10 @@ mod tests {
                     nodes: vec![(slot as u32, tail, head)],
                     ..Unpack::default()
                 };
-                view.expand(&mut unpack, &mut edges, &mut vertices);
+                view.expand(&mut unpack, |e, head| {
+                    edges.push(e);
+                    vertices.push(ch.skel.order[head as usize]);
+                });
                 let cost: f64 = edges.iter().map(|e| weights[e.index()]).sum();
                 assert_eq!(
                     cost.to_bits(),
@@ -1414,5 +1460,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cut_cycles_is_needed_where_float_sums_tie_a_walk_with_a_cycle() {
+        // Shrunk from random multigraphs with zero and ulp-sized weights:
+        // under float rounding the CH's cheapest 0 -> 3 walk runs
+        // 2 -> 4 -> 2 over two zero-weight edges. `query_path` cuts the
+        // cycle; the cost fold with the cycle in, `query_path_cost`, has
+        // the same bits.
+        let tiny = 3.996_802_888_650_563e-16;
+        let raw = [
+            (4, 2, 0.0),
+            (2, 4, 0.0),
+            (2, 3, 0.5),
+            (0, 5, tiny),
+            (4, 0, 0.0),
+            (5, 2, tiny),
+        ];
+        let (ch, _, weights) = raw_hierarchy(6, &raw);
+        let view = ch.view();
+        let (s, t) = (VertexId(0), VertexId(3));
+        let mut search = ChSearch::default();
+        let (meet, _) = view.run_query(&mut search, s, t).expect("3 is reachable");
+        view.path_arcs(&mut search, s, t, meet);
+        let mut walk = vec![s];
+        view.expand(&mut search.unpack, |_, head| {
+            walk.push(ch.skel.order[head as usize])
+        });
+        let ids: Vec<u32> = walk.iter().map(|v| v.0).collect();
+        assert_eq!(ids, [0, 5, 2, 4, 2, 3], "the walk carries the cycle");
+        let folded = view.query_path_cost(&mut search, s, t, &weights);
+        let (edges, vertices) = view.query_path(&mut search, s, t).expect("a path");
+        let ids: Vec<u32> = vertices.iter().map(|v| v.0).collect();
+        assert_eq!(ids, [0, 5, 2, 3], "the cycle is cut");
+        let cost = edges.iter().fold(0.0, |acc, e| acc + weights[e.index()]);
+        assert_eq!(folded.map(f64::to_bits), Some(cost.to_bits()));
+        assert_eq!(cost.to_bits(), raw_distances(6, &raw, 0)[3].to_bits());
     }
 }

@@ -550,42 +550,60 @@ pub struct QueryEngine<'g> {
     obs: EngineObs,
 }
 
-/// Where [`QueryEngine::dispatch`] left the answer of a point-to-point
+/// Where [`QueryEngine::dispatch`] finds the answer of a point-to-point
 /// query, with the two ways of reading it.
 enum Answer<'e> {
-    /// The `(edges, vertices)` a hierarchy query unpacked into its
-    /// scratch buffers.
-    Unpacked(&'e [EdgeId], &'e [VertexId]),
+    /// A hierarchy query from `source` to `target`, run on the engine's
+    /// search state by whichever reading is asked for.
+    Hierarchy {
+        view: HierarchyView<'e>,
+        search: &'e mut ChSearch,
+        source: VertexId,
+        target: VertexId,
+    },
     /// The parent chain and distance the forward side holds.
     Tree(TreeView<'e>),
 }
 
 impl Answer<'_> {
-    /// The answer as a simple [`Path`]; `None` when a tree search did not
-    /// reach `target`. Both kinds are simple by construction: a tree path
+    /// The answer as a simple [`Path`]; `None` when `target` is
+    /// unreachable. Both kinds are simple by construction: a tree path
     /// follows parent pointers, and a hierarchy query cuts the cycles an
     /// unpacked walk can carry under zero weights.
-    fn path(&self, target: VertexId) -> Option<Path> {
+    fn path(self, target: VertexId) -> Option<Path> {
         match self {
-            Answer::Unpacked(edges, vertices) => Some(Path::from_parts_unchecked(
-                vertices.to_vec(),
-                edges.to_vec(),
-            )),
+            Answer::Hierarchy {
+                view,
+                search,
+                source,
+                target,
+            } => {
+                let (edges, vertices) = view.query_path(search, source, target)?;
+                Some(Path::from_parts_unchecked(
+                    vertices.to_vec(),
+                    edges.to_vec(),
+                ))
+            }
             Answer::Tree(tree) => tree.path_to(target),
         }
     }
 
-    /// The answer's cost under `weights`. An unpacked path is summed left
-    /// to right over its edges — the same fold order as Dijkstra's
-    /// relaxation chain — so it is bit-identical to the plain engine on
-    /// the current (possibly freshly customized) weights whenever the
-    /// optimum is unique (shortcut-weight sums alone could differ in the
-    /// last bits through float re-association).
-    fn cost(&self, target: VertexId, weights: &[f64]) -> Option<f64> {
+    /// The answer's cost under `weights`. A hierarchy path is summed
+    /// left to right over its edges while it unpacks
+    /// ([`HierarchyView::query_path_cost`], no path assembled) — the same
+    /// fold order as Dijkstra's relaxation chain — so it is bit-identical
+    /// to the plain engine on the current (possibly freshly customized)
+    /// weights whenever the optimum is unique (shortcut-weight sums alone
+    /// could differ in the last bits through float re-association), and
+    /// to the cost of [`Answer::path`] always.
+    fn cost(self, target: VertexId, weights: &[f64]) -> Option<f64> {
         match self {
-            Answer::Unpacked(edges, _) => {
-                Some(edges.iter().fold(0.0, |acc, e| acc + weights[e.index()]))
-            }
+            Answer::Hierarchy {
+                view,
+                search,
+                source,
+                target,
+            } => view.query_path_cost(search, source, target, weights),
             Answer::Tree(tree) => {
                 let d = tree.dist(target);
                 d.is_finite().then_some(d)
@@ -955,8 +973,12 @@ impl<'g> QueryEngine<'g> {
         self.accounted(cost, |this, backend| match backend {
             SearchBackend::Ch | SearchBackend::Cch => {
                 let (view, search) = this.hierarchy(backend == SearchBackend::Cch);
-                let (edges, vertices) = view.query_path(search, source, target)?;
-                read(Answer::Unpacked(edges, vertices))
+                read(Answer::Hierarchy {
+                    view,
+                    search,
+                    source,
+                    target,
+                })
             }
             SearchBackend::Plain => {
                 let g = this.g;
@@ -1030,10 +1052,12 @@ impl<'g> QueryEngine<'g> {
 
     /// Cost of the cheapest `source -> target` path without materialising
     /// it — the probe map matching uses for its HMM transition model.
-    /// Backend-dispatched exactly like [`QueryEngine::shortest_path`]; on
-    /// the CH backend this is the single biggest win (the probe is pure
-    /// search, and the CH search settles orders of magnitude fewer
-    /// vertices).
+    /// Backend-dispatched exactly like [`QueryEngine::shortest_path`], and
+    /// equal in bits to the cost of the path it would return. On the
+    /// CH/CCH backends the edge weights are folded in path order while
+    /// the shortcuts unpack ([`HierarchyView::query_path_cost`]): no
+    /// vertex list is built and no cycle is cut, since a cycle the path
+    /// would lose weighs zero and folding it in changes no bit.
     pub fn shortest_path_cost(
         &mut self,
         source: VertexId,

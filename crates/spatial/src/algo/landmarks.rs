@@ -38,6 +38,8 @@
 //! runs computed on per-worker [`QueryEngine`]s across `threads` OS
 //! threads.
 
+use std::sync::{mpsc, Mutex, PoisonError};
+
 use pathrank_rng::rngs::StdRng;
 use pathrank_rng::{Rng, SeedableRng};
 
@@ -130,66 +132,31 @@ impl LandmarkTable {
     ///
     /// Selection is inherently sequential (each pick maximises the
     /// minimum network distance to the landmarks chosen so far) and
-    /// produces the forward vectors as a by-product; the backward sweep
-    /// is parallelised over `cfg.threads` workers, each running reverse
-    /// one-to-all Dijkstra on its own [`QueryEngine`]. The result is
-    /// bit-identical for any thread count (asserted by the unit tests).
+    /// produces the forward vectors as a by-product; each backward vector
+    /// is handed to one of `cfg.threads` workers as soon as its landmark
+    /// is chosen, so the reverse one-to-all Dijkstra runs (each worker on
+    /// its own [`QueryEngine`]) overlap the selection. Every row is
+    /// computed alone, so the result is bit-identical for any thread
+    /// count (asserted by the unit tests).
     pub fn build(g: &Graph, metric: LandmarkMetric, cfg: &LandmarkConfig) -> Self {
         let n = g.vertex_count();
         let k = cfg.count.min(n);
         let cost = metric.cost_model();
         let mut landmarks: Vec<VertexId> = Vec::with_capacity(k);
         let mut from_landmark: Vec<f64> = Vec::with_capacity(k * n);
-
-        if k > 0 {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let mut engine = QueryEngine::new(g);
-            // Coverage[v] = min over chosen landmarks of d(L, v); the next
-            // landmark is the worst-covered vertex. Unreached (infinite)
-            // vertices win outright, which plants a landmark in every
-            // weakly separated component; ties break on the lowest id so
-            // the selection is deterministic.
-            let mut coverage = vec![f64::INFINITY; n];
-            let mut next = VertexId(rng.gen_range(0..n as u32));
-            loop {
-                landmarks.push(next);
-                let view = engine.one_to_all(next, cost);
-                for (v, slot) in coverage.iter_mut().enumerate() {
-                    let d = view.dist(VertexId(v as u32));
-                    from_landmark.push(d);
-                    if d < *slot {
-                        *slot = d;
-                    }
-                }
-                if landmarks.len() >= k {
-                    break;
-                }
-                let mut best: Option<(f64, u32)> = None;
-                for (v, &c) in coverage.iter().enumerate() {
-                    if landmarks.iter().any(|l| l.index() == v) {
-                        continue;
-                    }
-                    if best.is_none_or(|(bc, _)| c > bc) {
-                        best = Some((c, v as u32));
-                    }
-                }
-                match best {
-                    Some((_, v)) => next = VertexId(v),
-                    None => break, // k > n cannot happen; defensive
-                }
-            }
-        }
-
-        let k = landmarks.len();
         let mut to_landmark = vec![f64::INFINITY; k * n];
-        let threads = cfg.threads.max(1).min(k.max(1));
+
         if k > 0 {
-            let per = k.div_ceil(threads);
+            let (jobs, queue) = mpsc::channel::<(VertexId, &mut [f64])>();
+            let queue = Mutex::new(queue);
+            let mut rows = to_landmark.chunks_mut(n);
             std::thread::scope(|scope| {
-                for (block, ls) in to_landmark.chunks_mut(per * n).zip(landmarks.chunks(per)) {
+                for _ in 0..cfg.threads.clamp(1, k) {
+                    let queue = &queue;
                     scope.spawn(move || {
                         let mut engine = QueryEngine::new(g);
-                        for (row, &l) in block.chunks_mut(n).zip(ls) {
+                        let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        while let Ok((l, row)) = next() {
                             let view = engine.one_to_all_rev(l, cost);
                             for (v, slot) in row.iter_mut().enumerate() {
                                 *slot = view.dist(VertexId(v as u32));
@@ -197,8 +164,51 @@ impl LandmarkTable {
                         }
                     });
                 }
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
+                let mut engine = QueryEngine::new(g);
+                // Coverage[v] = min over chosen landmarks of d(L, v); the
+                // next landmark is the worst-covered vertex. Unreached
+                // (infinite) vertices win outright, which plants a
+                // landmark in every weakly separated component; ties
+                // break on the lowest id so the selection is
+                // deterministic.
+                let mut coverage = vec![f64::INFINITY; n];
+                let mut next = VertexId(rng.gen_range(0..n as u32));
+                loop {
+                    landmarks.push(next);
+                    let row = rows.next().expect("one row per landmark");
+                    jobs.send((next, row))
+                        .expect("the workers outlive the selection");
+                    let view = engine.one_to_all(next, cost);
+                    for (v, slot) in coverage.iter_mut().enumerate() {
+                        let d = view.dist(VertexId(v as u32));
+                        from_landmark.push(d);
+                        if d < *slot {
+                            *slot = d;
+                        }
+                    }
+                    if landmarks.len() >= k {
+                        break;
+                    }
+                    let mut best: Option<(f64, u32)> = None;
+                    for (v, &c) in coverage.iter().enumerate() {
+                        if landmarks.iter().any(|l| l.index() == v) {
+                            continue;
+                        }
+                        if best.is_none_or(|(bc, _)| c > bc) {
+                            best = Some((c, v as u32));
+                        }
+                    }
+                    match best {
+                        Some((_, v)) => next = VertexId(v),
+                        None => break, // k > n cannot happen; defensive
+                    }
+                }
+                // Closing the queue lets the workers finish and return.
+                drop(jobs);
             });
         }
+        to_landmark.truncate(landmarks.len() * n);
 
         LandmarkTable {
             metric,

@@ -145,23 +145,41 @@ impl HierarchyView<'_> {
         for (j, &t) in targets.iter().enumerate() {
             let col = j as u32;
             self.walk::<false>(fwd, t, |u, dist| {
-                buckets.deposit(u, BucketEntry { col, dist })
+                buckets.deposit(u, BucketEntry { col, dist });
+                f64::INFINITY
             });
         }
     }
 
     /// One source phase: a forward walk from `source` that scans every
     /// reached rank's bucket into `row` (one entry per prepared target,
-    /// `INFINITY` on entry).
+    /// `INFINITY` on entry). Once every target has an entry, the walk
+    /// relaxes only labels below the largest one, as the point query
+    /// relaxes only labels below its best meet: a bucket distance is
+    /// non-negative, so a label at or past every entry improves none of
+    /// them, and neither does anything reached through it. The table is
+    /// the unpruned walk's, bit for bit.
     fn distances_from(&self, search: &mut ChSearch, source: VertexId, row: &mut [f64]) {
         let ChSearch { fwd, buckets, .. } = search;
+        let mut unreached = row.len();
+        let mut bound = f64::INFINITY;
         self.walk::<true>(fwd, source, |u, d| {
             for e in buckets.get(u) {
                 let total = d + e.dist;
-                if total < row[e.col as usize] {
-                    row[e.col as usize] = total;
+                let entry = &mut row[e.col as usize];
+                if total < *entry {
+                    // The largest entry fell, or the last target was
+                    // reached: the bound is the largest entry again.
+                    let was = std::mem::replace(entry, total);
+                    if was == f64::INFINITY {
+                        unreached -= 1;
+                    }
+                    if unreached == 0 && was == bound {
+                        bound = row.iter().copied().fold(0.0, f64::max);
+                    }
                 }
             }
+            bound
         });
     }
 

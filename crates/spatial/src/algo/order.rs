@@ -8,6 +8,12 @@ use std::collections::BinaryHeap;
 
 use crate::graph::VertexId;
 
+#[cfg(test)]
+thread_local! {
+    /// Ordering loops run on this thread.
+    pub(crate) static LOOPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Contracts all `n` vertices of `b` in priority order with lazy updates
 /// (ties broken on the lowest vertex id): `priority(b, v, scratch)` is
 /// the contraction priority of the uncontracted `v` (lower contracts
@@ -23,6 +29,8 @@ pub(crate) fn contract_in_priority_order<B: Sync, S: Default>(
     priority: impl Fn(&B, VertexId, &mut S) -> i64 + Sync,
     mut contract: impl FnMut(&mut B, VertexId, u32, &mut S),
 ) -> S {
+    #[cfg(test)]
+    LOOPS.with(|l| l.set(l.get() + 1));
     let mut init_prio = vec![0i64; n];
     if n > 0 {
         let per = n.div_ceil(threads.clamp(1, n));

@@ -171,6 +171,7 @@ impl GraphBuilder {
             length_m: self.edges.iter().map(|e| e.attrs.length_m).collect(),
             travel_time_s: self.edges.iter().map(|e| e.attrs.travel_time_s()).collect(),
             edge_records: self.edges,
+            order: Default::default(),
         }
     }
 

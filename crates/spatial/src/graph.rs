@@ -6,6 +6,8 @@
 //! time is derived. Both outgoing and incoming adjacency are stored in CSR
 //! form so that forward and reverse searches are both cache-friendly.
 
+use std::sync::{Mutex, OnceLock};
+
 use crate::geometry::Point;
 
 /// Identifier of a vertex; an index into the graph's vertex arrays.
@@ -182,6 +184,19 @@ impl<'a> CostModel<'a> {
 ///
 /// Construct with [`crate::builder::GraphBuilder`] or one of the
 /// [`crate::generators`].
+///
+/// Because a graph never changes once built, it also keeps the one thing
+/// every hierarchy over it recomputes otherwise: the contraction order of
+/// its chordal topology. The first
+/// [`crate::algo::ContractionHierarchy::build`] or
+/// [`crate::algo::CchTopology::build`] stores the ranks (4 B per vertex)
+/// and the vertex pairs the contraction joined, in creation order; later
+/// builds assemble their skeleton from them instead of running the
+/// ordering loop again. The first topology build takes the pair list, so
+/// the graph never holds it beside a topology, and a build after that
+/// replays the contraction in rank order. The memo is a cache, not part
+/// of the graph: equality ignores it, a clone starts without it, and the
+/// io formats never write it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     pub(crate) coords: Vec<Point>,
@@ -202,6 +217,47 @@ pub struct Graph {
     /// [`CostModel`].
     pub(crate) length_m: Vec<f64>,
     pub(crate) travel_time_s: Vec<f64>,
+    /// The contraction order, once a hierarchy build computed it.
+    pub(crate) order: OrderMemo,
+}
+
+/// The contraction order of a graph's chordal topology
+/// (`crate::algo::cch`'s ordering loop), kept by the graph.
+#[derive(Debug)]
+pub(crate) struct ContractionOrder {
+    /// `rank[v]` = the position `v` was contracted at.
+    pub(crate) rank: Vec<u32>,
+    /// The vertex pairs the contraction joined, in creation order, until
+    /// a topology build takes them.
+    pub(crate) pairs: Mutex<Option<Vec<(VertexId, VertexId)>>>,
+}
+
+/// A set-once slot for a [`ContractionOrder`]: equal to every other
+/// slot, cloned empty.
+#[derive(Default)]
+pub(crate) struct OrderMemo(pub(crate) OnceLock<ContractionOrder>);
+
+impl Clone for OrderMemo {
+    fn clone(&self) -> Self {
+        OrderMemo::default()
+    }
+}
+
+impl PartialEq for OrderMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for OrderMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = if self.0.get().is_some() {
+            "kept"
+        } else {
+            "none"
+        };
+        write!(f, "OrderMemo({state})")
+    }
 }
 
 impl Graph {

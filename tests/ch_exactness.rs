@@ -41,8 +41,8 @@ use pathrank_testkit::prelude::*;
 
 mod common;
 use common::{
-    assert_backends_agree, custom_weights, integer_times, live_weights, regimes, rural, Backends,
-    GraphCase, BACKENDS, MAX_VERTICES,
+    assert_backends_agree, custom_weights, integer_times, live_weights, reference_cost, regimes,
+    rural, Backends, GraphCase, BACKENDS, MAX_VERTICES,
 };
 
 /// The hierarchies: the metric-built CH and the customizable CCH.
@@ -249,6 +249,44 @@ proptest! {
                 let distinct: HashSet<&VertexId> = vertices.iter().collect();
                 prop_assert_eq!(distinct.len(), vertices.len(), "{:?}", vertices);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// A `Custom` vector with zero entries on directed multigraphs: the
+    /// cost `query_path_cost` folds over the unpacked walk, with no cycle
+    /// cut, has the bits of the cut path `query_path` returns, which is
+    /// simple and costs what plain Dijkstra says.
+    #[test]
+    fn cch_path_costs_keep_their_bits_with_the_cut_absent(
+        case in GraphCase::multigraph(rural),
+        salt in 1u32..40,
+        zeros in 1u32..6,
+    ) {
+        let g = case.graph();
+        let custom: Vec<f64> = custom_weights(g.edge_count(), salt)
+            .into_iter()
+            .map(|w| if w <= zeros as f64 { 0.0 } else { w })
+            .collect();
+        let topo = Arc::new(CchTopology::build(&g, &CchConfig { threads: 2 }));
+        let cch = topo.customize_weights(&g, &custom);
+        let cost = CostModel::Custom(&custom);
+        let mut search = ChSearch::default();
+        let n = g.vertex_count() as u32;
+        for (s, t) in (0..n).flat_map(|s| (0..n).map(move |t| (VertexId(s), VertexId(t)))) {
+            let folded = cch.view().query_path_cost(&mut search, s, t, &custom);
+            let Some((edges, vertices)) = cch.view().query_path(&mut search, s, t) else {
+                prop_assert_eq!(folded, None);
+                continue;
+            };
+            let distinct: HashSet<&VertexId> = vertices.iter().collect();
+            prop_assert_eq!(distinct.len(), vertices.len(), "{:?}", vertices);
+            let cut = edges.iter().fold(0.0, |acc, e| acc + custom[e.index()]);
+            prop_assert_eq!(folded.map(f64::to_bits), Some(cut.to_bits()));
+            prop_assert_eq!(cut.to_bits(), reference_cost(&g, s, t, cost).to_bits());
         }
     }
 }

@@ -401,6 +401,10 @@ pub fn assert_pair_agrees(
         probe.to_bits() == want.to_bits(),
         "{what}: {s:?}->{t:?} probe says {probe}, Dijkstra {want}"
     );
+    assert!(
+        probe.to_bits() == found.to_bits(),
+        "{what}: {s:?}->{t:?} probe says {probe}, its path {found}"
+    );
     if let Some(p) = &got {
         p.validate(g)
             .unwrap_or_else(|e| panic!("{what}: {s:?}->{t:?} invalid path: {e:?}"));
